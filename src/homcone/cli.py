@@ -328,12 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--point", required=True,
                     help="comma-separated coordinates of y")
     pr.add_argument("--height", required=True, type=float, help="the height s")
-    pr.add_argument("--alpha0", type=float, default=1.0)
-    pr.add_argument("--beta0", type=float, default=2.0)
-    pr.add_argument("--eps", type=float, default=1e-6)
+    pr.add_argument("--alpha0", type=float, default=None,
+                    help="with --beta0, a starting bracket: selects the traced "
+                         "reference bisection")
+    pr.add_argument("--beta0", type=float, default=None)
+    pr.add_argument("--eps", type=float, default=1e-6,
+                    help="tolerance on alpha*: relative by default, the absolute "
+                         "bracket width with --alpha0/--beta0")
     pr.add_argument("--max-iter", type=int, default=200)
     pr.add_argument("--trace", action="store_true",
-                    help="append the bisection table as CSV")
+                    help="append the search steps as CSV")
     pr.add_argument("--force-iterative", action="store_true",
                     help="bypass closed-form fast paths")
     pr.add_argument("--out", default=None)

@@ -6,22 +6,28 @@ determines the projection:
     P_K(y, s) = (P_rec(y), 0)                       if alpha* = 0,
                 (alpha* P_C(y / alpha*), alpha*)    if alpha* > 0.
 
-alpha* is located by a bisection on the monotone derivative psi', preceded by
-a bracket-expansion phase (halve the left endpoint while psi' is positive
-there, double the right endpoint while psi' is negative there).  Euclidean
-balls centred at the origin and ball-pen sets skip the iteration entirely
-through exact piecewise formulas.
+By default alpha* is the root of the monotone derivative psi' on the a priori
+bracket [0, s+ + ||(y, s)||], found by a safeguarded Brent iteration
+(:mod:`homcone.roots`) to a tolerance relative to alpha*; for bounded sets
+the support function decides the recession branch without a projector call.
+Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
+tolerance at every scale.  A caller-given bracket selects the reference
+bisection :func:`find_alpha_star` instead, whose trace reproduces the
+bundled reference table.  Euclidean balls centred at the origin and ball-pen
+sets skip the iteration entirely through exact piecewise formulas.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CenterOutsideRadius, MaxIterationsExceeded
+from .roots import brent_root
 from .scaledfun import PsiEvaluator
 from .sets import MEMBERSHIP_TOL, BallPen, EuclideanBall, Ray, as_vector
 
@@ -45,7 +51,9 @@ class TraceRow(NamedTuple):
     """One outer step of the bracket search.
 
     Bracket-move steps carry no midpoint; bisection steps record the midpoint
-    and its derivative value.
+    and its derivative value.  On the default Brent path the first row is the
+    a priori bracket (no midpoint) and each later row one trial point, in
+    ``mid``, inside the bracket of that step.
     """
 
     n: int
@@ -166,6 +174,62 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
                 db = ev.psi_prime(b)
 
 
+#: Smallest relative tolerance on alpha*: below a few ulps the bracket can
+#: no longer shrink.
+_RTOL_FLOOR = 4.0 * np.finfo(float).eps
+
+
+def _alpha_star(ev, scale, eps, max_iter, rows):
+    """alpha* by Brent's method on psi' over [0, s+ + scale], scale = ||(y, s)||.
+
+    The bracket holds because (alpha* - s)^2 <= psi(alpha*) <= psi(0) <=
+    scale^2.  For bounded sets the left end is 0 with psi'(0+) from the
+    support function; unbounded sets start from psi' at 1e-12 scale.  A
+    nonnegative psi' at the left end certifies the recession branch.  The
+    search stops when the bracket is narrower than ``eps`` alpha and returns
+    the best iterate.  Returns ``(alpha_star, psi' evaluations)``; when
+    ``rows`` is a list, one TraceRow per step is appended to it.
+    """
+    if scale == 0.0:
+        return 0.0, 0
+    psi_prime = ev.psi_prime
+    if ev.set.bounded:
+        lo, f_lo, calls = 0.0, ev.psi_prime_plus_zero(), 0
+    else:
+        lo = 1e-12 * scale
+        f_lo, calls = psi_prime(lo), 1
+    if f_lo >= 0.0:
+        return 0.0, calls
+    hi = max(ev.s, 0.0) + scale
+    f_hi = psi_prime(hi)
+    calls += 1
+    if rows is not None:
+        rows.append(TraceRow(1, lo, None, hi, f_lo, None, f_hi))
+        psi_prime = _recorded(psi_prime, rows, lo, hi, f_lo, f_hi)
+    if f_hi <= 0.0:
+        # Only roundoff puts the root at or past the a priori bound.
+        return hi, calls
+    alpha, n = brent_root(psi_prime, lo, hi, f_lo, f_hi, 0.0,
+                          max(eps, _RTOL_FLOOR), max_iter - calls)
+    return alpha, calls + n
+
+
+def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
+    """psi_prime that appends a TraceRow per call.  psi' is monotone, so the
+    sign of each value moves one end of the bracket."""
+    def step(alpha):
+        nonlocal lo, hi, f_lo, f_hi
+        d = psi_prime(alpha)
+        rows.append(TraceRow(len(rows) + 1, lo, alpha, hi, f_lo, d, f_hi))
+        if d < 0.0:
+            lo, f_lo = alpha, d
+        else:
+            hi, f_hi = alpha, d
+        return d
+
+    return step
+
+
 # ---------------------------------------------------------------------------
 # Closed-form fast paths
 # ---------------------------------------------------------------------------
@@ -230,43 +294,61 @@ def _ball_pen_member_projection(ray, x):
 # General projection
 # ---------------------------------------------------------------------------
 
-def _in_cone(set_, p, tol) -> bool:
-    """Exact-arithmetic membership of (y, s) in K via the disjoint split
-    rays-over-C versus recession-at-height-0."""
+def _in_cone(set_, p, scale, tol) -> bool:
+    """Membership of (y, s) in K via the disjoint split rays-over-C versus
+    recession-at-height-0; heights within 1e-12 scale of 0 count as 0, with
+    scale = ||(y, s)||."""
     y, s = p
-    if s < -1e-12:
+    height_tol = 1e-12 * scale
+    if s < -height_tol:
         return False
-    if s <= 1e-12:
-        return set_.recession_distance(y) <= tol
+    if s <= height_tol:
+        return set_.recession_distance(y) <= tol * scale
     return set_.contains(y / s, tol)
 
 
-def project_homogenization(set_, p, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
+def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=200,
                            force_iterative=False, keep_trace=False,
                            tol=MEMBERSHIP_TOL) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
     Dispatch: origin-centred Euclidean balls use the exact ice-cream formula
     and ball pens their exact piecewise formula; every other projectable
-    variant (including off-centre balls) runs the derivative bisection.
+    variant (including off-centre balls) solves for alpha* on psi'.
     ``force_iterative`` bypasses the fast paths and the membership shortcut so
     the iterative route can be compared against the closed forms.
+
+    Without a bracket the solve is Brent's method on the a priori bracket,
+    ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
+    and ``iterations`` counts them.  A bracket ``alpha0 < beta0`` selects the
+    reference bisection :func:`find_alpha_star` instead, with ``eps`` an
+    absolute width and ``iterations`` its outer steps.
     """
+    if (alpha0 is None) != (beta0 is None):
+        raise ValueError("give both alpha0 and beta0, or neither")
     p = _as_cone_point(set_, p)
     if not force_iterative:
         if isinstance(set_, EuclideanBall) and not np.any(set_.center):
             return project_ice_cream(set_.radius, p)
         if isinstance(set_, BallPen):
             return project_ball_pen(set_.direction, p)
-        if _in_cone(set_, p, tol):
-            s_star = p.s if p.s > 0.0 else 0.0
-            return ProjectionResult(
-                s_star, ConePoint(p.y.copy(), s_star), Branch.ALREADY_IN_K, 0
-            )
+    scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
+    if not force_iterative and _in_cone(set_, p, scale, tol):
+        s_star = p.s if p.s > 0.0 else 0.0
+        return ProjectionResult(
+            s_star, ConePoint(p.y.copy(), s_star), Branch.ALREADY_IN_K, 0
+        )
     ev = PsiEvaluator(set_, p.y, p.s)
-    alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
-    iterations = len(trace)
-    kept = trace if keep_trace else None
+    if alpha0 is None:
+        if not eps > 0.0:
+            raise ValueError("eps must be positive")
+        rows = [] if keep_trace else None
+        alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
+        kept = BisectionTrace(rows) if keep_trace else None
+    else:
+        alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
+        iterations = len(trace)
+        kept = trace if keep_trace else None
     if alpha_star == 0.0:
         y_rec = set_.project_recession(p.y)
         return ProjectionResult(

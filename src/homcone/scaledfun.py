@@ -10,14 +10,16 @@ projection onto the homogenization cone (see :mod:`homcone.homproj`).
 
     phi'(a) = -2 a <P_C(y/a), y/a - P_C(y/a)>  <=  0,
 
-so every derivative here costs exactly one projector call.
+so every derivative here costs exactly one projector call.  For bounded C the
+right derivative of psi at 0 has the closed form -2 (s + sigma_C(y)), which
+costs one support-function call and no projector call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CenterOutsideRadius, NegativeAlpha, NonPositiveAlpha
+from .errors import CapabilityMissing, NegativeAlpha, NonPositiveAlpha
 from .sets import as_vector
 
 
@@ -74,17 +76,15 @@ class PsiEvaluator:
         alpha = _positive(alpha)
         return 2.0 * (alpha - self.s) + self.phi_prime(alpha)
 
+    def psi_prime_plus_zero(self) -> float:
+        """Right derivative of psi at 0 for a bounded set: -2 (s + sigma_C(y)).
 
-def psi_prime_plus_zero_ball(center, radius, y, s) -> float:
-    """Right derivative of psi at 0 for a Euclidean ball, in closed form.
-
-    Equals -2s - 2<center, y> - 2 radius ||y||.  A nonnegative value certifies
-    that the minimizer of psi is 0 (recession branch) without any iteration.
-    Valid only for balls; other variants have no closed form here.
-    """
-    z = as_vector(center)
-    y = as_vector(y, z.size)
-    radius = float(radius)
-    if float(np.linalg.norm(z)) > radius + 1e-12:
-        raise CenterOutsideRadius("require ||center|| <= radius")
-    return -2.0 * float(s) - 2.0 * float(z @ y) - 2.0 * radius * float(np.linalg.norm(y))
+        As a -> 0+, <P_C(y/a), y> tends to sigma_C(y) and a ||P_C(y/a)||^2 to
+        0.  A nonnegative value certifies alpha* = 0, the recession branch:
+        (y, s) then lies in the polar cone of K.  Unbounded sets raise
+        CapabilityMissing, since their sigma_C is +inf off the polar of the
+        recession cone.
+        """
+        if not self.set.bounded:
+            raise CapabilityMissing("psi'(0+) in closed form needs a bounded set")
+        return -2.0 * (self.s + self.set.support(self.y))

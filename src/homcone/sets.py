@@ -15,7 +15,6 @@ import json
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CapabilityMissing,
@@ -24,6 +23,7 @@ from .errors import (
     InvalidSetSpec,
     UnsupportedProjection,
 )
+from .roots import brent_root
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
@@ -198,13 +198,18 @@ class Box(ConvexSet):
 
 def _simplex_threshold(v, target):
     """Shift so that sum(max(v - theta, 0)) equals target; assumes the
-    unshifted positive part already exceeds target."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - target
-    j = np.arange(1, u.size + 1)
-    rho = np.nonzero(u - css / j > 0.0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    unshifted positive part already exceeds target.
+
+    Sums run over the entries minus the largest one, so target is not
+    rounded away against huge entries, and the first index qualifies exactly
+    (0 - (0 - target) / 1 = target > 0).
+    """
+    top = float(np.max(v))
+    d = np.sort(v)[::-1] - top
+    css = np.cumsum(d) - target
+    j = np.arange(1, d.size + 1)
+    rho = np.nonzero(d - css / j > 0.0)[0][-1]
+    return np.maximum((v - top) - css[rho] / (rho + 1.0), 0.0)
 
 
 class L1Ball(ConvexSet):
@@ -323,9 +328,12 @@ class Ellipsoid(ConvexSet):
             return float(np.sum(w * t * t)) - 1.0
 
         hi = 1.0
-        while g(hi) > 0.0:
+        g_hi = g(hi)
+        while g_hi > 0.0:
             hi *= 4.0
-        lam = brentq(g, 0.0, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
+            g_hi = g(hi)
+        # g(0) = <x, Qx> - 1 > 0 and g decreases, so [0, hi] brackets the root.
+        lam, _ = brent_root(g, 0.0, hi, g(0.0), g_hi, 1e-15, 4 * np.finfo(float).eps, 200)
         return self._evecs @ (u / (1.0 + lam * w))
 
     def support(self, y):

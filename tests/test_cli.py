@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import homcone
 from homcone.cli import main
 
 BALL = '{"type":"euclidean_ball","center":[1,0],"radius":1}'
@@ -13,6 +17,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_does_not_load_scipy():
+    # Start-up cost of every `homcone` process: the package needs numpy only.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homcone.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, homcone, homcone.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,93 @@ def test_projection_all_projectable_variants_smoke():
                 assert set_.contains(res.point.y / res.point.s, tol=1e-7)
 
 
+def test_membership_shortcut_is_scale_invariant():
+    # (y/s) = (3000, 0) lies far outside the box at every scale, so the
+    # shortcut must not call a tiny query a height-0 recession member.
+    box = Box((1.0, 1.0))
+    for t in (1.0, 1e-10):
+        res = project_homogenization(box, (t * np.array([3.0, 0.0]), t * 1e-3))
+        assert res.branch is Branch.CONE_INTERIOR
+        assert res.alpha_star == pytest.approx(t * 1.5005, rel=1e-6)
+
+
+def test_default_solver_is_scale_invariant_on_reference_query():
+    ball = EuclideanBall((1.0, 0.0), 1.0)
+    for t in (1e-9, 1e-3, 1.0, 1e6, 1e12):
+        res = project_homogenization(ball, (t * np.array([1.0, 2.0]), t))
+        assert res.alpha_star / t == pytest.approx(REFERENCE_ALPHA_STAR, abs=1e-6)
+        assert res.iterations <= 10
+
+
+def test_default_solver_trace_rows():
+    ball = EuclideanBall((1.0, 0.0), 1.0)
+    res = project_homogenization(ball, ((1.0, 2.0), 1.0), keep_trace=True, eps=1e-12)
+    rows = res.trace.rows
+    # The a priori bracket [0, s+ + ||(y, s)||], then one trial per row, each
+    # inside its bracket; the row count is the psi' call count.
+    assert (rows[0].alpha, rows[0].mid) == (0.0, None)
+    assert rows[0].beta == pytest.approx(1.0 + math.sqrt(6.0), rel=1e-15)
+    assert len(rows) == res.iterations
+    for r in rows[1:]:
+        assert r.alpha < r.mid < r.beta
+        assert r.dpsi_alpha < 0.0 < r.dpsi_beta
+    assert res.alpha_star == pytest.approx(REFERENCE_ALPHA_STAR, abs=1e-6)
+
+
+def test_default_solver_recession_needs_no_projector_call():
+    res = project_homogenization(
+        EuclideanBall((0.0, 0.0), 2.0), ((3.0, 4.0), -20.0), force_iterative=True
+    )
+    assert res.branch is Branch.RECESSION
+    assert res.iterations == 0
+
+
+def test_half_bracket_is_rejected():
+    with pytest.raises(ValueError):
+        project_homogenization(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), alpha0=3.0)
+
+
+SCALES = (1e-9, 1e-6, 1.0, 1e6, 1e12)
+
+
+def scale_property_sets():
+    return [
+        ("ball_off", EuclideanBall((0.4, 0.2), 1.0)),
+        ("box", Box((1.0, 0.7, 1.6))),
+        ("l1", L1Ball(1.2, dim=3)),
+        ("simplex", Simplex(3)),
+        ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]])),
+        ("pball2", PBall(2.0, 1.2)),
+        ("pballinf", PBall(math.inf, 0.9, dim=3)),
+    ]
+
+
+@pytest.mark.parametrize("name,set_", scale_property_sets(),
+                         ids=[n for n, _ in scale_property_sets()])
+def test_projection_is_a_projector_at_every_scale(name, set_):
+    # Homogeneity, idempotence and the Moreau conditions (q = v - p in the
+    # polar cone, <p, q> = 0), all relative to ||v||, from 1e-9 to 1e12.
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        y = rng.uniform(-4, 4, set_.dim)
+        s = rng.uniform(-4, 4)
+        base = project_homogenization(set_, (y, s), eps=1e-12)
+        for t in SCALES:
+            v_norm = t * math.hypot(float(np.linalg.norm(y)), s)
+            res = project_homogenization(set_, (t * y, t * s), eps=1e-12)
+            p_y, p_s = res.point
+            err = math.hypot(float(np.linalg.norm(p_y - t * base.point.y)),
+                             p_s - t * base.point.s)
+            assert err <= 1e-9 * v_norm
+            again = project_homogenization(set_, res.point, eps=1e-12)
+            err = math.hypot(float(np.linalg.norm(again.point.y - p_y)),
+                             again.point.s - p_s)
+            assert err <= 1e-9 * v_norm
+            q_y, q_s = t * y - p_y, t * s - p_s
+            assert q_s + set_.support(q_y) <= 1e-9 * v_norm
+            assert abs(float(p_y @ q_y) + p_s * q_s) <= 1e-9 * v_norm * v_norm
+
+
 # ---------------------------------------------------------------------------
 # Residual quartic
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from homcone import (
     Box,
     CapabilityMissing,
     CenterOutsideRadius,
+    Ellipsoid,
     EuclideanBall,
     Hyperbolic,
     L1Ball,
@@ -15,7 +16,6 @@ from homcone import (
     NonPositiveAlpha,
     PsiEvaluator,
     Simplex,
-    psi_prime_plus_zero_ball,
 )
 
 
@@ -135,7 +135,12 @@ def test_psi_prime_reference_instance_clipped_values():
     assert ev.psi_prime(0.75) == pytest.approx(-3.3450768, abs=5e-8)
 
 
-def test_psi_prime_plus_zero_ball_examples():
+def psi_prime_plus_zero_ball(center, radius, y, s):
+    return PsiEvaluator(EuclideanBall(center, radius), y, s).psi_prime_plus_zero()
+
+
+def test_psi_prime_plus_zero_examples():
+    # For a ball the certificate is -2s - 2<center, y> - 2 radius ||y||.
     v = psi_prime_plus_zero_ball((1.0, 0.0), 1.0, (1.0, 2.0), 1.0)
     assert v == pytest.approx(-2.0 - 2.0 - 2.0 * math.sqrt(5.0), abs=1e-12)
     assert v < 0  # positive minimizer for this instance
@@ -145,7 +150,7 @@ def test_psi_prime_plus_zero_ball_examples():
         psi_prime_plus_zero_ball((3.0, 0.0), 1.0, (1.0, 1.0), 0.0)
 
 
-def test_psi_prime_plus_zero_ball_sign_matches_grid_minimum():
+def test_psi_prime_plus_zero_sign_matches_grid_minimum():
     # Nonnegative right derivative at 0 certifies the 0 minimizer; check the
     # certificate against a direct grid scan of psi.
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 2.0), (3.0, 4.0), -20.0)
@@ -153,6 +158,27 @@ def test_psi_prime_plus_zero_ball_sign_matches_grid_minimum():
     values = [ev.psi(a) for a in grid]
     assert int(np.argmin(values)) == 0
     assert psi_prime_plus_zero_ball((0.0, 0.0), 2.0, (3.0, 4.0), -20.0) >= 0.0
+
+
+def test_psi_prime_plus_zero_is_the_right_limit():
+    # -2 (s + sigma_C(y)) is the limit of psi' at 0+ on every bounded set,
+    # and psi'(0) itself stays undefined.
+    rng = np.random.default_rng(27)
+    sets = [
+        EuclideanBall((0.5, -0.3), 1.0),
+        Box((0.8, 1.5)),
+        L1Ball(1.7),
+        Simplex(2),
+        Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
+    ]
+    for set_ in sets:
+        for _ in range(50):
+            ev = PsiEvaluator(set_, rng.uniform(-6, 6, 2), rng.uniform(-6, 6))
+            assert ev.psi_prime_plus_zero() == pytest.approx(ev.psi_prime(1e-7), abs=1e-5)
+        with pytest.raises(NonPositiveAlpha):
+            ev.psi_prime(0.0)
+    with pytest.raises(CapabilityMissing):
+        PsiEvaluator(BallPen((0.0, 1.0)), (1.0, 1.0), 0.0).psi_prime_plus_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,17 @@ def test_ball_pen_projection():
     assert np.linalg.norm(p - x) <= np.linalg.norm(members - x, axis=1).min() + 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e17, 1e20])
+def test_simplex_and_l1_projection_at_huge_scale(scale):
+    # At this size the sorted cumulative sum rounds the target away, and the
+    # threshold index has to fall back to the largest entry.
+    x = scale * np.array([0.3, 0.2, 0.5]) + np.array([1.0, 0.0, 0.0])
+    for set_ in (Simplex(3), L1Ball(1.0, dim=3)):
+        p = set_.project(x)
+        assert set_.contains(p)
+        np.testing.assert_allclose(p, [0.0, 0.0, 1.0], atol=1e-9)
+
+
 def test_projection_unsupported_variants():
     for set_ in POLAR_ONLY:
         with pytest.raises(UnsupportedProjection):
