@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedProjection,
 )
 from .homproj import (
-    BisectionTrace,
     Branch,
     ConePoint,
     ProjectionResult,
@@ -58,12 +57,7 @@ from .sets import (
     Simplex,
     ZeroCone,
     as_vector,
-    contains,
-    project,
-    project_recession,
-    recession_distance,
     set_from_spec,
-    support_function,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BallPen",
     "BallPlusHalfAxisStrip",
-    "BisectionTrace",
     "Box",
     "Branch",
     "CapabilityMissing",
@@ -106,21 +99,16 @@ __all__ = [
     "as_vector",
     "brute_force_alpha_star",
     "closed_form_polar",
-    "contains",
     "find_alpha_star",
     "homogenization_polar_membership",
     "polar_cone_membership",
     "polar_membership",
-    "project",
     "project_ball_pen",
     "project_homogenization",
     "project_ice_cream",
-    "project_recession",
     "quartic_coefficients",
-    "recession_distance",
     "reference_trace",
     "sample_members",
     "sampled_support",
     "set_from_spec",
-    "support_function",
 ]

@@ -23,7 +23,7 @@ from .polar import (
     polar_cone_membership,
     polar_membership,
 )
-from .sets import set_from_spec, support_function
+from .sets import set_from_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,7 +187,7 @@ def cmd_table1(args) -> int:
 def cmd_polar(args) -> int:
     set_ = _load_set(args.set)
     y = _parse_point(args.point)
-    sigma = support_function(set_, y)
+    sigma = set_.support(y)
     payload = {
         "sigma": "+inf" if math.isinf(sigma) else _g8(sigma),
         "in_polar_set": polar_membership(set_, y, args.tol),

@@ -15,6 +15,10 @@ tolerance at every scale.  A caller-given bracket selects the reference
 bisection :func:`find_alpha_star` instead, whose trace reproduces the
 bundled reference table.  Euclidean balls centred at the origin and ball-pen
 sets skip the iteration entirely through exact piecewise formulas.
+
+Each entry point validates its query once (a finite y of the set's dimension
+and a finite height s); everything after that calls the sets' unchecked
+kernels (see :mod:`homcone.sets`).
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CenterOutsideRadius, MaxIterationsExceeded
+from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
-from .sets import MEMBERSHIP_TOL, BallPen, EuclideanBall, Ray, as_vector
+from .sets import MEMBERSHIP_TOL, BallPen, EuclideanBall, as_height, as_vector
 
 
 class Branch(str, enum.Enum):
@@ -48,7 +52,7 @@ class ConePoint(NamedTuple):
 
 
 class TraceRow(NamedTuple):
-    """One outer step of the bracket search.
+    """One outer step of the bracket search; a trace is a tuple of these.
 
     Bracket-move steps carry no midpoint; bisection steps record the midpoint
     and its derivative value.  On the default Brent path the first row is the
@@ -66,25 +70,12 @@ class TraceRow(NamedTuple):
 
 
 @dataclass
-class BisectionTrace:
-    """Ordered rows of the bracket search, one per outer step."""
-
-    rows: list
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
-@dataclass
 class ProjectionResult:
     alpha_star: float
     point: ConePoint
     branch: Branch
     iterations: int
-    trace: Optional[BisectionTrace] = None
+    trace: Optional[tuple] = None
 
 
 class QuarticCoefficients(NamedTuple):
@@ -101,11 +92,11 @@ class QuarticCoefficients(NamedTuple):
         return self.xi0 + a * (self.xi1 + a * (self.xi2 + a * (self.xi3 + a * self.xi4)))
 
 
-def _as_cone_point(set_, p) -> ConePoint:
-    if isinstance(p, ConePoint):
-        return ConePoint(as_vector(p.y, set_.dim), float(p.s))
+def _as_cone_point(p, dim=None) -> ConePoint:
+    """Validate a query (y, s): y a finite vector (of length ``dim`` when
+    given), s a finite height."""
     y, s = p
-    return ConePoint(as_vector(y, set_.dim), float(s))
+    return ConePoint(as_vector(y, dim), as_height(s))
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +108,12 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
     """Locate the minimizer of psi by bisection on its monotone derivative.
 
     ``ev`` needs only a ``psi_prime(alpha)`` method.  Returns
-    ``(alpha_star, trace)``.  ``alpha_star`` is the left endpoint of the final
-    bracket (width below ``eps``), or the midpoint when the derivative hits
-    zero to within ``zero_tol``, or exactly 0.0 when the left endpoint was
-    halved below ``alpha_floor`` with the derivative still positive, which
-    certifies the recession branch because psi' is nondecreasing.
+    ``(alpha_star, trace)``, the trace a tuple of :class:`TraceRow`.
+    ``alpha_star`` is the left endpoint of the final bracket (width below
+    ``eps``), or the midpoint when the derivative hits zero to within
+    ``zero_tol``, or exactly 0.0 when the left endpoint was halved below
+    ``alpha_floor`` with the derivative still positive, which certifies the
+    recession branch because psi' is nondecreasing.
 
     The termination check runs after the row is recorded, so the final
     bracket appears in the trace.
@@ -149,9 +141,9 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
             dm = ev.psi_prime(mid)
             rows.append(TraceRow(n, a, mid, b, da, dm, db))
             if b - a < eps:
-                return a, BisectionTrace(rows)
+                return a, tuple(rows)
             if abs(dm) < zero_tol:
-                return mid, BisectionTrace(rows)
+                return mid, tuple(rows)
             if dm < 0.0:
                 a, da = mid, dm
             else:
@@ -159,14 +151,14 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
         else:
             rows.append(TraceRow(n, a, None, b, da, None, db))
             if abs(da) < zero_tol:
-                return a, BisectionTrace(rows)
+                return a, tuple(rows)
             if abs(db) < zero_tol:
-                return b, BisectionTrace(rows)
+                return b, tuple(rows)
             if da > 0.0:
                 b, db = a, da
                 a = 0.5 * a
                 if a < alpha_floor:
-                    return 0.0, BisectionTrace(rows)
+                    return 0.0, tuple(rows)
                 da = ev.psi_prime(a)
             else:
                 a, da = b, db
@@ -244,8 +236,11 @@ def project_ice_cream(gamma, p) -> ProjectionResult:
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    y = as_vector(p[0])
-    s = float(p[1])
+    return _ice_cream(gamma, _as_cone_point(p))
+
+
+def _ice_cream(gamma, p):
+    y, s = p
     ny = float(np.linalg.norm(y))
     if ny <= gamma * s:
         return ProjectionResult(s, ConePoint(y.copy(), s), Branch.ALREADY_IN_K, 0)
@@ -264,12 +259,14 @@ def project_ball_pen(direction, p) -> ProjectionResult:
     branch when delta <= -s, the identity-height branch when delta <= s, and
     the averaged branch alpha* = (s + delta)/2 otherwise.
     """
-    ray = Ray(direction)
-    y = as_vector(p[0], ray.dim)
-    s = float(p[1])
-    on_ray = ray.project(y)
-    res = y - on_ray
-    delta = float(np.linalg.norm(res))
+    pen = BallPen(direction)
+    return _ball_pen(pen, _as_cone_point(p, pen.dim))
+
+
+def _ball_pen(pen, p):
+    y, s = p
+    on_ray = pen._project_recession(y)
+    delta = float(np.linalg.norm(y - on_ray))
     if delta <= -s:
         branch = Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
         return ProjectionResult(0.0, ConePoint(on_ray, 0.0), branch, 0)
@@ -278,16 +275,8 @@ def project_ball_pen(direction, p) -> ProjectionResult:
         # projected point reproduces (y, s).
         return ProjectionResult(s, ConePoint(y.copy(), s), Branch.ALREADY_IN_K, 0)
     alpha = 0.5 * (s + delta)
-    c = _ball_pen_member_projection(ray, y / alpha)
+    c = pen._project(y / alpha)
     return ProjectionResult(alpha, ConePoint(alpha * c, alpha), Branch.CONE_INTERIOR, 0)
-
-
-def _ball_pen_member_projection(ray, x):
-    r = x - ray.project(x)
-    dr = float(np.linalg.norm(r))
-    if dr <= 1.0:
-        return x.copy()
-    return (x - r) + r / dr
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +292,8 @@ def _in_cone(set_, p, scale, tol) -> bool:
     if s < -height_tol:
         return False
     if s <= height_tol:
-        return set_.recession_distance(y) <= tol * scale
-    return set_.contains(y / s, tol)
+        return set_._recession_distance(y) <= tol * scale
+    return set_._contains(y / s, tol)
 
 
 def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=200,
@@ -326,12 +315,12 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     """
     if (alpha0 is None) != (beta0 is None):
         raise ValueError("give both alpha0 and beta0, or neither")
-    p = _as_cone_point(set_, p)
+    p = _as_cone_point(p, set_.dim)
     if not force_iterative:
         if isinstance(set_, EuclideanBall) and not np.any(set_.center):
-            return project_ice_cream(set_.radius, p)
+            return _ice_cream(set_.radius, p)
         if isinstance(set_, BallPen):
-            return project_ball_pen(set_.direction, p)
+            return _ball_pen(set_, p)
     scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
     if not force_iterative and _in_cone(set_, p, scale, tol):
         s_star = p.s if p.s > 0.0 else 0.0
@@ -344,17 +333,17 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
             raise ValueError("eps must be positive")
         rows = [] if keep_trace else None
         alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
-        kept = BisectionTrace(rows) if keep_trace else None
+        kept = tuple(rows) if keep_trace else None
     else:
         alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
         iterations = len(trace)
         kept = trace if keep_trace else None
     if alpha_star == 0.0:
-        y_rec = set_.project_recession(p.y)
+        y_rec = set_._project_recession(p.y)
         return ProjectionResult(
             0.0, ConePoint(y_rec, 0.0), Branch.RECESSION, iterations, kept
         )
-    c = set_.project(p.y / alpha_star)
+    c = set_._project(p.y / alpha_star)
     return ProjectionResult(
         alpha_star,
         ConePoint(alpha_star * c, alpha_star),
@@ -376,13 +365,11 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
     introduce spurious roots; it is therefore used only as a residual check,
     never solved for alpha*.
     """
-    z = as_vector(center)
-    y = as_vector(y, z.size)
-    g = float(radius)
+    ball = EuclideanBall(center, radius)
+    z, g = ball.center, ball.radius
+    y = as_vector(y, ball.dim)
     s = float(s)
     nz = float(np.linalg.norm(z))
-    if nz > g + 1e-12:
-        raise CenterOutsideRadius("require ||center|| <= radius")
     zy = float(z @ y)
     ny2 = float(y @ y)
     nz2 = float(z @ z)

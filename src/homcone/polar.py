@@ -35,8 +35,8 @@ from .sets import (
     PBall,
     ShiftedUnitBall,
     Simplex,
+    as_height,
     as_vector,
-    support_function,
 )
 
 DEFAULT_TOL = 1e-9
@@ -44,12 +44,12 @@ DEFAULT_TOL = 1e-9
 
 def polar_membership(set_, y, tol=DEFAULT_TOL) -> bool:
     """y belongs to the polar set iff sigma_C(y) <= 1 (+ tol)."""
-    return support_function(set_, y) <= 1.0 + tol
+    return set_.support(y) <= 1.0 + tol
 
 
 def polar_cone_membership(set_, y, tol=DEFAULT_TOL) -> bool:
     """y belongs to the polar cone iff sigma_C(y) <= 0 (+ tol)."""
-    return support_function(set_, y) <= tol
+    return set_.support(y) <= tol
 
 
 def homogenization_polar_membership(set_, p, tol=DEFAULT_TOL) -> bool:
@@ -60,10 +60,10 @@ def homogenization_polar_membership(set_, p, tol=DEFAULT_TOL) -> bool:
     """
     y, s = p
     y = as_vector(y, set_.dim)
-    s = float(s)
-    if s < 0.0 and polar_membership(set_, y / (-s), tol):
+    s = as_height(s)
+    if s < 0.0 and set_._support(y / (-s)) <= 1.0 + tol:
         return True
-    return abs(s) <= tol and polar_cone_membership(set_, y, tol)
+    return abs(s) <= tol and set_._support(y) <= tol
 
 
 @dataclass

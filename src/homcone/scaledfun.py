@@ -17,10 +17,8 @@ costs one support-function call and no projector call.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CapabilityMissing, NegativeAlpha, NonPositiveAlpha
-from .sets import as_vector
+from .sets import as_height, as_vector
 
 
 def _positive(alpha) -> float:
@@ -33,8 +31,10 @@ def _positive(alpha) -> float:
 class PsiEvaluator:
     """phi, psi and their derivatives for one set and one query point (y, s).
 
-    Evaluations are pure and the instance is immutable, so a single evaluator
-    may be shared across threads.  At a = 0, ``psi`` needs the recession-cone
+    The constructor validates (y, s) once; every evaluation then calls the
+    set's unchecked kernels on vectors built from that query.  Evaluations
+    are pure and the instance is immutable, so a single evaluator may be
+    shared across threads.  At a = 0, ``psi`` needs the recession-cone
     projector of the set; variants without one raise CapabilityMissing rather
     than approximating.
     """
@@ -42,22 +42,20 @@ class PsiEvaluator:
     def __init__(self, set_, y, s):
         self.set = set_
         self.y = as_vector(y, set_.dim)
-        self.s = float(s)
-        if not np.isfinite(self.s):
-            raise ValueError("height must be finite")
+        self.s = as_height(s)
 
     def phi(self, alpha) -> float:
         """Squared distance from y to alpha * C; nonnegative, nonincreasing."""
         alpha = _positive(alpha)
         w = self.y / alpha
-        r = w - self.set.project(w)
+        r = w - self.set._project(w)
         return alpha * alpha * float(r @ r)
 
     def phi_prime(self, alpha) -> float:
         """Analytic derivative of phi; always <= 0."""
         alpha = _positive(alpha)
         w = self.y / alpha
-        p = self.set.project(w)
+        p = self.set._project(w)
         return -2.0 * alpha * float(p @ (w - p))
 
     def psi(self, alpha) -> float:
@@ -66,7 +64,7 @@ class PsiEvaluator:
         if alpha < 0.0:
             raise NegativeAlpha("the scaling parameter must be nonnegative")
         if alpha == 0.0:
-            r = self.set.recession_distance(self.y)
+            r = self.set._recession_distance(self.y)
             return r * r + self.s * self.s
         d = alpha - self.s
         return self.phi(alpha) + d * d
@@ -87,4 +85,4 @@ class PsiEvaluator:
         """
         if not self.set.bounded:
             raise CapabilityMissing("psi'(0+) in closed form needs a bounded set")
-        return -2.0 * (self.s + self.set.support(self.y))
+        return -2.0 * (self.s + self.set._support(self.y))

@@ -7,6 +7,16 @@ shared instances are safe to evaluate concurrently.
 
 Not every variant is projectable: some sets exist only for support-function and
 polar work and raise :class:`UnsupportedProjection` from :meth:`project`.
+
+Validation contract: the public methods of :class:`Cone` and
+:class:`ConvexSet` (``project``, ``contains``, ``support``,
+``project_recession``, ``recession_distance``) validate their vector once with
+:func:`as_vector` and dispatch to a per-set kernel (``_project``,
+``_contains``, ``_support``, ...).  Kernels assume a finite float64 vector of
+the set's dimension and never re-validate; callers inside the package that
+built the vector from an already validated query call the kernels directly.
+The height s of a query (y, s) is validated by :func:`as_height`, which
+rejects a non-finite value.
 """
 
 from __future__ import annotations
@@ -41,6 +51,14 @@ def as_vector(x, dim=None) -> np.ndarray:
     return v
 
 
+def as_height(s) -> float:
+    """Validate the height s of a query (y, s) as a finite float."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError("height must be finite")
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Cones
 # ---------------------------------------------------------------------------
@@ -51,11 +69,14 @@ class Cone:
     dim: int
 
     def project(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._project(as_vector(x, self.dim))
 
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self.project(x))) <= tol
+        return float(np.linalg.norm(x - self._project(x))) <= tol
+
+    def _project(self, x) -> np.ndarray:
+        raise NotImplementedError
 
 
 class ZeroCone(Cone):
@@ -64,8 +85,7 @@ class ZeroCone(Cone):
     def __init__(self, dim):
         self.dim = int(dim)
 
-    def project(self, x):
-        as_vector(x, self.dim)
+    def _project(self, x):
         return np.zeros(self.dim)
 
 
@@ -75,8 +95,8 @@ class FullSpaceCone(Cone):
     def __init__(self, dim):
         self.dim = int(dim)
 
-    def project(self, x):
-        return as_vector(x, self.dim).copy()
+    def _project(self, x):
+        return x.copy()
 
 
 class Ray(Cone):
@@ -90,8 +110,7 @@ class Ray(Cone):
         self.direction = d / n
         self.dim = d.size
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
+    def _project(self, x):
         return max(0.0, float(self.direction @ x)) * self.direction
 
 
@@ -102,30 +121,35 @@ class Ray(Cone):
 class ConvexSet:
     """Base class for the cataloged sets.
 
-    Subclasses define ``dim``, membership, the support function, and, where
-    available, an exact projector.  Bounded variants inherit the trivial
-    recession cone; unbounded ones either override :meth:`recession_cone` or
-    leave the capability missing.
+    Subclasses define ``dim`` and the kernels ``_contains``, ``_support`` and,
+    where available, ``_project``; the public methods validate and dispatch.
+    Bounded variants inherit the trivial recession cone; unbounded ones either
+    override :meth:`recession_cone` or leave the capability missing.
     """
 
     dim: int
     bounded: bool = True
 
-    def _vec(self, x):
-        return as_vector(x, self.dim)
-
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError
+        """Membership test derived from the set's defining inequalities."""
+        return self._contains(as_vector(x, self.dim), tol)
 
     def support(self, y) -> float:
         """Support function sup over members c of <c, y>; may be +inf."""
-        raise NotImplementedError
+        return self._support(as_vector(y, self.dim))
 
     def project(self, x) -> np.ndarray:
-        raise UnsupportedProjection(
-            f"{type(self).__name__} is cataloged for support-function and "
-            "polar work only and has no projector"
-        )
+        """Nearest point of the set to x."""
+        return self._project(as_vector(x, self.dim))
+
+    def project_recession(self, x) -> np.ndarray:
+        """Projection of x onto the recession cone of the set."""
+        return self._project_recession(as_vector(x, self.dim))
+
+    def recession_distance(self, y) -> float:
+        """Distance from y to the recession cone; zero iff y is a recession
+        direction."""
+        return self._recession_distance(as_vector(y, self.dim))
 
     def recession_cone(self) -> Cone:
         if self.bounded:
@@ -134,12 +158,23 @@ class ConvexSet:
             f"{type(self).__name__} does not expose a recession-cone projector"
         )
 
-    def project_recession(self, x) -> np.ndarray:
-        return self.recession_cone().project(self._vec(x))
+    def _contains(self, x, tol) -> bool:
+        raise NotImplementedError
 
-    def recession_distance(self, y) -> float:
-        y = self._vec(y)
-        return float(np.linalg.norm(y - self.project_recession(y)))
+    def _support(self, y) -> float:
+        raise NotImplementedError
+
+    def _project(self, x) -> np.ndarray:
+        raise UnsupportedProjection(
+            f"{type(self).__name__} is cataloged for support-function and "
+            "polar work only and has no projector"
+        )
+
+    def _project_recession(self, x) -> np.ndarray:
+        return self.recession_cone()._project(x)
+
+    def _recession_distance(self, y) -> float:
+        return float(np.linalg.norm(y - self._project_recession(y)))
 
 
 class EuclideanBall(ConvexSet):
@@ -159,17 +194,14 @@ class EuclideanBall(ConvexSet):
     def __repr__(self):
         return f"EuclideanBall(center={self.center.tolist()}, radius={self.radius})"
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        r = self._vec(x) - self.center
-        return float(np.linalg.norm(r)) <= self.radius + tol
+    def _contains(self, x, tol):
+        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
 
-    def project(self, x):
-        x = self._vec(x)
+    def _project(self, x):
         r = x - self.center
         return self.center + self.radius * r / max(float(np.linalg.norm(r)), self.radius)
 
-    def support(self, y):
-        y = self._vec(y)
+    def _support(self, y):
         return float(self.center @ y) + self.radius * float(np.linalg.norm(y))
 
 
@@ -186,14 +218,14 @@ class Box(ConvexSet):
     def __repr__(self):
         return f"Box(halfwidths={self.halfwidths.tolist()})"
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(np.abs(self._vec(x)) <= self.halfwidths + tol))
+    def _contains(self, x, tol):
+        return bool(np.all(np.abs(x) <= self.halfwidths + tol))
 
-    def project(self, x):
-        return np.clip(self._vec(x), -self.halfwidths, self.halfwidths)
+    def _project(self, x):
+        return np.clip(x, -self.halfwidths, self.halfwidths)
 
-    def support(self, y):
-        return float(self.halfwidths @ np.abs(self._vec(y)))
+    def _support(self, y):
+        return float(self.halfwidths @ np.abs(y))
 
 
 def _simplex_threshold(v, target):
@@ -226,17 +258,16 @@ class L1Ball(ConvexSet):
     def __repr__(self):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return float(np.sum(np.abs(self._vec(x)))) <= self.radius + tol
+    def _contains(self, x, tol):
+        return float(np.sum(np.abs(x))) <= self.radius + tol
 
-    def project(self, x):
-        x = self._vec(x)
+    def _project(self, x):
         if float(np.sum(np.abs(x))) <= self.radius:
             return x.copy()
         return np.sign(x) * _simplex_threshold(np.abs(x), self.radius)
 
-    def support(self, y):
-        return self.radius * float(np.max(np.abs(self._vec(y))))
+    def _support(self, y):
+        return self.radius * float(np.max(np.abs(y)))
 
 
 class PBall(ConvexSet):
@@ -268,11 +299,10 @@ class PBall(ConvexSet):
             return float(np.max(np.abs(x)))
         return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return self._pnorm(self._vec(x), self.p) <= self.radius + tol
+    def _contains(self, x, tol):
+        return self._pnorm(x, self.p) <= self.radius + tol
 
-    def project(self, x):
-        x = self._vec(x)
+    def _project(self, x):
         if self.p == 2.0:
             return self.radius * x / max(float(np.linalg.norm(x)), self.radius)
         if math.isinf(self.p):
@@ -281,8 +311,8 @@ class PBall(ConvexSet):
             "p-ball projection is implemented for p in {1, 2, inf} only"
         )
 
-    def support(self, y):
-        return self.radius * self._pnorm(self._vec(y), self.q)
+    def _support(self, y):
+        return self.radius * self._pnorm(y, self.q)
 
 
 class Ellipsoid(ConvexSet):
@@ -312,11 +342,10 @@ class Ellipsoid(ConvexSet):
         u = self._evecs.T @ x
         return float(np.sum(self._evals * u * u))
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return self._quad(self._vec(x)) <= 1.0 + tol
+    def _contains(self, x, tol):
+        return self._quad(x) <= 1.0 + tol
 
-    def project(self, x):
-        x = self._vec(x)
+    def _project(self, x):
         if self._quad(x) <= 1.0:
             return x.copy()
         w = self._evals
@@ -336,8 +365,8 @@ class Ellipsoid(ConvexSet):
         lam, _ = brent_root(g, 0.0, hi, g(0.0), g_hi, 1e-15, 4 * np.finfo(float).eps, 200)
         return self._evecs @ (u / (1.0 + lam * w))
 
-    def support(self, y):
-        u = self._evecs.T @ self._vec(y)
+    def _support(self, y):
+        u = self._evecs.T @ y
         return float(math.sqrt(np.sum(u * u / self._evals)))
 
 
@@ -352,19 +381,17 @@ class Simplex(ConvexSet):
     def __repr__(self):
         return f"Simplex(dim={self.dim})"
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = self._vec(x)
+    def _contains(self, x, tol):
         return bool(np.min(x) >= -tol and float(np.sum(x)) <= 1.0 + tol)
 
-    def project(self, x):
-        x = self._vec(x)
+    def _project(self, x):
         w = np.maximum(x, 0.0)
         if float(np.sum(w)) <= 1.0:
             return w
         return _simplex_threshold(x, 1.0)
 
-    def support(self, y):
-        return max(0.0, float(np.max(self._vec(y))))
+    def _support(self, y):
+        return max(0.0, float(np.max(y)))
 
 
 class ShiftedUnitBall(ConvexSet):
@@ -382,11 +409,10 @@ class ShiftedUnitBall(ConvexSet):
     def __repr__(self):
         return f"ShiftedUnitBall(d={self.d.tolist()})"
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return float(np.linalg.norm(self._vec(x) + self.d)) <= 1.0 + tol
+    def _contains(self, x, tol):
+        return float(np.linalg.norm(x + self.d)) <= 1.0 + tol
 
-    def support(self, y):
-        y = self._vec(y)
+    def _support(self, y):
         return float(np.linalg.norm(y)) - float(self.d @ y)
 
 
@@ -407,22 +433,20 @@ class BallPen(ConvexSet):
         return self._ray
 
     def _ray_residual(self, x):
-        r = x - self._ray.project(x)
+        r = x - self._ray._project(x)
         return r, float(np.linalg.norm(r))
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        _, dr = self._ray_residual(self._vec(x))
+    def _contains(self, x, tol):
+        _, dr = self._ray_residual(x)
         return dr <= 1.0 + tol
 
-    def project(self, x):
-        x = self._vec(x)
+    def _project(self, x):
         r, dr = self._ray_residual(x)
         if dr <= 1.0:
             return x.copy()
         return (x - r) + r / dr
 
-    def support(self, y):
-        y = self._vec(y)
+    def _support(self, y):
         if float(self.direction @ y) <= 0.0:
             return float(np.linalg.norm(y))
         return math.inf
@@ -447,14 +471,12 @@ class BallPlusHalfAxisStrip(ConvexSet):
     def recession_cone(self):
         return self._ray
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = self._vec(x)
+    def _contains(self, x, tol):
         in_disc = float(np.linalg.norm(x)) <= 1.0 + tol
         in_strip = abs(x[0]) <= 1.0 + tol and x[1] >= -tol
         return bool(in_disc or in_strip)
 
-    def support(self, y):
-        y = self._vec(y)
+    def _support(self, y):
         if y[1] <= 0.0:
             return float(np.linalg.norm(y))
         return math.inf
@@ -473,44 +495,13 @@ class Hyperbolic(ConvexSet):
     def __repr__(self):
         return "Hyperbolic()"
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = self._vec(x)
+    def _contains(self, x, tol):
         return bool(x[0] <= 1.0 - math.hypot(1.0, x[1]) + tol)
 
-    def support(self, y):
-        y = self._vec(y)
+    def _support(self, y):
         if y[0] < abs(y[1]):
             return math.inf
         return float(y[0] - math.sqrt(max(y[0] * y[0] - y[1] * y[1], 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations
-# ---------------------------------------------------------------------------
-
-def project(set_, x):
-    """Nearest point of the set to x."""
-    return set_.project(x)
-
-
-def support_function(set_, y):
-    """sup over members c of <c, y>; may return math.inf, never -inf."""
-    return set_.support(y)
-
-
-def project_recession(set_, x):
-    """Projection of x onto the recession cone of the set."""
-    return set_.project_recession(x)
-
-
-def recession_distance(set_, y):
-    """Distance from y to the recession cone; zero iff y is a recession direction."""
-    return set_.recession_distance(y)
-
-
-def contains(set_, x, tol=MEMBERSHIP_TOL):
-    """Membership test derived from the set's defining inequalities."""
-    return set_.contains(x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from homcone import (
     project_ice_cream,
     quartic_coefficients,
     reference_trace,
-    support_function,
 )
 from homcone.oracle import OracleConfig
 
@@ -219,7 +218,7 @@ def test_polar_catalog():
         desc = closed_form_polar(set_)
         pts = rng.uniform(-box, box, size=(10_000, set_.dim))
         for y in pts:
-            sigma = support_function(set_, y)
+            sigma = set_.support(y)
             if not math.isinf(sigma) and abs(sigma - 1.0) < 1e-7:
                 continue
             assert desc.contains(y, tol=1e-9) == polar_membership(set_, y, tol=1e-9), (

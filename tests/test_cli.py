@@ -11,6 +11,11 @@ from homcone.cli import main
 BALL = '{"type":"euclidean_ball","center":[1,0],"radius":1}'
 UNIT_BALL = '{"type":"euclidean_ball","center":[0,0],"radius":1}'
 PEN = '{"type":"ball_pen","direction":[0,1]}'
+BOX = '{"type":"box","halfwidths":[1,1]}'
+# "--height=-inf" keeps argparse from reading -inf as an option.
+NON_FINITE_HEIGHTS = pytest.mark.parametrize(
+    "height", [["--height", "nan"], ["--height", "inf"], ["--height=-inf"]],
+    ids=["nan", "inf", "-inf"])
 
 
 def run(capsys, *argv):
@@ -130,6 +135,15 @@ def test_project_bad_point(capsys):
         capsys, "project", "--set", UNIT_BALL, "--point", "1,zebra", "--height", "0"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", [UNIT_BALL, BALL, PEN, BOX])
+@NON_FINITE_HEIGHTS
+def test_project_non_finite_height_is_usage_error(capsys, spec, height):
+    code, out, err = run(capsys, "project", "--set", spec, "--point", "1,2", *height)
+    assert code == 2
+    assert out == ""
+    assert "height must be finite" in err
 
 
 def test_project_max_iter_exhaustion_is_numerical_failure(capsys):
@@ -305,3 +319,11 @@ def test_polar_with_height(capsys):
         capsys, "polar", "--set", PEN, "--point", "0,-1", "--height", "1"
     )
     assert json.loads(out)["in_K_polar"] is False
+
+
+@NON_FINITE_HEIGHTS
+def test_polar_non_finite_height_is_usage_error(capsys, height):
+    code, out, err = run(capsys, "polar", "--set", BOX, "--point=-1,-1", *height)
+    assert code == 2
+    assert out == ""
+    assert "height must be finite" in err

@@ -92,7 +92,7 @@ def test_reference_trace_matches_frozen_rows():
 
 def test_reference_trace_golden_rows_detail():
     _, trace = reference_trace()
-    r3 = trace.rows[2]
+    r3 = trace[2]
     assert (fmt8(r3.alpha), fmt8(r3.mid), fmt8(r3.beta)) == (
         "0.75000000",
         "1.1250000",
@@ -100,7 +100,7 @@ def test_reference_trace_golden_rows_detail():
     )
     assert fmt_dpsi(r3.dpsi_alpha) == "-3.35e+00"
     assert fmt_dpsi(r3.dpsi_beta) == "1.49e-01"
-    r12 = trace.rows[11]
+    r12 = trace[11]
     assert fmt8(r12.mid) == "1.4597168"
     assert fmt_dpsi(r12.dpsi_mid) == "-1.06e-05"
 
@@ -135,7 +135,7 @@ def test_max_iterations_exceeded():
 
 def test_trace_bracket_monotonicity():
     _, trace = reference_trace()
-    rows = trace.rows
+    rows = trace
     for r1, r2 in zip(rows, rows[1:]):
         assert r2.alpha > r1.alpha or r2.beta < r1.beta
     widths = [r.beta - r.alpha for r in rows if r.mid is not None]
@@ -400,7 +400,7 @@ def test_default_solver_is_scale_invariant_on_reference_query():
 def test_default_solver_trace_rows():
     ball = EuclideanBall((1.0, 0.0), 1.0)
     res = project_homogenization(ball, ((1.0, 2.0), 1.0), keep_trace=True, eps=1e-12)
-    rows = res.trace.rows
+    rows = res.trace
     # The a priori bracket [0, s+ + ||(y, s)||], then one trial per row, each
     # inside its bracket; the row count is the psi' call count.
     assert (rows[0].alpha, rows[0].mid) == (0.0, None)

@@ -15,7 +15,6 @@ from homcone import (
     find_alpha_star,
     sample_members,
     sampled_support,
-    support_function,
 )
 from homcone.oracle import OracleConfig
 
@@ -94,7 +93,7 @@ def test_sampled_support_never_exceeds_closed_form():
         for _ in range(20):
             y = rng.normal(size=set_.dim) * 3.0
             got = sampled_support(set_, y, FAST)
-            sigma = support_function(set_, y)
+            sigma = set_.support(y)
             if math.isinf(got):
                 assert math.isinf(sigma)
             else:
@@ -113,7 +112,7 @@ def test_sampled_support_tight_for_bounded_sets():
     for set_ in sets:
         for _ in range(5):
             y = rng.normal(size=set_.dim) * 3.0
-            sigma = support_function(set_, y)
+            sigma = set_.support(y)
             assert sampled_support(set_, y, cfg) == pytest.approx(sigma, abs=1e-2)
 
 

@@ -20,7 +20,6 @@ from homcone import (
     polar_cone_membership,
     polar_membership,
     project_homogenization,
-    support_function,
 )
 
 
@@ -124,7 +123,7 @@ def test_closed_form_shifted_unit_ball_matches_sigma():
     rng = np.random.default_rng(44)
     for _ in range(1000):
         y = rng.uniform(-3, 3, 2)
-        sigma = support_function(ShiftedUnitBall((0.0, 1.0)), y)
+        sigma = ShiftedUnitBall((0.0, 1.0)).support(y)
         if abs(sigma - 1.0) < 1e-7:
             continue
         assert desc.contains(y) == (sigma <= 1.0)
@@ -146,7 +145,7 @@ def test_closed_form_agrees_with_sigma_oracle(name, set_, box):
     rng = np.random.default_rng(45)
     pts = rng.uniform(-box, box, size=(2000, set_.dim))
     for y in pts:
-        sigma = support_function(set_, y)
+        sigma = set_.support(y)
         if not math.isinf(sigma) and abs(sigma - 1.0) < 1e-7:
             continue
         assert desc.contains(y, tol=1e-9) == polar_membership(set_, y, tol=1e-9)
@@ -159,7 +158,7 @@ def test_bipolar_ball_pair():
     rng = np.random.default_rng(46)
     for _ in range(1000):
         x = rng.uniform(-3, 3, 2)
-        sigma_dual = support_function(dual, x)
+        sigma_dual = dual.support(x)
         if abs(sigma_dual - 1.0) < 1e-7:
             continue
         assert (sigma_dual <= 1.0) == ball.contains(x, tol=0.0)
@@ -172,7 +171,7 @@ def test_bipolar_box_l1_pair():
     rng = np.random.default_rng(47)
     for _ in range(1000):
         x = rng.uniform(-2, 2, 2)
-        sigma_dual = support_function(dual, x)
+        sigma_dual = dual.support(x)
         if abs(sigma_dual - 1.0) < 1e-7:
             continue
         assert (sigma_dual <= 1.0) == box.contains(x, tol=0.0)
@@ -195,7 +194,7 @@ def test_polar_cone_is_recession_of_polar_set_hyperbolic():
         n = np.linalg.norm(y)
         if n < 0.5 or n > 2.0:
             continue
-        sigma = support_function(hyp, y)
+        sigma = hyp.support(y)
         if not math.isinf(sigma) and sigma < 0.05:
             continue
         assert not polar_cone_membership(hyp, y)
@@ -232,7 +231,7 @@ def test_polar_membership_consistent_with_projection():
         for _ in range(300):
             y = rng.uniform(-6, 6, 2)
             s = rng.uniform(-8, 2)
-            if s < 0 and abs(support_function(set_, y / (-s)) - 1.0) < 1e-4:
+            if s < 0 and abs(set_.support(y / (-s)) - 1.0) < 1e-4:
                 continue
             member = homogenization_polar_membership(set_, (y, s))
             res = project_homogenization(set_, (y, s), eps=1e-9)

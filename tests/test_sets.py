@@ -21,12 +21,7 @@ from homcone import (
     Simplex,
     UnsupportedProjection,
     ZeroCone,
-    contains,
-    project,
-    project_recession,
-    recession_distance,
     set_from_spec,
-    support_function,
 )
 from homcone.oracle import sample_members
 
@@ -63,13 +58,13 @@ def random_points(rng, dim, n, scale=6.0):
 
 def test_ball_fixed_point():
     ball = EuclideanBall((1.0, 0.0), 1.0)
-    np.testing.assert_allclose(project(ball, (1.0, 0.0)), [1.0, 0.0], atol=0)
+    np.testing.assert_allclose(ball.project((1.0, 0.0)), [1.0, 0.0], atol=0)
 
 
 def test_ball_radial_projection():
     # Frozen value 0.2 * (3, 4); certified below against sampled members.
     ball = EuclideanBall((0.0, 0.0), 1.0)
-    p = project(ball, (3.0, 4.0))
+    p = ball.project((3.0, 4.0))
     np.testing.assert_allclose(p, [0.6, 0.8], atol=1e-15)
     members = sample_members(ball, 20_000, np.random.default_rng(0))
     x = np.array([3.0, 4.0])
@@ -80,7 +75,7 @@ def test_ball_radial_projection():
 def test_ball_pen_projection():
     # dist(x, ray) = 2 > 1 pushes x halfway back toward the ray.
     pen = BallPen((0.0, 1.0))
-    p = project(pen, (0.0, -2.0))
+    p = pen.project((0.0, -2.0))
     np.testing.assert_allclose(p, [0.0, -1.0], atol=1e-15)
     members = sample_members(pen, 20_000, np.random.default_rng(1))
     x = np.array([0.0, -2.0])
@@ -101,17 +96,17 @@ def test_simplex_and_l1_projection_at_huge_scale(scale):
 def test_projection_unsupported_variants():
     for set_ in POLAR_ONLY:
         with pytest.raises(UnsupportedProjection):
-            project(set_, np.zeros(set_.dim))
+            set_.project(np.zeros(set_.dim))
 
 
 def test_dimension_mismatch():
     ball = EuclideanBall((0.0, 0.0), 1.0)
     with pytest.raises(DimensionMismatch):
-        project(ball, (1.0, 2.0, 3.0))
+        ball.project((1.0, 2.0, 3.0))
     with pytest.raises(DimensionMismatch):
-        support_function(ball, (1.0,))
+        ball.support((1.0,))
     with pytest.raises(DimensionMismatch):
-        recession_distance(ball, (1.0, 2.0, 3.0))
+        ball.recession_distance((1.0, 2.0, 3.0))
 
 
 def test_constructor_rejections():
@@ -140,20 +135,20 @@ def test_constructor_rejections():
 # ---------------------------------------------------------------------------
 
 def test_support_hyperbolic_infinite():
-    assert support_function(Hyperbolic(), (1.0, 2.0)) == math.inf
+    assert Hyperbolic().support((1.0, 2.0)) == math.inf
 
 
 def test_support_at_zero_is_zero():
     for _, set_ in make_projectable():
-        assert support_function(set_, np.zeros(set_.dim)) == 0.0
+        assert set_.support(np.zeros(set_.dim)) == 0.0
     for set_ in POLAR_ONLY:
-        assert support_function(set_, np.zeros(set_.dim)) == 0.0
+        assert set_.support(np.zeros(set_.dim)) == 0.0
 
 
 def test_support_shifted_ball_value():
     # sigma = <z, y> + radius ||y||; certified against the sampled supremum.
     ball = EuclideanBall((1.0, 0.0), 1.0)
-    assert support_function(ball, (0.0, 3.0)) == pytest.approx(3.0, abs=1e-12)
+    assert ball.support((0.0, 3.0)) == pytest.approx(3.0, abs=1e-12)
     members = sample_members(ball, 200_000, np.random.default_rng(2))
     sampled = float(np.max(members @ np.array([0.0, 3.0])))
     assert sampled <= 3.0 + 1e-9
@@ -166,7 +161,7 @@ def test_support_closed_forms_dominate_sampled_supremum():
         members = sample_members(set_, 5_000, rng)
         for _ in range(10):
             y = rng.normal(size=set_.dim) * 3.0
-            sigma = support_function(set_, y)
+            sigma = set_.support(y)
             assert float(np.max(members @ y)) <= sigma + 1e-9
 
 
@@ -176,27 +171,27 @@ def test_support_closed_forms_dominate_sampled_supremum():
 
 def test_recession_bounded_sets():
     ball = EuclideanBall((0.0, 0.0), 2.0)
-    np.testing.assert_allclose(project_recession(ball, (5.0, 5.0)), [0.0, 0.0])
-    assert recession_distance(ball, (3.0, 4.0)) == pytest.approx(5.0)
+    np.testing.assert_allclose(ball.project_recession((5.0, 5.0)), [0.0, 0.0])
+    assert ball.recession_distance((3.0, 4.0)) == pytest.approx(5.0)
     assert isinstance(ball.recession_cone(), ZeroCone)
 
 
 def test_recession_ball_pen_ray():
     pen = BallPen((0.0, 1.0))
-    np.testing.assert_allclose(project_recession(pen, (3.0, 4.0)), [0.0, 4.0])
-    np.testing.assert_allclose(project_recession(pen, (3.0, -4.0)), [0.0, 0.0])
-    assert recession_distance(pen, (0.0, 5.0)) == 0.0
-    assert recession_distance(pen, (3.0, -4.0)) == pytest.approx(5.0)
+    np.testing.assert_allclose(pen.project_recession((3.0, 4.0)), [0.0, 4.0])
+    np.testing.assert_allclose(pen.project_recession((3.0, -4.0)), [0.0, 0.0])
+    assert pen.recession_distance((0.0, 5.0)) == 0.0
+    assert pen.recession_distance((3.0, -4.0)) == pytest.approx(5.0)
 
 
 def test_recession_strip_ray():
     strip = BallPlusHalfAxisStrip()
-    np.testing.assert_allclose(project_recession(strip, (3.0, 4.0)), [0.0, 4.0])
+    np.testing.assert_allclose(strip.project_recession((3.0, 4.0)), [0.0, 4.0])
 
 
 def test_recession_capability_missing():
     with pytest.raises(CapabilityMissing):
-        project_recession(Hyperbolic(), (1.0, 1.0))
+        Hyperbolic().project_recession((1.0, 1.0))
 
 
 def test_recession_directions_stay_in_set():
@@ -205,12 +200,12 @@ def test_recession_directions_stay_in_set():
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.uniform(-5, 5, size=2)
-            d = project_recession(set_, x)
+            d = set_.project_recession(x)
             n = np.linalg.norm(d)
             if n == 0:
                 continue
             for rho in (0.0, 1.0, 10.0, 100.0):
-                assert contains(set_, rho * d / n, tol=1e-9)
+                assert set_.contains(rho * d / n, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +216,8 @@ def test_recession_directions_stay_in_set():
 def test_projection_idempotent(name, set_):
     rng = np.random.default_rng(10)
     for x in random_points(rng, set_.dim, 1000):
-        p = project(set_, x)
-        q = project(set_, p)
+        p = set_.project(x)
+        q = set_.project(p)
         assert np.linalg.norm(q - p) <= 1e-10
 
 
@@ -231,7 +226,7 @@ def test_projection_nonexpansive(name, set_):
     rng = np.random.default_rng(11)
     for _ in range(300):
         x, w = random_points(rng, set_.dim, 2)
-        px, pw = project(set_, x), project(set_, w)
+        px, pw = set_.project(x), set_.project(w)
         assert np.linalg.norm(px - pw) <= np.linalg.norm(x - w) + 1e-12
 
 
@@ -240,8 +235,8 @@ def test_projection_variational_inequality(name, set_):
     rng = np.random.default_rng(12)
     members = sample_members(set_, 2_000, rng)
     for x in random_points(rng, set_.dim, 50):
-        p = project(set_, x)
-        assert contains(set_, p, tol=1e-12) or contains(set_, p, tol=1e-9)
+        p = set_.project(x)
+        assert set_.contains(p, tol=1e-12) or set_.contains(p, tol=1e-9)
         gaps = (members - p) @ (x - p)
         assert float(np.max(gaps)) <= 1e-9
 
@@ -254,8 +249,8 @@ def test_scaled_projection_identity(name, set_):
     members = sample_members(set_, 5_000, rng)
     for alpha in (0.5, 1.0, 3.0):
         for y in random_points(rng, set_.dim, 30):
-            p = alpha * project(set_, y / alpha)
-            assert contains(set_, p / alpha, tol=1e-9)
+            p = alpha * set_.project(y / alpha)
+            assert set_.contains(p / alpha, tol=1e-9)
             scaled = alpha * members
             dists = np.linalg.norm(scaled - y, axis=1)
             assert np.linalg.norm(p - y) <= dists.min() + 1e-6
@@ -271,10 +266,10 @@ def test_support_positive_homogeneity_and_subadditivity():
             y1 = rng.normal(size=set_.dim) * 2.0
             y2 = rng.normal(size=set_.dim) * 2.0
             lam = rng.uniform(0.1, 10.0)
-            s1 = support_function(set_, y1)
-            s2 = support_function(set_, y2)
-            s12 = support_function(set_, y1 + y2)
-            shom = support_function(set_, lam * y1)
+            s1 = set_.support(y1)
+            s2 = set_.support(y2)
+            s12 = set_.support(y1 + y2)
+            shom = set_.support(lam * y1)
             if math.isinf(s1):
                 assert math.isinf(shom)
             else:
@@ -303,7 +298,7 @@ def test_spec_round_trip_all_variants():
     ]
     for text in specs:
         set_ = set_from_spec(text)
-        assert contains(set_, np.zeros(set_.dim), tol=1e-9)
+        assert set_.contains(np.zeros(set_.dim), tol=1e-9)
 
 
 def test_spec_rejects_garbage():
@@ -322,10 +317,10 @@ def test_spec_rejects_garbage():
 
 
 def test_membership_examples():
-    assert contains(Simplex(3), (0.2, 0.3, 0.4))
-    assert not contains(Simplex(3), (0.5, 0.6, 0.2))
-    assert contains(BallPlusHalfAxisStrip(), (0.9, 50.0))
-    assert contains(BallPlusHalfAxisStrip(), (0.3, -0.9))
-    assert not contains(BallPlusHalfAxisStrip(), (1.5, -0.5))
-    assert contains(Hyperbolic(), (-1.0, 1.0))
-    assert not contains(Hyperbolic(), (0.5, 1.0))
+    assert Simplex(3).contains((0.2, 0.3, 0.4))
+    assert not Simplex(3).contains((0.5, 0.6, 0.2))
+    assert BallPlusHalfAxisStrip().contains((0.9, 50.0))
+    assert BallPlusHalfAxisStrip().contains((0.3, -0.9))
+    assert not BallPlusHalfAxisStrip().contains((1.5, -0.5))
+    assert Hyperbolic().contains((-1.0, 1.0))
+    assert not Hyperbolic().contains((0.5, 1.0))

@@ -1,0 +1,135 @@
+"""Inputs are validated once, at the public boundary.
+
+Every public set method and entry point rejects a malformed vector; after
+that the solver runs on unchecked kernels, so one query costs at most two
+validations (the query itself and the evaluator built from it).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import homcone.homproj
+import homcone.scaledfun
+import homcone.sets
+from homcone import (
+    BallPen,
+    BallPlusHalfAxisStrip,
+    Box,
+    DimensionMismatch,
+    Ellipsoid,
+    EuclideanBall,
+    Hyperbolic,
+    L1Ball,
+    PBall,
+    PsiEvaluator,
+    ShiftedUnitBall,
+    Simplex,
+    homogenization_polar_membership,
+    polar_membership,
+    project_ball_pen,
+    project_homogenization,
+    project_ice_cream,
+)
+
+# (name, set, projectable, has a recession cone)
+CATALOG = [
+    ("ball0", EuclideanBall((0.0, 0.0), 1.3), True, True),
+    ("ball_off", EuclideanBall((0.5, -0.3), 1.0), True, True),
+    ("box", Box((0.8, 1.5, 0.6)), True, True),
+    ("l1", L1Ball(1.7, dim=3), True, True),
+    ("pball2", PBall(2.0, 1.2), True, True),
+    ("pballinf", PBall(math.inf, 0.9, dim=3), True, True),
+    ("pball3", PBall(3.0, 1.0), False, True),
+    ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), True, True),
+    ("simplex", Simplex(3), True, True),
+    ("ballpen", BallPen((0.6, 0.8)), True, True),
+    ("shifted_unit_ball", ShiftedUnitBall((0.0, 1.0)), False, True),
+    ("strip", BallPlusHalfAxisStrip(), False, True),
+    ("hyperbolic", Hyperbolic(), False, False),
+]
+
+ENTRIES = {
+    "project": lambda c, x: c.project(x),
+    "contains": lambda c, x: c.contains(x),
+    "support": lambda c, x: c.support(x),
+    "project_recession": lambda c, x: c.project_recession(x),
+    "recession_distance": lambda c, x: c.recession_distance(x),
+    "PsiEvaluator": lambda c, x: PsiEvaluator(c, x, 1.0),
+    "project_homogenization": lambda c, x: project_homogenization(c, (x, 1.0)),
+    "polar_membership": lambda c, x: polar_membership(c, x),
+    "homogenization_polar_membership":
+        lambda c, x: homogenization_polar_membership(c, (x, -1.0)),
+}
+
+BAD_INPUTS = {
+    "wrong_length": lambda n: np.ones(n + 1),
+    "nan_entry": lambda n: np.r_[np.ones(n - 1), np.nan],
+    "inf_entry": lambda n: np.r_[np.ones(n - 1), np.inf],
+    "2d_array": lambda n: np.ones((2, n)),
+    "empty": lambda n: np.array([]),
+}
+
+
+def boundary_cases():
+    for name, set_, projectable, has_rec in CATALOG:
+        for entry in ENTRIES:
+            if entry == "project" and not projectable:
+                continue
+            if entry in ("project_recession", "recession_distance") and not has_rec:
+                continue
+            yield pytest.param(set_, entry, id=f"{name}-{entry}")
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("set_, entry", list(boundary_cases()))
+def test_boundary_rejects_bad_vectors(set_, entry, bad):
+    x = BAD_INPUTS[bad](set_.dim)
+    with pytest.raises((DimensionMismatch, ValueError)):
+        ENTRIES[entry](set_, x)
+
+
+PROJECTABLE = [(name, set_) for name, set_, projectable, _ in CATALOG if projectable]
+HEIGHTS = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("s", HEIGHTS, ids=str)
+@pytest.mark.parametrize("name, set_", PROJECTABLE, ids=[n for n, _ in PROJECTABLE])
+def test_non_finite_height_is_rejected(name, set_, s):
+    y = np.ones(set_.dim)
+    for force_iterative in (False, True):
+        with pytest.raises(ValueError):
+            project_homogenization(set_, (y, s), force_iterative=force_iterative)
+
+
+@pytest.mark.parametrize("s", HEIGHTS, ids=str)
+def test_non_finite_height_is_rejected_by_other_entries(s):
+    with pytest.raises(ValueError):
+        project_ice_cream(1.0, ((1.0, 2.0), s))
+    with pytest.raises(ValueError):
+        project_ball_pen((0.0, 1.0), ((1.0, 2.0), s))
+    with pytest.raises(ValueError):
+        PsiEvaluator(Box((1.0, 1.0)), (1.0, 2.0), s)
+    with pytest.raises(ValueError):
+        homogenization_polar_membership(Box((1.0, 1.0)), ((1.0, 2.0), s))
+
+
+@pytest.mark.parametrize("name, set_", PROJECTABLE, ids=[n for n, _ in PROJECTABLE])
+def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
+    calls = []
+    original = homcone.sets.as_vector
+
+    def counting(x, dim=None):
+        calls.append(dim)
+        return original(x, dim)
+
+    for module in (homcone.sets, homcone.scaledfun, homcone.homproj):
+        monkeypatch.setattr(module, "as_vector", counting)
+    # Outside the set, so the iterative sets take the cone-interior branch.
+    y = np.full(set_.dim, 3.0)
+    res = project_homogenization(set_, (y, 0.5))
+    closed_form = name in ("ball0", "ballpen")
+    assert res.branch.value == "cone_interior"
+    assert (res.iterations == 0) == closed_form
+    assert len(calls) <= (1 if closed_form else 2)
