@@ -13,7 +13,6 @@ from .errors import (
     HomconeError,
     InvalidSetSpec,
     MaxIterationsExceeded,
-    NegativeAlpha,
     NoClosedFormAvailable,
     NonPositiveAlpha,
     UnsupportedProjection,
@@ -44,18 +43,14 @@ from .sets import (
     BallPen,
     BallPlusHalfAxisStrip,
     Box,
-    Cone,
     ConvexSet,
     Ellipsoid,
     EuclideanBall,
-    FullSpaceCone,
     Hyperbolic,
     L1Ball,
     PBall,
-    Ray,
     ShiftedUnitBall,
     Simplex,
-    ZeroCone,
     as_vector,
     set_from_spec,
 )
@@ -69,19 +64,16 @@ __all__ = [
     "Branch",
     "CapabilityMissing",
     "CenterOutsideRadius",
-    "Cone",
     "ConePoint",
     "ConvexSet",
     "DimensionMismatch",
     "Ellipsoid",
     "EuclideanBall",
-    "FullSpaceCone",
     "HomconeError",
     "Hyperbolic",
     "InvalidSetSpec",
     "L1Ball",
     "MaxIterationsExceeded",
-    "NegativeAlpha",
     "NoClosedFormAvailable",
     "NonPositiveAlpha",
     "OracleConfig",
@@ -90,12 +82,10 @@ __all__ = [
     "ProjectionResult",
     "PsiEvaluator",
     "QuarticCoefficients",
-    "Ray",
     "ShiftedUnitBall",
     "Simplex",
     "TraceRow",
     "UnsupportedProjection",
-    "ZeroCone",
     "as_vector",
     "brute_force_alpha_star",
     "closed_form_polar",

@@ -120,11 +120,9 @@ def _load_set(text):
 
 def _parse_point(text):
     try:
-        coords = [float(t) for t in text.replace(" ", "").split(",") if t]
+        coords = [float(t) for t in text.replace(" ", "").split(",")]
     except ValueError as exc:
         raise InvalidSetSpec(f"bad point {text!r}: {exc}") from exc
-    if not coords:
-        raise InvalidSetSpec("point must contain at least one coordinate")
     return np.array(coords)
 
 

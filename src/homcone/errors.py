@@ -14,11 +14,8 @@ class UnsupportedProjection(HomconeError):
 
 
 class NonPositiveAlpha(HomconeError):
-    """A strictly positive scaling parameter was required."""
-
-
-class NegativeAlpha(HomconeError):
-    """A nonnegative scaling parameter was required."""
+    """The scaling parameter was out of range: not positive, or negative
+    where 0 is allowed."""
 
 
 class CenterOutsideRadius(HomconeError):

@@ -315,7 +315,10 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     """
     if (alpha0 is None) != (beta0 is None):
         raise ValueError("give both alpha0 and beta0, or neither")
-    p = _as_cone_point(p, set_.dim)
+    y, s = p
+    # The evaluator validates the query; every step below reuses its (y, s).
+    ev = PsiEvaluator(set_, y, s)
+    p = ConePoint(ev.y, ev.s)
     if not force_iterative:
         if isinstance(set_, EuclideanBall) and not np.any(set_.center):
             return _ice_cream(set_.radius, p)
@@ -327,7 +330,6 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
         return ProjectionResult(
             s_star, ConePoint(p.y.copy(), s_star), Branch.ALREADY_IN_K, 0
         )
-    ev = PsiEvaluator(set_, p.y, p.s)
     if alpha0 is None:
         if not eps > 0.0:
             raise ValueError("eps must be positive")

@@ -71,8 +71,11 @@ class PolarDescription:
     """Closed-form description of the polar set of ``source``.
 
     ``predicate(y, tol)`` implements the printed closed form and agrees with
-    the sigma-based oracle up to the boundary band.  When the polar is itself
-    a cataloged set, ``polar_set`` carries that descriptor as well.
+    the sigma-based oracle up to the boundary band.  :meth:`contains`
+    validates y once against the source's dimension, so the predicate always
+    receives a finite float64 vector of that length.  When the polar is itself
+    a cataloged set, ``polar_set`` carries that descriptor as well and the
+    predicate is its membership kernel.
     """
 
     source: ConvexSet
@@ -81,7 +84,7 @@ class PolarDescription:
     label: str = field(default="")
 
     def contains(self, y, tol=DEFAULT_TOL) -> bool:
-        return bool(self.predicate(y, tol))
+        return bool(self.predicate(as_vector(y, self.source.dim), tol))
 
 
 def closed_form_polar(set_) -> PolarDescription:
@@ -90,16 +93,11 @@ def closed_form_polar(set_) -> PolarDescription:
     if isinstance(set_, EuclideanBall):
         if not np.any(set_.center):
             dual = EuclideanBall(np.zeros(set_.dim), 1.0 / set_.radius)
-
-            def pred(y, tol=DEFAULT_TOL):
-                return dual.contains(y, tol)
-
-            return PolarDescription(set_, pred, dual, "ball of radius 1/gamma")
+            return PolarDescription(set_, dual._contains, dual, "ball of radius 1/gamma")
 
         z, g = set_.center, set_.radius
 
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, set_.dim)
+        def pred(y, tol):
             return g * float(np.linalg.norm(y)) + float(z @ y) <= 1.0 + tol
 
         return PolarDescription(set_, pred, None, "gamma ||y|| + <z, y> <= 1")
@@ -107,8 +105,7 @@ def closed_form_polar(set_) -> PolarDescription:
     if isinstance(set_, Box):
         b = set_.halfwidths
 
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, set_.dim)
+        def pred(y, tol):
             return float(b @ np.abs(y)) <= 1.0 + tol
 
         polar_set = None
@@ -118,37 +115,28 @@ def closed_form_polar(set_) -> PolarDescription:
 
     if isinstance(set_, L1Ball):
         dual = Box(np.full(set_.dim, 1.0 / set_.radius))
-
-        def pred(y, tol=DEFAULT_TOL):
-            return dual.contains(y, tol)
-
-        return PolarDescription(set_, pred, dual, "box of halfwidth 1/radius")
+        return PolarDescription(set_, dual._contains, dual, "box of halfwidth 1/radius")
 
     if isinstance(set_, PBall):
         if math.isinf(set_.p):
             dual = L1Ball(1.0 / set_.radius, set_.dim)
         else:
             dual = PBall(set_.q, 1.0 / set_.radius, set_.dim)
-
-        def pred(y, tol=DEFAULT_TOL):
-            return dual.contains(y, tol)
-
-        return PolarDescription(set_, pred, dual, "dual-norm ball of radius 1/radius")
+        return PolarDescription(
+            set_, dual._contains, dual, "dual-norm ball of radius 1/radius"
+        )
 
     if isinstance(set_, Ellipsoid):
         w, v = set_._evals, set_._evecs
         q_inv = v @ np.diag(1.0 / w) @ v.T
         dual = Ellipsoid(0.5 * (q_inv + q_inv.T))
-
-        def pred(y, tol=DEFAULT_TOL):
-            return dual.contains(y, tol)
-
-        return PolarDescription(set_, pred, dual, "ellipsoid of the inverse matrix")
+        return PolarDescription(
+            set_, dual._contains, dual, "ellipsoid of the inverse matrix"
+        )
 
     if isinstance(set_, Simplex):
 
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, set_.dim)
+        def pred(y, tol):
             return bool(np.max(y) <= 1.0 + tol)
 
         return PolarDescription(set_, pred, None, "each coordinate at most 1")
@@ -156,8 +144,7 @@ def closed_form_polar(set_) -> PolarDescription:
     if isinstance(set_, ShiftedUnitBall):
         d = set_.d
 
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, set_.dim)
+        def pred(y, tol):
             t = float(d @ y)
             r = y - t * d
             return float(r @ r) <= 1.0 + 2.0 * t + tol
@@ -169,16 +156,14 @@ def closed_form_polar(set_) -> PolarDescription:
     if isinstance(set_, BallPen):
         d = set_.direction
 
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, set_.dim)
+        def pred(y, tol):
             return float(np.linalg.norm(y)) <= 1.0 + tol and float(d @ y) <= tol
 
         return PolarDescription(set_, pred, None, "unit ball cut by <d, y> <= 0")
 
     if isinstance(set_, BallPlusHalfAxisStrip):
 
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, 2)
+        def pred(y, tol):
             return float(np.linalg.norm(y)) <= 1.0 + tol and y[1] <= tol
 
         return PolarDescription(set_, pred, None, "lower half of the unit disc")
@@ -188,8 +173,7 @@ def closed_form_polar(set_) -> PolarDescription:
         # parabola 1 + y2^2 <= 2 y1 (the two conditions overlap on the
         # boundary arc, matching the convex hull of {0} and the parabola
         # epigraph).
-        def pred(y, tol=DEFAULT_TOL):
-            y = as_vector(y, 2)
+        def pred(y, tol):
             if abs(y[1]) > y[0] + tol:
                 return False
             return y[0] <= 1.0 + tol or 1.0 + y[1] * y[1] <= 2.0 * y[0] + tol

@@ -17,7 +17,7 @@ costs one support-function call and no projector call.
 
 from __future__ import annotations
 
-from .errors import CapabilityMissing, NegativeAlpha, NonPositiveAlpha
+from .errors import CapabilityMissing, NonPositiveAlpha
 from .sets import as_height, as_vector
 
 
@@ -62,7 +62,7 @@ class PsiEvaluator:
         """phi(alpha) + (alpha - s)^2 for alpha > 0, recession form at 0."""
         alpha = float(alpha)
         if alpha < 0.0:
-            raise NegativeAlpha("the scaling parameter must be nonnegative")
+            raise NonPositiveAlpha("the scaling parameter must be nonnegative")
         if alpha == 0.0:
             r = self.set._recession_distance(self.y)
             return r * r + self.s * self.s

@@ -8,15 +8,14 @@ shared instances are safe to evaluate concurrently.
 Not every variant is projectable: some sets exist only for support-function and
 polar work and raise :class:`UnsupportedProjection` from :meth:`project`.
 
-Validation contract: the public methods of :class:`Cone` and
-:class:`ConvexSet` (``project``, ``contains``, ``support``,
-``project_recession``, ``recession_distance``) validate their vector once with
-:func:`as_vector` and dispatch to a per-set kernel (``_project``,
-``_contains``, ``_support``, ...).  Kernels assume a finite float64 vector of
-the set's dimension and never re-validate; callers inside the package that
-built the vector from an already validated query call the kernels directly.
-The height s of a query (y, s) is validated by :func:`as_height`, which
-rejects a non-finite value.
+Validation contract: the public methods of :class:`ConvexSet` (``project``,
+``contains``, ``support``, ``project_recession``, ``recession_distance``)
+validate their vector once with :func:`as_vector` and dispatch to a per-set
+kernel (``_project``, ``_contains``, ``_support``, ``_project_recession``,
+...).  Kernels assume a finite float64 vector of the set's dimension and never
+re-validate; callers inside the package that built the vector from an already
+validated query call the kernels directly.  The height s of a query (y, s) is
+validated by :func:`as_height`, which rejects a non-finite value.
 """
 
 from __future__ import annotations
@@ -59,59 +58,22 @@ def as_height(s) -> float:
     return s
 
 
-# ---------------------------------------------------------------------------
-# Cones
-# ---------------------------------------------------------------------------
-
-class Cone:
-    """Nonempty closed convex cone with an exact projector."""
-
-    dim: int
-
-    def project(self, x) -> np.ndarray:
-        return self._project(as_vector(x, self.dim))
-
-    def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self._project(x))) <= tol
-
-    def _project(self, x) -> np.ndarray:
-        raise NotImplementedError
+def _dimension(value) -> int:
+    """Validate a set dimension: a Python or numpy integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"dimension must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError("dimension must be positive")
+    return int(value)
 
 
-class ZeroCone(Cone):
-    """The trivial cone {0}, the recession cone of every bounded set."""
-
-    def __init__(self, dim):
-        self.dim = int(dim)
-
-    def _project(self, x):
-        return np.zeros(self.dim)
-
-
-class FullSpaceCone(Cone):
-    """The whole space."""
-
-    def __init__(self, dim):
-        self.dim = int(dim)
-
-    def _project(self, x):
-        return x.copy()
-
-
-class Ray(Cone):
-    """The half line R+ d spanned by a unit direction d."""
-
-    def __init__(self, direction):
-        d = as_vector(direction)
-        n = float(np.linalg.norm(d))
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("ray direction must be a unit vector")
-        self.direction = d / n
-        self.dim = d.size
-
-    def _project(self, x):
-        return max(0.0, float(self.direction @ x)) * self.direction
+def _unit_vector(d, name) -> np.ndarray:
+    """Validate ``d`` as a unit vector (to 1e-9) and return it renormalised."""
+    d = as_vector(d)
+    n = float(np.linalg.norm(d))
+    if abs(n - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a unit vector")
+    return d / n
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +85,9 @@ class ConvexSet:
 
     Subclasses define ``dim`` and the kernels ``_contains``, ``_support`` and,
     where available, ``_project``; the public methods validate and dispatch.
-    Bounded variants inherit the trivial recession cone; unbounded ones either
-    override :meth:`recession_cone` or leave the capability missing.
+    Bounded variants inherit the projection onto the trivial recession cone
+    {0}; unbounded ones override ``_project_recession`` or leave the
+    capability missing.
     """
 
     dim: int
@@ -151,13 +114,6 @@ class ConvexSet:
         direction."""
         return self._recession_distance(as_vector(y, self.dim))
 
-    def recession_cone(self) -> Cone:
-        if self.bounded:
-            return ZeroCone(self.dim)
-        raise CapabilityMissing(
-            f"{type(self).__name__} does not expose a recession-cone projector"
-        )
-
     def _contains(self, x, tol) -> bool:
         raise NotImplementedError
 
@@ -171,7 +127,11 @@ class ConvexSet:
         )
 
     def _project_recession(self, x) -> np.ndarray:
-        return self.recession_cone()._project(x)
+        if self.bounded:
+            return np.zeros(self.dim)
+        raise CapabilityMissing(
+            f"{type(self).__name__} does not expose a recession-cone projector"
+        )
 
     def _recession_distance(self, y) -> float:
         return float(np.linalg.norm(y - self._project_recession(y)))
@@ -251,9 +211,7 @@ class L1Ball(ConvexSet):
         self.radius = float(radius)
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        self.dim = _dimension(dim)
 
     def __repr__(self):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
@@ -286,9 +244,7 @@ class PBall(ConvexSet):
         self.radius = float(radius)
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        self.dim = _dimension(dim)
 
     def __repr__(self):
         return f"PBall(p={self.p}, radius={self.radius}, dim={self.dim})"
@@ -374,9 +330,7 @@ class Simplex(ConvexSet):
     """The corner simplex {x : x_i >= 0, sum x_i <= 1}."""
 
     def __init__(self, dim):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        self.dim = _dimension(dim)
 
     def __repr__(self):
         return f"Simplex(dim={self.dim})"
@@ -399,12 +353,8 @@ class ShiftedUnitBall(ConvexSet):
     with d a unit vector.  Cataloged for polar work; no projector."""
 
     def __init__(self, d):
-        d = as_vector(d)
-        n = float(np.linalg.norm(d))
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("d must be a unit vector")
-        self.d = d / n
-        self.dim = d.size
+        self.d = _unit_vector(d, "d")
+        self.dim = self.d.size
 
     def __repr__(self):
         return f"ShiftedUnitBall(d={self.d.tolist()})"
@@ -422,18 +372,17 @@ class BallPen(ConvexSet):
     bounded = False
 
     def __init__(self, direction):
-        self._ray = Ray(direction)
-        self.direction = self._ray.direction
-        self.dim = self._ray.dim
+        self.direction = _unit_vector(direction, "ray direction")
+        self.dim = self.direction.size
 
     def __repr__(self):
         return f"BallPen(direction={self.direction.tolist()})"
 
-    def recession_cone(self):
-        return self._ray
+    def _project_recession(self, x):
+        return max(0.0, float(self.direction @ x)) * self.direction
 
     def _ray_residual(self, x):
-        r = x - self._ray._project(x)
+        r = x - self._project_recession(x)
         return r, float(np.linalg.norm(r))
 
     def _contains(self, x, tol):
@@ -462,14 +411,12 @@ class BallPlusHalfAxisStrip(ConvexSet):
     bounded = False
     dim = 2
 
-    def __init__(self):
-        self._ray = Ray((0.0, 1.0))
-
     def __repr__(self):
         return "BallPlusHalfAxisStrip()"
 
-    def recession_cone(self):
-        return self._ray
+    def _project_recession(self, x):
+        # max(0, <d, x>) d with d = e2.
+        return np.array([0.0, max(0.0, float(x[1]))])
 
     def _contains(self, x, tol):
         in_disc = float(np.linalg.norm(x)) <= 1.0 + tol

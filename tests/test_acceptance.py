@@ -34,9 +34,10 @@ from homcone import (
     quartic_coefficients,
     reference_trace,
 )
+from homcone.cli import REFERENCE_TABLE
 from homcone.oracle import OracleConfig
 
-from test_homproj import FROZEN_TRACE, format_rows
+from test_homproj import format_rows
 
 
 def _pass(name):
@@ -55,7 +56,7 @@ def test_table1_reproduction():
 
     rows = format_rows(trace)
     assert len(rows) == 23
-    assert rows == FROZEN_TRACE
+    assert rows == list(REFERENCE_TABLE)
     assert abs(alpha_star - 1.4597189) < 5e-8
     assert elapsed < 0.010
 
@@ -67,7 +68,7 @@ def test_table1_reproduction():
 
 
 UPSTREAM_PRINTED_TRACE = [
-    list(row) for row in FROZEN_TRACE
+    list(row) for row in REFERENCE_TABLE
 ]
 UPSTREAM_PRINTED_TRACE[2][5] = "-1.31e+00"
 UPSTREAM_PRINTED_TRACE[3][4] = "-1.31e+00"

@@ -137,6 +137,39 @@ def test_project_bad_point(capsys):
     assert code == 2
 
 
+# Each point has the set's dimension once its empty coordinate is dropped, so
+# only parsing every token rejects it.
+@pytest.mark.parametrize("point, spec", [
+    ("3,,4", UNIT_BALL),
+    ("1,2,", UNIT_BALL),
+    (",1", '{"type":"box","halfwidths":[1]}'),
+], ids=["3,,4", "1,2,", ",1"])
+def test_project_empty_coordinate_is_bad_point(capsys, point, spec):
+    code, out, err = run(capsys, "project", "--set", spec, "--point", point,
+                         "--height", "0")
+    assert code == 2
+    assert out == ""
+    assert "bad point" in err
+
+
+def test_project_point_may_contain_spaces(capsys):
+    code, out, _ = run(capsys, "project", "--set", UNIT_BALL, "--point", "3, 4",
+                       "--height", "0")
+    assert code == 0
+    assert json.loads(out)["point"] == pytest.approx([1.5, 2.0])
+
+
+# Each point has the dimension that int() would read from the value.
+@pytest.mark.parametrize("dim, point", [("2.7", "1,1"), ("true", "1"), ('"3"', "1,1,1")])
+def test_project_non_integer_dim_is_usage_error(capsys, dim, point):
+    spec = f'{{"type":"simplex","dim":{dim}}}'
+    code, out, err = run(capsys, "project", "--set", spec, "--point", point,
+                         "--height", "0")
+    assert code == 2
+    assert out == ""
+    assert "dimension must be an integer" in err
+
+
 @pytest.mark.parametrize("spec", [UNIT_BALL, BALL, PEN, BOX])
 @NON_FINITE_HEIGHTS
 def test_project_non_finite_height_is_usage_error(capsys, spec, height):

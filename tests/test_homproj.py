@@ -22,6 +22,7 @@ from homcone import (
     quartic_coefficients,
     reference_trace,
 )
+from homcone.cli import REFERENCE_TABLE
 from homcone.oracle import sample_members
 
 REFERENCE_ALPHA_STAR = 1.4597189
@@ -35,36 +36,8 @@ def fmt_dpsi(x):
     return "" if x is None else f"{x:.2e}"
 
 
-# Frozen reference trace (23 rows).  Two derivative entries of the upstream
-# table (rows 3 and 4, printed there as -1.310e0) are internally inconsistent
-# with its own update rule; the recomputed value -1.40e+00 is frozen instead.
-FROZEN_TRACE = [
-    (1, "3.0000000", "", "5.0000000", "4.10e+00", "", "8.11e+00"),
-    (2, "1.5000000", "", "3.0000000", "1.49e-01", "", "4.10e+00"),
-    (3, "0.75000000", "1.1250000", "1.5000000", "-3.35e+00", "-1.40e+00", "1.49e-01"),
-    (4, "1.1250000", "1.3125000", "1.5000000", "-1.40e+00", "-5.79e-01", "1.49e-01"),
-    (5, "1.3125000", "1.4062500", "1.5000000", "-5.79e-01", "-2.04e-01", "1.49e-01"),
-    (6, "1.4062500", "1.4531250", "1.5000000", "-2.04e-01", "-2.48e-02", "1.49e-01"),
-    (7, "1.4531250", "1.4765625", "1.5000000", "-2.48e-02", "6.29e-02", "1.49e-01"),
-    (8, "1.4531250", "1.4648438", "1.4765625", "-2.48e-02", "1.92e-02", "6.29e-02"),
-    (9, "1.4531250", "1.4589844", "1.4648438", "-2.48e-02", "-2.76e-03", "1.92e-02"),
-    (10, "1.4589844", "1.4619141", "1.4648438", "-2.76e-03", "8.23e-03", "1.92e-02"),
-    (11, "1.4589844", "1.4604492", "1.4619141", "-2.76e-03", "2.74e-03", "8.23e-03"),
-    (12, "1.4589844", "1.4597168", "1.4604492", "-2.76e-03", "-1.06e-05", "2.74e-03"),
-    (13, "1.4597168", "1.4600830", "1.4604492", "-1.06e-05", "1.36e-03", "2.74e-03"),
-    (14, "1.4597168", "1.4598999", "1.4600830", "-1.06e-05", "6.77e-04", "1.36e-03"),
-    (15, "1.4597168", "1.4598083", "1.4598999", "-1.06e-05", "3.33e-04", "6.77e-04"),
-    (16, "1.4597168", "1.4597626", "1.4598083", "-1.06e-05", "1.61e-04", "3.33e-04"),
-    (17, "1.4597168", "1.4597397", "1.4597626", "-1.06e-05", "7.53e-05", "1.61e-04"),
-    (18, "1.4597168", "1.4597282", "1.4597397", "-1.06e-05", "3.24e-05", "7.53e-05"),
-    (19, "1.4597168", "1.4597225", "1.4597282", "-1.06e-05", "1.09e-05", "3.24e-05"),
-    (20, "1.4597168", "1.4597197", "1.4597225", "-1.06e-05", "1.65e-07", "1.09e-05"),
-    (21, "1.4597168", "1.4597182", "1.4597197", "-1.06e-05", "-5.20e-06", "1.65e-07"),
-    (22, "1.4597182", "1.4597189", "1.4597197", "-5.20e-06", "-2.52e-06", "1.65e-07"),
-    (23, "1.4597189", "1.4597193", "1.4597197", "-2.52e-06", "-1.18e-06", "1.65e-07"),
-]
-
-
+# Formats trace rows as `homcone table1` prints them, written out here so that
+# the comparison with cli.REFERENCE_TABLE does not rely on the CLI's formatter.
 def format_rows(trace):
     return [
         (
@@ -86,7 +59,7 @@ def format_rows(trace):
 
 def test_reference_trace_matches_frozen_rows():
     alpha_star, trace = reference_trace()
-    assert format_rows(trace) == FROZEN_TRACE
+    assert format_rows(trace) == list(REFERENCE_TABLE)
     assert abs(alpha_star - REFERENCE_ALPHA_STAR) < 5e-8
 
 
@@ -292,10 +265,6 @@ def test_projection_variational_inequality():
         members = sample_members(set_, 400, rng)
         rhos = rng.uniform(0.0, 10.0, size=members.shape[0])
         cone_pts = np.column_stack([members * rhos[:, None], rhos])
-        try:
-            rec_dir = set_.recession_cone()
-        except Exception:
-            rec_dir = None
         for _ in range(25):
             q = np.append(rng.uniform(-8, 8, 2), rng.uniform(-8, 8))
             res = project_homogenization(set_, (q[:2], q[2]), eps=1e-12)

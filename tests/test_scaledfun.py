@@ -12,7 +12,6 @@ from homcone import (
     EuclideanBall,
     Hyperbolic,
     L1Ball,
-    NegativeAlpha,
     NonPositiveAlpha,
     PsiEvaluator,
     Simplex,
@@ -48,7 +47,7 @@ def test_phi_rejects_nonpositive_alpha():
         ev.phi_prime(-1.0)
     with pytest.raises(NonPositiveAlpha):
         ev.psi_prime(0.0)
-    with pytest.raises(NegativeAlpha):
+    with pytest.raises(NonPositiveAlpha):
         ev.psi(-0.5)
 
 

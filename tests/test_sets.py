@@ -16,11 +16,9 @@ from homcone import (
     InvalidSetSpec,
     L1Ball,
     PBall,
-    Ray,
     ShiftedUnitBall,
     Simplex,
     UnsupportedProjection,
-    ZeroCone,
     set_from_spec,
 )
 from homcone.oracle import sample_members
@@ -114,8 +112,8 @@ def test_constructor_rejections():
         EuclideanBall((2.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         EuclideanBall((0.0, 0.0), -1.0)
-    with pytest.raises(ValueError):
-        Ray((1.0, 1.0))
+    with pytest.raises(ValueError, match="ray direction must be a unit vector"):
+        BallPen((1.0, 1.0))
     with pytest.raises(ValueError):
         BallPen((3.0, 4.0, 1.0e-3))
     with pytest.raises(ValueError):
@@ -126,8 +124,10 @@ def test_constructor_rejections():
         Ellipsoid([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         Ellipsoid([[1.0, 0.0], [0.0, -2.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d must be a unit vector"):
         ShiftedUnitBall((0.5, 0.5))
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        PBall(2.0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,6 @@ def test_recession_bounded_sets():
     ball = EuclideanBall((0.0, 0.0), 2.0)
     np.testing.assert_allclose(ball.project_recession((5.0, 5.0)), [0.0, 0.0])
     assert ball.recession_distance((3.0, 4.0)) == pytest.approx(5.0)
-    assert isinstance(ball.recession_cone(), ZeroCone)
 
 
 def test_recession_ball_pen_ray():
@@ -299,6 +298,19 @@ def test_spec_round_trip_all_variants():
     for text in specs:
         set_ = set_from_spec(text)
         assert set_.contains(np.zeros(set_.dim), tol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["simplex", "l1_ball", "p_ball"])
+@pytest.mark.parametrize("dim", ["2.7", "true", '"3"'], ids=["float", "bool", "string"])
+def test_spec_rejects_non_integer_dim(kind, dim):
+    params = {"simplex": "", "l1_ball": ', "radius": 1', "p_ball": ', "p": 3, "radius": 1'}
+    with pytest.raises(InvalidSetSpec, match="dimension must be an integer"):
+        set_from_spec(f'{{"type": "{kind}", "dim": {dim}{params[kind]}}}')
+
+
+def test_dimension_accepts_numpy_integers():
+    assert Simplex(np.int64(3)).dim == 3
+    assert L1Ball(1.0, np.int32(4)).dim == 4
 
 
 def test_spec_rejects_garbage():

@@ -1,8 +1,9 @@
 """Inputs are validated once, at the public boundary.
 
 Every public set method and entry point rejects a malformed vector; after
-that the solver runs on unchecked kernels, so one query costs at most two
-validations (the query itself and the evaluator built from it).
+that the solver runs on unchecked kernels, so one query costs one validation:
+the evaluator built from the query validates it and every later step reuses
+its checked (y, s).
 """
 
 import math
@@ -26,6 +27,7 @@ from homcone import (
     PsiEvaluator,
     ShiftedUnitBall,
     Simplex,
+    closed_form_polar,
     homogenization_polar_membership,
     polar_membership,
     project_ball_pen,
@@ -59,6 +61,7 @@ ENTRIES = {
     "PsiEvaluator": lambda c, x: PsiEvaluator(c, x, 1.0),
     "project_homogenization": lambda c, x: project_homogenization(c, (x, 1.0)),
     "polar_membership": lambda c, x: polar_membership(c, x),
+    "closed_form_polar": lambda c, x: closed_form_polar(c).contains(x),
     "homogenization_polar_membership":
         lambda c, x: homogenization_polar_membership(c, (x, -1.0)),
 }
@@ -132,4 +135,4 @@ def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
     closed_form = name in ("ball0", "ballpen")
     assert res.branch.value == "cone_interior"
     assert (res.iterations == 0) == closed_form
-    assert len(calls) <= (1 if closed_form else 2)
+    assert len(calls) <= 1
