@@ -103,6 +103,11 @@ def _as_cone_point(p, dim=None) -> ConePoint:
 # Bracket search on psi'
 # ---------------------------------------------------------------------------
 
+def _check_max_iter(max_iter):
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
                     zero_tol=1e-12, alpha_floor=1e-12):
     """Locate the minimizer of psi by bisection on its monotone derivative.
@@ -124,6 +129,7 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
         raise ValueError("require 0 < alpha0 < beta0")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    _check_max_iter(max_iter)
 
     a, b = alpha0, beta0
     da = ev.psi_prime(a)
@@ -201,6 +207,11 @@ def _alpha_star(ev, scale, eps, max_iter, rows):
     if f_hi <= 0.0:
         # Only roundoff puts the root at or past the a priori bound.
         return hi, calls
+    if calls >= max_iter:
+        # Brent needs at least one evaluation inside (lo, hi).
+        raise MaxIterationsExceeded(
+            f"root search did not converge in {max_iter} evaluations"
+        )
     alpha, n = brent_root(psi_prime, lo, hi, f_lo, f_hi, 0.0,
                           max(eps, _RTOL_FLOOR), max_iter - calls)
     return alpha, calls + n
@@ -311,10 +322,12 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
     and ``iterations`` counts them.  A bracket ``alpha0 < beta0`` selects the
     reference bisection :func:`find_alpha_star` instead, with ``eps`` an
-    absolute width and ``iterations`` its outer steps.
+    absolute width and ``iterations`` its outer steps.  ``max_iter`` below
+    1 is a ValueError.
     """
     if (alpha0 is None) != (beta0 is None):
         raise ValueError("give both alpha0 and beta0, or neither")
+    _check_max_iter(max_iter)
     y, s = p
     # The evaluator validates the query; every step below reuses its (y, s).
     ev = PsiEvaluator(set_, y, s)
@@ -345,7 +358,8 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
         return ProjectionResult(
             0.0, ConePoint(y_rec, 0.0), Branch.RECESSION, iterations, kept
         )
-    c = set_._project(p.y / alpha_star)
+    # alpha* is almost always a point psi' was just evaluated at.
+    c = ev._projection(alpha_star)
     return ProjectionResult(
         alpha_star,
         ConePoint(alpha_star * c, alpha_star),
@@ -370,7 +384,7 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
     ball = EuclideanBall(center, radius)
     z, g = ball.center, ball.radius
     y = as_vector(y, ball.dim)
-    s = float(s)
+    s = as_height(s)
     nz = float(np.linalg.norm(z))
     zy = float(z @ y)
     ny2 = float(y @ y)

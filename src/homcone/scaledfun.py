@@ -32,17 +32,24 @@ class PsiEvaluator:
     """phi, psi and their derivatives for one set and one query point (y, s).
 
     The constructor validates (y, s) once; every evaluation then calls the
-    set's unchecked kernels on vectors built from that query.  Evaluations
-    are pure and the instance is immutable, so a single evaluator may be
-    shared across threads.  At a = 0, ``psi`` needs the recession-cone
-    projector of the set; variants without one raise CapabilityMissing rather
-    than approximating.
+    set's unchecked kernels on vectors built from that query.  At a = 0,
+    ``psi`` needs the recession-cone projector of the set; variants without
+    one raise CapabilityMissing rather than approximating.
+
+    The one piece of state is a memo of the (alpha, P_C(y / alpha)) pairs of
+    the last two ``phi_prime`` calls, so that the solver's final P_C(y /
+    alpha*) is not computed twice.  The memo is one tuple of whole pairs,
+    replaced in a single assignment and only read for an exact match of
+    alpha, so a shared evaluator stays safe across threads: a concurrent call
+    can at worst evict a pair, never pair an alpha with another alpha's
+    projection.  Stored projections are shared and must not be modified.
     """
 
     def __init__(self, set_, y, s):
         self.set = set_
         self.y = as_vector(y, set_.dim)
         self.s = as_height(s)
+        self._memo = ()
 
     def phi(self, alpha) -> float:
         """Squared distance from y to alpha * C; nonnegative, nonincreasing."""
@@ -56,7 +63,16 @@ class PsiEvaluator:
         alpha = _positive(alpha)
         w = self.y / alpha
         p = self.set._project(w)
+        self._memo = ((alpha, p),) + self._memo[:1]
         return -2.0 * alpha * float(p @ (w - p))
+
+    def _projection(self, alpha):
+        """P_C(y / alpha) for alpha > 0, from the memo when a recent
+        ``phi_prime`` call had exactly this alpha."""
+        for a, p in self._memo:
+            if a == alpha:
+                return p
+        return self.set._project(self.y / alpha)
 
     def psi(self, alpha) -> float:
         """phi(alpha) + (alpha - s)^2 for alpha > 0, recession form at 0."""

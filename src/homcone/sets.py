@@ -30,12 +30,17 @@ from .errors import (
     CenterOutsideRadius,
     DimensionMismatch,
     InvalidSetSpec,
+    MaxIterationsExceeded,
     UnsupportedProjection,
 )
-from .roots import brent_root
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
+
+#: Newton on the ellipsoid's secular equation: relative step that ends the
+#: iteration, and the most evaluations it may take.
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_STEPS = 100
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -272,7 +277,19 @@ class PBall(ConvexSet):
 
 
 class Ellipsoid(ConvexSet):
-    """Ellipsoid {x : <x, Qx> <= 1} for a symmetric positive definite Q."""
+    """Ellipsoid {x : <x, Qx> <= 1} for a symmetric positive definite Q.
+
+    The projector works in the eigenbasis Q = V diag(w) V^T.  For u = V^T x
+    outside the set, the nearest point is V (u / (1 + lam w)) with lam > 0 the
+    root of phi(lam) = f(lam)^(-1/2) - 1, f(lam) = sum w u^2 / (1 + lam w)^2
+    (Moré and Sorensen, "Computing a trust region step", 1983).  phi is
+    increasing and concave on lam >= 0, and f(lam0) >= 1 at
+    lam0 = (sqrt(q) - 1) / max(w) with q = f(0) = <x, Qx>, so Newton's method
+    from lam0 climbs monotonically to the root.  It stops when a step is at
+    most 4 eps lam or when f <= 1, and raises MaxIterationsExceeded after
+    100 evaluations of f (``_NEWTON_MAX_STEPS``); condition numbers up to
+    1e15 take at most 15.
+    """
 
     def __init__(self, q_matrix):
         q = np.asarray(q_matrix, dtype=float)
@@ -294,31 +311,33 @@ class Ellipsoid(ConvexSet):
     def __repr__(self):
         return f"Ellipsoid(q={self.q_matrix.tolist()})"
 
-    def _quad(self, x):
-        u = self._evecs.T @ x
-        return float(np.sum(self._evals * u * u))
-
     def _contains(self, x, tol):
-        return self._quad(x) <= 1.0 + tol
+        u = self._evecs.T @ x
+        return float(u @ (self._evals * u)) <= 1.0 + tol
 
     def _project(self, x):
-        if self._quad(x) <= 1.0:
-            return x.copy()
         w = self._evals
         u = self._evecs.T @ x
-
-        # Secular equation for the multiplier of the active quadratic constraint.
-        def g(lam):
-            t = u / (1.0 + lam * w)
-            return float(np.sum(w * t * t)) - 1.0
-
-        hi = 1.0
-        g_hi = g(hi)
-        while g_hi > 0.0:
-            hi *= 4.0
-            g_hi = g(hi)
-        # g(0) = <x, Qx> - 1 > 0 and g decreases, so [0, hi] brackets the root.
-        lam, _ = brent_root(g, 0.0, hi, g(0.0), g_hi, 1e-15, 4 * np.finfo(float).eps, 200)
+        q = float(u @ (w * u))
+        if q <= 1.0:
+            return x.copy()
+        lam = (math.sqrt(q) - 1.0) / float(w[-1])
+        for _ in range(_NEWTON_MAX_STEPS):
+            t = 1.0 + lam * w
+            z = u / t
+            wz = w * z
+            f = float(z @ wz)
+            if f <= 1.0:
+                break
+            # Newton step -phi/phi' = f (sqrt(f) - 1) / g with g = -f'/2.
+            step = f * (math.sqrt(f) - 1.0) / float((wz / t) @ wz)
+            lam += step
+            if step <= _NEWTON_RTOL * lam:
+                break
+        else:
+            raise MaxIterationsExceeded(
+                f"ellipsoid projection did not converge in {_NEWTON_MAX_STEPS} steps"
+            )
         return self._evecs @ (u / (1.0 + lam * w))
 
     def _support(self, y):
@@ -455,32 +474,47 @@ class Hyperbolic(ConvexSet):
 # JSON set specifications
 # ---------------------------------------------------------------------------
 
-def _parse_p(value):
+def _field(obj, key):
+    """A numeric spec field, rejecting bools and strings at any depth, which
+    float() and numpy would otherwise read as 1.0, 0.0 or a parsed number."""
+    def check(value):
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise ValueError(f"{key} must be numeric, got {value!r}")
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                check(item)
+
+    check(obj[key])
+    return obj[key]
+
+
+def _parse_p(obj):
+    value = obj["p"]
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise InvalidSetSpec(f"unrecognized p value {value!r}")
-    return float(value)
+    return float(_field(obj, "p"))
 
 
 _SPEC_BUILDERS = {
     "euclidean_ball": (
         {"center", "radius"},
-        lambda o: EuclideanBall(o["center"], o["radius"]),
+        lambda o: EuclideanBall(_field(o, "center"), _field(o, "radius")),
     ),
-    "ball_pen": ({"direction"}, lambda o: BallPen(o["direction"])),
-    "box": ({"halfwidths"}, lambda o: Box(o["halfwidths"])),
+    "ball_pen": ({"direction"}, lambda o: BallPen(_field(o, "direction"))),
+    "box": ({"halfwidths"}, lambda o: Box(_field(o, "halfwidths"))),
     "simplex": ({"dim"}, lambda o: Simplex(o["dim"])),
     "l1_ball": (
         {"radius"},
-        lambda o: L1Ball(o["radius"], o.get("dim", 2)),
+        lambda o: L1Ball(_field(o, "radius"), o.get("dim", 2)),
     ),
     "p_ball": (
         {"p", "radius"},
-        lambda o: PBall(_parse_p(o["p"]), o["radius"], o.get("dim", 2)),
+        lambda o: PBall(_parse_p(o), _field(o, "radius"), o.get("dim", 2)),
     ),
-    "ellipsoid": ({"q"}, lambda o: Ellipsoid(o["q"])),
-    "shifted_unit_ball": ({"d"}, lambda o: ShiftedUnitBall(o["d"])),
+    "ellipsoid": ({"q"}, lambda o: Ellipsoid(_field(o, "q"))),
+    "shifted_unit_ball": ({"d"}, lambda o: ShiftedUnitBall(_field(o, "d"))),
     "ball_plus_strip": (set(), lambda o: BallPlusHalfAxisStrip()),
     "hyperbolic": (set(), lambda o: Hyperbolic()),
 }
@@ -492,7 +526,9 @@ _SPEC_OPTIONAL = {"l1_ball": {"dim"}, "p_ball": {"dim"}}
 def set_from_spec(spec) -> ConvexSet:
     """Build a set from its JSON object form (a dict or JSON text).
 
-    Unknown types and unknown keys are rejected with :class:`InvalidSetSpec`.
+    Unknown types and unknown keys are rejected with :class:`InvalidSetSpec`,
+    and so are bools and strings in numeric fields (``p`` may be the string
+    ``"inf"``).
     """
     if isinstance(spec, (str, bytes)):
         try:

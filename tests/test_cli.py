@@ -189,6 +189,35 @@ def test_project_max_iter_exhaustion_is_numerical_failure(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("bracket", [[], ["--alpha0", "3", "--beta0", "5"]],
+                         ids=["default", "bracket"])
+@pytest.mark.parametrize("max_iter", ["0", "-2"])
+def test_project_nonpositive_max_iter_is_usage_error(capsys, bracket, max_iter):
+    code, out, err = run(
+        capsys,
+        "project", "--set", BOX, "--point", "3,4", "--height", "0.5",
+        "--max-iter", max_iter, *bracket,
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_iter must be at least 1" in err
+
+
+@pytest.mark.parametrize("spec", [
+    '{"type":"euclidean_ball","center":[0,0],"radius":true}',
+    '{"type":"euclidean_ball","center":[0,0],"radius":"2"}',
+    '{"type":"box","halfwidths":[true,1]}',
+    '{"type":"ball_pen","direction":[false,true]}',
+    '{"type":"p_ball","p":true,"radius":1}',
+    '{"type":"ellipsoid","q":[[2,"0"],[0,1]]}',
+])
+def test_project_non_numeric_spec_field_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "project", "--set", spec, "--point", "1,2", "--height", "1")
+    assert code == 2
+    assert out == ""
+    assert "must be numeric" in err
+
+
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------

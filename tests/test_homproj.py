@@ -394,6 +394,58 @@ def test_half_bracket_is_rejected():
         project_homogenization(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), alpha0=3.0)
 
 
+class CountingBox(Box):
+    """A Box that counts its projector calls."""
+
+    calls = 0
+
+    def _project(self, x):
+        self.calls += 1
+        return super()._project(x)
+
+
+def interior_box_queries():
+    rng = np.random.default_rng(51)
+    queries = [((3.0, 4.0), 0.5)]
+    while len(queries) < 40:
+        y = rng.normal(size=2) * 10.0 ** rng.uniform(-9, 12)
+        queries.append((y, rng.uniform(-1.0, 1.0) * float(np.linalg.norm(y))))
+    return queries
+
+
+def test_default_solver_makes_one_projector_call_per_iteration():
+    # The final P_C(y / alpha*) reuses the solver's last projection.
+    interior = 0
+    for y, s in interior_box_queries():
+        box = CountingBox((1.0, 1.0))
+        res = project_homogenization(box, (y, s))
+        if res.branch is Branch.CONE_INTERIOR:
+            interior += 1
+            assert box.calls == res.iterations
+    assert interior >= 20
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("bracket", [{}, {"alpha0": 1.0, "beta0": 2.0}],
+                         ids=["default", "bracket"])
+def test_nonpositive_max_iter_is_rejected_before_any_work(max_iter, bracket):
+    box = CountingBox((1.0, 1.0))
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        project_homogenization(box, ((3.0, 4.0), 0.5), max_iter=max_iter, **bracket)
+    assert box.calls == 0
+    ev = PsiEvaluator(box, (3.0, 4.0), 0.5)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        find_alpha_star(ev, 1.0, 2.0, max_iter=max_iter)
+    assert box.calls == 0
+
+
+def test_exhausted_budget_reports_the_caller_budget():
+    for set_ in (Box((1.0, 1.0)), BallPen((0.6, 0.8))):
+        with pytest.raises(MaxIterationsExceeded, match="in 1 evaluations"):
+            project_homogenization(set_, ((3.0, -4.0), 0.5), max_iter=1,
+                                   force_iterative=True)
+
+
 SCALES = (1e-9, 1e-6, 1.0, 1e6, 1e12)
 
 
@@ -476,3 +528,9 @@ def test_quartic_leading_coefficient_nonnegative():
 def test_quartic_rejects_center_outside():
     with pytest.raises(CenterOutsideRadius):
         quartic_coefficients((2.0, 0.0), 1.0, (1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_quartic_rejects_non_finite_height(s):
+    with pytest.raises(ValueError, match="height must be finite"):
+        quartic_coefficients((1.0, 0.0), 1.0, (1.0, 2.0), s)

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,3 +257,50 @@ def test_phi_prime_matches_central_differences():
             if abs(fd1) < 1e-2 or abs(fd1 - fd2) > 1e-4 * max(1.0, abs(fd1)):
                 continue
             assert ev.phi_prime(alpha) == pytest.approx(fd1, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# The projection memo of a shared evaluator
+# ---------------------------------------------------------------------------
+
+def test_shared_evaluator_answers_do_not_depend_on_call_order():
+    set_ = Ellipsoid([[2.0, 0.3], [0.3, 0.8]])
+    y, s = np.array([3.0, -4.0]), 0.5
+    alphas = [0.3, 1.7, 0.3, 5.0, 1.7, 0.9, 5.0, 0.3, 2.2, 0.9]
+    expected = {a: (PsiEvaluator(set_, y, s).psi_prime(a), set_.project(y / a))
+                for a in alphas}
+    ev = PsiEvaluator(set_, y, s)
+    for order in (alphas, alphas[::-1], sorted(alphas)):
+        for a in order:
+            assert ev.psi_prime(a) == expected[a][0]
+        for a in reversed(order):
+            np.testing.assert_array_equal(ev._projection(a), expected[a][1])
+
+
+def test_shared_evaluator_is_consistent_across_threads():
+    # A torn memo entry would pair one alpha with another alpha's projection.
+    set_ = Box((1.0, 2.0, 0.5))
+    y, s = np.array([3.0, -4.0, 2.5]), 0.25
+    alphas = np.linspace(0.1, 6.0, 25)
+    expected = [(PsiEvaluator(set_, y, s).psi_prime(a), set_.project(y / a)) for a in alphas]
+    ev = PsiEvaluator(set_, y, s)
+
+    def work(shift):
+        got = []
+        for k in range(20 * len(alphas)):
+            i = (k * 7 + shift) % len(alphas)
+            got.append((i, ev.psi_prime(alphas[i]), ev._projection(alphas[i])))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 16
+    for got in results:
+        for i, d, p in got:
+            assert d == expected[i][0]
+            np.testing.assert_array_equal(p, expected[i][1])

@@ -22,6 +22,7 @@ from homcone import (
     set_from_spec,
 )
 from homcone.oracle import sample_members
+from homcone.roots import brent_root
 
 
 def make_projectable():
@@ -278,6 +279,86 @@ def test_support_positive_homogeneity_and_subadditivity():
 
 
 # ---------------------------------------------------------------------------
+# Ellipsoid projector
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def brent_ellipsoid_project(ell, x):
+    """The bracketed Brent solve of the secular equation sum w t^2 = 1,
+    t = u / (1 + lam w), that the Newton kernel replaced; the accuracy
+    reference for it."""
+    w, u = ell._evals, ell._evecs.T @ x
+    if float(np.sum(w * u * u)) <= 1.0:
+        return x.copy()
+
+    def g(lam):
+        t = u / (1.0 + lam * w)
+        return float(np.sum(w * t * t)) - 1.0
+
+    hi = 1.0
+    while g(hi) > 0.0:
+        hi *= 4.0
+    lam, _ = brent_root(g, 0.0, hi, g(0.0), g(hi), 1e-15, 4 * EPS, 200)
+    return ell._evecs @ (u / (1.0 + lam * w))
+
+
+def ellipsoid_residuals(ell, x, p):
+    """KKT residual ||x - p - lam Qp|| / ||x|| (lam by least squares) and
+    feasibility error |<p, Qp> - 1|, in extended precision.
+
+    Q is taken as the factorisation V diag(w) V^T both kernels solve on: at
+    condition 1e12 the eigensolver's own error is far above the root solve's
+    and would hide it.
+    """
+    ld = np.longdouble
+    v = ell._evecs.astype(ld)
+    q = (v * ell._evals.astype(ld)) @ v.T
+    x, p = x.astype(ld), p.astype(ld)
+    qp = q @ p
+    lam = (qp @ (x - p)) / (qp @ qp)
+    kkt = np.sqrt(np.sum((x - p - lam * qp) ** 2) / np.sum(x * x))
+    return float(kkt), float(abs(p @ qp - 1))
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+@pytest.mark.parametrize("cond", [1e0, 1e3, 1e6, 1e9, 1e12])
+def test_ellipsoid_newton_is_as_accurate_as_brent(cond, n):
+    rng = np.random.default_rng([int(math.log10(cond)), n])
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = np.exp(rng.uniform(-0.5, 0.5, n) * math.log(cond))
+    w[:2] = cond ** -0.5, cond ** 0.5
+    ell = Ellipsoid((u * w) @ u.T)
+    dirs = rng.normal(size=(80, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    # Norms log-spaced over 1e-9..1e12, then points a few ulps from the
+    # boundary on either side.
+    spread = dirs[:40] * np.logspace(-9, 12, 40)[:, None]
+    gauge = np.sqrt(np.einsum("ij,jk,ik->i", dirs[40:], ell.q_matrix, dirs[40:]))
+    ulps = np.arange(40) % 17 - 4
+    boundary = dirs[40:] / gauge[:, None] * (1.0 + ulps * EPS)[:, None]
+    for points in (spread, boundary):
+        newton, brent = [], []
+        for x in points:
+            p = ell.project(x)
+            p_ref = brent_ellipsoid_project(ell, x)
+            if np.array_equal(p, x) and np.array_equal(p_ref, x):
+                continue
+            newton.append(ellipsoid_residuals(ell, x, p))
+            brent.append(ellipsoid_residuals(ell, x, p_ref))
+        if not newton:
+            continue
+        # Both kernels share the rounding of the change of basis, so their
+        # residuals differ by rounding noise input by input; the largest
+        # residual over the group must stay at Brent's level.
+        worst_newton = np.max(newton, axis=0)
+        worst_brent = np.max(brent, axis=0)
+        assert np.all(worst_newton <= 4.0 * worst_brent + 16.0 * EPS), (
+            worst_newton, worst_brent)
+
+
+# ---------------------------------------------------------------------------
 # JSON set specifications
 # ---------------------------------------------------------------------------
 
@@ -306,6 +387,35 @@ def test_spec_rejects_non_integer_dim(kind, dim):
     params = {"simplex": "", "l1_ball": ', "radius": 1', "p_ball": ', "p": 3, "radius": 1'}
     with pytest.raises(InvalidSetSpec, match="dimension must be an integer"):
         set_from_spec(f'{{"type": "{kind}", "dim": {dim}{params[kind]}}}')
+
+
+NON_NUMERIC_FIELDS = [
+    '{"type": "euclidean_ball", "center": [0, 0], "radius": true}',
+    '{"type": "euclidean_ball", "center": [0, 0], "radius": "2"}',
+    '{"type": "euclidean_ball", "center": [false, 0], "radius": 1}',
+    '{"type": "euclidean_ball", "center": ["0.5", 0], "radius": 1}',
+    '{"type": "box", "halfwidths": [true, 1]}',
+    '{"type": "box", "halfwidths": "12"}',
+    '{"type": "ball_pen", "direction": [false, true]}',
+    '{"type": "l1_ball", "radius": true}',
+    '{"type": "p_ball", "p": true, "radius": 1}',
+    '{"type": "p_ball", "p": 3, "radius": "1"}',
+    '{"type": "ellipsoid", "q": [[true, 0], [0, 1]]}',
+    '{"type": "ellipsoid", "q": [[2, "0"], ["0", 1]]}',
+    '{"type": "shifted_unit_ball", "d": [0, true]}',
+]
+
+
+@pytest.mark.parametrize("text", NON_NUMERIC_FIELDS)
+def test_spec_rejects_bools_and_strings_in_numeric_fields(text):
+    with pytest.raises(InvalidSetSpec, match="must be numeric"):
+        set_from_spec(text)
+
+
+def test_spec_accepts_p_inf_and_numeric_fields():
+    assert set_from_spec('{"type": "p_ball", "p": "inf", "radius": 1}').p == math.inf
+    ball = set_from_spec('{"type": "euclidean_ball", "center": [0, 0.5], "radius": 2}')
+    assert ball.radius == 2.0 and ball.center.tolist() == [0.0, 0.5]
 
 
 def test_dimension_accepts_numpy_integers():
