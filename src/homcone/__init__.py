@@ -2,8 +2,10 @@
 
 Given a closed convex set C containing the origin, with a projector onto C,
 this package computes the projection onto K = cl cone(C x {1}), evaluates
-support functions and polar-set / polar-cone membership, and ships brute-force
-oracles plus a CLI for reproducible traces and figure point clouds.
+support functions and polar-set / polar-cone membership, and ships a CLI for
+reproducible traces and figure point clouds.  The projection uses a set's
+closed-form cone kernel where it has one (``ConvexSet._project_cone``) and the
+generic solver on psi' otherwise.
 """
 
 from .errors import (
@@ -24,13 +26,10 @@ from .homproj import (
     QuarticCoefficients,
     TraceRow,
     find_alpha_star,
-    project_ball_pen,
     project_homogenization,
-    project_ice_cream,
     quartic_coefficients,
     reference_trace,
 )
-from .oracle import OracleConfig, brute_force_alpha_star, sample_members, sampled_support
 from .polar import (
     PolarDescription,
     closed_form_polar,
@@ -76,7 +75,6 @@ __all__ = [
     "MaxIterationsExceeded",
     "NoClosedFormAvailable",
     "NonPositiveAlpha",
-    "OracleConfig",
     "PBall",
     "PolarDescription",
     "ProjectionResult",
@@ -87,18 +85,13 @@ __all__ = [
     "TraceRow",
     "UnsupportedProjection",
     "as_vector",
-    "brute_force_alpha_star",
     "closed_form_polar",
     "find_alpha_star",
     "homogenization_polar_membership",
     "polar_cone_membership",
     "polar_membership",
-    "project_ball_pen",
     "project_homogenization",
-    "project_ice_cream",
     "quartic_coefficients",
     "reference_trace",
-    "sample_members",
-    "sampled_support",
     "set_from_spec",
 ]

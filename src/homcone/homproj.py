@@ -13,8 +13,10 @@ the support function decides the recession branch without a projector call.
 Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
 tolerance at every scale.  A caller-given bracket selects the reference
 bisection :func:`find_alpha_star` instead, whose trace reproduces the
-bundled reference table.  Euclidean balls centred at the origin and ball-pen
-sets skip the iteration entirely through exact piecewise formulas.
+bundled reference table.  A set whose cone has a closed form (the Euclidean
+ball centred at the origin and the ball pen) answers through its
+``_project_cone`` kernel instead, with no iteration, so the dispatch names no
+set class.
 
 Each entry point validates its query once (a finite y of the set's dimension
 and a finite height s); everything after that calls the sets' unchecked
@@ -23,7 +25,6 @@ kernels (see :mod:`homcone.sets`).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -33,15 +34,7 @@ import numpy as np
 from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
-from .sets import MEMBERSHIP_TOL, BallPen, EuclideanBall, as_height, as_vector
-
-
-class Branch(str, enum.Enum):
-    """Which case of the projection formula produced the result."""
-
-    ALREADY_IN_K = "already_in_k"
-    RECESSION = "recession"
-    CONE_INTERIOR = "cone_interior"
+from .sets import MEMBERSHIP_TOL, Branch, EuclideanBall, as_height, as_vector
 
 
 class ConePoint(NamedTuple):
@@ -90,13 +83,6 @@ class QuarticCoefficients(NamedTuple):
     def residual(self, alpha) -> float:
         a = float(alpha)
         return self.xi0 + a * (self.xi1 + a * (self.xi2 + a * (self.xi3 + a * self.xi4)))
-
-
-def _as_cone_point(p, dim=None) -> ConePoint:
-    """Validate a query (y, s): y a finite vector (of length ``dim`` when
-    given), s a finite height."""
-    y, s = p
-    return ConePoint(as_vector(y, dim), as_height(s))
 
 
 # ---------------------------------------------------------------------------
@@ -234,63 +220,6 @@ def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form fast paths
-# ---------------------------------------------------------------------------
-
-def project_ice_cream(gamma, p) -> ProjectionResult:
-    """Exact projection onto the cone over a ball of radius gamma centred at 0.
-
-    Piecewise: the identity where ||y|| <= gamma s, the apex where
-    gamma ||y|| <= -s, and otherwise the ray point with
-    alpha* = (s + gamma ||y||) / (1 + gamma^2).
-    """
-    gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    return _ice_cream(gamma, _as_cone_point(p))
-
-
-def _ice_cream(gamma, p):
-    y, s = p
-    ny = float(np.linalg.norm(y))
-    if ny <= gamma * s:
-        return ProjectionResult(s, ConePoint(y.copy(), s), Branch.ALREADY_IN_K, 0)
-    if gamma * ny <= -s:
-        return ProjectionResult(0.0, ConePoint(np.zeros_like(y), 0.0), Branch.RECESSION, 0)
-    rho = (s + gamma * ny) / (1.0 + gamma * gamma)
-    return ProjectionResult(
-        rho, ConePoint((rho * gamma / ny) * y, rho), Branch.CONE_INTERIOR, 0
-    )
-
-
-def project_ball_pen(direction, p) -> ProjectionResult:
-    """Exact projection onto the homogenization of B(0,1) + R+ d.
-
-    The case split runs on delta = dist(y, ray) against -s and s: recession
-    branch when delta <= -s, the identity-height branch when delta <= s, and
-    the averaged branch alpha* = (s + delta)/2 otherwise.
-    """
-    pen = BallPen(direction)
-    return _ball_pen(pen, _as_cone_point(p, pen.dim))
-
-
-def _ball_pen(pen, p):
-    y, s = p
-    on_ray = pen._project_recession(y)
-    delta = float(np.linalg.norm(y - on_ray))
-    if delta <= -s:
-        branch = Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
-        return ProjectionResult(0.0, ConePoint(on_ray, 0.0), branch, 0)
-    if delta <= s:
-        # Here dist(y/s, ray) <= 1, so y/s is already a member and the
-        # projected point reproduces (y, s).
-        return ProjectionResult(s, ConePoint(y.copy(), s), Branch.ALREADY_IN_K, 0)
-    alpha = 0.5 * (s + delta)
-    c = pen._project(y / alpha)
-    return ProjectionResult(alpha, ConePoint(alpha * c, alpha), Branch.CONE_INTERIOR, 0)
-
-
-# ---------------------------------------------------------------------------
 # General projection
 # ---------------------------------------------------------------------------
 
@@ -312,11 +241,12 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
                            tol=MEMBERSHIP_TOL) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
-    Dispatch: origin-centred Euclidean balls use the exact ice-cream formula
-    and ball pens their exact piecewise formula; every other projectable
-    variant (including off-centre balls) solves for alpha* on psi'.
-    ``force_iterative`` bypasses the fast paths and the membership shortcut so
-    the iterative route can be compared against the closed forms.
+    Dispatch: the set's ``_project_cone`` kernel answers in closed form where
+    it has one (the ice-cream cone of an origin-centred ball, the ball pen);
+    where it returns None (every other projectable set, including off-centre
+    balls) alpha* is solved for on psi'.  ``force_iterative`` bypasses the
+    kernel and the membership shortcut so the iterative route can be compared
+    against the closed forms.
 
     Without a bracket the solve is Brent's method on the a priori bracket,
     ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
@@ -333,10 +263,10 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     ev = PsiEvaluator(set_, y, s)
     p = ConePoint(ev.y, ev.s)
     if not force_iterative:
-        if isinstance(set_, EuclideanBall) and not np.any(set_.center):
-            return _ice_cream(set_.radius, p)
-        if isinstance(set_, BallPen):
-            return _ball_pen(set_, p)
+        exact = set_._project_cone(p.y, p.s)
+        if exact is not None:
+            alpha_star, x, branch = exact
+            return ProjectionResult(alpha_star, ConePoint(x, alpha_star), branch, 0)
     scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
     if not force_iterative and _in_cone(set_, p, scale, tol):
         s_star = p.s if p.s > 0.0 else 0.0

@@ -1,4 +1,5 @@
-"""Convex set catalog: projectors, support functions, membership, recession cones.
+"""Convex set catalog: projectors, support functions, membership, recession
+cones, and the closed-form projectors onto the homogenization cones that have one.
 
 Every cataloged set is a closed convex subset of R^n that contains the origin;
 constructors reject parameters violating that standing assumption.  Descriptors
@@ -16,10 +17,19 @@ kernel (``_project``, ``_contains``, ``_support``, ``_project_recession``,
 re-validate; callers inside the package that built the vector from an already
 validated query call the kernels directly.  The height s of a query (y, s) is
 validated by :func:`as_height`, which rejects a non-finite value.
+
+One optional kernel, ``_project_cone(y, s)``, projects a validated query onto
+the homogenization cone K of the set in closed form, returning
+``(alpha*, x, branch)`` with P_K(y, s) = (x, alpha*), or None when the set has
+none; :func:`homcone.homproj.project_homogenization` calls it once per query.
+The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have
+one.  A subclass that changes ``_project`` of such a set must also override
+``_project_cone``, or the closed form would answer for the old set.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 
@@ -81,6 +91,14 @@ def _unit_vector(d, name) -> np.ndarray:
     return d / n
 
 
+class Branch(str, enum.Enum):
+    """Which case of the projection formula produced the result."""
+
+    ALREADY_IN_K = "already_in_k"
+    RECESSION = "recession"
+    CONE_INTERIOR = "cone_interior"
+
+
 # ---------------------------------------------------------------------------
 # Set variants
 # ---------------------------------------------------------------------------
@@ -92,7 +110,9 @@ class ConvexSet:
     where available, ``_project``; the public methods validate and dispatch.
     Bounded variants inherit the projection onto the trivial recession cone
     {0}; unbounded ones override ``_project_recession`` or leave the
-    capability missing.
+    capability missing.  A set whose homogenization cone has a closed-form
+    projector overrides ``_project_cone``; the default None selects the
+    generic solver.
     """
 
     dim: int
@@ -141,6 +161,11 @@ class ConvexSet:
     def _recession_distance(self, y) -> float:
         return float(np.linalg.norm(y - self._project_recession(y)))
 
+    def _project_cone(self, y, s):
+        """Closed-form P_K(y, s) as ``(alpha*, x, branch)`` with
+        P_K(y, s) = (x, alpha*), or None for the generic solver."""
+        return None
+
 
 class EuclideanBall(ConvexSet):
     """Ball {x : ||x - center|| <= radius} with ||center|| <= radius."""
@@ -150,11 +175,13 @@ class EuclideanBall(ConvexSet):
         self.radius = float(radius)
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
-        if float(np.linalg.norm(self.center)) > self.radius + 1e-12:
+        # Relative slack, so that (t c, t r) is accepted alike at every scale t.
+        if float(np.linalg.norm(self.center)) > self.radius * (1.0 + 1e-12):
             raise CenterOutsideRadius(
                 "the ball must contain the origin: require ||center|| <= radius"
             )
         self.dim = self.center.size
+        self._centred = not np.any(self.center)
 
     def __repr__(self):
         return f"EuclideanBall(center={self.center.tolist()}, radius={self.radius})"
@@ -168,6 +195,22 @@ class EuclideanBall(ConvexSet):
 
     def _support(self, y):
         return float(self.center @ y) + self.radius * float(np.linalg.norm(y))
+
+    def _project_cone(self, y, s):
+        """The ice-cream cone {||y|| <= gamma s} for the centre 0: the identity
+        where ||y|| <= gamma s, the apex where gamma ||y|| <= -s, and otherwise
+        the ray point with alpha* = (s + gamma ||y||) / (1 + gamma^2).  Balls
+        off the origin return None."""
+        if not self._centred:
+            return None
+        gamma = self.radius
+        ny = float(np.linalg.norm(y))
+        if ny <= gamma * s:
+            return s, y.copy(), Branch.ALREADY_IN_K
+        if gamma * ny <= -s:
+            return 0.0, np.zeros_like(y), Branch.RECESSION
+        rho = (s + gamma * ny) / (1.0 + gamma * gamma)
+        return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
 
 
 class Box(ConvexSet):
@@ -297,7 +340,9 @@ class Ellipsoid(ConvexSet):
             raise ValueError("Q must be a square matrix")
         if not np.all(np.isfinite(q)):
             raise ValueError("Q entries must be finite")
-        if not np.allclose(q, q.T, rtol=1e-10, atol=1e-12):
+        # atol scales with Q, so that Q and t Q are accepted alike.
+        atol = 1e-12 * float(np.max(np.abs(q)))
+        if not np.allclose(q, q.T, rtol=1e-10, atol=atol):
             raise ValueError("Q must be symmetric")
         q = 0.5 * (q + q.T)
         w, v = np.linalg.eigh(q)
@@ -418,6 +463,21 @@ class BallPen(ConvexSet):
         if float(self.direction @ y) <= 0.0:
             return float(np.linalg.norm(y))
         return math.inf
+
+    def _project_cone(self, y, s):
+        """Split on delta = dist(y, ray) against -s and s: the recession branch
+        when delta <= -s, the identity-height branch when delta <= s, and the
+        averaged branch alpha* = (s + delta) / 2 otherwise."""
+        on_ray = self._project_recession(y)
+        delta = float(np.linalg.norm(y - on_ray))
+        if delta <= -s:
+            return 0.0, on_ray, Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
+        if delta <= s:
+            # Here dist(y/s, ray) <= 1, so y/s is already a member and the
+            # projected point reproduces (y, s).
+            return s, y.copy(), Branch.ALREADY_IN_K
+        alpha = 0.5 * (s + delta)
+        return alpha, alpha * self._project(y / alpha), Branch.CONE_INTERIOR
 
 
 class BallPlusHalfAxisStrip(ConvexSet):

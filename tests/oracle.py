@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import (
+from homcone.sets import (
     BallPen,
     BallPlusHalfAxisStrip,
     Box,

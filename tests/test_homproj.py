@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import homcone
+import homcone.homproj
 from homcone import (
     BallPen,
     Box,
@@ -16,14 +18,12 @@ from homcone import (
     PsiEvaluator,
     Simplex,
     find_alpha_star,
-    project_ball_pen,
     project_homogenization,
-    project_ice_cream,
     quartic_coefficients,
     reference_trace,
 )
 from homcone.cli import REFERENCE_TABLE
-from homcone.oracle import sample_members
+from oracle import sample_members
 
 REFERENCE_ALPHA_STAR = 1.4597189
 
@@ -121,7 +121,7 @@ def test_trace_bracket_monotonicity():
 # ---------------------------------------------------------------------------
 
 def test_ice_cream_ray_branch():
-    res = project_ice_cream(1.0, (np.array([3.0, 4.0]), 0.0))
+    res = project_homogenization(EuclideanBall((0.0, 0.0), 1.0), (np.array([3.0, 4.0]), 0.0))
     np.testing.assert_allclose(res.point.y, [1.5, 2.0], atol=1e-12)
     assert res.point.s == pytest.approx(2.5)
     assert res.branch is Branch.CONE_INTERIOR
@@ -131,35 +131,35 @@ def test_ice_cream_ray_branch():
 
 
 def test_ice_cream_apex_branch():
-    res = project_ice_cream(1.0, (np.array([0.0, 0.0]), -1.0))
+    res = project_homogenization(EuclideanBall((0.0, 0.0), 1.0), (np.array([0.0, 0.0]), -1.0))
     np.testing.assert_allclose(res.point.y, [0.0, 0.0])
     assert res.point.s == 0.0
     assert res.branch is Branch.RECESSION
 
 
 def test_ice_cream_member_branch():
-    res = project_ice_cream(2.0, (np.array([1.0, 0.0]), 1.0))
+    res = project_homogenization(EuclideanBall((0.0, 0.0), 2.0), (np.array([1.0, 0.0]), 1.0))
     np.testing.assert_allclose(res.point.y, [1.0, 0.0])
     assert res.point.s == 1.0
     assert res.branch is Branch.ALREADY_IN_K
 
 
 def test_ball_pen_recession_branch():
-    res = project_ball_pen((0.0, 1.0), (np.array([0.0, -2.0]), -3.0))
+    res = project_homogenization(BallPen((0.0, 1.0)), (np.array([0.0, -2.0]), -3.0))
     np.testing.assert_allclose(res.point.y, [0.0, 0.0])
     assert res.point.s == 0.0
     assert res.branch is Branch.RECESSION
 
 
 def test_ball_pen_member_branch():
-    res = project_ball_pen((0.0, 1.0), (np.array([0.0, 5.0]), 7.0))
+    res = project_homogenization(BallPen((0.0, 1.0)), (np.array([0.0, 5.0]), 7.0))
     np.testing.assert_allclose(res.point.y, [0.0, 5.0])
     assert res.point.s == 7.0
     assert res.branch is Branch.ALREADY_IN_K
 
 
 def test_ball_pen_ray_branch():
-    res = project_ball_pen((0.0, 1.0), (np.array([4.0, 0.0]), 0.0))
+    res = project_homogenization(BallPen((0.0, 1.0)), (np.array([4.0, 0.0]), 0.0))
     assert res.alpha_star == pytest.approx(2.0)
     np.testing.assert_allclose(res.point.y, [2.0, 0.0], atol=1e-12)
     assert res.point.s == pytest.approx(2.0)
@@ -168,6 +168,51 @@ def test_ball_pen_ray_branch():
     it = project_homogenization(pen, (np.array([4.0, 0.0]), 0.0), force_iterative=True)
     assert np.linalg.norm(res.point.y - it.point.y) <= 1e-5
     assert abs(res.point.s - it.point.s) <= 1e-5
+
+
+@pytest.mark.parametrize("set_", [EuclideanBall((0.0, 0.0), 1.5), BallPen((0.6, 0.8))],
+                         ids=["ball0", "ballpen"])
+def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
+    kernel = type(set_)._project_cone
+    calls = []
+
+    def counting(self, y, s):
+        calls.append((y, s))
+        return kernel(self, y, s)
+
+    monkeypatch.setattr(type(set_), "_project_cone", counting)
+    for p in [((3.0, 4.0), 0.5), ((0.0, 1.0), 9.0), ((0.0, -2.0), -5.0)]:
+        res = project_homogenization(set_, p)
+        assert res.iterations == 0
+    assert len(calls) == 3
+
+    def forbidden(self, y, s):
+        raise AssertionError("force_iterative must bypass the cone kernel")
+
+    monkeypatch.setattr(type(set_), "_project_cone", forbidden)
+    res = project_homogenization(set_, ((3.0, 4.0), 0.5), force_iterative=True)
+    assert res.iterations > 0
+
+
+PUBLIC_NAMES = [
+    "BallPen", "BallPlusHalfAxisStrip", "Box", "Branch", "CapabilityMissing",
+    "CenterOutsideRadius", "ConePoint", "ConvexSet", "DimensionMismatch",
+    "Ellipsoid", "EuclideanBall", "HomconeError", "Hyperbolic", "InvalidSetSpec",
+    "L1Ball", "MaxIterationsExceeded", "NoClosedFormAvailable", "NonPositiveAlpha",
+    "PBall", "PolarDescription", "ProjectionResult", "PsiEvaluator",
+    "QuarticCoefficients", "ShiftedUnitBall", "Simplex", "TraceRow",
+    "UnsupportedProjection", "as_vector", "closed_form_polar", "find_alpha_star",
+    "homogenization_polar_membership", "polar_cone_membership", "polar_membership",
+    "project_homogenization", "quartic_coefficients", "reference_trace",
+    "set_from_spec",
+]
+
+
+def test_public_names():
+    assert sorted(homcone.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(homcone, name) is not None
+    assert homcone.Branch is homcone.homproj.Branch
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +347,8 @@ def test_moreau_decomposition_ball_pair():
         for _ in range(200):
             y = rng.uniform(-10, 10, 2)
             s = rng.uniform(-10, 10)
-            pk = project_ice_cream(gamma, (y, s))
-            dual = project_ice_cream(1.0 / gamma, (y, -s))
+            pk = project_homogenization(EuclideanBall((0.0, 0.0), gamma), (y, s))
+            dual = project_homogenization(EuclideanBall((0.0, 0.0), 1.0 / gamma), (y, -s))
             m_y, m_s = dual.point.y, -dual.point.s
             np.testing.assert_allclose(pk.point.y + m_y, y, atol=1e-7)
             assert pk.point.s + m_s == pytest.approx(s, abs=1e-7)

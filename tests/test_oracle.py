@@ -11,12 +11,9 @@ from homcone import (
     L1Ball,
     PsiEvaluator,
     Simplex,
-    brute_force_alpha_star,
     find_alpha_star,
-    sample_members,
-    sampled_support,
 )
-from homcone.oracle import OracleConfig
+from oracle import OracleConfig, brute_force_alpha_star, sample_members, sampled_support
 
 FAST = OracleConfig(grid_points=2000, alpha_max=60.0, samples=20_000, seed=99)
 

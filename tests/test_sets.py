@@ -21,8 +21,8 @@ from homcone import (
     UnsupportedProjection,
     set_from_spec,
 )
-from homcone.oracle import sample_members
 from homcone.roots import brent_root
+from oracle import sample_members
 
 
 def make_projectable():
@@ -129,6 +129,27 @@ def test_constructor_rejections():
         ShiftedUnitBall((0.5, 0.5))
     with pytest.raises(ValueError, match="dimension must be positive"):
         PBall(2.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8)])
+def test_ball_origin_check_is_scale_invariant(t, direction):
+    # A centre on the sphere of radius r keeps 0 in the ball; 1.01 r does not.
+    r = 1.7
+    c = np.array(direction)
+    EuclideanBall(t * r * c, t * r)
+    with pytest.raises(CenterOutsideRadius):
+        EuclideanBall(1.01 * t * r * c, t * r)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
+def test_ellipsoid_symmetry_check_is_scale_invariant(t):
+    # Asymmetry at 1e-13 relative is roundoff; at 0.9 it is a wrong matrix.
+    near = np.array([[2.0, 0.3], [0.3 + 1e-13, 0.8]])
+    e = Ellipsoid(t * near)
+    np.testing.assert_array_equal(e.q_matrix, e.q_matrix.T)
+    with pytest.raises(ValueError, match="symmetric"):
+        Ellipsoid(t * np.array([[1.0, 0.9], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

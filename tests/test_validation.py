@@ -30,9 +30,7 @@ from homcone import (
     closed_form_polar,
     homogenization_polar_membership,
     polar_membership,
-    project_ball_pen,
     project_homogenization,
-    project_ice_cream,
 )
 
 # (name, set, projectable, has a recession cone)
@@ -108,10 +106,6 @@ def test_non_finite_height_is_rejected(name, set_, s):
 
 @pytest.mark.parametrize("s", HEIGHTS, ids=str)
 def test_non_finite_height_is_rejected_by_other_entries(s):
-    with pytest.raises(ValueError):
-        project_ice_cream(1.0, ((1.0, 2.0), s))
-    with pytest.raises(ValueError):
-        project_ball_pen((0.0, 1.0), ((1.0, 2.0), s))
     with pytest.raises(ValueError):
         PsiEvaluator(Box((1.0, 1.0)), (1.0, 2.0), s)
     with pytest.raises(ValueError):
