@@ -23,7 +23,7 @@ from .polar import (
     polar_cone_membership,
     polar_membership,
 )
-from .sets import set_from_spec
+from .sets import MEMBERSHIP_TOL, set_from_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--point", required=True)
     pl.add_argument("--height", type=float, default=None,
                     help="when given, also test (point, height) against the polar cone of K")
-    pl.add_argument("--tol", type=float, default=1e-9)
+    pl.add_argument("--tol", type=float, default=MEMBERSHIP_TOL,
+                    help="membership band, finite and nonnegative")
     pl.add_argument("--out", default=None)
     pl.set_defaults(func=cmd_polar)
 

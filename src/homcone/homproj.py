@@ -89,35 +89,38 @@ class QuarticCoefficients(NamedTuple):
 # Bracket search on psi'
 # ---------------------------------------------------------------------------
 
-def _check_max_iter(max_iter):
+#: Reference bisection: a derivative value within this of zero ends the
+#: search, and halving the left end below this certifies the recession branch.
+_ZERO_TOL = 1e-12
+_ALPHA_FLOOR = 1e-12
+
+
+def _check_solver_args(alpha0, beta0, eps, max_iter):
+    """ValueError for a bad or non-finite bracket (when given), eps or max_iter."""
+    if alpha0 is not None and not 0.0 < float(alpha0) < float(beta0) < math.inf:
+        raise ValueError("require 0 < alpha0 < beta0, both finite")
+    if not 0.0 < float(eps) < math.inf:
+        raise ValueError("eps must be positive and finite")
     if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
 
 
-def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
-                    zero_tol=1e-12, alpha_floor=1e-12):
+def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
     """Locate the minimizer of psi by bisection on its monotone derivative.
 
     ``ev`` needs only a ``psi_prime(alpha)`` method.  Returns
     ``(alpha_star, trace)``, the trace a tuple of :class:`TraceRow`.
     ``alpha_star`` is the left endpoint of the final bracket (width below
     ``eps``), or the midpoint when the derivative hits zero to within
-    ``zero_tol``, or exactly 0.0 when the left endpoint was halved below
-    ``alpha_floor`` with the derivative still positive, which certifies the
-    recession branch because psi' is nondecreasing.
+    1e-12, or exactly 0.0 when the left endpoint was halved below 1e-12 with
+    the derivative still positive, which certifies the recession branch
+    because psi' is nondecreasing.
 
     The termination check runs after the row is recorded, so the final
     bracket appears in the trace.
     """
-    alpha0 = float(alpha0)
-    beta0 = float(beta0)
-    if not 0.0 < alpha0 < beta0:
-        raise ValueError("require 0 < alpha0 < beta0")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    _check_max_iter(max_iter)
-
-    a, b = alpha0, beta0
+    _check_solver_args(alpha0, beta0, eps, max_iter)
+    a, b = float(alpha0), float(beta0)
     da = ev.psi_prime(a)
     db = ev.psi_prime(b)
     rows = []
@@ -134,7 +137,7 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
             rows.append(TraceRow(n, a, mid, b, da, dm, db))
             if b - a < eps:
                 return a, tuple(rows)
-            if abs(dm) < zero_tol:
+            if abs(dm) < _ZERO_TOL:
                 return mid, tuple(rows)
             if dm < 0.0:
                 a, da = mid, dm
@@ -142,14 +145,14 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200,
                 b, db = mid, dm
         else:
             rows.append(TraceRow(n, a, None, b, da, None, db))
-            if abs(da) < zero_tol:
+            if abs(da) < _ZERO_TOL:
                 return a, tuple(rows)
-            if abs(db) < zero_tol:
+            if abs(db) < _ZERO_TOL:
                 return b, tuple(rows)
             if da > 0.0:
                 b, db = a, da
                 a = 0.5 * a
-                if a < alpha_floor:
+                if a < _ALPHA_FLOOR:
                     return 0.0, tuple(rows)
                 da = ev.psi_prime(a)
             else:
@@ -223,22 +226,21 @@ def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
 # General projection
 # ---------------------------------------------------------------------------
 
-def _in_cone(set_, p, scale, tol) -> bool:
+def _in_cone(set_, p, scale) -> bool:
     """Membership of (y, s) in K via the disjoint split rays-over-C versus
-    recession-at-height-0; heights within 1e-12 scale of 0 count as 0, with
-    scale = ||(y, s)||."""
+    recession-at-height-0, to MEMBERSHIP_TOL; heights within 1e-12 scale of 0
+    count as 0, with scale = ||(y, s)||."""
     y, s = p
     height_tol = 1e-12 * scale
     if s < -height_tol:
         return False
     if s <= height_tol:
-        return set_._recession_distance(y) <= tol * scale
-    return set_._contains(y / s, tol)
+        return set_._recession_distance(y) <= MEMBERSHIP_TOL * scale
+    return set_._contains(y / s, MEMBERSHIP_TOL)
 
 
 def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=200,
-                           force_iterative=False, keep_trace=False,
-                           tol=MEMBERSHIP_TOL) -> ProjectionResult:
+                           force_iterative=False, keep_trace=False) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
     Dispatch: the set's ``_project_cone`` kernel answers in closed form where
@@ -253,11 +255,12 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     and ``iterations`` counts them.  A bracket ``alpha0 < beta0`` selects the
     reference bisection :func:`find_alpha_star` instead, with ``eps`` an
     absolute width and ``iterations`` its outer steps.  ``max_iter`` below
-    1 is a ValueError.
+    1, an ``eps`` that is not positive and finite, and a bracket that is not
+    0 < alpha0 < beta0 with both finite are a ValueError before any work.
     """
     if (alpha0 is None) != (beta0 is None):
         raise ValueError("give both alpha0 and beta0, or neither")
-    _check_max_iter(max_iter)
+    _check_solver_args(alpha0, beta0, eps, max_iter)
     y, s = p
     # The evaluator validates the query; every step below reuses its (y, s).
     ev = PsiEvaluator(set_, y, s)
@@ -268,14 +271,12 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
             alpha_star, x, branch = exact
             return ProjectionResult(alpha_star, ConePoint(x, alpha_star), branch, 0)
     scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
-    if not force_iterative and _in_cone(set_, p, scale, tol):
+    if not force_iterative and _in_cone(set_, p, scale):
         s_star = p.s if p.s > 0.0 else 0.0
         return ProjectionResult(
             s_star, ConePoint(p.y.copy(), s_star), Branch.ALREADY_IN_K, 0
         )
     if alpha0 is None:
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
         rows = [] if keep_trace else None
         alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
         kept = tuple(rows) if keep_trace else None

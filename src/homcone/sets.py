@@ -1,5 +1,6 @@
 """Convex set catalog: projectors, support functions, membership, recession
-cones, and the closed-form projectors onto the homogenization cones that have one.
+cones, the closed-form projectors onto the homogenization cones that have one,
+and the closed-form polar sets.
 
 Every cataloged set is a closed convex subset of R^n that contains the origin;
 constructors reject parameters violating that standing assumption.  Descriptors
@@ -16,7 +17,9 @@ kernel (``_project``, ``_contains``, ``_support``, ``_project_recession``,
 ...).  Kernels assume a finite float64 vector of the set's dimension and never
 re-validate; callers inside the package that built the vector from an already
 validated query call the kernels directly.  The height s of a query (y, s) is
-validated by :func:`as_height`, which rejects a non-finite value.
+validated by :func:`as_height`, which rejects a non-finite value, and a
+membership tolerance by :func:`_as_tolerance`, which requires it finite and
+nonnegative; kernels take the tolerance unchecked.
 
 One optional kernel, ``_project_cone(y, s)``, projects a validated query onto
 the homogenization cone K of the set in closed form, returning
@@ -25,6 +28,13 @@ none; :func:`homcone.homproj.project_homogenization` calls it once per query.
 The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have
 one.  A subclass that changes ``_project`` of such a set must also override
 ``_project_cone``, or the closed form would answer for the old set.
+
+A second optional kernel, ``_polar()``, returns the polar set
+{y : sigma_C(y) <= 1} in closed form as ``(contains, polar_set)``: a
+membership kernel ``contains(y, tol)`` and the cataloged set equal to the
+polar, or None.  Every cataloged set has one, its closed form in the
+docstring; :func:`homcone.polar.closed_form_polar` wraps it.  A subclass that
+changes the geometry of a set must override ``_polar`` too.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .errors import (
     DimensionMismatch,
     InvalidSetSpec,
     MaxIterationsExceeded,
+    NoClosedFormAvailable,
     UnsupportedProjection,
 )
 
@@ -71,6 +82,14 @@ def as_height(s) -> float:
     if not math.isfinite(s):
         raise ValueError("height must be finite")
     return s
+
+
+def _as_tolerance(tol) -> float:
+    """Validate a membership tolerance as a finite float >= 0."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
+    return tol
 
 
 def _dimension(value) -> int:
@@ -112,7 +131,8 @@ class ConvexSet:
     {0}; unbounded ones override ``_project_recession`` or leave the
     capability missing.  A set whose homogenization cone has a closed-form
     projector overrides ``_project_cone``; the default None selects the
-    generic solver.
+    generic solver.  A set whose polar has a closed form overrides
+    ``_polar``; the default raises NoClosedFormAvailable.
     """
 
     dim: int
@@ -120,7 +140,7 @@ class ConvexSet:
 
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         """Membership test derived from the set's defining inequalities."""
-        return self._contains(as_vector(x, self.dim), tol)
+        return self._contains(as_vector(x, self.dim), _as_tolerance(tol))
 
     def support(self, y) -> float:
         """Support function sup over members c of <c, y>; may be +inf."""
@@ -165,6 +185,12 @@ class ConvexSet:
         """Closed-form P_K(y, s) as ``(alpha*, x, branch)`` with
         P_K(y, s) = (x, alpha*), or None for the generic solver."""
         return None
+
+    def _polar(self):
+        """Closed-form polar set as ``(contains, polar_set)``."""
+        raise NoClosedFormAvailable(
+            f"no cataloged closed-form polar for {type(self).__name__}"
+        )
 
 
 class EuclideanBall(ConvexSet):
@@ -212,6 +238,17 @@ class EuclideanBall(ConvexSet):
         rho = (s + gamma * ny) / (1.0 + gamma * gamma)
         return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
 
+    def _polar(self):
+        """The ball of radius 1/gamma; off the origin gamma ||y|| + <z, y> <= 1."""
+        if self._centred:
+            dual = EuclideanBall(np.zeros(self.dim), 1.0 / self.radius)
+            return dual._contains, dual
+        z, g = self.center, self.radius
+        def contains(y, tol):
+            return g * float(np.linalg.norm(y)) + float(z @ y) <= 1.0 + tol
+
+        return contains, None
+
 
 class Box(ConvexSet):
     """Axis-aligned box {x : |x_i| <= halfwidths_i}."""
@@ -234,6 +271,17 @@ class Box(ConvexSet):
 
     def _support(self, y):
         return float(self.halfwidths @ np.abs(y))
+
+    def _polar(self):
+        """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
+        b = self.halfwidths
+        def contains(y, tol):
+            return float(b @ np.abs(y)) <= 1.0 + tol
+
+        polar_set = None
+        if np.all(b == b[0]) and b[0] > 0.0:
+            polar_set = L1Ball(1.0 / b[0], self.dim)
+        return contains, polar_set
 
 
 def _simplex_threshold(v, target):
@@ -274,6 +322,11 @@ class L1Ball(ConvexSet):
 
     def _support(self, y):
         return self.radius * float(np.max(np.abs(y)))
+
+    def _polar(self):
+        """The box of halfwidth 1/radius."""
+        dual = Box(np.full(self.dim, 1.0 / self.radius))
+        return dual._contains, dual
 
 
 class PBall(ConvexSet):
@@ -317,6 +370,14 @@ class PBall(ConvexSet):
 
     def _support(self, y):
         return self.radius * self._pnorm(y, self.q)
+
+    def _polar(self):
+        """The dual-norm (q-norm, or l1 for p = inf) ball of radius 1/radius."""
+        if math.isinf(self.p):
+            dual = L1Ball(1.0 / self.radius, self.dim)
+        else:
+            dual = PBall(self.q, 1.0 / self.radius, self.dim)
+        return dual._contains, dual
 
 
 class Ellipsoid(ConvexSet):
@@ -389,6 +450,13 @@ class Ellipsoid(ConvexSet):
         u = self._evecs.T @ y
         return float(math.sqrt(np.sum(u * u / self._evals)))
 
+    def _polar(self):
+        """The ellipsoid of the inverse matrix Q^-1 = V diag(1/w) V^T."""
+        v = self._evecs
+        q_inv = v @ np.diag(1.0 / self._evals) @ v.T
+        dual = Ellipsoid(0.5 * (q_inv + q_inv.T))
+        return dual._contains, dual
+
 
 class Simplex(ConvexSet):
     """The corner simplex {x : x_i >= 0, sum x_i <= 1}."""
@@ -411,6 +479,13 @@ class Simplex(ConvexSet):
     def _support(self, y):
         return max(0.0, float(np.max(y)))
 
+    def _polar(self):
+        """Each coordinate at most 1."""
+        def contains(y, tol):
+            return bool(np.max(y) <= 1.0 + tol)
+
+        return contains, None
+
 
 class ShiftedUnitBall(ConvexSet):
     """Unit ball translated so the origin lies on its boundary: B(0,1) - d,
@@ -428,6 +503,16 @@ class ShiftedUnitBall(ConvexSet):
 
     def _support(self, y):
         return float(np.linalg.norm(y)) - float(self.d @ y)
+
+    def _polar(self):
+        """||component of y orthogonal to d||^2 <= 1 + 2 <d, y>."""
+        d = self.d
+        def contains(y, tol):
+            t = float(d @ y)
+            r = y - t * d
+            return float(r @ r) <= 1.0 + 2.0 * t + tol
+
+        return contains, None
 
 
 class BallPen(ConvexSet):
@@ -479,6 +564,14 @@ class BallPen(ConvexSet):
         alpha = 0.5 * (s + delta)
         return alpha, alpha * self._project(y / alpha), Branch.CONE_INTERIOR
 
+    def _polar(self):
+        """The unit ball cut by <d, y> <= 0."""
+        d = self.direction
+        def contains(y, tol):
+            return float(np.linalg.norm(y)) <= 1.0 + tol and float(d @ y) <= tol
+
+        return contains, None
+
 
 class BallPlusHalfAxisStrip(ConvexSet):
     """2-D union of the closed unit disc and the half strip |x1| <= 1, x2 >= 0.
@@ -507,6 +600,13 @@ class BallPlusHalfAxisStrip(ConvexSet):
             return float(np.linalg.norm(y))
         return math.inf
 
+    def _polar(self):
+        """The lower half of the unit disc."""
+        def contains(y, tol):
+            return float(np.linalg.norm(y)) <= 1.0 + tol and y[1] <= tol
+
+        return contains, None
+
 
 class Hyperbolic(ConvexSet):
     """2-D region below a hyperbola branch: x1 <= 1 - sqrt(1 + x2^2).
@@ -528,6 +628,18 @@ class Hyperbolic(ConvexSet):
         if y[0] < abs(y[1]):
             return math.inf
         return float(y[0] - math.sqrt(max(y[0] * y[0] - y[1] * y[1], 0.0)))
+
+    def _polar(self):
+        """|y2| <= y1 and (y1 <= 1 or 1 + y2^2 <= 2 y1).
+
+        The two caps overlap on the boundary arc, matching the convex hull of
+        {0} and the parabola epigraph."""
+        def contains(y, tol):
+            if abs(y[1]) > y[0] + tol:
+                return False
+            return y[0] <= 1.0 + tol or 1.0 + y[1] * y[1] <= 2.0 * y[0] + tol
+
+        return contains, None
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,23 @@ def test_project_nonpositive_max_iter_is_usage_error(capsys, bracket, max_iter):
     assert "max_iter must be at least 1" in err
 
 
+@pytest.mark.parametrize("spec", [BOX, UNIT_BALL], ids=["box", "ball0"])
+@pytest.mark.parametrize("solver", [
+    ["--alpha0", "0.1", "--beta0", "inf"],
+    ["--alpha0", "nan", "--beta0", "5"],
+    ["--eps", "inf"],
+    ["--eps", "nan"],
+], ids=["beta0_inf", "alpha0_nan", "eps_inf", "eps_nan"])
+def test_project_non_finite_solver_parameter_is_usage_error(capsys, spec, solver):
+    # --beta0 inf once ran 200 bisection steps and exited 3.
+    code, out, err = run(
+        capsys, "project", "--set", spec, "--point", "3,4", "--height", "0.5", *solver,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("spec", [
     '{"type":"euclidean_ball","center":[0,0],"radius":true}',
     '{"type":"euclidean_ball","center":[0,0],"radius":"2"}',
@@ -389,3 +406,12 @@ def test_polar_non_finite_height_is_usage_error(capsys, height):
     assert code == 2
     assert out == ""
     assert "height must be finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_polar_bad_tolerance_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, "polar", "--set", BOX, "--point", "0.5,0.5",
+                         f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite" in err

@@ -484,6 +484,31 @@ def test_nonpositive_max_iter_is_rejected_before_any_work(max_iter, bracket):
     assert box.calls == 0
 
 
+NON_FINITE_SOLVER_ARGS = {
+    "eps_inf": {"eps": math.inf},
+    "eps_nan": {"eps": math.nan},
+    "alpha0_nan": {"alpha0": math.nan, "beta0": 2.0},
+    "beta0_inf": {"alpha0": 0.1, "beta0": math.inf},
+    "bracket_eps_inf": {"alpha0": 1.0, "beta0": 2.0, "eps": math.inf},
+}
+
+
+@pytest.mark.parametrize("kwargs", list(NON_FINITE_SOLVER_ARGS.values()),
+                         ids=list(NON_FINITE_SOLVER_ARGS))
+def test_non_finite_solver_parameter_is_rejected_before_any_work(kwargs):
+    # eps = inf once returned alpha* 5.52 for this Box query (the true
+    # alpha* is 2.5), and the closed-form ball never looked at the values.
+    box = CountingBox((1.0, 1.0))
+    for set_ in (box, EuclideanBall((0.0, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            project_homogenization(set_, ((3.0, 4.0), 0.5), **kwargs)
+    assert box.calls == 0
+    ev = PsiEvaluator(box, (3.0, 4.0), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        find_alpha_star(ev, **{"alpha0": 1.0, "beta0": 2.0, **kwargs})
+    assert box.calls == 0
+
+
 def test_exhausted_budget_reports_the_caller_budget():
     for set_ in (Box((1.0, 1.0)), BallPen((0.6, 0.8))):
         with pytest.raises(MaxIterationsExceeded, match="in 1 evaluations"):

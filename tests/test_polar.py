@@ -7,6 +7,7 @@ from homcone import (
     BallPen,
     BallPlusHalfAxisStrip,
     Box,
+    ConvexSet,
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
@@ -135,6 +136,59 @@ def test_closed_form_rejects_unknown_sets():
 
     with pytest.raises(NoClosedFormAvailable):
         closed_form_polar(Odd())
+
+    class NoPolar(ConvexSet):
+        dim = 2
+
+        def _support(self, y):
+            return float(np.linalg.norm(y))
+
+    with pytest.raises(NoClosedFormAvailable):
+        closed_form_polar(NoPolar())
+
+
+class Square(ConvexSet):
+    """A user-defined set: the square [-1, 1]^2, with its polar kernel."""
+
+    dim = 2
+
+    def _contains(self, x, tol):
+        return bool(np.all(np.abs(x) <= 1.0 + tol))
+
+    def _support(self, y):
+        return float(np.sum(np.abs(y)))
+
+    def _polar(self):
+        return (lambda y, tol: float(np.sum(np.abs(y))) <= 1.0 + tol), None
+
+
+class HalvedBox(Box):
+    """The box of half the given halfwidths; its polar doubles the weights."""
+
+    def _contains(self, x, tol):
+        return super()._contains(2.0 * x, 2.0 * tol)
+
+    def _support(self, y):
+        return 0.5 * super()._support(y)
+
+    def _polar(self):
+        b = 0.5 * self.halfwidths
+        return (lambda y, tol: float(b @ np.abs(y)) <= 1.0 + tol), None
+
+
+@pytest.mark.parametrize("set_", [Square(), HalvedBox((1.0, 1.0))],
+                         ids=["convex_set", "box_subclass"])
+def test_closed_form_uses_the_set_polar_kernel(set_):
+    desc = closed_form_polar(set_)
+    assert desc.source is set_
+    assert desc.polar_set is None
+    rng = np.random.default_rng(52)
+    for y in rng.uniform(-3.0, 3.0, size=(500, 2)):
+        if abs(set_.support(y) - 1.0) < 1e-7:
+            continue
+        assert desc.contains(y) == polar_membership(set_, y)
+    # (1.5, 0) is in the polar of the halved unit box, not of the unit box.
+    assert desc.contains((1.5, 0.0)) == isinstance(set_, HalvedBox)
 
 
 @pytest.mark.parametrize("name,set_,box", catalog())

@@ -29,6 +29,7 @@ from homcone import (
     Simplex,
     closed_form_polar,
     homogenization_polar_membership,
+    polar_cone_membership,
     polar_membership,
     project_homogenization,
 )
@@ -130,3 +131,22 @@ def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
     assert res.branch.value == "cone_interior"
     assert (res.iterations == 0) == closed_form
     assert len(calls) <= 1
+
+
+TOLERANCE_ENTRIES = {
+    "contains": lambda c, y, tol: c.contains(y, tol),
+    "polar_membership": lambda c, y, tol: polar_membership(c, y, tol),
+    "polar_cone_membership": lambda c, y, tol: polar_cone_membership(c, y, tol),
+    "homogenization_polar_membership":
+        lambda c, y, tol: homogenization_polar_membership(c, (y, -1.0), tol),
+    "closed_form_polar": lambda c, y, tol: closed_form_polar(c).contains(y, tol),
+}
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -1.0), ids=str)
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRIES))
+def test_bad_tolerance_is_rejected(entry, tol):
+    # A nan band once answered False and an infinite one True everywhere.
+    for set_ in (Box((1.0, 1.0)), EuclideanBall((0.5, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            TOLERANCE_ENTRIES[entry](set_, (0.5, 0.5), tol)
