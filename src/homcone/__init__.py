@@ -40,7 +40,6 @@ from .polar import (
 from .scaledfun import PsiEvaluator
 from .sets import (
     BallPen,
-    BallPlusHalfAxisStrip,
     Box,
     ConvexSet,
     Ellipsoid,
@@ -48,7 +47,6 @@ from .sets import (
     Hyperbolic,
     L1Ball,
     PBall,
-    ShiftedUnitBall,
     Simplex,
     as_vector,
     set_from_spec,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallPen",
-    "BallPlusHalfAxisStrip",
     "Box",
     "Branch",
     "CapabilityMissing",
@@ -80,7 +77,6 @@ __all__ = [
     "ProjectionResult",
     "PsiEvaluator",
     "QuarticCoefficients",
-    "ShiftedUnitBall",
     "Simplex",
     "TraceRow",
     "UnsupportedProjection",

@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from .errors import HomconeError, InvalidSetSpec, MaxIterationsExceeded
+from . import homproj
 from .homproj import project_homogenization, reference_trace
 from .polar import (
     homogenization_polar_membership,
     polar_cone_membership,
     polar_membership,
 )
-from .sets import MEMBERSHIP_TOL, set_from_spec
+from .sets import MEMBERSHIP_TOL, EuclideanBall, set_from_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,13 +239,13 @@ def _circle_segments(center, radius, t0=0.0, t1=2.0 * math.pi, closed=True):
     ]
 
 
-def _figure_fig41(density):
+def _figure_fig41():
     primal = _polygon_segments([(1, 0), (0, 1), (-1, 0), (0, -1)])
     polar = _polygon_segments([(1, 1), (-1, 1), (-1, -1), (1, -1)])
     return primal, polar, []
 
 
-def _figure_fig31(density):
+def _figure_fig31():
     primal = [(-3.0, 3.0, True, lambda t: (1.0 - math.hypot(1.0, t), t))]
     polar = [
         (0.0, 1.0, False, lambda t: (t, t)),
@@ -254,7 +255,7 @@ def _figure_fig31(density):
     return primal, polar, []
 
 
-def _figure_fig22(density):
+def _figure_fig22():
     primal = _circle_segments((0.0, 0.0), 1.0, math.pi, 2.0 * math.pi, closed=False)
     primal.append((0.0, 2.0, True, lambda t: (1.0, t)))
     primal.append((0.0, 2.0, True, lambda t: (-1.0, t)))
@@ -263,17 +264,18 @@ def _figure_fig22(density):
     return primal, polar, []
 
 
-def _figure_fig2a(density):
-    primal = _circle_segments((1.0, 0.0), 1.0)
+def _figure_fig2a():
+    primal = _circle_segments(homproj.REFERENCE_CENTER, homproj.REFERENCE_RADIUS)
     polar = [(-3.0, 3.0, True, lambda t: (0.5 * (1.0 - t * t), t))]
+    y, s = homproj.REFERENCE_QUERY
     result = project_homogenization(
-        set_from_spec('{"type": "euclidean_ball", "center": [1, 0], "radius": 1}'),
-        (np.array([1.0, 2.0]), 1.0),
-        alpha0=3.0,
-        beta0=5.0,
+        EuclideanBall(homproj.REFERENCE_CENTER, homproj.REFERENCE_RADIUS),
+        (y, s),
+        *homproj.REFERENCE_BRACKET,
+        eps=homproj.REFERENCE_EPS,
     )
     extra = [
-        ("query", 1.0, 2.0, 1.0),
+        ("query", *y, s),
         ("projection", result.point.y[0], result.point.y[1], result.point.s),
     ]
     return primal, polar, extra
@@ -291,7 +293,7 @@ def cmd_figure(args) -> int:
     if args.density < 1:
         print("density must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    primal, polar, extra = _FIGURES[args.name](args.density)
+    primal, polar, extra = _FIGURES[args.name]()
     lines = ["label,x1,x2,x3"]
 
     def add(label, x1, x2, x3):

@@ -6,13 +6,13 @@ K = cl cone(C x {1}) decomposes disjointly as
 
     cone(polar set x {-1})  disjoint-union  (polar cone x {0}),
 
-which is also cl cone(polar set x {-1}); membership reduces to a support
-function evaluation at y/|s| (s < 0) or at y (s = 0), and fails outright for
-s > 0.
+which is also cl cone(polar set x {-1}); membership is the one inequality
+sigma_C(y) + s <= 0, which fails for every s > 0 because C contains the origin.
 
 All membership checks carry an explicit tolerance band: every polar object is
-closed, so boundary classification under floating point needs one.  Each
-public function validates its tolerance once (finite and nonnegative,
+closed, so boundary classification under floating point needs one.  On the
+polar cone of K the band is relative to ||(y, s)||, as that set is a cone.
+Each public function validates its tolerance once (finite and nonnegative,
 ValueError otherwise).
 
 The closed form of each set's polar lives on the set, as its ``_polar``
@@ -22,8 +22,11 @@ and names no set class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import NoClosedFormAvailable
 from .sets import MEMBERSHIP_TOL, ConvexSet, _as_tolerance, as_height, as_vector
@@ -44,16 +47,18 @@ def polar_cone_membership(set_, y, tol=MEMBERSHIP_TOL) -> bool:
 def homogenization_polar_membership(set_, p, tol=MEMBERSHIP_TOL) -> bool:
     """Membership of (y, s) in the polar cone of K = cl cone(C x {1}).
 
-    True iff s < 0 and y/|s| lies in the polar set, or s = 0 (within tol) and
-    y lies in the polar cone.  Any s > tol fails immediately.
+    True iff sigma_C(y) + s <= tol ||(y, s)||, so (t y, t s) is answered alike
+    at every scale t > 0.  No division by s: a height near 0 needs no branch.
     """
     y, s = p
     y = as_vector(y, set_.dim)
     s = as_height(s)
     tol = _as_tolerance(tol)
-    if s < 0.0 and set_._support(y / (-s)) <= 1.0 + tol:
-        return True
-    return abs(s) <= tol and set_._support(y) <= tol
+    # Both sides are positively homogeneous.  Scaling (y, s) to unit size by a
+    # power of 2 is exact and keeps sigma_C and the norm from overflowing.
+    e = math.frexp(max(float(np.max(np.abs(y))), abs(s)))[1]
+    y, s = np.ldexp(y, -e), math.ldexp(s, -e)
+    return set_._support(y) + s <= tol * math.hypot(float(np.linalg.norm(y)), s)
 
 
 @dataclass

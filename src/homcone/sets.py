@@ -10,6 +10,10 @@ shared instances are safe to evaluate concurrently.
 Not every variant is projectable: some sets exist only for support-function and
 polar work and raise :class:`UnsupportedProjection` from :meth:`project`.
 
+Each set is implemented once.  The JSON spec types ``shifted_unit_ball`` and
+``ball_plus_strip`` name two of the paper's examples and build the
+:class:`EuclideanBall` and :class:`BallPen` that they are.
+
 Validation contract: the public methods of :class:`ConvexSet` (``project``,
 ``contains``, ``support``, ``project_recession``, ``recession_distance``)
 validate their vector once with :func:`as_vector` and dispatch to a per-set
@@ -487,34 +491,6 @@ class Simplex(ConvexSet):
         return contains, None
 
 
-class ShiftedUnitBall(ConvexSet):
-    """Unit ball translated so the origin lies on its boundary: B(0,1) - d,
-    with d a unit vector.  Cataloged for polar work; no projector."""
-
-    def __init__(self, d):
-        self.d = _unit_vector(d, "d")
-        self.dim = self.d.size
-
-    def __repr__(self):
-        return f"ShiftedUnitBall(d={self.d.tolist()})"
-
-    def _contains(self, x, tol):
-        return float(np.linalg.norm(x + self.d)) <= 1.0 + tol
-
-    def _support(self, y):
-        return float(np.linalg.norm(y)) - float(self.d @ y)
-
-    def _polar(self):
-        """||component of y orthogonal to d||^2 <= 1 + 2 <d, y>."""
-        d = self.d
-        def contains(y, tol):
-            t = float(d @ y)
-            r = y - t * d
-            return float(r @ r) <= 1.0 + 2.0 * t + tol
-
-        return contains, None
-
-
 class BallPen(ConvexSet):
     """Unit ball plus a ray: B(0,1) + R+ d.  Unbounded, fully projectable."""
 
@@ -569,41 +545,6 @@ class BallPen(ConvexSet):
         d = self.direction
         def contains(y, tol):
             return float(np.linalg.norm(y)) <= 1.0 + tol and float(d @ y) <= tol
-
-        return contains, None
-
-
-class BallPlusHalfAxisStrip(ConvexSet):
-    """2-D union of the closed unit disc and the half strip |x1| <= 1, x2 >= 0.
-
-    Coincides with B(0,1) + R+ e2, which is the decomposition behind its polar
-    description.  Cataloged for polar work; no projector.
-    """
-
-    bounded = False
-    dim = 2
-
-    def __repr__(self):
-        return "BallPlusHalfAxisStrip()"
-
-    def _project_recession(self, x):
-        # max(0, <d, x>) d with d = e2.
-        return np.array([0.0, max(0.0, float(x[1]))])
-
-    def _contains(self, x, tol):
-        in_disc = float(np.linalg.norm(x)) <= 1.0 + tol
-        in_strip = abs(x[0]) <= 1.0 + tol and x[1] >= -tol
-        return bool(in_disc or in_strip)
-
-    def _support(self, y):
-        if y[1] <= 0.0:
-            return float(np.linalg.norm(y))
-        return math.inf
-
-    def _polar(self):
-        """The lower half of the unit disc."""
-        def contains(y, tol):
-            return float(np.linalg.norm(y)) <= 1.0 + tol and y[1] <= tol
 
         return contains, None
 
@@ -686,8 +627,13 @@ _SPEC_BUILDERS = {
         lambda o: PBall(_parse_p(o), _field(o, "radius"), o.get("dim", 2)),
     ),
     "ellipsoid": ({"q"}, lambda o: Ellipsoid(_field(o, "q"))),
-    "shifted_unit_ball": ({"d"}, lambda o: ShiftedUnitBall(_field(o, "d"))),
-    "ball_plus_strip": (set(), lambda o: BallPlusHalfAxisStrip()),
+    # The paper's disc with the origin on its boundary, B(0, 1) - d, and its
+    # disc plus the half strip |x1| <= 1, x2 >= 0, which is B(0, 1) + R+ e2.
+    "shifted_unit_ball": (
+        {"d"},
+        lambda o: EuclideanBall(-_unit_vector(_field(o, "d"), "d"), 1.0),
+    ),
+    "ball_plus_strip": (set(), lambda o: BallPen((0.0, 1.0))),
     "hyperbolic": (set(), lambda o: Hyperbolic()),
 }
 

@@ -18,14 +18,12 @@ import numpy as np
 
 from homcone.sets import (
     BallPen,
-    BallPlusHalfAxisStrip,
     Box,
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
     L1Ball,
     PBall,
-    ShiftedUnitBall,
     Simplex,
     as_vector,
 )
@@ -123,8 +121,6 @@ def sample_members(set_, n, rng) -> np.ndarray:
 
     if isinstance(set_, EuclideanBall):
         pts = _ball_members(rng, n, dim, set_.center, set_.radius)
-    elif isinstance(set_, ShiftedUnitBall):
-        pts = _ball_members(rng, n, dim, -set_.d, 1.0)
     elif isinstance(set_, Box):
         pts = set_.halfwidths * rng.uniform(-1.0, 1.0, size=(n, dim))
         if dim <= 12:
@@ -168,11 +164,6 @@ def sample_members(set_, n, rng) -> np.ndarray:
         shifted = (ball[: t.size] if t.size <= ball.shape[0]
                    else np.vstack([ball] * (t.size // ball.shape[0] + 1))[: t.size])
         pts = np.vstack([ball, shifted + t[:, None] * set_.direction])
-    elif isinstance(set_, BallPlusHalfAxisStrip):
-        ball = _ball_members(rng, n // 2, 2, np.zeros(2), 1.0)
-        x1 = rng.uniform(-1.0, 1.0, size=n - n // 2)
-        x2 = rng.uniform(0.0, 10.0, size=n - n // 2)
-        pts = np.vstack([ball, np.column_stack([x1, x2])])
     elif isinstance(set_, Hyperbolic):
         t = rng.uniform(-50.0, 50.0, size=n)
         x1 = 1.0 - np.hypot(1.0, t) - rng.exponential(1.0, size=n) * (
@@ -189,8 +180,6 @@ def _far_probes(set_):
     """Far-out members along candidate recession directions, if any."""
     if isinstance(set_, BallPen):
         return [_PROBE_SCALE * set_.direction]
-    if isinstance(set_, BallPlusHalfAxisStrip):
-        return [np.array([0.0, _PROBE_SCALE])]
     if isinstance(set_, Hyperbolic):
         t = _PROBE_SCALE
         return [

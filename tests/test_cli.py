@@ -130,6 +130,19 @@ def test_project_rejects_unprojectable_variant(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ('{"type":"ball_plus_strip"}', PEN),
+    ('{"type":"shifted_unit_ball","d":[0,1]}',
+     '{"type":"euclidean_ball","center":[0,-1],"radius":1}'),
+], ids=["ball_plus_strip", "shifted_unit_ball"])
+def test_project_paper_example_specs(capsys, spec, expected):
+    # The two spec types build a ball pen and a ball and project as those do.
+    argv = ["--point", "1,2", "--height", "1"]
+    code, out, _ = run(capsys, "project", "--set", spec, *argv)
+    assert code == 0
+    assert run(capsys, "project", "--set", expected, *argv) == (0, out, "")
+
+
 def test_project_bad_point(capsys):
     code, _, _ = run(
         capsys, "project", "--set", UNIT_BALL, "--point", "1,zebra", "--height", "0"

@@ -23,6 +23,7 @@ from homcone import (
     reference_trace,
 )
 from homcone.cli import REFERENCE_TABLE
+from homcone.roots import brent_root
 from oracle import sample_members
 
 REFERENCE_ALPHA_STAR = 1.4597189
@@ -195,16 +196,15 @@ def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
 
 
 PUBLIC_NAMES = [
-    "BallPen", "BallPlusHalfAxisStrip", "Box", "Branch", "CapabilityMissing",
-    "CenterOutsideRadius", "ConePoint", "ConvexSet", "DimensionMismatch",
-    "Ellipsoid", "EuclideanBall", "HomconeError", "Hyperbolic", "InvalidSetSpec",
-    "L1Ball", "MaxIterationsExceeded", "NoClosedFormAvailable", "NonPositiveAlpha",
-    "PBall", "PolarDescription", "ProjectionResult", "PsiEvaluator",
-    "QuarticCoefficients", "ShiftedUnitBall", "Simplex", "TraceRow",
-    "UnsupportedProjection", "as_vector", "closed_form_polar", "find_alpha_star",
-    "homogenization_polar_membership", "polar_cone_membership", "polar_membership",
-    "project_homogenization", "quartic_coefficients", "reference_trace",
-    "set_from_spec",
+    "BallPen", "Box", "Branch", "CapabilityMissing", "CenterOutsideRadius",
+    "ConePoint", "ConvexSet", "DimensionMismatch", "Ellipsoid", "EuclideanBall",
+    "HomconeError", "Hyperbolic", "InvalidSetSpec", "L1Ball",
+    "MaxIterationsExceeded", "NoClosedFormAvailable", "NonPositiveAlpha", "PBall",
+    "PolarDescription", "ProjectionResult", "PsiEvaluator", "QuarticCoefficients",
+    "Simplex", "TraceRow", "UnsupportedProjection", "as_vector",
+    "closed_form_polar", "find_alpha_star", "homogenization_polar_membership",
+    "polar_cone_membership", "polar_membership", "project_homogenization",
+    "quartic_coefficients", "reference_trace", "set_from_spec",
 ]
 
 
@@ -434,6 +434,21 @@ def test_default_solver_recession_needs_no_projector_call():
     assert res.iterations == 0
 
 
+@pytest.mark.parametrize("set_", [Box((1.0, 1.0)), BallPen((0.6, 0.8))],
+                         ids=["bounded", "unbounded"])
+def test_origin_needs_no_psi_evaluation(set_, monkeypatch):
+    # ||(y, s)|| = 0 decides alpha* = 0 before psi' is evaluated anywhere.
+    def forbidden(*args):
+        raise AssertionError("psi' evaluated at the origin")
+
+    monkeypatch.setattr(PsiEvaluator, "psi_prime", forbidden)
+    monkeypatch.setattr(PsiEvaluator, "psi_prime_plus_zero", forbidden)
+    res = project_homogenization(set_, (np.zeros(2), 0.0), force_iterative=True)
+    assert res.branch is Branch.RECESSION
+    assert res.alpha_star == 0.0 and res.iterations == 0
+    assert not np.any(res.point.y) and res.point.s == 0.0
+
+
 def test_half_bracket_is_rejected():
     with pytest.raises(ValueError):
         project_homogenization(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), alpha0=3.0)
@@ -555,6 +570,38 @@ def test_projection_is_a_projector_at_every_scale(name, set_):
             q_y, q_s = t * y - p_y, t * s - p_s
             assert q_s + set_.support(q_y) <= 1e-9 * v_norm
             assert abs(float(p_y @ q_y) + p_s * q_s) <= 1e-9 * v_norm * v_norm
+
+
+# ---------------------------------------------------------------------------
+# brent_root
+# ---------------------------------------------------------------------------
+
+def never_called(x):
+    raise AssertionError("f evaluated")
+
+
+def test_brent_root_returns_a_bracket_end_that_is_a_root():
+    assert brent_root(never_called, 1.0, 2.0, 0.0, 1.0, 0.0, 1e-12, 10) == (1.0, 0)
+    assert brent_root(never_called, 0.0, 1.0, -1.0, 0.0, 0.0, 1e-12, 10) == (1.0, 0)
+
+
+@pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-2.0, -1.0)], ids=["above", "below"])
+def test_brent_root_rejects_a_bracket_without_a_sign_change(fa, fb):
+    with pytest.raises(ValueError, match="opposite signs"):
+        brent_root(never_called, 0.0, 1.0, fa, fb, 0.0, 1e-12, 10)
+
+
+def test_brent_root_raises_when_its_budget_is_spent():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** 3 - 2.0
+
+    with pytest.raises(MaxIterationsExceeded, match="in 3 evaluations"):
+        brent_root(f, 0.0, 2.0, -2.0, 6.0, 0.0, 1e-15, 3)
+    assert len(calls) == 3
+    assert all(0.0 < x < 2.0 for x in calls)
 
 
 # ---------------------------------------------------------------------------

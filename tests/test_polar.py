@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from homcone import (
     BallPen,
-    BallPlusHalfAxisStrip,
     Box,
     ConvexSet,
     Ellipsoid,
@@ -14,7 +14,6 @@ from homcone import (
     L1Ball,
     NoClosedFormAvailable,
     PBall,
-    ShiftedUnitBall,
     Simplex,
     closed_form_polar,
     homogenization_polar_membership,
@@ -36,9 +35,9 @@ def catalog():
         ("pball_1_5", PBall(1.5, 2.0), 2.0),
         ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), 3.0),
         ("simplex", Simplex(3), 3.0),
-        ("shifted_unit_ball", ShiftedUnitBall((0.0, 1.0)), 3.0),
+        ("shifted_unit_ball", EuclideanBall((0.0, -1.0), 1.0), 3.0),
         ("ball_pen", BallPen((0.0, 1.0)), 2.0),
-        ("strip", BallPlusHalfAxisStrip(), 2.0),
+        ("strip", BallPen((0.0, 1.0)), 2.0),
         ("hyperbolic", Hyperbolic(), 4.0),
     ]
 
@@ -71,6 +70,37 @@ def test_homogenization_polar_membership_examples():
     for set_ in (pen, EuclideanBall((0.0, 0.0), 1.0), Simplex(2)):
         assert homogenization_polar_membership(set_, (np.zeros(2), 0.0))
         assert not homogenization_polar_membership(set_, (np.zeros(2), 0.5))
+
+
+def test_homogenization_polar_membership_is_the_same_at_every_scale():
+    # The polar cone of K is a cone, so (t y, t s) is a member for every t > 0
+    # or for none.  t ((1, 1), 0.5) projects off the apex at every scale, so
+    # it is a member at none; an absolute band would admit it at t = 1e-12.
+    box = Box((1.0, 1.0))
+    rng = np.random.default_rng(45)
+    for _, set_, scale in catalog():
+        points = [(rng.uniform(-scale, scale, set_.dim), rng.uniform(-4.0, 4.0))
+                  for _ in range(100)]
+        expected = [homogenization_polar_membership(set_, p) for p in points]
+        for t in (1e-12, 1.0, 1e12):
+            assert not homogenization_polar_membership(box, (t * np.ones(2), 0.5 * t))
+            assert homogenization_polar_membership(box, (0.25 * t * np.ones(2), -t))
+            got = [homogenization_polar_membership(set_, (t * y, t * s))
+                   for y, s in points]
+            assert got == expected
+
+
+def test_homogenization_polar_membership_at_extreme_magnitudes():
+    # y / |s| would overflow at the tiny height, and sigma_C(y) or ||(y, s)||
+    # at the huge queries, where an infinite band would admit any point.
+    box, ball = Box((1.0, 1.0)), EuclideanBall((0.0, 0.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not homogenization_polar_membership(box, ((1.0, -1.0), -1e-320))
+        assert homogenization_polar_membership(box, ((0.0, 0.0), -1e-320))
+        assert not homogenization_polar_membership(box, ((1e200, 1e200), -1.0))
+        assert homogenization_polar_membership(ball, ((1e200, 1e200), -1e201))
+        assert not homogenization_polar_membership(ball, ((1e300, 1e300), -1e300))
 
 
 def test_classical_ball_pen_polar_cone_formula():
@@ -120,11 +150,11 @@ def test_closed_form_shifted_disc_matches_parabola():
 
 
 def test_closed_form_shifted_unit_ball_matches_sigma():
-    desc = closed_form_polar(ShiftedUnitBall((0.0, 1.0)))
+    desc = closed_form_polar(EuclideanBall((0.0, -1.0), 1.0))
     rng = np.random.default_rng(44)
     for _ in range(1000):
         y = rng.uniform(-3, 3, 2)
-        sigma = ShiftedUnitBall((0.0, 1.0)).support(y)
+        sigma = EuclideanBall((0.0, -1.0), 1.0).support(y)
         if abs(sigma - 1.0) < 1e-7:
             continue
         assert desc.contains(y) == (sigma <= 1.0)

@@ -5,7 +5,6 @@ import pytest
 
 from homcone import (
     BallPen,
-    BallPlusHalfAxisStrip,
     Box,
     CapabilityMissing,
     CenterOutsideRadius,
@@ -16,7 +15,6 @@ from homcone import (
     InvalidSetSpec,
     L1Ball,
     PBall,
-    ShiftedUnitBall,
     Simplex,
     UnsupportedProjection,
     set_from_spec,
@@ -40,8 +38,6 @@ def make_projectable():
 
 
 POLAR_ONLY = [
-    ShiftedUnitBall((0.0, 1.0)),
-    BallPlusHalfAxisStrip(),
     Hyperbolic(),
     PBall(3.0, 1.0),
 ]
@@ -125,8 +121,8 @@ def test_constructor_rejections():
         Ellipsoid([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         Ellipsoid([[1.0, 0.0], [0.0, -2.0]])
-    with pytest.raises(ValueError, match="d must be a unit vector"):
-        ShiftedUnitBall((0.5, 0.5))
+    with pytest.raises(InvalidSetSpec, match="d must be a unit vector"):
+        set_from_spec('{"type": "shifted_unit_ball", "d": [0.5, 0.5]}')
     with pytest.raises(ValueError, match="dimension must be positive"):
         PBall(2.0, 1.0, 0)
 
@@ -206,7 +202,7 @@ def test_recession_ball_pen_ray():
 
 
 def test_recession_strip_ray():
-    strip = BallPlusHalfAxisStrip()
+    strip = BallPen((0.0, 1.0))
     np.testing.assert_allclose(strip.project_recession((3.0, 4.0)), [0.0, 4.0])
 
 
@@ -217,7 +213,7 @@ def test_recession_capability_missing():
 
 def test_recession_directions_stay_in_set():
     # Scaled recession directions remain members for every rho >= 0.
-    for set_ in (BallPen((0.6, 0.8)), BallPlusHalfAxisStrip()):
+    for set_ in (BallPen((0.6, 0.8)), BallPen((0.0, 1.0))):
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.uniform(-5, 5, size=2)
@@ -402,6 +398,14 @@ def test_spec_round_trip_all_variants():
         assert set_.contains(np.zeros(set_.dim), tol=1e-9)
 
 
+def test_paper_example_specs_build_the_cataloged_sets():
+    ball = set_from_spec('{"type": "shifted_unit_ball", "d": [0.6, 0.8]}')
+    assert type(ball) is EuclideanBall and ball.radius == 1.0
+    np.testing.assert_allclose(ball.center, [-0.6, -0.8], rtol=1e-15)
+    pen = set_from_spec('{"type": "ball_plus_strip"}')
+    assert type(pen) is BallPen and pen.direction.tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("kind", ["simplex", "l1_ball", "p_ball"])
 @pytest.mark.parametrize("dim", ["2.7", "true", '"3"'], ids=["float", "bool", "string"])
 def test_spec_rejects_non_integer_dim(kind, dim):
@@ -462,8 +466,8 @@ def test_spec_rejects_garbage():
 def test_membership_examples():
     assert Simplex(3).contains((0.2, 0.3, 0.4))
     assert not Simplex(3).contains((0.5, 0.6, 0.2))
-    assert BallPlusHalfAxisStrip().contains((0.9, 50.0))
-    assert BallPlusHalfAxisStrip().contains((0.3, -0.9))
-    assert not BallPlusHalfAxisStrip().contains((1.5, -0.5))
+    assert BallPen((0.0, 1.0)).contains((0.9, 50.0))
+    assert BallPen((0.0, 1.0)).contains((0.3, -0.9))
+    assert not BallPen((0.0, 1.0)).contains((1.5, -0.5))
     assert Hyperbolic().contains((-1.0, 1.0))
     assert not Hyperbolic().contains((0.5, 1.0))
