@@ -4,7 +4,7 @@ Given a closed convex set C containing the origin, with a projector onto C,
 this package computes the projection onto K = cl cone(C x {1}), evaluates
 support functions and polar-set / polar-cone membership, and ships a CLI for
 reproducible traces and figure point clouds.  The projection uses a set's
-closed-form cone kernel where it has one (``ConvexSet._project_cone``) and the
+exact cone kernel where it has one (``ConvexSet._project_cone``) and the
 generic solver on psi' otherwise.
 """
 

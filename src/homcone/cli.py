@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--trace", action="store_true",
                     help="append the search steps as CSV")
     pr.add_argument("--force-iterative", action="store_true",
-                    help="bypass closed-form fast paths")
+                    help="bypass the sets' exact cone kernels")
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_project)
 

@@ -13,10 +13,14 @@ the support function decides the recession branch without a projector call.
 Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
 tolerance at every scale.  A caller-given bracket selects the reference
 bisection :func:`find_alpha_star` instead, whose trace reproduces the
-bundled reference table.  A set whose cone has a closed form (the Euclidean
-ball centred at the origin and the ball pen) answers through its
-``_project_cone`` kernel instead, with no iteration, so the dispatch names no
-set class.
+bundled reference table.  A set whose cone has an exact projector answers
+through its ``_project_cone`` kernel instead, with no psi' iteration, so the
+dispatch names no set class: the Euclidean ball centred at the origin and the
+ball pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
+p = 2 or p = inf by one sort, and the ellipsoid by one scalar root (see
+:mod:`homcone.sets`).  The ball off the origin and any set without a kernel
+take the solver.  The solver runs a query whose largest entry lies beyond
+2^(+-500) on its exact power-of-2 rescale, so no squared norm overflows.
 
 Each entry point validates its query once (a finite y of the set's dimension
 and a finite height s); everything after that calls the sets' unchecked
@@ -34,7 +38,15 @@ import numpy as np
 from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
-from .sets import MEMBERSHIP_TOL, Branch, EuclideanBall, as_height, as_vector
+from .sets import (
+    _SAFE_EXPONENT,
+    MEMBERSHIP_TOL,
+    Branch,
+    EuclideanBall,
+    _exponent,
+    as_height,
+    as_vector,
+)
 
 
 class ConePoint(NamedTuple):
@@ -243,12 +255,16 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
                            force_iterative=False, keep_trace=False) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
-    Dispatch: the set's ``_project_cone`` kernel answers in closed form where
-    it has one (the ice-cream cone of an origin-centred ball, the ball pen);
-    where it returns None (every other projectable set, including off-centre
-    balls) alpha* is solved for on psi'.  ``force_iterative`` bypasses the
-    kernel and the membership shortcut so the iterative route can be compared
-    against the closed forms.
+    Dispatch: the set's ``_project_cone`` kernel answers exactly where it has
+    one (the origin-centred ball, the ball pen, the box, the l1 ball, the
+    simplex, the ellipsoid and ``PBall`` with p = 2 or inf), with
+    ``iterations`` 0; where it returns None (the ball off the origin, a set
+    without a kernel) alpha* is solved for on psi'.  ``force_iterative``
+    bypasses the kernel and the membership shortcut so the iterative route
+    can be compared against the kernels.  The solver takes a query whose
+    largest entry lies beyond 2^(+-500) on an exact power-of-2 rescale (a
+    caller's bracket and width rescaled alike), and scales the answer and
+    trace back.
 
     Without a bracket the solve is Brent's method on the a priori bracket,
     ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
@@ -270,6 +286,16 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
         if exact is not None:
             alpha_star, x, branch = exact
             return ProjectionResult(alpha_star, ConePoint(x, alpha_star), branch, 0)
+    e = _exponent(p.y, p.s)
+    if abs(e) > _SAFE_EXPONENT:
+        # P_K is positively homogeneous and the rescale is exact.
+        if alpha0 is not None:
+            alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
+        res = project_homogenization(
+            set_, (np.ldexp(p.y, -e), math.ldexp(p.s, -e)), alpha0, beta0, eps,
+            max_iter, force_iterative, keep_trace,
+        )
+        return _rescaled(res, e)
     scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
     if not force_iterative and _in_cone(set_, p, scale):
         s_star = p.s if p.s > 0.0 else 0.0
@@ -297,6 +323,24 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
         Branch.CONE_INTERIOR,
         iterations,
         kept,
+    )
+
+
+def _rescaled(res, e) -> ProjectionResult:
+    """``res`` with alpha*, the point and the trace scaled by 2^e; psi' is
+    positively homogeneous, so trace derivatives scale alike."""
+    def up(v):
+        return None if v is None else math.ldexp(v, e)
+
+    trace = res.trace
+    if trace is not None:
+        trace = tuple(TraceRow(r.n, *map(up, r[1:])) for r in trace)
+    return ProjectionResult(
+        math.ldexp(res.alpha_star, e),
+        ConePoint(np.ldexp(res.point.y, e), math.ldexp(res.point.s, e)),
+        res.branch,
+        res.iterations,
+        trace,
     )
 
 

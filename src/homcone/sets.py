@@ -1,6 +1,6 @@
 """Convex set catalog: projectors, support functions, membership, recession
-cones, the closed-form projectors onto the homogenization cones that have one,
-and the closed-form polar sets.
+cones, the exact projectors onto the homogenization cones that have one, and
+the closed-form polar sets.
 
 Every cataloged set is a closed convex subset of R^n that contains the origin;
 constructors reject parameters violating that standing assumption.  Descriptors
@@ -26,12 +26,18 @@ membership tolerance by :func:`_as_tolerance`, which requires it finite and
 nonnegative; kernels take the tolerance unchecked.
 
 One optional kernel, ``_project_cone(y, s)``, projects a validated query onto
-the homogenization cone K of the set in closed form, returning
+the homogenization cone K of the set exactly, returning
 ``(alpha*, x, branch)`` with P_K(y, s) = (x, alpha*), or None when the set has
 none; :func:`homcone.homproj.project_homogenization` calls it once per query.
-The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have
-one.  A subclass that changes ``_project`` of such a set must also override
-``_project_cone``, or the closed form would answer for the old set.
+The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have a
+closed form; the box, the l1 ball and the simplex solve a piecewise-linear
+equation over sorted breakpoints (:func:`_breakpoint_root`); the ellipsoid
+solves one scalar equation for its multiplier; ``PBall`` with p = 2 or
+p = inf uses the origin ball's or the box's kernel.  Only the ball off the
+origin and the p-balls without a projector have none.  A subclass that changes
+``_project`` of one of these sets (``EuclideanBall``, ``BallPen``, ``Box``,
+``L1Ball``, ``Simplex``, ``Ellipsoid``, ``PBall``) must also override
+``_project_cone``, or the kernel would answer for the old set.
 
 A second optional kernel, ``_polar()``, returns the polar set
 {y : sigma_C(y) <= 1} in closed form as ``(contains, polar_set)``: a
@@ -58,14 +64,21 @@ from .errors import (
     NoClosedFormAvailable,
     UnsupportedProjection,
 )
+from .roots import brent_root
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
 
-#: Newton on the ellipsoid's secular equation: relative step that ends the
-#: iteration, and the most evaluations it may take.
-_NEWTON_RTOL = 4.0 * np.finfo(float).eps
-_NEWTON_MAX_STEPS = 100
+#: The ellipsoid's scalar root searches (Newton on the secular equation of its
+#: projector, Brent on the multiplier of its cone kernel): the relative step or
+#: bracket width that ends them, and the most evaluations each may take.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAX_STEPS = 100
+
+#: Queries whose largest entry has a binary exponent beyond this are solved on
+#: an exact power-of-2 rescale, so that squared norms neither overflow nor
+#: underflow; within it answers are computed as given.
+_SAFE_EXPONENT = 500
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -86,6 +99,12 @@ def as_height(s) -> float:
     if not math.isfinite(s):
         raise ValueError("height must be finite")
     return s
+
+
+def _exponent(y, s=0.0) -> int:
+    """Binary exponent e of max(|y_i|, |s|): scaling (y, s) by 2^-e is exact
+    and brings its largest entry into [1/2, 1).  0 for the origin."""
+    return math.frexp(max(float(np.abs(y).max()), abs(s)))[1]
 
 
 def _as_tolerance(tol) -> float:
@@ -133,7 +152,7 @@ class ConvexSet:
     where available, ``_project``; the public methods validate and dispatch.
     Bounded variants inherit the projection onto the trivial recession cone
     {0}; unbounded ones override ``_project_recession`` or leave the
-    capability missing.  A set whose homogenization cone has a closed-form
+    capability missing.  A set whose homogenization cone has an exact
     projector overrides ``_project_cone``; the default None selects the
     generic solver.  A set whose polar has a closed form overrides
     ``_polar``; the default raises NoClosedFormAvailable.
@@ -186,7 +205,7 @@ class ConvexSet:
         return float(np.linalg.norm(y - self._project_recession(y)))
 
     def _project_cone(self, y, s):
-        """Closed-form P_K(y, s) as ``(alpha*, x, branch)`` with
+        """Exact P_K(y, s) as ``(alpha*, x, branch)`` with
         P_K(y, s) = (x, alpha*), or None for the generic solver."""
         return None
 
@@ -276,6 +295,24 @@ class Box(ConvexSet):
     def _support(self, y):
         return float(self.halfwidths @ np.abs(y))
 
+    def _project_cone(self, y, s):
+        """K = {|y_i| <= b_i s}: the identity there, the apex where
+        s + sigma_C(y) <= 0, and otherwise P_{alpha C}(y) = clip(y, -alpha b,
+        alpha b) with alpha* the root of psi'/2 = alpha - s - sum b_i
+        max(|y_i| - alpha b_i, 0), that is alpha* = (s + sum_A b_i |y_i|) /
+        (1 + sum_A b_i^2) over A = {|y_i| > alpha* b_i}.  Zero halfwidths
+        never enter A."""
+        b = self.halfwidths
+        a = np.abs(y)
+        if s >= 0.0 and (a <= s * b).all():
+            return s, y.copy(), Branch.ALREADY_IN_K
+        if s + float(b @ a) <= 0.0:
+            return 0.0, np.zeros_like(y), Branch.RECESSION
+        live = b > 0.0
+        a, b_live = a[live], b[live]
+        alpha = _breakpoint_root(a / b_live, 1.0, s, b_live * a, b_live * b_live)
+        return alpha, y.clip(-alpha * b, alpha * b), Branch.CONE_INTERIOR
+
     def _polar(self):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
         b = self.halfwidths
@@ -288,20 +325,68 @@ class Box(ConvexSet):
         return contains, polar_set
 
 
-def _simplex_threshold(v, target):
-    """Shift so that sum(max(v - theta, 0)) equals target; assumes the
-    unshifted positive part already exceeds target.
+def _breakpoint_root(t, slope, offset, u=None, w=None):
+    """Root x of the decreasing piecewise-linear function
 
-    Sums run over the entries minus the largest one, so target is not
-    rounded away against huge entries, and the first index qualifies exactly
-    (0 - (0 - target) / 1 = target > 0).
+        F(x) = offset - slope x + sum_i max(u_i - w_i x, 0),   w_i > 0,
+
+    whose breakpoints are t = u / w (u = t and w = 1 when not given), by one
+    sort and one cumulative sum.  Where exactly the k largest breakpoints
+    exceed x, F is linear with root x_k = (offset + U_k) / (slope + W_k), U_k
+    and W_k the sums of their u and w; the root of F is the x_k of the last
+    k whose k-th breakpoint exceeds x_k, or offset / slope when no breakpoint
+    does.  The box, l1 and simplex projectors and their cone kernels all
+    reduce to it.
     """
-    top = float(np.max(v))
-    d = np.sort(v)[::-1] - top
-    css = np.cumsum(d) - target
-    j = np.arange(1, d.size + 1)
-    rho = np.nonzero(d - css / j > 0.0)[0][-1]
-    return np.maximum((v - top) - css[rho] / (rho + 1.0), 0.0)
+    if w is None:
+        t = np.sort(t)[::-1]
+        x = (offset + t.cumsum()) / (slope + np.arange(1, t.size + 1))
+    else:
+        order = t.argsort()[::-1]
+        t = t[order]
+        x = (offset + u[order].cumsum()) / (slope + w[order].cumsum())
+    k = (t > x).nonzero()[0]
+    return float(x[k[-1]]) if k.size else offset / slope
+
+
+def _simplex_threshold(v, target):
+    """max(v - theta, 0) with theta such that its sum equals target; assumes
+    the unshifted positive part already exceeds target.
+
+    The breakpoints are the entries minus the largest one, so target is not
+    rounded away against huge entries, and the largest qualifies exactly
+    (0 > (0 - target) / 1).
+    """
+    d = v - float(np.max(v))
+    return np.maximum(d - _breakpoint_root(d, 0.0, -target), 0.0)
+
+
+def _simplex_cone(v, r, s):
+    """P_K(v, s) as ``(alpha*, x, branch)`` for C = {x >= 0 : sum x <= r}.
+
+    P_{alpha C}(v) = max(v - theta, 0) with the threshold theta >= 0 that
+    makes its sum at most alpha r, and psi'/2 = alpha - s - r theta.  So
+    alpha* = s + r theta, where theta solves sum max(v - theta, 0) = r s +
+    r^2 theta: theta = (S_k - r s) / (k + r^2) over the k largest entries
+    (sum S_k).  The search runs on the entries minus the largest one, whose
+    shift folds into s + r max(v) = s + sigma_C(v).
+    """
+    total = float(v.sum())
+    low = float(v.min())
+    if low >= 0.0 and total <= r * s:
+        return s, v.copy(), Branch.ALREADY_IN_K
+    top = float(v.max())
+    lift = s + r * max(top, 0.0)
+    if lift <= 0.0:
+        return 0.0, np.zeros_like(v), Branch.RECESSION
+    if low < 0.0:
+        pos = np.maximum(v, 0.0)
+        if float(pos.sum()) <= r * s:
+            # theta = 0 at alpha = s: only the negative entries move.
+            return s, pos, Branch.CONE_INTERIOR
+    d = v - top
+    theta = _breakpoint_root(d, r * r, -r * lift)
+    return lift + r * theta, np.maximum(d - theta, 0.0), Branch.CONE_INTERIOR
 
 
 class L1Ball(ConvexSet):
@@ -327,6 +412,14 @@ class L1Ball(ConvexSet):
     def _support(self, y):
         return self.radius * float(np.max(np.abs(y)))
 
+    def _project_cone(self, y, s):
+        """The simplex kernel of radius r on |y| (:func:`_simplex_cone`),
+        signs restored: K = {||y||_1 <= r s} is symmetric under sign flips."""
+        alpha, x, branch = _simplex_cone(np.abs(y), self.radius, s)
+        if branch is Branch.RECESSION:
+            return alpha, x, branch
+        return alpha, np.sign(y) * x, branch
+
     def _polar(self):
         """The box of halfwidth 1/radius."""
         dual = Box(np.full(self.dim, 1.0 / self.radius))
@@ -336,8 +429,9 @@ class L1Ball(ConvexSet):
 class PBall(ConvexSet):
     """p-norm ball {x : ||x||_p <= radius} for p > 1 (p = inf allowed).
 
-    The support function is the dual q-norm for every p; the projector is
-    implemented only for p = 2 and p = inf.
+    The support function is the dual q-norm for every p.  For p = 2 and
+    p = inf the set is the origin-centred ball and the box of halfwidth
+    radius, and their projectors and cone kernels answer; other p have none.
     """
 
     def __init__(self, p, radius, dim=2):
@@ -350,6 +444,11 @@ class PBall(ConvexSet):
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
         self.dim = _dimension(dim)
+        self._same = None
+        if p == 2.0:
+            self._same = EuclideanBall(np.zeros(self.dim), self.radius)
+        elif math.isinf(p):
+            self._same = Box(np.full(self.dim, self.radius))
 
     def __repr__(self):
         return f"PBall(p={self.p}, radius={self.radius}, dim={self.dim})"
@@ -364,16 +463,17 @@ class PBall(ConvexSet):
         return self._pnorm(x, self.p) <= self.radius + tol
 
     def _project(self, x):
-        if self.p == 2.0:
-            return self.radius * x / max(float(np.linalg.norm(x)), self.radius)
-        if math.isinf(self.p):
-            return np.clip(x, -self.radius, self.radius)
-        raise UnsupportedProjection(
-            "p-ball projection is implemented for p in {1, 2, inf} only"
-        )
+        if self._same is None:
+            raise UnsupportedProjection(
+                "p-ball projection is implemented for p in {1, 2, inf} only"
+            )
+        return self._same._project(x)
 
     def _support(self, y):
         return self.radius * self._pnorm(y, self.q)
+
+    def _project_cone(self, y, s):
+        return None if self._same is None else self._same._project_cone(y, s)
 
     def _polar(self):
         """The dual-norm (q-norm, or l1 for p = inf) ball of radius 1/radius."""
@@ -395,7 +495,7 @@ class Ellipsoid(ConvexSet):
     lam0 = (sqrt(q) - 1) / max(w) with q = f(0) = <x, Qx>, so Newton's method
     from lam0 climbs monotonically to the root.  It stops when a step is at
     most 4 eps lam or when f <= 1, and raises MaxIterationsExceeded after
-    100 evaluations of f (``_NEWTON_MAX_STEPS``); condition numbers up to
+    100 evaluations of f (``_ROOT_MAX_STEPS``); condition numbers up to
     1e15 take at most 15.
     """
 
@@ -432,7 +532,7 @@ class Ellipsoid(ConvexSet):
         if q <= 1.0:
             return x.copy()
         lam = (math.sqrt(q) - 1.0) / float(w[-1])
-        for _ in range(_NEWTON_MAX_STEPS):
+        for _ in range(_ROOT_MAX_STEPS):
             t = 1.0 + lam * w
             z = u / t
             wz = w * z
@@ -442,17 +542,62 @@ class Ellipsoid(ConvexSet):
             # Newton step -phi/phi' = f (sqrt(f) - 1) / g with g = -f'/2.
             step = f * (math.sqrt(f) - 1.0) / float((wz / t) @ wz)
             lam += step
-            if step <= _NEWTON_RTOL * lam:
+            if step <= _ROOT_RTOL * lam:
                 break
         else:
             raise MaxIterationsExceeded(
-                f"ellipsoid projection did not converge in {_NEWTON_MAX_STEPS} steps"
+                f"ellipsoid projection did not converge in {_ROOT_MAX_STEPS} steps"
             )
         return self._evecs @ (u / (1.0 + lam * w))
 
     def _support(self, y):
         u = self._evecs.T @ y
         return float(math.sqrt(np.sum(u * u / self._evals)))
+
+    def _project_cone(self, y, s):
+        """K = {(y, s) : ||W^1/2 u|| <= s} with u = V^T y, a quadratic cone.
+
+        Off K and its polar, the KKT conditions give the point V z with
+        z = u / (1 + mu w) and the height t = ||W^1/2 z|| = s / (1 - mu) for
+        a multiplier mu > 0, so z = t u / d with d = t + (t - s) w.  The
+        unknown is v = t - max(s, 0), which keeps t - s = v + max(-s, 0)
+        exact however small mu is: t is the root of M(v) = 1 for
+        M(v) = 1 / ||W^1/2 u / d(v)||.  Each d_i is linear and increasing in
+        v, so M is concave and increasing, from s / ||W^1/2 u|| (s > 0) or
+        -s / sigma_C(y) (s <= 0) at v = 0 to at least 1 at
+        t = ||W^1/2 u||.  :func:`homcone.roots.brent_root` solves it to a
+        tolerance relative to v, independent of the scale of the query and
+        of Q.  A query beyond 2^(+-500) is solved on an exact power-of-2
+        rescale.
+        """
+        e = _exponent(y, s)
+        if abs(e) > _SAFE_EXPONENT:
+            alpha, x, branch = self._project_cone(np.ldexp(y, -e), math.ldexp(s, -e))
+            return math.ldexp(alpha, e), np.ldexp(x, e), branch
+        w = self._evals
+        u = self._evecs.T @ y
+        wu = np.sqrt(w) * u
+        q = math.sqrt(float(wu @ wu))
+        if q <= s:
+            return s, y.copy(), Branch.ALREADY_IN_K
+        sigma = float(np.linalg.norm(wu / w))
+        if s + sigma <= 0.0:
+            return 0.0, np.zeros_like(y), Branch.RECESSION
+        base, lift = max(s, 0.0), max(-s, 0.0)
+
+        def gap(v):
+            r = wu / ((v + lift) * w + (base + v))
+            return 1.0 / math.sqrt(float(r @ r)) - 1.0
+
+        hi = q - base
+        f_lo = s / q - 1.0 if s > 0.0 else lift / sigma - 1.0
+        v, f_hi = hi, gap(hi)
+        if f_hi > 0.0:
+            # Otherwise only roundoff keeps the root from the right end.
+            v, _ = brent_root(gap, 0.0, hi, f_lo, f_hi, 0.0, _ROOT_RTOL, _ROOT_MAX_STEPS)
+        t = base + v
+        z = u * (t / ((v + lift) * w + t))
+        return t, self._evecs @ z, Branch.CONE_INTERIOR
 
     def _polar(self):
         """The ellipsoid of the inverse matrix Q^-1 = V diag(1/w) V^T."""
@@ -482,6 +627,10 @@ class Simplex(ConvexSet):
 
     def _support(self, y):
         return max(0.0, float(np.max(y)))
+
+    def _project_cone(self, y, s):
+        """The kernel of :func:`_simplex_cone` with r = 1."""
+        return _simplex_cone(y, 1.0, s)
 
     def _polar(self):
         """Each coordinate at most 1."""

@@ -143,6 +143,17 @@ def test_project_paper_example_specs(capsys, spec, expected):
     assert run(capsys, "project", "--set", expected, *argv) == (0, out, "")
 
 
+def test_project_unrecognized_p_is_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "project", "--set", '{"type":"p_ball","p":"two","radius":1}',
+        "--point", "1,1", "--height", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "unrecognized p value" in err
+
+
 def test_project_bad_point(capsys):
     code, _, _ = run(
         capsys, "project", "--set", UNIT_BALL, "--point", "1,zebra", "--height", "0"
@@ -376,6 +387,13 @@ def test_polar_simplex(capsys):
     assert payload["in_polar_set"] is True
     assert payload["in_polar_cone"] is False
     assert payload["in_K_polar"] is None
+
+
+def test_polar_cone_band_is_relative(capsys):
+    # sigma = 2e-12 is below the default band 1e-9 but not below 1e-9 ||y||.
+    code, out, _ = run(capsys, "polar", "--set", BOX, "--point", "1e-12,1e-12")
+    assert code == 0
+    assert json.loads(out)["in_polar_cone"] is False
 
 
 def test_polar_hyperbolic_infinite_sigma(capsys):

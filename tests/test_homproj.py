@@ -107,6 +107,24 @@ def test_max_iterations_exceeded():
         find_alpha_star(ev, 1e-3, 2e-3, 1e-12, max_iter=3)
 
 
+class LinearDerivative:
+    """A stub evaluator whose psi' is alpha - root."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def psi_prime(self, alpha):
+        return alpha - self.root
+
+
+@pytest.mark.parametrize("root", [1.0, 2.0], ids=["left", "right"])
+def test_bracket_end_with_zero_derivative_is_returned(root):
+    # psi' vanishes at a bracket end, so no bisection row is needed.
+    alpha_star, trace = find_alpha_star(LinearDerivative(root), 1.0, 2.0)
+    assert alpha_star == root
+    assert len(trace) == 1 and trace[0].mid is None
+
+
 def test_trace_bracket_monotonicity():
     _, trace = reference_trace()
     rows = trace
@@ -171,8 +189,10 @@ def test_ball_pen_ray_branch():
     assert abs(res.point.s - it.point.s) <= 1e-5
 
 
-@pytest.mark.parametrize("set_", [EuclideanBall((0.0, 0.0), 1.5), BallPen((0.6, 0.8))],
-                         ids=["ball0", "ballpen"])
+@pytest.mark.parametrize("set_", [
+    EuclideanBall((0.0, 0.0), 1.5), BallPen((0.6, 0.8)), Box((1.0, 0.5)),
+    L1Ball(1.2), Simplex(2), Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
+], ids=["ball0", "ballpen", "box", "l1", "simplex", "ellipsoid"])
 def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
     kernel = type(set_)._project_cone
     calls = []
@@ -193,6 +213,149 @@ def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
     monkeypatch.setattr(type(set_), "_project_cone", forbidden)
     res = project_homogenization(set_, ((3.0, 4.0), 0.5), force_iterative=True)
     assert res.iterations > 0
+
+
+def ill_conditioned_ellipsoid():
+    # Eigenvalues 1e-6, 1, 1e6 in a random orthonormal basis: condition 1e12.
+    u, _ = np.linalg.qr(np.random.default_rng(52).normal(size=(3, 3)))
+    q = u @ np.diag([1e-6, 1.0, 1e6]) @ u.T
+    return Ellipsoid(0.5 * (q + q.T))
+
+
+def kernel_sets():
+    return [
+        ("box", Box((1.0, 0.7, 1.6))),
+        ("box_ties", Box((1.0, 1.0, 2.0, 0.5))),
+        ("box_zero_halfwidths", Box((0.0, 1.2, 0.0, 0.5))),
+        ("box_1d", Box((0.8,))),
+        ("l1", L1Ball(1.2, dim=3)),
+        ("l1_1d", L1Ball(0.5, dim=1)),
+        ("simplex", Simplex(3)),
+        ("simplex_1d", Simplex(1)),
+        ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]])),
+        ("ellipsoid_cond_1e12", ill_conditioned_ellipsoid()),
+        ("pball2", PBall(2.0, 1.2, dim=3)),
+        ("pballinf", PBall(math.inf, 0.9, dim=3)),
+    ]
+
+
+def kernel_queries(set_, rng, count=45):
+    """Queries on every branch: a third inside K (y = s c for a member c), a
+    third in the polar cone of K (s < -sigma_C(y)), and a third off both.
+    Every other y has small-integer entries, which ties breakpoints; every
+    fourth y is all-negative, and three heights off both are 0."""
+    queries = []
+    for i in range(count):
+        y = rng.uniform(-4.0, 4.0, set_.dim)
+        if i % 2:
+            y = rng.integers(-3, 4, set_.dim).astype(float)
+        if i % 4 == 0:
+            y = -np.abs(y)
+        if i % 3 == 0:
+            s = rng.uniform(0.1, 4.0)
+            y = s * set_.project(y)
+        elif i % 3 == 1:
+            s = -set_.support(y) - rng.uniform(0.0, 2.0)
+        else:
+            s = 0.0 if i % 5 == 2 else rng.uniform(-4.0, 4.0)
+        queries.append((y, s))
+    return queries
+
+
+@pytest.mark.parametrize("name, set_", kernel_sets(), ids=[n for n, _ in kernel_sets()])
+def test_cone_kernel_agrees_with_the_generic_solver(name, set_):
+    # Against force_iterative at eps 1e-13, to 1e-12 relative to ||(y, s)||,
+    # in alpha* and the point, at every scale; iterations is 0.
+    rng = np.random.default_rng(53)
+    branches = set()
+    for y, s in kernel_queries(set_, rng):
+        for t in SCALES:
+            v = (t * y, t * s)
+            v_norm = math.hypot(float(np.linalg.norm(v[0])), v[1])
+            fast = project_homogenization(set_, v)
+            slow = project_homogenization(set_, v, eps=1e-13, force_iterative=True)
+            branches.add(fast.branch)
+            assert fast.iterations == 0
+            assert fast.point.s == fast.alpha_star
+            assert abs(fast.alpha_star - slow.alpha_star) <= 1e-12 * v_norm
+            assert float(np.linalg.norm(fast.point.y - slow.point.y)) <= 1e-12 * v_norm
+    assert branches == set(Branch)
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e20, 1e100])
+def test_ellipsoid_kernel_is_exact_at_every_scale_of_q(c):
+    # Q = c diag(1, 2, 3) is a huge or a tiny ellipsoid; the kernel's unknown
+    # carries no scale of Q, so it agrees with the generic solver as above.
+    ell = Ellipsoid(c * np.diag([1.0, 2.0, 3.0]))
+    branches = set()
+    for v in kernel_queries(ell, np.random.default_rng(55)):
+        v_norm = math.hypot(float(np.linalg.norm(v[0])), v[1])
+        fast = project_homogenization(ell, v)
+        slow = project_homogenization(ell, v, eps=1e-13, force_iterative=True)
+        branches.add(fast.branch)
+        assert abs(fast.alpha_star - slow.alpha_star) <= 1e-12 * v_norm
+        assert float(np.linalg.norm(fast.point.y - slow.point.y)) <= 1e-12 * v_norm
+    assert branches == set(Branch)
+
+
+@pytest.mark.parametrize("p, twin", [
+    (2.0, EuclideanBall((0.0, 0.0, 0.0), 1.2)),
+    (math.inf, Box((1.2, 1.2, 1.2))),
+], ids=["p2", "pinf"])
+def test_p_ball_is_the_origin_ball_or_the_box(p, twin):
+    pball = PBall(p, 1.2, dim=3)
+    rng = np.random.default_rng(54)
+    for y, s in kernel_queries(twin, rng, count=12):
+        assert np.array_equal(pball.project(y), twin.project(y))
+        a, b = project_homogenization(pball, (y, s)), project_homogenization(twin, (y, s))
+        assert (a.alpha_star, a.branch) == (b.alpha_star, b.branch)
+        assert np.array_equal(a.point.y, b.point.y)
+
+
+def test_cone_kernels_do_not_overflow():
+    # alpha* = (1 + 2e200) / 3 for the box; no squared norm is formed.
+    res = project_homogenization(Box((1.0, 1.0)), ((1e200, 1e200), 1.0))
+    assert res.branch is Branch.CONE_INTERIOR
+    assert res.alpha_star == pytest.approx(2e200 / 3.0, rel=1e-15)
+    np.testing.assert_allclose(res.point.y, [2e200 / 3.0] * 2, rtol=1e-15)
+    for set_ in (L1Ball(1.0), Simplex(2), Ellipsoid([[2.0, 0.3], [0.3, 0.8]])):
+        for t in (1e-300, 1e200, 1e300):
+            v = (t * np.array([1.0, 3.0]), -0.1 * t)
+            res = project_homogenization(set_, v)
+            base = project_homogenization(set_, ((1.0, 3.0), -0.1))
+            assert res.branch is base.branch is Branch.CONE_INTERIOR
+            assert res.alpha_star == pytest.approx(t * base.alpha_star, rel=1e-14)
+            np.testing.assert_allclose(res.point.y, t * base.point.y, rtol=1e-14)
+
+
+@pytest.mark.parametrize("set_, force", [
+    pytest.param(EuclideanBall((0.4, 0.2), 1.0), False, id="ball_off"),
+    pytest.param(Box((1.0, 0.7)), True, id="box_forced"),
+    pytest.param(Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), True, id="ellipsoid_forced"),
+])
+@pytest.mark.parametrize("e", [-700, 700])
+def test_generic_solver_rescales_extreme_queries_exactly(set_, force, e):
+    # A query beyond 2^(+-500) is solved on its exact power-of-2 rescale, so
+    # the answer is the unit-scale one times 2^e, bit for bit.
+    y, s = np.array([1.0, 3.0]), 0.5
+    base = project_homogenization(set_, (y, s), force_iterative=force, keep_trace=True)
+    res = project_homogenization(set_, (np.ldexp(y, e), math.ldexp(s, e)),
+                                 force_iterative=force, keep_trace=True)
+    assert res.branch is base.branch is Branch.CONE_INTERIOR
+    assert res.alpha_star == math.ldexp(base.alpha_star, e)
+    assert np.array_equal(res.point.y, np.ldexp(base.point.y, e))
+    assert res.iterations == base.iterations
+    assert [r.n for r in res.trace] == [r.n for r in base.trace]
+    assert [r.mid for r in res.trace] == [
+        None if r.mid is None else math.ldexp(r.mid, e) for r in base.trace
+    ]
+    bracket = project_homogenization(
+        set_, (np.ldexp(y, e), math.ldexp(s, e)), alpha0=math.ldexp(0.5, e),
+        beta0=math.ldexp(4.0, e), eps=math.ldexp(1e-9, e), force_iterative=force,
+    )
+    unit = project_homogenization(set_, (y, s), alpha0=0.5, beta0=4.0, eps=1e-9,
+                                  force_iterative=force)
+    assert bracket.alpha_star == math.ldexp(unit.alpha_star, e)
 
 
 PUBLIC_NAMES = [
@@ -449,6 +612,15 @@ def test_origin_needs_no_psi_evaluation(set_, monkeypatch):
     assert not np.any(res.point.y) and res.point.s == 0.0
 
 
+def test_root_at_the_a_priori_bound_returns_the_bound(monkeypatch):
+    # Only roundoff puts psi'(hi) <= 0; the bound itself is then alpha*.
+    monkeypatch.setattr(PsiEvaluator, "psi_prime", lambda self, alpha: -1.0)
+    res = project_homogenization(Box((1.0, 1.0)), ((3.0, 4.0), 0.5),
+                                 force_iterative=True)
+    assert res.alpha_star == 0.5 + math.hypot(5.0, 0.5)
+    assert res.branch is Branch.CONE_INTERIOR and res.iterations == 1
+
+
 def test_half_bracket_is_rejected():
     with pytest.raises(ValueError):
         project_homogenization(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), alpha0=3.0)
@@ -474,11 +646,12 @@ def interior_box_queries():
 
 
 def test_default_solver_makes_one_projector_call_per_iteration():
-    # The final P_C(y / alpha*) reuses the solver's last projection.
+    # The final P_C(y / alpha*) reuses the solver's last projection.  The box
+    # has a cone kernel, so the generic solver is forced.
     interior = 0
     for y, s in interior_box_queries():
         box = CountingBox((1.0, 1.0))
-        res = project_homogenization(box, (y, s))
+        res = project_homogenization(box, (y, s), force_iterative=True)
         if res.branch is Branch.CONE_INTERIOR:
             interior += 1
             assert box.calls == res.iterations

@@ -54,6 +54,13 @@ def test_polar_membership_examples():
     assert polar_membership(EuclideanBall((0.0, 0.0), 2.0), (0.4, 0.3))
 
 
+@pytest.mark.parametrize("t", [1.0, 1e-6, 1e-9, 1e-12, 1e-300, 1e300])
+def test_polar_cone_membership_is_the_same_at_every_scale(t):
+    # The polar cone of a bounded set is {0}; every y <= 0 is in the simplex's.
+    assert not polar_cone_membership(Box((1.0, 1.0)), (t, t))
+    assert polar_cone_membership(Simplex(2), (-t, -t))
+
+
 def test_polar_cone_membership_examples():
     ball = EuclideanBall((0.0, 0.0), 1.0)
     assert polar_cone_membership(ball, (0.0, 0.0))

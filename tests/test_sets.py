@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import homcone.sets
 from homcone import (
     BallPen,
     Box,
@@ -14,9 +15,11 @@ from homcone import (
     Hyperbolic,
     InvalidSetSpec,
     L1Ball,
+    MaxIterationsExceeded,
     PBall,
     Simplex,
     UnsupportedProjection,
+    project_homogenization,
     set_from_spec,
 )
 from homcone.roots import brent_root
@@ -375,6 +378,17 @@ def test_ellipsoid_newton_is_as_accurate_as_brent(cond, n):
             worst_newton, worst_brent)
 
 
+def test_ellipsoid_root_searches_raise_when_their_budget_is_spent(monkeypatch):
+    # One evaluation cannot converge on this far point of a stretched
+    # ellipsoid, for the Newton projector or for the cone kernel's Brent.
+    monkeypatch.setattr(homcone.sets, "_ROOT_MAX_STEPS", 1)
+    ell = Ellipsoid([[1e3, 0.0], [0.0, 1e-3]])
+    with pytest.raises(MaxIterationsExceeded, match="in 1 steps"):
+        ell.project((50.0, 70.0))
+    with pytest.raises(MaxIterationsExceeded, match="in 1 evaluations"):
+        project_homogenization(ell, ((50.0, 70.0), 0.5))
+
+
 # ---------------------------------------------------------------------------
 # JSON set specifications
 # ---------------------------------------------------------------------------
@@ -435,6 +449,11 @@ NON_NUMERIC_FIELDS = [
 def test_spec_rejects_bools_and_strings_in_numeric_fields(text):
     with pytest.raises(InvalidSetSpec, match="must be numeric"):
         set_from_spec(text)
+
+
+def test_spec_rejects_an_unrecognized_p_string():
+    with pytest.raises(InvalidSetSpec, match="unrecognized p value 'two'"):
+        set_from_spec('{"type": "p_ball", "p": "two", "radius": 1}')
 
 
 def test_spec_accepts_p_inf_and_numeric_fields():
