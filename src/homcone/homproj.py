@@ -19,12 +19,14 @@ dispatch names no set class: the Euclidean ball centred at the origin and the
 ball pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
 p = 2 or p = inf by one sort, and the ellipsoid by one scalar root (see
 :mod:`homcone.sets`).  The ball off the origin and any set without a kernel
-take the solver.  The solver runs a query whose largest entry lies beyond
-2^(+-500) on its exact power-of-2 rescale, so no squared norm overflows.
+take the solver.  A query whose largest entry lies beyond 2^(+-500) is
+projected on its exact power-of-2 rescale, ahead of the kernel and the
+solver alike, so neither forms a squared norm that overflows or underflows.
 
-Each entry point validates its query once (a finite y of the set's dimension
-and a finite height s); everything after that calls the sets' unchecked
-kernels (see :mod:`homcone.sets`).
+Each entry point validates its query in one pass (a finite y of the set's
+dimension and a finite height s), which also sizes it for the rescale;
+everything after that calls the sets' unchecked kernels (see
+:mod:`homcone.sets`).
 """
 
 from __future__ import annotations
@@ -38,15 +40,12 @@ import numpy as np
 from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
-from .sets import (
-    _SAFE_EXPONENT,
-    MEMBERSHIP_TOL,
-    Branch,
-    EuclideanBall,
-    _exponent,
-    as_height,
-    as_vector,
-)
+from .sets import MEMBERSHIP_TOL, Branch, EuclideanBall, _as_query, as_vector
+
+#: Queries whose largest entry has a binary exponent beyond this are projected
+#: on an exact power-of-2 rescale, so that squared norms neither overflow nor
+#: underflow; within it answers are computed as given.
+_SAFE_EXPONENT = 500
 
 
 class ConePoint(NamedTuple):
@@ -255,16 +254,17 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
                            force_iterative=False, keep_trace=False) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
-    Dispatch: the set's ``_project_cone`` kernel answers exactly where it has
-    one (the origin-centred ball, the ball pen, the box, the l1 ball, the
-    simplex, the ellipsoid and ``PBall`` with p = 2 or inf), with
-    ``iterations`` 0; where it returns None (the ball off the origin, a set
-    without a kernel) alpha* is solved for on psi'.  ``force_iterative``
-    bypasses the kernel and the membership shortcut so the iterative route
-    can be compared against the kernels.  The solver takes a query whose
-    largest entry lies beyond 2^(+-500) on an exact power-of-2 rescale (a
-    caller's bracket and width rescaled alike), and scales the answer and
-    trace back.
+    The query is validated in one pass, which also sizes it: one whose
+    largest entry lies beyond 2^(+-500) is projected on its exact power-of-2
+    rescale (a caller's bracket and width rescaled alike), and the answer and
+    trace are scaled back.  Dispatch then runs on the rescaled query: the
+    set's ``_project_cone`` kernel answers exactly where it has one (the
+    origin-centred ball, the ball pen, the box, the l1 ball, the simplex, the
+    ellipsoid and ``PBall`` with p = 2 or inf), with ``iterations`` 0; where
+    it returns None (the ball off the origin, a set without a kernel) alpha*
+    is solved for on psi'.  ``force_iterative`` bypasses the kernel and the
+    membership shortcut so the iterative route can be compared against the
+    kernels.
 
     Without a bracket the solve is Brent's method on the a priori bracket,
     ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
@@ -278,30 +278,32 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
         raise ValueError("give both alpha0 and beta0, or neither")
     _check_solver_args(alpha0, beta0, eps, max_iter)
     y, s = p
-    # The evaluator validates the query; every step below reuses its (y, s).
-    ev = PsiEvaluator(set_, y, s)
-    p = ConePoint(ev.y, ev.s)
+    y, s, e = _as_query(y, set_.dim, s)
+    if abs(e) <= _SAFE_EXPONENT:
+        return _project(set_, ConePoint(y, s), alpha0, beta0, eps, max_iter,
+                        force_iterative, keep_trace)
+    # P_K is positively homogeneous and the rescale is exact.
+    if alpha0 is not None:
+        alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
+    res = _project(set_, ConePoint(np.ldexp(y, -e), math.ldexp(s, -e)), alpha0,
+                   beta0, eps, max_iter, force_iterative, keep_trace)
+    return _rescaled(res, e)
+
+
+def _project(set_, p, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
+    """:func:`project_homogenization` on a validated query within 2^(+-500)."""
     if not force_iterative:
         exact = set_._project_cone(p.y, p.s)
         if exact is not None:
             alpha_star, x, branch = exact
             return ProjectionResult(alpha_star, ConePoint(x, alpha_star), branch, 0)
-    e = _exponent(p.y, p.s)
-    if abs(e) > _SAFE_EXPONENT:
-        # P_K is positively homogeneous and the rescale is exact.
-        if alpha0 is not None:
-            alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
-        res = project_homogenization(
-            set_, (np.ldexp(p.y, -e), math.ldexp(p.s, -e)), alpha0, beta0, eps,
-            max_iter, force_iterative, keep_trace,
-        )
-        return _rescaled(res, e)
     scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
     if not force_iterative and _in_cone(set_, p, scale):
         s_star = p.s if p.s > 0.0 else 0.0
         return ProjectionResult(
             s_star, ConePoint(p.y.copy(), s_star), Branch.ALREADY_IN_K, 0
         )
+    ev = PsiEvaluator._of_valid(set_, p.y, p.s)
     if alpha0 is None:
         rows = [] if keep_trace else None
         alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
@@ -358,8 +360,7 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
     """
     ball = EuclideanBall(center, radius)
     z, g = ball.center, ball.radius
-    y = as_vector(y, ball.dim)
-    s = as_height(s)
+    y, s, _ = _as_query(y, ball.dim, s)
     nz = float(np.linalg.norm(z))
     zy = float(z @ y)
     ny2 = float(y @ y)

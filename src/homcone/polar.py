@@ -12,7 +12,10 @@ sigma_C(y) + s <= 0, which fails for every s > 0 because C contains the origin.
 All membership checks carry an explicit tolerance band: every polar object is
 closed, so boundary classification under floating point needs one.  On the
 polar cones of C and of K the band is relative to ||y|| and to ||(y, s)||, as
-those sets are cones, and both tests run on an exact power-of-2 rescale.
+those sets are cones, and both tests run on the exact power-of-2 rescale that
+brings the largest entry into [1/2, 1), sized by the pass that validates the
+query; both sides are positively homogeneous, and neither sigma_C nor the
+norm can overflow.
 Each public function validates its tolerance once (finite and nonnegative,
 ValueError otherwise).
 
@@ -30,14 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoClosedFormAvailable
-from .sets import (
-    MEMBERSHIP_TOL,
-    ConvexSet,
-    _as_tolerance,
-    _exponent,
-    as_height,
-    as_vector,
-)
+from .sets import MEMBERSHIP_TOL, ConvexSet, _as_query, _as_tolerance, as_vector
 
 
 def polar_membership(set_, y, tol=MEMBERSHIP_TOL) -> bool:
@@ -46,19 +42,12 @@ def polar_membership(set_, y, tol=MEMBERSHIP_TOL) -> bool:
     return set_.support(y) <= 1.0 + tol
 
 
-def _unit(y, s=0.0):
-    """(y, s) scaled by the power of 2 that brings its largest entry into
-    [1/2, 1): exact, and it keeps sigma_C and the norm from overflowing.  Both
-    sides of a polar-cone test are positively homogeneous."""
-    e = _exponent(y, s)
-    return np.ldexp(y, -e), math.ldexp(s, -e)
-
-
 def polar_cone_membership(set_, y, tol=MEMBERSHIP_TOL) -> bool:
     """y belongs to the polar cone iff sigma_C(y) <= tol ||y||, so t y is
     answered alike at every scale t > 0."""
-    y, _ = _unit(as_vector(y, set_.dim))
+    y, _, e = _as_query(y, set_.dim)
     tol = _as_tolerance(tol)
+    y = np.ldexp(y, -e)
     return set_._support(y) <= tol * float(np.linalg.norm(y))
 
 
@@ -69,10 +58,9 @@ def homogenization_polar_membership(set_, p, tol=MEMBERSHIP_TOL) -> bool:
     at every scale t > 0.  No division by s: a height near 0 needs no branch.
     """
     y, s = p
-    y = as_vector(y, set_.dim)
-    s = as_height(s)
+    y, s, e = _as_query(y, set_.dim, s)
     tol = _as_tolerance(tol)
-    y, s = _unit(y, s)
+    y, s = np.ldexp(y, -e), math.ldexp(s, -e)
     return set_._support(y) + s <= tol * math.hypot(float(np.linalg.norm(y)), s)
 
 

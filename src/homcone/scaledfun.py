@@ -18,7 +18,7 @@ costs one support-function call and no projector call.
 from __future__ import annotations
 
 from .errors import CapabilityMissing, NonPositiveAlpha
-from .sets import as_height, as_vector
+from .sets import _as_query
 
 
 def _positive(alpha) -> float:
@@ -47,9 +47,15 @@ class PsiEvaluator:
 
     def __init__(self, set_, y, s):
         self.set = set_
-        self.y = as_vector(y, set_.dim)
-        self.s = as_height(s)
+        self.y, self.s, _ = _as_query(y, set_.dim, s)
         self._memo = ()
+
+    @classmethod
+    def _of_valid(cls, set_, y, s):
+        """An evaluator on a query (y, s) its caller has already validated."""
+        ev = cls.__new__(cls)
+        ev.set, ev.y, ev.s, ev._memo = set_, y, s, ()
+        return ev
 
     def phi(self, alpha) -> float:
         """Squared distance from y to alpha * C; nonnegative, nonincreasing."""

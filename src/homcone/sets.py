@@ -14,21 +14,25 @@ Each set is implemented once.  The JSON spec types ``shifted_unit_ball`` and
 ``ball_plus_strip`` name two of the paper's examples and build the
 :class:`EuclideanBall` and :class:`BallPen` that they are.
 
-Validation contract: the public methods of :class:`ConvexSet` (``project``,
-``contains``, ``support``, ``project_recession``, ``recession_distance``)
-validate their vector once with :func:`as_vector` and dispatch to a per-set
-kernel (``_project``, ``_contains``, ``_support``, ``_project_recession``,
-...).  Kernels assume a finite float64 vector of the set's dimension and never
-re-validate; callers inside the package that built the vector from an already
-validated query call the kernels directly.  The height s of a query (y, s) is
-validated by :func:`as_height`, which rejects a non-finite value, and a
-membership tolerance by :func:`_as_tolerance`, which requires it finite and
-nonnegative; kernels take the tolerance unchecked.
+Validation contract: a query (y, s) is validated in one pass by
+:func:`_as_query`, which also returns the binary exponent of its largest
+entry; :func:`as_vector` is that pass for a vector alone.  The public methods
+of :class:`ConvexSet` (``project``, ``contains``, ``support``,
+``project_recession``, ``recession_distance``) validate their vector once and
+dispatch to a per-set kernel (``_project``, ``_contains``, ``_support``,
+``_project_recession``, ...).  Kernels assume a finite float64 vector of the
+set's dimension and never re-validate; callers inside the package that built
+the vector from an already validated query call the kernels directly.  A
+membership tolerance is validated by :func:`_as_tolerance`, which requires it
+finite and nonnegative; kernels take the tolerance unchecked.
 
 One optional kernel, ``_project_cone(y, s)``, projects a validated query onto
 the homogenization cone K of the set exactly, returning
 ``(alpha*, x, branch)`` with P_K(y, s) = (x, alpha*), or None when the set has
-none; :func:`homcone.homproj.project_homogenization` calls it once per query.
+none; :func:`homcone.homproj.project_homogenization` calls it once per query,
+after its exact power-of-2 rescale, so a kernel only sees a query whose
+largest entry lies within 2^(+-500), or the origin, and forms no squared norm
+that overflows or underflows.
 The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have a
 closed form; the box, the l1 ball and the simplex solve a piecewise-linear
 equation over sorted breakpoints (:func:`_breakpoint_root`); the ellipsoid
@@ -75,36 +79,33 @@ MEMBERSHIP_TOL = 1e-9
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_STEPS = 100
 
-#: Queries whose largest entry has a binary exponent beyond this are solved on
-#: an exact power-of-2 rescale, so that squared norms neither overflow nor
-#: underflow; within it answers are computed as given.
-_SAFE_EXPONENT = 500
+
+def _as_query(y, dim=None, s=0.0):
+    """Validate a query (y, s) in one pass: y a finite nonempty 1-D float64
+    vector, of length ``dim`` when given, and s a finite float.
+
+    Returns ``(y, s, e)`` with e the binary exponent of max(|y_i|, |s|):
+    scaling the query by 2^-e is exact and brings its largest entry into
+    [1/2, 1); e is 0 at the origin.  The maximum that sizes the query is also
+    its finiteness check, as it is nan or inf exactly when an entry is.
+    """
+    v = np.asarray(y, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a nonempty 1-D real vector")
+    top = float(np.abs(v).max())
+    if not top < math.inf:
+        raise ValueError("vector entries must be finite")
+    if dim is not None and v.size != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError("height must be finite")
+    return v, s, math.frexp(max(top, abs(s)))[1]
 
 
 def as_vector(x, dim=None) -> np.ndarray:
     """Validate ``x`` as a finite 1-D float64 vector, optionally of length ``dim``."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-D real vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
-    return v
-
-
-def as_height(s) -> float:
-    """Validate the height s of a query (y, s) as a finite float."""
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError("height must be finite")
-    return s
-
-
-def _exponent(y, s=0.0) -> int:
-    """Binary exponent e of max(|y_i|, |s|): scaling (y, s) by 2^-e is exact
-    and brings its largest entry into [1/2, 1).  0 for the origin."""
-    return math.frexp(max(float(np.abs(y).max()), abs(s)))[1]
+    return _as_query(x, dim)[0]
 
 
 def _as_tolerance(tol) -> float:
@@ -206,7 +207,8 @@ class ConvexSet:
 
     def _project_cone(self, y, s):
         """Exact P_K(y, s) as ``(alpha*, x, branch)`` with
-        P_K(y, s) = (x, alpha*), or None for the generic solver."""
+        P_K(y, s) = (x, alpha*), or None for the generic solver.  The largest
+        entry of the query lies within 2^(+-500), or the query is the origin."""
         return None
 
     def _polar(self):
@@ -222,8 +224,8 @@ class EuclideanBall(ConvexSet):
     def __init__(self, center, radius):
         self.center = as_vector(center)
         self.radius = float(radius)
-        if not (self.radius > 0.0):
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         # Relative slack, so that (t c, t r) is accepted alike at every scale t.
         if float(np.linalg.norm(self.center)) > self.radius * (1.0 + 1e-12):
             raise CenterOutsideRadius(
@@ -394,8 +396,8 @@ class L1Ball(ConvexSet):
 
     def __init__(self, radius, dim=2):
         self.radius = float(radius)
-        if not (self.radius > 0.0):
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         self.dim = _dimension(dim)
 
     def __repr__(self):
@@ -441,8 +443,8 @@ class PBall(ConvexSet):
         self.p = p
         self.q = 1.0 if math.isinf(p) else p / (p - 1.0)
         self.radius = float(radius)
-        if not (self.radius > 0.0):
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         self.dim = _dimension(dim)
         self._same = None
         if p == 2.0:
@@ -567,13 +569,9 @@ class Ellipsoid(ConvexSet):
         -s / sigma_C(y) (s <= 0) at v = 0 to at least 1 at
         t = ||W^1/2 u||.  :func:`homcone.roots.brent_root` solves it to a
         tolerance relative to v, independent of the scale of the query and
-        of Q.  A query beyond 2^(+-500) is solved on an exact power-of-2
-        rescale.
+        of Q.  Like every kernel it receives a query within 2^(+-500), so no
+        squared norm overflows.
         """
-        e = _exponent(y, s)
-        if abs(e) > _SAFE_EXPONENT:
-            alpha, x, branch = self._project_cone(np.ldexp(y, -e), math.ldexp(s, -e))
-            return math.ldexp(alpha, e), np.ldexp(x, e), branch
         w = self._evals
         u = self._evecs.T @ y
         wu = np.sqrt(w) * u

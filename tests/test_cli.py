@@ -112,6 +112,17 @@ def test_project_rejects_malformed_spec(capsys):
     assert "error" in err
 
 
+def test_project_rejects_infinite_radius(capsys):
+    code, out, err = run(
+        capsys,
+        "project", "--set", '{"type":"euclidean_ball","center":[0,0],"radius":Infinity}',
+        "--point", "3,4", "--height", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "radius must be positive and finite" in err
+
+
 def test_project_rejects_unknown_type(capsys):
     code, _, _ = run(
         capsys,

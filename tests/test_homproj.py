@@ -328,15 +328,48 @@ def test_cone_kernels_do_not_overflow():
             np.testing.assert_allclose(res.point.y, t * base.point.y, rtol=1e-14)
 
 
+# Queries on which a kernel run at the given scale forms a squared norm or a
+# sum out of range: it underflows on the tiny ones, where the ball pen and the
+# origin ball would take branch recession, and overflows on the huge ones.
+EXTREME_KERNEL_QUERIES = [
+    pytest.param(BallPen((0.0, 1.0)), ((1e-200, 3e-200), -1e-201), id="ballpen_tiny"),
+    pytest.param(EuclideanBall((0.0, 0.0), 1.0), ((1e-200, 3e-200), -1e-201),
+                 id="ball0_tiny"),
+    pytest.param(EuclideanBall((0.0, 0.0), 1.0), ((1e200, 1e200), 1.0), id="ball0_huge"),
+    pytest.param(Box((1.0, 1.0)), ((1e308, 1e308), 1.0), id="box_huge"),
+    pytest.param(L1Ball(1.0), ((1e308, 1e308), 1.0), id="l1_huge"),
+    pytest.param(Simplex(2), ((1e308, 1e308), 1.0), id="simplex_huge"),
+]
+
+
+@pytest.mark.parametrize("set_, v", EXTREME_KERNEL_QUERIES)
+def test_cone_kernels_match_the_solver_at_extreme_scales(set_, v):
+    fast = project_homogenization(set_, v)
+    slow = project_homogenization(set_, v, eps=1e-13, force_iterative=True)
+    assert fast.iterations == 0 < slow.iterations
+    assert fast.branch is slow.branch is Branch.CONE_INTERIOR
+    assert fast.alpha_star == pytest.approx(slow.alpha_star, rel=1e-12)
+    np.testing.assert_allclose(fast.point.y, slow.point.y, rtol=1e-12)
+
+
 @pytest.mark.parametrize("set_, force", [
     pytest.param(EuclideanBall((0.4, 0.2), 1.0), False, id="ball_off"),
     pytest.param(Box((1.0, 0.7)), True, id="box_forced"),
     pytest.param(Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), True, id="ellipsoid_forced"),
+    pytest.param(EuclideanBall((0.0, 0.0), 1.0), False, id="ball0"),
+    pytest.param(BallPen((0.0, 1.0)), False, id="ballpen"),
+    pytest.param(Box((1.0, 0.7)), False, id="box"),
+    pytest.param(L1Ball(1.0), False, id="l1"),
+    pytest.param(Simplex(2), False, id="simplex"),
+    pytest.param(Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), False, id="ellipsoid"),
+    pytest.param(PBall(2.0, 1.0), False, id="pball2"),
+    pytest.param(PBall(math.inf, 1.0), False, id="pballinf"),
 ])
 @pytest.mark.parametrize("e", [-700, 700])
 def test_generic_solver_rescales_extreme_queries_exactly(set_, force, e):
-    # A query beyond 2^(+-500) is solved on its exact power-of-2 rescale, so
-    # the answer is the unit-scale one times 2^e, bit for bit.
+    # A query beyond 2^(+-500) is solved on its exact power-of-2 rescale, by
+    # the solver and the cone kernels alike, so the answer is the unit-scale
+    # one times 2^e, bit for bit.
     y, s = np.array([1.0, 3.0]), 0.5
     base = project_homogenization(set_, (y, s), force_iterative=force, keep_trace=True)
     res = project_homogenization(set_, (np.ldexp(y, e), math.ldexp(s, e)),
@@ -345,9 +378,10 @@ def test_generic_solver_rescales_extreme_queries_exactly(set_, force, e):
     assert res.alpha_star == math.ldexp(base.alpha_star, e)
     assert np.array_equal(res.point.y, np.ldexp(base.point.y, e))
     assert res.iterations == base.iterations
-    assert [r.n for r in res.trace] == [r.n for r in base.trace]
-    assert [r.mid for r in res.trace] == [
-        None if r.mid is None else math.ldexp(r.mid, e) for r in base.trace
+    assert (res.trace is None) == (base.trace is None) == (base.iterations == 0)
+    assert [r.n for r in res.trace or ()] == [r.n for r in base.trace or ()]
+    assert [r.mid for r in res.trace or ()] == [
+        None if r.mid is None else math.ldexp(r.mid, e) for r in base.trace or ()
     ]
     bracket = project_homogenization(
         set_, (np.ldexp(y, e), math.ldexp(s, e)), alpha0=math.ldexp(0.5, e),

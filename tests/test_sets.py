@@ -130,6 +130,23 @@ def test_constructor_rejections():
         PBall(2.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("build, spec", [
+    (lambda r: EuclideanBall((0.0, 0.0), r),
+     '{"type": "euclidean_ball", "center": [0, 0], "radius": %s}'),
+    (lambda r: L1Ball(r), '{"type": "l1_ball", "radius": %s}'),
+    (lambda r: PBall(2.0, r), '{"type": "p_ball", "p": 2, "radius": %s}'),
+], ids=["euclidean_ball", "l1_ball", "p_ball"])
+def test_non_finite_radius_is_rejected(build, spec):
+    # An infinite radius once built a set whose projector returned nan;
+    # Python's json reads Infinity and NaN, so specs could carry them too.
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            build(r)
+    for text in ("Infinity", "NaN"):
+        with pytest.raises(InvalidSetSpec, match="positive and finite"):
+            set_from_spec(spec % text)
+
+
 @pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8)])
 def test_ball_origin_check_is_scale_invariant(t, direction):

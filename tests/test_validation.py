@@ -1,9 +1,9 @@
 """Inputs are validated once, at the public boundary.
 
 Every public set method and entry point rejects a malformed vector; after
-that the solver runs on unchecked kernels, so one query costs one validation:
-the evaluator built from the query validates it and every later step reuses
-its checked (y, s).
+that the kernels and the solver run unchecked, so one query costs one
+validation pass: the entry point validates and sizes (y, s) at once, and every
+later step reuses the checked query.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import homcone.homproj
+import homcone.polar
 import homcone.scaledfun
 import homcone.sets
 from homcone import (
@@ -111,17 +112,25 @@ def test_non_finite_height_is_rejected_by_other_entries(s):
         homogenization_polar_membership(Box((1.0, 1.0)), ((1.0, 2.0), s))
 
 
+def count_validation_passes(monkeypatch):
+    """Count the calls of the one-pass query validator in every module that
+    binds it; ``as_vector`` is a pass too, as it calls it."""
+    calls = []
+    original = homcone.sets._as_query
+
+    def counting(y, dim=None, s=0.0):
+        calls.append(dim)
+        return original(y, dim, s)
+
+    for module in (homcone.sets, homcone.scaledfun, homcone.homproj, homcone.polar):
+        if hasattr(module, "_as_query"):
+            monkeypatch.setattr(module, "_as_query", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name, set_", PROJECTABLE, ids=[n for n, _ in PROJECTABLE])
 def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
-    calls = []
-    original = homcone.sets.as_vector
-
-    def counting(x, dim=None):
-        calls.append(dim)
-        return original(x, dim)
-
-    for module in (homcone.sets, homcone.scaledfun, homcone.homproj):
-        monkeypatch.setattr(module, "as_vector", counting)
+    calls = count_validation_passes(monkeypatch)
     # Outside the set, so the iterative sets take the cone-interior branch.
     y = np.full(set_.dim, 3.0)
     res = project_homogenization(set_, (y, 0.5))
@@ -129,7 +138,23 @@ def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
                            "ellipsoid", "pball2", "pballinf")
     assert res.branch.value == "cone_interior"
     assert (res.iterations == 0) == closed_form
-    assert len(calls) <= 1
+    assert calls == [set_.dim]
+    # Beyond 2^(+-500) the rescaled query is not validated again.
+    calls.clear()
+    project_homogenization(set_, (np.ldexp(y, 700), math.ldexp(0.5, 700)))
+    assert calls == [set_.dim]
+
+
+@pytest.mark.parametrize("entry", ["polar_cone_membership",
+                                   "homogenization_polar_membership"])
+def test_polar_cone_memberships_validate_once(entry, monkeypatch):
+    set_ = Box((1.0, 2.0))
+    calls = count_validation_passes(monkeypatch)
+    if entry == "polar_cone_membership":
+        assert not polar_cone_membership(set_, (1e300, -3e300))
+    else:
+        assert homogenization_polar_membership(set_, ((1e-300, 3e-300), -1e-299))
+    assert calls == [2]
 
 
 TOLERANCE_ENTRIES = {
