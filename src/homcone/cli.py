@@ -4,7 +4,7 @@ query polar memberships, and emit CSV point clouds of the cones.
 Subcommands: project | table1 | figure | polar.  All output is UTF-8 with '.'
 as the decimal separator and '\\n' line endings; identical inputs produce
 byte-identical output.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure.
+failure (a root search out of budget, or an answer beyond the float64 range).
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MaxIterationsExceeded as exc:
+    except (MaxIterationsExceeded, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (HomconeError, ValueError) as exc:

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
-from .sets import MEMBERSHIP_TOL, Branch, EuclideanBall, _as_query, as_vector
+from .sets import (_ROOT_RTOL, MEMBERSHIP_TOL, Branch, EuclideanBall, _as_query,
+                   as_vector)
 
 #: Queries whose largest entry has a binary exponent beyond this are projected
 #: on an exact power-of-2 rescale, so that squared norms neither overflow nor
@@ -172,11 +173,6 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
                 db = ev.psi_prime(b)
 
 
-#: Smallest relative tolerance on alpha*: below a few ulps the bracket can
-#: no longer shrink.
-_RTOL_FLOOR = 4.0 * np.finfo(float).eps
-
-
 def _alpha_star(ev, scale, eps, max_iter, rows):
     """alpha* by Brent's method on psi' over [0, s+ + scale], scale = ||(y, s)||.
 
@@ -184,9 +180,11 @@ def _alpha_star(ev, scale, eps, max_iter, rows):
     scale^2.  For bounded sets the left end is 0 with psi'(0+) from the
     support function; unbounded sets start from psi' at 1e-12 scale.  A
     nonnegative psi' at the left end certifies the recession branch.  The
-    search stops when the bracket is narrower than ``eps`` alpha and returns
-    the best iterate.  Returns ``(alpha_star, psi' evaluations)``; when
-    ``rows`` is a list, one TraceRow per step is appended to it.
+    search stops when the bracket is narrower than ``eps`` alpha, with
+    ``eps`` floored at ``_ROOT_RTOL`` as below a few ulps the bracket can no
+    longer shrink, and returns the best iterate.  Returns
+    ``(alpha_star, psi' evaluations)``; when ``rows`` is a list, one TraceRow
+    per step is appended to it.
     """
     if scale == 0.0:
         return 0.0, 0
@@ -213,7 +211,7 @@ def _alpha_star(ev, scale, eps, max_iter, rows):
             f"root search did not converge in {max_iter} evaluations"
         )
     alpha, n = brent_root(psi_prime, lo, hi, f_lo, f_hi, 0.0,
-                          max(eps, _RTOL_FLOOR), max_iter - calls)
+                          max(eps, _ROOT_RTOL), max_iter - calls)
     return alpha, calls + n
 
 
@@ -330,16 +328,24 @@ def _project(set_, p, alpha0, beta0, eps, max_iter, force_iterative, keep_trace)
 
 def _rescaled(res, e) -> ProjectionResult:
     """``res`` with alpha*, the point and the trace scaled by 2^e; psi' is
-    positively homogeneous, so trace derivatives scale alike."""
+    positively homogeneous, so trace derivatives scale alike.  Raises
+    OverflowError when a scaled value exceeds the float64 range."""
     def up(v):
-        return None if v is None else math.ldexp(v, e)
+        if v is None:
+            return None
+        try:
+            return math.ldexp(v, e)
+        except OverflowError:
+            raise OverflowError("the projection exceeds the float64 range") from None
 
+    y = res.point.y
+    up(float(np.abs(y).max()))  # then np.ldexp(y, e) below cannot overflow
     trace = res.trace
     if trace is not None:
         trace = tuple(TraceRow(r.n, *map(up, r[1:])) for r in trace)
     return ProjectionResult(
-        math.ldexp(res.alpha_star, e),
-        ConePoint(np.ldexp(res.point.y, e), math.ldexp(res.point.s, e)),
+        up(res.alpha_star),
+        ConePoint(np.ldexp(y, e), up(res.point.s)),
         res.branch,
         res.iterations,
         trace,

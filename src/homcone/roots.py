@@ -3,12 +3,11 @@
 Brent's method (Brent 1973, *Algorithms for Minimization without
 Derivatives*, ch. 4): secant or inverse quadratic interpolation steps, with a
 bisection step whenever the interpolated one would leave the bracket or not
-shrink it fast enough.  It is the one bracketed root finder of the package:
-:mod:`homcone.homproj` locates alpha* with it, and the ellipsoid's cone
-kernel the multiplier of its one scalar equation.  The ellipsoid projector
-needs no bracket: its secular equation is concave in the form it solves, so a
-monotone Newton iteration (:class:`homcone.sets.Ellipsoid`) converges from a
-lower bound.
+shrink it fast enough.  It is the one bracketed root finder of the package,
+and :mod:`homcone.homproj` locates alpha* with it.  The ellipsoid needs no
+bracket: its projector and its cone kernel solve one secular equation that is
+concave in the form solved, so a monotone Newton iteration
+(:class:`homcone.sets.Ellipsoid`) converges from a lower bound.
 """
 
 from __future__ import annotations

@@ -68,14 +68,14 @@ from .errors import (
     NoClosedFormAvailable,
     UnsupportedProjection,
 )
-from .roots import brent_root
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
 
-#: The ellipsoid's scalar root searches (Newton on the secular equation of its
-#: projector, Brent on the multiplier of its cone kernel): the relative step or
-#: bracket width that ends them, and the most evaluations each may take.
+#: The secular Newton solve behind both ellipsoid kernels
+#: (:func:`_secular_root`): the relative step that ends it, also the floor of
+#: the alpha* tolerance in :mod:`homcone.homproj`, and the most evaluations
+#: it may take.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_STEPS = 100
 
@@ -106,6 +106,15 @@ def _as_query(y, dim=None, s=0.0):
 def as_vector(x, dim=None) -> np.ndarray:
     """Validate ``x`` as a finite 1-D float64 vector, optionally of length ``dim``."""
     return _as_query(x, dim)[0]
+
+
+def _ldexp_or_inf(value, e) -> float:
+    """value 2^e, or an infinity of its sign where that exceeds the float64
+    range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _as_tolerance(tol) -> float:
@@ -167,8 +176,12 @@ class ConvexSet:
         return self._contains(as_vector(x, self.dim), _as_tolerance(tol))
 
     def support(self, y) -> float:
-        """Support function sup over members c of <c, y>; may be +inf."""
-        return self._support(as_vector(y, self.dim))
+        """Support function sup over members c of <c, y>; may be +inf.
+
+        Positively homogeneous, so evaluated on the exact power-of-2 rescale
+        of y; +inf also where the value exceeds the float64 range."""
+        y, _, e = _as_query(y, self.dim)
+        return _ldexp_or_inf(self._support(np.ldexp(y, -e)), e)
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x."""
@@ -180,8 +193,10 @@ class ConvexSet:
 
     def recession_distance(self, y) -> float:
         """Distance from y to the recession cone; zero iff y is a recession
-        direction."""
-        return self._recession_distance(as_vector(y, self.dim))
+        direction.  Evaluated on the exact power-of-2 rescale of y, like
+        :meth:`support`."""
+        y, _, e = _as_query(y, self.dim)
+        return _ldexp_or_inf(self._recession_distance(np.ldexp(y, -e)), e)
 
     def _contains(self, x, tol) -> bool:
         raise NotImplementedError
@@ -486,19 +501,43 @@ class PBall(ConvexSet):
         return dual._contains, dual
 
 
+def _secular_root(c, a):
+    """Root x >= 0 of M(x) = 1 / ||c / (a + x)|| = 1 for a >= 0, by Newton.
+
+    M is concave and increasing (Moré and Sorensen, "Computing a trust region
+    step", 1983), so Newton climbs monotonically from the lower bound
+    max(||c|| - max a, ||c min a / a|| - min a, 0); the second term keeps
+    c / (a + x) in range when a spans hundreds of decades.  Stops when
+    M(x) >= 1 or a step is at most ``_ROOT_RTOL`` x; raises
+    MaxIterationsExceeded after ``_ROOT_MAX_STEPS`` evaluations.
+    """
+    x = max(math.sqrt(float(c @ c)) - float(a.max()), 0.0)
+    a_lo = float(a.min())
+    if a_lo > 0.0:
+        x = max(x, float(np.linalg.norm(c * (a_lo / a))) - a_lo)
+    for _ in range(_ROOT_MAX_STEPS):
+        d = a + x
+        r = c / d
+        f = float(r @ r)
+        if f <= 1.0:
+            return x
+        # The Newton step (1 - M) / M' is f (sqrt(f) - 1) / g, g = sum r^2 / d.
+        step = f * (math.sqrt(f) - 1.0) / float((r / d) @ r)
+        x += step
+        if step <= _ROOT_RTOL * x:
+            return x
+    raise MaxIterationsExceeded(
+        f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
+    )
+
+
 class Ellipsoid(ConvexSet):
     """Ellipsoid {x : <x, Qx> <= 1} for a symmetric positive definite Q.
 
-    The projector works in the eigenbasis Q = V diag(w) V^T.  For u = V^T x
-    outside the set, the nearest point is V (u / (1 + lam w)) with lam > 0 the
-    root of phi(lam) = f(lam)^(-1/2) - 1, f(lam) = sum w u^2 / (1 + lam w)^2
-    (Moré and Sorensen, "Computing a trust region step", 1983).  phi is
-    increasing and concave on lam >= 0, and f(lam0) >= 1 at
-    lam0 = (sqrt(q) - 1) / max(w) with q = f(0) = <x, Qx>, so Newton's method
-    from lam0 climbs monotonically to the root.  It stops when a step is at
-    most 4 eps lam or when f <= 1, and raises MaxIterationsExceeded after
-    100 evaluations of f (``_ROOT_MAX_STEPS``); condition numbers up to
-    1e15 take at most 15.
+    Both kernels work in the eigenbasis Q = V diag(w) V^T and solve one
+    secular equation by :func:`_secular_root`.  For u = V^T x outside the
+    set, the nearest point is V (u / (1 + lam w)) with ||W^1/2 u / (1 + lam
+    w)|| = 1: c = u / sqrt(w) and a = 1 / w.
     """
 
     def __init__(self, q_matrix):
@@ -530,26 +569,9 @@ class Ellipsoid(ConvexSet):
     def _project(self, x):
         w = self._evals
         u = self._evecs.T @ x
-        q = float(u @ (w * u))
-        if q <= 1.0:
+        if float(u @ (w * u)) <= 1.0:
             return x.copy()
-        lam = (math.sqrt(q) - 1.0) / float(w[-1])
-        for _ in range(_ROOT_MAX_STEPS):
-            t = 1.0 + lam * w
-            z = u / t
-            wz = w * z
-            f = float(z @ wz)
-            if f <= 1.0:
-                break
-            # Newton step -phi/phi' = f (sqrt(f) - 1) / g with g = -f'/2.
-            step = f * (math.sqrt(f) - 1.0) / float((wz / t) @ wz)
-            lam += step
-            if step <= _ROOT_RTOL * lam:
-                break
-        else:
-            raise MaxIterationsExceeded(
-                f"ellipsoid projection did not converge in {_ROOT_MAX_STEPS} steps"
-            )
+        lam = _secular_root(u / np.sqrt(w), 1.0 / w)
         return self._evecs @ (u / (1.0 + lam * w))
 
     def _support(self, y):
@@ -567,9 +589,11 @@ class Ellipsoid(ConvexSet):
         M(v) = 1 / ||W^1/2 u / d(v)||.  Each d_i is linear and increasing in
         v, so M is concave and increasing, from s / ||W^1/2 u|| (s > 0) or
         -s / sigma_C(y) (s <= 0) at v = 0 to at least 1 at
-        t = ||W^1/2 u||.  :func:`homcone.roots.brent_root` solves it to a
-        tolerance relative to v, independent of the scale of the query and
-        of Q.  Like every kernel it receives a query within 2^(+-500), so no
+        t = ||W^1/2 u||.  :func:`_secular_root` solves it with c = W^1/2 u /
+        (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
+        relative to v, independent of the scale of the query and of Q.  On
+        the polar of K, M(0) >= 1, the root is v = 0 and t = 0: the apex.
+        Like every kernel it receives a query within 2^(+-500), so no
         squared norm overflows.
         """
         w = self._evals
@@ -578,22 +602,11 @@ class Ellipsoid(ConvexSet):
         q = math.sqrt(float(wu @ wu))
         if q <= s:
             return s, y.copy(), Branch.ALREADY_IN_K
-        sigma = float(np.linalg.norm(wu / w))
-        if s + sigma <= 0.0:
-            return 0.0, np.zeros_like(y), Branch.RECESSION
         base, lift = max(s, 0.0), max(-s, 0.0)
-
-        def gap(v):
-            r = wu / ((v + lift) * w + (base + v))
-            return 1.0 / math.sqrt(float(r @ r)) - 1.0
-
-        hi = q - base
-        f_lo = s / q - 1.0 if s > 0.0 else lift / sigma - 1.0
-        v, f_hi = hi, gap(hi)
-        if f_hi > 0.0:
-            # Otherwise only roundoff keeps the root from the right end.
-            v, _ = brent_root(gap, 0.0, hi, f_lo, f_hi, 0.0, _ROOT_RTOL, _ROOT_MAX_STEPS)
+        v = _secular_root(wu / (1.0 + w), (base + lift * w) / (1.0 + w))
         t = base + v
+        if t == 0.0:
+            return 0.0, np.zeros_like(y), Branch.RECESSION
         z = u * (t / ((v + lift) * w + t))
         return t, self._evecs @ z, Branch.CONE_INTERIOR
 

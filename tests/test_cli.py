@@ -224,6 +224,34 @@ def test_project_max_iter_exhaustion_is_numerical_failure(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spec", [
+    UNIT_BALL, '{"type":"euclidean_ball","center":[0.1,0],"radius":1}',
+], ids=["kernel", "solver"])
+def test_project_beyond_the_float_range_is_numerical_failure(capsys, spec):
+    # alpha* is about 2e308 on both balls: a one-line error, no traceback.
+    code, out, err = run(
+        capsys,
+        "project", "--set", spec, "--point", "1.7e308,1.7e308", "--height", "1.7e308",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: the projection exceeds the float64 range\n"
+
+
+def test_project_on_the_boundary_of_the_polar_of_k(capsys):
+    # s = -sigma_C(y) for a stretched ellipsoid: the apex, not a stalled search.
+    code, out, _ = run(
+        capsys,
+        "project", "--set",
+        '{"type":"ellipsoid","q":[[4851861,0,0],[0,33559308,0],[0,0,156042]]}',
+        "--point", "2.8,-0.1,0.1", "--height", "-0.001296247702469466",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["branch"] == "recession"
+    assert payload["alpha_star"] == 0.0
+
+
 @pytest.mark.parametrize("bracket", [[], ["--alpha0", "3", "--beta0", "5"]],
                          ids=["default", "bracket"])
 @pytest.mark.parametrize("max_iter", ["0", "-2"])
@@ -415,6 +443,20 @@ def test_polar_hyperbolic_infinite_sigma(capsys):
     payload = json.loads(out)
     assert payload["sigma"] == "+inf"
     assert payload["in_polar_set"] is False
+
+
+def test_polar_sigma_is_strict_json_at_extreme_scales(capsys):
+    # sigma is finite here; its squares would overflow unscaled.
+    code, out, _ = run(
+        capsys, "polar", "--set", '{"type":"hyperbolic"}', "--point", "1e200,1e199"
+    )
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["sigma"] == pytest.approx(5.0125629e197, rel=1e-8)
 
 
 def test_polar_ball_boundary(capsys):

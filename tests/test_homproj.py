@@ -298,6 +298,51 @@ def test_ellipsoid_kernel_is_exact_at_every_scale_of_q(c):
     assert branches == set(Branch)
 
 
+def moreau_certificate(set_, v, res):
+    """Largest of the three Moreau residuals of the answer p = (x, alpha*),
+    each relative to ||v||: p in K (its distance to K, through P_C), v - p in
+    the polar of K (s_q + sigma_C(y_q) <= 0), and <p, v - p> = 0."""
+    y, s = v
+    x, t = res.point
+    v_norm = math.hypot(float(np.linalg.norm(y)), s)
+    if t > 0.0:
+        primal = t * float(np.linalg.norm(x / t - set_.project(x / t)))
+    else:
+        primal = float(np.linalg.norm(x)) - t
+    q_y, q_s = y - x, s - t
+    dual = max(0.0, q_s + set_.support(q_y))
+    orth = abs(float(x @ q_y) + t * q_s) / v_norm
+    return max(primal, dual, orth) / v_norm
+
+
+def test_ellipsoid_kernel_certifies_on_the_boundaries_of_k_and_its_polar():
+    # Queries a few ulps to either side of, and exactly on, the boundary of K
+    # (s = ||W^1/2 u||) and of its polar (s = -sigma_C(y)), over random
+    # ellipsoids of condition up to 1e12: the kernel answers each, and its
+    # answer passes the Moreau certificate, which does not trust the root
+    # search.  The smallest eigenvalue stays at or above 1e-3: rounding p at
+    # eps ||v|| moves sigma_C(y_q) by up to eps ||v|| / sqrt(min w), so the
+    # certificate cannot read below that on a correctly rounded answer.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        cond = 10.0 ** rng.uniform(0.0, 12.0)
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = cond ** rng.uniform(0.0, 1.0, n)
+        w[:2] = 1.0, cond
+        ell = Ellipsoid((basis * (w * 10.0 ** rng.uniform(-3.0, 3.0))) @ basis.T)
+        for k in range(-2, 3):
+            for on_polar in (False, True):
+                y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+                u = ell._evecs.T @ y
+                edge = ell.support(y) if on_polar else math.sqrt(u @ (ell._evals * u))
+                v = (y, (-edge if on_polar else edge) * (1.0 + k * eps))
+                res = project_homogenization(ell, v)
+                assert (res.branch is Branch.RECESSION) == (res.alpha_star == 0.0)
+                assert moreau_certificate(ell, v, res) <= 1e-12
+
+
 @pytest.mark.parametrize("p, twin", [
     (2.0, EuclideanBall((0.0, 0.0, 0.0), 1.2)),
     (math.inf, Box((1.2, 1.2, 1.2))),
@@ -390,6 +435,19 @@ def test_generic_solver_rescales_extreme_queries_exactly(set_, force, e):
     unit = project_homogenization(set_, (y, s), alpha0=0.5, beta0=4.0, eps=1e-9,
                                   force_iterative=force)
     assert bracket.alpha_star == math.ldexp(unit.alpha_star, e)
+
+
+@pytest.mark.parametrize("set_, v", [
+    pytest.param(EuclideanBall((0.0, 0.0), 1.0), ((1.7e308, 1.7e308), 1.7e308),
+                 id="alpha_kernel"),
+    pytest.param(EuclideanBall((0.1, 0.0), 1.0), ((1.7e308, 1.7e308), 1.7e308),
+                 id="alpha_solver"),
+    # alpha* = 0, but the point is 1.4 M (0.6, 0.8) for M = 1.7e308.
+    pytest.param(BallPen((0.6, 0.8)), ((1.7e308, 1.7e308), -1.7e308), id="point"),
+])
+def test_a_projection_beyond_the_float_range_is_an_overflow_error(set_, v):
+    with pytest.raises(OverflowError, match="exceeds the float64 range"):
+        project_homogenization(set_, v)
 
 
 PUBLIC_NAMES = [

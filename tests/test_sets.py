@@ -7,6 +7,7 @@ import homcone.sets
 from homcone import (
     BallPen,
     Box,
+    Branch,
     CapabilityMissing,
     CenterOutsideRadius,
     DimensionMismatch,
@@ -203,6 +204,35 @@ def test_support_closed_forms_dominate_sampled_supremum():
             assert float(np.max(members @ y)) <= sigma + 1e-9
 
 
+@pytest.mark.parametrize("k", [-1000, 1000])
+@pytest.mark.parametrize("name,set_", make_projectable() + [
+    ("hyperbolic", Hyperbolic()), ("pball3", PBall(3.0, 1.0))])
+def test_support_and_recession_distance_are_exact_at_every_scale(name, set_, k):
+    # Both are positively homogeneous and evaluated on the exact power-of-2
+    # rescale of y, so y 2^k gives the value times 2^k bit for bit, and +inf
+    # stays +inf; no square overflows or underflows on the way.
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        y = rng.normal(size=set_.dim) * 3.0
+        big = np.ldexp(y, k)
+        sigma = set_.support(y)
+        expected = sigma if math.isinf(sigma) else math.ldexp(sigma, k)
+        assert set_.support(big) == expected
+        if not isinstance(set_, Hyperbolic):
+            dist = set_.recession_distance(y)
+            assert set_.recession_distance(big) == math.ldexp(dist, k)
+
+
+def test_support_and_recession_distance_near_the_float_limits():
+    # Finite where the true value is, +inf where it exceeds the float range.
+    assert Hyperbolic().support((1e200, 1e199)) == pytest.approx(
+        1e198 / (1.0 + math.sqrt(0.99)), rel=1e-14)
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    assert ball.support((1e200, 1e200)) == pytest.approx(2.0 ** 0.5 * 1e200, rel=1e-15)
+    assert ball.support((1.7e308, 1.7e308)) == math.inf
+    assert BallPen((0.0, 1.0)).recession_distance((1e200, 1e200)) == 1e200
+
+
 # ---------------------------------------------------------------------------
 # Recession cone
 # ---------------------------------------------------------------------------
@@ -395,14 +425,29 @@ def test_ellipsoid_newton_is_as_accurate_as_brent(cond, n):
             worst_newton, worst_brent)
 
 
+def test_ellipsoid_kernels_stay_in_range_on_an_extremely_stretched_q():
+    # Q = diag(1e200, 1): a start of the secular solve from ||c|| - max a = 0
+    # alone would overflow r = c / a on the stretched axis.
+    ell = Ellipsoid(np.diag([1e200, 1.0]))
+    np.testing.assert_allclose(ell.project((100.0, 0.0)), [1e-100, 0.0], rtol=1e-14)
+    # In the (y1, s) plane K is the ice-cream cone |y1| <= 1e-100 s.
+    res = project_homogenization(ell, ((0.1, 0.0), 1e-61))
+    alpha = (1e-61 + 1e-101) / (1.0 + 1e-200)
+    assert res.branch is Branch.CONE_INTERIOR
+    assert res.alpha_star == pytest.approx(alpha, rel=1e-14)
+    np.testing.assert_allclose(res.point.y, [1e-100 * alpha, 0.0], rtol=1e-14)
+
+
 def test_ellipsoid_root_searches_raise_when_their_budget_is_spent(monkeypatch):
     # One evaluation cannot converge on this far point of a stretched
-    # ellipsoid, for the Newton projector or for the cone kernel's Brent.
+    # ellipsoid, for the projector or for the cone kernel: both run the
+    # secular Newton solve.
     monkeypatch.setattr(homcone.sets, "_ROOT_MAX_STEPS", 1)
     ell = Ellipsoid([[1e3, 0.0], [0.0, 1e-3]])
     with pytest.raises(MaxIterationsExceeded, match="in 1 steps"):
         ell.project((50.0, 70.0))
-    with pytest.raises(MaxIterationsExceeded, match="in 1 evaluations"):
+    with pytest.raises(MaxIterationsExceeded,
+                       match="secular equation did not converge in 1 steps"):
         project_homogenization(ell, ((50.0, 70.0), 0.5))
 
 
