@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--height", required=True, type=float, help="the height s")
     pr.add_argument("--alpha0", type=float, default=None,
                     help="with --beta0, a starting bracket: selects the traced "
-                         "reference bisection")
+                         "reference bisection on every set")
     pr.add_argument("--beta0", type=float, default=None)
     pr.add_argument("--eps", type=float, default=1e-6,
                     help="tolerance on alpha*: relative by default, the absolute "

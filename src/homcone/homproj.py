@@ -11,17 +11,18 @@ bracket [0, s+ + ||(y, s)||], found by a safeguarded Brent iteration
 (:mod:`homcone.roots`) to a tolerance relative to alpha*; for bounded sets
 the support function decides the recession branch without a projector call.
 Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
-tolerance at every scale.  A caller-given bracket selects the reference
-bisection :func:`find_alpha_star` instead, whose trace reproduces the
-bundled reference table.  A set whose cone has an exact projector answers
+tolerance at every scale.  A set whose cone has an exact projector answers
 through its ``_project_cone`` kernel instead, with no psi' iteration, so the
 dispatch names no set class: the Euclidean ball centred at the origin and the
 ball pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
-p = 2 or p = inf by one sort, and the ellipsoid by one scalar root (see
-:mod:`homcone.sets`).  The ball off the origin and any set without a kernel
-take the solver.  A query whose largest entry lies beyond 2^(+-500) is
-projected on its exact power-of-2 rescale, ahead of the kernel and the
-solver alike, so neither forms a squared norm that overflows or underflows.
+p = 2 or p = inf by one sort, and the ellipsoid and the ball off the origin
+by one scalar root (see :mod:`homcone.sets`).  Any set without a kernel takes
+the solver.  A caller-given bracket selects the reference bisection
+:func:`find_alpha_star` on every set, kernel or not, as ``force_iterative``
+selects the solver; its trace reproduces the bundled reference table.  A
+query whose largest entry lies beyond 2^(+-500) is projected on its exact
+power-of-2 rescale, ahead of the kernel and the solver alike, so neither
+forms a squared norm that overflows or underflows.
 
 Each entry point validates its query in one pass (a finite y of the set's
 dimension and a finite height s), which also sizes it for the rescale;
@@ -257,20 +258,20 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     rescale (a caller's bracket and width rescaled alike), and the answer and
     trace are scaled back.  Dispatch then runs on the rescaled query: the
     set's ``_project_cone`` kernel answers exactly where it has one (the
-    origin-centred ball, the ball pen, the box, the l1 ball, the simplex, the
+    Euclidean ball, the ball pen, the box, the l1 ball, the simplex, the
     ellipsoid and ``PBall`` with p = 2 or inf), with ``iterations`` 0; where
-    it returns None (the ball off the origin, a set without a kernel) alpha*
-    is solved for on psi'.  ``force_iterative`` bypasses the kernel and the
-    membership shortcut so the iterative route can be compared against the
-    kernels.
+    it returns None (a set without a kernel) alpha* is solved for on psi'.
+    ``force_iterative`` bypasses the kernel and the membership shortcut so
+    the iterative route can be compared against the kernels.
 
     Without a bracket the solve is Brent's method on the a priori bracket,
     ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
-    and ``iterations`` counts them.  A bracket ``alpha0 < beta0`` selects the
-    reference bisection :func:`find_alpha_star` instead, with ``eps`` an
-    absolute width and ``iterations`` its outer steps.  ``max_iter`` below
-    1, an ``eps`` that is not positive and finite, and a bracket that is not
-    0 < alpha0 < beta0 with both finite are a ValueError before any work.
+    and ``iterations`` counts them.  A bracket ``alpha0 < beta0`` bypasses
+    the kernel and selects the reference bisection :func:`find_alpha_star`
+    on every set, with ``eps`` an absolute width and ``iterations`` its
+    outer steps.  ``max_iter`` below 1, an ``eps`` that is not positive and
+    finite, and a bracket that is not 0 < alpha0 < beta0 with both finite
+    are a ValueError before any work.
     """
     if (alpha0 is None) != (beta0 is None):
         raise ValueError("give both alpha0 and beta0, or neither")
@@ -290,7 +291,7 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
 
 def _project(set_, p, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
     """:func:`project_homogenization` on a validated query within 2^(+-500)."""
-    if not force_iterative:
+    if not force_iterative and alpha0 is None:
         exact = set_._project_cone(p.y, p.s)
         if exact is not None:
             alpha_star, x, branch = exact
@@ -362,7 +363,8 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
 
     The quartic arises from squaring the stationarity equation, which can
     introduce spurious roots; it is therefore used only as a residual check,
-    never solved for alpha*.
+    never solved for alpha*.  The ball's cone kernel reaches alpha* without
+    it, as a projection onto a quadratic cone (see :class:`EuclideanBall`).
     """
     ball = EuclideanBall(center, radius)
     z, g = ball.center, ball.radius

@@ -35,10 +35,13 @@ largest entry lies within 2^(+-500), or the origin, and forms no squared norm
 that overflows or underflows.
 The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have a
 closed form; the box, the l1 ball and the simplex solve a piecewise-linear
-equation over sorted breakpoints (:func:`_breakpoint_root`); the ellipsoid
-solves one scalar equation for its multiplier; ``PBall`` with p = 2 or
-p = inf uses the origin ball's or the box's kernel.  Only the ball off the
-origin and the p-balls without a projector have none.  A subclass that changes
+equation over sorted breakpoints (:func:`_breakpoint_root`); the ellipsoid and
+the ball off the origin project onto one quadratic cone
+{||W^1/2 z|| <= t} (:func:`_quadratic_cone`), which solves one scalar
+equation for its multiplier, the ellipsoid in its eigenbasis and the ball
+after one rotation of the plane of its centre and the height; ``PBall`` with
+p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
+p-balls without a projector have none.  A subclass that changes
 ``_project`` of one of these sets (``EuclideanBall``, ``BallPen``, ``Box``,
 ``L1Ball``, ``Simplex``, ``Ellipsoid``, ``PBall``) must also override
 ``_project_cone``, or the kernel would answer for the old set.
@@ -79,6 +82,9 @@ MEMBERSHIP_TOL = 1e-9
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_STEPS = 100
 
+#: :func:`_norm` rescales below this norm, where the square is below 2^-1000.
+_NORM_FLOOR = 2.0 ** -500
+
 
 def _as_query(y, dim=None, s=0.0):
     """Validate a query (y, s) in one pass: y a finite nonempty 1-D float64
@@ -115,6 +121,21 @@ def _ldexp_or_inf(value, e) -> float:
         return math.ldexp(value, e)
     except OverflowError:
         return math.copysign(math.inf, value)
+
+
+def _norm(v) -> float:
+    """||v||, also where its square overflows or underflows: ``np.vdot``
+    raises no floating-point warning, and only when the plain square is
+    infinite or below 2^-1000 is the norm taken of v scaled by its largest
+    entry."""
+    n = math.sqrt(np.vdot(v, v))
+    if _NORM_FLOOR < n < math.inf:
+        return n
+    top = float(np.abs(v).max())
+    if top == 0.0:
+        return 0.0
+    v = v / top
+    return top * math.sqrt(np.vdot(v, v))
 
 
 def _as_tolerance(tol) -> float:
@@ -234,49 +255,108 @@ class ConvexSet:
 
 
 class EuclideanBall(ConvexSet):
-    """Ball {x : ||x - center|| <= radius} with ||center|| <= radius."""
+    """Ball {x : ||x - center|| <= radius} with ||center|| <= radius.
+
+    Off the origin, with rho = ||c||, e = c / rho and a = <e, y>, the cone
+    K = {||y - s c|| <= gamma s} is the nappe s >= 0 of ||y - a e||^2 +
+    (a, s) M (a, s)^T <= 0 for M = [[1, -rho], [-rho, rho^2 - gamma^2]].
+    M has determinant -gamma^2, so one eigenvalue lam > 0 and one
+    -gamma^2 / lam < 0.  The rotation of the (a, s) plane onto its
+    eigenvectors, p = cos a - sin s and q = sin a + cos s with
+    tan = rho / (h + sqrt(h^2 + rho^2)), h = (1 + gamma^2 - rho^2) / 2, and
+    lam = 1 + rho tan, is orthogonal, and it maps K onto the quadratic cone
+    {||W^1/2 (||y - a e||, p)|| <= q} with W = diag(lam, lam^2) / gamma^2
+    (:func:`_quadratic_cone`).  The constructor takes the rotation and the
+    weights from this closed form once.
+    """
 
     def __init__(self, center, radius):
         self.center = as_vector(center)
         self.radius = float(radius)
         if not 0.0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        rho = _norm(self.center)
         # Relative slack, so that (t c, t r) is accepted alike at every scale t.
-        if float(np.linalg.norm(self.center)) > self.radius * (1.0 + 1e-12):
+        if rho > self.radius * (1.0 + 1e-12):
             raise CenterOutsideRadius(
                 "the ball must contain the origin: require ||center|| <= radius"
             )
         self.dim = self.center.size
-        self._centred = not np.any(self.center)
+        self._centred = rho == 0.0
+        self._axis = None
+        if not self._centred:
+            g = self.radius
+            # h and rho in units of gamma, so that no square overflows; h < 0
+            # only in the slack above, where R - h has no cancellation.
+            h = 0.5 / g + 0.5 * (g - rho) * (1.0 + rho / g)
+            b = rho / g
+            big = math.hypot(h, b)
+            tan = b / (h + big) if h >= 0.0 else (big - h) / b
+            k = (1.0 + rho * tan) / g
+            weights = np.array((k / g, k * k))
+            # Beyond these weights (radii above 1e135 or below 1e-135) the
+            # kernel's squares could leave the float64 range: the solver answers.
+            if 2.0 ** -900 <= weights.min() and weights.max() <= 2.0 ** 900:
+                cos = 1.0 / math.hypot(1.0, tan)
+                self._axis = self.center / rho
+                self._turn = (cos, tan * cos)
+                self._weights = weights
 
     def __repr__(self):
         return f"EuclideanBall(center={self.center.tolist()}, radius={self.radius})"
 
     def _contains(self, x, tol):
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+        return _norm(x - self.center) <= self.radius + tol
 
     def _project(self, x):
         r = x - self.center
-        return self.center + self.radius * r / max(float(np.linalg.norm(r)), self.radius)
+        return self.center + self.radius * r / max(_norm(r), self.radius)
 
     def _support(self, y):
-        return float(self.center @ y) + self.radius * float(np.linalg.norm(y))
+        return float(self.center @ y) + self.radius * _norm(y)
 
     def _project_cone(self, y, s):
         """The ice-cream cone {||y|| <= gamma s} for the centre 0: the identity
         where ||y|| <= gamma s, the apex where gamma ||y|| <= -s, and otherwise
-        the ray point with alpha* = (s + gamma ||y||) / (1 + gamma^2).  Balls
-        off the origin return None."""
-        if not self._centred:
+        the ray point with alpha* = (s + gamma ||y||) / (1 + gamma^2).
+
+        Off the origin, the quadratic cone of the class docstring on the
+        2-vector (||y_perp||, p) and the height q, for y = a e + y_perp; the
+        answer (z, t) is rotated back and z_1 scales y_perp.  The rotated
+        query is rescaled by a power of 2 to a largest entry below 1, so
+        weights far from 1 square nothing out of range."""
+        if self._centred:
+            gamma = self.radius
+            ny = _norm(y)
+            if ny <= gamma * s:
+                return s, y.copy(), Branch.ALREADY_IN_K
+            if gamma * ny <= -s:
+                return 0.0, np.zeros_like(y), Branch.RECESSION
+            rho = (s + gamma * ny) / (1.0 + gamma * gamma)
+            return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
+        e = self._axis
+        if e is None:
             return None
-        gamma = self.radius
-        ny = float(np.linalg.norm(y))
-        if ny <= gamma * s:
-            return s, y.copy(), Branch.ALREADY_IN_K
-        if gamma * ny <= -s:
+        cos, sin = self._turn
+        a = float(e @ y)
+        perp = y - a * e
+        r = _norm(perp)
+        p, q = cos * a - sin * s, sin * a + cos * s
+        k = math.frexp(max(r, abs(p), abs(q)))[1]
+        cone = _quadratic_cone(np.array((math.ldexp(r, -k), math.ldexp(p, -k))),
+                               self._weights, math.ldexp(q, -k))
+        # K lies in s >= ||y|| / (gamma + rho); a height below 0 comes from
+        # rounding in the rotation, at radii beyond about 1e15 only.
+        if cone is None:
+            return max(s, 0.0), y.copy(), Branch.ALREADY_IN_K
+        t, z = cone
+        if t == 0.0:
             return 0.0, np.zeros_like(y), Branch.RECESSION
-        rho = (s + gamma * ny) / (1.0 + gamma * gamma)
-        return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
+        t, zr, zp = (math.ldexp(float(v), k) for v in (t, z[0], z[1]))
+        x = (cos * zp + sin * t) * e
+        if r > 0.0:
+            x += (zr / r) * perp
+        return max(cos * t - sin * zp, 0.0), x, Branch.CONE_INTERIOR
 
     def _polar(self):
         """The ball of radius 1/gamma; off the origin gamma ||y|| + <z, y> <= 1."""
@@ -511,24 +591,53 @@ def _secular_root(c, a):
     M(x) >= 1 or a step is at most ``_ROOT_RTOL`` x; raises
     MaxIterationsExceeded after ``_ROOT_MAX_STEPS`` evaluations.
     """
-    x = max(math.sqrt(float(c @ c)) - float(a.max()), 0.0)
+    x = max(_norm(c) - float(a.max()), 0.0)
     a_lo = float(a.min())
     if a_lo > 0.0:
-        x = max(x, float(np.linalg.norm(c * (a_lo / a))) - a_lo)
+        x = max(x, _norm(c * (a_lo / a)) - a_lo)
     for _ in range(_ROOT_MAX_STEPS):
         d = a + x
         r = c / d
-        f = float(r @ r)
+        f = float(np.vdot(r, r))
         if f <= 1.0:
             return x
         # The Newton step (1 - M) / M' is f (sqrt(f) - 1) / g, g = sum r^2 / d.
-        step = f * (math.sqrt(f) - 1.0) / float((r / d) @ r)
+        step = f * (math.sqrt(f) - 1.0) / float(np.vdot(r / d, r))
         x += step
         if step <= _ROOT_RTOL * x:
             return x
     raise MaxIterationsExceeded(
         f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
     )
+
+
+def _quadratic_cone(u, w, s):
+    """Projection of (u, s) onto the quadratic cone {(z, t) : ||W^1/2 z|| <= t}
+    with W = diag(w), w > 0: None where (u, s) lies in it, else ``(t, z)``,
+    with t = 0 (and z None) at the apex.
+
+    Off the cone and its polar, the KKT conditions give z = u / (1 + mu w)
+    and t = ||W^1/2 z|| = s / (1 - mu) for a multiplier mu > 0, so
+    z = t u / d with d = t + (t - s) w.  The unknown is v = t - max(s, 0),
+    which keeps t - s = v + max(-s, 0) exact however small mu is: t is the
+    root of M(v) = 1 for M(v) = 1 / ||W^1/2 u / d(v)||.  Each d_i is linear
+    and increasing in v, so M is concave and increasing, from s / ||W^1/2 u||
+    (s > 0) or -s / ||W^-1/2 u|| (s <= 0) at v = 0 to at least 1 at
+    t = ||W^1/2 u||.  :func:`_secular_root` solves it with c = W^1/2 u /
+    (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
+    relative to v, independent of the scale of the query and of w.  On the
+    polar of the cone, M(0) >= 1, the root is v = 0 and t = 0: the apex.
+    """
+    wu = np.sqrt(w) * u
+    if math.sqrt(np.vdot(wu, wu)) <= s:
+        return None
+    base, lift = max(s, 0.0), max(-s, 0.0)
+    w1 = 1.0 + w
+    v = _secular_root(wu / w1, (base + lift * w) / w1)
+    t = base + v
+    if t == 0.0:
+        return 0.0, None
+    return t, u * (t / ((v + lift) * w + t))
 
 
 class Ellipsoid(ConvexSet):
@@ -564,50 +673,38 @@ class Ellipsoid(ConvexSet):
 
     def _contains(self, x, tol):
         u = self._evecs.T @ x
-        return float(u @ (self._evals * u)) <= 1.0 + tol
+        return float(np.vdot(u, self._evals * u)) <= 1.0 + tol
 
     def _project(self, x):
         w = self._evals
         u = self._evecs.T @ x
-        if float(u @ (w * u)) <= 1.0:
+        gauge = np.vdot(u, w * u)
+        if gauge <= 1.0:
             return x.copy()
-        lam = _secular_root(u / np.sqrt(w), 1.0 / w)
-        return self._evecs @ (u / (1.0 + lam * w))
+        one = 1.0
+        if gauge == math.inf:
+            # Where the gauge overflows, u, lam and 1 are scaled alike by a
+            # power of 2, which leaves the secular equation and z unchanged.
+            e = math.frexp(float(np.abs(u).max()))[1]
+            u, one = np.ldexp(u, -e), math.ldexp(1.0, -e)
+        lam = _secular_root(u / np.sqrt(w), one / w)
+        return self._evecs @ (u / (one + lam * w))
 
     def _support(self, y):
         u = self._evecs.T @ y
         return float(math.sqrt(np.sum(u * u / self._evals)))
 
     def _project_cone(self, y, s):
-        """K = {(y, s) : ||W^1/2 u|| <= s} with u = V^T y, a quadratic cone.
-
-        Off K and its polar, the KKT conditions give the point V z with
-        z = u / (1 + mu w) and the height t = ||W^1/2 z|| = s / (1 - mu) for
-        a multiplier mu > 0, so z = t u / d with d = t + (t - s) w.  The
-        unknown is v = t - max(s, 0), which keeps t - s = v + max(-s, 0)
-        exact however small mu is: t is the root of M(v) = 1 for
-        M(v) = 1 / ||W^1/2 u / d(v)||.  Each d_i is linear and increasing in
-        v, so M is concave and increasing, from s / ||W^1/2 u|| (s > 0) or
-        -s / sigma_C(y) (s <= 0) at v = 0 to at least 1 at
-        t = ||W^1/2 u||.  :func:`_secular_root` solves it with c = W^1/2 u /
-        (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
-        relative to v, independent of the scale of the query and of Q.  On
-        the polar of K, M(0) >= 1, the root is v = 0 and t = 0: the apex.
-        Like every kernel it receives a query within 2^(+-500), so no
-        squared norm overflows.
-        """
-        w = self._evals
-        u = self._evecs.T @ y
-        wu = np.sqrt(w) * u
-        q = math.sqrt(float(wu @ wu))
-        if q <= s:
+        """K = {(y, s) : ||W^1/2 u|| <= s} with u = V^T y: the quadratic cone
+        of :func:`_quadratic_cone`, whose answer (t, z) is the point V z at
+        height t.  Like every kernel it receives a query within 2^(+-500),
+        so no squared norm overflows."""
+        cone = _quadratic_cone(self._evecs.T @ y, self._evals, s)
+        if cone is None:
             return s, y.copy(), Branch.ALREADY_IN_K
-        base, lift = max(s, 0.0), max(-s, 0.0)
-        v = _secular_root(wu / (1.0 + w), (base + lift * w) / (1.0 + w))
-        t = base + v
+        t, z = cone
         if t == 0.0:
             return 0.0, np.zeros_like(y), Branch.RECESSION
-        z = u * (t / ((v + lift) * w + t))
         return t, self._evecs @ z, Branch.CONE_INTERIOR
 
     def _polar(self):
@@ -668,7 +765,7 @@ class BallPen(ConvexSet):
 
     def _ray_residual(self, x):
         r = x - self._project_recession(x)
-        return r, float(np.linalg.norm(r))
+        return r, _norm(r)
 
     def _contains(self, x, tol):
         _, dr = self._ray_residual(x)
@@ -688,9 +785,12 @@ class BallPen(ConvexSet):
     def _project_cone(self, y, s):
         """Split on delta = dist(y, ray) against -s and s: the recession branch
         when delta <= -s, the identity-height branch when delta <= s, and the
-        averaged branch alpha* = (s + delta) / 2 otherwise."""
+        averaged branch alpha* = (s + delta) / 2 otherwise, where
+        alpha* P_C(y / alpha*) moves y towards the ray by the factor
+        alpha* / delta < 1."""
         on_ray = self._project_recession(y)
-        delta = float(np.linalg.norm(y - on_ray))
+        r = y - on_ray
+        delta = _norm(r)
         if delta <= -s:
             return 0.0, on_ray, Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
         if delta <= s:
@@ -698,7 +798,7 @@ class BallPen(ConvexSet):
             # projected point reproduces (y, s).
             return s, y.copy(), Branch.ALREADY_IN_K
         alpha = 0.5 * (s + delta)
-        return alpha, alpha * self._project(y / alpha), Branch.CONE_INTERIOR
+        return alpha, on_ray + (alpha / delta) * r, Branch.CONE_INTERIOR
 
     def _polar(self):
         """The unit ball cut by <d, y> <= 0."""

@@ -190,9 +190,9 @@ def test_ball_pen_ray_branch():
 
 
 @pytest.mark.parametrize("set_", [
-    EuclideanBall((0.0, 0.0), 1.5), BallPen((0.6, 0.8)), Box((1.0, 0.5)),
-    L1Ball(1.2), Simplex(2), Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
-], ids=["ball0", "ballpen", "box", "l1", "simplex", "ellipsoid"])
+    EuclideanBall((0.0, 0.0), 1.5), EuclideanBall((0.4, 0.2), 1.0), BallPen((0.6, 0.8)),
+    Box((1.0, 0.5)), L1Ball(1.2), Simplex(2), Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
+], ids=["ball0", "ball_off", "ballpen", "box", "l1", "simplex", "ellipsoid"])
 def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
     kernel = type(set_)._project_cone
     calls = []
@@ -236,7 +236,16 @@ def kernel_sets():
         ("ellipsoid_cond_1e12", ill_conditioned_ellipsoid()),
         ("pball2", PBall(2.0, 1.2, dim=3)),
         ("pballinf", PBall(math.inf, 0.9, dim=3)),
+        # The off-centre ball at rho = ||c|| of 1e-12, gamma / 2 and gamma:
+        # the last is the paper's shifted unit ball, the origin on its sphere.
+        ("ball_off_rho_1e-12", EuclideanBall(1e-12 * OFF_AXIS, 1.0)),
+        ("ball_off_rho_half", EuclideanBall(0.5 * OFF_AXIS, 1.0)),
+        ("ball_off_rho_gamma", EuclideanBall(OFF_AXIS, 1.0)),
+        ("ball_off_1d", EuclideanBall((-0.5,), 1.0)),
     ]
+
+
+OFF_AXIS = np.array([0.6, 0.0, -0.8])
 
 
 def kernel_queries(set_, rng, count=45):
@@ -296,6 +305,72 @@ def test_ellipsoid_kernel_is_exact_at_every_scale_of_q(c):
         assert abs(fast.alpha_star - slow.alpha_star) <= 1e-12 * v_norm
         assert float(np.linalg.norm(fast.point.y - slow.point.y)) <= 1e-12 * v_norm
     assert branches == set(Branch)
+
+
+@pytest.mark.parametrize("rho", [1e-12, 0.5, 1.0])
+def test_off_centre_ball_kernel_on_the_centre_axis(rho):
+    # y = a e leaves y_perp = 0, the kernel's own branch: every branch there
+    # agrees with the solver as above.
+    ball = EuclideanBall(rho * OFF_AXIS, 1.0)
+    branches = set()
+    for a in (-3.0, -0.5, 0.0, 0.5, 3.0):
+        for s in (-4.0, -1.0, 0.0, 0.3, 1.0, 4.0):
+            v = (a * OFF_AXIS, s)
+            v_norm = math.hypot(a, s)
+            fast = project_homogenization(ball, v)
+            slow = project_homogenization(ball, v, eps=1e-13, force_iterative=True)
+            branches.add(fast.branch)
+            assert abs(fast.alpha_star - slow.alpha_star) <= 1e-12 * v_norm
+            assert float(np.linalg.norm(fast.point.y - slow.point.y)) <= 1e-12 * v_norm
+    assert branches == set(Branch)
+
+
+def test_off_centre_ball_rotation_diagonalises_m():
+    # The closed-form rotation and weights against an eigensolver on
+    # M = [[1, -rho], [-rho, rho^2 - gamma^2]].
+    for rho, gamma in [(1e-12, 1.0), (0.5, 1.0), (1.0, 1.0), (0.3, 0.4), (2.0, 7.0)]:
+        ball = EuclideanBall((rho, 0.0), gamma)
+        cos, sin = ball._turn
+        m = np.array([[1.0, -rho], [-rho, rho * rho - gamma * gamma]])
+        rot = np.array([[cos, -sin], [sin, cos]])
+        lam, neg = np.diag(rot @ m @ rot.T)
+        np.testing.assert_allclose(rot @ m @ rot.T, np.diag([lam, neg]),
+                                   atol=1e-14 * gamma ** 2)
+        np.testing.assert_allclose(ball._weights, [1.0 / -neg, lam / -neg], rtol=1e-13)
+        assert sin * rho + cos > 0.0  # q > 0 on the ray through (c, 1)
+
+
+@pytest.mark.parametrize("exponent", range(-100, 101, 25))
+@pytest.mark.parametrize("rho", [1e-12, 0.5, 1.0])
+def test_off_centre_ball_kernel_at_extreme_radii(rho, exponent):
+    # From a radius of 1e-100 to 1e100, at query scales from 1e-300 to 1e300:
+    # no exception and no RuntimeWarning (an error under pytest), a height
+    # >= 0, and <p, v - p> = 0 to 1e-12 ||v||^2.
+    gamma = 10.0 ** exponent
+    ball = EuclideanBall(rho * gamma * OFF_AXIS, gamma)
+    rng = np.random.default_rng(57)
+    for t in (1e-300, 1e-9, 1.0, 1e12, 1e300):
+        for _ in range(12):
+            y = rng.normal(size=3) * (max(gamma, 1.0) if rng.integers(2) else 1.0)
+            s = rng.uniform(-1.0, 1.0)
+            unit = max(float(np.abs(y).max()), abs(s))
+            y, s = y / unit, s / unit
+            res = project_homogenization(ball, (t * y, t * s))
+            x, h = res.point.y / t, res.point.s / t
+            assert h >= 0.0 and np.all(np.isfinite(x))
+            orth = float(x @ (y - x)) + h * (s - h)
+            assert abs(orth) <= 1e-12 * (float(y @ y) + s * s)
+
+
+def test_off_centre_ball_beyond_the_kernel_weights_takes_the_solver():
+    # At radius 1e-140 the weights (about 1e280) leave 2^(+-900): the kernel
+    # declines and the generic solver answers.
+    ball = EuclideanBall((5e-141, 0.0), 1e-140)
+    v = ((1.0, 1.0), 1.0)
+    assert ball._project_cone(*v) is None
+    res = project_homogenization(ball, v, eps=1e-12)
+    assert res.iterations > 0 and res.branch is Branch.CONE_INTERIOR
+    assert moreau_certificate(ball, v, res) <= 1e-9
 
 
 def moreau_certificate(set_, v, res):
@@ -668,7 +743,8 @@ def test_default_solver_is_scale_invariant_on_reference_query():
 
 def test_default_solver_trace_rows():
     ball = EuclideanBall((1.0, 0.0), 1.0)
-    res = project_homogenization(ball, ((1.0, 2.0), 1.0), keep_trace=True, eps=1e-12)
+    res = project_homogenization(ball, ((1.0, 2.0), 1.0), keep_trace=True, eps=1e-12,
+                                 force_iterative=True)
     rows = res.trace
     # The a priori bracket [0, s+ + ||(y, s)||], then one trial per row, each
     # inside its bracket; the row count is the psi' call count.
@@ -679,6 +755,59 @@ def test_default_solver_trace_rows():
         assert r.alpha < r.mid < r.beta
         assert r.dpsi_alpha < 0.0 < r.dpsi_beta
     assert res.alpha_star == pytest.approx(REFERENCE_ALPHA_STAR, abs=1e-6)
+
+
+@pytest.mark.parametrize("set_", [
+    Box((1.0, 0.7)), EuclideanBall((0.0, 0.0), 1.0), EuclideanBall((0.4, 0.2), 1.0),
+    Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
+], ids=["box", "ball0", "ball_off", "ellipsoid"])
+def test_a_caller_bracket_selects_the_bisection_on_kernel_sets(set_):
+    # The bracket selects the reference bisection as force_iterative selects
+    # the solver: iterations counts its steps, and alpha* is the left end of a
+    # final bracket narrower than eps around the kernel's answer.
+    v = ((3.0, -1.0), 0.5)
+    kernel = project_homogenization(set_, v)
+    bisected = project_homogenization(set_, v, alpha0=0.5, beta0=4.0, eps=1e-9)
+    assert kernel.iterations == 0 < bisected.iterations
+    assert bisected.branch is kernel.branch is Branch.CONE_INTERIOR
+    assert abs(bisected.alpha_star - kernel.alpha_star) <= 1e-9
+
+
+class _UserBall(homcone.ConvexSet):
+    """A ball given only through _project, _support and _contains, with no
+    cone kernel: the package's generic route is all it has."""
+
+    def __init__(self, center, radius):
+        self.center, self.radius = np.asarray(center, dtype=float), radius
+        self.dim = self.center.size
+
+    def _project(self, x):
+        d = x - self.center
+        n = float(np.linalg.norm(d))
+        return x.copy() if n <= self.radius else self.center + self.radius * d / n
+
+    def _support(self, y):
+        return float(self.center @ y) + self.radius * float(np.linalg.norm(y))
+
+    def _contains(self, x, tol):
+        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+
+
+def test_a_set_without_a_cone_kernel_runs_the_solver():
+    rng = np.random.default_rng(59)
+    solved = 0
+    for _ in range(60):
+        center = rng.normal(size=3)
+        center *= rng.uniform(0.1, 1.0) / np.linalg.norm(center)
+        v = (rng.uniform(-4.0, 4.0, 3), rng.uniform(-4.0, 4.0))
+        user = project_homogenization(_UserBall(center, 1.0), v, eps=1e-12)
+        kernel = project_homogenization(EuclideanBall(center, 1.0), v)
+        assert kernel.iterations == 0
+        assert user.branch is kernel.branch
+        solved += user.iterations > 0
+        assert abs(user.alpha_star - kernel.alpha_star) <= 1e-9
+        np.testing.assert_allclose(user.point.y, kernel.point.y, rtol=0, atol=1e-9)
+    assert solved >= 30
 
 
 def test_default_solver_recession_needs_no_projector_call():
@@ -883,6 +1012,40 @@ def test_quartic_residual_at_reference_alpha():
     ball = EuclideanBall((1.0, 0.0), 1.0)
     res = project_homogenization(ball, ((1.0, 2.0), 1.0), alpha0=3.0, beta0=5.0)
     assert abs(q.residual(res.alpha_star)) < 1e-4
+
+
+def test_off_centre_kernel_alpha_is_a_root_of_the_quartic():
+    # The paper's check: the kernel never forms the quartic, yet its alpha*
+    # on cone-interior queries is a root of it, relative to max |xi_i|.
+    rng = np.random.default_rng(58)
+    checked = 0
+    for _ in range(200):
+        gamma = rng.uniform(0.5, 2.0)
+        n = int(rng.integers(2, 5))
+        d = rng.normal(size=n)
+        center = d * (gamma * rng.choice([1e-6, 0.3, 0.7, 1.0]) / np.linalg.norm(d))
+        y, s = rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0)
+        res = project_homogenization(EuclideanBall(center, gamma), (y, s))
+        if res.branch is not Branch.CONE_INTERIOR:
+            continue
+        assert res.iterations == 0
+        q = quartic_coefficients(center, gamma, y, s)
+        assert abs(q.residual(res.alpha_star)) <= 1e-12 * max(abs(c) for c in q)
+        checked += 1
+    assert checked >= 100
+
+
+def test_reference_instance_on_the_default_path_takes_the_kernel():
+    ball = EuclideanBall((1.0, 0.0), 1.0)
+    res = project_homogenization(ball, ((1.0, 2.0), 1.0))
+    assert res.iterations == 0 and res.branch is Branch.CONE_INTERIOR
+    # The reference value is the bisection's, to its width 1e-6; the kernel's
+    # alpha* is the exact root, 1.45971961...
+    assert res.alpha_star == pytest.approx(REFERENCE_ALPHA_STAR, abs=1e-6)
+    np.testing.assert_allclose(res.point.y, [1.1327162, 1.4226203], rtol=0, atol=1e-6)
+    exact = project_homogenization(ball, ((1.0, 2.0), 1.0), eps=1e-13,
+                                   force_iterative=True)
+    assert res.alpha_star == pytest.approx(exact.alpha_star, rel=1e-14)
 
 
 def test_quartic_degenerates_at_origin_center():

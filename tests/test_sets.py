@@ -438,6 +438,38 @@ def test_ellipsoid_kernels_stay_in_range_on_an_extremely_stretched_q():
     np.testing.assert_allclose(res.point.y, [1e-100 * alpha, 0.0], rtol=1e-14)
 
 
+def test_public_projectors_are_exact_where_the_squared_norm_overflows():
+    # ||x||^2 of a query near 1e200 overflows; the norm or gauge is then taken
+    # on x scaled by a power of 2, with no RuntimeWarning (an error here).
+    far = (1e200, 1e200)
+    np.testing.assert_allclose(EuclideanBall((0.0, 0.0), 1.0).project(far),
+                               [math.sqrt(0.5)] * 2, rtol=1e-15)
+    np.testing.assert_allclose(EuclideanBall((0.3, 0.0), 1.0).project(far),
+                               [0.3 + math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15)
+    assert BallPen((0.0, 1.0)).project(far).tolist() == [1.0, 1e200]
+    ell = Ellipsoid([[2.0, 0.3], [0.3, 0.8]])
+    # Far along a direction the projection is the point whose normal it is.
+    np.testing.assert_allclose(ell.project(far), ell.project((1e20, 1e20)), rtol=1e-14)
+    np.testing.assert_allclose(ell.project((-3e300, 1e300)),
+                               ell.project((-3e20, 1e20)), rtol=1e-14)
+    for set_ in (EuclideanBall((0.3, 0.0), 1.0), BallPen((0.0, 1.0)), ell):
+        assert not set_.contains((1e200, -1e200))
+    tiny = EuclideanBall((1e-200, 0.0), 1e-200)
+    assert tiny.project((1.0, 0.0)).tolist() == [2e-200, 0.0]
+
+
+def test_ellipsoid_kernel_stays_in_range_on_a_large_eigenvalue():
+    # ||W^1/2 u||^2 overflows at a query within 2^500 when Q has a large
+    # eigenvalue; the kernel agrees with the solver without a RuntimeWarning.
+    ell = Ellipsoid(np.diag([1e10, 1.0]))
+    v = ((1e150, 1e150), 1.0)
+    fast = project_homogenization(ell, v)
+    slow = project_homogenization(ell, v, eps=1e-13, force_iterative=True)
+    assert fast.branch is slow.branch is Branch.CONE_INTERIOR
+    assert fast.alpha_star == pytest.approx(slow.alpha_star, rel=1e-12)
+    np.testing.assert_allclose(fast.point.y, slow.point.y, rtol=1e-12)
+
+
 def test_ellipsoid_root_searches_raise_when_their_budget_is_spent(monkeypatch):
     # One evaluation cannot converge on this far point of a stretched
     # ellipsoid, for the projector or for the cone kernel: both run the

@@ -134,8 +134,9 @@ def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
     # Outside the set, so the iterative sets take the cone-interior branch.
     y = np.full(set_.dim, 3.0)
     res = project_homogenization(set_, (y, 0.5))
-    closed_form = name in ("ball0", "ballpen", "strip", "box", "l1", "simplex",
-                           "ellipsoid", "pball2", "pballinf")
+    closed_form = name in ("ball0", "ball_off", "ballpen", "strip", "box", "l1",
+                           "simplex", "ellipsoid", "pball2", "pballinf",
+                           "shifted_unit_ball")
     assert res.branch.value == "cone_interior"
     assert (res.iterations == 0) == closed_form
     assert calls == [set_.dim]
