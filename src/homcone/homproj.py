@@ -15,8 +15,11 @@ tolerance at every scale.  A set whose cone has an exact projector answers
 through its ``_project_cone`` kernel instead, with no psi' iteration, so the
 dispatch names no set class: the Euclidean ball centred at the origin and the
 ball pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
-p = 2 or p = inf by one sort, and the ellipsoid and the ball off the origin
-by one scalar root (see :mod:`homcone.sets`).  Any set without a kernel takes
+p = 2 or p = inf by sorting the breakpoints of a piecewise-linear equation
+(above 1,024 of them only those in a bracket that a strided sample puts
+around the root, where the equation folded onto them is exact), and the
+ellipsoid and the ball off the origin by one scalar root (see
+:mod:`homcone.sets`).  Any set without a kernel takes
 the solver.  A caller-given bracket selects the reference bisection
 :func:`find_alpha_star` on every set, kernel or not, as ``force_iterative``
 selects the solver; its trace reproduces the bundled reference table.  A

@@ -35,7 +35,10 @@ largest entry lies within 2^(+-500), or the origin, and forms no squared norm
 that overflows or underflows.
 The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have a
 closed form; the box, the l1 ball and the simplex solve a piecewise-linear
-equation over sorted breakpoints (:func:`_breakpoint_root`); the ellipsoid and
+equation over sorted breakpoints (:func:`_breakpoint_root`), above 1,024 of
+them only over those inside a bracket that a strided sample puts around the
+root, where the equation with the breakpoints above the bracket folded into
+its constant and slope is exact; the ellipsoid and
 the ball off the origin project onto one quadratic cone
 {||W^1/2 z|| <= t} (:func:`_quadratic_cone`), which solves one scalar
 equation for its multiplier, the ellipsoid in its eigenbasis and the ball
@@ -310,7 +313,13 @@ class EuclideanBall(ConvexSet):
 
     def _project(self, x):
         r = x - self.center
-        return self.center + self.radius * r / max(_norm(r), self.radius)
+        n = _norm(r)
+        if n == math.inf:
+            # Beyond the float range the direction comes from r scaled by
+            # its largest entry.
+            r = r / float(np.abs(r).max())
+            return self.center + (self.radius / _norm(r)) * r
+        return self.center + self.radius * r / max(n, self.radius)
 
     def _support(self, y):
         return float(self.center @ y) + self.radius * _norm(y)
@@ -379,6 +388,11 @@ class Box(ConvexSet):
             raise ValueError("halfwidths must be nonnegative")
         self.halfwidths = b
         self.dim = b.size
+        # The cone kernel's breakpoints skip zero halfwidths.
+        live = np.flatnonzero(b > 0.0)
+        self._live = None if live.size == b.size else live
+        self._live_b = b[live]
+        self._live_bb = self._live_b * self._live_b
 
     def __repr__(self):
         return f"Box(halfwidths={self.halfwidths.tolist()})"
@@ -405,10 +419,12 @@ class Box(ConvexSet):
             return s, y.copy(), Branch.ALREADY_IN_K
         if s + float(b @ a) <= 0.0:
             return 0.0, np.zeros_like(y), Branch.RECESSION
-        live = b > 0.0
-        a, b_live = a[live], b[live]
-        alpha = _breakpoint_root(a / b_live, 1.0, s, b_live * a, b_live * b_live)
-        return alpha, y.clip(-alpha * b, alpha * b), Branch.CONE_INTERIOR
+        if self._live is not None:
+            a = a[self._live]
+        b_live = self._live_b
+        alpha = _breakpoint_root(a / b_live, 1.0, s, b_live * a, self._live_bb)
+        ab = alpha * b
+        return alpha, np.minimum(np.maximum(y, -ab), ab), Branch.CONE_INTERIOR
 
     def _polar(self):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
@@ -422,18 +438,68 @@ class Box(ConvexSet):
         return contains, polar_set
 
 
+#: Above 4 times this many breakpoints, :func:`_breakpoint_root` brackets
+#: the root by a strided sample of about this many before it sorts.
+_SAMPLE = 256
+
+
 def _breakpoint_root(t, slope, offset, u=None, w=None):
     """Root x of the decreasing piecewise-linear function
 
         F(x) = offset - slope x + sum_i max(u_i - w_i x, 0),   w_i > 0,
 
-    whose breakpoints are t = u / w (u = t and w = 1 when not given), by one
-    sort and one cumulative sum.  Where exactly the k largest breakpoints
-    exceed x, F is linear with root x_k = (offset + U_k) / (slope + W_k), U_k
-    and W_k the sums of their u and w; the root of F is the x_k of the last
-    k whose k-th breakpoint exceeds x_k, or offset / slope when no breakpoint
-    does.  The box, l1 and simplex projectors and their cone kernels all
-    reduce to it.
+    whose breakpoints are t = u / w (u = t and w = 1 when not given).  The
+    box, l1 and simplex projectors and their cone kernels all reduce to it.
+
+    Up to 4 _SAMPLE breakpoints, one sort and one cumulative sum find it
+    (:func:`_sorted_root`).  Above, that formula first solves F / stride on
+    every stride-th breakpoint, a sample of S >= _SAMPLE, whose root has k
+    sample breakpoints above it; the sample breakpoints g = 3 + 2
+    sqrt(min(k, S - k)) ranks above and below bracket F's root as (lo, hi],
+    a side that runs off the sample being +-inf (the sampling step of Floyd
+    and Rivest, "Expected time bounds for selection", 1975).  Then
+    :func:`_window_root` sorts only the breakpoints in (lo, hi].  Its
+    folded function equals F on [lo, hi], so a root it finds there is
+    exactly F's root.  A root beyond hi (below lo) means that F's root lies
+    there too, and the bracket moves to the next 2 g sample ranks on that
+    side and, should that miss again, to the whole side, where the folded
+    function equals F once more.
+    """
+    if t.size <= 4 * _SAMPLE:
+        return _sorted_root(t, slope, offset, u, w)[0]
+    step = t.size // _SAMPLE
+    cut = slice(None, None, step)
+    _, ts, k = _sorted_root(t[cut], slope / step, offset / step,
+                            None if w is None else u[cut],
+                            None if w is None else w[cut])
+    g = 3 + int(2.0 * math.sqrt(min(k, ts.size - k)))
+
+    def rank(i, beyond):
+        return float(ts[i]) if 0 <= i < ts.size else beyond
+
+    lo, hi = rank(k + g - 1, -math.inf), rank(k - g, math.inf)
+    x = _window_root(t, slope, offset, u, w, lo, hi)
+    for reach in (3 * g, ts.size):
+        if x > hi:
+            lo, hi = hi, rank(k - reach, math.inf)
+        elif x < lo:
+            lo, hi = rank(k + reach - 1, -math.inf), lo
+        else:
+            break
+        x = _window_root(t, slope, offset, u, w, lo, hi)
+    return x
+
+
+def _sorted_root(t, slope, offset, u, w):
+    """The root of F of :func:`_breakpoint_root` by one sort and one
+    cumulative sum, with the breakpoints in decreasing order and the number
+    k of them that exceed the root.
+
+    Where exactly the k largest breakpoints exceed x, F is linear with root
+    x_k = (offset + U_k) / (slope + W_k), U_k and W_k the sums of their u
+    and w; F(t_k) < 0 exactly when t_k > x_k, so the root of F is the x_k of
+    the last k whose k-th breakpoint exceeds x_k, or offset / slope when no
+    breakpoint does.
     """
     if w is None:
         t = np.sort(t)[::-1]
@@ -443,7 +509,34 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
         t = t[order]
         x = (offset + u[order].cumsum()) / (slope + w[order].cumsum())
     k = (t > x).nonzero()[0]
-    return float(x[k[-1]]) if k.size else offset / slope
+    if k.size:
+        return float(x[k[-1]]), t, int(k[-1]) + 1
+    return offset / slope, t, 0
+
+
+def _window_root(t, slope, offset, u, w, lo, hi):
+    """The root of F of :func:`_breakpoint_root` folded onto the bracket
+    (lo, hi]: the breakpoints above hi exceed every x <= hi, so their terms
+    are linear there and fold into offset and slope; those at or below lo
+    vanish for every x >= lo.  The folded function equals F on [lo, hi]
+    and up to the nearest breakpoints outside it, and only the breakpoints
+    in (lo, hi] are sorted."""
+    inside = t > lo
+    if hi < math.inf:
+        above = t > hi
+        mask = above.astype(float)
+        if w is None:
+            offset += float(mask @ t)
+            slope += float(np.count_nonzero(above))
+        else:
+            offset += float(mask @ u)
+            slope += float(mask @ w)
+        inside &= ~above
+    keep = np.flatnonzero(inside)
+    t = t[keep]
+    if w is not None:
+        u, w = u[keep], w[keep]
+    return _sorted_root(t, slope, offset, u, w)[0]
 
 
 def _simplex_threshold(v, target):
@@ -676,17 +769,15 @@ class Ellipsoid(ConvexSet):
         return float(np.vdot(u, self._evals * u)) <= 1.0 + tol
 
     def _project(self, x):
+        # For |x| >= 1, x, lam and 1 are scaled alike by a power of 2 that
+        # brings the largest entry of x below 1, which leaves the secular
+        # equation and z unchanged and keeps V^T x and w u in range.
         w = self._evals
-        u = self._evecs.T @ x
-        gauge = np.vdot(u, w * u)
-        if gauge <= 1.0:
+        e = max(math.frexp(float(np.abs(x).max()))[1], 0)
+        u = self._evecs.T @ np.ldexp(x, -e)
+        if np.vdot(u, w * u) <= math.ldexp(1.0, -2 * e):
             return x.copy()
-        one = 1.0
-        if gauge == math.inf:
-            # Where the gauge overflows, u, lam and 1 are scaled alike by a
-            # power of 2, which leaves the secular equation and z unchanged.
-            e = math.frexp(float(np.abs(u).max()))[1]
-            u, one = np.ldexp(u, -e), math.ldexp(1.0, -e)
+        one = math.ldexp(1.0, -e)
         lam = _secular_root(u / np.sqrt(w), one / w)
         return self._evecs @ (u / (one + lam * w))
 

@@ -458,6 +458,25 @@ def test_public_projectors_are_exact_where_the_squared_norm_overflows():
     assert tiny.project((1.0, 0.0)).tolist() == [2e-200, 0.0]
 
 
+def test_ellipsoid_projector_stays_in_range_on_a_large_eigenvalue():
+    # |x| times the largest eigenvalue exceeds the float range: x is scaled by
+    # a power of 2 before the eigenbasis product, with no RuntimeWarning.
+    ell = Ellipsoid(np.diag([1e10, 1.0]))
+    np.testing.assert_allclose(ell.project((1e300, 0.0)), [1e-5, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(ell.project((1e300, -1e300)),
+                               ell.project((1e20, -1e20)), rtol=1e-14)
+    assert ell.project((1e-300, 0.5)).tolist() == [1e-300, 0.5]
+
+
+def test_ball_projector_beyond_the_float_range():
+    # ||x - c|| exceeds the float maximum: the direction comes from x - c
+    # scaled by its largest entry, not from (x - c) / inf = 0.
+    np.testing.assert_allclose(EuclideanBall((0.0, 0.0), 1.0).project((1.7e308, 1.7e308)),
+                               [math.sqrt(0.5)] * 2, rtol=1e-15)
+    np.testing.assert_allclose(EuclideanBall((0.3, 0.0), 1.0).project((1.7e308, -1.7e308)),
+                               [0.3 + math.sqrt(0.5), -math.sqrt(0.5)], rtol=1e-15)
+
+
 def test_ellipsoid_kernel_stays_in_range_on_a_large_eigenvalue():
     # ||W^1/2 u||^2 overflows at a query within 2^500 when Q has a large
     # eigenvalue; the kernel agrees with the solver without a RuntimeWarning.
