@@ -7,7 +7,9 @@ shrink it fast enough.  It is the one bracketed root finder of the package,
 and :mod:`homcone.homproj` locates alpha* with it.  The ellipsoid needs no
 bracket: its projector and its cone kernel solve one secular equation that is
 concave in the form solved, so a monotone Newton iteration
-(:class:`homcone.sets.Ellipsoid`) converges from a lower bound.
+(:func:`homcone.sets._secular_root`) converges from a lower bound; up to
+``homcone.sets._FLOATS`` (12) entries it runs on Python floats, where numpy's
+cost per call outweighs its cost per entry.
 """
 
 from __future__ import annotations

@@ -44,10 +44,12 @@ the ball off the origin project onto one quadratic cone
 equation for its multiplier, the ellipsoid in its eigenbasis and the ball
 after one rotation of the plane of its centre and the height; ``PBall`` with
 p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
-p-balls without a projector have none.  A subclass that changes
-``_project`` of one of these sets (``EuclideanBall``, ``BallPen``, ``Box``,
-``L1Ball``, ``Simplex``, ``Ellipsoid``, ``PBall``) must also override
-``_project_cone``, or the kernel would answer for the old set.
+p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
+root cores run the same algorithm on Python floats instead of numpy arrays:
+there numpy's cost per call outweighs its cost per entry.  A subclass that
+changes ``_project`` of one of these sets (``EuclideanBall``, ``BallPen``,
+``Box``, ``L1Ball``, ``Simplex``, ``Ellipsoid``, ``PBall``) must also
+override ``_project_cone``, or the kernel would answer for the old set.
 
 A second optional kernel, ``_polar()``, returns the polar set
 {y : sigma_C(y) <= 1} in closed form as ``(contains, polar_set)``: a
@@ -87,6 +89,19 @@ _ROOT_MAX_STEPS = 100
 
 #: :func:`_norm` rescales below this norm, where the square is below 2^-1000.
 _NORM_FLOOR = 2.0 ** -500
+
+#: Up to this many entries, the two root cores (:func:`_quadratic_cone` with
+#: :func:`_secular_root`, and :func:`_breakpoint_root`) run on Python floats,
+#: where numpy's cost per call outweighs its cost per entry.  Measured
+#: crossover of the cone kernels, float against numpy (2-core Xeon, Python
+#: 3.11.7, numpy 2.4.6): about 12 entries for the ellipsoid and 16-20 for the
+#: box, l1 ball and simplex; the smaller one is taken, so that neither core
+#: is slower on floats.
+_FLOATS = 12
+
+#: Half an ulp of the largest float: x_i - c_i, with |c_i| below it, rounds
+#: to a finite value for every finite x_i.
+_HALF_ULP_MAX = 2.0 ** 970
 
 
 def _as_query(y, dim=None, s=0.0):
@@ -285,6 +300,7 @@ class EuclideanBall(ConvexSet):
                 "the ball must contain the origin: require ||center|| <= radius"
             )
         self.dim = self.center.size
+        self._top = float(np.abs(self.center).max())
         self._centred = rho == 0.0
         self._axis = None
         if not self._centred:
@@ -296,10 +312,10 @@ class EuclideanBall(ConvexSet):
             big = math.hypot(h, b)
             tan = b / (h + big) if h >= 0.0 else (big - h) / b
             k = (1.0 + rho * tan) / g
-            weights = np.array((k / g, k * k))
+            weights = (k / g, k * k)
             # Beyond these weights (radii above 1e135 or below 1e-135) the
             # kernel's squares could leave the float64 range: the solver answers.
-            if 2.0 ** -900 <= weights.min() and weights.max() <= 2.0 ** 900:
+            if 2.0 ** -900 <= min(weights) and max(weights) <= 2.0 ** 900:
                 cos = 1.0 / math.hypot(1.0, tan)
                 self._axis = self.center / rho
                 self._turn = (cos, tan * cos)
@@ -312,14 +328,19 @@ class EuclideanBall(ConvexSet):
         return _norm(x - self.center) <= self.radius + tol
 
     def _project(self, x):
-        r = x - self.center
+        if self._top < _HALF_ULP_MAX:
+            r = x - self.center
+            n = _norm(r)
+            if n < math.inf:
+                return self.center + self.radius * r / max(n, self.radius)
+        # Beyond the float range, x - c is formed from x and c scaled alike
+        # by 2^-e, e the exponent of their largest entry.
+        e = math.frexp(max(float(np.abs(x).max()), self._top))[1]
+        r = np.ldexp(x, -e) - np.ldexp(self.center, -e)
         n = _norm(r)
-        if n == math.inf:
-            # Beyond the float range the direction comes from r scaled by
-            # its largest entry.
-            r = r / float(np.abs(r).max())
-            return self.center + (self.radius / _norm(r)) * r
-        return self.center + self.radius * r / max(n, self.radius)
+        if n <= math.ldexp(self.radius, -e):
+            return x.copy()
+        return self.center + self.radius * (r / n)
 
     def _support(self, y):
         return float(self.center @ y) + self.radius * _norm(y)
@@ -352,8 +373,8 @@ class EuclideanBall(ConvexSet):
         r = _norm(perp)
         p, q = cos * a - sin * s, sin * a + cos * s
         k = math.frexp(max(r, abs(p), abs(q)))[1]
-        cone = _quadratic_cone(np.array((math.ldexp(r, -k), math.ldexp(p, -k))),
-                               self._weights, math.ldexp(q, -k))
+        cone = _quadratic_cone_floats((math.ldexp(r, -k), math.ldexp(p, -k)),
+                                      self._weights, math.ldexp(q, -k))
         # K lies in s >= ||y|| / (gamma + rho); a height below 0 comes from
         # rounding in the rotation, at radii beyond about 1e15 only.
         if cone is None:
@@ -361,7 +382,7 @@ class EuclideanBall(ConvexSet):
         t, z = cone
         if t == 0.0:
             return 0.0, np.zeros_like(y), Branch.RECESSION
-        t, zr, zp = (math.ldexp(float(v), k) for v in (t, z[0], z[1]))
+        t, zr, zp = (math.ldexp(v, k) for v in (t, *z))
         x = (cos * zp + sin * t) * e
         if r > 0.0:
             x += (zr / r) * perp
@@ -387,6 +408,7 @@ class Box(ConvexSet):
         if np.any(b < 0.0):
             raise ValueError("halfwidths must be nonnegative")
         self.halfwidths = b
+        self._low = -b
         self.dim = b.size
         # The cone kernel's breakpoints skip zero halfwidths.
         live = np.flatnonzero(b > 0.0)
@@ -401,7 +423,7 @@ class Box(ConvexSet):
         return bool(np.all(np.abs(x) <= self.halfwidths + tol))
 
     def _project(self, x):
-        return np.clip(x, -self.halfwidths, self.halfwidths)
+        return np.minimum(np.maximum(x, self._low), self.halfwidths)
 
     def _support(self, y):
         return float(self.halfwidths @ np.abs(y))
@@ -451,10 +473,12 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
     whose breakpoints are t = u / w (u = t and w = 1 when not given).  The
     box, l1 and simplex projectors and their cone kernels all reduce to it.
 
-    Up to 4 _SAMPLE breakpoints, one sort and one cumulative sum find it
-    (:func:`_sorted_root`).  Above, that formula first solves F / stride on
-    every stride-th breakpoint, a sample of S >= _SAMPLE, whose root has k
-    sample breakpoints above it; the sample breakpoints g = 3 + 2
+    Up to ``_FLOATS`` breakpoints one sort and one scan of running sums on
+    Python floats find it (:func:`_sorted_root_floats`), and up to 4 _SAMPLE
+    one sort and one cumulative sum on arrays (:func:`_sorted_root`).
+    Above, that formula first solves F / stride on every stride-th
+    breakpoint, a sample of S >= _SAMPLE, whose root has k sample
+    breakpoints above it; the sample breakpoints g = 3 + 2
     sqrt(min(k, S - k)) ranks above and below bracket F's root as (lo, hi],
     a side that runs off the sample being +-inf (the sampling step of Floyd
     and Rivest, "Expected time bounds for selection", 1975).  Then
@@ -465,6 +489,10 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
     side and, should that miss again, to the whole side, where the folded
     function equals F once more.
     """
+    if t.size <= _FLOATS:
+        return _sorted_root_floats(t.tolist(), slope, offset,
+                                   None if w is None else u.tolist(),
+                                   None if w is None else w.tolist())
     if t.size <= 4 * _SAMPLE:
         return _sorted_root(t, slope, offset, u, w)[0]
     step = t.size // _SAMPLE
@@ -512,6 +540,26 @@ def _sorted_root(t, slope, offset, u, w):
     if k.size:
         return float(x[k[-1]]), t, int(k[-1]) + 1
     return offset / slope, t, 0
+
+
+def _sorted_root_floats(t, slope, offset, u, w):
+    """The root of :func:`_sorted_root` on lists of Python floats: one
+    descending sort, then one scan with running sums U_k and W_k."""
+    if w is None:
+        rows = ((ti, ti, 1.0) for ti in sorted(t, reverse=True))
+    else:
+        rows = sorted(zip(t, u, w), reverse=True)
+    root = None
+    top = base = 0.0
+    for ti, ui, wi in rows:
+        top += ui
+        base += wi
+        x = (offset + top) / (slope + base)
+        if ti > x:
+            root = x
+    # A slope of 0 (the simplex threshold) always has a qualifying k, so
+    # this float division never meets it.
+    return offset / slope if root is None else root
 
 
 def _window_root(t, slope, offset, u, w, lo, hi):
@@ -682,8 +730,12 @@ def _secular_root(c, a):
     max(||c|| - max a, ||c min a / a|| - min a, 0); the second term keeps
     c / (a + x) in range when a spans hundreds of decades.  Stops when
     M(x) >= 1 or a step is at most ``_ROOT_RTOL`` x; raises
-    MaxIterationsExceeded after ``_ROOT_MAX_STEPS`` evaluations.
+    MaxIterationsExceeded after ``_ROOT_MAX_STEPS`` evaluations.  Up to
+    ``_FLOATS`` entries the same iteration runs on Python floats
+    (:func:`_secular_root_floats`).
     """
+    if c.size <= _FLOATS:
+        return _secular_root_floats(c.tolist(), a.tolist())
     x = max(_norm(c) - float(a.max()), 0.0)
     a_lo = float(a.min())
     if a_lo > 0.0:
@@ -696,6 +748,32 @@ def _secular_root(c, a):
             return x
         # The Newton step (1 - M) / M' is f (sqrt(f) - 1) / g, g = sum r^2 / d.
         step = f * (math.sqrt(f) - 1.0) / float(np.vdot(r / d, r))
+        x += step
+        if step <= _ROOT_RTOL * x:
+            return x
+    raise MaxIterationsExceeded(
+        f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
+    )
+
+
+def _secular_root_floats(c, a):
+    """:func:`_secular_root` on lists of Python floats: the same lower bound,
+    Newton step and stopping rule, with the scale-safe ``math.hypot`` for
+    the norms."""
+    x = max(math.hypot(*c) - max(a), 0.0)
+    a_lo = min(a)
+    if a_lo > 0.0:
+        x = max(x, math.hypot(*[ci * (a_lo / ai) for ci, ai in zip(c, a)]) - a_lo)
+    for _ in range(_ROOT_MAX_STEPS):
+        f = g = 0.0
+        for ci, ai in zip(c, a):
+            d = ai + x
+            r = ci / d
+            f += r * r
+            g += r / d * r
+        if f <= 1.0:
+            return x
+        step = f * (math.sqrt(f) - 1.0) / g
         x += step
         if step <= _ROOT_RTOL * x:
             return x
@@ -720,7 +798,11 @@ def _quadratic_cone(u, w, s):
     (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
     relative to v, independent of the scale of the query and of w.  On the
     polar of the cone, M(0) >= 1, the root is v = 0 and t = 0: the apex.
+    Up to ``_FLOATS`` entries it runs on Python floats
+    (:func:`_quadratic_cone_floats`).
     """
+    if u.size <= _FLOATS:
+        return _quadratic_cone_floats(u.tolist(), w.tolist(), s)
     wu = np.sqrt(w) * u
     if math.sqrt(np.vdot(wu, wu)) <= s:
         return None
@@ -731,6 +813,21 @@ def _quadratic_cone(u, w, s):
     if t == 0.0:
         return 0.0, None
     return t, u * (t / ((v + lift) * w + t))
+
+
+def _quadratic_cone_floats(u, w, s):
+    """:func:`_quadratic_cone` on sequences of Python floats, z a list, the
+    norm by the scale-safe ``math.hypot``."""
+    wu = [math.sqrt(wi) * ui for ui, wi in zip(u, w)]
+    if math.hypot(*wu) <= s:
+        return None
+    base, lift = max(s, 0.0), max(-s, 0.0)
+    v = _secular_root_floats([x / (1.0 + wi) for x, wi in zip(wu, w)],
+                             [(base + lift * wi) / (1.0 + wi) for wi in w])
+    t = base + v
+    if t == 0.0:
+        return 0.0, None
+    return t, [ui * (t / ((v + lift) * wi + t)) for ui, wi in zip(u, w)]
 
 
 class Ellipsoid(ConvexSet):

@@ -224,14 +224,17 @@ def test_project_max_iter_exhaustion_is_numerical_failure(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("spec", [
-    UNIT_BALL, '{"type":"euclidean_ball","center":[0.1,0],"radius":1}',
+@pytest.mark.parametrize("spec, solver", [
+    (UNIT_BALL, []),
+    ('{"type":"euclidean_ball","center":[0.1,0],"radius":1}', ["--force-iterative"]),
 ], ids=["kernel", "solver"])
-def test_project_beyond_the_float_range_is_numerical_failure(capsys, spec):
-    # alpha* is about 2e308 on both balls: a one-line error, no traceback.
+def test_project_beyond_the_float_range_is_numerical_failure(capsys, spec, solver):
+    # alpha* is about 2e308 on both balls, from the cone kernel and from the
+    # generic solver: a one-line error, no traceback.
     code, out, err = run(
         capsys,
         "project", "--set", spec, "--point", "1.7e308,1.7e308", "--height", "1.7e308",
+        *solver,
     )
     assert code == 3
     assert out == ""

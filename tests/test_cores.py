@@ -1,0 +1,157 @@
+"""The two root cores on Python floats against their numpy form: up to
+``sets._FLOATS`` entries :func:`_quadratic_cone` (with :func:`_secular_root`)
+and :func:`_breakpoint_root` run on floats, above it on numpy arrays.  Each
+test calls a core on the same inputs on both sides of that switch, at one
+entry, at the switch and one entry above it, and asks for agreement to 1e-13
+relative; every RuntimeWarning is an error."""
+
+import math
+
+import numpy as np
+import pytest
+
+import homcone.sets as sets
+from homcone import (
+    Box,
+    Ellipsoid,
+    EuclideanBall,
+    L1Ball,
+    Simplex,
+    project_homogenization,
+)
+from test_breakpoints import shapes
+from test_homproj import OFF_AXIS, extreme_radii_queries, kernel_queries
+
+pytestmark = pytest.mark.filterwarnings("error")
+
+SIZES = (1, sets._FLOATS, sets._FLOATS + 1)
+RTOL = 1e-13
+
+
+@pytest.fixture
+def on_both_sides(monkeypatch):
+    """Call ``fn(*args)`` once with every core on floats and once with every
+    core on numpy arrays, and return both answers."""
+    def call(fn, *args):
+        answers = []
+        for limit in (math.inf, 0):
+            monkeypatch.setattr(sets, "_FLOATS", limit)
+            answers.append(fn(*args))
+        return answers
+
+    return call
+
+
+def breakpoint_scale(t, slope, offset, u=None, w=None):
+    """The size of the root of F, as in test_breakpoints.assert_exact."""
+    if w is None:
+        u, w = t, np.ones_like(t)
+    return (abs(offset) + float(np.abs(u).sum())) / (slope + float(w.sum()))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_breakpoint_root_on_both_sides(n, on_both_sides):
+    # The weighted (box), unweighted (l1 and simplex cone) and slope-0
+    # (simplex threshold) shapes, on spread and on tied breakpoints, with
+    # the root above, among and below them.
+    rng = np.random.default_rng(n)
+    for t in (rng.uniform(-3.0, 5.0, n), rng.integers(-3, 4, n).astype(float)):
+        for j in sorted({0, 1, n // 2, n}):
+            for args in shapes(t, rng, j):
+                if args[1] == 0.0 and not args[2] < 0.0:
+                    continue  # the simplex threshold's target is positive
+                floats, arrays = on_both_sides(sets._breakpoint_root, *args)
+                assert abs(floats - arrays) <= RTOL * breakpoint_scale(*args)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_breakpoint_kernels_on_both_sides(n, on_both_sides):
+    # The box (zero halfwidths and ties included), l1, simplex kernels and
+    # projectors on every branch.
+    rng = np.random.default_rng(n + 1)
+    zeros = rng.choice((0.0, 0.5, 1.0), n)
+    zeros[0] = 0.0
+    for set_ in (Box(rng.uniform(0.5, 2.0, n)), Box(zeros), Box(np.ones(n)),
+                 L1Ball(1.3, n), Simplex(n)):
+        for y, s in kernel_queries(set_, rng, count=30):
+            (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(set_._project_cone, y, s)
+            size = math.hypot(*y, s)
+            assert b_f is b_n
+            assert abs(a_f - a_n) <= RTOL * size
+            np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
+            floats, arrays = on_both_sides(set_.project, y)
+            np.testing.assert_allclose(floats, arrays, rtol=0.0,
+                                       atol=RTOL * float(np.abs(y).max()))
+
+
+def cone_queries(n, rng):
+    """(u, w, s) with weights spread over 1e-12..1e12 and heights inside
+    the quadratic cone, in its polar, at 0, and between them (s < 0 and
+    s > 0); u has its largest entry 1, as a rescaled query."""
+    for _ in range(6):
+        w = 10.0 ** rng.uniform(-12.0, 12.0, n)
+        u = rng.normal(size=n)
+        u /= float(np.abs(u).max())
+        cone = float(np.linalg.norm(np.sqrt(w) * u))
+        polar = float(np.linalg.norm(u / np.sqrt(w)))
+        for s in (1.5 * cone, 0.5 * cone, 1e-6 * cone, 0.0, -1e-6 * polar,
+                  -0.5 * polar, -1.5 * polar):
+            yield u, w, s
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_quadratic_cone_on_both_sides(n, on_both_sides):
+    rng = np.random.default_rng(n + 2)
+    for u, w, s in cone_queries(n, rng):
+        floats, arrays = on_both_sides(sets._quadratic_cone, u, w, s)
+        if arrays is None:
+            assert floats is None
+            continue
+        (t_f, z_f), (t_n, z_n) = floats, arrays
+        size = math.hypot(*u, s)
+        assert abs(t_f - t_n) <= RTOL * size
+        if t_n == 0.0:
+            assert t_f == 0.0 and z_f is None and z_n is None
+        else:
+            np.testing.assert_allclose(z_f, z_n, rtol=0.0, atol=RTOL * size)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_ellipsoid_kernels_on_both_sides(n, on_both_sides):
+    # The cone kernel and the projector P_C, which both end in the secular
+    # Newton solve, on a Q with eigenvalues over 1e-6..1e6.
+    rng = np.random.default_rng(n + 3)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    ell = Ellipsoid(q @ np.diag(10.0 ** rng.uniform(-6.0, 6.0, n)) @ q.T)
+    for y, s in kernel_queries(ell, rng, count=30):
+        (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(ell._project_cone, y, s)
+        size = math.hypot(*y, s)
+        assert b_f is b_n
+        assert abs(a_f - a_n) <= RTOL * size
+        np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
+        for x in (y, 1e3 * y):
+            floats, arrays = on_both_sides(ell.project, x)
+            np.testing.assert_allclose(floats, arrays, rtol=RTOL)
+
+
+@pytest.mark.parametrize("exponent", range(-100, 101, 25))
+@pytest.mark.parametrize("rho", [1e-12, 0.5, 1.0])
+def test_off_centre_ball_kernel_on_both_sides(rho, exponent, monkeypatch):
+    # The ball calls the float core on its two rotated floats directly; on
+    # the numpy side that call goes to the numpy core.  The radii and query
+    # scales of test_off_centre_ball_kernel_at_extreme_radii.
+    gamma = 10.0 ** exponent
+    ball = EuclideanBall(rho * gamma * OFF_AXIS, gamma)
+    queries = [(t * y, t * s) for t, y, s in extreme_radii_queries(gamma)]
+    floats = [project_homogenization(ball, v) for v in queries]
+    numpy_core = sets._quadratic_cone
+    monkeypatch.setattr(sets, "_FLOATS", 0)
+    monkeypatch.setattr(sets, "_quadratic_cone_floats",
+                        lambda u, w, s: numpy_core(np.array(u), np.array(w), s))
+    for v, f in zip(queries, floats):
+        a = project_homogenization(ball, v)
+        size = math.hypot(*v[0], v[1])
+        assert f.branch is a.branch
+        assert abs(f.alpha_star - a.alpha_star) <= RTOL * size
+        np.testing.assert_allclose(f.point.y, a.point.y, rtol=0.0, atol=RTOL * size)
+

@@ -348,18 +348,25 @@ def test_off_centre_ball_kernel_at_extreme_radii(rho, exponent):
     # >= 0, and <p, v - p> = 0 to 1e-12 ||v||^2.
     gamma = 10.0 ** exponent
     ball = EuclideanBall(rho * gamma * OFF_AXIS, gamma)
+    for t, y, s in extreme_radii_queries(gamma):
+        res = project_homogenization(ball, (t * y, t * s))
+        x, h = res.point.y / t, res.point.s / t
+        assert h >= 0.0 and np.all(np.isfinite(x))
+        orth = float(x @ (y - x)) + h * (s - h)
+        assert abs(orth) <= 1e-12 * (float(y @ y) + s * s)
+
+
+def extreme_radii_queries(gamma):
+    """(t, y, s): 3-D queries (y, s) of largest entry 1, about half of them
+    with y first stretched by a radius gamma above 1, at the scales t from
+    1e-300 to 1e300."""
     rng = np.random.default_rng(57)
     for t in (1e-300, 1e-9, 1.0, 1e12, 1e300):
         for _ in range(12):
             y = rng.normal(size=3) * (max(gamma, 1.0) if rng.integers(2) else 1.0)
             s = rng.uniform(-1.0, 1.0)
             unit = max(float(np.abs(y).max()), abs(s))
-            y, s = y / unit, s / unit
-            res = project_homogenization(ball, (t * y, t * s))
-            x, h = res.point.y / t, res.point.s / t
-            assert h >= 0.0 and np.all(np.isfinite(x))
-            orth = float(x @ (y - x)) + h * (s - h)
-            assert abs(orth) <= 1e-12 * (float(y @ y) + s * s)
+            yield t, y / unit, s / unit
 
 
 def test_off_centre_ball_beyond_the_kernel_weights_takes_the_solver():

@@ -477,6 +477,36 @@ def test_ball_projector_beyond_the_float_range():
                                [0.3 + math.sqrt(0.5), -math.sqrt(0.5)], rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ball_projector_with_a_centre_near_the_float_range():
+    # x - c itself overflows: it is formed from x and c scaled alike by a
+    # power of 2, with no overflow and no nan.
+    ball = EuclideanBall((-1e308, 0.0), 1e308)
+    np.testing.assert_allclose(ball.project((1.7e308, 0.0)), [0.0, 0.0], atol=1e292)
+    # The same ball and point scaled down by 1e308.
+    np.testing.assert_allclose(ball.project((1.7e308, 1.7e308)) / 1e308,
+                               EuclideanBall((-1.0, 0.0), 1.0).project((1.7, 1.7)),
+                               rtol=1e-14)
+    assert ball.project((-1e308, 5e307)).tolist() == [-1e308, 5e307]
+    far = EuclideanBall((1e308, 1e308), 1.5e308)
+    np.testing.assert_allclose(far.project((-1.7e308, -1.7e308)) / 1e308,
+                               EuclideanBall((1.0, 1.0), 1.5).project((-1.7, -1.7)),
+                               rtol=1e-14)
+    tiny = EuclideanBall((0.0, 0.0), 1e-300)
+    np.testing.assert_allclose(tiny.project((1.7e308, 1.7e308)),
+                               [math.sqrt(0.5) * 1e-300] * 2, rtol=1e-15)
+
+
+def test_box_projector_is_clip_bit_for_bit():
+    rng = np.random.default_rng(11)
+    b = rng.uniform(0.0, 2.0, 50)
+    b[::5] = 0.0
+    box = Box(b)
+    for x in (rng.uniform(-3.0, 3.0, 50), np.where(rng.integers(2, size=50), -0.0, 0.0),
+              np.where(rng.integers(2, size=50), -1.0, 1.0) * b):
+        assert box.project(x).tobytes() == np.clip(x, -b, b).tobytes()
+
+
 def test_ellipsoid_kernel_stays_in_range_on_a_large_eigenvalue():
     # ||W^1/2 u||^2 overflows at a query within 2^500 when Q has a large
     # eigenvalue; the kernel agrees with the solver without a RuntimeWarning.
@@ -492,14 +522,16 @@ def test_ellipsoid_kernel_stays_in_range_on_a_large_eigenvalue():
 def test_ellipsoid_root_searches_raise_when_their_budget_is_spent(monkeypatch):
     # One evaluation cannot converge on this far point of a stretched
     # ellipsoid, for the projector or for the cone kernel: both run the
-    # secular Newton solve.
+    # secular Newton solve, on Python floats and on numpy arrays alike.
     monkeypatch.setattr(homcone.sets, "_ROOT_MAX_STEPS", 1)
     ell = Ellipsoid([[1e3, 0.0], [0.0, 1e-3]])
-    with pytest.raises(MaxIterationsExceeded, match="in 1 steps"):
-        ell.project((50.0, 70.0))
-    with pytest.raises(MaxIterationsExceeded,
-                       match="secular equation did not converge in 1 steps"):
-        project_homogenization(ell, ((50.0, 70.0), 0.5))
+    for limit in (math.inf, 0):
+        monkeypatch.setattr(homcone.sets, "_FLOATS", limit)
+        with pytest.raises(MaxIterationsExceeded, match="in 1 steps"):
+            ell.project((50.0, 70.0))
+        with pytest.raises(MaxIterationsExceeded,
+                           match="secular equation did not converge in 1 steps"):
+            project_homogenization(ell, ((50.0, 70.0), 0.5))
 
 
 # ---------------------------------------------------------------------------
