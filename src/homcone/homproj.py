@@ -78,7 +78,7 @@ class TraceRow(NamedTuple):
     dpsi_beta: float
 
 
-@dataclass
+@dataclass(slots=True)
 class ProjectionResult:
     alpha_star: float
     point: ConePoint
@@ -239,11 +239,10 @@ def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
 # General projection
 # ---------------------------------------------------------------------------
 
-def _in_cone(set_, p, scale) -> bool:
+def _in_cone(set_, y, s, scale) -> bool:
     """Membership of (y, s) in K via the disjoint split rays-over-C versus
     recession-at-height-0, to MEMBERSHIP_TOL; heights within 1e-12 scale of 0
     count as 0, with scale = ||(y, s)||."""
-    y, s = p
     height_tol = 1e-12 * scale
     if s < -height_tol:
         return False
@@ -282,30 +281,30 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     y, s = p
     y, s, e = _as_query(y, set_.dim, s)
     if abs(e) <= _SAFE_EXPONENT:
-        return _project(set_, ConePoint(y, s), alpha0, beta0, eps, max_iter,
+        return _project(set_, y, s, alpha0, beta0, eps, max_iter,
                         force_iterative, keep_trace)
     # P_K is positively homogeneous and the rescale is exact.
     if alpha0 is not None:
         alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
-    res = _project(set_, ConePoint(np.ldexp(y, -e), math.ldexp(s, -e)), alpha0,
-                   beta0, eps, max_iter, force_iterative, keep_trace)
+    res = _project(set_, np.ldexp(y, -e), math.ldexp(s, -e), alpha0, beta0, eps,
+                   max_iter, force_iterative, keep_trace)
     return _rescaled(res, e)
 
 
-def _project(set_, p, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
+def _project(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
     """:func:`project_homogenization` on a validated query within 2^(+-500)."""
     if not force_iterative and alpha0 is None:
-        exact = set_._project_cone(p.y, p.s)
+        exact = set_._project_cone(y, s)
         if exact is not None:
             alpha_star, x, branch = exact
             return ProjectionResult(alpha_star, ConePoint(x, alpha_star), branch, 0)
-    scale = math.hypot(float(np.linalg.norm(p.y)), p.s)
-    if not force_iterative and _in_cone(set_, p, scale):
-        s_star = p.s if p.s > 0.0 else 0.0
+    scale = math.hypot(float(np.linalg.norm(y)), s)
+    if not force_iterative and _in_cone(set_, y, s, scale):
+        s_star = s if s > 0.0 else 0.0
         return ProjectionResult(
-            s_star, ConePoint(p.y.copy(), s_star), Branch.ALREADY_IN_K, 0
+            s_star, ConePoint(y.copy(), s_star), Branch.ALREADY_IN_K, 0
         )
-    ev = PsiEvaluator._of_valid(set_, p.y, p.s)
+    ev = PsiEvaluator._of_valid(set_, y, s)
     if alpha0 is None:
         rows = [] if keep_trace else None
         alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
@@ -315,7 +314,7 @@ def _project(set_, p, alpha0, beta0, eps, max_iter, force_iterative, keep_trace)
         iterations = len(trace)
         kept = trace if keep_trace else None
     if alpha_star == 0.0:
-        y_rec = set_._project_recession(p.y)
+        y_rec = set_._project_recession(y)
         return ProjectionResult(
             0.0, ConePoint(y_rec, 0.0), Branch.RECESSION, iterations, kept
         )

@@ -45,18 +45,22 @@ equation for its multiplier, the ellipsoid in its eigenbasis and the ball
 after one rotation of the plane of its centre and the height; ``PBall`` with
 p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
 p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
-root cores run the same algorithm on Python floats instead of numpy arrays:
-there numpy's cost per call outweighs its cost per entry.  A subclass that
-changes ``_project`` of one of these sets (``EuclideanBall``, ``BallPen``,
-``Box``, ``L1Ball``, ``Simplex``, ``Ellipsoid``, ``PBall``) must also
-override ``_project_cone``, or the kernel would answer for the old set.
+root cores run the same algorithm on Python floats instead of numpy arrays,
+as do :func:`_as_query` and :func:`_norm`: there numpy's cost per call
+outweighs its cost per entry.  A subclass that changes ``_project`` of one
+of these sets (``EuclideanBall``, ``BallPen``, ``Box``, ``L1Ball``,
+``Simplex``, ``Ellipsoid``, ``PBall``) must also override ``_project_cone``,
+or the kernel would answer for the old set.
 
 A second optional kernel, ``_polar()``, returns the polar set
 {y : sigma_C(y) <= 1} in closed form as ``(contains, polar_set)``: a
 membership kernel ``contains(y, tol)`` and the cataloged set equal to the
 polar, or None.  Every cataloged set has one, its closed form in the
-docstring; :func:`homcone.polar.closed_form_polar` wraps it.  A subclass that
-changes the geometry of a set must override ``_polar`` too.
+docstring; :func:`homcone.polar.closed_form_polar` wraps it.  A membership
+kernel takes y unscaled, so it squares, powers or sums no entry that could
+leave the float64 range: it uses :func:`_norm`, or evaluates a positively
+homogeneous form on the power-of-2 rescale of y (:func:`_scaled`).  A
+subclass that changes the geometry of a set must override ``_polar`` too.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ _ROOT_MAX_STEPS = 100
 _NORM_FLOOR = 2.0 ** -500
 
 #: Up to this many entries, the two root cores (:func:`_quadratic_cone` with
-#: :func:`_secular_root`, and :func:`_breakpoint_root`) run on Python floats,
+#: :func:`_secular_root`, and :func:`_breakpoint_root`), the query
+#: validation (:func:`_as_query`) and :func:`_norm` run on Python floats,
 #: where numpy's cost per call outweighs its cost per entry.  Measured
 #: crossover of the cone kernels, float against numpy (2-core Xeon, Python
 #: 3.11.7, numpy 2.4.6): about 12 entries for the ellipsoid and 16-20 for the
@@ -110,15 +115,26 @@ def _as_query(y, dim=None, s=0.0):
 
     Returns ``(y, s, e)`` with e the binary exponent of max(|y_i|, |s|):
     scaling the query by 2^-e is exact and brings its largest entry into
-    [1/2, 1); e is 0 at the origin.  The maximum that sizes the query is also
-    its finiteness check, as it is nan or inf exactly when an entry is.
+    [1/2, 1); e is 0 at the origin.  Above ``_FLOATS`` entries the numpy
+    maximum of |y_i| that sizes the query is also its finiteness check, as
+    it is nan or inf exactly when an entry is.  Up to ``_FLOATS`` entries
+    both run on the Python floats of y, where numpy's cost per call
+    outweighs its cost per entry: every entry is tested by
+    ``math.isfinite``, as Python's ``max`` skips a nan that does not come
+    first, and only then is the maximum taken.
     """
     v = np.asarray(y, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D real vector")
-    top = float(np.abs(v).max())
-    if not top < math.inf:
-        raise ValueError("vector entries must be finite")
+    if v.size <= _FLOATS:
+        vals = v.tolist()
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("vector entries must be finite")
+        top = max(map(abs, vals))
+    else:
+        top = float(np.abs(v).max())
+        if not top < math.inf:
+            raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     s = float(s)
@@ -142,10 +158,13 @@ def _ldexp_or_inf(value, e) -> float:
 
 
 def _norm(v) -> float:
-    """||v||, also where its square overflows or underflows: ``np.vdot``
-    raises no floating-point warning, and only when the plain square is
-    infinite or below 2^-1000 is the norm taken of v scaled by its largest
-    entry."""
+    """||v||, also where its square overflows or underflows.  Up to
+    ``_FLOATS`` entries it is the scale-safe ``math.hypot`` of the Python
+    floats of v.  Above, ``np.vdot`` raises no floating-point warning, and
+    only when the plain square is infinite or below 2^-1000 is the norm
+    taken of v scaled by its largest entry."""
+    if v.size <= _FLOATS:
+        return math.hypot(*v.tolist())
     n = math.sqrt(np.vdot(v, v))
     if _NORM_FLOOR < n < math.inf:
         return n
@@ -154,6 +173,15 @@ def _norm(v) -> float:
         return 0.0
     v = v / top
     return top * math.sqrt(np.vdot(v, v))
+
+
+def _scaled(f, v) -> float:
+    """f(v) for a positively homogeneous f, evaluated on the exact power-of-2
+    rescale of v that brings its largest entry into [1/2, 1), so that no
+    square, power or sum inside f leaves the float64 range; an infinity
+    where f(v) itself exceeds it."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return _ldexp_or_inf(f(np.ldexp(v, -e)), e)
 
 
 def _as_tolerance(tol) -> float:
@@ -324,8 +352,18 @@ class EuclideanBall(ConvexSet):
     def __repr__(self):
         return f"EuclideanBall(center={self.center.tolist()}, radius={self.radius})"
 
+    def _scaled_offset(self, x):
+        """``(r, e)`` with r = (x - c) 2^-e, formed from x and c scaled alike
+        by 2^-e, e the exponent of their largest entry, where x - c itself
+        may leave the float range."""
+        e = math.frexp(max(float(np.abs(x).max()), self._top))[1]
+        return np.ldexp(x, -e) - np.ldexp(self.center, -e), e
+
     def _contains(self, x, tol):
-        return _norm(x - self.center) <= self.radius + tol
+        if self._top < _HALF_ULP_MAX:
+            return _norm(x - self.center) <= self.radius + tol
+        r, e = self._scaled_offset(x)
+        return _ldexp_or_inf(_norm(r), e) <= self.radius + tol
 
     def _project(self, x):
         if self._top < _HALF_ULP_MAX:
@@ -333,10 +371,7 @@ class EuclideanBall(ConvexSet):
             n = _norm(r)
             if n < math.inf:
                 return self.center + self.radius * r / max(n, self.radius)
-        # Beyond the float range, x - c is formed from x and c scaled alike
-        # by 2^-e, e the exponent of their largest entry.
-        e = math.frexp(max(float(np.abs(x).max()), self._top))[1]
-        r = np.ldexp(x, -e) - np.ldexp(self.center, -e)
+        r, e = self._scaled_offset(x)
         n = _norm(r)
         if n <= math.ldexp(self.radius, -e):
             return x.copy()
@@ -393,9 +428,8 @@ class EuclideanBall(ConvexSet):
         if self._centred:
             dual = EuclideanBall(np.zeros(self.dim), 1.0 / self.radius)
             return dual._contains, dual
-        z, g = self.center, self.radius
         def contains(y, tol):
-            return g * float(np.linalg.norm(y)) + float(z @ y) <= 1.0 + tol
+            return _scaled(self._support, y) <= 1.0 + tol
 
         return contains, None
 
@@ -452,7 +486,7 @@ class Box(ConvexSet):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
         b = self.halfwidths
         def contains(y, tol):
-            return float(b @ np.abs(y)) <= 1.0 + tol
+            return _scaled(self._support, y) <= 1.0 + tol
 
         polar_set = None
         if np.all(b == b[0]) and b[0] > 0.0:
@@ -640,7 +674,7 @@ class L1Ball(ConvexSet):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
 
     def _contains(self, x, tol):
-        return float(np.sum(np.abs(x))) <= self.radius + tol
+        return _scaled(lambda v: float(np.sum(np.abs(v))), x) <= self.radius + tol
 
     def _project(self, x):
         if float(np.sum(np.abs(x))) <= self.radius:
@@ -698,7 +732,7 @@ class PBall(ConvexSet):
         return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
     def _contains(self, x, tol):
-        return self._pnorm(x, self.p) <= self.radius + tol
+        return _scaled(lambda v: self._pnorm(v, self.p), x) <= self.radius + tol
 
     def _project(self, x):
         if self._same is None:
@@ -862,8 +896,11 @@ class Ellipsoid(ConvexSet):
         return f"Ellipsoid(q={self.q_matrix.tolist()})"
 
     def _contains(self, x, tol):
-        u = self._evecs.T @ x
-        return float(np.vdot(u, self._evals * u)) <= 1.0 + tol
+        # As in _project: for |x| >= 1, x and 1 + tol are scaled alike by a
+        # power of 2, which keeps V^T x and w u in range.
+        e = max(math.frexp(float(np.abs(x).max()))[1], 0)
+        u = self._evecs.T @ np.ldexp(x, -e)
+        return float(np.vdot(u, self._evals * u)) <= math.ldexp(1.0 + tol, -2 * e)
 
     def _project(self, x):
         # For |x| >= 1, x, lam and 1 are scaled alike by a power of 2 that
@@ -976,23 +1013,31 @@ class BallPen(ConvexSet):
         averaged branch alpha* = (s + delta) / 2 otherwise, where
         alpha* P_C(y / alpha*) moves y towards the ray by the factor
         alpha* / delta < 1."""
-        on_ray = self._project_recession(y)
-        r = y - on_ray
+        d = self.direction
+        dy = float(np.dot(d, y))
+        # Where <d, y> <= 0 the nearest ray point is 0 and the residual is y.
+        on_ray = dy * d if dy > 0.0 else None
+        r = y if on_ray is None else y - on_ray
         delta = _norm(r)
         if delta <= -s:
-            return 0.0, on_ray, Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
+            branch = Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
+            return 0.0, max(0.0, dy) * d, branch
         if delta <= s:
             # Here dist(y/s, ray) <= 1, so y/s is already a member and the
             # projected point reproduces (y, s).
             return s, y.copy(), Branch.ALREADY_IN_K
         alpha = 0.5 * (s + delta)
-        return alpha, on_ray + (alpha / delta) * r, Branch.CONE_INTERIOR
+        x = (alpha / delta) * r
+        if on_ray is not None:
+            x += on_ray
+        return alpha, x, Branch.CONE_INTERIOR
 
     def _polar(self):
         """The unit ball cut by <d, y> <= 0."""
         d = self.direction
         def contains(y, tol):
-            return float(np.linalg.norm(y)) <= 1.0 + tol and float(d @ y) <= tol
+            # Within the unit ball <d, y> is in range too.
+            return _norm(y) <= 1.0 + tol and float(d @ y) <= tol
 
         return contains, None
 
@@ -1024,9 +1069,12 @@ class Hyperbolic(ConvexSet):
         The two caps overlap on the boundary arc, matching the convex hull of
         {0} and the parabola epigraph."""
         def contains(y, tol):
-            if abs(y[1]) > y[0] + tol:
+            y1, y2 = y.tolist()
+            if abs(y2) > y1 + tol:
                 return False
-            return y[0] <= 1.0 + tol or 1.0 + y[1] * y[1] <= 2.0 * y[0] + tol
+            # 1 + y2^2 <= 2 y1 + tol halved, which is exact, so that 2 y1
+            # stays in range; a square beyond it is an infinity on floats.
+            return y1 <= 1.0 + tol or 0.5 + y2 * (0.5 * y2) <= y1 + 0.5 * tol
 
         return contains, None
 

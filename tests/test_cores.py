@@ -1,9 +1,11 @@
-"""The two root cores on Python floats against their numpy form: up to
-``sets._FLOATS`` entries :func:`_quadratic_cone` (with :func:`_secular_root`)
-and :func:`_breakpoint_root` run on floats, above it on numpy arrays.  Each
-test calls a core on the same inputs on both sides of that switch, at one
-entry, at the switch and one entry above it, and asks for agreement to 1e-13
-relative; every RuntimeWarning is an error."""
+"""Everything that switches at ``sets._FLOATS`` entries, on Python floats
+against its numpy form: up to that size :func:`_quadratic_cone` (with
+:func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm` and
+the query validation :func:`_as_query` run on floats, above it on numpy
+arrays.  Each test calls the same inputs on both sides of that switch, at
+one entry, at the switch and one entry above it, and asks for agreement to
+1e-13 relative for the root cores, 1e-15 for the closed forms and bit for
+bit for the validation; every RuntimeWarning is an error."""
 
 import math
 
@@ -12,7 +14,9 @@ import pytest
 
 import homcone.sets as sets
 from homcone import (
+    BallPen,
     Box,
+    Branch,
     Ellipsoid,
     EuclideanBall,
     L1Ball,
@@ -155,3 +159,92 @@ def test_off_centre_ball_kernel_on_both_sides(rho, exponent, monkeypatch):
         assert abs(f.alpha_star - a.alpha_star) <= RTOL * size
         np.testing.assert_allclose(f.point.y, a.point.y, rtol=0.0, atol=RTOL * size)
 
+
+def validation_outcome(y, dim, s):
+    """``_as_query``'s answer, bit for bit, or its exception type and message."""
+    try:
+        v, s, e = sets._as_query(y, dim, s)
+    except Exception as exc:  # the comparison is of the exception itself
+        return type(exc), str(exc)
+    return v.tobytes(), v.shape, s.hex(), e
+
+
+def validation_inputs(n):
+    """(y, dim, s) with nan, inf, signed zeros, subnormals, entries near
+    2^(+-500) and the float64 limit, a wrong length and bad heights."""
+    ones = np.ones(n)
+    for i in sorted({0, n // 2, n - 1}):
+        for bad in (math.nan, math.inf, -math.inf):
+            y = ones.copy()
+            y[i] = bad
+            yield y, n, 1.0
+    both = ones.copy()
+    both[0], both[-1] = math.inf, math.nan
+    yield both, n, 1.0
+    yield np.full(n, -0.0), n, -0.0
+    yield np.full(n, -0.0), n, 0.0
+    yield np.full(n, 5e-324), n, 0.0
+    yield np.linspace(-1e-310, 3e-320, n), n, -5e-324
+    for k in (500, -500):
+        for top in (math.ldexp(1.0, k), math.ldexp(1.0 - 2.0 ** -53, k)):
+            yield np.linspace(-top, 0.5 * top, n), n, 0.25 * top
+            yield np.linspace(0.5 * top, -top, n), n, 2.0 * top
+    yield np.resize([-1.7e308, 1.7e308, 1e300], n), n, -1.7e308
+    yield np.full(n, 1.7e308).tolist(), n, 1.0
+    yield ones, n + 1, 1.0
+    yield np.r_[ones[:-1], math.nan], n + 1, 1.0
+    for s in (math.nan, math.inf, -math.inf):
+        yield ones, n, s
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_query_validation_on_both_sides(n, on_both_sides):
+    for y, dim, s in validation_inputs(n):
+        floats, arrays = on_both_sides(validation_outcome, y, dim, s)
+        assert floats == arrays
+
+
+def closed_form_queries(set_, rng):
+    """Queries (y, s) on every branch of the ice-cream and ball-pen kernels:
+    inside K, in its polar, at height 0 and between, and the origin.  The
+    ball pen's y has <d, y> > 0, < 0 and, for d = e_1, = 0."""
+    ys = []
+    for _ in range(3):
+        y = rng.normal(size=set_.dim)
+        if isinstance(set_, BallPen):
+            y *= math.copysign(1.0, float(np.dot(set_.direction, y)))
+            ys.append(-y)
+            if set_.direction[0] == 1.0:
+                ys.append(np.r_[0.0, y[1:]])
+        ys.append(y)
+    for y in ys:
+        if isinstance(set_, BallPen):
+            inside = polar = set_._ray_residual(y)[1]
+        else:
+            inside = float(np.linalg.norm(y)) / set_.radius
+            polar = float(np.linalg.norm(y)) * set_.radius
+        for s in (2.0 * inside, 0.5 * inside, 0.0, -0.5 * polar, -2.0 * polar):
+            yield y, s
+    yield np.zeros(set_.dim), 0.0
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_closed_forms_on_both_sides(n, on_both_sides):
+    rng = np.random.default_rng(n + 4)
+    d = rng.normal(size=n)
+    sets_ = [EuclideanBall(np.zeros(n), 0.5), EuclideanBall(np.zeros(n), 2.0),
+             BallPen(np.eye(n)[0]), BallPen(d / np.linalg.norm(d))]
+    branches = set()
+    for set_ in sets_:
+        for y, s in closed_form_queries(set_, rng):
+            for t in (1e-300, 1e-150, 1e-9, 1.0, 1e12, 1e150, 1e300):
+                v = (t * y, t * s)
+                f, a = on_both_sides(project_homogenization, set_, v)
+                size = math.hypot(*v[0], v[1])
+                assert f.branch is a.branch
+                assert f.iterations == a.iterations == 0
+                assert abs(f.alpha_star - a.alpha_star) <= 1e-15 * size
+                np.testing.assert_allclose(f.point.y, a.point.y, rtol=0.0,
+                                           atol=1e-15 * size)
+                branches.add(f.branch)
+    assert branches == set(Branch)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -608,6 +609,17 @@ def test_result_invariants_random():
             if res.branch is not Branch.ALREADY_IN_K:
                 assert (res.branch is Branch.RECESSION) == (res.alpha_star == 0.0)
             assert res.alpha_star >= 0.0
+
+
+def test_result_is_slotted():
+    # No per-instance __dict__; the dataclass helpers still work.
+    res = project_homogenization(EuclideanBall((0.0, 0.0), 1.5), ((3.0, 4.0), 1.0))
+    assert not hasattr(res, "__dict__")
+    with pytest.raises(AttributeError):
+        res.elapsed = 1.0
+    moved = dataclasses.replace(res, iterations=7)
+    assert moved.iterations == 7 and moved.alpha_star == res.alpha_star
+    assert dataclasses.asdict(res)["branch"] is Branch.CONE_INTERIOR
 
 
 def test_projection_idempotent():

@@ -497,6 +497,19 @@ def test_ball_projector_with_a_centre_near_the_float_range():
                                [math.sqrt(0.5) * 1e-300] * 2, rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ball_membership_with_a_centre_near_the_float_range():
+    # The membership test forms x - c as the projector does.
+    ball = EuclideanBall((-1e308, 0.0), 1e308)
+    assert not ball.contains((1.7e308, 0.0))
+    assert ball.contains((-1.7e308, 0.0))
+    assert ball.contains((-1e308, 5e307))
+    assert not ball.contains((-1e308, 1.7e308))
+    far = EuclideanBall((1e308, 1e308), 1.5e308)
+    assert not far.contains((-1.7e308, -1.7e308))
+    assert far.contains((1.7e308, 1.7e308))
+
+
 def test_box_projector_is_clip_bit_for_bit():
     rng = np.random.default_rng(11)
     b = rng.uniform(0.0, 2.0, 50)

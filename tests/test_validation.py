@@ -48,6 +48,8 @@ CATALOG = [
     ("shifted_unit_ball", EuclideanBall((0.0, -1.0), 1.0), True, True),
     ("strip", BallPen((0.0, 1.0)), True, True),
     ("hyperbolic", Hyperbolic(), False, False),
+    # Above sets._FLOATS entries, where validation runs on numpy arrays.
+    ("box13", Box(np.linspace(0.5, 1.7, 13)), True, True),
 ]
 
 ENTRIES = {
@@ -136,7 +138,7 @@ def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
     res = project_homogenization(set_, (y, 0.5))
     closed_form = name in ("ball0", "ball_off", "ballpen", "strip", "box", "l1",
                            "simplex", "ellipsoid", "pball2", "pballinf",
-                           "shifted_unit_ball")
+                           "shifted_unit_ball", "box13")
     assert res.branch.value == "cone_interior"
     assert (res.iterations == 0) == closed_form
     assert calls == [set_.dim]
@@ -175,3 +177,15 @@ def test_bad_tolerance_is_rejected(entry, tol):
     for set_ in (Box((1.0, 1.0)), EuclideanBall((0.5, 0.0), 1.0)):
         with pytest.raises(ValueError, match="tolerance must be finite"):
             TOLERANCE_ENTRIES[entry](set_, (0.5, 0.5), tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, set_", [(n, c) for n, c, _, _ in CATALOG],
+                         ids=[n for n, *_ in CATALOG])
+def test_closed_form_polar_stays_in_range(name, set_):
+    # The closed forms once squared, powered or summed the raw y and
+    # overflowed here; the support function rescales and answers False.
+    for t, sign in ((1e200, 1.0), (1e200, -1.0), (1.7e308, 1.0)):
+        y = np.full(set_.dim, t)
+        y[1] *= sign
+        assert closed_form_polar(set_).contains(y) == polar_membership(set_, y)
