@@ -16,8 +16,8 @@ through its ``_project_cone`` kernel instead, with no psi' iteration, so the
 dispatch names no set class: the Euclidean ball centred at the origin and the
 ball pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
 p = 2 or p = inf by sorting the breakpoints of a piecewise-linear equation
-(above 1,024 of them only those in a bracket that a strided sample puts
-around the root, where the equation folded onto them is exact), and the
+(above 1,024 of them by Newton steps on the convex equation, which end on
+its exact root or leave fewer breakpoints above them to sort), and the
 ellipsoid and the ball off the origin by one scalar root (see
 :mod:`homcone.sets`).  Any set without a kernel takes
 the solver.  A caller-given bracket selects the reference bisection
@@ -45,7 +45,7 @@ from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
 from .sets import (_ROOT_RTOL, MEMBERSHIP_TOL, Branch, EuclideanBall, _as_query,
-                   as_vector)
+                   _ldexp_array, as_vector)
 
 #: Queries whose largest entry has a binary exponent beyond this are projected
 #: on an exact power-of-2 rescale, so that squared norms neither overflow nor
@@ -341,14 +341,12 @@ def _rescaled(res, e) -> ProjectionResult:
         except OverflowError:
             raise OverflowError("the projection exceeds the float64 range") from None
 
-    y = res.point.y
-    up(float(np.abs(y).max()))  # then np.ldexp(y, e) below cannot overflow
     trace = res.trace
     if trace is not None:
         trace = tuple(TraceRow(r.n, *map(up, r[1:])) for r in trace)
     return ProjectionResult(
         up(res.alpha_star),
-        ConePoint(np.ldexp(y, e), up(res.point.s)),
+        ConePoint(_ldexp_array(res.point.y, e), up(res.point.s)),
         res.branch,
         res.iterations,
         trace,

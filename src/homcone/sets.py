@@ -36,9 +36,9 @@ that overflows or underflows.
 The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have a
 closed form; the box, the l1 ball and the simplex solve a piecewise-linear
 equation over sorted breakpoints (:func:`_breakpoint_root`), above 1,024 of
-them only over those inside a bracket that a strided sample puts around the
-root, where the equation with the breakpoints above the bracket folded into
-its constant and slope is exact; the ellipsoid and
+them by Newton steps from the root on a strided sample, which land on the
+exact root, or left of it, where one sort of the breakpoints above the last
+step finishes; the ellipsoid and
 the ball off the origin project onto one quadratic cone
 {||W^1/2 z|| <= t} (:func:`_quadratic_cone`), which solves one scalar
 equation for its multiplier, the ellipsoid in its eigenbasis and the ball
@@ -173,6 +173,15 @@ def _norm(v) -> float:
         return 0.0
     v = v / top
     return top * math.sqrt(np.vdot(v, v))
+
+
+def _ldexp_array(v, e) -> np.ndarray:
+    """v 2^e; raises OverflowError where an entry leaves the float64 range."""
+    try:
+        math.ldexp(float(np.abs(v).max()), e)
+    except OverflowError:
+        raise OverflowError("the projection exceeds the float64 range") from None
+    return np.ldexp(v, e)
 
 
 def _scaled(f, v) -> float:
@@ -494,9 +503,14 @@ class Box(ConvexSet):
         return contains, polar_set
 
 
-#: Above 4 times this many breakpoints, :func:`_breakpoint_root` brackets
-#: the root by a strided sample of about this many before it sorts.
+#: Above 4 times this many breakpoints, :func:`_breakpoint_root` takes
+#: Newton steps from the root on a strided sample of about this many.
 _SAMPLE = 256
+
+#: The most Newton steps :func:`_breakpoint_root` takes before it sorts.  The
+#: iter_large box and l1 roots take 2-4; the few simplex roots that take more
+#: than 6 sort a few hundred breakpoints.
+_NEWTON_STEPS = 6
 
 
 def _breakpoint_root(t, slope, offset, u=None, w=None):
@@ -510,52 +524,48 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
     Up to ``_FLOATS`` breakpoints one sort and one scan of running sums on
     Python floats find it (:func:`_sorted_root_floats`), and up to 4 _SAMPLE
     one sort and one cumulative sum on arrays (:func:`_sorted_root`).
-    Above, that formula first solves F / stride on every stride-th
-    breakpoint, a sample of S >= _SAMPLE, whose root has k sample
-    breakpoints above it; the sample breakpoints g = 3 + 2
-    sqrt(min(k, S - k)) ranks above and below bracket F's root as (lo, hi],
-    a side that runs off the sample being +-inf (the sampling step of Floyd
-    and Rivest, "Expected time bounds for selection", 1975).  Then
-    :func:`_window_root` sorts only the breakpoints in (lo, hi].  Its
-    folded function equals F on [lo, hi], so a root it finds there is
-    exactly F's root.  A root beyond hi (below lo) means that F's root lies
-    there too, and the bracket moves to the next 2 g sample ranks on that
-    side and, should that miss again, to the whole side, where the folded
-    function equals F once more.
+    Above, Newton steps on F (Michelot's finite algorithm, 1986) start from
+    the root of F / stride on every stride-th breakpoint.  A step from x is
+    the root of F's piece at x, (offset + sum_{t > x} u) / (slope +
+    sum_{t > x} w): two dot products against a mask.  F is convex, so every
+    step lands at or left of its root, and from there the set above x only
+    shrinks; a step that keeps its size keeps the set and is F's root
+    exactly.  A breakpoint at or below a step has no term at the root, so
+    after ``_NEWTON_STEPS`` steps one sort of those above the last step
+    finds the root.  For the simplex threshold (slope 0, the largest
+    breakpoint 0) the sample root and every step lie below 0, so no step
+    divides by 0.
     """
     if t.size <= _FLOATS:
         return _sorted_root_floats(t.tolist(), slope, offset,
                                    None if w is None else u.tolist(),
                                    None if w is None else w.tolist())
     if t.size <= 4 * _SAMPLE:
-        return _sorted_root(t, slope, offset, u, w)[0]
+        return _sorted_root(t, slope, offset, u, w)
     step = t.size // _SAMPLE
     cut = slice(None, None, step)
-    _, ts, k = _sorted_root(t[cut], slope / step, offset / step,
-                            None if w is None else u[cut],
-                            None if w is None else w[cut])
-    g = 3 + int(2.0 * math.sqrt(min(k, ts.size - k)))
-
-    def rank(i, beyond):
-        return float(ts[i]) if 0 <= i < ts.size else beyond
-
-    lo, hi = rank(k + g - 1, -math.inf), rank(k - g, math.inf)
-    x = _window_root(t, slope, offset, u, w, lo, hi)
-    for reach in (3 * g, ts.size):
-        if x > hi:
-            lo, hi = hi, rank(k - reach, math.inf)
-        elif x < lo:
-            lo, hi = rank(k + reach - 1, -math.inf), lo
-        else:
-            break
-        x = _window_root(t, slope, offset, u, w, lo, hi)
-    return x
+    x = _sorted_root(t[cut], slope / step, offset / step,
+                     None if w is None else u[cut],
+                     None if w is None else w[cut])
+    above = t > x
+    k = int(np.count_nonzero(above))
+    for _ in range(_NEWTON_STEPS):
+        mask = above.astype(float)
+        top, base = (mask @ t, k) if w is None else (mask @ u, mask @ w)
+        x = (offset + float(top)) / (slope + float(base))
+        above = t > x
+        k, count = int(np.count_nonzero(above)), k
+        if k == count:
+            return x
+    keep = np.flatnonzero(above)
+    return _sorted_root(t[keep], slope, offset,
+                        None if w is None else u[keep],
+                        None if w is None else w[keep])
 
 
 def _sorted_root(t, slope, offset, u, w):
     """The root of F of :func:`_breakpoint_root` by one sort and one
-    cumulative sum, with the breakpoints in decreasing order and the number
-    k of them that exceed the root.
+    cumulative sum.
 
     Where exactly the k largest breakpoints exceed x, F is linear with root
     x_k = (offset + U_k) / (slope + W_k), U_k and W_k the sums of their u
@@ -572,8 +582,8 @@ def _sorted_root(t, slope, offset, u, w):
         x = (offset + u[order].cumsum()) / (slope + w[order].cumsum())
     k = (t > x).nonzero()[0]
     if k.size:
-        return float(x[k[-1]]), t, int(k[-1]) + 1
-    return offset / slope, t, 0
+        return float(x[k[-1]])
+    return offset / slope
 
 
 def _sorted_root_floats(t, slope, offset, u, w):
@@ -596,41 +606,21 @@ def _sorted_root_floats(t, slope, offset, u, w):
     return offset / slope if root is None else root
 
 
-def _window_root(t, slope, offset, u, w, lo, hi):
-    """The root of F of :func:`_breakpoint_root` folded onto the bracket
-    (lo, hi]: the breakpoints above hi exceed every x <= hi, so their terms
-    are linear there and fold into offset and slope; those at or below lo
-    vanish for every x >= lo.  The folded function equals F on [lo, hi]
-    and up to the nearest breakpoints outside it, and only the breakpoints
-    in (lo, hi] are sorted."""
-    inside = t > lo
-    if hi < math.inf:
-        above = t > hi
-        mask = above.astype(float)
-        if w is None:
-            offset += float(mask @ t)
-            slope += float(np.count_nonzero(above))
-        else:
-            offset += float(mask @ u)
-            slope += float(mask @ w)
-        inside &= ~above
-    keep = np.flatnonzero(inside)
-    t = t[keep]
-    if w is not None:
-        u, w = u[keep], w[keep]
-    return _sorted_root(t, slope, offset, u, w)[0]
-
-
 def _simplex_threshold(v, target):
-    """max(v - theta, 0) with theta such that its sum equals target; assumes
-    the unshifted positive part already exceeds target.
+    """max(v - theta, 0) for v >= 0 with theta such that its sum equals
+    target; assumes the sum of v exceeds target.
 
-    The breakpoints are the entries minus the largest one, so target is not
-    rounded away against huge entries, and the largest qualifies exactly
-    (0 > (0 - target) / 1).
+    The breakpoints d are the entries minus the largest one, so target is
+    not rounded away against huge entries, and the largest qualifies exactly
+    (0 > (0 - target) / 1).  So the root is at least -target, and d is
+    clipped at -2 target, inactive with a margin against rounding; the
+    search runs on the power-of-2 rescale that brings target into [1/2, 1),
+    so no sum of d leaves the float64 range.
     """
-    d = v - float(np.max(v))
-    return np.maximum(d - _breakpoint_root(d, 0.0, -target), 0.0)
+    e = math.frexp(target)[1]
+    d = np.ldexp(np.maximum(v - float(np.max(v)), -2.0 * target), -e)
+    theta = _breakpoint_root(d, 0.0, -math.ldexp(target, -e))
+    return np.ldexp(np.maximum(d - theta, 0.0), e)
 
 
 def _simplex_cone(v, r, s):
@@ -674,12 +664,13 @@ class L1Ball(ConvexSet):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
 
     def _contains(self, x, tol):
-        return _scaled(lambda v: float(np.sum(np.abs(v))), x) <= self.radius + tol
+        return _scaled(np.sum, np.abs(x)) <= self.radius + tol
 
     def _project(self, x):
-        if float(np.sum(np.abs(x))) <= self.radius:
+        a = np.abs(x)
+        if _scaled(np.sum, a) <= self.radius:
             return x.copy()
-        return np.sign(x) * _simplex_threshold(np.abs(x), self.radius)
+        return np.sign(x) * _simplex_threshold(a, self.radius)
 
     def _support(self, y):
         return self.radius * float(np.max(np.abs(y)))
@@ -950,13 +941,14 @@ class Simplex(ConvexSet):
         return f"Simplex(dim={self.dim})"
 
     def _contains(self, x, tol):
-        return bool(np.min(x) >= -tol and float(np.sum(x)) <= 1.0 + tol)
+        return bool(np.min(x) >= -tol) and _scaled(np.sum, x) <= 1.0 + tol
 
     def _project(self, x):
+        # The threshold is positive, so negative entries map to 0 either way.
         w = np.maximum(x, 0.0)
-        if float(np.sum(w)) <= 1.0:
+        if _scaled(np.sum, w) <= 1.0:
             return w
-        return _simplex_threshold(x, 1.0)
+        return _simplex_threshold(w, 1.0)
 
     def _support(self, y):
         return max(0.0, float(np.max(y)))
@@ -985,22 +977,29 @@ class BallPen(ConvexSet):
     def __repr__(self):
         return f"BallPen(direction={self.direction.tolist()})"
 
-    def _project_recession(self, x):
-        return max(0.0, float(self.direction @ x)) * self.direction
+    def _ray_point(self, x):
+        """``(v, q, e)``: x scaled by 2^-e, e the exponent of its largest
+        entry, and the ray point q nearest to v, so that <d, x> and x minus
+        that point stay in the float64 range."""
+        e = math.frexp(float(np.abs(x).max()))[1]
+        v = np.ldexp(x, -e)
+        return v, max(0.0, float(self.direction @ v)) * self.direction, e
 
-    def _ray_residual(self, x):
-        r = x - self._project_recession(x)
-        return r, _norm(r)
+    def _project_recession(self, x):
+        _, q, e = self._ray_point(x)
+        return _ldexp_array(q, e)
 
     def _contains(self, x, tol):
-        _, dr = self._ray_residual(x)
-        return dr <= 1.0 + tol
+        v, q, e = self._ray_point(x)
+        return _ldexp_or_inf(_norm(v - q), e) <= 1.0 + tol
 
     def _project(self, x):
-        r, dr = self._ray_residual(x)
-        if dr <= 1.0:
+        v, q, e = self._ray_point(x)
+        r = v - q
+        dr = _norm(r)
+        if _ldexp_or_inf(dr, e) <= 1.0:
             return x.copy()
-        return (x - r) + r / dr
+        return _ldexp_array(v - r, e) + r / dr
 
     def _support(self, y):
         if float(self.direction @ y) <= 0.0:

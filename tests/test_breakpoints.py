@@ -1,5 +1,5 @@
 """The breakpoint root behind the box, l1 and simplex kernels, above the size
-at which it brackets its root by a strided sample before it sorts."""
+at which Newton steps from the root on a strided sample replace the sort."""
 
 import math
 from fractions import Fraction
@@ -74,12 +74,28 @@ def shapes(t, rng, j):
     yield (d, 0.0, offset_for_rank(d, 0.0, max(j, 1)))
 
 
+def spiked_layout(n, rng):
+    """Ties at 1 with spikes 10, 6 and 3 at indices that no stride-th sample
+    holds: the sample sees only the ties."""
+    t = np.ones(n)
+    off_sample = np.flatnonzero(np.arange(n) % (n // sets._SAMPLE))
+    t[rng.choice(off_sample, 3, replace=False)] = (10.0, 6.0, 3.0)
+    return t
+
+
 def layouts(n, rng):
-    """(name, breakpoints, rank of the root) on the layouts the sample must
-    handle: spread, tied, one breakpoint active, all active, none active."""
+    """(name, breakpoints, rank of the root) on the layouts the start must
+    handle: spread, tied, one breakpoint active, all active, none active,
+    geometric (1e3 2^-i, permuted; below 2^-1074 the tail ties at 0) and
+    spiked.  Between them the sample root has every sample breakpoint
+    above it (k = S) and none (k = 0); on the spiked layout, with the root
+    between the spikes, k = S, and a bracket taken from the sample misses."""
     spread = rng.uniform(-3.0, 5.0, n)
     tied = rng.integers(-3, 4, n).astype(float)
+    geometric = rng.permutation(1e3 * 2.0 ** -np.arange(n))
     return [
+        ("geometric", geometric, 10),
+        ("spiked", spiked_layout(n, rng), 2),
         ("middle", spread, n // 2),
         ("top_tenth", spread, n // 10),
         ("bottom_tenth", spread, n - n // 10),
@@ -99,19 +115,20 @@ def test_breakpoint_root_is_the_exact_root(n):
 
 
 def test_breakpoint_root_up_to_the_threshold_is_the_sorted_formula():
-    # At 4 _SAMPLE breakpoints and below, no bracket: the one sort, bit for bit.
+    # At 4 _SAMPLE breakpoints and below, no Newton step: the one sort, bit
+    # for bit.
     rng = np.random.default_rng(3)
     t = rng.uniform(-3.0, 5.0, 4 * sets._SAMPLE)
     for args in shapes(t, rng, 300):
         full = (*args, None, None)[:5]
-        assert sets._breakpoint_root(*args) == sets._sorted_root(*full)[0]
+        assert sets._breakpoint_root(*args) == sets._sorted_root(*full)
 
 
 def stride_layout(n, rng, sample_high):
     """Breakpoints whose stride-th entries, the sample, lie in [10, 20] and
     the rest in [0, 1], or the sample in [0, 1] and the rest in [10, 11],
-    with F's root in the middle of the rest: the sample brackets the wrong
-    cluster and misses."""
+    with F's root in the middle of the rest: the sample root lies in the
+    wrong cluster."""
     step = n // sets._SAMPLE
     t = rng.uniform(0.0, 1.0, n)
     picked = np.zeros(n, dtype=bool)
@@ -124,50 +141,109 @@ def stride_layout(n, rng, sample_high):
     return t, (n - m) // 2
 
 
+def newton_start(t, slope, offset, u=None, w=None):
+    """The sample root the Newton steps start from, and the first step."""
+    step = t.size // sets._SAMPLE
+    cut = slice(None, None, step)
+    x = sets._sorted_root(t[cut], slope / step, offset / step,
+                          None if w is None else u[cut],
+                          None if w is None else w[cut])
+    if w is None:
+        u, w = t, np.ones_like(t)
+    above = t > x
+    return x, (offset + float(u[above].sum())) / (slope + float(w[above].sum()))
+
+
 @pytest.fixture
-def passes(monkeypatch):
-    """The bracket (lo, hi) of every _window_root pass."""
+def sorts(monkeypatch):
+    """The breakpoints of every _sorted_root call."""
     seen = []
-    window_root = sets._window_root
+    sorted_root = sets._sorted_root
 
-    def counted(*args):
-        seen.append(args[-2:])
-        return window_root(*args)
+    def recorded(t, *args):
+        seen.append(t)
+        return sorted_root(t, *args)
 
-    monkeypatch.setattr(sets, "_window_root", counted)
+    monkeypatch.setattr(sets, "_sorted_root", recorded)
     return seen
+
+
+def assert_sorts_above_a_step(sorts, t, root):
+    """After the sample's sort, at most one more, of exactly the breakpoints
+    above some x at or below the root."""
+    assert sorts[0].size == t[:: t.size // sets._SAMPLE].size
+    assert len(sorts) <= 2
+    for kept in sorts[1:]:
+        # The breakpoints above some x: all those at or above the least kept
+        # one are kept ...
+        assert np.count_nonzero(t >= kept.min()) == kept.size
+        # ... with x at or below the root: every active breakpoint is kept.
+        assert np.count_nonzero(t > float(root)) <= kept.size
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("sample_high", [True, False], ids=["miss_below", "miss_above"])
-def test_a_missed_bracket_moves_to_the_side_of_the_root(n, sample_high, passes):
+def test_a_missed_bracket_moves_to_the_side_of_the_root(n, sample_high, sorts):
+    # The sample root misses F's root, above it or below it with the
+    # sample's cluster; the first Newton step lands at or left of the root
+    # all the same, and the steps end on it exactly.
     rng = np.random.default_rng(n + sample_high)
     t, j = stride_layout(n, rng, sample_high)
     for args in shapes(t, rng, j):
-        passes.clear()
+        root = exact_root(*args)
+        start, first = newton_start(*args)
+        assert (start > root) == sample_high
+        assert first <= root
+        sorts.clear()
         assert_exact(sets._breakpoint_root(*args), *args)
-        # The first bracket misses, and so do the next 2 g ranks of the
-        # sample where the sample has them; the whole side finds the root.
-        assert len(passes) in (2, 3)
-        (lo, hi), (lo_end, hi_end) = passes[-2:]
-        if sample_high:
-            assert lo_end == -math.inf and hi_end == lo
-        else:
-            assert hi_end == math.inf and lo_end == hi
+        assert_sorts_above_a_step(sorts, args[0], root)
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_a_near_miss_takes_the_next_sample_ranks(n, passes):
-    # The sample is the rest shifted up by 0.2, about 2 g of its ranks: the
-    # first bracket lies above F's root and the next 2 g ranks below it find it.
+def test_a_near_miss_takes_the_next_sample_ranks(n, sorts):
+    # The sample is the rest shifted up by 0.2: its root lies above F's, and
+    # the steps from it end on F's root exactly.
     rng = np.random.default_rng(n + 5)
     t = rng.uniform(0.0, 1.0, n)
     t[:: n // sets._SAMPLE] += 0.2
     for args in shapes(t, rng, n // 2):
-        passes.clear()
+        root = exact_root(*args)
+        start, first = newton_start(*args)
+        assert first <= root < start
+        sorts.clear()
         assert_exact(sets._breakpoint_root(*args), *args)
-        (lo, hi), (lo_next, hi_next) = passes
-        assert hi_next == lo and -math.inf < lo_next < lo
+        assert_sorts_above_a_step(sorts, args[0], root)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_past_the_cap_one_sort_of_the_breakpoints_above_a_step(n, sorts, monkeypatch):
+    # The geometric layout takes 3-5 steps and the middle one 2-3, so with
+    # one step allowed the cap engages on both; one sort of exactly the
+    # breakpoints above that step finds the root.
+    monkeypatch.setattr(sets, "_NEWTON_STEPS", 1)
+    rng = np.random.default_rng(n)
+    for name, t, j in layouts(n, rng):
+        if name not in ("geometric", "middle"):
+            continue
+        for args in shapes(t, rng, j):
+            sorts.clear()
+            assert_exact(sets._breakpoint_root(*args), *args)
+            assert len(sorts) == 2
+            assert_sorts_above_a_step(sorts, args[0], exact_root(*args))
+
+
+def test_the_spike_point_answers_exactly():
+    # Every stride-th entry is 1e-3, so every sample breakpoint lies above
+    # the sample root, and alpha* = (100 + 60) / 3 lies above them all.
+    y = np.full(2000, 1e-3)
+    y[-3:] = (100.0, 60.0, 30.0)
+    for set_ in (Box(np.ones(2000)), L1Ball(1.0, 2000), Simplex(2000)):
+        result = project_homogenization(set_, (y, 0.0))
+        assert abs(result.alpha_star - 160.0 / 3.0) <= 1e-15 * 160.0 / 3.0
+    for set_ in (Simplex(2000), L1Ball(1.0, 2000)):
+        x = set_.project(y)
+        assert x[-3:].tolist() == [1.0, 0.0, 0.0]
+        assert not x[:-3].any()
 
 
 def large_kernel_sets(n, rng):

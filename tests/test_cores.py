@@ -219,7 +219,7 @@ def closed_form_queries(set_, rng):
         ys.append(y)
     for y in ys:
         if isinstance(set_, BallPen):
-            inside = polar = set_._ray_residual(y)[1]
+            inside = polar = set_.recession_distance(y)
         else:
             inside = float(np.linalg.norm(y)) / set_.radius
             polar = float(np.linalg.norm(y)) * set_.radius

@@ -510,6 +510,42 @@ def test_ball_membership_with_a_centre_near_the_float_range():
     assert far.contains((1.7e308, 1.7e308))
 
 
+@pytest.mark.filterwarnings("error")
+def test_simplex_and_l1_sums_stay_in_range():
+    # Their sums are taken on the power-of-2 rescale, with no overflow.
+    big = (1.7e308, 1.7e308)
+    assert not Simplex(2).contains(big)
+    assert Simplex(2).project(big).tolist() == [0.5, 0.5]
+    assert L1Ball(1.0, 2).project(big).tolist() == [0.5, 0.5]
+    # Entries far below the largest one: clipped breakpoints, not a sum of
+    # them at -inf and a threshold of -inf.
+    assert Simplex(3).project((2.0, -1.7e308, -1.7e308)).tolist() == [1.0, 0.0, 0.0]
+    assert L1Ball(1.0, 3).project((1.7e308, 1e-300, 1e-300)).tolist() == [1.0, 0.0, 0.0]
+    for n in (20, 2000):
+        x = Simplex(n).project(np.r_[2.0, np.full(n - 1, -1.7e308)])
+        assert x[0] == 1.0 and not x[1:].any()
+        x = L1Ball(1.0, n).project(np.r_[1.7e308, np.full(n - 1, 1e-300)])
+        assert x[0] == 1.0 and not x[1:].any()
+    # A radius far below the entries keeps its digits.
+    assert L1Ball(1e-10, 2).project((1e308, 1e308)).tolist() == [5e-11, 5e-11]
+
+
+@pytest.mark.filterwarnings("error")
+def test_ball_pen_forms_its_ray_point_on_the_rescale():
+    pen = BallPen((0.6, 0.8))
+    # <d, x> = 1.4 (1.7e308) leaves the float range; x is far from the ray.
+    assert not pen.contains((1.7e308, 1.7e308))
+    # Its nearest ray point, 1.7e308 (0.84, 1.12), exceeds the range too.
+    with pytest.raises(OverflowError, match="float64 range"):
+        pen.project((1.7e308, 1.7e308))
+    with pytest.raises(OverflowError, match="float64 range"):
+        pen.project_recession((1.7e308, 1.7e308))
+    # x minus its ray point overflows; the answer lies in range.
+    assert not pen.contains((-1.7e308, 1.7e308))
+    np.testing.assert_allclose(pen.project((-1.7e308, 1.7e308)) / 1e308,
+                               pen.project_recession((-1.7, 1.7)), rtol=1e-15)
+
+
 def test_box_projector_is_clip_bit_for_bit():
     rng = np.random.default_rng(11)
     b = rng.uniform(0.0, 2.0, 50)
