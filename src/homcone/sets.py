@@ -44,13 +44,16 @@ the ball off the origin project onto one quadratic cone
 equation for its multiplier, the ellipsoid in its eigenbasis and the ball
 after one rotation of the plane of its centre and the height; ``PBall`` with
 p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
-p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
+p-balls without a projector have none.  Up to ``_FLOATS`` (16) entries both
 root cores run the same algorithm on Python floats instead of numpy arrays,
-as do :func:`_as_query` and :func:`_norm`: there numpy's cost per call
-outweighs its cost per entry.  A subclass that changes ``_project`` of one
-of these sets (``EuclideanBall``, ``BallPen``, ``Box``, ``L1Ball``,
-``Simplex``, ``Ellipsoid``, ``PBall``) must also override ``_project_cone``,
-or the kernel would answer for the old set.
+as do :func:`_as_query` and :func:`_norm`, and the box, l1 and simplex
+kernels take every scalar they branch on (membership in K, sigma_C(y), the
+simplex kernel's sums and extremes) from one ``tolist()``, numpy building
+only the answer: there numpy's cost per call outweighs its cost per entry.
+A subclass that changes ``_project`` of one of these sets
+(``EuclideanBall``, ``BallPen``, ``Box``, ``L1Ball``, ``Simplex``,
+``Ellipsoid``, ``PBall``) must also override ``_project_cone``, or the
+kernel would answer for the old set.
 
 A second optional kernel, ``_polar()``, returns the polar set
 {y : sigma_C(y) <= 1} in closed form as ``(contains, polar_set)``: a
@@ -68,6 +71,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -95,14 +99,16 @@ _ROOT_MAX_STEPS = 100
 _NORM_FLOOR = 2.0 ** -500
 
 #: Up to this many entries, the two root cores (:func:`_quadratic_cone` with
-#: :func:`_secular_root`, and :func:`_breakpoint_root`), the query
-#: validation (:func:`_as_query`) and :func:`_norm` run on Python floats,
-#: where numpy's cost per call outweighs its cost per entry.  Measured
-#: crossover of the cone kernels, float against numpy (2-core Xeon, Python
-#: 3.11.7, numpy 2.4.6): about 12 entries for the ellipsoid and 16-20 for the
-#: box, l1 ball and simplex; the smaller one is taken, so that neither core
-#: is slower on floats.
-_FLOATS = 12
+#: :func:`_secular_root`, and :func:`_breakpoint_root`), the branch tests of
+#: the box, l1 and simplex kernels, the query validation (:func:`_as_query`)
+#: and :func:`_norm` run on Python floats, where numpy's cost per call
+#: outweighs its cost per entry.  Float against numpy per call (2-core Xeon,
+#: Python 3.11.7, numpy 2.4.6, interleaved timeit, best of 9, cone-interior
+#: queries): at 16 entries every cone kernel is faster on floats (box 10-11
+#: vs 12-14 us, l1 ball 9-10 vs 14-16, simplex 10-11 vs 15-18, ellipsoid
+#: 24-28 vs 30-36) and so is the validation (2.4-2.6 vs 2.5-2.9 us); at 17
+#: and 18 the validation is slower (2.6-2.7 vs 2.6 us), and at 24 the box.
+_FLOATS = 16
 
 #: Half an ulp of the largest float: x_i - c_i, with |c_i| below it, rounds
 #: to a finite value for every finite x_i.
@@ -379,7 +385,7 @@ class EuclideanBall(ConvexSet):
             r = x - self.center
             n = _norm(r)
             if n < math.inf:
-                return self.center + self.radius * r / max(n, self.radius)
+                return self.center + r * (self.radius / max(n, self.radius))
         r, e = self._scaled_offset(x)
         n = _norm(r)
         if n <= math.ldexp(self.radius, -e):
@@ -405,7 +411,7 @@ class EuclideanBall(ConvexSet):
             if ny <= gamma * s:
                 return s, y.copy(), Branch.ALREADY_IN_K
             if gamma * ny <= -s:
-                return 0.0, np.zeros_like(y), Branch.RECESSION
+                return 0.0, np.zeros(y.size), Branch.RECESSION
             rho = (s + gamma * ny) / (1.0 + gamma * gamma)
             return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
         e = self._axis
@@ -425,7 +431,7 @@ class EuclideanBall(ConvexSet):
             return max(s, 0.0), y.copy(), Branch.ALREADY_IN_K
         t, z = cone
         if t == 0.0:
-            return 0.0, np.zeros_like(y), Branch.RECESSION
+            return 0.0, np.zeros(y.size), Branch.RECESSION
         t, zr, zp = (math.ldexp(v, k) for v in (t, *z))
         x = (cos * zp + sin * t) * e
         if r > 0.0:
@@ -458,6 +464,8 @@ class Box(ConvexSet):
         self._live = None if live.size == b.size else live
         self._live_b = b[live]
         self._live_bb = self._live_b * self._live_b
+        # The cone kernel's branch tests run on these Python floats.
+        self._floats = b.tolist() if b.size <= _FLOATS else None
 
     def __repr__(self):
         return f"Box(halfwidths={self.halfwidths.tolist()})"
@@ -480,10 +488,18 @@ class Box(ConvexSet):
         never enter A."""
         b = self.halfwidths
         a = np.abs(y)
-        if s >= 0.0 and (a <= s * b).all():
-            return s, y.copy(), Branch.ALREADY_IN_K
-        if s + float(b @ a) <= 0.0:
-            return 0.0, np.zeros_like(y), Branch.RECESSION
+        floats = self._floats
+        if floats is None:
+            if s >= 0.0 and (a <= s * b).all():
+                return s, y.copy(), Branch.ALREADY_IN_K
+            sigma = float(b @ a)
+        else:
+            vals = a.tolist()
+            if s >= 0.0 and all(ai <= s * bi for ai, bi in zip(vals, floats)):
+                return s, y.copy(), Branch.ALREADY_IN_K
+            sigma = sum(map(operator.mul, floats, vals))
+        if s + sigma <= 0.0:
+            return 0.0, np.zeros(y.size), Branch.RECESSION
         if self._live is not None:
             a = a[self._live]
         b_live = self._live_b
@@ -633,17 +649,19 @@ def _simplex_cone(v, r, s):
     (sum S_k).  The search runs on the entries minus the largest one, whose
     shift folds into s + r max(v) = s + sigma_C(v).
     """
-    total = float(v.sum())
-    low = float(v.min())
+    vals = v.tolist() if v.size <= _FLOATS else None
+    total = float(v.sum()) if vals is None else sum(vals)
+    low = float(v.min()) if vals is None else min(vals)
     if low >= 0.0 and total <= r * s:
         return s, v.copy(), Branch.ALREADY_IN_K
-    top = float(v.max())
+    top = float(v.max()) if vals is None else max(vals)
     lift = s + r * max(top, 0.0)
     if lift <= 0.0:
-        return 0.0, np.zeros_like(v), Branch.RECESSION
+        return 0.0, np.zeros(v.size), Branch.RECESSION
     if low < 0.0:
         pos = np.maximum(v, 0.0)
-        if float(pos.sum()) <= r * s:
+        plus = float(pos.sum()) if vals is None else sum(x for x in vals if x > 0.0)
+        if plus <= r * s:
             # theta = 0 at alpha = s: only the negative entries move.
             return s, pos, Branch.CONE_INTERIOR
     d = v - top
@@ -681,7 +699,7 @@ class L1Ball(ConvexSet):
         alpha, x, branch = _simplex_cone(np.abs(y), self.radius, s)
         if branch is Branch.RECESSION:
             return alpha, x, branch
-        return alpha, np.sign(y) * x, branch
+        return alpha, np.copysign(x, y, out=x), branch
 
     def _polar(self):
         """The box of halfwidth 1/radius."""
@@ -920,7 +938,7 @@ class Ellipsoid(ConvexSet):
             return s, y.copy(), Branch.ALREADY_IN_K
         t, z = cone
         if t == 0.0:
-            return 0.0, np.zeros_like(y), Branch.RECESSION
+            return 0.0, np.zeros(y.size), Branch.RECESSION
         return t, self._evecs @ z, Branch.CONE_INTERIOR
 
     def _polar(self):

@@ -43,8 +43,9 @@ def assert_exact(x, t, slope, offset, u=None, w=None):
     root = exact_root(t, slope, offset, u, w)
     if w is None:
         u, w = t, np.ones_like(t)
+    # Relative to the mean breakpoint, or to the root where it lies above it.
     scale = (abs(offset) + float(np.abs(u).sum())) / (slope + float(w.sum()))
-    assert abs(Fraction(x) - root) <= 1e-14 * scale
+    assert abs(Fraction(x) - root) <= 1e-14 * max(scale, abs(float(root)))
 
 
 def offset_for_rank(t, slope, j, u=None, w=None):
@@ -83,13 +84,23 @@ def spiked_layout(n, rng):
     return t
 
 
+def far_spiked_layout(n):
+    """Ties at 1e-3 with spikes 100, 60 and 30 in the last three entries,
+    the spike point: with the root between the first two spikes it lies
+    far above the mean breakpoint."""
+    t = np.full(n, 1e-3)
+    t[-3:] = (100.0, 60.0, 30.0)
+    return t
+
+
 def layouts(n, rng):
     """(name, breakpoints, rank of the root) on the layouts the start must
     handle: spread, tied, one breakpoint active, all active, none active,
-    geometric (1e3 2^-i, permuted; below 2^-1074 the tail ties at 0) and
-    spiked.  Between them the sample root has every sample breakpoint
-    above it (k = S) and none (k = 0); on the spiked layout, with the root
-    between the spikes, k = S, and a bracket taken from the sample misses."""
+    geometric (1e3 2^-i, permuted; below 2^-1074 the tail ties at 0),
+    spiked and far spiked.  Between them the sample root has every sample
+    breakpoint above it (k = S) and none (k = 0); on the spiked layout,
+    with the root between the spikes, k = S, and a bracket taken from the
+    sample misses."""
     spread = rng.uniform(-3.0, 5.0, n)
     tied = rng.integers(-3, 4, n).astype(float)
     geometric = rng.permutation(1e3 * 2.0 ** -np.arange(n))
@@ -103,6 +114,7 @@ def layouts(n, rng):
         ("one_active", spread, 1),
         ("all_active", spread, n),
         ("none_active", spread, 0),
+        ("far_spiked", far_spiked_layout(n), 1),
     ]
 
 
@@ -112,6 +124,16 @@ def test_breakpoint_root_is_the_exact_root(n):
     for _, t, j in layouts(n, rng):
         for args in shapes(t, rng, j):
             assert_exact(sets._breakpoint_root(*args), *args)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_root_far_above_the_mean_breakpoint_is_correctly_rounded(n):
+    # The root 80 (or -20 for the threshold) differs from the exact Fraction
+    # root by more than 1e-14 times the mean breakpoint at slope 1.44; it is
+    # that root rounded to the nearest float.
+    rng = np.random.default_rng(n + 13)
+    for args in shapes(far_spiked_layout(n), rng, 1):
+        assert sets._breakpoint_root(*args) == float(exact_root(*args))
 
 
 def test_breakpoint_root_up_to_the_threshold_is_the_sorted_formula():

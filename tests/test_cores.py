@@ -1,13 +1,15 @@
 """Everything that switches at ``sets._FLOATS`` entries, on Python floats
 against its numpy form: up to that size :func:`_quadratic_cone` (with
-:func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm` and
-the query validation :func:`_as_query` run on floats, above it on numpy
-arrays.  Each test calls the same inputs on both sides of that switch, at
-one entry, at the switch and one entry above it, and asks for agreement to
-1e-13 relative for the root cores, 1e-15 for the closed forms and bit for
-bit for the validation; every RuntimeWarning is an error."""
+:func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm`,
+the query validation :func:`_as_query` and the branch tests of the box, l1
+and simplex kernels run on floats, above it on numpy arrays.  Each test
+calls the same inputs on both sides of that switch, at one entry, at 12 and
+13, at the switch and one entry above it, and asks for agreement to 1e-13
+relative for the root cores, 1e-15 for the closed forms and bit for bit for
+the validation; every RuntimeWarning is an error."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from test_homproj import OFF_AXIS, extreme_radii_queries, kernel_queries
 
 pytestmark = pytest.mark.filterwarnings("error")
 
-SIZES = (1, sets._FLOATS, sets._FLOATS + 1)
+SIZES = (1, 12, 13, sets._FLOATS, sets._FLOATS + 1)
 RTOL = 1e-13
 
 
@@ -68,24 +70,148 @@ def test_breakpoint_root_on_both_sides(n, on_both_sides):
                 assert abs(floats - arrays) <= RTOL * breakpoint_scale(*args)
 
 
+def fresh_kernel(make):
+    """The cone kernel of the set ``make()`` builds anew at each call: a box
+    takes its halfwidths as Python floats, or not, when it is built."""
+    return lambda y, s: make()._project_cone(y, s)
+
+
+def eighths(rng, n, low=-8, high=8):
+    """n multiples of 1/8 in [low / 8, high / 8]: with the dyadic halfwidths,
+    radii and heights below, every sum and product is exact."""
+    return rng.integers(low, high + 1, n) / 8.0
+
+
+def box_edges(n, rng):
+    """The box with |y_i| = s b_i on some entries and inside elsewhere, then
+    with one of them pushed out; with s = -sigma_C(y), the apex, then with s
+    just above it."""
+    b = rng.choice((0.0, 0.5, 1.0, 2.0), n)
+    b[0] = 1.0
+    box = partial(Box, b)
+    s = 0.75
+    y = s * b * eighths(rng, n, -7, 7)
+    edge = rng.random(n) < 0.5
+    edge[0] = True
+    y[edge] = s * b[edge] * rng.choice((-1.0, 1.0), int(edge.sum()))
+    yield box, y, s, Branch.ALREADY_IN_K
+    out = y.copy()
+    out[0] += math.copysign(0.125, out[0])
+    yield box, out, s, Branch.CONE_INTERIOR
+    y = eighths(rng, n)
+    y[0] = 1.0
+    sigma = float(b @ np.abs(y))
+    yield box, y, -sigma, Branch.RECESSION
+    yield box, y, 0.125 - sigma, Branch.CONE_INTERIOR
+
+
+def simplex_edges(n, rng):
+    """The l1 ball (radius 1/2) and the simplex with sum v = r s, for v = |y|
+    and v = y, and with s = -r max(v), the apex, then s just above them; the
+    simplex with negative entries whose positive part sums to r s."""
+    l1 = partial(L1Ball, 0.5, n)
+    y = eighths(rng, n, 1, 8) * rng.choice((-1.0, 1.0), n)
+    total, top = float(np.abs(y).sum()), float(np.abs(y).max())
+    yield l1, y, 2.0 * total, Branch.ALREADY_IN_K
+    yield l1, y, 2.0 * total - 0.125, Branch.CONE_INTERIOR
+    yield l1, y, -0.5 * top, Branch.RECESSION
+    yield l1, y, 0.125 - 0.5 * top, Branch.CONE_INTERIOR
+    simplex = partial(Simplex, n)
+    v = eighths(rng, n, 0, 8)
+    v[0] = 0.5
+    yield simplex, v, float(v.sum()), Branch.ALREADY_IN_K
+    yield simplex, v, float(v.sum()) - 0.125, Branch.CONE_INTERIOR
+    yield simplex, v, -float(v.max()), Branch.RECESSION
+    # Several negative entries, then one.  theta = 0 at alpha = s: only the
+    # negative entries move.  With one entry, the positive part is 0 and so
+    # is s: the apex.
+    for v in (eighths(rng, n), eighths(rng, n, 0, 8)):
+        v[0] = -0.5
+        if n > 1:
+            v[-1] = 0.5
+        yield (simplex, v, float(np.maximum(v, 0.0).sum()),
+               Branch.CONE_INTERIOR if n > 1 else Branch.RECESSION)
+
+
+def signed_zero_edges(n, rng):
+    """The l1 ball on y with +0.0 and -0.0 entries, at heights on every
+    branch and on the edges between them."""
+    l1 = partial(L1Ball, 0.5, n)
+    y = eighths(rng, n)
+    y[rng.random(n) < 0.5] = 0.0
+    y[0] = 0.0
+    y[rng.random(n) < 0.5] *= -1.0
+    y[0] = -0.0
+    total, top = float(np.abs(y).sum()), float(np.abs(y).max())
+    for s in (2.0 * total, 2.0 * total - 0.125, 0.25, 0.0, -0.5 * top,
+              0.125 - 0.5 * top):
+        yield l1, y, s, None
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_breakpoint_kernels_on_both_sides(n, on_both_sides):
     # The box (zero halfwidths and ties included), l1, simplex kernels and
-    # projectors on every branch.
+    # projectors on every branch.  A third of the queries lie on the
+    # boundary of K, where a sum of Python floats and numpy's pairwise sum
+    # may round to either side of r s: there the branches may differ, but
+    # both answers are the query itself to 1e-13.
     rng = np.random.default_rng(n + 1)
     zeros = rng.choice((0.0, 0.5, 1.0), n)
     zeros[0] = 0.0
-    for set_ in (Box(rng.uniform(0.5, 2.0, n)), Box(zeros), Box(np.ones(n)),
-                 L1Ball(1.3, n), Simplex(n)):
+    spread = rng.uniform(0.5, 2.0, n)
+    for make in (partial(Box, spread), partial(Box, zeros), partial(Box, np.ones(n)),
+                 partial(L1Ball, 1.3, n), partial(Simplex, n)):
+        set_ = make()
         for y, s in kernel_queries(set_, rng, count=30):
-            (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(set_._project_cone, y, s)
+            (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(fresh_kernel(make), y, s)
             size = math.hypot(*y, s)
-            assert b_f is b_n
+            if b_f is not b_n:
+                assert {b_f, b_n} == {Branch.ALREADY_IN_K, Branch.CONE_INTERIOR}
+                for a, x in ((a_f, x_f), (a_n, x_n)):
+                    assert abs(a - s) <= RTOL * size
+                    np.testing.assert_allclose(x, y, rtol=0.0, atol=RTOL * size)
             assert abs(a_f - a_n) <= RTOL * size
             np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
             floats, arrays = on_both_sides(set_.project, y)
             np.testing.assert_allclose(floats, arrays, rtol=0.0,
                                        atol=RTOL * float(np.abs(y).max()))
+    # Where a branch test holds with equality in exact sums, both sides take
+    # the same branch, the expected one, and give the same answer; the l1
+    # ball keeps the sign of each zero of y off the apex.
+    for make, y, s, expected in [*box_edges(n, rng), *simplex_edges(n, rng),
+                                 *signed_zero_edges(n, rng)]:
+        (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(fresh_kernel(make), y, s)
+        size = math.hypot(*y, s)
+        assert b_f is b_n
+        assert expected is None or b_f is expected
+        assert abs(a_f - a_n) <= RTOL * size
+        np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
+        if isinstance(make(), L1Ball) and b_f is not Branch.RECESSION:
+            zero = y == 0.0
+            for x in (x_f, x_n):
+                assert (np.signbit(x[zero]) == np.signbit(y[zero])).all()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_recession_answers_are_zeros_of_the_dimension(n, on_both_sides):
+    # Every kernel whose apex answer is the origin of R^n, on a query in the
+    # interior of the polar cone of K: float64 zeros, shape (n,).
+    rng = np.random.default_rng(n + 6)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q = q @ np.diag(rng.uniform(0.25, 4.0, n)) @ q.T
+    b = rng.uniform(0.5, 2.0, n)
+    for make in (partial(EuclideanBall, np.zeros(n), 0.5),
+                 partial(EuclideanBall, 0.5 * np.eye(n)[0], 1.0),
+                 partial(Ellipsoid, q), partial(Box, b),
+                 partial(L1Ball, 1.3, n), partial(Simplex, n)):
+        set_ = make()
+        for _ in range(3):
+            y = rng.normal(size=n)
+            for alpha, x, branch in on_both_sides(fresh_kernel(make), y,
+                                                  -set_.support(y) - 1.0):
+                assert branch is Branch.RECESSION and alpha == 0.0
+                assert x.dtype == np.float64 and x.shape == (n,)
+                assert x.tobytes() == bytes(8 * n)
 
 
 def cone_queries(n, rng):

@@ -498,6 +498,16 @@ def test_ball_projector_with_a_centre_near_the_float_range():
 
 
 @pytest.mark.filterwarnings("error")
+def test_off_centre_ball_projector_scales_x_minus_c_before_the_radius():
+    # x - c and the answer lie in range but radius (x - c) does not: x - c
+    # is scaled by radius / ||x - c||, at most 1, instead.
+    ball = EuclideanBall((3e199, 0.0, 0.0), 1e200)
+    np.testing.assert_allclose(ball.project((4e200, 1e200, 0.0)) / 1e200,
+                               EuclideanBall((0.3, 0.0, 0.0), 1.0).project((4.0, 1.0, 0.0)),
+                               rtol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
 def test_ball_membership_with_a_centre_near_the_float_range():
     # The membership test forms x - c as the projector does.
     ball = EuclideanBall((-1e308, 0.0), 1e308)
