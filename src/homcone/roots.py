@@ -8,7 +8,7 @@ and :mod:`homcone.homproj` locates alpha* with it.  The ellipsoid needs no
 bracket: its projector and its cone kernel solve one secular equation that is
 concave in the form solved, so a monotone Newton iteration
 (:func:`homcone.sets._secular_root`) converges from a lower bound; up to
-``homcone.sets._FLOATS`` (16) entries it runs on Python floats, where numpy's
+``homcone.sets._FLOATS`` (12) entries it runs on Python floats, where numpy's
 cost per call outweighs its cost per entry.
 """
 

@@ -44,12 +44,14 @@ the ball off the origin project onto one quadratic cone
 equation for its multiplier, the ellipsoid in its eigenbasis and the ball
 after one rotation of the plane of its centre and the height; ``PBall`` with
 p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
-p-balls without a projector have none.  Up to ``_FLOATS`` (16) entries both
+p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
 root cores run the same algorithm on Python floats instead of numpy arrays,
 as do :func:`_as_query` and :func:`_norm`, and the box, l1 and simplex
 kernels take every scalar they branch on (membership in K, sigma_C(y), the
 simplex kernel's sums and extremes) from one ``tolist()``, numpy building
 only the answer: there numpy's cost per call outweighs its cost per entry.
+A sum that lies within its rounding error of a branch edge is retaken on
+numpy (:func:`_sum_at_most`), so both sides of the switch branch alike.
 A subclass that changes ``_project`` of one of these sets
 (``EuclideanBall``, ``BallPen``, ``Box``, ``L1Ball``, ``Simplex``,
 ``Ellipsoid``, ``PBall``) must also override ``_project_cone``, or the
@@ -102,13 +104,15 @@ _NORM_FLOOR = 2.0 ** -500
 #: :func:`_secular_root`, and :func:`_breakpoint_root`), the branch tests of
 #: the box, l1 and simplex kernels, the query validation (:func:`_as_query`)
 #: and :func:`_norm` run on Python floats, where numpy's cost per call
-#: outweighs its cost per entry.  Float against numpy per call (2-core Xeon,
-#: Python 3.11.7, numpy 2.4.6, interleaved timeit, best of 9, cone-interior
-#: queries): at 16 entries every cone kernel is faster on floats (box 10-11
-#: vs 12-14 us, l1 ball 9-10 vs 14-16, simplex 10-11 vs 15-18, ellipsoid
-#: 24-28 vs 30-36) and so is the validation (2.4-2.6 vs 2.5-2.9 us); at 17
-#: and 18 the validation is slower (2.6-2.7 vs 2.6 us), and at 24 the box.
-_FLOATS = 16
+#: outweighs its cost per entry.  Float against numpy per cone-kernel call
+#: at 16 entries (2-core Xeon, Python 3.11.7, numpy 2.4.6, interleaved
+#: timeit, best of 9, cone-interior queries): box 10-11 vs 12-14 us, l1 ball
+#: 9-10 vs 14-16, simplex 10-11 vs 15-18, ellipsoid 24-28 vs 30-36, and the
+#: validation 2.4-2.6 vs 2.5-2.9, which loses at 17.  An earlier measurement
+#: (minimum of 60 alternating rounds) had the ellipsoid slower on floats at
+#: 16 (50.1 vs 37.6 us), and no benchmark workload runs 13-16 entries, so
+#: the switch stays at 12, the lowest crossover either measurement found.
+_FLOATS = 12
 
 #: Half an ulp of the largest float: x_i - c_i, with |c_i| below it, rounds
 #: to a finite value for every finite x_i.
@@ -179,6 +183,20 @@ def _norm(v) -> float:
         return 0.0
     v = v / top
     return top * math.sqrt(np.vdot(v, v))
+
+
+def _sum_at_most(terms, n, edge, exact, *args) -> bool:
+    """Whether ``exact(*args) <= edge``, for ``exact`` the numpy sum or dot
+    product of n nonnegative terms, decided on ``sum(terms)``, their Python
+    floats, where that lies farther from edge than twice the rounding error
+    of any summation order (n ulps of the sum, plus half the smallest
+    subnormal per product that underflows): there both round to the same
+    side.  ``terms`` None: on numpy."""
+    if terms is not None:
+        total = sum(terms)
+        if abs(total - edge) > n * (2.0 ** -51 * total + 2.0 ** -1073):
+            return total <= edge
+    return float(exact(*args)) <= edge
 
 
 def _ldexp_array(v, e) -> np.ndarray:
@@ -385,7 +403,7 @@ class EuclideanBall(ConvexSet):
             r = x - self.center
             n = _norm(r)
             if n < math.inf:
-                return self.center + r * (self.radius / max(n, self.radius))
+                return self.center + self.radius * (r / max(n, self.radius))
         r, e = self._scaled_offset(x)
         n = _norm(r)
         if n <= math.ldexp(self.radius, -e):
@@ -464,8 +482,6 @@ class Box(ConvexSet):
         self._live = None if live.size == b.size else live
         self._live_b = b[live]
         self._live_bb = self._live_b * self._live_b
-        # The cone kernel's branch tests run on these Python floats.
-        self._floats = b.tolist() if b.size <= _FLOATS else None
 
     def __repr__(self):
         return f"Box(halfwidths={self.halfwidths.tolist()})"
@@ -488,17 +504,17 @@ class Box(ConvexSet):
         never enter A."""
         b = self.halfwidths
         a = np.abs(y)
-        floats = self._floats
-        if floats is None:
+        if y.size > _FLOATS:
             if s >= 0.0 and (a <= s * b).all():
                 return s, y.copy(), Branch.ALREADY_IN_K
-            sigma = float(b @ a)
+            terms = None
         else:
-            vals = a.tolist()
-            if s >= 0.0 and all(ai <= s * bi for ai, bi in zip(vals, floats)):
+            bs, vals = b.tolist(), a.tolist()
+            if s >= 0.0 and all(ai <= s * bi for ai, bi in zip(vals, bs)):
                 return s, y.copy(), Branch.ALREADY_IN_K
-            sigma = sum(map(operator.mul, floats, vals))
-        if s + sigma <= 0.0:
+            terms = map(operator.mul, bs, vals)
+        # s + sigma_C(y) <= 0.
+        if _sum_at_most(terms, y.size, -s, np.matmul, b, a):
             return 0.0, np.zeros(y.size), Branch.RECESSION
         if self._live is not None:
             a = a[self._live]
@@ -650,9 +666,8 @@ def _simplex_cone(v, r, s):
     shift folds into s + r max(v) = s + sigma_C(v).
     """
     vals = v.tolist() if v.size <= _FLOATS else None
-    total = float(v.sum()) if vals is None else sum(vals)
     low = float(v.min()) if vals is None else min(vals)
-    if low >= 0.0 and total <= r * s:
+    if low >= 0.0 and _sum_at_most(vals, v.size, r * s, v.sum):
         return s, v.copy(), Branch.ALREADY_IN_K
     top = float(v.max()) if vals is None else max(vals)
     lift = s + r * max(top, 0.0)
@@ -660,8 +675,8 @@ def _simplex_cone(v, r, s):
         return 0.0, np.zeros(v.size), Branch.RECESSION
     if low < 0.0:
         pos = np.maximum(v, 0.0)
-        plus = float(pos.sum()) if vals is None else sum(x for x in vals if x > 0.0)
-        if plus <= r * s:
+        plus = None if vals is None else (x for x in vals if x > 0.0)
+        if _sum_at_most(plus, v.size, r * s, pos.sum):
             # theta = 0 at alpha = s: only the negative entries move.
             return s, pos, Branch.CONE_INTERIOR
     d = v - top

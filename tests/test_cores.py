@@ -3,13 +3,14 @@ against its numpy form: up to that size :func:`_quadratic_cone` (with
 :func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm`,
 the query validation :func:`_as_query` and the branch tests of the box, l1
 and simplex kernels run on floats, above it on numpy arrays.  Each test
-calls the same inputs on both sides of that switch, at one entry, at 12 and
-13, at the switch and one entry above it, and asks for agreement to 1e-13
-relative for the root cores, 1e-15 for the closed forms and bit for bit for
-the validation; every RuntimeWarning is an error."""
+calls the same inputs on both sides of that switch, at one entry, at the
+switch and one entry above it, and asks for agreement to 1e-13 relative for
+the root cores, 1e-15 for the closed forms and bit for bit for the
+validation, and for the same branch in every kernel; every RuntimeWarning
+is an error."""
 
 import math
-from functools import partial
+import operator
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from test_homproj import OFF_AXIS, extreme_radii_queries, kernel_queries
 
 pytestmark = pytest.mark.filterwarnings("error")
 
-SIZES = (1, 12, 13, sets._FLOATS, sets._FLOATS + 1)
+SIZES = (1, sets._FLOATS, sets._FLOATS + 1)
 RTOL = 1e-13
 
 
@@ -70,12 +71,6 @@ def test_breakpoint_root_on_both_sides(n, on_both_sides):
                 assert abs(floats - arrays) <= RTOL * breakpoint_scale(*args)
 
 
-def fresh_kernel(make):
-    """The cone kernel of the set ``make()`` builds anew at each call: a box
-    takes its halfwidths as Python floats, or not, when it is built."""
-    return lambda y, s: make()._project_cone(y, s)
-
-
 def eighths(rng, n, low=-8, high=8):
     """n multiples of 1/8 in [low / 8, high / 8]: with the dyadic halfwidths,
     radii and heights below, every sum and product is exact."""
@@ -88,7 +83,7 @@ def box_edges(n, rng):
     just above it."""
     b = rng.choice((0.0, 0.5, 1.0, 2.0), n)
     b[0] = 1.0
-    box = partial(Box, b)
+    box = Box(b)
     s = 0.75
     y = s * b * eighths(rng, n, -7, 7)
     edge = rng.random(n) < 0.5
@@ -109,14 +104,14 @@ def simplex_edges(n, rng):
     """The l1 ball (radius 1/2) and the simplex with sum v = r s, for v = |y|
     and v = y, and with s = -r max(v), the apex, then s just above them; the
     simplex with negative entries whose positive part sums to r s."""
-    l1 = partial(L1Ball, 0.5, n)
+    l1 = L1Ball(0.5, n)
     y = eighths(rng, n, 1, 8) * rng.choice((-1.0, 1.0), n)
     total, top = float(np.abs(y).sum()), float(np.abs(y).max())
     yield l1, y, 2.0 * total, Branch.ALREADY_IN_K
     yield l1, y, 2.0 * total - 0.125, Branch.CONE_INTERIOR
     yield l1, y, -0.5 * top, Branch.RECESSION
     yield l1, y, 0.125 - 0.5 * top, Branch.CONE_INTERIOR
-    simplex = partial(Simplex, n)
+    simplex = Simplex(n)
     v = eighths(rng, n, 0, 8)
     v[0] = 0.5
     yield simplex, v, float(v.sum()), Branch.ALREADY_IN_K
@@ -136,7 +131,7 @@ def simplex_edges(n, rng):
 def signed_zero_edges(n, rng):
     """The l1 ball on y with +0.0 and -0.0 entries, at heights on every
     branch and on the edges between them."""
-    l1 = partial(L1Ball, 0.5, n)
+    l1 = L1Ball(0.5, n)
     y = eighths(rng, n)
     y[rng.random(n) < 0.5] = 0.0
     y[0] = 0.0
@@ -151,25 +146,18 @@ def signed_zero_edges(n, rng):
 @pytest.mark.parametrize("n", SIZES)
 def test_breakpoint_kernels_on_both_sides(n, on_both_sides):
     # The box (zero halfwidths and ties included), l1, simplex kernels and
-    # projectors on every branch.  A third of the queries lie on the
-    # boundary of K, where a sum of Python floats and numpy's pairwise sum
-    # may round to either side of r s: there the branches may differ, but
-    # both answers are the query itself to 1e-13.
+    # projectors on every branch, a third of the queries on the boundary of
+    # K, where a sum of Python floats and numpy's pairwise sum may round to
+    # either side of r s.
     rng = np.random.default_rng(n + 1)
     zeros = rng.choice((0.0, 0.5, 1.0), n)
     zeros[0] = 0.0
-    spread = rng.uniform(0.5, 2.0, n)
-    for make in (partial(Box, spread), partial(Box, zeros), partial(Box, np.ones(n)),
-                 partial(L1Ball, 1.3, n), partial(Simplex, n)):
-        set_ = make()
+    for set_ in (Box(rng.uniform(0.5, 2.0, n)), Box(zeros), Box(np.ones(n)),
+                 L1Ball(1.3, n), Simplex(n)):
         for y, s in kernel_queries(set_, rng, count=30):
-            (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(fresh_kernel(make), y, s)
+            (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(set_._project_cone, y, s)
             size = math.hypot(*y, s)
-            if b_f is not b_n:
-                assert {b_f, b_n} == {Branch.ALREADY_IN_K, Branch.CONE_INTERIOR}
-                for a, x in ((a_f, x_f), (a_n, x_n)):
-                    assert abs(a - s) <= RTOL * size
-                    np.testing.assert_allclose(x, y, rtol=0.0, atol=RTOL * size)
+            assert b_f is b_n
             assert abs(a_f - a_n) <= RTOL * size
             np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
             floats, arrays = on_both_sides(set_.project, y)
@@ -178,18 +166,45 @@ def test_breakpoint_kernels_on_both_sides(n, on_both_sides):
     # Where a branch test holds with equality in exact sums, both sides take
     # the same branch, the expected one, and give the same answer; the l1
     # ball keeps the sign of each zero of y off the apex.
-    for make, y, s, expected in [*box_edges(n, rng), *simplex_edges(n, rng),
+    for set_, y, s, expected in [*box_edges(n, rng), *simplex_edges(n, rng),
                                  *signed_zero_edges(n, rng)]:
-        (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(fresh_kernel(make), y, s)
+        (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(set_._project_cone, y, s)
         size = math.hypot(*y, s)
         assert b_f is b_n
         assert expected is None or b_f is expected
         assert abs(a_f - a_n) <= RTOL * size
         np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
-        if isinstance(make(), L1Ball) and b_f is not Branch.RECESSION:
+        if isinstance(set_, L1Ball) and b_f is not Branch.RECESSION:
             zero = y == 0.0
             for x in (x_f, x_n):
                 assert (np.signbit(x[zero]) == np.signbit(y[zero])).all()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kernels_branch_alike_where_the_sums_round_apart(n, on_both_sides):
+    # Heights that put a branch edge exactly on the sum of Python floats or
+    # on numpy's sum or dot product, where the two round apart: the box at
+    # s = -sigma_C(y), the l1 ball (radius 1/2) at r s = sum |y|, the simplex
+    # at s = sum v and, with negative entries, at s = sum max(v, 0).
+    rng = np.random.default_rng(n + 9)
+    b = rng.uniform(0.5, 2.0, n)
+    box, l1, simplex = Box(b), L1Ball(0.5, n), Simplex(n)
+    splits = 0
+    for _ in range(40):
+        a = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        y = a * rng.choice((-1.0, 1.0), n)
+        pos = np.maximum(y, 0.0)
+        sigma = (float(b @ a), sum(map(operator.mul, b.tolist(), a.tolist())))
+        total = (float(a.sum()), sum(a.tolist()))
+        plus = (float(pos.sum()), sum(pos.tolist()))
+        for set_, v, sums, height in ((box, y, sigma, -1.0), (l1, y, total, 2.0),
+                                      (simplex, a, total, 1.0), (simplex, y, plus, 1.0)):
+            splits += sums[0] != sums[1]
+            for edge in sums:
+                (_, _, b_f), (_, _, b_n) = on_both_sides(set_._project_cone, v,
+                                                         height * edge)
+                assert b_f is b_n
+    assert n == 1 or splits
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -200,14 +215,12 @@ def test_recession_answers_are_zeros_of_the_dimension(n, on_both_sides):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q = q @ np.diag(rng.uniform(0.25, 4.0, n)) @ q.T
     b = rng.uniform(0.5, 2.0, n)
-    for make in (partial(EuclideanBall, np.zeros(n), 0.5),
-                 partial(EuclideanBall, 0.5 * np.eye(n)[0], 1.0),
-                 partial(Ellipsoid, q), partial(Box, b),
-                 partial(L1Ball, 1.3, n), partial(Simplex, n)):
-        set_ = make()
+    for set_ in (EuclideanBall(np.zeros(n), 0.5),
+                 EuclideanBall(0.5 * np.eye(n)[0], 1.0), Ellipsoid(q), Box(b),
+                 L1Ball(1.3, n), Simplex(n)):
         for _ in range(3):
             y = rng.normal(size=n)
-            for alpha, x, branch in on_both_sides(fresh_kernel(make), y,
+            for alpha, x, branch in on_both_sides(set_._project_cone, y,
                                                   -set_.support(y) - 1.0):
                 assert branch is Branch.RECESSION and alpha == 0.0
                 assert x.dtype == np.float64 and x.shape == (n,)

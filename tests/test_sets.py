@@ -508,6 +508,16 @@ def test_off_centre_ball_projector_scales_x_minus_c_before_the_radius():
 
 
 @pytest.mark.filterwarnings("error")
+def test_off_centre_ball_projector_scales_the_radius_last():
+    # ||x - c|| / radius is above 2^1074 but the answer, radius on the ray to
+    # x, is in range: radius / ||x - c|| alone would round to 0.
+    np.testing.assert_array_equal(EuclideanBall(np.zeros(2), 1e-300).project((1e30, 0.0)),
+                                  [1e-300, 0.0])
+    np.testing.assert_allclose(EuclideanBall((1e-300, 0.0), 1e-300).project((0.0, 1e30)),
+                               [1e-300, 1e-300], rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
 def test_ball_membership_with_a_centre_near_the_float_range():
     # The membership test forms x - c as the projector does.
     ball = EuclideanBall((-1e308, 0.0), 1e308)
