@@ -18,7 +18,7 @@ costs one support-function call and no projector call.
 from __future__ import annotations
 
 from .errors import CapabilityMissing, NonPositiveAlpha
-from .sets import _as_query
+from .sets import _as_query, _scaled
 
 
 def _positive(alpha) -> float:
@@ -103,8 +103,10 @@ class PsiEvaluator:
         0.  A nonnegative value certifies alpha* = 0, the recession branch:
         (y, s) then lies in the polar cone of K.  Unbounded sets raise
         CapabilityMissing, since their sigma_C is +inf off the polar of the
-        recession cone.
+        recession cone.  sigma_C is taken on the power-of-2 rescale of y, as
+        :meth:`~homcone.sets.ConvexSet.support` does, so that no inner
+        product inside it leaves the float range.
         """
         if not self.set.bounded:
             raise CapabilityMissing("psi'(0+) in closed form needs a bounded set")
-        return -2.0 * (self.s + self.set._support(self.y))
+        return -2.0 * (self.s + _scaled(self.set._support, self.y))

@@ -40,16 +40,19 @@ them by Newton steps from the root on a strided sample, which land on the
 exact root, or left of it, where one sort of the breakpoints above the last
 step finishes; the ellipsoid and
 the ball off the origin project onto one quadratic cone
-{||W^1/2 z|| <= t} (:func:`_quadratic_cone`), which solves one scalar
-equation for its multiplier, the ellipsoid in its eigenbasis and the ball
-after one rotation of the plane of its centre and the height; ``PBall`` with
+{||W^1/2 z|| <= t}, which solves one scalar equation for its multiplier:
+the ellipsoid in its eigenbasis (:func:`_quadratic_cone`), and the ball,
+after one rotation of the plane of its centre and the height, on a 2-vector
+(:func:`_plane_cone`, the same solve as straight-line code, bit for bit);
+``PBall`` with
 p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
 p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
 root cores run the same algorithm on Python floats instead of numpy arrays,
 as do :func:`_as_query` and :func:`_norm`, and the box, l1 and simplex
 kernels take every scalar they branch on (membership in K, sigma_C(y), the
 simplex kernel's sums and extremes) from one ``tolist()``, numpy building
-only the answer: there numpy's cost per call outweighs its cost per entry.
+only the answer, as does the off-centre ball for y_perp and its answer:
+there numpy's cost per call outweighs its cost per entry.
 A sum that lies within its rounding error of a branch edge is retaken on
 numpy (:func:`_sum_at_most`), so both sides of the switch branch alike.
 A subclass that changes ``_project`` of one of these sets
@@ -90,10 +93,10 @@ from .errors import (
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
 
-#: The secular Newton solve behind both ellipsoid kernels
-#: (:func:`_secular_root`): the relative step that ends it, also the floor of
-#: the alpha* tolerance in :mod:`homcone.homproj`, and the most evaluations
-#: it may take.
+#: The secular Newton solve behind both ellipsoid kernels and the
+#: off-centre ball's (:func:`_secular_root`, :func:`_plane_cone`): the
+#: relative step that ends it, also the floor of the alpha* tolerance in
+#: :mod:`homcone.homproj`, and the most evaluations it may take.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_STEPS = 100
 
@@ -102,16 +105,17 @@ _NORM_FLOOR = 2.0 ** -500
 
 #: Up to this many entries, the two root cores (:func:`_quadratic_cone` with
 #: :func:`_secular_root`, and :func:`_breakpoint_root`), the branch tests of
-#: the box, l1 and simplex kernels, the query validation (:func:`_as_query`)
-#: and :func:`_norm` run on Python floats, where numpy's cost per call
-#: outweighs its cost per entry.  Float against numpy per cone-kernel call
-#: at 16 entries (2-core Xeon, Python 3.11.7, numpy 2.4.6, interleaved
-#: timeit, best of 9, cone-interior queries): box 10-11 vs 12-14 us, l1 ball
-#: 9-10 vs 14-16, simplex 10-11 vs 15-18, ellipsoid 24-28 vs 30-36, and the
-#: validation 2.4-2.6 vs 2.5-2.9, which loses at 17.  An earlier measurement
-#: (minimum of 60 alternating rounds) had the ellipsoid slower on floats at
-#: 16 (50.1 vs 37.6 us), and no benchmark workload runs 13-16 entries, so
-#: the switch stays at 12, the lowest crossover either measurement found.
+#: the box, l1 and simplex kernels, the off-centre ball's y_perp and answer,
+#: the query validation (:func:`_as_query`) and :func:`_norm` run on Python
+#: floats, where numpy's cost per call outweighs its cost per entry.  Float
+#: against numpy per cone-kernel call at 16 entries (2-core Xeon, Python
+#: 3.11.7, numpy 2.4.6, interleaved timeit, best of 9, cone-interior
+#: queries): box 10-11 vs 12-14 us, l1 ball 9-10 vs 14-16, simplex 10-11 vs
+#: 15-18, ellipsoid 24-28 vs 30-36, and the validation 2.4-2.6 vs 2.5-2.9,
+#: which loses at 17.  An earlier measurement (minimum of 60 alternating
+#: rounds) had the ellipsoid slower on floats at 16 (50.1 vs 37.6 us), and
+#: no benchmark workload runs 13-16 entries, so the switch stays at 12, the
+#: lowest crossover either measurement found.
 _FLOATS = 12
 
 #: Half an ulp of the largest float: x_i - c_i, with |c_i| below it, rounds
@@ -345,8 +349,9 @@ class EuclideanBall(ConvexSet):
     tan = rho / (h + sqrt(h^2 + rho^2)), h = (1 + gamma^2 - rho^2) / 2, and
     lam = 1 + rho tan, is orthogonal, and it maps K onto the quadratic cone
     {||W^1/2 (||y - a e||, p)|| <= q} with W = diag(lam, lam^2) / gamma^2
-    (:func:`_quadratic_cone`).  The constructor takes the rotation and the
-    weights from this closed form once.
+    (:func:`_plane_cone`).  The constructor takes the rotation and the
+    weights from this closed form once, and stores the square roots of the
+    weights and 1 + each for that solve.
     """
 
     def __init__(self, center, radius):
@@ -381,6 +386,8 @@ class EuclideanBall(ConvexSet):
                 self._axis = self.center / rho
                 self._turn = (cos, tan * cos)
                 self._weights = weights
+                self._roots = (math.sqrt(weights[0]), math.sqrt(weights[1]))
+                self._ones = (1.0 + weights[0], 1.0 + weights[1])
 
     def __repr__(self):
         return f"EuclideanBall(center={self.center.tolist()}, radius={self.radius})"
@@ -419,10 +426,12 @@ class EuclideanBall(ConvexSet):
         the ray point with alpha* = (s + gamma ||y||) / (1 + gamma^2).
 
         Off the origin, the quadratic cone of the class docstring on the
-        2-vector (||y_perp||, p) and the height q, for y = a e + y_perp; the
-        answer (z, t) is rotated back and z_1 scales y_perp.  The rotated
-        query is rescaled by a power of 2 to a largest entry below 1, so
-        weights far from 1 square nothing out of range."""
+        2-vector (||y_perp||, p) and the height q, for y = a e + y_perp,
+        solved by :func:`_plane_cone`; the answer (z, t) is rotated back and
+        z_1 scales y_perp.  The rotated query is rescaled by a power of 2 to
+        a largest entry below 1, so weights far from 1 square nothing out of
+        range.  Up to ``_FLOATS`` entries y_perp, its norm and the answer are
+        formed on the Python floats of y and e; <e, y> is numpy's either way."""
         if self._centred:
             gamma = self.radius
             ny = _norm(y)
@@ -437,23 +446,36 @@ class EuclideanBall(ConvexSet):
             return None
         cos, sin = self._turn
         a = float(e @ y)
-        perp = y - a * e
-        r = _norm(perp)
+        small = y.size <= _FLOATS
+        if small:
+            e = e.tolist()
+            perp = [yi - a * ei for yi, ei in zip(y.tolist(), e)]
+            r = math.hypot(*perp)
+        else:
+            perp = y - a * e
+            r = _norm(perp)
         p, q = cos * a - sin * s, sin * a + cos * s
         k = math.frexp(max(r, abs(p), abs(q)))[1]
-        cone = _quadratic_cone_floats((math.ldexp(r, -k), math.ldexp(p, -k)),
-                                      self._weights, math.ldexp(q, -k))
+        cone = _plane_cone(math.ldexp(r, -k), math.ldexp(p, -k), self._weights,
+                           self._roots, self._ones, math.ldexp(q, -k))
         # K lies in s >= ||y|| / (gamma + rho); a height below 0 comes from
         # rounding in the rotation, at radii beyond about 1e15 only.
         if cone is None:
             return max(s, 0.0), y.copy(), Branch.ALREADY_IN_K
-        t, z = cone
+        t, zr, zp = cone
         if t == 0.0:
             return 0.0, np.zeros(y.size), Branch.RECESSION
-        t, zr, zp = (math.ldexp(v, k) for v in (t, *z))
-        x = (cos * zp + sin * t) * e
-        if r > 0.0:
-            x += (zr / r) * perp
+        t, zr, zp = math.ldexp(t, k), math.ldexp(zr, k), math.ldexp(zp, k)
+        h = cos * zp + sin * t
+        if not small:
+            x = h * e
+            if r > 0.0:
+                x += (zr / r) * perp
+        elif r > 0.0:
+            m = zr / r
+            x = np.array([h * ei + m * pi for ei, pi in zip(e, perp)])
+        else:
+            x = np.array([h * ei for ei in e])
         return max(cos * t - sin * zp, 0.0), x, Branch.CONE_INTERIOR
 
     def _polar(self):
@@ -761,7 +783,7 @@ class PBall(ConvexSet):
     def _project(self, x):
         if self._same is None:
             raise UnsupportedProjection(
-                "p-ball projection is implemented for p in {1, 2, inf} only"
+                "p-ball projection is implemented for p in {2, inf} only"
             )
         return self._same._project(x)
 
@@ -886,6 +908,43 @@ def _quadratic_cone_floats(u, w, s):
     if t == 0.0:
         return 0.0, None
     return t, [ui * (t / ((v + lift) * wi + t)) for ui, wi in zip(u, w)]
+
+
+def _plane_cone(r, p, w, root, one, s):
+    """:func:`_quadratic_cone_floats` on the 2-vector (r, p), bit for bit,
+    as straight-line code: None inside the cone, else ``(t, z_r, z_p)``,
+    t = 0 at the apex.  :func:`_secular_root_floats` is inlined, with the
+    same lower bounds, Newton step, stopping rule and
+    MaxIterationsExceeded."""
+    (w0, w1), (h0, h1), (o0, o1) = w, root, one
+    c0, c1 = h0 * r, h1 * p
+    if math.hypot(c0, c1) <= s:
+        return None
+    base, lift = max(s, 0.0), max(-s, 0.0)
+    c0, c1 = c0 / o0, c1 / o1
+    a0, a1 = (base + lift * w0) / o0, (base + lift * w1) / o1
+    x = max(math.hypot(c0, c1) - max(a0, a1), 0.0)
+    a_lo = min(a0, a1)
+    if a_lo > 0.0:
+        x = max(x, math.hypot(c0 * (a_lo / a0), c1 * (a_lo / a1)) - a_lo)
+    for _ in range(_ROOT_MAX_STEPS):
+        d0, d1 = a0 + x, a1 + x
+        r0, r1 = c0 / d0, c1 / d1
+        f = r0 * r0 + r1 * r1
+        if f <= 1.0:
+            break
+        step = f * (math.sqrt(f) - 1.0) / (r0 / d0 * r0 + r1 / d1 * r1)
+        x += step
+        if step <= _ROOT_RTOL * x:
+            break
+    else:
+        raise MaxIterationsExceeded(
+            f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
+        )
+    t = base + x
+    if t == 0.0:
+        return 0.0, 0.0, 0.0
+    return t, r * (t / ((x + lift) * w0 + t)), p * (t / ((x + lift) * w1 + t))
 
 
 class Ellipsoid(ConvexSet):

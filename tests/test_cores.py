@@ -1,13 +1,15 @@
 """Everything that switches at ``sets._FLOATS`` entries, on Python floats
 against its numpy form: up to that size :func:`_quadratic_cone` (with
 :func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm`,
-the query validation :func:`_as_query` and the branch tests of the box, l1
-and simplex kernels run on floats, above it on numpy arrays.  Each test
-calls the same inputs on both sides of that switch, at one entry, at the
-switch and one entry above it, and asks for agreement to 1e-13 relative for
-the root cores, 1e-15 for the closed forms and bit for bit for the
-validation, and for the same branch in every kernel; every RuntimeWarning
-is an error."""
+the query validation :func:`_as_query`, the branch tests of the box, l1
+and simplex kernels and the off-centre ball's y_perp and answer run on
+floats, above it on numpy arrays.  Each test calls the same inputs on both
+sides of that switch, at one entry, at the switch and one entry above it,
+and asks for agreement to 1e-13 relative for the root cores, 1e-15 for the
+closed forms and bit for bit for the validation, and for the same branch in
+every kernel but on the boundary of the off-centre ball's K, where the two
+answers agree; every RuntimeWarning is an error.  The ball's straight-line
+plane solve (:func:`_plane_cone`) must match the list core bit for bit."""
 
 import math
 import operator
@@ -279,24 +281,95 @@ def test_ellipsoid_kernels_on_both_sides(n, on_both_sides):
 
 @pytest.mark.parametrize("exponent", range(-100, 101, 25))
 @pytest.mark.parametrize("rho", [1e-12, 0.5, 1.0])
-def test_off_centre_ball_kernel_on_both_sides(rho, exponent, monkeypatch):
-    # The ball calls the float core on its two rotated floats directly; on
-    # the numpy side that call goes to the numpy core.  The radii and query
-    # scales of test_off_centre_ball_kernel_at_extreme_radii.
+def test_off_centre_ball_kernel_on_both_sides(rho, exponent, on_both_sides,
+                                              monkeypatch):
+    # At the radii and query scales of
+    # test_off_centre_ball_kernel_at_extreme_radii: the kernel's float path
+    # against its numpy path, then the plane solve on the rotated, rescaled
+    # 2-vectors and heights that the kernel handed it, bit for bit with the
+    # list core on the same weights and to 1e-13 with the numpy core.
     gamma = 10.0 ** exponent
     ball = EuclideanBall(rho * gamma * OFF_AXIS, gamma)
+    weights = np.array(ball._weights)
+    assert ball._roots == tuple(np.sqrt(weights).tolist())
+    assert ball._ones == tuple((1.0 + weights).tolist())
+    calls = []
+    plane = sets._plane_cone
+    monkeypatch.setattr(sets, "_plane_cone",
+                        lambda *args: calls.append(args) or plane(*args))
     queries = [(t * y, t * s) for t, y, s in extreme_radii_queries(gamma)]
-    floats = [project_homogenization(ball, v) for v in queries]
-    numpy_core = sets._quadratic_cone
-    monkeypatch.setattr(sets, "_FLOATS", 0)
-    monkeypatch.setattr(sets, "_quadratic_cone_floats",
-                        lambda u, w, s: numpy_core(np.array(u), np.array(w), s))
-    for v, f in zip(queries, floats):
-        a = project_homogenization(ball, v)
+    for v in queries:
+        f, a = on_both_sides(project_homogenization, ball, v)
         size = math.hypot(*v[0], v[1])
         assert f.branch is a.branch
         assert abs(f.alpha_star - a.alpha_star) <= RTOL * size
         np.testing.assert_allclose(f.point.y, a.point.y, rtol=0.0, atol=RTOL * size)
+    assert len(calls) == 2 * len(queries)
+    for r, p, w, root, one, s in calls:
+        got = plane(r, p, w, root, one, s)
+        lists, arrays = on_both_sides(sets._quadratic_cone, np.array([r, p]),
+                                      weights, s)
+        if lists is None:
+            assert got is None and arrays is None
+            continue
+        assert got[0] == lists[0]
+        if got[0] > 0.0:
+            assert list(got[1:]) == lists[1]
+        size = math.hypot(r, p, s)
+        assert abs(got[0] - arrays[0]) <= RTOL * size
+        if got[0] > 0.0:
+            np.testing.assert_allclose(got[1:], arrays[1], rtol=0.0, atol=RTOL * size)
+
+
+def test_plane_solve_raises_when_its_budget_is_spent(monkeypatch, on_both_sides):
+    # One Newton evaluation is too few here: the plane solve raises the list
+    # core's MaxIterationsExceeded, and so does the ball on both sides.
+    monkeypatch.setattr(sets, "_ROOT_MAX_STEPS", 1)
+    ball = EuclideanBall((0.5, 0.0), 1.0)
+    with pytest.raises(sets.MaxIterationsExceeded) as plane_error:
+        sets._plane_cone(0.6, -0.4, ball._weights, ball._roots, ball._ones, 0.05)
+    with pytest.raises(sets.MaxIterationsExceeded) as list_error:
+        sets._quadratic_cone_floats([0.6, -0.4], ball._weights, 0.05)
+    assert str(plane_error.value) == str(list_error.value)
+    for limit in (math.inf, 0):
+        monkeypatch.setattr(sets, "_FLOATS", limit)
+        with pytest.raises(sets.MaxIterationsExceeded, match="in 1 steps"):
+            project_homogenization(ball, ((3.0, -1.0), 0.2))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_off_centre_ball_kernel_at_every_size(n, on_both_sides):
+    # The kernel forms y_perp, its norm and the answer on Python floats up
+    # to _FLOATS entries and on numpy arrays above, on every branch; at
+    # n = 1, and on the centre axis, y_perp is 0.
+    rng = np.random.default_rng(n + 7)
+    branches = set()
+    for rho in (1e-12, 0.5, 1.0):
+        c = rng.normal(size=n)
+        ball = EuclideanBall(rho * c / np.linalg.norm(c), 1.3)
+        axis = [(a * ball._axis, s) for a in (-2.0, 0.5) for s in (-3.0, 0.2, 3.0)]
+        for y, s in kernel_queries(ball, rng, count=30) + axis:
+            for t in (1e-9, 1.0, 1e12):
+                (a_f, x_f, b_f), (a_n, x_n, b_n) = on_both_sides(
+                    ball._project_cone, t * y, t * s)
+                size = t * math.hypot(*y, s)
+                # On the boundary of K, ||y_perp|| by math.hypot and by numpy
+                # may round to either side of it: the identity on one side,
+                # within rounding of it on the other.
+                assert b_f is b_n or Branch.ALREADY_IN_K in (b_f, b_n)
+                assert abs(a_f - a_n) <= RTOL * size
+                np.testing.assert_allclose(x_f, x_n, rtol=0.0, atol=RTOL * size)
+                assert x_f.dtype == np.float64 and x_f.shape == (n,)
+                branches.add(b_f)
+    assert branches == set(Branch)
+    # With the centre on e_1, y = a e_1 has y_perp exactly 0: both paths
+    # answer h e_1, signed zeros included.
+    ball = EuclideanBall(0.5 * np.eye(n)[0], 1.3)
+    for a in (-2.0, 0.5):
+        for s in (-0.5, 0.2, 3.0):
+            (_, x_f, _), (_, x_n, _) = on_both_sides(ball._project_cone,
+                                                     a * ball._axis, s)
+            assert x_f.tobytes() == x_n.tobytes()
 
 
 def validation_outcome(y, dim, s):

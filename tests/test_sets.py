@@ -18,6 +18,7 @@ from homcone import (
     L1Ball,
     MaxIterationsExceeded,
     PBall,
+    PsiEvaluator,
     Simplex,
     UnsupportedProjection,
     project_homogenization,
@@ -96,6 +97,13 @@ def test_projection_unsupported_variants():
     for set_ in POLAR_ONLY:
         with pytest.raises(UnsupportedProjection):
             set_.project(np.zeros(set_.dim))
+
+
+def test_p_ball_message_names_the_projectable_p():
+    # p = 1 is rejected by the constructor (L1Ball is that set), so the
+    # message names only p = 2 and p = inf.
+    with pytest.raises(UnsupportedProjection, match=r"for p in \{2, inf\} only$"):
+        PBall(3.0, 1.0).project((1.0, 0.0))
 
 
 def test_dimension_mismatch():
@@ -528,6 +536,21 @@ def test_ball_membership_with_a_centre_near_the_float_range():
     far = EuclideanBall((1e308, 1e308), 1.5e308)
     assert not far.contains((-1.7e308, -1.7e308))
     assert far.contains((1.7e308, 1.7e308))
+
+
+@pytest.mark.filterwarnings("error")
+def test_psi_prime_at_zero_takes_sigma_in_range():
+    # psi'(0+) takes sigma_C on the query within 2^(+-500), not rescaled,
+    # where <c, y> may leave the float range though sigma_C does not: it is
+    # formed on the power-of-2 rescale, as support() does.
+    far = EuclideanBall((1e200, 0.0, 0.0), 1e200)
+    assert PsiEvaluator(far, np.array([-1e150, 0.0, 0.0]), 0.0).psi_prime_plus_zero() == 0.0
+    ball = EuclideanBall((3e199, 0.0, 0.0), 1e200)
+    rng = np.random.default_rng(0)
+    for k in range(-500, 501, 50):
+        y, s = np.ldexp(rng.normal(size=3), k), math.ldexp(rng.uniform(-1.0, 1.0), k)
+        slope = PsiEvaluator(ball, y, s).psi_prime_plus_zero()
+        assert slope == -2.0 * (s + ball.support(y))
 
 
 @pytest.mark.filterwarnings("error")
