@@ -10,14 +10,9 @@ generic solver on psi' otherwise.
 
 from .errors import (
     CapabilityMissing,
-    CenterOutsideRadius,
-    DimensionMismatch,
     HomconeError,
     InvalidSetSpec,
     MaxIterationsExceeded,
-    NoClosedFormAvailable,
-    NonPositiveAlpha,
-    UnsupportedProjection,
 )
 from .homproj import (
     Branch,
@@ -59,10 +54,8 @@ __all__ = [
     "Box",
     "Branch",
     "CapabilityMissing",
-    "CenterOutsideRadius",
     "ConePoint",
     "ConvexSet",
-    "DimensionMismatch",
     "Ellipsoid",
     "EuclideanBall",
     "HomconeError",
@@ -70,8 +63,6 @@ __all__ = [
     "InvalidSetSpec",
     "L1Ball",
     "MaxIterationsExceeded",
-    "NoClosedFormAvailable",
-    "NonPositiveAlpha",
     "PBall",
     "PolarDescription",
     "ProjectionResult",
@@ -79,7 +70,6 @@ __all__ = [
     "QuarticCoefficients",
     "Simplex",
     "TraceRow",
-    "UnsupportedProjection",
     "as_vector",
     "closed_form_polar",
     "find_alpha_star",

@@ -123,15 +123,18 @@ def _parse_point(text):
     try:
         coords = [float(t) for t in text.replace(" ", "").split(",")]
     except ValueError as exc:
-        raise InvalidSetSpec(f"bad point {text!r}: {exc}") from exc
+        raise ValueError(f"bad point {text!r}: {exc}") from exc
     return np.array(coords)
 
 
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -291,8 +294,7 @@ _FIGURES = {
 
 def cmd_figure(args) -> int:
     if args.density < 1:
-        print("density must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("density must be at least 1")
     primal, polar, extra = _FIGURES[args.name]()
     lines = ["label,x1,x2,x3"]
 

@@ -1,38 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A bad argument value raises ``ValueError`` and an argument of the wrong type
+``TypeError``; an answer beyond the float64 range raises ``OverflowError``.
+The classes here cover the failures that have no builtin kind.
+"""
 
 
 class HomconeError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DimensionMismatch(HomconeError):
-    """Vector length does not match the ambient dimension of the set."""
-
-
-class UnsupportedProjection(HomconeError):
-    """The set variant does not provide a nearest-point projector."""
-
-
-class NonPositiveAlpha(HomconeError):
-    """The scaling parameter was out of range: not positive, or negative
-    where 0 is allowed."""
-
-
-class CenterOutsideRadius(HomconeError):
-    """Ball parameters would exclude the origin from the set."""
+    """Base class for the errors defined by this package."""
 
 
 class CapabilityMissing(HomconeError):
-    """The set variant does not expose the requested capability,
-    typically a recession-cone projector."""
+    """The set does not offer the requested operation: a projector, a
+    recession-cone projector, a closed-form polar, or psi'(0+) in closed
+    form for an unbounded set."""
 
 
 class MaxIterationsExceeded(HomconeError):
-    """The bracket search did not stabilize within the allowed steps."""
-
-
-class NoClosedFormAvailable(HomconeError):
-    """No cataloged closed-form polar description for this set."""
+    """A root search (the reference bisection, Brent's method or the secular
+    Newton solve) did not converge within its step budget."""
 
 
 class InvalidSetSpec(HomconeError):

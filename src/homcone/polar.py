@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoClosedFormAvailable
 from .sets import MEMBERSHIP_TOL, ConvexSet, _as_query, _as_tolerance, as_vector
 
 
@@ -87,7 +86,8 @@ class PolarDescription:
 
 def closed_form_polar(set_) -> PolarDescription:
     """Cataloged closed form of the polar set, from the set's ``_polar``
-    kernel; NoClosedFormAvailable for a set without one."""
+    kernel: CapabilityMissing for a set without one, TypeError for an object
+    that is not a ConvexSet."""
     if not isinstance(set_, ConvexSet):
-        raise NoClosedFormAvailable(f"{type(set_).__name__} is not a ConvexSet")
+        raise TypeError(f"{type(set_).__name__} is not a ConvexSet")
     return PolarDescription(set_, *set_._polar())

@@ -17,14 +17,14 @@ costs one support-function call and no projector call.
 
 from __future__ import annotations
 
-from .errors import CapabilityMissing, NonPositiveAlpha
+from .errors import CapabilityMissing
 from .sets import _as_query, _scaled
 
 
 def _positive(alpha) -> float:
     alpha = float(alpha)
     if not alpha > 0.0:
-        raise NonPositiveAlpha("the scaling parameter must be positive")
+        raise ValueError("the scaling parameter must be positive")
     return alpha
 
 
@@ -84,7 +84,7 @@ class PsiEvaluator:
         """phi(alpha) + (alpha - s)^2 for alpha > 0, recession form at 0."""
         alpha = float(alpha)
         if alpha < 0.0:
-            raise NonPositiveAlpha("the scaling parameter must be nonnegative")
+            raise ValueError("the scaling parameter must be nonnegative")
         if alpha == 0.0:
             r = self.set._recession_distance(self.y)
             return r * r + self.s * self.s

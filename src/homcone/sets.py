@@ -3,12 +3,14 @@ cones, the exact projectors onto the homogenization cones that have one, and
 the closed-form polar sets.
 
 Every cataloged set is a closed convex subset of R^n that contains the origin;
-constructors reject parameters violating that standing assumption.  Descriptors
+constructors reject parameters violating that standing assumption with a
+ValueError, as the queries reject a vector of the wrong length.  Descriptors
 are immutable after construction and every operation is a pure function, so
 shared instances are safe to evaluate concurrently.
 
 Not every variant is projectable: some sets exist only for support-function and
-polar work and raise :class:`UnsupportedProjection` from :meth:`project`.
+polar work and raise :class:`CapabilityMissing` from :meth:`project`, as a set
+does for every operation it lacks.
 
 Each set is implemented once.  The JSON spec types ``shifted_unit_ball`` and
 ``ball_plus_strip`` name two of the paper's examples and build the
@@ -80,15 +82,7 @@ import operator
 
 import numpy as np
 
-from .errors import (
-    CapabilityMissing,
-    CenterOutsideRadius,
-    DimensionMismatch,
-    InvalidSetSpec,
-    MaxIterationsExceeded,
-    NoClosedFormAvailable,
-    UnsupportedProjection,
-)
+from .errors import CapabilityMissing, InvalidSetSpec, MaxIterationsExceeded
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
@@ -150,7 +144,7 @@ def _as_query(y, dim=None, s=0.0):
         if not top < math.inf:
             raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
+        raise ValueError(f"expected dimension {dim}, got {v.size}")
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("height must be finite")
@@ -269,7 +263,8 @@ class ConvexSet:
     capability missing.  A set whose homogenization cone has an exact
     projector overrides ``_project_cone``; the default None selects the
     generic solver.  A set whose polar has a closed form overrides
-    ``_polar``; the default raises NoClosedFormAvailable.
+    ``_polar``.  The defaults of ``_project``, ``_project_recession`` (of an
+    unbounded set) and ``_polar`` raise CapabilityMissing.
     """
 
     dim: int
@@ -309,7 +304,7 @@ class ConvexSet:
         raise NotImplementedError
 
     def _project(self, x) -> np.ndarray:
-        raise UnsupportedProjection(
+        raise CapabilityMissing(
             f"{type(self).__name__} is cataloged for support-function and "
             "polar work only and has no projector"
         )
@@ -332,7 +327,7 @@ class ConvexSet:
 
     def _polar(self):
         """Closed-form polar set as ``(contains, polar_set)``."""
-        raise NoClosedFormAvailable(
+        raise CapabilityMissing(
             f"no cataloged closed-form polar for {type(self).__name__}"
         )
 
@@ -362,7 +357,7 @@ class EuclideanBall(ConvexSet):
         rho = _norm(self.center)
         # Relative slack, so that (t c, t r) is accepted alike at every scale t.
         if rho > self.radius * (1.0 + 1e-12):
-            raise CenterOutsideRadius(
+            raise ValueError(
                 "the ball must contain the origin: require ||center|| <= radius"
             )
         self.dim = self.center.size
@@ -773,16 +768,21 @@ class PBall(ConvexSet):
 
     @staticmethod
     def _pnorm(x, p):
+        a = np.abs(x)
+        top = float(a.max())
         if math.isinf(p):
-            return float(np.max(np.abs(x)))
-        return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+            return top
+        if top > 0.0 and p * math.log2(top) < -1022.0:
+            # top^p would leave the normal range: take the norm relative to top.
+            return top * float(np.sum((a / top) ** p) ** (1.0 / p))
+        return float(np.sum(a ** p) ** (1.0 / p))
 
     def _contains(self, x, tol):
         return _scaled(lambda v: self._pnorm(v, self.p), x) <= self.radius + tol
 
     def _project(self, x):
         if self._same is None:
-            raise UnsupportedProjection(
+            raise CapabilityMissing(
                 "p-ball projection is implemented for p in {2, inf} only"
             )
         return self._same._project(x)
@@ -794,8 +794,9 @@ class PBall(ConvexSet):
         return None if self._same is None else self._same._project_cone(y, s)
 
     def _polar(self):
-        """The dual-norm (q-norm, or l1 for p = inf) ball of radius 1/radius."""
-        if math.isinf(self.p):
+        """The dual-norm (q-norm, or l1 where q rounds to 1, as at p = inf)
+        ball of radius 1/radius."""
+        if self.q == 1.0:
             dual = L1Ball(1.0 / self.radius, self.dim)
         else:
             dual = PBall(self.q, 1.0 / self.radius, self.dim)
@@ -1257,5 +1258,5 @@ def set_from_spec(spec) -> ConvexSet:
         raise InvalidSetSpec(f"missing keys for {kind}: {sorted(missing)}")
     try:
         return builder(obj)
-    except (TypeError, ValueError, CenterOutsideRadius) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidSetSpec(f"bad parameters for {kind}: {exc}") from exc

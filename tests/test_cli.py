@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +155,15 @@ def test_project_paper_example_specs(capsys, spec, expected):
     code, out, _ = run(capsys, "project", "--set", spec, *argv)
     assert code == 0
     assert run(capsys, "project", "--set", expected, *argv) == (0, out, "")
+
+
+def test_project_p_ball_without_projector_is_usage_error(capsys):
+    # At p = 1e308 the p-th powers of the rescaled query underflow, which once
+    # put (5, 0) inside the unit p-ball and answered "already_in_k".
+    code, out, err = run(capsys, "project", "--set", '{"type":"p_ball","p":1e308,"radius":1}',
+                         "--point", "5,0", "--height", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: p-ball projection is implemented for p in {2, inf} only\n"
 
 
 def test_project_unrecognized_p_is_usage_error(capsys):
@@ -400,8 +412,8 @@ def test_figure_unknown_name_is_usage_error(capsys):
 
 
 def test_figure_bad_density(capsys):
-    code, _, _ = run(capsys, "figure", "--name", "fig41", "--density", "0")
-    assert code == 2
+    code, out, err = run(capsys, "figure", "--name", "fig41", "--density", "0")
+    assert (code, out, err) == (2, "", "error: density must be at least 1\n")
 
 
 def test_figure_out_file(tmp_path, capsys):
@@ -487,6 +499,17 @@ def test_polar_with_height(capsys):
     assert json.loads(out)["in_K_polar"] is False
 
 
+def test_polar_p_ball_near_p_one(capsys):
+    # q = 10,001: the q-th powers of the rescaled point underflow, which once
+    # gave sigma = 0 and put (3, 3) in the polar set and both polar cones.
+    code, out, _ = run(capsys, "polar", "--set", '{"type":"p_ball","p":1.0001,"radius":1}',
+                       "--point", "3,3", "--height", "-1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sigma"] == pytest.approx(3.0 * 2.0 ** (1.0 / 10001.0), rel=1e-7)
+    assert payload["in_polar_set"] is payload["in_polar_cone"] is payload["in_K_polar"] is False
+
+
 @NON_FINITE_HEIGHTS
 def test_polar_non_finite_height_is_usage_error(capsys, height):
     code, out, err = run(capsys, "polar", "--set", BOX, "--point=-1,-1", *height)
@@ -502,3 +525,57 @@ def test_polar_bad_tolerance_is_usage_error(capsys, tol):
     assert code == 2
     assert out == ""
     assert "tolerance must be finite" in err
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand, and the README's examples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--set", UNIT_BALL, "--point", "3,4", "--height", "1"],
+    ["table1"],
+    ["figure", "--name", "fig41", "--density", "2"],
+    ["polar", "--set", BOX, "--point", "1,1"],
+], ids=["project", "table1", "figure", "polar"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file: ")
+    assert str(path) in err
+    assert not path.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """``(argv, expected)`` for each ``homcone`` command in the README's CLI
+    section, with ``expected`` the JSON of the ``# {...}`` comment lines
+    under it, or None where it has none."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("homcone "):
+                examples.append((shlex.split(line, comments=True)[1:], []))
+            elif line.startswith("#"):
+                examples[-1][1].append(line.lstrip("# "))
+    return [(argv, json.loads(" ".join(lines)) if lines else None)
+            for argv, lines in examples]
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    # The figure example writes cloud.csv into the working directory.
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_examples()
+    assert sorted(argv[0] for argv, expected in examples if expected is not None) == [
+        "polar", "project", "project"]
+    assert ["table1", "--verify"] in [argv for argv, _ in examples]
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if expected is not None:
+            assert json.loads(out) == expected, argv
+    assert (tmp_path / "cloud.csv").read_text(encoding="utf-8").startswith("label,")

@@ -7,12 +7,12 @@ import pytest
 from homcone import (
     BallPen,
     Box,
+    CapabilityMissing,
     ConvexSet,
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
     L1Ball,
-    NoClosedFormAvailable,
     PBall,
     Simplex,
     closed_form_polar,
@@ -171,7 +171,7 @@ def test_closed_form_rejects_unknown_sets():
     class Odd:
         dim = 2
 
-    with pytest.raises(NoClosedFormAvailable):
+    with pytest.raises(TypeError, match="Odd is not a ConvexSet"):
         closed_form_polar(Odd())
 
     class NoPolar(ConvexSet):
@@ -180,7 +180,7 @@ def test_closed_form_rejects_unknown_sets():
         def _support(self, y):
             return float(np.linalg.norm(y))
 
-    with pytest.raises(NoClosedFormAvailable):
+    with pytest.raises(CapabilityMissing, match="no cataloged closed-form polar for NoPolar"):
         closed_form_polar(NoPolar())
 
 
@@ -253,6 +253,20 @@ def test_bipolar_ball_pair():
         if abs(sigma_dual - 1.0) < 1e-7:
             continue
         assert (sigma_dual <= 1.0) == ball.contains(x, tol=0.0)
+
+
+@pytest.mark.parametrize("p", [1e16, 1e308, math.inf], ids=str)
+def test_p_ball_polar_where_q_rounds_to_one(p):
+    # q = p / (p - 1) rounds to 1 for p above 2^53; the dual is the l1 ball,
+    # not a q-ball, which the constructor would reject.
+    ball = PBall(p, 2.0)
+    dual = closed_form_polar(ball).polar_set
+    assert isinstance(dual, L1Ball) and dual.radius == 0.5
+    rng = np.random.default_rng(48)
+    for y in rng.uniform(-1.0, 1.0, size=(200, 2)):
+        if abs(ball.support(y) - 1.0) < 1e-7:
+            continue
+        assert closed_form_polar(ball).contains(y) == polar_membership(ball, y)
 
 
 def test_bipolar_box_l1_pair():

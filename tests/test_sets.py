@@ -9,8 +9,6 @@ from homcone import (
     Box,
     Branch,
     CapabilityMissing,
-    CenterOutsideRadius,
-    DimensionMismatch,
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
@@ -20,7 +18,8 @@ from homcone import (
     PBall,
     PsiEvaluator,
     Simplex,
-    UnsupportedProjection,
+    polar_cone_membership,
+    polar_membership,
     project_homogenization,
     set_from_spec,
 )
@@ -95,29 +94,52 @@ def test_simplex_and_l1_projection_at_huge_scale(scale):
 
 def test_projection_unsupported_variants():
     for set_ in POLAR_ONLY:
-        with pytest.raises(UnsupportedProjection):
+        with pytest.raises(CapabilityMissing, match=r"has no projector|p in \{2, inf\} only"):
             set_.project(np.zeros(set_.dim))
 
 
 def test_p_ball_message_names_the_projectable_p():
     # p = 1 is rejected by the constructor (L1Ball is that set), so the
     # message names only p = 2 and p = inf.
-    with pytest.raises(UnsupportedProjection, match=r"for p in \{2, inf\} only$"):
+    with pytest.raises(CapabilityMissing, match=r"for p in \{2, inf\} only$"):
         PBall(3.0, 1.0).project((1.0, 0.0))
+
+
+@pytest.mark.parametrize("p", [2000.0, 1e5, 1e308])
+def test_p_ball_membership_at_large_p(p):
+    # On the rescale into [1/2, 1), every |x_i|^p underflows to 0 at these p;
+    # the norm is taken relative to the largest entry there.
+    ball = PBall(p, 1.0)
+    assert not ball.contains((5.0, 0.0))
+    assert not ball.contains((1.5, 1.5))
+    assert ball.contains((1.0, 0.0))
+    assert ball.contains((0.999, -0.999))
+    assert ball._pnorm(np.array([0.75, 0.75]), p) == pytest.approx(0.75 * 2.0 ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.0005, 1.0001, 1.0 + 1e-9])
+def test_p_ball_support_near_p_one(p):
+    # q = p / (p - 1) is 2,001 and above, where the q-th powers underflow on
+    # the rescale; sigma is the q-norm, 2^(1/q) on (1, 1).
+    ball = PBall(p, 1.0)
+    assert ball.support((1.0, 1.0)) == pytest.approx(2.0 ** (1.0 / ball.q), rel=1e-12)
+    assert ball.support((3.0, 3.0)) == pytest.approx(3.0 * 2.0 ** (1.0 / ball.q), rel=1e-12)
+    assert not polar_membership(ball, (3.0, 3.0))
+    assert not polar_cone_membership(ball, (3.0, 3.0))
 
 
 def test_dimension_mismatch():
     ball = EuclideanBall((0.0, 0.0), 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="expected dimension 2, got 3"):
         ball.project((1.0, 2.0, 3.0))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="expected dimension 2, got 1"):
         ball.support((1.0,))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="expected dimension 2, got 3"):
         ball.recession_distance((1.0, 2.0, 3.0))
 
 
 def test_constructor_rejections():
-    with pytest.raises(CenterOutsideRadius):
+    with pytest.raises(ValueError, match="the ball must contain the origin"):
         EuclideanBall((2.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         EuclideanBall((0.0, 0.0), -1.0)
@@ -163,7 +185,7 @@ def test_ball_origin_check_is_scale_invariant(t, direction):
     r = 1.7
     c = np.array(direction)
     EuclideanBall(t * r * c, t * r)
-    with pytest.raises(CenterOutsideRadius):
+    with pytest.raises(ValueError, match="the ball must contain the origin"):
         EuclideanBall(1.01 * t * r * c, t * r)
 
 
@@ -265,7 +287,7 @@ def test_recession_strip_ray():
 
 
 def test_recession_capability_missing():
-    with pytest.raises(CapabilityMissing):
+    with pytest.raises(CapabilityMissing, match="does not expose a recession-cone projector"):
         Hyperbolic().project_recession((1.0, 1.0))
 
 

@@ -7,10 +7,12 @@ later step reuses the checked query.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import homcone.cli
 import homcone.homproj
 import homcone.polar
 import homcone.scaledfun
@@ -18,7 +20,8 @@ import homcone.sets
 from homcone import (
     BallPen,
     Box,
-    DimensionMismatch,
+    CapabilityMissing,
+    ConvexSet,
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
@@ -74,6 +77,15 @@ BAD_INPUTS = {
     "empty": lambda n: np.array([]),
 }
 
+#: The message each kind of bad vector is rejected with.
+BAD_MESSAGES = {
+    "wrong_length": "expected dimension",
+    "nan_entry": "vector entries must be finite",
+    "inf_entry": "vector entries must be finite",
+    "2d_array": "expected a nonempty 1-D real vector",
+    "empty": "expected a nonempty 1-D real vector",
+}
+
 
 def boundary_cases():
     for name, set_, projectable, has_rec in CATALOG:
@@ -89,8 +101,55 @@ def boundary_cases():
 @pytest.mark.parametrize("set_, entry", list(boundary_cases()))
 def test_boundary_rejects_bad_vectors(set_, entry, bad):
     x = BAD_INPUTS[bad](set_.dim)
-    with pytest.raises((DimensionMismatch, ValueError)):
+    with pytest.raises(ValueError, match=BAD_MESSAGES[bad]):
         ENTRIES[entry](set_, x)
+
+
+class NoPolar(ConvexSet):
+    """A user set that defines no closed-form polar."""
+
+    dim = 2
+
+
+_EVALUATOR = PsiEvaluator(Box((1.0, 1.0)), (1.0, 2.0), 0.5)
+
+#: One exception per failure kind: (exception, its whole message, the call).
+FAILURES = {
+    "wrong_length": (ValueError, "expected dimension 2, got 3",
+                     lambda: Box((1.0, 1.0)).project((1.0, 2.0, 3.0))),
+    "centre_outside": (ValueError,
+                       "the ball must contain the origin: require ||center|| <= radius",
+                       lambda: EuclideanBall((2.0, 0.0), 1.0)),
+    "phi_alpha_0": (ValueError, "the scaling parameter must be positive",
+                    lambda: _EVALUATOR.phi(0.0)),
+    "phi_prime_alpha_negative": (ValueError, "the scaling parameter must be positive",
+                                 lambda: _EVALUATOR.phi_prime(-1.0)),
+    "psi_prime_alpha_0": (ValueError, "the scaling parameter must be positive",
+                          lambda: _EVALUATOR.psi_prime(0.0)),
+    "psi_alpha_negative": (ValueError, "the scaling parameter must be nonnegative",
+                           lambda: _EVALUATOR.psi(-0.5)),
+    "bad_point": (ValueError,
+                  "bad point '1,zebra': could not convert string to float: 'zebra'",
+                  lambda: homcone.cli._parse_point("1,zebra")),
+    "project_hyperbolic": (CapabilityMissing,
+                           "Hyperbolic is cataloged for support-function and polar "
+                           "work only and has no projector",
+                           lambda: Hyperbolic().project((1.0, 1.0))),
+    "project_p_ball_3": (CapabilityMissing,
+                         "p-ball projection is implemented for p in {2, inf} only",
+                         lambda: PBall(3.0, 1.0).project((1.0, 1.0))),
+    "base_polar": (CapabilityMissing, "no cataloged closed-form polar for NoPolar",
+                   lambda: closed_form_polar(NoPolar())),
+    "closed_form_polar_of_an_object": (TypeError, "object is not a ConvexSet",
+                                       lambda: closed_form_polar(object())),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_each_failure_raises_its_kind_with_its_message(failure):
+    kind, message, call = FAILURES[failure]
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        call()
 
 
 PROJECTABLE = [(name, set_) for name, set_, projectable, _ in CATALOG if projectable]
