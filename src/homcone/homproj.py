@@ -12,9 +12,10 @@ bracket [0, s+ + ||(y, s)||], found by a safeguarded Brent iteration
 the support function decides the recession branch without a projector call.
 Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
 tolerance at every scale.  A set whose cone has an exact projector answers
-through its ``_project_cone`` kernel instead, with no psi' iteration, so the
-dispatch names no set class: the Euclidean ball centred at the origin and the
-ball pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
+through its ``_project_cone`` kernel instead, with no psi' iteration.  One
+dispatch site serves the query in range and the rescaled query alike, and it
+names no set class: the Euclidean ball centred at the origin and the ball
+pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
 p = 2 or p = inf by sorting the breakpoints of a piecewise-linear equation
 (above 1,024 of them by Newton steps on the convex equation, which end on
 its exact root or leave fewer breakpoints above them to sort), and the
@@ -280,24 +281,29 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     _check_solver_args(alpha0, beta0, eps, max_iter)
     y, s = p
     y, s, e = _as_query(y, set_.dim, s)
-    if abs(e) <= _SAFE_EXPONENT:
-        return _project(set_, y, s, alpha0, beta0, eps, max_iter,
-                        force_iterative, keep_trace)
-    # P_K is positively homogeneous and the rescale is exact.
-    if alpha0 is not None:
-        alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
-    res = _project(set_, np.ldexp(y, -e), math.ldexp(s, -e), alpha0, beta0, eps,
-                   max_iter, force_iterative, keep_trace)
-    return _rescaled(res, e)
-
-
-def _project(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
-    """:func:`project_homogenization` on a validated query within 2^(+-500)."""
+    rescale = abs(e) > _SAFE_EXPONENT
+    if rescale:
+        # P_K is positively homogeneous and the rescale is exact.
+        y, s = np.ldexp(y, -e), math.ldexp(s, -e)
+        if alpha0 is not None:
+            alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
     if not force_iterative and alpha0 is None:
         exact = set_._project_cone(y, s)
         if exact is not None:
             alpha_star, x, branch = exact
-            return ProjectionResult(alpha_star, ConePoint(x, alpha_star), branch, 0)
+            # tuple.__new__ skips the NamedTuple's Python-level constructor.
+            res = ProjectionResult(alpha_star,
+                                   tuple.__new__(ConePoint, (x, alpha_star)),
+                                   branch, 0)
+            return _rescaled(res, e) if rescale else res
+    res = _project(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative,
+                   keep_trace)
+    return _rescaled(res, e) if rescale else res
+
+
+def _project(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
+    """:func:`project_homogenization` on a validated query within 2^(+-500)
+    that no cone kernel answered: the membership shortcut, then the solver."""
     scale = math.hypot(float(np.linalg.norm(y)), s)
     if not force_iterative and _in_cone(set_, y, s, scale):
         s_star = s if s > 0.0 else 0.0

@@ -17,8 +17,12 @@ costs one support-function call and no projector call.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .errors import CapabilityMissing
-from .sets import _as_query, _scaled
+from .sets import _as_query, _ldexp_or_inf, _scaled
 
 
 def _positive(alpha) -> float:
@@ -65,12 +69,23 @@ class PsiEvaluator:
         return alpha * alpha * float(r @ r)
 
     def phi_prime(self, alpha) -> float:
-        """Analytic derivative of phi; always <= 0."""
+        """Analytic derivative of phi; always <= 0.
+
+        ``np.vdot`` raises no floating-point warning; only where <p, w - p>
+        leaves the float range is it taken of p and w - p each scaled by the
+        power of 2 that brings its largest entry into [1/2, 1)."""
         alpha = _positive(alpha)
         w = self.y / alpha
         p = self.set._project(w)
         self._memo = ((alpha, p),) + self._memo[:1]
-        return -2.0 * alpha * float(p @ (w - p))
+        r = w - p
+        d = float(np.vdot(p, r))
+        if math.isfinite(d):
+            return -2.0 * alpha * d
+        a = math.frexp(float(np.abs(p).max()))[1]
+        b = math.frexp(float(np.abs(r).max()))[1]
+        d = float(np.vdot(np.ldexp(p, -a), np.ldexp(r, -b)))
+        return _ldexp_or_inf(-2.0 * alpha * d, a + b)
 
     def _projection(self, alpha):
         """P_C(y / alpha) for alpha > 0, from the memo when a recent

@@ -45,16 +45,18 @@ the ball off the origin project onto one quadratic cone
 {||W^1/2 z|| <= t}, which solves one scalar equation for its multiplier:
 the ellipsoid in its eigenbasis (:func:`_quadratic_cone`), and the ball,
 after one rotation of the plane of its centre and the height, on a 2-vector
-(:func:`_plane_cone`, the same solve as straight-line code, bit for bit);
+(:func:`_plane_cone`, the same solve as straight-line code, bit for bit),
+which also solves the 2-D ellipsoid;
 ``PBall`` with
 p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
 p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
 root cores run the same algorithm on Python floats instead of numpy arrays,
 as do :func:`_as_query` and :func:`_norm`, and the box, l1 and simplex
 kernels take every scalar they branch on (membership in K, sigma_C(y), the
-simplex kernel's sums and extremes) from one ``tolist()``, numpy building
-only the answer, as does the off-centre ball for y_perp and its answer:
-there numpy's cost per call outweighs its cost per entry.
+simplex kernel's sums and extremes) from one ``tolist()`` and hand the same
+lists to the breakpoint root, numpy building only the answer, as does the
+off-centre ball for y_perp and its answer: there numpy's cost per call
+outweighs its cost per entry.
 A sum that lies within its rounding error of a branch edge is retaken on
 numpy (:func:`_sum_at_most`), so both sides of the switch branch alike.
 A subclass that changes ``_project`` of one of these sets
@@ -79,6 +81,7 @@ import enum
 import json
 import math
 import operator
+from itertools import compress
 
 import numpy as np
 
@@ -99,9 +102,11 @@ _NORM_FLOOR = 2.0 ** -500
 
 #: Up to this many entries, the two root cores (:func:`_quadratic_cone` with
 #: :func:`_secular_root`, and :func:`_breakpoint_root`), the branch tests of
-#: the box, l1 and simplex kernels, the off-centre ball's y_perp and answer,
-#: the query validation (:func:`_as_query`) and :func:`_norm` run on Python
-#: floats, where numpy's cost per call outweighs its cost per entry.  Float
+#: the box, l1 and simplex kernels and their breakpoint roots, the
+#: ellipsoid kernel (on its stored factors, at two entries by
+#: :func:`_plane_cone`), the off-centre ball's y_perp and answer, the query
+#: validation (:func:`_as_query`) and :func:`_norm` run on Python floats,
+#: where numpy's cost per call outweighs its cost per entry.  Float
 #: against numpy per cone-kernel call at 16 entries (2-core Xeon, Python
 #: 3.11.7, numpy 2.4.6, interleaved timeit, best of 9, cone-interior
 #: queries): box 10-11 vs 12-14 us, l1 ball 9-10 vs 14-16, simplex 10-11 vs
@@ -127,18 +132,19 @@ def _as_query(y, dim=None, s=0.0):
     maximum of |y_i| that sizes the query is also its finiteness check, as
     it is nan or inf exactly when an entry is.  Up to ``_FLOATS`` entries
     both run on the Python floats of y, where numpy's cost per call
-    outweighs its cost per entry: every entry is tested by
-    ``math.isfinite``, as Python's ``max`` skips a nan that does not come
-    first, and only then is the maximum taken.
+    outweighs its cost per entry: the maximum is inf or nan where an entry
+    is infinite or the first one is nan, and Python's ``max`` skips a later
+    nan, but that makes the sum of the entries nan (a sum of finite floats
+    that overflows is an infinity, never a nan).
     """
     v = np.asarray(y, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D real vector")
     if v.size <= _FLOATS:
         vals = v.tolist()
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("vector entries must be finite")
         top = max(map(abs, vals))
+        if not top < math.inf or math.isnan(sum(vals)):
+            raise ValueError("vector entries must be finite")
     else:
         top = float(np.abs(v).max())
         if not top < math.inf:
@@ -533,10 +539,18 @@ class Box(ConvexSet):
         # s + sigma_C(y) <= 0.
         if _sum_at_most(terms, y.size, -s, np.matmul, b, a):
             return 0.0, np.zeros(y.size), Branch.RECESSION
-        if self._live is not None:
-            a = a[self._live]
-        b_live = self._live_b
-        alpha = _breakpoint_root(a / b_live, 1.0, s, b_live * a, self._live_bb)
+        if terms is None:
+            if self._live is not None:
+                a = a[self._live]
+            b_live = self._live_b
+            alpha = _breakpoint_root(a / b_live, 1.0, s, b_live * a, self._live_bb)
+        else:
+            if self._live is not None:
+                keep = [bi > 0.0 for bi in bs]
+                bs, vals = list(compress(bs, keep)), list(compress(vals, keep))
+            alpha = _sorted_root_floats(map(operator.truediv, vals, bs), 1.0, s,
+                                        map(operator.mul, bs, vals),
+                                        map(operator.mul, bs, bs))
         ab = alpha * b
         return alpha, np.minimum(np.maximum(y, -ab), ab), Branch.CONE_INTERIOR
 
@@ -636,20 +650,25 @@ def _sorted_root(t, slope, offset, u, w):
 
 
 def _sorted_root_floats(t, slope, offset, u, w):
-    """The root of :func:`_sorted_root` on lists of Python floats: one
-    descending sort, then one scan with running sums U_k and W_k."""
-    if w is None:
-        rows = ((ti, ti, 1.0) for ti in sorted(t, reverse=True))
-    else:
-        rows = sorted(zip(t, u, w), reverse=True)
+    """The root of :func:`_sorted_root` on Python floats: one descending
+    sort, then one scan with running sums U_k and W_k.  t, u and w may be
+    any iterables of floats."""
     root = None
     top = base = 0.0
-    for ti, ui, wi in rows:
-        top += ui
-        base += wi
-        x = (offset + top) / (slope + base)
-        if ti > x:
-            root = x
+    if w is None:
+        for ti in sorted(t, reverse=True):
+            top += ti
+            base += 1.0
+            x = (offset + top) / (slope + base)
+            if ti > x:
+                root = x
+    else:
+        for ti, ui, wi in sorted(zip(t, u, w), reverse=True):
+            top += ui
+            base += wi
+            x = (offset + top) / (slope + base)
+            if ti > x:
+                root = x
     # A slope of 0 (the simplex threshold) always has a qualifying k, so
     # this float division never meets it.
     return offset / slope if root is None else root
@@ -697,7 +716,11 @@ def _simplex_cone(v, r, s):
             # theta = 0 at alpha = s: only the negative entries move.
             return s, pos, Branch.CONE_INTERIOR
     d = v - top
-    theta = _breakpoint_root(d, r * r, -r * lift)
+    if vals is None:
+        theta = _breakpoint_root(d, r * r, -r * lift)
+    else:
+        theta = _sorted_root_floats([x - top for x in vals], r * r, -r * lift,
+                                    None, None)
     return lift + r * theta, np.maximum(d - theta, 0.0), Branch.CONE_INTERIOR
 
 
@@ -863,7 +886,7 @@ def _secular_root_floats(c, a):
     )
 
 
-def _quadratic_cone(u, w, s):
+def _quadratic_cone(u, w, s, root=None, one=None):
     """Projection of (u, s) onto the quadratic cone {(z, t) : ||W^1/2 z|| <= t}
     with W = diag(w), w > 0: None where (u, s) lies in it, else ``(t, z)``,
     with t = 0 (and z None) at the apex.
@@ -879,32 +902,37 @@ def _quadratic_cone(u, w, s):
     (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
     relative to v, independent of the scale of the query and of w.  On the
     polar of the cone, M(0) >= 1, the root is v = 0 and t = 0: the apex.
-    Up to ``_FLOATS`` entries it runs on Python floats
+    ``root`` and ``one`` are sqrt(w) and 1 + w, taken here unless the caller
+    stored them.  Up to ``_FLOATS`` entries it runs on Python floats
     (:func:`_quadratic_cone_floats`).
     """
+    if root is None:
+        root, one = np.sqrt(w), 1.0 + w
     if u.size <= _FLOATS:
-        return _quadratic_cone_floats(u.tolist(), w.tolist(), s)
-    wu = np.sqrt(w) * u
+        return _quadratic_cone_floats(u.tolist(), w.tolist(), s, root.tolist(),
+                                      one.tolist())
+    wu = root * u
     if math.sqrt(np.vdot(wu, wu)) <= s:
         return None
     base, lift = max(s, 0.0), max(-s, 0.0)
-    w1 = 1.0 + w
-    v = _secular_root(wu / w1, (base + lift * w) / w1)
+    v = _secular_root(wu / one, (base + lift * w) / one)
     t = base + v
     if t == 0.0:
         return 0.0, None
     return t, u * (t / ((v + lift) * w + t))
 
 
-def _quadratic_cone_floats(u, w, s):
+def _quadratic_cone_floats(u, w, s, root=None, one=None):
     """:func:`_quadratic_cone` on sequences of Python floats, z a list, the
     norm by the scale-safe ``math.hypot``."""
-    wu = [math.sqrt(wi) * ui for ui, wi in zip(u, w)]
+    if root is None:
+        root, one = [math.sqrt(wi) for wi in w], [1.0 + wi for wi in w]
+    wu = [hi * ui for ui, hi in zip(u, root)]
     if math.hypot(*wu) <= s:
         return None
     base, lift = max(s, 0.0), max(-s, 0.0)
-    v = _secular_root_floats([x / (1.0 + wi) for x, wi in zip(wu, w)],
-                             [(base + lift * wi) / (1.0 + wi) for wi in w])
+    v = _secular_root_floats([x / oi for x, oi in zip(wu, one)],
+                             [(base + lift * wi) / oi for wi, oi in zip(w, one)])
     t = base + v
     if t == 0.0:
         return 0.0, None
@@ -916,7 +944,9 @@ def _plane_cone(r, p, w, root, one, s):
     as straight-line code: None inside the cone, else ``(t, z_r, z_p)``,
     t = 0 at the apex.  :func:`_secular_root_floats` is inlined, with the
     same lower bounds, Newton step, stopping rule and
-    MaxIterationsExceeded."""
+    MaxIterationsExceeded.  ``root`` and ``one`` are sqrt(w) and 1 + w, as
+    stored by its two callers: the off-centre ball, on its rotated plane,
+    and the 2-D ellipsoid, in its eigenbasis."""
     (w0, w1), (h0, h1), (o0, o1) = w, root, one
     c0, c1 = h0 * r, h1 * p
     if math.hypot(c0, c1) <= s:
@@ -954,7 +984,10 @@ class Ellipsoid(ConvexSet):
     Both kernels work in the eigenbasis Q = V diag(w) V^T and solve one
     secular equation by :func:`_secular_root`.  For u = V^T x outside the
     set, the nearest point is V (u / (1 + lam w)) with ||W^1/2 u / (1 + lam
-    w)|| = 1: c = u / sqrt(w) and a = 1 / w.
+    w)|| = 1: c = u / sqrt(w) and a = 1 / w.  The constructor stores sqrt(w)
+    and 1 + w, as arrays and, with w, as lists of Python floats, so that no
+    query takes them again; the cone kernel solves a 2-D ellipsoid by the
+    straight-line plane solve (:func:`_plane_cone`) of the off-centre ball.
     """
 
     def __init__(self, q_matrix):
@@ -975,6 +1008,9 @@ class Ellipsoid(ConvexSet):
         self._evals = w
         self._evecs = v
         self.dim = q.shape[0]
+        self._roots = np.sqrt(w)
+        self._ones = 1.0 + w
+        self._floats = (w.tolist(), self._roots.tolist(), self._ones.tolist())
 
     def __repr__(self):
         return f"Ellipsoid(q={self.q_matrix.tolist()})"
@@ -996,7 +1032,7 @@ class Ellipsoid(ConvexSet):
         if np.vdot(u, w * u) <= math.ldexp(1.0, -2 * e):
             return x.copy()
         one = math.ldexp(1.0, -e)
-        lam = _secular_root(u / np.sqrt(w), one / w)
+        lam = _secular_root(u / self._roots, one / w)
         return self._evecs @ (u / (one + lam * w))
 
     def _support(self, y):
@@ -1007,13 +1043,27 @@ class Ellipsoid(ConvexSet):
         """K = {(y, s) : ||W^1/2 u|| <= s} with u = V^T y: the quadratic cone
         of :func:`_quadratic_cone`, whose answer (t, z) is the point V z at
         height t.  Like every kernel it receives a query within 2^(+-500),
-        so no squared norm overflows."""
-        cone = _quadratic_cone(self._evecs.T @ y, self._evals, s)
+        so no squared norm overflows.  Two entries take the plane solve
+        (:func:`_plane_cone`), up to ``_FLOATS`` the list core
+        (:func:`_quadratic_cone_floats`), both on the stored lists of the
+        factors, and above it the numpy core on the stored arrays; V^T y and
+        V z stay numpy's matrix-vector products either way."""
+        u = self._evecs.T @ y
+        n = y.size
+        w, root, one = self._floats
+        if n > _FLOATS:
+            cone = _quadratic_cone(u, self._evals, s, self._roots, self._ones)
+        elif n == 2:
+            cone = _plane_cone(*u.tolist(), w, root, one, s)
+            if cone is not None:
+                cone = cone[0], cone[1:]
+        else:
+            cone = _quadratic_cone_floats(u.tolist(), w, s, root, one)
         if cone is None:
             return s, y.copy(), Branch.ALREADY_IN_K
         t, z = cone
         if t == 0.0:
-            return 0.0, np.zeros(y.size), Branch.RECESSION
+            return 0.0, np.zeros(n), Branch.RECESSION
         return t, self._evecs @ z, Branch.CONE_INTERIOR
 
     def _polar(self):

@@ -8,8 +8,11 @@ sides of that switch, at one entry, at the switch and one entry above it,
 and asks for agreement to 1e-13 relative for the root cores, 1e-15 for the
 closed forms and bit for bit for the validation, and for the same branch in
 every kernel but on the boundary of the off-centre ball's K, where the two
-answers agree; every RuntimeWarning is an error.  The ball's straight-line
-plane solve (:func:`_plane_cone`) must match the list core bit for bit."""
+answers agree; every RuntimeWarning is an error.  The straight-line plane
+solve (:func:`_plane_cone`) of the off-centre ball and of the 2-entry
+ellipsoid must match the list core bit for bit, and so must the paths that
+take stored factors or hand the branch tests' lists to the breakpoint
+root."""
 
 import math
 import operator
@@ -460,3 +463,145 @@ def test_closed_forms_on_both_sides(n, on_both_sides):
                                            atol=1e-15 * size)
                 branches.add(f.branch)
     assert branches == set(Branch)
+
+
+def per_call_ellipsoid_kernel(ell, y, s):
+    """The ellipsoid's cone kernel with sqrt(w) and 1 + w taken per call by
+    :func:`_quadratic_cone` (on floats up to ``_FLOATS`` entries)."""
+    cone = sets._quadratic_cone(ell._evecs.T @ y, ell._evals, s)
+    if cone is None:
+        return s, y.copy(), Branch.ALREADY_IN_K
+    t, z = cone
+    if t == 0.0:
+        return 0.0, np.zeros(y.size), Branch.RECESSION
+    return t, ell._evecs @ z, Branch.CONE_INTERIOR
+
+
+def ellipsoid_queries(ell, rng):
+    """kernel_queries plus the origin, the apex's ray (0, s > 0), y on the
+    boundary of C at s = 1 (the boundary of K) and s = -sigma_C(y) (the
+    boundary of its polar)."""
+    queries = kernel_queries(ell, rng, count=30)
+    queries += [(np.zeros(ell.dim), 0.0), (np.zeros(ell.dim), 2.0)]
+    for _ in range(6):
+        y = rng.normal(size=ell.dim)
+        queries.append((ell.project(10.0 * y), 1.0))
+        queries.append((y, -ell.support(y)))
+    return queries
+
+
+def random_ellipsoid(n, rng, spread):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Ellipsoid(q @ np.diag(10.0 ** rng.uniform(-spread, spread, n)) @ q.T)
+
+
+def assert_same_answer(got, expected):
+    (a_g, x_g, b_g), (a_e, x_e, b_e) = got, expected
+    assert b_g is b_e
+    assert a_g.hex() == a_e.hex()
+    assert x_g.dtype == x_e.dtype and x_g.tobytes() == x_e.tobytes()
+
+
+def test_two_entry_ellipsoid_takes_the_plane_solve_bit_for_bit(monkeypatch):
+    # At two entries the ellipsoid kernel solves through _plane_cone on its
+    # stored factors; the list core with the factors taken per call answers
+    # bit for bit, on every branch, on the boundaries of K and of its polar,
+    # and at the apex.
+    calls = []
+    plane = sets._plane_cone
+    monkeypatch.setattr(sets, "_plane_cone",
+                        lambda *args: calls.append(args) or plane(*args))
+    rng = np.random.default_rng(31)
+    branches = set()
+    count = 0
+    for spread in (0.0, 1.0, 3.0, 6.0):
+        ell = random_ellipsoid(2, rng, spread)
+        for y, s in ellipsoid_queries(ell, rng):
+            for t in (1e-9, 1.0, 1e12):
+                got = ell._project_cone(t * y, t * s)
+                assert_same_answer(got, per_call_ellipsoid_kernel(ell, t * y, t * s))
+                branches.add(got[2])
+                count += 1
+    assert branches == set(Branch)
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("n", [3, 12, 13, 40])
+def test_ellipsoid_stored_factors_answer_bit_for_bit(n):
+    # The kernel on the stored sqrt(w) and 1 + w (lists up to _FLOATS
+    # entries, arrays above) against the same factors taken per call; the
+    # projector P_C divides by the stored roots.
+    rng = np.random.default_rng(n + 40)
+    for spread in (0.0, 3.0, 6.0):
+        ell = random_ellipsoid(n, rng, spread)
+        w = ell._evals
+        assert ell._roots.tobytes() == np.sqrt(w).tobytes()
+        assert ell._ones.tobytes() == (1.0 + w).tobytes()
+        assert ell._floats == (w.tolist(), np.sqrt(w).tolist(), (1.0 + w).tolist())
+        for y, s in ellipsoid_queries(ell, rng):
+            for t in (1e-9, 1.0, 1e12):
+                assert_same_answer(ell._project_cone(t * y, t * s),
+                                   per_call_ellipsoid_kernel(ell, t * y, t * s))
+
+
+def breakpoint_reference(set_, y, s):
+    """The cone-interior alpha* of the box, l1 and simplex kernels with the
+    breakpoints built on numpy arrays and solved by _breakpoint_root, zero
+    halfwidths skipped."""
+    if isinstance(set_, Box):
+        b, a = set_.halfwidths, np.abs(y)
+        live = b > 0.0
+        return sets._breakpoint_root(a[live] / b[live], 1.0, s, b[live] * a[live],
+                                     b[live] * b[live])
+    r, v = (set_.radius, np.abs(y)) if isinstance(set_, L1Ball) else (1.0, y)
+    top = float(v.max())
+    lift = s + r * max(top, 0.0)
+    return lift + r * sets._breakpoint_root(v - top, r * r, -r * lift)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_breakpoint_kernels_hand_their_lists_to_the_root_bit_for_bit(n, monkeypatch):
+    # Up to _FLOATS entries the box, l1 and simplex kernels pass the lists of
+    # their branch tests to _sorted_root_floats: the same root, bit for bit,
+    # as _breakpoint_root on the breakpoints built on numpy arrays, zero
+    # halfwidths included.
+    solved = []
+    root = sets._sorted_root_floats
+    monkeypatch.setattr(sets, "_sorted_root_floats",
+                        lambda *args: solved.append(1) or root(*args))
+    rng = np.random.default_rng(n + 50)
+    zeros = rng.choice((0.0, 0.5, 1.0), n)
+    zeros[0] = 0.0
+    sets_ = [Box(rng.uniform(0.5, 2.0, n)), Box(zeros), Box(np.zeros(n)),
+             Box(np.ones(n)), L1Ball(1.3, n), Simplex(n)]
+    queries = [(set_, y, s) for set_ in sets_
+               for y, s in kernel_queries(set_, rng, count=30)]
+    queries += [(set_, y, s) for set_, y, s, _ in [*box_edges(n, rng),
+                                                   *simplex_edges(n, rng),
+                                                   *signed_zero_edges(n, rng)]]
+    rooted = 0
+    for set_, y, s in queries:
+        for t in (1e-9, 1.0, 1e12):
+            del solved[:]
+            alpha, _, branch = set_._project_cone(t * y, t * s)
+            if not solved:
+                continue
+            assert branch is Branch.CONE_INTERIOR
+            assert alpha.hex() == breakpoint_reference(set_, t * y, t * s).hex()
+            rooted += 1
+    assert rooted > 50
+
+
+@pytest.mark.parametrize("spread", [0.0, 2.0, 4.0])
+def test_two_entry_ellipsoid_agrees_with_the_generic_solver(spread):
+    rng = np.random.default_rng(int(spread) + 60)
+    ell = random_ellipsoid(2, rng, spread)
+    for y, s in ellipsoid_queries(ell, rng):
+        for t in (1e-9, 1e-3, 1.0, 1e6, 1e12):
+            v = (t * y, t * s)
+            kernel = project_homogenization(ell, v)
+            generic = project_homogenization(ell, v, force_iterative=True, eps=1e-12)
+            size = t * math.hypot(*y, s)
+            assert abs(kernel.alpha_star - generic.alpha_star) <= 1e-9 * size
+            np.testing.assert_allclose(kernel.point.y, generic.point.y, rtol=0.0,
+                                       atol=1e-9 * size)

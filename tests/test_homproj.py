@@ -620,6 +620,29 @@ def test_result_is_slotted():
     assert dataclasses.asdict(res)["branch"] is Branch.CONE_INTERIOR
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["in_range", "rescaled"])
+@pytest.mark.parametrize("route", [{}, {"force_iterative": True},
+                                   {"alpha0": 0.5, "beta0": 4.0}],
+                         ids=["kernel", "solver", "bracket"])
+def test_the_point_is_a_cone_point_on_every_route(route, scale):
+    # The kernel route builds the point with tuple.__new__; every route,
+    # also on the power-of-2 rescale (|e| > 500), returns the NamedTuple.
+    box = Box((1.0, 0.5))
+    kwargs = dict(route)
+    if scale != 1.0 and "alpha0" in kwargs:
+        kwargs = {"alpha0": 0.5 * scale, "beta0": 4.0 * scale}
+    res = project_homogenization(box, ((3.0 * scale, -1.0 * scale), 0.5 * scale),
+                                 **kwargs)
+    assert res.branch is Branch.CONE_INTERIOR
+    point = res.point
+    assert isinstance(point, homcone.ConePoint) and isinstance(point, tuple)
+    assert type(point) is homcone.ConePoint
+    assert point._fields == ("y", "s")
+    y, s = point
+    assert y is point.y is point[0] and s == point.s == point[1] == res.alpha_star
+    assert len(point) == 2 and point._asdict()["s"] == s
+
+
 def test_projection_idempotent():
     rng = np.random.default_rng(32)
     sets = [

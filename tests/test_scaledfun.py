@@ -13,8 +13,10 @@ from homcone import (
     EuclideanBall,
     Hyperbolic,
     L1Ball,
+    MaxIterationsExceeded,
     PsiEvaluator,
     Simplex,
+    project_homogenization,
 )
 
 
@@ -81,6 +83,59 @@ def test_phi_prime_nonpositive_random():
         for _ in range(100):
             ev = PsiEvaluator(set_, rng.uniform(-5, 5, 2), rng.uniform(-5, 5))
             assert ev.phi_prime(rng.uniform(0.05, 10.0)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_phi_prime_is_bit_for_bit_within_range():
+    # Where <p, w - p> is in range, phi' is -2 alpha <p, w - p> as numpy's
+    # dot product forms it, bit for bit.
+    rng = np.random.default_rng(23)
+    for set_ in (EuclideanBall((0.3, 0.1, 0.2), 1.0), L1Ball(1.5, 3),
+                 Box((1.0, 2.0, 0.5)),
+                 Ellipsoid([[2.0, 0.3, 0.0], [0.3, 0.8, 0.0], [0.0, 0.0, 1.0]])):
+        for _ in range(50):
+            t = 10.0 ** rng.uniform(-150.0, 150.0)
+            ev = PsiEvaluator(set_, t * rng.normal(size=3), 0.0)
+            alpha = t * rng.uniform(0.05, 10.0)
+            w = ev.y / alpha
+            p = set_.project(w)
+            assert ev.phi_prime(alpha) == -2.0 * alpha * float(p @ (w - p))
+
+
+@pytest.mark.filterwarnings("error")
+def test_phi_prime_is_range_safe():
+    # Near a ball of radius 1e200 off the origin, P_C(w) has entries near
+    # 1e200, and <p, w - p> at w near 1e250 leaves the float range while
+    # alpha <p, w - p> does not: phi' is taken on the power-of-2 rescales.
+    ball = EuclideanBall((3e199, 0.0, 0.0), 1e200)
+    ev = PsiEvaluator(ball, (1e100, -2e100, 5e99), 0.0)
+    alpha = 1e-150
+    w = ev.y / alpha
+    p = ball.project(w)
+    exact = -2.0 * math.fsum(float(pi) * (float(qi) * alpha)
+                             for pi, qi in zip(p, w - p))
+    assert math.isfinite(exact)
+    assert ev.phi_prime(alpha) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_wide_off_centre_ball_raises_no_floating_point_warning():
+    # This ball has no cone kernel (its weights leave 2^(+-900)), so P_K runs
+    # the solver, whose psi' forms <p, w - p> of vectors near 1e200.  With
+    # warnings as errors, every query at scales 1e-300..1e308 answers or
+    # spends the root budget (a separate defect of the solver).
+    ball = EuclideanBall((3e199, 0.0, 0.0), 1e200)
+    rng = np.random.default_rng(0)
+    answered = 0
+    for t in np.logspace(-300, 308, 40):
+        v = (t * rng.normal(size=3), t * rng.uniform(-1.0, 1.0))
+        try:
+            res = project_homogenization(ball, v)
+        except MaxIterationsExceeded:
+            continue
+        answered += 1
+        assert math.isfinite(res.alpha_star) and np.isfinite(res.point.y).all()
+    assert answered >= 18
 
 
 # ---------------------------------------------------------------------------
