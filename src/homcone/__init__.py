@@ -3,10 +3,10 @@
 Given a closed convex set C containing the origin, with a projector onto C,
 this package computes the projection onto K = cl cone(C x {1}), evaluates
 support functions and polar-set / polar-cone membership, and ships a CLI for
-reproducible traces and figure point clouds.  The projection uses a set's
+reproducible traces and figure point clouds, whose worked examples
+(:mod:`homcone.paper`) it does not import.  The projection uses a set's
 exact cone kernel where it has one (``ConvexSet._project_cone``) and the
-generic solver on psi' otherwise.
-"""
+generic solver on psi' otherwise."""
 
 from .errors import (
     CapabilityMissing,
@@ -18,12 +18,9 @@ from .homproj import (
     Branch,
     ConePoint,
     ProjectionResult,
-    QuarticCoefficients,
     TraceRow,
     find_alpha_star,
     project_homogenization,
-    quartic_coefficients,
-    reference_trace,
 )
 from .polar import (
     PolarDescription,
@@ -67,7 +64,6 @@ __all__ = [
     "PolarDescription",
     "ProjectionResult",
     "PsiEvaluator",
-    "QuarticCoefficients",
     "Simplex",
     "TraceRow",
     "as_vector",
@@ -77,7 +73,5 @@ __all__ = [
     "polar_cone_membership",
     "polar_membership",
     "project_homogenization",
-    "quartic_coefficients",
-    "reference_trace",
     "set_from_spec",
 ]

@@ -17,14 +17,14 @@ import sys
 import numpy as np
 
 from .errors import HomconeError, InvalidSetSpec, MaxIterationsExceeded
-from . import homproj
-from .homproj import project_homogenization, reference_trace
+from .homproj import project_homogenization
+from .paper import _FIGURES, REFERENCE_TABLE, reference_trace
 from .polar import (
     homogenization_polar_membership,
     polar_cone_membership,
     polar_membership,
 )
-from .sets import MEMBERSHIP_TOL, EuclideanBall, set_from_spec
+from .sets import MEMBERSHIP_TOL, set_from_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,42 +65,6 @@ def _trace_csv_rows(trace):
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Reference table (23 rows)
-# ---------------------------------------------------------------------------
-
-# Expected rows of the reference bisection trace, in the exact CSV formatting
-# emitted by `table1`.  Two derivative entries of the upstream reference table
-# (rows 3 and 4, printed there as -1.310e0) are internally inconsistent with
-# the table's own update rule; recomputation gives -1.3981560..., stored here
-# as -1.40e+00.  Every other entry matches the upstream table as printed.
-REFERENCE_TABLE = (
-    (1, "3.0000000", "", "5.0000000", "4.10e+00", "", "8.11e+00"),
-    (2, "1.5000000", "", "3.0000000", "1.49e-01", "", "4.10e+00"),
-    (3, "0.75000000", "1.1250000", "1.5000000", "-3.35e+00", "-1.40e+00", "1.49e-01"),
-    (4, "1.1250000", "1.3125000", "1.5000000", "-1.40e+00", "-5.79e-01", "1.49e-01"),
-    (5, "1.3125000", "1.4062500", "1.5000000", "-5.79e-01", "-2.04e-01", "1.49e-01"),
-    (6, "1.4062500", "1.4531250", "1.5000000", "-2.04e-01", "-2.48e-02", "1.49e-01"),
-    (7, "1.4531250", "1.4765625", "1.5000000", "-2.48e-02", "6.29e-02", "1.49e-01"),
-    (8, "1.4531250", "1.4648438", "1.4765625", "-2.48e-02", "1.92e-02", "6.29e-02"),
-    (9, "1.4531250", "1.4589844", "1.4648438", "-2.48e-02", "-2.76e-03", "1.92e-02"),
-    (10, "1.4589844", "1.4619141", "1.4648438", "-2.76e-03", "8.23e-03", "1.92e-02"),
-    (11, "1.4589844", "1.4604492", "1.4619141", "-2.76e-03", "2.74e-03", "8.23e-03"),
-    (12, "1.4589844", "1.4597168", "1.4604492", "-2.76e-03", "-1.06e-05", "2.74e-03"),
-    (13, "1.4597168", "1.4600830", "1.4604492", "-1.06e-05", "1.36e-03", "2.74e-03"),
-    (14, "1.4597168", "1.4598999", "1.4600830", "-1.06e-05", "6.77e-04", "1.36e-03"),
-    (15, "1.4597168", "1.4598083", "1.4598999", "-1.06e-05", "3.33e-04", "6.77e-04"),
-    (16, "1.4597168", "1.4597626", "1.4598083", "-1.06e-05", "1.61e-04", "3.33e-04"),
-    (17, "1.4597168", "1.4597397", "1.4597626", "-1.06e-05", "7.53e-05", "1.61e-04"),
-    (18, "1.4597168", "1.4597282", "1.4597397", "-1.06e-05", "3.24e-05", "7.53e-05"),
-    (19, "1.4597168", "1.4597225", "1.4597282", "-1.06e-05", "1.09e-05", "3.24e-05"),
-    (20, "1.4597168", "1.4597197", "1.4597225", "-1.06e-05", "1.65e-07", "1.09e-05"),
-    (21, "1.4597168", "1.4597182", "1.4597197", "-1.06e-05", "-5.20e-06", "1.65e-07"),
-    (22, "1.4597182", "1.4597189", "1.4597197", "-5.20e-06", "-2.52e-06", "1.65e-07"),
-    (23, "1.4597189", "1.4597193", "1.4597197", "-2.52e-06", "-1.18e-06", "1.65e-07"),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -217,79 +181,6 @@ def _sample_segments(segments, density):
         for t in np.linspace(t0, t1, density, endpoint=include_end):
             pts.append(np.asarray(fn(t), dtype=float))
     return pts
-
-
-def _polygon_segments(vertices):
-    """Closed polygon boundary as one segment per edge (endpoint excluded)."""
-    segs = []
-    m = len(vertices)
-    for i in range(m):
-        a = np.asarray(vertices[i], dtype=float)
-        b = np.asarray(vertices[(i + 1) % m], dtype=float)
-        segs.append((0.0, 1.0, False, lambda t, a=a, b=b: a + t * (b - a)))
-    return segs
-
-
-def _circle_segments(center, radius, t0=0.0, t1=2.0 * math.pi, closed=True):
-    cx, cy = center
-    return [
-        (
-            t0,
-            t1,
-            not closed,
-            lambda t: (cx + radius * math.cos(t), cy + radius * math.sin(t)),
-        )
-    ]
-
-
-def _figure_fig41():
-    primal = _polygon_segments([(1, 0), (0, 1), (-1, 0), (0, -1)])
-    polar = _polygon_segments([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    return primal, polar, []
-
-
-def _figure_fig31():
-    primal = [(-3.0, 3.0, True, lambda t: (1.0 - math.hypot(1.0, t), t))]
-    polar = [
-        (0.0, 1.0, False, lambda t: (t, t)),
-        (0.0, 1.0, False, lambda t: (t, -t)),
-        (-1.0, 1.0, True, lambda t: (0.5 * (1.0 + t * t), t)),
-    ]
-    return primal, polar, []
-
-
-def _figure_fig22():
-    primal = _circle_segments((0.0, 0.0), 1.0, math.pi, 2.0 * math.pi, closed=False)
-    primal.append((0.0, 2.0, True, lambda t: (1.0, t)))
-    primal.append((0.0, 2.0, True, lambda t: (-1.0, t)))
-    polar = _circle_segments((0.0, 0.0), 1.0, math.pi, 2.0 * math.pi, closed=False)
-    polar.append((-1.0, 1.0, True, lambda t: (t, 0.0)))
-    return primal, polar, []
-
-
-def _figure_fig2a():
-    primal = _circle_segments(homproj.REFERENCE_CENTER, homproj.REFERENCE_RADIUS)
-    polar = [(-3.0, 3.0, True, lambda t: (0.5 * (1.0 - t * t), t))]
-    y, s = homproj.REFERENCE_QUERY
-    result = project_homogenization(
-        EuclideanBall(homproj.REFERENCE_CENTER, homproj.REFERENCE_RADIUS),
-        (y, s),
-        *homproj.REFERENCE_BRACKET,
-        eps=homproj.REFERENCE_EPS,
-    )
-    extra = [
-        ("query", *y, s),
-        ("projection", result.point.y[0], result.point.y[1], result.point.s),
-    ]
-    return primal, polar, extra
-
-
-_FIGURES = {
-    "fig41": _figure_fig41,
-    "fig31": _figure_fig31,
-    "fig22": _figure_fig22,
-    "fig2a": _figure_fig2a,
-}
 
 
 def cmd_figure(args) -> int:

@@ -23,10 +23,9 @@ ellipsoid and the ball off the origin by one scalar root (see
 :mod:`homcone.sets`).  Any set without a kernel takes
 the solver.  A caller-given bracket selects the reference bisection
 :func:`find_alpha_star` on every set, kernel or not, as ``force_iterative``
-selects the solver; its trace reproduces the bundled reference table.  A
-query whose largest entry lies beyond 2^(+-500) is projected on its exact
-power-of-2 rescale, ahead of the kernel and the solver alike, so neither
-forms a squared norm that overflows or underflows.
+selects the solver.  A query whose largest entry lies beyond 2^(+-500) is
+projected on its exact power-of-2 rescale, ahead of the kernel and the
+solver alike, so neither forms a squared norm that overflows or underflows.
 
 Each entry point validates its query in one pass (a finite y of the set's
 dimension and a finite height s), which also sizes it for the rescale;
@@ -45,8 +44,7 @@ import numpy as np
 from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
-from .sets import (_ROOT_RTOL, MEMBERSHIP_TOL, Branch, EuclideanBall, _as_query,
-                   _ldexp_array, as_vector)
+from .sets import _ROOT_RTOL, MEMBERSHIP_TOL, Branch, _as_query, _ldexp_array
 
 #: Queries whose largest entry has a binary exponent beyond this are projected
 #: on an exact power-of-2 rescale, so that squared norms neither overflow nor
@@ -86,20 +84,6 @@ class ProjectionResult:
     branch: Branch
     iterations: int
     trace: Optional[tuple] = None
-
-
-class QuarticCoefficients(NamedTuple):
-    """Coefficients of the residual quartic for the off-centre ball case."""
-
-    xi0: float
-    xi1: float
-    xi2: float
-    xi3: float
-    xi4: float
-
-    def residual(self, alpha) -> float:
-        a = float(alpha)
-        return self.xi0 + a * (self.xi1 + a * (self.xi2 + a * (self.xi3 + a * self.xi4)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,84 +341,3 @@ def _rescaled(res, e) -> ProjectionResult:
         res.iterations,
         trace,
     )
-
-
-# ---------------------------------------------------------------------------
-# Residual quartic for the off-centre ball
-# ---------------------------------------------------------------------------
-
-def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
-    """Coefficients (xi0..xi4) of the quartic that alpha* satisfies for a ball
-    not centred at the origin (outside-the-ball case).
-
-    The quartic arises from squaring the stationarity equation, which can
-    introduce spurious roots; it is therefore used only as a residual check,
-    never solved for alpha*.  The ball's cone kernel reaches alpha* without
-    it, as a projection onto a quadratic cone (see :class:`EuclideanBall`).
-    """
-    ball = EuclideanBall(center, radius)
-    z, g = ball.center, ball.radius
-    y, s, _ = _as_query(y, ball.dim, s)
-    nz = float(np.linalg.norm(z))
-    zy = float(z @ y)
-    ny2 = float(y @ y)
-    nz2 = float(z @ z)
-    g2 = g * g
-    u = s + zy
-    k = g2 + nz2 + 1.0
-    xi0 = u * u * ny2 - g2 * ny2 * ny2
-    xi1 = -2.0 * u * k * ny2 - 2.0 * zy * u * u + 6.0 * g2 * ny2 * zy
-    xi2 = (
-        -4.0 * g2 * ny2 * nz2
-        - 9.0 * g2 * zy * zy
-        + k * k * ny2
-        + u * u * nz2
-        + 4.0 * k * u * zy
-    )
-    xi3 = 12.0 * g2 * zy * nz2 - 2.0 * k * u * nz2 - 2.0 * k * k * zy
-    xi4 = nz2 * (1.0 + (g + nz) ** 2) * (1.0 + (g - nz) ** 2)
-    return QuarticCoefficients(xi0, xi1, xi2, xi3, xi4)
-
-
-# ---------------------------------------------------------------------------
-# Built-in reference instance and its trace
-# ---------------------------------------------------------------------------
-
-#: Worked instance behind the bundled reference trace: the disc centred at
-#: (1, 0) with radius 1, query point ((1, 2), 1), bracket [3, 5], eps 1e-6.
-REFERENCE_CENTER = (1.0, 0.0)
-REFERENCE_RADIUS = 1.0
-REFERENCE_QUERY = ((1.0, 2.0), 1.0)
-REFERENCE_BRACKET = (3.0, 5.0)
-REFERENCE_EPS = 1e-6
-
-
-class _RadialBallDerivative:
-    """psi' for a ball, evaluated with the outside-the-ball radial expression
-    on both branches.
-
-    The bundled reference trace was generated under this convention.  It
-    differs from the projector-based derivative only where y/alpha lies inside
-    the scaled ball (there the true derivative of phi is zero); the sign, and
-    hence the bracket decisions, agree on the reference instance.
-    """
-
-    def __init__(self, center, radius, y, s):
-        self.z = as_vector(center)
-        self.radius = float(radius)
-        self.y = as_vector(y, self.z.size)
-        self.s = float(s)
-
-    def psi_prime(self, alpha):
-        alpha = float(alpha)
-        w = self.y - alpha * self.z
-        nw = float(np.linalg.norm(w))
-        slope = float(self.z @ w) + self.radius * nw
-        return -2.0 * (1.0 - alpha * self.radius / nw) * slope + 2.0 * (alpha - self.s)
-
-
-def reference_trace():
-    """Recompute the 23-row reference bisection trace; returns (alpha*, trace)."""
-    y, s = REFERENCE_QUERY
-    ev = _RadialBallDerivative(REFERENCE_CENTER, REFERENCE_RADIUS, y, s)
-    return find_alpha_star(ev, *REFERENCE_BRACKET, eps=REFERENCE_EPS, max_iter=200)

@@ -100,10 +100,10 @@ _ROOT_MAX_STEPS = 100
 #: :func:`_norm` rescales below this norm, where the square is below 2^-1000.
 _NORM_FLOOR = 2.0 ** -500
 
-#: Up to this many entries, the two root cores (:func:`_quadratic_cone` with
-#: :func:`_secular_root`, and :func:`_breakpoint_root`), the branch tests of
-#: the box, l1 and simplex kernels and their breakpoint roots, the
-#: ellipsoid kernel (on its stored factors, at two entries by
+#: Up to this many entries, the root cores (:func:`_secular_root` and
+#: :func:`_breakpoint_root`), the branch tests of the box, l1 and simplex
+#: kernels and their breakpoint roots, the ellipsoid kernel (the list core
+#: :func:`_quadratic_cone_floats` on its stored factors, at two entries
 #: :func:`_plane_cone`), the off-centre ball's y_perp and answer, the query
 #: validation (:func:`_as_query`) and :func:`_norm` run on Python floats,
 #: where numpy's cost per call outweighs its cost per entry.  Float
@@ -709,7 +709,8 @@ def _simplex_cone(v, r, s):
     lift = s + r * max(top, 0.0)
     if lift <= 0.0:
         return 0.0, np.zeros(v.size), Branch.RECESSION
-    if low < 0.0:
+    # Where top > r s, every float sum of the positive parts exceeds r s too.
+    if low < 0.0 and top <= r * s:
         pos = np.maximum(v, 0.0)
         plus = None if vals is None else (x for x in vals if x > 0.0)
         if _sum_at_most(plus, v.size, r * s, pos.sum):
@@ -886,7 +887,7 @@ def _secular_root_floats(c, a):
     )
 
 
-def _quadratic_cone(u, w, s, root=None, one=None):
+def _quadratic_cone(u, w, s, root, one):
     """Projection of (u, s) onto the quadratic cone {(z, t) : ||W^1/2 z|| <= t}
     with W = diag(w), w > 0: None where (u, s) lies in it, else ``(t, z)``,
     with t = 0 (and z None) at the apex.
@@ -902,15 +903,8 @@ def _quadratic_cone(u, w, s, root=None, one=None):
     (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
     relative to v, independent of the scale of the query and of w.  On the
     polar of the cone, M(0) >= 1, the root is v = 0 and t = 0: the apex.
-    ``root`` and ``one`` are sqrt(w) and 1 + w, taken here unless the caller
-    stored them.  Up to ``_FLOATS`` entries it runs on Python floats
-    (:func:`_quadratic_cone_floats`).
+    ``root`` and ``one`` are the caller's stored sqrt(w) and 1 + w.
     """
-    if root is None:
-        root, one = np.sqrt(w), 1.0 + w
-    if u.size <= _FLOATS:
-        return _quadratic_cone_floats(u.tolist(), w.tolist(), s, root.tolist(),
-                                      one.tolist())
     wu = root * u
     if math.sqrt(np.vdot(wu, wu)) <= s:
         return None
@@ -922,11 +916,9 @@ def _quadratic_cone(u, w, s, root=None, one=None):
     return t, u * (t / ((v + lift) * w + t))
 
 
-def _quadratic_cone_floats(u, w, s, root=None, one=None):
+def _quadratic_cone_floats(u, w, s, root, one):
     """:func:`_quadratic_cone` on sequences of Python floats, z a list, the
     norm by the scale-safe ``math.hypot``."""
-    if root is None:
-        root, one = [math.sqrt(wi) for wi in w], [1.0 + wi for wi in w]
     wu = [hi * ui for ui, hi in zip(u, root)]
     if math.hypot(*wu) <= s:
         return None

@@ -28,10 +28,8 @@ from homcone import (
     homogenization_polar_membership,
     polar_membership,
     project_homogenization,
-    quartic_coefficients,
-    reference_trace,
 )
-from homcone.cli import REFERENCE_TABLE
+from homcone.paper import REFERENCE_TABLE, quartic_coefficients, reference_trace
 from oracle import OracleConfig, brute_force_alpha_star
 
 from test_homproj import format_rows

@@ -27,18 +27,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_import_does_not_load_scipy():
-    # Start-up cost of every `homcone` process: the package needs numpy only.
+def fresh_python(code):
+    """``python -c code`` in a new interpreter on this checkout's homcone."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(homcone.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, homcone, homcone.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_import_does_not_load_scipy():
+    # Start-up cost of every `homcone` process: the package needs numpy only.
+    proc = fresh_python("import sys, homcone, homcone.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: Exits 0 where ``import homcone`` loads neither ``homcone.paper`` nor
+#: ``homcone.cli`` and the three names of the paper's worked examples come
+#: from ``homcone.paper`` alone; the CI runs the same check on the installed
+#: package.
+SPLIT_CHECK = """
+import sys, homcone, homcone.homproj
+assert 'homcone.paper' not in sys.modules, 'import homcone loads homcone.paper'
+assert 'homcone.cli' not in sys.modules, 'import homcone loads homcone.cli'
+from homcone.paper import QuarticCoefficients, quartic_coefficients, reference_trace
+for name in ('QuarticCoefficients', 'quartic_coefficients', 'reference_trace'):
+    assert not hasattr(homcone, name) and not hasattr(homcone.homproj, name), name
+assert len(homcone.__all__) == 27, homcone.__all__
+"""
+
+
+def test_import_leaves_the_paper_and_the_cli_unloaded():
+    # A fresh interpreter, as this session has imported every module.
+    proc = fresh_python(SPLIT_CHECK)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Everything that switches at ``sets._FLOATS`` entries, on Python floats
-against its numpy form: up to that size :func:`_quadratic_cone` (with
+against its numpy form: up to that size the quadratic-cone core (the list
+core :func:`_quadratic_cone_floats`, as the ellipsoid kernel picks it, with
 :func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm`,
 the query validation :func:`_as_query`, the branch tests of the box, l1
 and simplex kernels and the off-centre ball's y_perp and answer run on
@@ -52,6 +53,16 @@ def on_both_sides(monkeypatch):
         return answers
 
     return call
+
+
+def quadratic_cone(u, w, s):
+    """The quadratic-cone core with sqrt(w) and 1 + w taken per call: the list
+    core up to ``sets._FLOATS`` entries, the numpy core above."""
+    root, one = np.sqrt(w), 1.0 + w
+    if u.size <= sets._FLOATS:
+        return sets._quadratic_cone_floats(u.tolist(), w.tolist(), s,
+                                           root.tolist(), one.tolist())
+    return sets._quadratic_cone(u, w, s, root, one)
 
 
 def breakpoint_scale(t, slope, offset, u=None, w=None):
@@ -251,7 +262,7 @@ def cone_queries(n, rng):
 def test_quadratic_cone_on_both_sides(n, on_both_sides):
     rng = np.random.default_rng(n + 2)
     for u, w, s in cone_queries(n, rng):
-        floats, arrays = on_both_sides(sets._quadratic_cone, u, w, s)
+        floats, arrays = on_both_sides(quadratic_cone, u, w, s)
         if arrays is None:
             assert floats is None
             continue
@@ -310,8 +321,7 @@ def test_off_centre_ball_kernel_on_both_sides(rho, exponent, on_both_sides,
     assert len(calls) == 2 * len(queries)
     for r, p, w, root, one, s in calls:
         got = plane(r, p, w, root, one, s)
-        lists, arrays = on_both_sides(sets._quadratic_cone, np.array([r, p]),
-                                      weights, s)
+        lists, arrays = on_both_sides(quadratic_cone, np.array([r, p]), weights, s)
         if lists is None:
             assert got is None and arrays is None
             continue
@@ -332,7 +342,8 @@ def test_plane_solve_raises_when_its_budget_is_spent(monkeypatch, on_both_sides)
     with pytest.raises(sets.MaxIterationsExceeded) as plane_error:
         sets._plane_cone(0.6, -0.4, ball._weights, ball._roots, ball._ones, 0.05)
     with pytest.raises(sets.MaxIterationsExceeded) as list_error:
-        sets._quadratic_cone_floats([0.6, -0.4], ball._weights, 0.05)
+        sets._quadratic_cone_floats([0.6, -0.4], ball._weights, 0.05, ball._roots,
+                                    ball._ones)
     assert str(plane_error.value) == str(list_error.value)
     for limit in (math.inf, 0):
         monkeypatch.setattr(sets, "_FLOATS", limit)
@@ -467,8 +478,8 @@ def test_closed_forms_on_both_sides(n, on_both_sides):
 
 def per_call_ellipsoid_kernel(ell, y, s):
     """The ellipsoid's cone kernel with sqrt(w) and 1 + w taken per call by
-    :func:`_quadratic_cone` (on floats up to ``_FLOATS`` entries)."""
-    cone = sets._quadratic_cone(ell._evecs.T @ y, ell._evals, s)
+    :func:`quadratic_cone` (on floats up to ``_FLOATS`` entries)."""
+    cone = quadratic_cone(ell._evecs.T @ y, ell._evals, s)
     if cone is None:
         return s, y.copy(), Branch.ALREADY_IN_K
     t, z = cone

@@ -19,10 +19,8 @@ from homcone import (
     Simplex,
     find_alpha_star,
     project_homogenization,
-    quartic_coefficients,
-    reference_trace,
 )
-from homcone.cli import REFERENCE_TABLE
+from homcone.paper import REFERENCE_TABLE, quartic_coefficients, reference_trace
 from homcone.roots import brent_root
 from oracle import sample_members
 
@@ -38,7 +36,7 @@ def fmt_dpsi(x):
 
 
 # Formats trace rows as `homcone table1` prints them, written out here so that
-# the comparison with cli.REFERENCE_TABLE does not rely on the CLI's formatter.
+# the comparison with paper.REFERENCE_TABLE does not rely on the CLI's formatter.
 def format_rows(trace):
     return [
         (
@@ -536,11 +534,10 @@ PUBLIC_NAMES = [
     "BallPen", "Box", "Branch", "CapabilityMissing", "ConePoint", "ConvexSet",
     "Ellipsoid", "EuclideanBall", "HomconeError", "Hyperbolic", "InvalidSetSpec",
     "L1Ball", "MaxIterationsExceeded", "PBall", "PolarDescription",
-    "ProjectionResult", "PsiEvaluator", "QuarticCoefficients", "Simplex",
-    "TraceRow", "as_vector",
+    "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
     "closed_form_polar", "find_alpha_star", "homogenization_polar_membership",
     "polar_cone_membership", "polar_membership", "project_homogenization",
-    "quartic_coefficients", "reference_trace", "set_from_spec",
+    "set_from_spec",
 ]
 
 
