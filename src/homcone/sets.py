@@ -410,8 +410,10 @@ class EuclideanBall(ConvexSet):
         if self._top < _HALF_ULP_MAX:
             r = x - self.center
             n = _norm(r)
+            if n <= self.radius:
+                return x.copy()
             if n < math.inf:
-                return self.center + self.radius * (r / max(n, self.radius))
+                return self.center + self.radius * (r / n)
         r, e = self._scaled_offset(x)
         n = _norm(r)
         if n <= math.ldexp(self.radius, -e):
@@ -593,11 +595,13 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
     sum_{t > x} w): two dot products against a mask.  F is convex, so every
     step lands at or left of its root, and from there the set above x only
     shrinks; a step that keeps its size keeps the set and is F's root
-    exactly.  A breakpoint at or below a step has no term at the root, so
-    after ``_NEWTON_STEPS`` steps one sort of those above the last step
-    finds the root.  For the simplex threshold (slope 0, the largest
-    breakpoint 0) the sample root and every step lie below 0, so no step
-    divides by 0.
+    exactly.  The root is the largest piece root, so x is the largest step
+    so far (the sample root is no piece root and does not count): a step
+    that rounds below the one before cannot undo it.  A breakpoint at or
+    below a step has no term at the root, so after ``_NEWTON_STEPS`` steps
+    one sort of those above x finds the root.  For the simplex threshold
+    (slope 0, the largest breakpoint 0) the sample root and every step lie
+    below 0, so no step divides by 0.
     """
     if t.size <= _FLOATS:
         return _sorted_root_floats(t.tolist(), slope, offset,
@@ -607,23 +611,23 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
         return _sorted_root(t, slope, offset, u, w)
     step = t.size // _SAMPLE
     cut = slice(None, None, step)
-    x = _sorted_root(t[cut], slope / step, offset / step,
-                     None if w is None else u[cut],
-                     None if w is None else w[cut])
-    above = t > x
+    above = t > _sorted_root(t[cut], slope / step, offset / step,
+                             None if w is None else u[cut],
+                             None if w is None else w[cut])
     k = int(np.count_nonzero(above))
+    x = -math.inf
     for _ in range(_NEWTON_STEPS):
         mask = above.astype(float)
         top, base = (mask @ t, k) if w is None else (mask @ u, mask @ w)
-        x = (offset + float(top)) / (slope + float(base))
+        x = max(x, (offset + float(top)) / (slope + float(base)))
         above = t > x
         k, count = int(np.count_nonzero(above)), k
         if k == count:
             return x
     keep = np.flatnonzero(above)
-    return _sorted_root(t[keep], slope, offset,
-                        None if w is None else u[keep],
-                        None if w is None else w[keep])
+    return max(x, _sorted_root(t[keep], slope, offset,
+                               None if w is None else u[keep],
+                               None if w is None else w[keep]))
 
 
 def _sorted_root(t, slope, offset, u, w):
@@ -632,46 +636,40 @@ def _sorted_root(t, slope, offset, u, w):
 
     Where exactly the k largest breakpoints exceed x, F is linear with root
     x_k = (offset + U_k) / (slope + W_k), U_k and W_k the sums of their u
-    and w; F(t_k) < 0 exactly when t_k > x_k, so the root of F is the x_k of
-    the last k whose k-th breakpoint exceeds x_k, or offset / slope when no
-    breakpoint does.
+    and w.  F is the largest of these pieces, so its root is the largest
+    x_k, or offset / slope (k = 0) where that is larger.  No test t_k > x_k
+    picks k: where every x_k rounds to its t_k, that test would pick k = 0.
     """
     if w is None:
-        t = np.sort(t)[::-1]
-        x = (offset + t.cumsum()) / (slope + np.arange(1, t.size + 1))
+        x = (offset + np.sort(t)[::-1].cumsum()) / (slope + np.arange(1, t.size + 1))
     else:
         order = t.argsort()[::-1]
-        t = t[order]
         x = (offset + u[order].cumsum()) / (slope + w[order].cumsum())
-    k = (t > x).nonzero()[0]
-    if k.size:
-        return float(x[k[-1]])
-    return offset / slope
+    root = float(x.max())
+    return max(root, offset / slope) if slope else root
 
 
 def _sorted_root_floats(t, slope, offset, u, w):
     """The root of :func:`_sorted_root` on Python floats: one descending
     sort, then one scan with running sums U_k and W_k.  t, u and w may be
     any iterables of floats."""
-    root = None
+    root = offset / slope if slope else -math.inf
     top = base = 0.0
     if w is None:
         for ti in sorted(t, reverse=True):
             top += ti
             base += 1.0
             x = (offset + top) / (slope + base)
-            if ti > x:
+            if x > root:
                 root = x
     else:
-        for ti, ui, wi in sorted(zip(t, u, w), reverse=True):
+        for _, ui, wi in sorted(zip(t, u, w), reverse=True):
             top += ui
             base += wi
             x = (offset + top) / (slope + base)
-            if ti > x:
+            if x > root:
                 root = x
-    # A slope of 0 (the simplex threshold) always has a qualifying k, so
-    # this float division never meets it.
-    return offset / slope if root is None else root
+    return root
 
 
 def _simplex_threshold(v, target):

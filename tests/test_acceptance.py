@@ -15,14 +15,9 @@ import pytest
 
 from homcone import (
     BallPen,
-    Box,
     Branch,
-    Ellipsoid,
     EuclideanBall,
-    L1Ball,
-    PBall,
     PsiEvaluator,
-    Simplex,
     closed_form_polar,
     find_alpha_star,
     homogenization_polar_membership,
@@ -31,6 +26,7 @@ from homcone import (
 )
 from homcone.paper import REFERENCE_TABLE, quartic_coefficients, reference_trace
 from oracle import OracleConfig, brute_force_alpha_star
+from set_catalog import CORE, pairs
 
 from test_homproj import format_rows
 
@@ -206,11 +202,11 @@ def test_moreau_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_polar_catalog():
-    from test_polar import catalog
+    from test_polar import polar_cases
 
     rng = np.random.default_rng(2025)
     total = 0
-    for name, set_, box in catalog():
+    for name, set_, box in polar_cases():
         desc = closed_form_polar(set_)
         pts = rng.uniform(-box, box, size=(10_000, set_.dim))
         for y in pts:
@@ -236,24 +232,14 @@ def _central(f, x, h):
 
 def test_derivative_checks():
     rng = np.random.default_rng(2026)
-    variants = [
-        EuclideanBall((0.0, 0.0), 1.3),
-        EuclideanBall((0.5, -0.3), 1.0),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        PBall(2.0, 1.2),
-        PBall(math.inf, 0.9),
-        Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
-        Simplex(2),
-        BallPen((0.6, 0.8)),
-    ]
+    variants = [set_ for _, set_ in pairs(CORE, projectable=True)]
     h = 1e-6
     for set_ in variants:
         accepted = 0
         attempts = 0
         while accepted < 100 and attempts < 5000:
             attempts += 1
-            ev = PsiEvaluator(set_, rng.uniform(-8, 8, 2), rng.uniform(-8, 8))
+            ev = PsiEvaluator(set_, rng.uniform(-8, 8, set_.dim), rng.uniform(-8, 8))
             alpha = rng.uniform(0.2, 5.0)
             fd1 = _central(ev.phi, alpha, h)
             fd2 = _central(ev.phi, alpha, 0.5 * h)
@@ -267,15 +253,9 @@ def test_derivative_checks():
 
     # Midpoint convexity of psi on 10000 sampled triples.
     triples = 0
-    sets_cycle = [
-        EuclideanBall((0.4, 0.2), 1.0),
-        Box((1.0, 0.7)),
-        Simplex(2),
-        BallPen((0.0, 1.0)),
-    ]
     while triples < 10_000:
-        set_ = sets_cycle[triples % len(sets_cycle)]
-        ev = PsiEvaluator(set_, rng.uniform(-8, 8, 2), rng.uniform(-8, 8))
+        set_ = variants[triples % len(variants)]
+        ev = PsiEvaluator(set_, rng.uniform(-8, 8, set_.dim), rng.uniform(-8, 8))
         a1, a2 = sorted(rng.uniform(0.0, 15.0, 2))
         t = rng.uniform(0.0, 1.0)
         mid = t * a1 + (1.0 - t) * a2
@@ -290,22 +270,12 @@ def test_derivative_checks():
 
 def test_oracle_agreement():
     rng = np.random.default_rng(2027)
-    variants = [
-        EuclideanBall((0.0, 0.0), 1.3),
-        EuclideanBall((0.5, -0.3), 1.0),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        PBall(2.0, 1.2),
-        PBall(math.inf, 0.9),
-        Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
-        Simplex(2),
-        BallPen((0.6, 0.8)),
-    ]
+    variants = [set_ for _, set_ in pairs(CORE, projectable=True)]
     cfg = OracleConfig(grid_points=1500, alpha_max=80.0, samples=1000, seed=11)
     worst = 0.0
     for i in range(200):
         set_ = variants[i % len(variants)]
-        ev = PsiEvaluator(set_, rng.uniform(-10, 10, 2), rng.uniform(-10, 10))
+        ev = PsiEvaluator(set_, rng.uniform(-10, 10, set_.dim), rng.uniform(-10, 10))
         bf = brute_force_alpha_star(ev, cfg)
         fa, _ = find_alpha_star(ev)
         worst = max(worst, abs(bf - fa))

@@ -2,14 +2,17 @@
 at which Newton steps from the root on a strided sample replace the sort."""
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 import homcone.sets as sets
 from homcone import Box, Branch, L1Ball, PBall, Simplex, project_homogenization
-from test_homproj import SCALES, kernel_queries
+from set_catalog import CATALOG, params
+from test_homproj import SCALES, kernel_branch, kernel_queries
 
 # Just above the sampling threshold, a power of 2, and the benchmark's size.
 SIZES = (4 * sets._SAMPLE + 1, 4096, 20000)
@@ -17,26 +20,36 @@ SIZES = (4 * sets._SAMPLE + 1, 4096, 20000)
 
 def exact_root(t, slope, offset, u=None, w=None):
     """The root of F(x) = offset - slope x + sum max(u_i - w_i x, 0) as a
-    Fraction.  Floats are dyadic, so over their largest denominator every
-    sum below is an exact integer."""
+    Fraction, from floats or Fractions: t = u / w orders the breakpoints,
+    and offset, slope, u and w have power-of-2 denominators, so over the
+    largest one they are exact integers.
+
+    With the breakpoints sorted down, the piece roots x_k = (offset + U_k) /
+    (slope + W_k) rise while the k-th breakpoint exceeds x_(k-1) and fall
+    after, so the root is x_k for the largest such k, which a bisection over
+    the prefix sums finds."""
+    t = t.tolist() if isinstance(t, np.ndarray) else list(t)
     if w is None:
-        u, w = t, np.ones_like(t)
-    values = [slope, offset, *t.tolist(), *u.tolist(), *w.tolist()]
-    den = max(v.as_integer_ratio()[1] for v in values)
-
-    def num(v):
-        n, d = v.as_integer_ratio()
-        return n * (den // d)
-
-    top, base = num(offset), num(slope)
-    root = (top, base)
-    for i in np.argsort(-t, kind="stable").tolist():
-        top += num(u[i])
-        base += num(w[i])
-        # t_i > x_k = top / base, both sides times den * base > 0.
-        if num(t[i]) * base > top * den:
-            root = (top, base)
-    return Fraction(*root)
+        u, w = t, [1] * len(t)
+    elif isinstance(w, np.ndarray):
+        u, w = u.tolist(), w.tolist()
+    order = sorted(range(len(t)), key=t.__getitem__, reverse=True)
+    ratios = [v.as_integer_ratio() for v in (slope, offset, *u, *w)]
+    bits = max(d for _, d in ratios).bit_length()
+    slope, offset, *nums = [n << (bits - d.bit_length()) for n, d in ratios]
+    u, w = nums[:len(t)], nums[len(t):]
+    top = list(accumulate([u[i] for i in order], initial=offset))
+    base = list(accumulate([w[i] for i in order], initial=slope))
+    lo, hi = 0, len(t)
+    while lo < hi:
+        k = (lo + hi + 1) // 2
+        i = order[k - 1]
+        # t_i > x_(k-1), that is u_i > w_i top / base, with base > 0.
+        if base[k - 1] == 0 or u[i] * base[k - 1] > w[i] * top[k - 1]:
+            lo = k
+        else:
+            hi = k - 1
+    return Fraction(top[lo], base[lo])
 
 
 def assert_exact(x, t, slope, offset, u=None, w=None):
@@ -287,7 +300,6 @@ def test_large_cone_kernels_agree_with_the_generic_solver(n):
     # among the middle and the lower breakpoints.
     rng = np.random.default_rng(n + 7)
     for name, set_ in large_kernel_sets(n, rng):
-        branches = set()
         queries = kernel_queries(set_, rng, count=9)
         for frac in (-0.5, -0.9, -0.999):
             y = rng.uniform(-4.0, 4.0, n)
@@ -295,16 +307,7 @@ def test_large_cone_kernels_agree_with_the_generic_solver(n):
         for frac in (2.0 / n, 0.3):
             y = rng.uniform(-4.0, 4.0, n)
             queries.append((y, frac * float(np.abs(y).sum())))
-        for y, s in queries:
-            for t in SCALES:
-                v = (t * y, t * s)
-                v_norm = math.hypot(float(np.linalg.norm(v[0])), v[1])
-                fast = project_homogenization(set_, v)
-                slow = project_homogenization(set_, v, eps=1e-13, force_iterative=True)
-                branches.add(fast.branch)
-                assert fast.iterations == 0
-                assert abs(fast.alpha_star - slow.alpha_star) <= 1e-12 * v_norm, name
-                assert float(np.linalg.norm(fast.point.y - slow.point.y)) <= 1e-12 * v_norm, name
+        branches = {kernel_branch(set_, (t * y, t * s)) for y, s in queries for t in SCALES}
         assert branches == set(Branch), name
 
 
@@ -320,3 +323,61 @@ def test_large_l1_and_simplex_projectors_sum_to_the_radius(n):
         d = target - float(target.max())
         theta = float(target.max()) + float(exact_root(d, 0.0, -radius))
         np.testing.assert_allclose(x, np.maximum(target - theta, 0.0), rtol=0, atol=1e-13)
+
+
+def exact_alpha(set_, y, s):
+    """alpha* of P_K(y, s) as a Fraction for the box (and the inf-ball), the
+    l1 ball and the simplex: 0 where s + sigma_C(y) <= 0, else for the box
+    the root of alpha - s - sum b_i max(|y_i| - alpha b_i, 0), and for the
+    l1 ball (v = |y|) and the simplex (v = y) of radius r, s + r max(theta,
+    0) with theta the root of -r s - r^2 theta + sum max(v_i - theta, 0)."""
+    s = Fraction(s)
+    if isinstance(set_, (Box, PBall)):
+        b = set_.halfwidths if isinstance(set_, Box) else np.full(set_.dim, set_.radius)
+        b, a = [Fraction(x) for x in b], [abs(Fraction(x)) for x in y]
+        if s + sum(map(operator.mul, b, a)) <= 0:
+            return Fraction(0)
+        live = [(bi, ai) for bi, ai in zip(b, a) if bi > 0]
+        return exact_root([ai / bi for bi, ai in live], Fraction(1), s,
+                          [bi * ai for bi, ai in live], [bi * bi for bi, _ in live])
+    r = Fraction(set_.radius if isinstance(set_, L1Ball) else 1.0)
+    v = [abs(Fraction(x)) if isinstance(set_, L1Ball) else Fraction(x) for x in y]
+    if s + r * max(max(v), 0) <= 0:
+        return Fraction(0)
+    return s + r * max(exact_root(v, r * r, -r * s), 0)
+
+
+def breakpoint_kernel(entry):
+    """The box, l1 and simplex kernels (and the inf-ball's, the box's) up to
+    40 entries, where the Fraction sums stay cheap."""
+    spec = entry.build if isinstance(entry.build, dict) else {}
+    kind = spec.get("type")
+    if kind == "p_ball" and spec["p"] == "inf" or kind in ("l1_ball", "simplex"):
+        return spec.get("dim", 2) <= 40
+    return kind == "box" and len(spec["halfwidths"]) <= 40
+
+
+@pytest.mark.parametrize("entry", params(filter(breakpoint_kernel, CATALOG), "oracle"))
+def test_breakpoint_kernels_are_exact_to_a_few_ulps(entry):
+    # alpha* of the box, l1 and simplex kernels against the exact Fraction
+    # root on every branch and scale: within 16 ulps of ||(y, s)||_inf, where
+    # the kernels' sums over up to 40 entries round.  (At 2,000 entries
+    # test_breakpoint_root_is_the_exact_root checks the root itself.)
+    set_ = entry.make()
+    rng = np.random.default_rng(61)
+    for y, s in [*kernel_queries(set_, rng, count=15), *entry.queries]:
+        for t in SCALES:
+            v = (t * y, t * s)
+            alpha = project_homogenization(set_, v).alpha_star
+            size = max(float(np.abs(v[0]).max()), abs(v[1]))
+            assert abs(Fraction(alpha) - exact_alpha(set_, *v)) <= 16 * math.ulp(size)
+
+
+@pytest.mark.parametrize("n", [2, 13, 2000])
+def test_the_breakpoint_root_is_the_largest_piece_root(n):
+    # Every piece root (offset + U_k) / (slope + W_k) of the huge box rounds
+    # to its breakpoint 1e-16; a root taken only where a breakpoint exceeds
+    # its piece root fell back to offset / slope = s = -0.5.
+    box, v = Box(np.full(n, 1e16)), (np.ones(n), -0.5)
+    assert kernel_branch(box, v) is Branch.CONE_INTERIOR
+    assert project_homogenization(box, v).alpha_star == pytest.approx(1e-16, rel=1e-15)

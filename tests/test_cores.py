@@ -32,8 +32,9 @@ from homcone import (
     Simplex,
     project_homogenization,
 )
+from set_catalog import OFF_AXIS
 from test_breakpoints import shapes
-from test_homproj import OFF_AXIS, extreme_radii_queries, kernel_queries
+from test_homproj import extreme_radii_queries, kernel_queries
 
 pytestmark = pytest.mark.filterwarnings("error")
 

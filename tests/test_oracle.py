@@ -5,15 +5,14 @@ import pytest
 
 from homcone import (
     BallPen,
-    Box,
     EuclideanBall,
     Hyperbolic,
-    L1Ball,
     PsiEvaluator,
     Simplex,
     find_alpha_star,
 )
 from oracle import OracleConfig, brute_force_alpha_star, sample_members, sampled_support
+from set_catalog import CORE, pairs
 
 FAST = OracleConfig(grid_points=2000, alpha_max=60.0, samples=20_000, seed=99)
 
@@ -77,17 +76,8 @@ def test_sampled_support_reports_unbounded():
 
 def test_sampled_support_never_exceeds_closed_form():
     rng = np.random.default_rng(51)
-    sets = [
-        EuclideanBall((0.0, 0.0), 1.3),
-        EuclideanBall((0.5, -0.3), 1.0),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        Simplex(2),
-        BallPen((0.6, 0.8)),
-        Hyperbolic(),
-    ]
-    for set_ in sets:
-        for _ in range(20):
+    for _, set_ in pairs(CORE):
+        for _ in range(10):
             y = rng.normal(size=set_.dim) * 3.0
             got = sampled_support(set_, y, FAST)
             sigma = set_.support(y)
@@ -99,15 +89,9 @@ def test_sampled_support_never_exceeds_closed_form():
 
 def test_sampled_support_tight_for_bounded_sets():
     cfg = OracleConfig(seed=3, samples=200_000)
-    sets = [
-        EuclideanBall((0.0, 0.0), 1.3),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        Simplex(2),
-    ]
     rng = np.random.default_rng(52)
-    for set_ in sets:
-        for _ in range(5):
+    for _, set_ in pairs(CORE, bounded=True):
+        for _ in range(2):
             y = rng.normal(size=set_.dim) * 3.0
             sigma = set_.support(y)
             assert sampled_support(set_, y, cfg) == pytest.approx(sigma, abs=1e-2)
@@ -115,15 +99,7 @@ def test_sampled_support_tight_for_bounded_sets():
 
 def test_sample_members_are_members():
     rng = np.random.default_rng(53)
-    sets = [
-        EuclideanBall((0.5, -0.3), 1.0),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        Simplex(3),
-        BallPen((0.6, 0.8)),
-        Hyperbolic(),
-    ]
-    for set_ in sets:
+    for _, set_ in pairs(CORE):
         pts = sample_members(set_, 2000, rng)
         for p in pts[:: max(1, len(pts) // 200)]:
             assert set_.contains(p, tol=1e-9)
@@ -131,15 +107,9 @@ def test_sample_members_are_members():
 
 def test_oracle_agrees_with_bracket_search_smoke():
     rng = np.random.default_rng(54)
-    sets = [
-        EuclideanBall((0.0, 0.0), 1.5),
-        EuclideanBall((0.4, 0.2), 1.0),
-        Box((1.0, 0.7)),
-        BallPen((0.0, 1.0)),
-    ]
-    for set_ in sets:
-        for _ in range(5):
-            ev = PsiEvaluator(set_, rng.uniform(-8, 8, 2), rng.uniform(-8, 8))
+    for _, set_ in pairs(CORE, projectable=True):
+        for _ in range(2):
+            ev = PsiEvaluator(set_, rng.uniform(-8, 8, set_.dim), rng.uniform(-8, 8))
             bf = brute_force_alpha_star(ev, FAST)
             fa, _ = find_alpha_star(ev)
             assert abs(bf - fa) < 1e-4

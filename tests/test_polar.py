@@ -9,7 +9,6 @@ from homcone import (
     Box,
     CapabilityMissing,
     ConvexSet,
-    Ellipsoid,
     EuclideanBall,
     Hyperbolic,
     L1Ball,
@@ -21,25 +20,22 @@ from homcone import (
     polar_membership,
     project_homogenization,
 )
+from set_catalog import BY_ID, CORE, pairs
 
 
-def catalog():
-    return [
-        ("ball0_half", EuclideanBall((0.0, 0.0), 0.5), 4.0),
-        ("ball0_two", EuclideanBall((0.0, 0.0), 2.0), 2.0),
-        ("shifted_disc", EuclideanBall((1.0, 0.0), 1.0), 3.0),
-        ("box", Box((1.0, 1.0)), 2.0),
-        ("box_uneven", Box((0.5, 2.0)), 3.0),
-        ("l1", L1Ball(1.0), 2.0),
-        ("pball3", PBall(3.0, 1.0), 2.0),
-        ("pball_1_5", PBall(1.5, 2.0), 2.0),
-        ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), 3.0),
-        ("simplex", Simplex(3), 3.0),
-        ("shifted_unit_ball", EuclideanBall((0.0, -1.0), 1.0), 3.0),
-        ("ball_pen", BallPen((0.0, 1.0)), 2.0),
-        ("strip", BallPen((0.0, 1.0)), 2.0),
-        ("hyperbolic", Hyperbolic(), 4.0),
-    ]
+#: The half-width of the box of points y that the sigma oracle samples, per
+#: catalog entry: sigma_C(y) = 1 lies well inside it.
+POLAR_BOXES = {
+    "ball0_half": 4.0, "ball0_two": 2.0, "shifted_disc": 3.0, "box": 2.0,
+    "box_uneven": 3.0, "l1": 2.0, "pball3": 2.0, "pball_1_5": 2.0,
+    "ellipsoid": 3.0, "simplex": 3.0, "shifted_unit_ball": 3.0, "ball_pen": 2.0,
+    "strip": 2.0, "hyperbolic": 4.0,
+}
+
+
+def polar_cases():
+    """(id, set, box) for the entries of POLAR_BOXES."""
+    return [(name, BY_ID[name].make(), box) for name, box in POLAR_BOXES.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +81,7 @@ def test_homogenization_polar_membership_is_the_same_at_every_scale():
     # it is a member at none; an absolute band would admit it at t = 1e-12.
     box = Box((1.0, 1.0))
     rng = np.random.default_rng(45)
-    for _, set_, scale in catalog():
+    for _, set_, scale in polar_cases():
         points = [(rng.uniform(-scale, scale, set_.dim), rng.uniform(-4.0, 4.0))
                   for _ in range(100)]
         expected = [homogenization_polar_membership(set_, p) for p in points]
@@ -228,7 +224,7 @@ def test_closed_form_uses_the_set_polar_kernel(set_):
     assert desc.contains((1.5, 0.0)) == isinstance(set_, HalvedBox)
 
 
-@pytest.mark.parametrize("name,set_,box", catalog())
+@pytest.mark.parametrize("name,set_,box", polar_cases())
 def test_closed_form_agrees_with_sigma_oracle(name, set_, box):
     # 2000-point smoke version of the full catalog property; points within
     # the |sigma - 1| < 1e-7 band are skipped as boundary.
@@ -322,20 +318,13 @@ def test_homogenization_polar_branches_disjoint():
 def test_polar_membership_consistent_with_projection():
     # A point lies in the polar cone of K exactly when it projects to the apex.
     rng = np.random.default_rng(50)
-    sets = [
-        EuclideanBall((0.0, 0.0), 1.0),
-        EuclideanBall((0.0, 0.0), 2.0),
-        EuclideanBall((0.4, 0.2), 1.0),
-        Box((1.0, 0.7)),
-        Simplex(2),
-        L1Ball(1.2),
-        BallPen((0.0, 1.0)),
-    ]
-    for set_ in sets:
+    for _, set_ in pairs(CORE, projectable=True):
         hits = 0
         for _ in range(300):
-            y = rng.uniform(-6, 6, 2)
-            s = rng.uniform(-8, 2)
+            y = rng.uniform(-6, 6, set_.dim)
+            sigma = set_.support(y)
+            # About a quarter of the heights put (y, s) in the polar cone.
+            s = rng.uniform(-8, 2) if math.isinf(sigma) else sigma * rng.uniform(-1.5, 0.5)
             if s < 0 and abs(set_.support(y / (-s)) - 1.0) < 1e-4:
                 continue
             member = homogenization_polar_membership(set_, (y, s))

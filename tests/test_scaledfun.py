@@ -12,12 +12,12 @@ from homcone import (
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
-    L1Ball,
     MaxIterationsExceeded,
     PsiEvaluator,
     Simplex,
     project_homogenization,
 )
+from set_catalog import CORE, pairs
 
 
 def central_diff(f, x, h):
@@ -79,9 +79,9 @@ def test_phi_prime_ball_pen():
 
 def test_phi_prime_nonpositive_random():
     rng = np.random.default_rng(21)
-    for set_ in (EuclideanBall((0.3, 0.1), 1.0), L1Ball(1.5), BallPen((1.0, 0.0))):
+    for _, set_ in pairs(CORE, projectable=True):
         for _ in range(100):
-            ev = PsiEvaluator(set_, rng.uniform(-5, 5, 2), rng.uniform(-5, 5))
+            ev = PsiEvaluator(set_, rng.uniform(-5, 5, set_.dim), rng.uniform(-5, 5))
             assert ev.phi_prime(rng.uniform(0.05, 10.0)) <= 1e-12
 
 
@@ -90,12 +90,10 @@ def test_phi_prime_is_bit_for_bit_within_range():
     # Where <p, w - p> is in range, phi' is -2 alpha <p, w - p> as numpy's
     # dot product forms it, bit for bit.
     rng = np.random.default_rng(23)
-    for set_ in (EuclideanBall((0.3, 0.1, 0.2), 1.0), L1Ball(1.5, 3),
-                 Box((1.0, 2.0, 0.5)),
-                 Ellipsoid([[2.0, 0.3, 0.0], [0.3, 0.8, 0.0], [0.0, 0.0, 1.0]])):
+    for _, set_ in pairs(CORE, projectable=True):
         for _ in range(50):
             t = 10.0 ** rng.uniform(-150.0, 150.0)
-            ev = PsiEvaluator(set_, t * rng.normal(size=3), 0.0)
+            ev = PsiEvaluator(set_, t * rng.normal(size=set_.dim), 0.0)
             alpha = t * rng.uniform(0.05, 10.0)
             w = ev.y / alpha
             p = set_.project(w)
@@ -218,16 +216,9 @@ def test_psi_prime_plus_zero_is_the_right_limit():
     # -2 (s + sigma_C(y)) is the limit of psi' at 0+ on every bounded set,
     # and psi'(0) itself stays undefined.
     rng = np.random.default_rng(27)
-    sets = [
-        EuclideanBall((0.5, -0.3), 1.0),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        Simplex(2),
-        Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
-    ]
-    for set_ in sets:
+    for _, set_ in pairs(CORE, projectable=True, bounded=True):
         for _ in range(50):
-            ev = PsiEvaluator(set_, rng.uniform(-6, 6, 2), rng.uniform(-6, 6))
+            ev = PsiEvaluator(set_, rng.uniform(-6, 6, set_.dim), rng.uniform(-6, 6))
             assert ev.psi_prime_plus_zero() == pytest.approx(ev.psi_prime(1e-7), abs=1e-5)
         with pytest.raises(ValueError, match="the scaling parameter must be positive"):
             ev.psi_prime(0.0)
@@ -240,15 +231,7 @@ def test_psi_prime_plus_zero_is_the_right_limit():
 # ---------------------------------------------------------------------------
 
 def evaluators(rng):
-    sets = [
-        EuclideanBall((0.0, 0.0), 1.3),
-        EuclideanBall((0.5, -0.3), 1.0),
-        Box((0.8, 1.5)),
-        L1Ball(1.7),
-        Simplex(2),
-        BallPen((0.6, 0.8)),
-    ]
-    for set_ in sets:
+    for _, set_ in pairs(CORE, projectable=True):
         y = rng.uniform(-6, 6, size=set_.dim)
         s = rng.uniform(-6, 6)
         yield PsiEvaluator(set_, y, s)

@@ -25,26 +25,11 @@ from homcone import (
 )
 from homcone.roots import brent_root
 from oracle import sample_members
+from set_catalog import CORE, pairs
 
 
-def make_projectable():
-    return [
-        ("ball0", EuclideanBall((0.0, 0.0), 1.3)),
-        ("ball_off", EuclideanBall((0.5, -0.3), 1.0)),
-        ("box", Box((0.8, 1.5, 0.6))),
-        ("l1", L1Ball(1.7, dim=3)),
-        ("pball2", PBall(2.0, 1.2)),
-        ("pballinf", PBall(math.inf, 0.9)),
-        ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]])),
-        ("simplex", Simplex(3)),
-        ("ballpen", BallPen((0.6, 0.8))),
-    ]
-
-
-POLAR_ONLY = [
-    Hyperbolic(),
-    PBall(3.0, 1.0),
-]
+PROJECTABLE = pairs(CORE, projectable=True)
+POLAR_ONLY = [set_ for _, set_ in pairs(CORE, projectable=False)]
 
 
 def random_points(rng, dim, n, scale=6.0):
@@ -208,9 +193,7 @@ def test_support_hyperbolic_infinite():
 
 
 def test_support_at_zero_is_zero():
-    for _, set_ in make_projectable():
-        assert set_.support(np.zeros(set_.dim)) == 0.0
-    for set_ in POLAR_ONLY:
+    for _, set_ in pairs(CORE):
         assert set_.support(np.zeros(set_.dim)) == 0.0
 
 
@@ -226,7 +209,7 @@ def test_support_shifted_ball_value():
 
 def test_support_closed_forms_dominate_sampled_supremum():
     rng = np.random.default_rng(3)
-    for _, set_ in make_projectable():
+    for _, set_ in PROJECTABLE:
         members = sample_members(set_, 5_000, rng)
         for _ in range(10):
             y = rng.normal(size=set_.dim) * 3.0
@@ -235,8 +218,7 @@ def test_support_closed_forms_dominate_sampled_supremum():
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])
-@pytest.mark.parametrize("name,set_", make_projectable() + [
-    ("hyperbolic", Hyperbolic()), ("pball3", PBall(3.0, 1.0))])
+@pytest.mark.parametrize("name,set_", pairs(CORE))
 def test_support_and_recession_distance_are_exact_at_every_scale(name, set_, k):
     # Both are positively homogeneous and evaluated on the exact power-of-2
     # rescale of y, so y 2^k gives the value times 2^k bit for bit, and +inf
@@ -293,10 +275,10 @@ def test_recession_capability_missing():
 
 def test_recession_directions_stay_in_set():
     # Scaled recession directions remain members for every rho >= 0.
-    for set_ in (BallPen((0.6, 0.8)), BallPen((0.0, 1.0))):
+    for _, set_ in pairs(CORE, projectable=True, bounded=False):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            x = rng.uniform(-5, 5, size=2)
+            x = rng.uniform(-5, 5, size=set_.dim)
             d = set_.project_recession(x)
             n = np.linalg.norm(d)
             if n == 0:
@@ -309,7 +291,7 @@ def test_recession_directions_stay_in_set():
 # Projector invariants
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name,set_", make_projectable())
+@pytest.mark.parametrize("name,set_", PROJECTABLE)
 def test_projection_idempotent(name, set_):
     rng = np.random.default_rng(10)
     for x in random_points(rng, set_.dim, 1000):
@@ -318,7 +300,7 @@ def test_projection_idempotent(name, set_):
         assert np.linalg.norm(q - p) <= 1e-10
 
 
-@pytest.mark.parametrize("name,set_", make_projectable())
+@pytest.mark.parametrize("name,set_", PROJECTABLE)
 def test_projection_nonexpansive(name, set_):
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -327,7 +309,7 @@ def test_projection_nonexpansive(name, set_):
         assert np.linalg.norm(px - pw) <= np.linalg.norm(x - w) + 1e-12
 
 
-@pytest.mark.parametrize("name,set_", make_projectable())
+@pytest.mark.parametrize("name,set_", PROJECTABLE)
 def test_projection_variational_inequality(name, set_):
     rng = np.random.default_rng(12)
     members = sample_members(set_, 2_000, rng)
@@ -338,7 +320,7 @@ def test_projection_variational_inequality(name, set_):
         assert float(np.max(gaps)) <= 1e-9
 
 
-@pytest.mark.parametrize("name,set_", [t for t in make_projectable() if t[1].dim == 2])
+@pytest.mark.parametrize("name,set_", [t for t in PROJECTABLE if t[1].dim == 2])
 def test_scaled_projection_identity(name, set_):
     # alpha * P_C(y / alpha) is the nearest point of alpha*C: feasibility plus
     # the variational inequality over sampled members of alpha*C.
@@ -357,8 +339,7 @@ def test_scaled_projection_identity(name, set_):
 
 def test_support_positive_homogeneity_and_subadditivity():
     rng = np.random.default_rng(14)
-    all_sets = [s for _, s in make_projectable()] + POLAR_ONLY
-    for set_ in all_sets:
+    for _, set_ in pairs(CORE):
         for _ in range(50):
             y1 = rng.normal(size=set_.dim) * 2.0
             y2 = rng.normal(size=set_.dim) * 2.0

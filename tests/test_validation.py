@@ -18,42 +18,20 @@ import homcone.polar
 import homcone.scaledfun
 import homcone.sets
 from homcone import (
-    BallPen,
     Box,
     CapabilityMissing,
     ConvexSet,
-    Ellipsoid,
     EuclideanBall,
     Hyperbolic,
-    L1Ball,
     PBall,
     PsiEvaluator,
-    Simplex,
     closed_form_polar,
     homogenization_polar_membership,
     polar_cone_membership,
     polar_membership,
     project_homogenization,
 )
-
-# (name, set, projectable, has a recession cone)
-CATALOG = [
-    ("ball0", EuclideanBall((0.0, 0.0), 1.3), True, True),
-    ("ball_off", EuclideanBall((0.5, -0.3), 1.0), True, True),
-    ("box", Box((0.8, 1.5, 0.6)), True, True),
-    ("l1", L1Ball(1.7, dim=3), True, True),
-    ("pball2", PBall(2.0, 1.2), True, True),
-    ("pballinf", PBall(math.inf, 0.9, dim=3), True, True),
-    ("pball3", PBall(3.0, 1.0), False, True),
-    ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), True, True),
-    ("simplex", Simplex(3), True, True),
-    ("ballpen", BallPen((0.6, 0.8)), True, True),
-    ("shifted_unit_ball", EuclideanBall((0.0, -1.0), 1.0), True, True),
-    ("strip", BallPen((0.0, 1.0)), True, True),
-    ("hyperbolic", Hyperbolic(), False, False),
-    # Above sets._FLOATS entries, where validation runs on numpy arrays.
-    ("box13", Box(np.linspace(0.5, 1.7, 13)), True, True),
-]
+from set_catalog import CORE, pairs, params
 
 ENTRIES = {
     "project": lambda c, x: c.project(x),
@@ -68,6 +46,9 @@ ENTRIES = {
     "homogenization_polar_membership":
         lambda c, x: homogenization_polar_membership(c, (x, -1.0)),
 }
+
+CORE_SETS = pairs(CORE)
+PROJECTABLE = {e.id: e.projectable for e in CORE}
 
 BAD_INPUTS = {
     "wrong_length": lambda n: np.ones(n + 1),
@@ -88,11 +69,12 @@ BAD_MESSAGES = {
 
 
 def boundary_cases():
-    for name, set_, projectable, has_rec in CATALOG:
+    for name, set_ in CORE_SETS:
         for entry in ENTRIES:
-            if entry == "project" and not projectable:
+            if entry == "project" and not PROJECTABLE[name]:
                 continue
-            if entry in ("project_recession", "recession_distance") and not has_rec:
+            if (entry in ("project_recession", "recession_distance")
+                    and not (PROJECTABLE[name] or set_.bounded)):
                 continue
             yield pytest.param(set_, entry, id=f"{name}-{entry}")
 
@@ -152,13 +134,13 @@ def test_each_failure_raises_its_kind_with_its_message(failure):
         call()
 
 
-PROJECTABLE = [(name, set_) for name, set_, projectable, _ in CATALOG if projectable]
 HEIGHTS = (math.nan, math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("s", HEIGHTS, ids=str)
-@pytest.mark.parametrize("name, set_", PROJECTABLE, ids=[n for n, _ in PROJECTABLE])
-def test_non_finite_height_is_rejected(name, set_, s):
+@pytest.mark.parametrize("entry", params(CORE, projectable=True))
+def test_non_finite_height_is_rejected(entry, s):
+    set_ = entry.make()
     y = np.ones(set_.dim)
     for force_iterative in (False, True):
         with pytest.raises(ValueError):
@@ -189,17 +171,15 @@ def count_validation_passes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, set_", PROJECTABLE, ids=[n for n, _ in PROJECTABLE])
-def test_one_query_validates_at_most_twice(name, set_, monkeypatch):
+@pytest.mark.parametrize("entry", params(CORE, projectable=True))
+def test_one_query_validates_at_most_twice(entry, monkeypatch):
+    set_ = entry.make()
     calls = count_validation_passes(monkeypatch)
     # Outside the set, so the iterative sets take the cone-interior branch.
     y = np.full(set_.dim, 3.0)
     res = project_homogenization(set_, (y, 0.5))
-    closed_form = name in ("ball0", "ball_off", "ballpen", "strip", "box", "l1",
-                           "simplex", "ellipsoid", "pball2", "pballinf",
-                           "shifted_unit_ball", "box13")
     assert res.branch.value == "cone_interior"
-    assert (res.iterations == 0) == closed_form
+    assert (res.iterations == 0) == entry.kernel
     assert calls == [set_.dim]
     # Beyond 2^(+-500) the rescaled query is not validated again.
     calls.clear()
@@ -239,8 +219,7 @@ def test_bad_tolerance_is_rejected(entry, tol):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, set_", [(n, c) for n, c, _, _ in CATALOG],
-                         ids=[n for n, *_ in CATALOG])
+@pytest.mark.parametrize("name, set_", CORE_SETS, ids=[n for n, _ in CORE_SETS])
 def test_closed_form_polar_stays_in_range(name, set_):
     # The closed forms once squared, powered or summed the raw y and
     # overflowed here; the support function rescales and answers False.
