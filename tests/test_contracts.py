@@ -81,6 +81,8 @@ def test_every_method_answers_at_every_scale(entry):
     set_ = entry.make()
     assert_flags(entry, set_)
     recession = entry.projectable or entry.bounded
+    # Without a kernel, both routes are the generic solver.
+    routes = ({}, {"force_iterative": True}) if entry.kernel else ({},)
     for t, y, s in sweep_queries(set_.dim, np.random.default_rng(71)):
         assert isinstance(set_.contains(y), bool)
         assert not math.isnan(set_.support(y))
@@ -98,7 +100,7 @@ def test_every_method_answers_at_every_scale(entry):
             assert np.isfinite(set_.project(y)).all()
             if t < 1e307:
                 assert math.isfinite(PsiEvaluator(set_, y, s).psi_prime(t))
-            for route in ({}, {"force_iterative": True}):
+            for route in routes:
                 assert_answer(set_, (y, s), route)
         except OverflowError as exc:
             assert t > 1e307 and "float64 range" in str(exc)
