@@ -677,9 +677,9 @@ def _simplex_threshold(v, target):
     target; assumes the sum of v exceeds target.
 
     The breakpoints d are the entries minus the largest one, so target is
-    not rounded away against huge entries, and the largest qualifies exactly
-    (0 > (0 - target) / 1).  So the root is at least -target, and d is
-    clipped at -2 target, inactive with a margin against rounding; the
+    not rounded away against huge entries, and the piece root of the
+    largest alone is exactly -target.  So the root is at least -target, and
+    d is clipped at -2 target, inactive with a margin against rounding; the
     search runs on the power-of-2 rescale that brings target into [1/2, 1),
     so no sum of d leaves the float64 range.
     """
