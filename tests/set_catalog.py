@@ -3,8 +3,10 @@
 Each entry names a set, builds it on demand from a ``set_from_spec`` object
 or a callable (so a broken construction fails its test, not the
 collection), and says what it offers: ``projectable`` (P_C exists),
-``bounded`` (its recession cone is {0}) and ``kernel`` (P_K has an exact
-kernel here, so ``force_iterative`` is a second route).  ``queries`` are
+``bounded`` (its recession cone is {0}), ``kernel`` (P_K has an exact
+kernel here, so ``force_iterative`` is a second route) and ``wide`` (its
+size dwarfs the queries, so the projector laws read the dual Moreau
+residual as a distance, not as the excess s + sigma_C(y)).  ``queries`` are
 extra queries (y, s), such as a defect's reproducer, that every contract
 runs; ``xfail`` maps each contract the set fails by a logged defect to the
 reason, and the test marks that case a strict xfail (the key ``"build"``:
@@ -40,6 +42,7 @@ class Entry:
     projectable: bool = True
     bounded: bool = True
     kernel: bool = True
+    wide: bool = False
     xfail: dict = field(default_factory=dict)
     queries: tuple = ()
 
@@ -226,17 +229,18 @@ VARIANTS = [
     Entry("ball_pen", spec("ball_pen", direction=(0, 1)), bounded=False),
     # Narrow and wide parameters.
     Entry("ball0_1e-12", ball((0, 0), 1e-12)),
-    Entry("ball0_1e16", ball((0, 0), 1e16)),
+    Entry("ball0_1e16", ball((0, 0), 1e16), wide=True),
     Entry("ball_off_1e-12", ball((3e-13, -4e-13), 1e-12)),
     Entry("box_1e-12", spec("box", halfwidths=(1e-12, 2e-12))),
     # Where every piece root rounds to its breakpoint, the breakpoint root
     # once fell back to offset / slope: alpha* = -0.5 for ((1, 1), -0.5).
-    *(Entry(f"box_1e16_{n}d", spec("box", halfwidths=np.full(n, 1e16)),
+    *(Entry(f"box_1e16_{n}d", spec("box", halfwidths=np.full(n, 1e16)), wide=True,
             queries=((np.ones(n), -0.5),), xfail={"routes": ITEM_8} if n > 2 else {})
       for n in (2, 13, 2000)),
     Entry("l1_1e-12", spec("l1_ball", radius=1e-12, dim=3)),
     Entry("simplex_2000d", spec("simplex", dim=2000)),
-    Entry("ellipsoid_1e-20", spec("ellipsoid", q=np.diag([1e-20, 2e-20, 3e-20]))),
+    Entry("ellipsoid_1e-20", spec("ellipsoid", q=np.diag([1e-20, 2e-20, 3e-20])),
+          wide=True),
     Entry("ellipsoid_1e20", spec("ellipsoid", q=np.diag([1e20, 2e20, 3e20]))),
     # Where the off-centre ball's weights leave 2^(+-900), its kernel stands
     # aside and the generic solver answers.

@@ -187,11 +187,9 @@ def test_ball_pen_ray_branch():
     assert abs(res.point.s - it.point.s) <= 1e-5
 
 
-@pytest.mark.parametrize("set_", [
-    EuclideanBall((0.0, 0.0), 1.5), EuclideanBall((0.4, 0.2), 1.0), BallPen((0.6, 0.8)),
-    Box((1.0, 0.5)), L1Ball(1.2), Simplex(2), Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
-], ids=["ball0", "ball_off", "ballpen", "box", "l1", "simplex", "ellipsoid"])
-def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
+@pytest.mark.parametrize("entry", params(CORE, kernel=True))
+def test_cone_kernel_is_the_one_dispatch_point(entry, monkeypatch):
+    set_ = entry.make()
     kernel = type(set_)._project_cone
     calls = []
 
@@ -200,8 +198,8 @@ def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
         return kernel(self, y, s)
 
     monkeypatch.setattr(type(set_), "_project_cone", counting)
-    for p in [((3.0, 4.0), 0.5), ((0.0, 1.0), 9.0), ((0.0, -2.0), -5.0)]:
-        res = project_homogenization(set_, p)
+    for y, s in [((3.0, 4.0), 0.5), ((0.0, 1.0), 9.0), ((0.0, -2.0), -5.0)]:
+        res = project_homogenization(set_, (np.resize(y, set_.dim), s))
         assert res.iterations == 0
     assert len(calls) == 3
 
@@ -209,7 +207,8 @@ def test_cone_kernel_is_the_one_dispatch_point(set_, monkeypatch):
         raise AssertionError("force_iterative must bypass the cone kernel")
 
     monkeypatch.setattr(type(set_), "_project_cone", forbidden)
-    res = project_homogenization(set_, ((3.0, 4.0), 0.5), force_iterative=True)
+    res = project_homogenization(set_, (np.resize((3.0, 4.0), set_.dim), 0.5),
+                                 force_iterative=True)
     assert res.iterations > 0
 
 
@@ -335,20 +334,18 @@ def test_off_centre_ball_beyond_the_kernel_weights_takes_the_solver():
     assert moreau_certificate(ball, v, res) <= 1e-9
 
 
-def moreau_certificate(set_, v, res):
+def moreau_certificate(set_, v, res, wide=False):
     """Largest of the three Moreau residuals of the answer p = (x, alpha*),
     each relative to ||v||: p in K (its distance to K, through P_C), v - p in
-    the polar of K, and <p, v - p> = 0.
+    the polar of K (s_q + sigma_C(y_q) <= 0), and <p, v - p> = 0.
 
-    The dual residual is tolerance-aware: a bound on the distance from
-    q = v - p to the polar of K, where s_q + sigma_C(y_q) <= 0.  That
-    excess itself moves by eps ||v|| R when p is rounded, R the size of C,
-    and it is +inf wherever roundoff puts y_q a little off the polar of
-    the recession cone R_C of an unbounded C.  So y_q first loses its part
-    P_R(y_q) in R_C, and then tau = 1e-12 ||v|| more along it (w is the
-    rest); the residual is what that moved, plus the distance from (w, s_q)
-    to the nearer of the polar's points (w, -sigma_C(w)) and
-    (lambda w, s_q), 0 <= lambda <= 1."""
+    On an unbounded C, sigma_C(y_q) is +inf wherever roundoff puts y_q a
+    little off the polar of the recession cone R_C, so y_q first loses its
+    part P_R(y_q) in R_C, and then 1e-12 ||v|| more along it (w is the
+    rest); the dual residual adds what that moved.  On a wide C (see
+    set_catalog.Entry) the excess s_q + sigma_C(w) moves by eps ||v|| times
+    the size of C when p is rounded, so it is read as a distance instead:
+    the one from (w, s_q) to (lambda w, s_q) in the polar, 0 <= lambda <= 1."""
     y, s = v
     x, t = res.point
     v_norm = math.hypot(float(np.linalg.norm(y)), s)
@@ -366,10 +363,11 @@ def moreau_certificate(set_, v, res):
             w = q_y - (moved / along) * r
     sigma = set_.support(w)
     dual = max(0.0, q_s + sigma)
-    if dual > 0.0 and q_s < 0.0:
-        dual = min(dual, (1.0 + q_s / sigma) * float(np.linalg.norm(w)))
+    if wide and dual > 0.0 and q_s < 0.0:
+        dual = (1.0 + q_s / sigma) * float(np.linalg.norm(w))
+    dual += moved
     orth = abs(float(x @ q_y) + t * q_s) / v_norm
-    return max(primal, moved + dual, orth) / v_norm
+    return max(primal, dual, orth) / v_norm
 
 
 def test_ellipsoid_kernel_certifies_on_the_boundaries_of_k_and_its_polar():
@@ -665,15 +663,13 @@ def test_default_solver_trace_rows():
     assert res.alpha_star == pytest.approx(REFERENCE_ALPHA_STAR, abs=1e-6)
 
 
-@pytest.mark.parametrize("set_", [
-    Box((1.0, 0.7)), EuclideanBall((0.0, 0.0), 1.0), EuclideanBall((0.4, 0.2), 1.0),
-    Ellipsoid([[2.0, 0.3], [0.3, 0.8]]),
-], ids=["box", "ball0", "ball_off", "ellipsoid"])
-def test_a_caller_bracket_selects_the_bisection_on_kernel_sets(set_):
+@pytest.mark.parametrize("entry", params(CORE, kernel=True))
+def test_a_caller_bracket_selects_the_bisection_on_kernel_sets(entry):
     # The bracket selects the reference bisection as force_iterative selects
     # the solver: iterations counts its steps, and alpha* is the left end of a
     # final bracket narrower than eps around the kernel's answer.
-    v = ((3.0, -1.0), 0.5)
+    set_ = entry.make()
+    v = (np.resize((3.0, -1.0), set_.dim), 0.5)
     kernel = project_homogenization(set_, v)
     bisected = project_homogenization(set_, v, alpha0=0.5, beta0=4.0, eps=1e-9)
     assert kernel.iterations == 0 < bisected.iterations
@@ -838,7 +834,7 @@ def test_projection_is_a_projector_at_every_scale(entry):
             err = math.hypot(float(np.linalg.norm(again.point.y - p_y)),
                              again.point.s - p_s)
             assert err <= 1e-9 * v_norm
-            assert moreau_certificate(set_, v, res) <= 1e-9
+            assert moreau_certificate(set_, v, res, entry.wide) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

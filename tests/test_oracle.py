@@ -77,7 +77,7 @@ def test_sampled_support_reports_unbounded():
 def test_sampled_support_never_exceeds_closed_form():
     rng = np.random.default_rng(51)
     for _, set_ in pairs(CORE):
-        for _ in range(10):
+        for _ in range(20):
             y = rng.normal(size=set_.dim) * 3.0
             got = sampled_support(set_, y, FAST)
             sigma = set_.support(y)
