@@ -32,6 +32,22 @@ def _positive(alpha) -> float:
     return alpha
 
 
+def _phi_prime(alpha, w, p) -> float:
+    """-2 alpha <p, w - p> for p = P_C(w); 0, not nan, where <p, w - p> is 0
+    and -2 alpha overflows.  ``np.vdot`` raises no floating-point warning;
+    only where <p, w - p> leaves the float range is it taken of p and w - p
+    each scaled by the power of 2 that brings its largest entry into
+    [1/2, 1)."""
+    r = w - p
+    d = float(np.vdot(p, r))
+    if math.isfinite(d):
+        return -2.0 * alpha * d if d else -d
+    a = math.frexp(float(np.abs(p).max()))[1]
+    b = math.frexp(float(np.abs(r).max()))[1]
+    d = float(np.vdot(np.ldexp(p, -a), np.ldexp(r, -b)))
+    return _ldexp_or_inf(-2.0 * alpha * d, a + b)
+
+
 class PsiEvaluator:
     """phi, psi and their derivatives for one set and one query point (y, s).
 
@@ -69,23 +85,12 @@ class PsiEvaluator:
         return alpha * alpha * float(r @ r)
 
     def phi_prime(self, alpha) -> float:
-        """Analytic derivative of phi; always <= 0.
-
-        ``np.vdot`` raises no floating-point warning; only where <p, w - p>
-        leaves the float range is it taken of p and w - p each scaled by the
-        power of 2 that brings its largest entry into [1/2, 1)."""
+        """Analytic derivative of phi; always <= 0."""
         alpha = _positive(alpha)
         w = self.y / alpha
         p = self.set._project(w)
         self._memo = ((alpha, p),) + self._memo[:1]
-        r = w - p
-        d = float(np.vdot(p, r))
-        if math.isfinite(d):
-            return -2.0 * alpha * d
-        a = math.frexp(float(np.abs(p).max()))[1]
-        b = math.frexp(float(np.abs(r).max()))[1]
-        d = float(np.vdot(np.ldexp(p, -a), np.ldexp(r, -b)))
-        return _ldexp_or_inf(-2.0 * alpha * d, a + b)
+        return _phi_prime(alpha, w, p)
 
     def _projection(self, alpha):
         """P_C(y / alpha) for alpha > 0, from the memo when a recent
@@ -107,9 +112,19 @@ class PsiEvaluator:
         return self.phi(alpha) + d * d
 
     def psi_prime(self, alpha) -> float:
-        """2 (alpha - s) + phi'(alpha); continuous, nondecreasing on (0, inf)."""
+        """2 (alpha - s) + phi'(alpha); continuous, nondecreasing on (0, inf).
+
+        Out of the float range it is taken at alpha and s scaled by the power
+        of 2 that brings the larger into [1/2, 1), with w = y / alpha and
+        P_C(w) as they were, and scaled back: inf of its sign, not nan."""
         alpha = _positive(alpha)
-        return 2.0 * (alpha - self.s) + self.phi_prime(alpha)
+        d = 2.0 * (alpha - self.s) + self.phi_prime(alpha)
+        if math.isfinite(d):
+            return d
+        k = math.frexp(max(alpha, abs(self.s)))[1]
+        a = math.ldexp(alpha, -k)
+        d = _phi_prime(a, self.y / alpha, self._projection(alpha))
+        return _ldexp_or_inf(2.0 * (a - math.ldexp(self.s, -k)) + d, k)
 
     def psi_prime_plus_zero(self) -> float:
         """Right derivative of psi at 0 for a bounded set: -2 (s + sigma_C(y)).

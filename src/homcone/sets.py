@@ -54,9 +54,7 @@ root cores run the same algorithm on Python floats instead of numpy arrays,
 as do :func:`_as_query` and :func:`_norm`, and the box, l1 and simplex
 kernels take every scalar they branch on (membership in K, sigma_C(y), the
 simplex kernel's sums and extremes) from one ``tolist()`` and hand the same
-lists to the breakpoint root, numpy building only the answer, as does the
-off-centre ball for y_perp and its answer: there numpy's cost per call
-outweighs its cost per entry.
+lists to the breakpoint root, numpy building only the answer.
 A sum that lies within its rounding error of a branch edge is retaken on
 numpy (:func:`_sum_at_most`), so both sides of the switch branch alike.
 A subclass that changes ``_project`` of one of these sets
@@ -104,17 +102,10 @@ _NORM_FLOOR = 2.0 ** -500
 #: :func:`_breakpoint_root`), the branch tests of the box, l1 and simplex
 #: kernels and their breakpoint roots, the ellipsoid kernel (the list core
 #: :func:`_quadratic_cone_floats` on its stored factors, at two entries
-#: :func:`_plane_cone`), the off-centre ball's y_perp and answer, the query
-#: validation (:func:`_as_query`) and :func:`_norm` run on Python floats,
-#: where numpy's cost per call outweighs its cost per entry.  Float
-#: against numpy per cone-kernel call at 16 entries (2-core Xeon, Python
-#: 3.11.7, numpy 2.4.6, interleaved timeit, best of 9, cone-interior
-#: queries): box 10-11 vs 12-14 us, l1 ball 9-10 vs 14-16, simplex 10-11 vs
-#: 15-18, ellipsoid 24-28 vs 30-36, and the validation 2.4-2.6 vs 2.5-2.9,
-#: which loses at 17.  An earlier measurement (minimum of 60 alternating
-#: rounds) had the ellipsoid slower on floats at 16 (50.1 vs 37.6 us), and
-#: no benchmark workload runs 13-16 entries, so the switch stays at 12, the
-#: lowest crossover either measurement found.
+#: :func:`_plane_cone`), the query validation (:func:`_as_query`) and
+#: :func:`_norm` run on Python floats, where numpy's cost per call outweighs
+#: its cost per entry.  The crossover measured at 12; no benchmark workload
+#: runs 13 to 16 entries, where a higher switch could be shown end to end.
 _FLOATS = 12
 
 #: Half an ulp of the largest float: x_i - c_i, with |c_i| below it, rounds
@@ -433,8 +424,7 @@ class EuclideanBall(ConvexSet):
         solved by :func:`_plane_cone`; the answer (z, t) is rotated back and
         z_1 scales y_perp.  The rotated query is rescaled by a power of 2 to
         a largest entry below 1, so weights far from 1 square nothing out of
-        range.  Up to ``_FLOATS`` entries y_perp, its norm and the answer are
-        formed on the Python floats of y and e; <e, y> is numpy's either way."""
+        range."""
         if self._centred:
             gamma = self.radius
             ny = _norm(y)
@@ -449,14 +439,8 @@ class EuclideanBall(ConvexSet):
             return None
         cos, sin = self._turn
         a = float(e @ y)
-        small = y.size <= _FLOATS
-        if small:
-            e = e.tolist()
-            perp = [yi - a * ei for yi, ei in zip(y.tolist(), e)]
-            r = math.hypot(*perp)
-        else:
-            perp = y - a * e
-            r = _norm(perp)
+        perp = y - a * e
+        r = _norm(perp)
         p, q = cos * a - sin * s, sin * a + cos * s
         k = math.frexp(max(r, abs(p), abs(q)))[1]
         cone = _plane_cone(math.ldexp(r, -k), math.ldexp(p, -k), self._weights,
@@ -469,16 +453,9 @@ class EuclideanBall(ConvexSet):
         if t == 0.0:
             return 0.0, np.zeros(y.size), Branch.RECESSION
         t, zr, zp = math.ldexp(t, k), math.ldexp(zr, k), math.ldexp(zp, k)
-        h = cos * zp + sin * t
-        if not small:
-            x = h * e
-            if r > 0.0:
-                x += (zr / r) * perp
-        elif r > 0.0:
-            m = zr / r
-            x = np.array([h * ei + m * pi for ei, pi in zip(e, perp)])
-        else:
-            x = np.array([h * ei for ei in e])
+        x = (cos * zp + sin * t) * e
+        if r > 0.0:
+            x += (zr / r) * perp
         return max(cos * t - sin * zp, 0.0), x, Branch.CONE_INTERIOR
 
     def _polar(self):

@@ -208,18 +208,25 @@ def test_project_bad_point(capsys):
 
 
 # Each point has the set's dimension once its empty coordinate is dropped, so
-# only parsing every token rejects it.
-@pytest.mark.parametrize("point, spec", [
-    ("3,,4", UNIT_BALL),
-    ("1,2,", UNIT_BALL),
-    (",1", '{"type":"box","halfwidths":[1]}'),
-], ids=["3,,4", "1,2,", ",1"])
-def test_project_empty_coordinate_is_bad_point(capsys, point, spec):
+# only parsing every token rejects it.  A nan entry is rejected on floats (3
+# entries) and on numpy (40), and so are a wrong length, an outside centre and
+# a set without a projector.
+@pytest.mark.parametrize("point, spec, message", [
+    ("3,,4", UNIT_BALL, "bad point"),
+    ("1,2,", UNIT_BALL, "bad point"),
+    (",1", '{"type":"box","halfwidths":[1]}', "bad point"),
+    ("1,nan,1", '{"type":"simplex","dim":3}', "vector entries must be finite"),
+    ("1," * 20 + "nan" + ",1" * 19, '{"type":"simplex","dim":40}', "entries must be finite"),
+    ("1,2,3", BOX, "expected dimension 2, got 3"),
+    ("1,2", '{"type":"euclidean_ball","center":[2,0],"radius":1}', "must contain the origin"),
+    ("1,1", '{"type":"hyperbolic"}', "has no projector"),
+], ids=["3,,4", "1,2,", ",1", "nan_3", "nan_40", "dimension", "centre_outside", "hyperbolic"])
+def test_project_empty_coordinate_is_bad_point(capsys, point, spec, message):
     code, out, err = run(capsys, "project", "--set", spec, "--point", point,
-                         "--height", "0")
+                         "--height", "1")
     assert code == 2
     assert out == ""
-    assert "bad point" in err
+    assert message in err
 
 
 def test_project_point_may_contain_spaces(capsys):

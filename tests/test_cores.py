@@ -1,19 +1,18 @@
 """Everything that switches at ``sets._FLOATS`` entries, on Python floats
 against its numpy form: up to that size the quadratic-cone core (the list
-core :func:`_quadratic_cone_floats`, as the ellipsoid kernel picks it, with
-:func:`_secular_root`), :func:`_breakpoint_root`, the norm :func:`_norm`,
-the query validation :func:`_as_query`, the branch tests of the box, l1
-and simplex kernels and the off-centre ball's y_perp and answer run on
-floats, above it on numpy arrays.  Each test calls the same inputs on both
-sides of that switch, at one entry, at the switch and one entry above it,
-and asks for agreement to 1e-13 relative for the root cores, 1e-15 for the
-closed forms and bit for bit for the validation, and for the same branch in
-every kernel but on the boundary of the off-centre ball's K, where the two
-answers agree; every RuntimeWarning is an error.  The straight-line plane
-solve (:func:`_plane_cone`) of the off-centre ball and of the 2-entry
-ellipsoid must match the list core bit for bit, and so must the paths that
-take stored factors or hand the branch tests' lists to the breakpoint
-root."""
+core :func:`_quadratic_cone_floats`, as the ellipsoid kernel picks it,
+with :func:`_secular_root`), :func:`_breakpoint_root`, the norm
+:func:`_norm`, the query validation :func:`_as_query` and the branch tests
+of the box, l1 and simplex kernels run on floats, above it on numpy
+arrays.  Each test calls the same inputs on both sides of that switch, at
+one entry, at the switch and one entry above it, and asks for agreement to
+1e-13 relative for the root cores, 1e-15 for the closed forms and bit for
+bit for the validation, and for the same branch in every kernel but on the
+boundary of the off-centre ball's K, where the two answers agree; every
+RuntimeWarning is an error.  The straight-line plane solve
+(:func:`_plane_cone`) of the off-centre ball and of the 2-entry ellipsoid
+must match the list core bit for bit, and so must the paths that take
+stored factors or hand the branch tests' lists to the breakpoint root."""
 
 import math
 import operator
@@ -354,9 +353,9 @@ def test_plane_solve_raises_when_its_budget_is_spent(monkeypatch, on_both_sides)
 
 @pytest.mark.parametrize("n", SIZES)
 def test_off_centre_ball_kernel_at_every_size(n, on_both_sides):
-    # The kernel forms y_perp, its norm and the answer on Python floats up
-    # to _FLOATS entries and on numpy arrays above, on every branch; at
-    # n = 1, and on the centre axis, y_perp is 0.
+    # The kernel takes ||y_perp|| from _norm, on Python floats up to _FLOATS
+    # entries and on numpy above, on every branch; at n = 1, and on the
+    # centre axis, y_perp is 0.
     rng = np.random.default_rng(n + 7)
     branches = set()
     for rho in (1e-12, 0.5, 1.0):

@@ -596,39 +596,6 @@ def test_the_point_is_a_cone_point_on_every_route(route, scale):
     assert len(point) == 2 and point._asdict()["s"] == s
 
 
-def test_closed_form_matches_iteration():
-    rng = np.random.default_rng(34)
-    ball = EuclideanBall((0.0, 0.0), 1.0)
-    pen = BallPen((0.0, 1.0))
-    for set_ in (ball, pen):
-        for _ in range(200):
-            p = (rng.uniform(-10, 10, 2), rng.uniform(-10, 10))
-            fast = project_homogenization(set_, p)
-            slow = project_homogenization(set_, p, force_iterative=True)
-            err = math.hypot(
-                float(np.linalg.norm(fast.point.y - slow.point.y)),
-                fast.point.s - slow.point.s,
-            )
-            assert err <= 1e-5
-
-
-def test_moreau_decomposition_ball_pair():
-    # The polar cone of the cone over B(0, gamma) is the reflected cone over
-    # B(0, 1/gamma); the two projections split the point orthogonally.
-    rng = np.random.default_rng(35)
-    for gamma in (0.5, 1.0, 2.0):
-        for _ in range(200):
-            y = rng.uniform(-10, 10, 2)
-            s = rng.uniform(-10, 10)
-            pk = project_homogenization(EuclideanBall((0.0, 0.0), gamma), (y, s))
-            dual = project_homogenization(EuclideanBall((0.0, 0.0), 1.0 / gamma), (y, -s))
-            m_y, m_s = dual.point.y, -dual.point.s
-            np.testing.assert_allclose(pk.point.y + m_y, y, atol=1e-7)
-            assert pk.point.s + m_s == pytest.approx(s, abs=1e-7)
-            inner = float(pk.point.y @ m_y) + pk.point.s * m_s
-            assert abs(inner) <= 1e-7
-
-
 def test_membership_shortcut_is_scale_invariant():
     # (y/s) = (3000, 0) lies far outside the box at every scale, so the
     # shortcut must not call a tiny query a height-0 recession member.

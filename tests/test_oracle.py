@@ -9,7 +9,6 @@ from homcone import (
     Hyperbolic,
     PsiEvaluator,
     Simplex,
-    find_alpha_star,
 )
 from oracle import OracleConfig, brute_force_alpha_star, sample_members, sampled_support
 from set_catalog import CORE, pairs
@@ -103,13 +102,3 @@ def test_sample_members_are_members():
         pts = sample_members(set_, 2000, rng)
         for p in pts[:: max(1, len(pts) // 200)]:
             assert set_.contains(p, tol=1e-9)
-
-
-def test_oracle_agrees_with_bracket_search_smoke():
-    rng = np.random.default_rng(54)
-    for _, set_ in pairs(CORE, projectable=True):
-        for _ in range(2):
-            ev = PsiEvaluator(set_, rng.uniform(-8, 8, set_.dim), rng.uniform(-8, 8))
-            bf = brute_force_alpha_star(ev, FAST)
-            fa, _ = find_alpha_star(ev)
-            assert abs(bf - fa) < 1e-4

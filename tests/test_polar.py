@@ -152,17 +152,6 @@ def test_closed_form_shifted_disc_matches_parabola():
         assert desc.contains(y) == parabola
 
 
-def test_closed_form_shifted_unit_ball_matches_sigma():
-    desc = closed_form_polar(EuclideanBall((0.0, -1.0), 1.0))
-    rng = np.random.default_rng(44)
-    for _ in range(1000):
-        y = rng.uniform(-3, 3, 2)
-        sigma = EuclideanBall((0.0, -1.0), 1.0).support(y)
-        if abs(sigma - 1.0) < 1e-7:
-            continue
-        assert desc.contains(y) == (sigma <= 1.0)
-
-
 def test_closed_form_rejects_unknown_sets():
     class Odd:
         dim = 2

@@ -114,6 +114,10 @@ def test_phi_prime_is_range_safe():
                              for pi, qi in zip(p, w - p))
     assert math.isfinite(exact)
     assert ev.phi_prime(alpha) == pytest.approx(exact, rel=1e-14)
+    # Here w = y / alpha is inside C, so <p, w - p> = 0 while -2 alpha and
+    # 2 (alpha - s) overflow: phi' is 0, not inf * 0 = nan, and psi' is +inf.
+    ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.3), (-2.21e307, 1e308), -7.06e307)
+    assert (ev.phi_prime(1e308), ev.psi_prime(1e308)) == (0.0, math.inf)
 
 
 @pytest.mark.filterwarnings("error")
@@ -237,18 +241,6 @@ def evaluators(rng):
         yield PsiEvaluator(set_, y, s)
 
 
-def test_psi_midpoint_convexity():
-    rng = np.random.default_rng(22)
-    for _ in range(60):
-        for ev in evaluators(rng):
-            a1, a2 = sorted(rng.uniform(0.0, 20.0, size=2))
-            t = rng.uniform(0.0, 1.0)
-            mid = t * a1 + (1.0 - t) * a2
-            lhs = ev.psi(mid)
-            rhs = t * ev.psi(a1) + (1.0 - t) * ev.psi(a2)
-            assert lhs <= rhs + 1e-9
-
-
 def test_psi_prime_nondecreasing():
     rng = np.random.default_rng(23)
     grid = np.linspace(0.05, 25.0, 400)
@@ -278,21 +270,6 @@ def test_phi_limits():
     # The corner simplex generates the nonnegative orthant.
     ev = PsiEvaluator(Simplex(2), (3.0, -4.0), 0.0)
     assert ev.phi(1e8) == pytest.approx(16.0, abs=1e-4)
-
-
-def test_phi_prime_matches_central_differences():
-    # Smoothness filter: the two-step finite difference must be self
-    # consistent, which rejects samples whose stencil crosses a kink.
-    rng = np.random.default_rng(26)
-    h = 1e-6
-    for ev_factory in range(40):
-        for ev in evaluators(rng):
-            alpha = rng.uniform(0.2, 6.0)
-            fd1 = central_diff(ev.phi, alpha, h)
-            fd2 = central_diff(ev.phi, alpha, 0.5 * h)
-            if abs(fd1) < 1e-2 or abs(fd1 - fd2) > 1e-4 * max(1.0, abs(fd1)):
-                continue
-            assert ev.phi_prime(alpha) == pytest.approx(fd1, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
