@@ -12,20 +12,16 @@ bracket [0, s+ + ||(y, s)||], found by a safeguarded Brent iteration
 the support function decides the recession branch without a projector call.
 Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
 tolerance at every scale.  A set whose cone has an exact projector answers
-through its ``_project_cone`` kernel instead, with no psi' iteration.  One
-dispatch site serves the query in range and the rescaled query alike, and it
-names no set class: the Euclidean ball centred at the origin and the ball
-pen in closed form, the box, the l1 ball, the simplex and ``PBall`` with
-p = 2 or p = inf by sorting the breakpoints of a piecewise-linear equation
-(above 1,024 of them by Newton steps on the convex equation, which end on
-its exact root or leave fewer breakpoints above them to sort), and the
-ellipsoid and the ball off the origin by one scalar root (see
-:mod:`homcone.sets`).  Any set without a kernel takes
-the solver.  A caller-given bracket selects the reference bisection
+through its ``_project_cone`` kernel instead, with no psi' iteration
+(:mod:`homcone.sets` documents the kernels); any set without one takes the
+solver.  A caller-given bracket selects the reference bisection
 :func:`find_alpha_star` on every set, kernel or not, as ``force_iterative``
 selects the solver.  A query whose largest entry lies beyond 2^(+-500) is
 projected on its exact power-of-2 rescale, ahead of the kernel and the
 solver alike, so neither forms a squared norm that overflows or underflows.
+The kernel and the solver both yield (alpha*, x, branch) with their
+iterations and trace, and one site, which names no set class, scales them
+back and builds the result.
 
 Each entry point validates its query in one pass (a finite y of the set's
 dimension and a finite height s), which also sizes it for the rescale;
@@ -244,10 +240,8 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
     largest entry lies beyond 2^(+-500) is projected on its exact power-of-2
     rescale (a caller's bracket and width rescaled alike), and the answer and
     trace are scaled back.  Dispatch then runs on the rescaled query: the
-    set's ``_project_cone`` kernel answers exactly where it has one (the
-    Euclidean ball, the ball pen, the box, the l1 ball, the simplex, the
-    ellipsoid and ``PBall`` with p = 2 or inf), with ``iterations`` 0; where
-    it returns None (a set without a kernel) alpha* is solved for on psi'.
+    set's ``_project_cone`` kernel answers exactly where it has one, with
+    ``iterations`` 0; where it returns None alpha* is solved for on psi'.
     ``force_iterative`` bypasses the kernel and the membership shortcut so
     the iterative route can be compared against the kernels.
 
@@ -271,73 +265,52 @@ def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=
         y, s = np.ldexp(y, -e), math.ldexp(s, -e)
         if alpha0 is not None:
             alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
+    found = None
     if not force_iterative and alpha0 is None:
-        exact = set_._project_cone(y, s)
-        if exact is not None:
-            alpha_star, x, branch = exact
-            # tuple.__new__ skips the NamedTuple's Python-level constructor.
-            res = ProjectionResult(alpha_star,
-                                   tuple.__new__(ConePoint, (x, alpha_star)),
-                                   branch, 0)
-            return _rescaled(res, e) if rescale else res
-    res = _project(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative,
-                   keep_trace)
-    return _rescaled(res, e) if rescale else res
+        found = set_._project_cone(y, s)
+    if found is None:
+        found, iterations, trace = _solve(set_, y, s, alpha0, beta0, eps, max_iter,
+                                          force_iterative, keep_trace)
+    else:
+        iterations, trace = 0, None
+    alpha_star, x, branch = found
+    if rescale:
+        # psi' is positively homogeneous, so trace derivatives scale alike.
+        alpha_star, x = _up(alpha_star, e), _ldexp_array(x, e)
+        if trace is not None:
+            trace = tuple(TraceRow(r.n, *(None if v is None else _up(v, e)
+                                          for v in r[1:])) for r in trace)
+    # tuple.__new__ skips the NamedTuple's Python-level constructor.
+    return ProjectionResult(alpha_star, tuple.__new__(ConePoint, (x, alpha_star)),
+                            branch, iterations, trace)
 
 
-def _project(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
-    """:func:`project_homogenization` on a validated query within 2^(+-500)
-    that no cone kernel answered: the membership shortcut, then the solver."""
+def _up(v, e) -> float:
+    """v 2^e; OverflowError where it exceeds the float64 range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        raise OverflowError("the projection exceeds the float64 range") from None
+
+
+def _solve(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
+    """The solver route of :func:`project_homogenization` on a validated query
+    within 2^(+-500): the membership shortcut, then the root search.  Returns
+    ``((alpha*, x, branch), iterations, trace)``."""
     scale = math.hypot(float(np.linalg.norm(y)), s)
     if not force_iterative and _in_cone(set_, y, s, scale):
-        s_star = s if s > 0.0 else 0.0
-        return ProjectionResult(
-            s_star, ConePoint(y.copy(), s_star), Branch.ALREADY_IN_K, 0
-        )
+        return (s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None
     ev = PsiEvaluator._of_valid(set_, y, s)
     if alpha0 is None:
         rows = [] if keep_trace else None
         alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
-        kept = tuple(rows) if keep_trace else None
+        trace = tuple(rows) if keep_trace else None
     else:
         alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
         iterations = len(trace)
-        kept = trace if keep_trace else None
+        trace = trace if keep_trace else None
     if alpha_star == 0.0:
-        y_rec = set_._project_recession(y)
-        return ProjectionResult(
-            0.0, ConePoint(y_rec, 0.0), Branch.RECESSION, iterations, kept
-        )
+        return (0.0, set_._project_recession(y), Branch.RECESSION), iterations, trace
     # alpha* is almost always a point psi' was just evaluated at.
-    c = ev._projection(alpha_star)
-    return ProjectionResult(
-        alpha_star,
-        ConePoint(alpha_star * c, alpha_star),
-        Branch.CONE_INTERIOR,
-        iterations,
-        kept,
-    )
-
-
-def _rescaled(res, e) -> ProjectionResult:
-    """``res`` with alpha*, the point and the trace scaled by 2^e; psi' is
-    positively homogeneous, so trace derivatives scale alike.  Raises
-    OverflowError when a scaled value exceeds the float64 range."""
-    def up(v):
-        if v is None:
-            return None
-        try:
-            return math.ldexp(v, e)
-        except OverflowError:
-            raise OverflowError("the projection exceeds the float64 range") from None
-
-    trace = res.trace
-    if trace is not None:
-        trace = tuple(TraceRow(r.n, *map(up, r[1:])) for r in trace)
-    return ProjectionResult(
-        up(res.alpha_star),
-        ConePoint(_ldexp_array(res.point.y, e), up(res.point.s)),
-        res.branch,
-        res.iterations,
-        trace,
-    )
+    x = alpha_star * ev._projection(alpha_star)
+    return (alpha_star, x, Branch.CONE_INTERIOR), iterations, trace

@@ -10,12 +10,12 @@ which is also cl cone(polar set x {-1}); membership is the one inequality
 sigma_C(y) + s <= 0, which fails for every s > 0 because C contains the origin.
 
 All membership checks carry an explicit tolerance band: every polar object is
-closed, so boundary classification under floating point needs one.  On the
-polar cones of C and of K the band is relative to ||y|| and to ||(y, s)||, as
-those sets are cones, and both tests run on the exact power-of-2 rescale that
-brings the largest entry into [1/2, 1), sized by the pass that validates the
-query; both sides are positively homogeneous, and neither sigma_C nor the
-norm can overflow.
+closed, so boundary classification under floating point needs one.  The
+polar cone of C is the slice s = 0 of the polar cone of K and is tested as
+that slice.  There the band is relative to ||(y, s)||, as the set is a cone,
+and the test runs on the exact power-of-2 rescale that brings the largest
+entry into [1/2, 1), sized by the pass that validates the query; both sides
+are positively homogeneous, and neither sigma_C nor the norm can overflow.
 Each public function validates its tolerance once (finite and nonnegative,
 ValueError otherwise).
 
@@ -43,11 +43,8 @@ def polar_membership(set_, y, tol=MEMBERSHIP_TOL) -> bool:
 
 def polar_cone_membership(set_, y, tol=MEMBERSHIP_TOL) -> bool:
     """y belongs to the polar cone iff sigma_C(y) <= tol ||y||, so t y is
-    answered alike at every scale t > 0."""
-    y, _, e = _as_query(y, set_.dim)
-    tol = _as_tolerance(tol)
-    y = np.ldexp(y, -e)
-    return set_._support(y) <= tol * float(np.linalg.norm(y))
+    answered alike at every scale t > 0: the polar cone of K at height 0."""
+    return homogenization_polar_membership(set_, (y, 0.0), tol)
 
 
 def homogenization_polar_membership(set_, p, tol=MEMBERSHIP_TOL) -> bool:

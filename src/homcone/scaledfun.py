@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityMissing
-from .sets import _as_query, _ldexp_or_inf, _scaled
+from .sets import _as_query, _ldexp_or_inf, _norm, _scaled
 
 
 def _positive(alpha) -> float:
@@ -34,14 +34,15 @@ def _positive(alpha) -> float:
 
 def _phi_prime(alpha, w, p) -> float:
     """-2 alpha <p, w - p> for p = P_C(w); 0, not nan, where <p, w - p> is 0
-    and -2 alpha overflows.  ``np.vdot`` raises no floating-point warning;
-    only where <p, w - p> leaves the float range is it taken of p and w - p
-    each scaled by the power of 2 that brings its largest entry into
-    [1/2, 1)."""
+    and -2 alpha overflows, and -2 (alpha <p, w - p>) where only -2 alpha
+    does.  ``np.vdot`` raises no floating-point warning; only where
+    <p, w - p> leaves the float range is it taken of p and w - p each scaled
+    by the power of 2 that brings its largest entry into [1/2, 1)."""
     r = w - p
     d = float(np.vdot(p, r))
     if math.isfinite(d):
-        return -2.0 * alpha * d if d else -d
+        v = -2.0 * alpha * d if d else -d
+        return v if math.isfinite(v) else -2.0 * (alpha * d)
     a = math.frexp(float(np.abs(p).max()))[1]
     b = math.frexp(float(np.abs(r).max()))[1]
     d = float(np.vdot(np.ldexp(p, -a), np.ldexp(r, -b)))
@@ -81,8 +82,8 @@ class PsiEvaluator:
         """Squared distance from y to alpha * C; nonnegative, nonincreasing."""
         alpha = _positive(alpha)
         w = self.y / alpha
-        r = w - self.set._project(w)
-        return alpha * alpha * float(r @ r)
+        t = alpha * _norm(w - self.set._project(w))
+        return t * t
 
     def phi_prime(self, alpha) -> float:
         """Analytic derivative of phi; always <= 0."""

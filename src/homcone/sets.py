@@ -276,8 +276,7 @@ class ConvexSet:
 
         Positively homogeneous, so evaluated on the exact power-of-2 rescale
         of y; +inf also where the value exceeds the float64 range."""
-        y, _, e = _as_query(y, self.dim)
-        return _ldexp_or_inf(self._support(np.ldexp(y, -e)), e)
+        return _scaled(self._support, as_vector(y, self.dim))
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x."""
@@ -291,8 +290,7 @@ class ConvexSet:
         """Distance from y to the recession cone; zero iff y is a recession
         direction.  Evaluated on the exact power-of-2 rescale of y, like
         :meth:`support`."""
-        y, _, e = _as_query(y, self.dim)
-        return _ldexp_or_inf(self._recession_distance(np.ldexp(y, -e)), e)
+        return _scaled(self._recession_distance, as_vector(y, self.dim))
 
     def _contains(self, x, tol) -> bool:
         raise NotImplementedError

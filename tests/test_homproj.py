@@ -17,12 +17,13 @@ from homcone import (
     PBall,
     PsiEvaluator,
     Simplex,
+    TraceRow,
     find_alpha_star,
     project_homogenization,
 )
 from homcone.paper import REFERENCE_TABLE, quartic_coefficients, reference_trace
 from homcone.roots import brent_root
-from set_catalog import CATALOG, CORE, OFF_AXIS, UserBall, pairs, params
+from set_catalog import BY_ID, CATALOG, CORE, OFF_AXIS, UserBall, pairs, params
 
 REFERENCE_ALPHA_STAR = 1.4597189
 
@@ -452,44 +453,58 @@ def test_cone_kernels_match_the_solver_at_extreme_scales(set_, v):
     np.testing.assert_allclose(fast.point.y, slow.point.y, rtol=1e-12)
 
 
-@pytest.mark.parametrize("set_, force", [
-    pytest.param(EuclideanBall((0.4, 0.2), 1.0), False, id="ball_off"),
-    pytest.param(Box((1.0, 0.7)), True, id="box_forced"),
-    pytest.param(Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), True, id="ellipsoid_forced"),
-    pytest.param(EuclideanBall((0.0, 0.0), 1.0), False, id="ball0"),
-    pytest.param(BallPen((0.0, 1.0)), False, id="ballpen"),
-    pytest.param(Box((1.0, 0.7)), False, id="box"),
-    pytest.param(L1Ball(1.0), False, id="l1"),
-    pytest.param(Simplex(2), False, id="simplex"),
-    pytest.param(Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), False, id="ellipsoid"),
-    pytest.param(PBall(2.0, 1.0), False, id="pball2"),
-    pytest.param(PBall(math.inf, 1.0), False, id="pballinf"),
+@pytest.mark.parametrize("set_, force, v, branch", [
+    *(pytest.param(set_, force, ((1.0, 3.0), 0.5), Branch.CONE_INTERIOR, id=name)
+      for name, set_, force in [
+          ("ball_off", EuclideanBall((0.4, 0.2), 1.0), False),
+          ("box_forced", Box((1.0, 0.7)), True),
+          ("ellipsoid_forced", Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), True),
+          ("ball0", EuclideanBall((0.0, 0.0), 1.0), False),
+          ("ballpen", BallPen((0.0, 1.0)), False),
+          ("box", Box((1.0, 0.7)), False),
+          ("l1", L1Ball(1.0), False),
+          ("simplex", Simplex(2), False),
+          ("ellipsoid", Ellipsoid([[2.0, 0.3], [0.3, 0.8]]), False),
+          ("pball2", PBall(2.0, 1.0), False),
+          ("pballinf", PBall(math.inf, 1.0), False),
+      ]),
+    # A set with no kernel, on the membership shortcut and on the recession
+    # branch.
+    pytest.param(BY_ID["user_ball"].make(), False, ((0.2, 0.1), 1.0), Branch.ALREADY_IN_K,
+                 id="user_ball_in_k"),
+    pytest.param(BY_ID["user_ball"].make(), False, ((0.4, -0.3), -5.0), Branch.RECESSION,
+                 id="user_ball_recession"),
 ])
 @pytest.mark.parametrize("e", [-700, 700])
-def test_generic_solver_rescales_extreme_queries_exactly(set_, force, e):
+def test_generic_solver_rescales_extreme_queries_exactly(set_, force, v, branch, e):
     # A query beyond 2^(+-500) is solved on its exact power-of-2 rescale, by
     # the solver and the cone kernels alike, so the answer is the unit-scale
-    # one times 2^e, bit for bit.
-    y, s = np.array([1.0, 3.0]), 0.5
+    # one times 2^e, bit for bit, on every route.
+    y, s = np.array(v[0]), v[1]
+    big = (np.ldexp(y, e), math.ldexp(s, e))
     base = project_homogenization(set_, (y, s), force_iterative=force, keep_trace=True)
-    res = project_homogenization(set_, (np.ldexp(y, e), math.ldexp(s, e)),
-                                 force_iterative=force, keep_trace=True)
-    assert res.branch is base.branch is Branch.CONE_INTERIOR
-    assert res.alpha_star == math.ldexp(base.alpha_star, e)
-    assert np.array_equal(res.point.y, np.ldexp(base.point.y, e))
+    res = project_homogenization(set_, big, force_iterative=force, keep_trace=True)
+    assert res.branch is base.branch is branch
     assert res.iterations == base.iterations
-    assert (res.trace is None) == (base.trace is None) == (base.iterations == 0)
-    assert [r.n for r in res.trace or ()] == [r.n for r in base.trace or ()]
-    assert [r.mid for r in res.trace or ()] == [
-        None if r.mid is None else math.ldexp(r.mid, e) for r in base.trace or ()
-    ]
-    bracket = project_homogenization(
-        set_, (np.ldexp(y, e), math.ldexp(s, e)), alpha0=math.ldexp(0.5, e),
-        beta0=math.ldexp(4.0, e), eps=math.ldexp(1e-9, e), force_iterative=force,
-    )
+    # Routes without psi' calls keep no trace, but for the empty one of a
+    # recession that psi'(0+) decides.  Every trace value scales alike, as
+    # psi' is positively homogeneous.
+    assert (base.trace is None) == (base.iterations == 0) or base.trace == ()
+    assert res.trace == (None if base.trace is None else tuple(
+        TraceRow(r.n, *(None if x is None else math.ldexp(x, e) for x in r[1:]))
+        for r in base.trace))
+    # The bisection's recession count depends on the scale (it halves down
+    # to an absolute 1e-12), so only its answer is compared.
     unit = project_homogenization(set_, (y, s), alpha0=0.5, beta0=4.0, eps=1e-9,
                                   force_iterative=force)
-    assert bracket.alpha_star == math.ldexp(unit.alpha_star, e)
+    bracket = project_homogenization(
+        set_, big, alpha0=math.ldexp(0.5, e), beta0=math.ldexp(4.0, e),
+        eps=math.ldexp(1e-9, e), force_iterative=force,
+    )
+    for got, want in ((res, base), (bracket, unit)):
+        assert got.branch is want.branch
+        assert got.alpha_star == math.ldexp(want.alpha_star, e) == got.point.s
+        assert np.array_equal(got.point.y, np.ldexp(want.point.y, e))
 
 
 @pytest.mark.parametrize("set_, v", [

@@ -213,20 +213,6 @@ def test_closed_form_uses_the_set_polar_kernel(set_):
     assert desc.contains((1.5, 0.0)) == isinstance(set_, HalvedBox)
 
 
-@pytest.mark.parametrize("name,set_,box", polar_cases())
-def test_closed_form_agrees_with_sigma_oracle(name, set_, box):
-    # 2000-point smoke version of the full catalog property; points within
-    # the |sigma - 1| < 1e-7 band are skipped as boundary.
-    desc = closed_form_polar(set_)
-    rng = np.random.default_rng(45)
-    pts = rng.uniform(-box, box, size=(2000, set_.dim))
-    for y in pts:
-        sigma = set_.support(y)
-        if not math.isinf(sigma) and abs(sigma - 1.0) < 1e-7:
-            continue
-        assert desc.contains(y, tol=1e-9) == polar_membership(set_, y, tol=1e-9)
-
-
 def test_bipolar_ball_pair():
     # Membership in the polar of the polar agrees with the original ball.
     ball = EuclideanBall((0.0, 0.0), 2.0)

@@ -118,6 +118,15 @@ def test_phi_prime_is_range_safe():
     # 2 (alpha - s) overflow: phi' is 0, not inf * 0 = nan, and psi' is +inf.
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.3), (-2.21e307, 1e308), -7.06e307)
     assert (ev.phi_prime(1e308), ev.psi_prime(1e308)) == (0.0, math.inf)
+    # Above alpha = 2^1023, -2 alpha overflows while -2 alpha <p, w - p> does
+    # not: phi' is finite, about -2e307.
+    ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (1.1e308, 0.0), 0.0)
+    alpha = 1e308
+    w = ev.y / alpha
+    p = ev.set.project(w)
+    exact = -2.0 * math.fsum(float(pi) * (float(qi) * alpha)
+                             for pi, qi in zip(p, w - p))
+    assert ev.phi_prime(alpha) == pytest.approx(exact, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("error")
@@ -270,6 +279,11 @@ def test_phi_limits():
     # The corner simplex generates the nonnegative orthant.
     ev = PsiEvaluator(Simplex(2), (3.0, -4.0), 0.0)
     assert ev.phi(1e8) == pytest.approx(16.0, abs=1e-4)
+    # At alpha = 1e-200, w - P_C(w) is near 1e200 and its square would
+    # overflow; phi and psi still reach the limit r^2 = 1.
+    ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (1.0, 0.0), 0.0)
+    assert ev.phi(1e-200) == pytest.approx(1.0, rel=1e-15)
+    assert ev.psi(1e-200) == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
