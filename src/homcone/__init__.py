@@ -19,7 +19,6 @@ from .homproj import (
     ConePoint,
     ProjectionResult,
     TraceRow,
-    find_alpha_star,
     project_homogenization,
 )
 from .polar import (
@@ -68,7 +67,6 @@ __all__ = [
     "TraceRow",
     "as_vector",
     "closed_form_polar",
-    "find_alpha_star",
     "homogenization_polar_membership",
     "polar_cone_membership",
     "polar_membership",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HomconeError, InvalidSetSpec, MaxIterationsExceeded
 from .homproj import project_homogenization
-from .paper import _FIGURES, REFERENCE_TABLE, reference_trace
+from .paper import _FIGURES, REFERENCE_TABLE, bisection_projection, reference_trace
 from .polar import (
     homogenization_polar_membership,
     polar_cone_membership,
@@ -49,22 +49,10 @@ def _fmt_dpsi(x) -> str:
 
 
 def _trace_csv_rows(trace):
-    rows = [TRACE_HEADER]
-    for r in trace:
-        rows.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _fmt8(r.alpha),
-                    _fmt8(r.mid),
-                    _fmt8(r.beta),
-                    _fmt_dpsi(r.dpsi_alpha),
-                    _fmt_dpsi(r.dpsi_mid),
-                    _fmt_dpsi(r.dpsi_beta),
-                ]
-            )
-        )
-    return rows
+    """The header, then per row n, alpha, mid and beta to 8 digits and the
+    three derivative values to 3."""
+    return [TRACE_HEADER, *(",".join([str(r.n), *map(_fmt8, r[1:4]), *map(_fmt_dpsi, r[4:])])
+                            for r in trace)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +98,12 @@ def _emit(lines, out_path):
 def cmd_project(args) -> int:
     set_ = _load_set(args.set)
     y = _parse_point(args.point)
-    result = project_homogenization(
-        set_,
-        (y, args.height),
-        alpha0=args.alpha0,
-        beta0=args.beta0,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        force_iterative=args.force_iterative,
-        keep_trace=args.trace,
-    )
+    if args.alpha0 is None and args.beta0 is None:
+        result = project_homogenization(set_, (y, args.height), args.eps, args.max_iter,
+                                        args.force_iterative, args.trace)
+    else:
+        result = bisection_projection(set_, (y, args.height), args.alpha0, args.beta0,
+                                      args.eps, args.max_iter, args.force_iterative)
     payload = {
         "alpha_star": _g8(result.alpha_star),
         "point": [_g8(v) for v in result.point.y],
@@ -222,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated coordinates of y")
     pr.add_argument("--height", required=True, type=float, help="the height s")
     pr.add_argument("--alpha0", type=float, default=None,
-                    help="with --beta0, a starting bracket: selects the traced "
-                         "reference bisection on every set")
+                    help="with --beta0, a starting bracket: selects the paper's "
+                         "reference bisection (homcone.paper) on every set")
     pr.add_argument("--beta0", type=float, default=None)
     pr.add_argument("--eps", type=float, default=1e-6,
                     help="tolerance on alpha*: relative by default, the absolute "

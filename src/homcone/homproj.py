@@ -6,22 +6,23 @@ determines the projection:
     P_K(y, s) = (P_rec(y), 0)                       if alpha* = 0,
                 (alpha* P_C(y / alpha*), alpha*)    if alpha* > 0.
 
-By default alpha* is the root of the monotone derivative psi' on the a priori
-bracket [0, s+ + ||(y, s)||], found by a safeguarded Brent iteration
-(:mod:`homcone.roots`) to a tolerance relative to alpha*; for bounded sets
-the support function decides the recession branch without a projector call.
-Every step scales with the query, so P_K(t v) = t P_K(v) holds to the
-tolerance at every scale.  A set whose cone has an exact projector answers
-through its ``_project_cone`` kernel instead, with no psi' iteration
-(:mod:`homcone.sets` documents the kernels); any set without one takes the
-solver.  A caller-given bracket selects the reference bisection
-:func:`find_alpha_star` on every set, kernel or not, as ``force_iterative``
-selects the solver.  A query whose largest entry lies beyond 2^(+-500) is
-projected on its exact power-of-2 rescale, ahead of the kernel and the
-solver alike, so neither forms a squared norm that overflows or underflows.
-The kernel and the solver both yield (alpha*, x, branch) with their
-iterations and trace, and one site, which names no set class, scales them
-back and builds the result.
+alpha* is the root of the monotone derivative psi' on the a priori bracket
+[0, s+ + ||(y, s)||], found by a safeguarded Brent iteration
+(:mod:`homcone.roots`), the library's one root loop on psi', to a tolerance
+relative to alpha*; for bounded sets the support function decides the
+recession branch without a projector call.  Every step scales with the
+query, so P_K(t v) = t P_K(v) holds to the tolerance at every scale.  A set
+whose cone has an exact projector answers through its ``_project_cone``
+kernel instead, with no psi' iteration (:mod:`homcone.sets` documents the
+kernels); any set without one takes the solver, and ``force_iterative``
+selects it on every set.  A query whose largest entry lies beyond
+2^(+-500) is projected on its exact power-of-2 rescale, ahead of the kernel
+and the solver alike, so neither forms a squared norm that overflows or
+underflows.  The kernel and the solver both yield (alpha*, x, branch) with
+their iterations and trace, and one site, which names no set class, scales
+them back and builds the result.  The paper's bisection from a caller's
+bracket, :func:`homcone.paper.bisection_projection`, builds its result at
+the same site.
 
 Each entry point validates its query in one pass (a finite y of the set's
 dimension and a finite height s), which also sizes it for the rescale;
@@ -37,7 +38,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MaxIterationsExceeded
 from .roots import brent_root
 from .scaledfun import PsiEvaluator
 from .sets import _ROOT_RTOL, MEMBERSHIP_TOL, Branch, _as_query, _ldexp_array
@@ -56,12 +56,12 @@ class ConePoint(NamedTuple):
 
 
 class TraceRow(NamedTuple):
-    """One outer step of the bracket search; a trace is a tuple of these.
+    """One step of a root search on psi'; a trace is a tuple of these.
 
-    Bracket-move steps carry no midpoint; bisection steps record the midpoint
-    and its derivative value.  On the default Brent path the first row is the
-    a priori bracket (no midpoint) and each later row one trial point, in
-    ``mid``, inside the bracket of that step.
+    On the Brent path the first row is the a priori bracket (no midpoint) and
+    each later row one trial point, in ``mid``, inside that step's bracket.
+    The paper's bisection (:mod:`homcone.paper`) records a midpoint only on
+    its bisection steps, not on its bracket moves.
     """
 
     n: int
@@ -83,79 +83,20 @@ class ProjectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Bracket search on psi'
+# Root search on psi'
 # ---------------------------------------------------------------------------
 
-#: Reference bisection: a derivative value within this of zero ends the
-#: search, and halving the left end below this certifies the recession branch.
-_ZERO_TOL = 1e-12
-_ALPHA_FLOOR = 1e-12
-
-
-def _check_solver_args(alpha0, beta0, eps, max_iter):
-    """ValueError for a bad or non-finite bracket (when given), eps or max_iter."""
-    if alpha0 is not None and not 0.0 < float(alpha0) < float(beta0) < math.inf:
-        raise ValueError("require 0 < alpha0 < beta0, both finite")
+def _check_solver_args(eps, max_iter):
+    """ValueError for an eps that is not positive and finite, or a max_iter
+    that is not an integer (a Python or numpy one, not a bool) of at least 1."""
     if not 0.0 < float(eps) < math.inf:
         raise ValueError("eps must be positive and finite")
-    if not max_iter >= 1:
+    # type() first, which also rejects a bool: isinstance against np.integer
+    # is slow next to a whole kernel query.
+    if type(max_iter) is not int and not isinstance(max_iter, np.integer):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-
-
-def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
-    """Locate the minimizer of psi by bisection on its monotone derivative.
-
-    ``ev`` needs only a ``psi_prime(alpha)`` method.  Returns
-    ``(alpha_star, trace)``, the trace a tuple of :class:`TraceRow`.
-    ``alpha_star`` is the left endpoint of the final bracket (width below
-    ``eps``), or the midpoint when the derivative hits zero to within
-    1e-12, or exactly 0.0 when the left endpoint was halved below 1e-12 with
-    the derivative still positive, which certifies the recession branch
-    because psi' is nondecreasing.
-
-    The termination check runs after the row is recorded, so the final
-    bracket appears in the trace.
-    """
-    _check_solver_args(alpha0, beta0, eps, max_iter)
-    a, b = float(alpha0), float(beta0)
-    da = ev.psi_prime(a)
-    db = ev.psi_prime(b)
-    rows = []
-    n = 0
-    while True:
-        n += 1
-        if n > max_iter:
-            raise MaxIterationsExceeded(
-                f"bracket search did not stabilize in {max_iter} steps"
-            )
-        if da < 0.0 < db:
-            mid = 0.5 * (a + b)
-            dm = ev.psi_prime(mid)
-            rows.append(TraceRow(n, a, mid, b, da, dm, db))
-            if b - a < eps:
-                return a, tuple(rows)
-            if abs(dm) < _ZERO_TOL:
-                return mid, tuple(rows)
-            if dm < 0.0:
-                a, da = mid, dm
-            else:
-                b, db = mid, dm
-        else:
-            rows.append(TraceRow(n, a, None, b, da, None, db))
-            if abs(da) < _ZERO_TOL:
-                return a, tuple(rows)
-            if abs(db) < _ZERO_TOL:
-                return b, tuple(rows)
-            if da > 0.0:
-                b, db = a, da
-                a = 0.5 * a
-                if a < _ALPHA_FLOOR:
-                    return 0.0, tuple(rows)
-                da = ev.psi_prime(a)
-            else:
-                a, da = b, db
-                b = 2.0 * b
-                db = ev.psi_prime(b)
 
 
 def _alpha_star(ev, scale, eps, max_iter, rows):
@@ -190,14 +131,8 @@ def _alpha_star(ev, scale, eps, max_iter, rows):
     if f_hi <= 0.0:
         # Only roundoff puts the root at or past the a priori bound.
         return hi, calls
-    if calls >= max_iter:
-        # Brent needs at least one evaluation inside (lo, hi).
-        raise MaxIterationsExceeded(
-            f"root search did not converge in {max_iter} evaluations"
-        )
-    alpha, n = brent_root(psi_prime, lo, hi, f_lo, f_hi, 0.0,
-                          max(eps, _ROOT_RTOL), max_iter - calls)
-    return alpha, calls + n
+    return brent_root(psi_prime, lo, hi, f_lo, f_hi, 0.0, max(eps, _ROOT_RTOL),
+                      max_iter, calls)
 
 
 def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
@@ -232,50 +167,60 @@ def _in_cone(set_, y, s, scale) -> bool:
     return set_._contains(y / s, MEMBERSHIP_TOL)
 
 
-def project_homogenization(set_, p, alpha0=None, beta0=None, eps=1e-6, max_iter=200,
-                           force_iterative=False, keep_trace=False) -> ProjectionResult:
+def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=False,
+                           keep_trace=False) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
     The query is validated in one pass, which also sizes it: one whose
     largest entry lies beyond 2^(+-500) is projected on its exact power-of-2
-    rescale (a caller's bracket and width rescaled alike), and the answer and
-    trace are scaled back.  Dispatch then runs on the rescaled query: the
-    set's ``_project_cone`` kernel answers exactly where it has one, with
-    ``iterations`` 0; where it returns None alpha* is solved for on psi'.
-    ``force_iterative`` bypasses the kernel and the membership shortcut so
-    the iterative route can be compared against the kernels.
-
-    Without a bracket the solve is Brent's method on the a priori bracket,
-    ``eps`` is relative to alpha*, ``max_iter`` bounds the psi' evaluations
-    and ``iterations`` counts them.  A bracket ``alpha0 < beta0`` bypasses
-    the kernel and selects the reference bisection :func:`find_alpha_star`
-    on every set, with ``eps`` an absolute width and ``iterations`` its
-    outer steps.  ``max_iter`` below 1, an ``eps`` that is not positive and
-    finite, and a bracket that is not 0 < alpha0 < beta0 with both finite
-    are a ValueError before any work.
+    rescale, and the answer and trace are scaled back.  The set's
+    ``_project_cone`` kernel answers exactly where it has one, with
+    ``iterations`` 0; where it returns None alpha* is solved for by Brent's
+    method on psi', with ``eps`` relative to alpha* and ``iterations`` the
+    psi' evaluations, at most ``max_iter``.  ``force_iterative`` bypasses
+    the kernel and the membership shortcut.  An ``eps`` that is not positive
+    and finite, and a ``max_iter`` that is not an integer of at least 1, are
+    a ValueError before any work.
     """
-    if (alpha0 is None) != (beta0 is None):
-        raise ValueError("give both alpha0 and beta0, or neither")
-    _check_solver_args(alpha0, beta0, eps, max_iter)
+    _check_solver_args(eps, max_iter)
+    y, s, e = _query(set_, p)
+    found = None if force_iterative else set_._project_cone(y, s)
+    if found is not None:
+        return _result(found, 0, None, e)
+    scale = math.hypot(float(np.linalg.norm(y)), s)
+    if not force_iterative and _in_cone(set_, y, s, scale):
+        return _result((s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None, e)
+    ev = PsiEvaluator._of_valid(set_, y, s)
+    rows = [] if keep_trace else None
+    alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
+    return _result(_answer(ev, alpha_star), iterations,
+                   None if rows is None else tuple(rows), e)
+
+
+def _query(set_, p):
+    """``(y, s, e)``: the query validated in one pass and, where its largest
+    entry lies beyond 2^(+-500), rescaled exactly by 2^-e (else e is 0)."""
     y, s = p
     y, s, e = _as_query(y, set_.dim, s)
-    rescale = abs(e) > _SAFE_EXPONENT
-    if rescale:
-        # P_K is positively homogeneous and the rescale is exact.
-        y, s = np.ldexp(y, -e), math.ldexp(s, -e)
-        if alpha0 is not None:
-            alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
-    found = None
-    if not force_iterative and alpha0 is None:
-        found = set_._project_cone(y, s)
-    if found is None:
-        found, iterations, trace = _solve(set_, y, s, alpha0, beta0, eps, max_iter,
-                                          force_iterative, keep_trace)
-    else:
-        iterations, trace = 0, None
+    if abs(e) <= _SAFE_EXPONENT:
+        return y, s, 0
+    return np.ldexp(y, -e), math.ldexp(s, -e), e
+
+
+def _answer(ev, alpha_star):
+    """``(alpha*, x, branch)`` for the minimizer alpha* of ev's psi."""
+    if alpha_star == 0.0:
+        return 0.0, ev.set._project_recession(ev.y), Branch.RECESSION
+    # alpha* is almost always a point psi' was just evaluated at.
+    return alpha_star, alpha_star * ev._projection(alpha_star), Branch.CONE_INTERIOR
+
+
+def _result(found, iterations, trace, e) -> ProjectionResult:
+    """The one site that builds a ProjectionResult: the (alpha*, x, branch)
+    found for a query rescaled by 2^-e (see :func:`_query`), scaled back."""
     alpha_star, x, branch = found
-    if rescale:
-        # psi' is positively homogeneous, so trace derivatives scale alike.
+    if e:
+        # P_K and psi' are positively homogeneous and the rescale is exact.
         alpha_star, x = _up(alpha_star, e), _ldexp_array(x, e)
         if trace is not None:
             trace = tuple(TraceRow(r.n, *(None if v is None else _up(v, e)
@@ -291,26 +236,3 @@ def _up(v, e) -> float:
         return math.ldexp(v, e)
     except OverflowError:
         raise OverflowError("the projection exceeds the float64 range") from None
-
-
-def _solve(set_, y, s, alpha0, beta0, eps, max_iter, force_iterative, keep_trace):
-    """The solver route of :func:`project_homogenization` on a validated query
-    within 2^(+-500): the membership shortcut, then the root search.  Returns
-    ``((alpha*, x, branch), iterations, trace)``."""
-    scale = math.hypot(float(np.linalg.norm(y)), s)
-    if not force_iterative and _in_cone(set_, y, s, scale):
-        return (s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None
-    ev = PsiEvaluator._of_valid(set_, y, s)
-    if alpha0 is None:
-        rows = [] if keep_trace else None
-        alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
-        trace = tuple(rows) if keep_trace else None
-    else:
-        alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
-        iterations = len(trace)
-        trace = trace if keep_trace else None
-    if alpha_star == 0.0:
-        return (0.0, set_._project_recession(y), Branch.RECESSION), iterations, trace
-    # alpha* is almost always a point psi' was just evaluated at.
-    x = alpha_star * ev._projection(alpha_star)
-    return (alpha_star, x, Branch.CONE_INTERIOR), iterations, trace

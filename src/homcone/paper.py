@@ -1,7 +1,8 @@
 """The paper's worked examples: the off-centre ball's residual quartic, the
-Table 1 reference bisection trace with its 23 expected rows, and the figure
-point clouds.  ``import homcone`` does not load this module; :mod:`homcone.cli`
-imports it for ``table1`` and ``figure``."""
+reference bisection on psi' with its Table 1 trace of 23 expected rows, and
+the figure point clouds.  ``import homcone`` does not load this module;
+:mod:`homcone.cli` imports it for ``table1``, ``figure`` and
+``project --alpha0 --beta0``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .homproj import find_alpha_star, project_homogenization
+from .errors import MaxIterationsExceeded
+from .homproj import (Branch, TraceRow, _answer, _check_solver_args, _in_cone, _query,
+                      _result)
+from .scaledfun import PsiEvaluator
 from .sets import EuclideanBall, _as_query, as_vector
 
 
@@ -63,6 +67,96 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
     xi3 = 12.0 * g2 * zy * nz2 - 2.0 * k * u * nz2 - 2.0 * k * k * zy
     xi4 = nz2 * (1.0 + (g + nz) ** 2) * (1.0 + (g - nz) ** 2)
     return QuarticCoefficients(xi0, xi1, xi2, xi3, xi4)
+
+
+# ---------------------------------------------------------------------------
+# Reference bisection on psi'
+# ---------------------------------------------------------------------------
+
+#: Reference bisection: a derivative value within this of zero ends the
+#: search, and halving the left end below this certifies the recession branch.
+_ZERO_TOL = 1e-12
+_ALPHA_FLOOR = 1e-12
+
+
+def _check_bracket_args(alpha0, beta0, eps, max_iter):
+    """ValueError for a bad eps or max_iter, or a bracket not 0 < alpha0 < beta0 < inf."""
+    if None in (alpha0, beta0) or not 0.0 < float(alpha0) < float(beta0) < math.inf:
+        raise ValueError("require 0 < alpha0 < beta0, both finite")
+    _check_solver_args(eps, max_iter)
+
+
+def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
+    """Locate the minimizer of psi by bisection on its monotone derivative.
+
+    ``ev`` needs only a ``psi_prime(alpha)`` method.  Returns
+    ``(alpha_star, trace)``, the trace a tuple of :class:`TraceRow`.
+    ``alpha_star`` is the left endpoint of the final bracket (width below
+    ``eps``), or the midpoint when the derivative hits zero to within
+    1e-12, or exactly 0.0 when the left endpoint was halved below 1e-12 with
+    the derivative still positive, which certifies the recession branch
+    because psi' is nondecreasing.
+
+    The termination check runs after the row is recorded, so the final
+    bracket appears in the trace.
+    """
+    _check_bracket_args(alpha0, beta0, eps, max_iter)
+    a, b = float(alpha0), float(beta0)
+    da, db = ev.psi_prime(a), ev.psi_prime(b)
+    rows = []
+    for n in range(1, max_iter + 1):
+        if da < 0.0 < db:
+            mid = 0.5 * (a + b)
+            dm = ev.psi_prime(mid)
+            rows.append(TraceRow(n, a, mid, b, da, dm, db))
+            if b - a < eps:
+                return a, tuple(rows)
+            if abs(dm) < _ZERO_TOL:
+                return mid, tuple(rows)
+            if dm < 0.0:
+                a, da = mid, dm
+            else:
+                b, db = mid, dm
+        else:
+            rows.append(TraceRow(n, a, None, b, da, None, db))
+            if abs(da) < _ZERO_TOL:
+                return a, tuple(rows)
+            if abs(db) < _ZERO_TOL:
+                return b, tuple(rows)
+            if da > 0.0:
+                b, db = a, da
+                a = 0.5 * a
+                if a < _ALPHA_FLOOR:
+                    return 0.0, tuple(rows)
+                da = ev.psi_prime(a)
+            else:
+                a, da = b, db
+                b = 2.0 * b
+                db = ev.psi_prime(b)
+    raise MaxIterationsExceeded(f"bracket search did not stabilize in {max_iter} steps")
+
+
+def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
+                         force_iterative=False):
+    """Project (y, s) onto the homogenization cone of the set by the paper's
+    bisection :func:`find_alpha_star` from the bracket [alpha0, beta0], on
+    every set, kernel or not (``homcone project --alpha0 --beta0``).
+
+    ``eps`` is the absolute final bracket width and ``iterations`` counts the
+    outer steps, whose trace the result keeps; a query in K takes the
+    membership shortcut, with no trace, unless ``force_iterative``.  A bad
+    bracket, eps or max_iter is a ValueError before any work; the query is
+    validated and rescaled as by ``project_homogenization``, bracket too.
+    """
+    _check_bracket_args(alpha0, beta0, eps, max_iter)
+    y, s, e = _query(set_, p)
+    if e:
+        alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
+    if not force_iterative and _in_cone(set_, y, s, math.hypot(float(np.linalg.norm(y)), s)):
+        return _result((s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None, e)
+    ev = PsiEvaluator._of_valid(set_, y, s)
+    alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
+    return _result(_answer(ev, alpha_star), len(trace), trace, e)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +291,8 @@ def _figure_fig2a():
     primal = _circle_segments(REFERENCE_CENTER, REFERENCE_RADIUS)
     polar = [(-3.0, 3.0, True, lambda t: (0.5 * (1.0 - t * t), t))]
     y, s = REFERENCE_QUERY
-    result = project_homogenization(
-        EuclideanBall(REFERENCE_CENTER, REFERENCE_RADIUS),
-        (y, s),
-        *REFERENCE_BRACKET,
-        eps=REFERENCE_EPS,
-    )
+    result = bisection_projection(EuclideanBall(REFERENCE_CENTER, REFERENCE_RADIUS), (y, s),
+                                  *REFERENCE_BRACKET, eps=REFERENCE_EPS)
     extra = [
         ("query", *y, s),
         ("projection", result.point.y[0], result.point.y[1], result.point.s),

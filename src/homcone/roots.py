@@ -3,8 +3,10 @@
 Brent's method (Brent 1973, *Algorithms for Minimization without
 Derivatives*, ch. 4): secant or inverse quadratic interpolation steps, with a
 bisection step whenever the interpolated one would leave the bracket or not
-shrink it fast enough.  It is the one bracketed root finder of the package,
-and :mod:`homcone.homproj` locates alpha* with it.  The ellipsoid needs no
+shrink it fast enough.  It is the one bracketed root finder of the library,
+and :mod:`homcone.homproj` locates alpha* with it; the paper's reference
+bisection, kept for Table 1 and ``homcone project --alpha0 --beta0``, is
+worked-example code in :mod:`homcone.paper`.  The ellipsoid needs no
 bracket: its projector and its cone kernel solve one secular equation that is
 concave in the form solved, so a monotone Newton iteration
 (:func:`homcone.sets._secular_root`) converges from a lower bound; up to
@@ -19,25 +21,27 @@ import math
 from .errors import MaxIterationsExceeded
 
 
-def brent_root(f, a, b, fa, fb, xtol, rtol, max_iter):
+def brent_root(f, a, b, fa, fb, xtol, rtol, max_iter, n=0):
     """Root of ``f`` between ``a`` and ``b``, given ``fa = f(a)`` and ``fb = f(b)``
     of opposite signs.
 
     Stops when ``f`` vanishes at the best iterate x (the bracket end with the
     smaller ``|f|``) or when the bracket around x is narrower than
     ``xtol + rtol |x|``, and returns ``(x, evaluations of f)``.  ``f`` is only
-    evaluated strictly inside the bracket.  Raises MaxIterationsExceeded when
-    ``max_iter`` evaluations do not meet the tolerance.
+    evaluated strictly inside the bracket.  ``n`` counts the evaluations the
+    caller has already made, such as ``fa`` and ``fb``, towards ``max_iter``,
+    and is included in the count returned.  Raises MaxIterationsExceeded,
+    naming ``max_iter``, when ``max_iter`` evaluations in all do not meet the
+    tolerance.
     """
     if fa == 0.0:
-        return a, 0
+        return a, n
     if fb == 0.0:
-        return b, 0
+        return b, n
     if (fa > 0.0) == (fb > 0.0):
         raise ValueError("f(a) and f(b) must have opposite signs")
     xpre, fpre, xcur, fcur = a, fa, b, fb
     xblk = fblk = spre = scur = 0.0
-    n = 0
     while True:
         if (fpre > 0.0) != (fcur > 0.0):
             # The last step crossed the root: the bracket is [xpre, xcur].

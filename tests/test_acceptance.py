@@ -19,12 +19,17 @@ from homcone import (
     EuclideanBall,
     PsiEvaluator,
     closed_form_polar,
-    find_alpha_star,
     homogenization_polar_membership,
     polar_membership,
     project_homogenization,
 )
-from homcone.paper import REFERENCE_TABLE, quartic_coefficients, reference_trace
+from homcone.paper import (
+    REFERENCE_TABLE,
+    bisection_projection,
+    find_alpha_star,
+    quartic_coefficients,
+    reference_trace,
+)
 from oracle import OracleConfig, brute_force_alpha_star
 from set_catalog import CORE, pairs
 
@@ -85,7 +90,7 @@ def test_table1_reproduction_strict_printed_values():
 
 def test_projection_value():
     ball = EuclideanBall((1.0, 0.0), 1.0)
-    res = project_homogenization(ball, ((1.0, 2.0), 1.0), alpha0=3.0, beta0=5.0)
+    res = bisection_projection(ball, ((1.0, 2.0), 1.0), 3.0, 5.0)
     assert abs(res.point.y[0] - 1.1327162) < 1e-6
     assert abs(res.point.y[1] - 1.4226203) < 1e-6
     assert abs(res.point.s - 1.4597189) < 1e-6

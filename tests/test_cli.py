@@ -44,17 +44,19 @@ def test_import_does_not_load_scipy():
 
 
 #: Exits 0 where ``import homcone`` loads neither ``homcone.paper`` nor
-#: ``homcone.cli`` and the three names of the paper's worked examples come
-#: from ``homcone.paper`` alone; the CI runs the same check on the installed
-#: package.
+#: ``homcone.cli`` and the names of the paper's worked examples, its
+#: reference bisection among them, come from ``homcone.paper`` alone; the CI
+#: runs the same check on the installed package.
 SPLIT_CHECK = """
 import sys, homcone, homcone.homproj
 assert 'homcone.paper' not in sys.modules, 'import homcone loads homcone.paper'
 assert 'homcone.cli' not in sys.modules, 'import homcone loads homcone.cli'
-from homcone.paper import QuarticCoefficients, quartic_coefficients, reference_trace
-for name in ('QuarticCoefficients', 'quartic_coefficients', 'reference_trace'):
+from homcone.paper import (QuarticCoefficients, bisection_projection, find_alpha_star,
+                           quartic_coefficients, reference_trace)
+for name in ('QuarticCoefficients', 'bisection_projection', 'find_alpha_star',
+             'quartic_coefficients', 'reference_trace'):
     assert not hasattr(homcone, name) and not hasattr(homcone.homproj, name), name
-assert len(homcone.__all__) == 27, homcone.__all__
+assert len(homcone.__all__) == 26, homcone.__all__
 """
 
 

@@ -18,10 +18,15 @@ from homcone import (
     PsiEvaluator,
     Simplex,
     TraceRow,
-    find_alpha_star,
     project_homogenization,
 )
-from homcone.paper import REFERENCE_TABLE, quartic_coefficients, reference_trace
+from homcone.paper import (
+    REFERENCE_TABLE,
+    bisection_projection,
+    find_alpha_star,
+    quartic_coefficients,
+    reference_trace,
+)
 from homcone.roots import brent_root
 from set_catalog import BY_ID, CATALOG, CORE, OFF_AXIS, UserBall, pairs, params
 
@@ -54,7 +59,7 @@ def format_rows(trace):
 
 
 # ---------------------------------------------------------------------------
-# find_alpha_star
+# find_alpha_star, the paper's reference bisection (homcone.paper)
 # ---------------------------------------------------------------------------
 
 def test_reference_trace_matches_frozen_rows():
@@ -493,12 +498,12 @@ def test_generic_solver_rescales_extreme_queries_exactly(set_, force, v, branch,
     assert res.trace == (None if base.trace is None else tuple(
         TraceRow(r.n, *(None if x is None else math.ldexp(x, e) for x in r[1:]))
         for r in base.trace))
-    # The bisection's recession count depends on the scale (it halves down
-    # to an absolute 1e-12), so only its answer is compared.
-    unit = project_homogenization(set_, (y, s), alpha0=0.5, beta0=4.0, eps=1e-9,
-                                  force_iterative=force)
-    bracket = project_homogenization(
-        set_, big, alpha0=math.ldexp(0.5, e), beta0=math.ldexp(4.0, e),
+    # The paper's bisection rescales alike.  Its recession count depends on
+    # the scale (it halves down to an absolute 1e-12), so only its answer is
+    # compared.
+    unit = bisection_projection(set_, (y, s), 0.5, 4.0, eps=1e-9, force_iterative=force)
+    bracket = bisection_projection(
+        set_, big, math.ldexp(0.5, e), math.ldexp(4.0, e),
         eps=math.ldexp(1e-9, e), force_iterative=force,
     )
     for got, want in ((res, base), (bracket, unit)):
@@ -525,7 +530,7 @@ PUBLIC_NAMES = [
     "Ellipsoid", "EuclideanBall", "HomconeError", "Hyperbolic", "InvalidSetSpec",
     "L1Ball", "MaxIterationsExceeded", "PBall", "PolarDescription",
     "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
-    "closed_form_polar", "find_alpha_star", "homogenization_polar_membership",
+    "closed_form_polar", "homogenization_polar_membership",
     "polar_cone_membership", "polar_membership", "project_homogenization",
     "set_from_spec",
 ]
@@ -544,7 +549,7 @@ def test_public_names():
 
 def test_projection_reference_value():
     ball = EuclideanBall((1.0, 0.0), 1.0)
-    res = project_homogenization(ball, ((1.0, 2.0), 1.0), alpha0=3.0, beta0=5.0)
+    res = bisection_projection(ball, ((1.0, 2.0), 1.0), 3.0, 5.0)
     np.testing.assert_allclose(
         res.point.y, [1.1327162, 1.4226203], rtol=0, atol=1e-6
     )
@@ -588,19 +593,26 @@ def test_result_is_slotted():
     assert dataclasses.asdict(res)["branch"] is Branch.CONE_INTERIOR
 
 
+def project(set_, v, **kwargs):
+    """project_homogenization, or the paper's bisection where ``kwargs``
+    give a bracket."""
+    route = bisection_projection if "alpha0" in kwargs else project_homogenization
+    return route(set_, v, **kwargs)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["in_range", "rescaled"])
 @pytest.mark.parametrize("route", [{}, {"force_iterative": True},
                                    {"alpha0": 0.5, "beta0": 4.0}],
                          ids=["kernel", "solver", "bracket"])
 def test_the_point_is_a_cone_point_on_every_route(route, scale):
-    # The kernel route builds the point with tuple.__new__; every route,
-    # also on the power-of-2 rescale (|e| > 500), returns the NamedTuple.
+    # The kernel route builds the point with tuple.__new__; every route, the
+    # paper's bisection too, also on the power-of-2 rescale (|e| > 500),
+    # returns the NamedTuple.
     box = Box((1.0, 0.5))
     kwargs = dict(route)
     if scale != 1.0 and "alpha0" in kwargs:
         kwargs = {"alpha0": 0.5 * scale, "beta0": 4.0 * scale}
-    res = project_homogenization(box, ((3.0 * scale, -1.0 * scale), 0.5 * scale),
-                                 **kwargs)
+    res = project(box, ((3.0 * scale, -1.0 * scale), 0.5 * scale), **kwargs)
     assert res.branch is Branch.CONE_INTERIOR
     point = res.point
     assert isinstance(point, homcone.ConePoint) and isinstance(point, tuple)
@@ -647,13 +659,13 @@ def test_default_solver_trace_rows():
 
 @pytest.mark.parametrize("entry", params(CORE, kernel=True))
 def test_a_caller_bracket_selects_the_bisection_on_kernel_sets(entry):
-    # The bracket selects the reference bisection as force_iterative selects
-    # the solver: iterations counts its steps, and alpha* is the left end of a
-    # final bracket narrower than eps around the kernel's answer.
+    # The paper's bisection from a caller's bracket bypasses the kernel:
+    # iterations counts its steps, and alpha* is the left end of a final
+    # bracket narrower than eps around the kernel's answer.
     set_ = entry.make()
     v = (np.resize((3.0, -1.0), set_.dim), 0.5)
     kernel = project_homogenization(set_, v)
-    bisected = project_homogenization(set_, v, alpha0=0.5, beta0=4.0, eps=1e-9)
+    bisected = bisection_projection(set_, v, 0.5, 4.0, eps=1e-9)
     assert kernel.iterations == 0 < bisected.iterations
     assert bisected.branch is kernel.branch is Branch.CONE_INTERIOR
     assert abs(bisected.alpha_star - kernel.alpha_star) <= 1e-9
@@ -710,7 +722,7 @@ def test_root_at_the_a_priori_bound_returns_the_bound(monkeypatch):
 
 def test_half_bracket_is_rejected():
     with pytest.raises(ValueError):
-        project_homogenization(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), alpha0=3.0)
+        bisection_projection(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), 3.0, None)
 
 
 class CountingBox(Box):
@@ -745,16 +757,23 @@ def test_default_solver_makes_one_projector_call_per_iteration():
     assert interior >= 20
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("max_iter", [
+    0, -1, pytest.param(np.int64(0), id="int64_0"),
+    # Once ran, and failed with "in 1.5 evaluations" or "in True evaluations".
+    2.5, True,
+])
 @pytest.mark.parametrize("bracket", [{}, {"alpha0": 1.0, "beta0": 2.0}],
                          ids=["default", "bracket"])
 def test_nonpositive_max_iter_is_rejected_before_any_work(max_iter, bracket):
+    # A numpy integer is accepted, and then checked like a Python one.
+    message = ("max_iter must be an integer" if isinstance(max_iter, (bool, float))
+               else "max_iter must be at least 1")
     box = CountingBox((1.0, 1.0))
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        project_homogenization(box, ((3.0, 4.0), 0.5), max_iter=max_iter, **bracket)
+    with pytest.raises(ValueError, match=message):
+        project(box, ((3.0, 4.0), 0.5), max_iter=max_iter, **bracket)
     assert box.calls == 0
     ev = PsiEvaluator(box, (3.0, 4.0), 0.5)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+    with pytest.raises(ValueError, match=message):
         find_alpha_star(ev, 1.0, 2.0, max_iter=max_iter)
     assert box.calls == 0
 
@@ -776,7 +795,7 @@ def test_non_finite_solver_parameter_is_rejected_before_any_work(kwargs):
     box = CountingBox((1.0, 1.0))
     for set_ in (box, EuclideanBall((0.0, 0.0), 1.0)):
         with pytest.raises(ValueError, match="finite"):
-            project_homogenization(set_, ((3.0, 4.0), 0.5), **kwargs)
+            project(set_, ((3.0, 4.0), 0.5), **kwargs)
     assert box.calls == 0
     ev = PsiEvaluator(box, (3.0, 4.0), 0.5)
     with pytest.raises(ValueError, match="finite"):
@@ -785,10 +804,13 @@ def test_non_finite_solver_parameter_is_rejected_before_any_work(kwargs):
 
 
 def test_exhausted_budget_reports_the_caller_budget():
+    # Each query takes 5 psi' calls.  The budget was once reported less the
+    # calls made before Brent's method started ("in 1" for max_iter 2 or 3).
     for set_ in (Box((1.0, 1.0)), BallPen((0.6, 0.8))):
-        with pytest.raises(MaxIterationsExceeded, match="in 1 evaluations"):
-            project_homogenization(set_, ((3.0, -4.0), 0.5), max_iter=1,
-                                   force_iterative=True)
+        for max_iter in (1, 2, 3, np.int64(3)):
+            with pytest.raises(MaxIterationsExceeded, match=f"in {max_iter} evaluations"):
+                project_homogenization(set_, ((3.0, -4.0), 0.5), max_iter=max_iter,
+                                       force_iterative=True)
 
 
 SCALES = (1e-9, 1e-6, 1.0, 1e6, 1e12)
@@ -863,7 +885,7 @@ def test_quartic_reference_coefficients():
 def test_quartic_residual_at_reference_alpha():
     q = quartic_coefficients((1.0, 0.0), 1.0, (1.0, 2.0), 1.0)
     ball = EuclideanBall((1.0, 0.0), 1.0)
-    res = project_homogenization(ball, ((1.0, 2.0), 1.0), alpha0=3.0, beta0=5.0)
+    res = bisection_projection(ball, ((1.0, 2.0), 1.0), 3.0, 5.0)
     assert abs(q.residual(res.alpha_star)) < 1e-4
 
 
