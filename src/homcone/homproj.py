@@ -15,19 +15,20 @@ query, so P_K(t v) = t P_K(v) holds to the tolerance at every scale.  A set
 whose cone has an exact projector answers through its ``_project_cone``
 kernel instead, with no psi' iteration (:mod:`homcone.sets` documents the
 kernels); any set without one takes the solver, and ``force_iterative``
-selects it on every set.  A query whose largest entry lies beyond
-2^(+-500) is projected on its exact power-of-2 rescale, ahead of the kernel
-and the solver alike, so neither forms a squared norm that overflows or
-underflows.  The kernel and the solver both yield (alpha*, x, branch) with
-their iterations and trace, and one site, which names no set class, scales
-them back and builds the result.  The paper's bisection from a caller's
-bracket, :func:`homcone.paper.bisection_projection`, builds its result at
-the same site.
+selects it on every set.  Without a kernel, a query in K takes the
+membership shortcut :func:`_member`, unless ``force_iterative``, and the
+solver's answer reads P_C(y / alpha*) from the evaluator's memo.  Each
+route yields (alpha*, x, branch) with its iterations and trace, and one
+site, which names no set class, scales them back and builds the result.
+The paper's bisection, :func:`homcone.paper.bisection_projection`, shares
+the shortcut, the answer and the site.
 
 Each entry point validates its query in one pass (a finite y of the set's
-dimension and a finite height s), which also sizes it for the rescale;
-everything after that calls the sets' unchecked kernels (see
-:mod:`homcone.sets`).
+dimension and a finite height s), which also sizes it: one whose largest
+entry lies beyond 2^(+-500) is projected on its exact power-of-2 rescale,
+ahead of the kernel and the solver alike, so neither forms a squared norm
+that overflows or underflows.  Everything after the pass calls the sets'
+unchecked kernels (see :mod:`homcone.sets`).
 """
 
 from __future__ import annotations
@@ -155,16 +156,18 @@ def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
 # General projection
 # ---------------------------------------------------------------------------
 
-def _in_cone(set_, y, s, scale) -> bool:
-    """Membership of (y, s) in K via the disjoint split rays-over-C versus
-    recession-at-height-0, to MEMBERSHIP_TOL; heights within 1e-12 scale of 0
-    count as 0, with scale = ||(y, s)||."""
+def _member(set_, y, s, scale, e) -> Optional[ProjectionResult]:
+    """The ALREADY_IN_K result of a query in K, else None: rays over C or, for
+    heights within 1e-12 scale = ||(y, s)|| of 0, recession directions, to
+    MEMBERSHIP_TOL.  ``e`` is the query's rescale (see :func:`_query`)."""
     height_tol = 1e-12 * scale
-    if s < -height_tol:
-        return False
-    if s <= height_tol:
-        return set_._recession_distance(y) <= MEMBERSHIP_TOL * scale
-    return set_._contains(y / s, MEMBERSHIP_TOL)
+    if s > height_tol:
+        inside = set_._contains(y / s, MEMBERSHIP_TOL)
+    else:
+        inside = s >= -height_tol and set_._recession_distance(y) <= MEMBERSHIP_TOL * scale
+    if inside:
+        return _result((s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None, e)
+    return None
 
 
 def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=False,
@@ -188,8 +191,9 @@ def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=Fals
     if found is not None:
         return _result(found, 0, None, e)
     scale = math.hypot(float(np.linalg.norm(y)), s)
-    if not force_iterative and _in_cone(set_, y, s, scale):
-        return _result((s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None, e)
+    member = None if force_iterative else _member(set_, y, s, scale, e)
+    if member is not None:
+        return member
     ev = PsiEvaluator._of_valid(set_, y, s)
     rows = [] if keep_trace else None
     alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
@@ -211,8 +215,8 @@ def _answer(ev, alpha_star):
     """``(alpha*, x, branch)`` for the minimizer alpha* of ev's psi."""
     if alpha_star == 0.0:
         return 0.0, ev.set._project_recession(ev.y), Branch.RECESSION
-    # alpha* is almost always a point psi' was just evaluated at.
-    return alpha_star, alpha_star * ev._projection(alpha_star), Branch.CONE_INTERIOR
+    # alpha* is almost always a point psi' was just evaluated at: the memo's.
+    return alpha_star, alpha_star * ev._at(alpha_star)[2], Branch.CONE_INTERIOR
 
 
 def _result(found, iterations, trace, e) -> ProjectionResult:

@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MaxIterationsExceeded
-from .homproj import (Branch, TraceRow, _answer, _check_solver_args, _in_cone, _query,
-                      _result)
+from .homproj import TraceRow, _answer, _check_solver_args, _member, _query, _result
 from .scaledfun import PsiEvaluator
 from .sets import EuclideanBall, _as_query, as_vector
 
@@ -143,17 +142,19 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     every set, kernel or not (``homcone project --alpha0 --beta0``).
 
     ``eps`` is the absolute final bracket width and ``iterations`` counts the
-    outer steps, whose trace the result keeps; a query in K takes the
-    membership shortcut, with no trace, unless ``force_iterative``.  A bad
-    bracket, eps or max_iter is a ValueError before any work; the query is
-    validated and rescaled as by ``project_homogenization``, bracket too.
+    outer steps, whose trace the result keeps.  Validation, the rescale
+    (bracket too), the membership shortcut (unless ``force_iterative``) and
+    the answer are ``project_homogenization``'s.  A bad bracket, eps or
+    max_iter is a ValueError before any work.
     """
     _check_bracket_args(alpha0, beta0, eps, max_iter)
     y, s, e = _query(set_, p)
     if e:
         alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
-    if not force_iterative and _in_cone(set_, y, s, math.hypot(float(np.linalg.norm(y)), s)):
-        return _result((s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None, e)
+    member = None if force_iterative else _member(
+        set_, y, s, math.hypot(float(np.linalg.norm(y)), s), e)
+    if member is not None:
+        return member
     ev = PsiEvaluator._of_valid(set_, y, s)
     alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
     return _result(_answer(ev, alpha_star), len(trace), trace, e)

@@ -6,12 +6,8 @@ bisection step whenever the interpolated one would leave the bracket or not
 shrink it fast enough.  It is the one bracketed root finder of the library,
 and :mod:`homcone.homproj` locates alpha* with it; the paper's reference
 bisection, kept for Table 1 and ``homcone project --alpha0 --beta0``, is
-worked-example code in :mod:`homcone.paper`.  The ellipsoid needs no
-bracket: its projector and its cone kernel solve one secular equation that is
-concave in the form solved, so a monotone Newton iteration
-(:func:`homcone.sets._secular_root`) converges from a lower bound; up to
-``homcone.sets._FLOATS`` (12) entries it runs on Python floats, where numpy's
-cost per call outweighs its cost per entry.
+worked-example code in :mod:`homcone.paper`.  The secular Newton solve of
+the ellipsoid and the quadratic cones is :func:`homcone.sets._secular_root`.
 """
 
 from __future__ import annotations

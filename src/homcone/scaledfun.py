@@ -10,9 +10,10 @@ projection onto the homogenization cone (see :mod:`homcone.homproj`).
 
     phi'(a) = -2 a <P_C(y/a), y/a - P_C(y/a)>  <=  0,
 
-so every derivative here costs exactly one projector call.  For bounded C the
-right derivative of psi at 0 has the closed form -2 (s + sigma_C(y)), which
-costs one support-function call and no projector call.
+so phi, psi and their derivatives at one a > 0 share one projector call,
+kept in the evaluator's memo; where w = y / a leaves the float64 range they
+raise OverflowError.  For bounded C the right derivative of psi at 0 has the
+closed form -2 (s + sigma_C(y)): one support-function call, no projector call.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ import numpy as np
 
 from .errors import CapabilityMissing
 from .sets import _as_query, _ldexp_or_inf, _norm, _scaled
-
-
-def _positive(alpha) -> float:
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError("the scaling parameter must be positive")
-    return alpha
 
 
 def _phi_prime(alpha, w, p) -> float:
@@ -57,13 +51,13 @@ class PsiEvaluator:
     ``psi`` needs the recession-cone projector of the set; variants without
     one raise CapabilityMissing rather than approximating.
 
-    The one piece of state is a memo of the (alpha, P_C(y / alpha)) pairs of
-    the last two ``phi_prime`` calls, so that the solver's final P_C(y /
-    alpha*) is not computed twice.  The memo is one tuple of whole pairs,
+    The one piece of state is a memo of the (alpha, w = y / alpha, P_C(w))
+    triples of the last two alphas, read by ``phi``, ``phi_prime``,
+    ``psi_prime`` and the solver's answer.  It is one tuple of whole triples,
     replaced in a single assignment and only read for an exact match of
     alpha, so a shared evaluator stays safe across threads: a concurrent call
-    can at worst evict a pair, never pair an alpha with another alpha's
-    projection.  Stored projections are shared and must not be modified.
+    can at worst evict a triple, never pair an alpha with another alpha's
+    projection.  Stored vectors are shared and must not be modified.
     """
 
     def __init__(self, set_, y, s):
@@ -78,28 +72,35 @@ class PsiEvaluator:
         ev.set, ev.y, ev.s, ev._memo = set_, y, s, ()
         return ev
 
+    def _at(self, alpha):
+        """``(alpha, w, P_C(w))`` for w = y / alpha, from the memo where it holds
+        this alpha: ValueError for an alpha that is not positive, and
+        OverflowError, with no projector call, where w is out of range."""
+        alpha = float(alpha)
+        if not alpha > 0.0:
+            raise ValueError("the scaling parameter must be positive")
+        for entry in self._memo:
+            if entry[0] == alpha:
+                return entry
+        with np.errstate(over="raise"):
+            try:
+                w = self.y / alpha
+            except FloatingPointError:
+                raise OverflowError("the scaling parameter puts y / alpha beyond the "
+                                    "float64 range") from None
+        entry = alpha, w, self.set._project(w)
+        self._memo = (entry,) + self._memo[:1]
+        return entry
+
     def phi(self, alpha) -> float:
         """Squared distance from y to alpha * C; nonnegative, nonincreasing."""
-        alpha = _positive(alpha)
-        w = self.y / alpha
-        t = alpha * _norm(w - self.set._project(w))
+        alpha, w, p = self._at(alpha)
+        t = alpha * _norm(w - p)
         return t * t
 
     def phi_prime(self, alpha) -> float:
         """Analytic derivative of phi; always <= 0."""
-        alpha = _positive(alpha)
-        w = self.y / alpha
-        p = self.set._project(w)
-        self._memo = ((alpha, p),) + self._memo[:1]
-        return _phi_prime(alpha, w, p)
-
-    def _projection(self, alpha):
-        """P_C(y / alpha) for alpha > 0, from the memo when a recent
-        ``phi_prime`` call had exactly this alpha."""
-        for a, p in self._memo:
-            if a == alpha:
-                return p
-        return self.set._project(self.y / alpha)
+        return _phi_prime(*self._at(alpha))
 
     def psi(self, alpha) -> float:
         """phi(alpha) + (alpha - s)^2 for alpha > 0, recession form at 0."""
@@ -118,14 +119,13 @@ class PsiEvaluator:
         Out of the float range it is taken at alpha and s scaled by the power
         of 2 that brings the larger into [1/2, 1), with w = y / alpha and
         P_C(w) as they were, and scaled back: inf of its sign, not nan."""
-        alpha = _positive(alpha)
-        d = 2.0 * (alpha - self.s) + self.phi_prime(alpha)
+        alpha, w, p = self._at(alpha)
+        d = 2.0 * (alpha - self.s) + _phi_prime(alpha, w, p)
         if math.isfinite(d):
             return d
         k = math.frexp(max(alpha, abs(self.s)))[1]
         a = math.ldexp(alpha, -k)
-        d = _phi_prime(a, self.y / alpha, self._projection(alpha))
-        return _ldexp_or_inf(2.0 * (a - math.ldexp(self.s, -k)) + d, k)
+        return _ldexp_or_inf(2.0 * (a - math.ldexp(self.s, -k)) + _phi_prime(a, w, p), k)
 
     def psi_prime_plus_zero(self) -> float:
         """Right derivative of psi at 0 for a bounded set: -2 (s + sigma_C(y)).

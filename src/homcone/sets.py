@@ -22,11 +22,13 @@ entry; :func:`as_vector` is that pass for a vector alone.  The public methods
 of :class:`ConvexSet` (``project``, ``contains``, ``support``,
 ``project_recession``, ``recession_distance``) validate their vector once and
 dispatch to a per-set kernel (``_project``, ``_contains``, ``_support``,
-``_project_recession``, ...).  Kernels assume a finite float64 vector of the
-set's dimension and never re-validate; callers inside the package that built
-the vector from an already validated query call the kernels directly.  A
-membership tolerance is validated by :func:`_as_tolerance`, which requires it
-finite and nonnegative; kernels take the tolerance unchecked.
+``_project_recession``, ...), ``support`` and ``recession_distance`` on the
+power-of-2 rescale by the exponent that pass returns.  Kernels assume a
+finite float64 vector of the set's dimension and never re-validate; callers
+inside the package that built the vector from an already validated query
+call the kernels directly.  A membership tolerance is validated by
+:func:`_as_tolerance`, which requires it finite and nonnegative; kernels take
+the tolerance unchecked.
 
 One optional kernel, ``_project_cone(y, s)``, projects a validated query onto
 the homogenization cone K of the set exactly, returning
@@ -69,8 +71,9 @@ polar, or None.  Every cataloged set has one, its closed form in the
 docstring; :func:`homcone.polar.closed_form_polar` wraps it.  A membership
 kernel takes y unscaled, so it squares, powers or sums no entry that could
 leave the float64 range: it uses :func:`_norm`, or evaluates a positively
-homogeneous form on the power-of-2 rescale of y (:func:`_scaled`).  A
-subclass that changes the geometry of a set must override ``_polar`` too.
+homogeneous form on the power-of-2 rescale of y (:func:`_scaled`), such as
+sigma_C(y) <= 1 + tol (:meth:`ConvexSet._in_polar`).  A subclass that
+changes the geometry of a set must override ``_polar`` too.
 """
 
 from __future__ import annotations
@@ -274,9 +277,10 @@ class ConvexSet:
     def support(self, y) -> float:
         """Support function sup over members c of <c, y>; may be +inf.
 
-        Positively homogeneous, so evaluated on the exact power-of-2 rescale
-        of y; +inf also where the value exceeds the float64 range."""
-        return _scaled(self._support, as_vector(y, self.dim))
+        Positively homogeneous, so evaluated on the power-of-2 rescale of y
+        that validation sizes; +inf also where it exceeds the float64 range."""
+        y, _, e = _as_query(y, self.dim)
+        return _ldexp_or_inf(self._support(np.ldexp(y, -e)), e)
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x."""
@@ -290,7 +294,8 @@ class ConvexSet:
         """Distance from y to the recession cone; zero iff y is a recession
         direction.  Evaluated on the exact power-of-2 rescale of y, like
         :meth:`support`."""
-        return _scaled(self._recession_distance, as_vector(y, self.dim))
+        y, _, e = _as_query(y, self.dim)
+        return _ldexp_or_inf(self._recession_distance(np.ldexp(y, -e)), e)
 
     def _contains(self, x, tol) -> bool:
         raise NotImplementedError
@@ -325,6 +330,10 @@ class ConvexSet:
         raise CapabilityMissing(
             f"no cataloged closed-form polar for {type(self).__name__}"
         )
+
+    def _in_polar(self, y, tol) -> bool:
+        """sigma_C(y) <= 1 + tol on the power-of-2 rescale of y: a polar kernel."""
+        return _scaled(self._support, y) <= 1.0 + tol
 
 
 class EuclideanBall(ConvexSet):
@@ -382,29 +391,24 @@ class EuclideanBall(ConvexSet):
     def __repr__(self):
         return f"EuclideanBall(center={self.center.tolist()}, radius={self.radius})"
 
-    def _scaled_offset(self, x):
-        """``(r, e)`` with r = (x - c) 2^-e, formed from x and c scaled alike
-        by 2^-e, e the exponent of their largest entry, where x - c itself
-        may leave the float range."""
-        e = math.frexp(max(float(np.abs(x).max()), self._top))[1]
-        return np.ldexp(x, -e) - np.ldexp(self.center, -e), e
-
-    def _contains(self, x, tol):
-        if self._top < _HALF_ULP_MAX:
-            return _norm(x - self.center) <= self.radius + tol
-        r, e = self._scaled_offset(x)
-        return _ldexp_or_inf(_norm(r), e) <= self.radius + tol
-
-    def _project(self, x):
+    def _offset(self, x):
+        """``(r, n, e)``, r = (x - c) 2^-e and n = ||r||: e is 0 where both are in
+        range, else the exponent of the largest entry of x and c, scaled alike."""
         if self._top < _HALF_ULP_MAX:
             r = x - self.center
             n = _norm(r)
-            if n <= self.radius:
-                return x.copy()
             if n < math.inf:
-                return self.center + self.radius * (r / n)
-        r, e = self._scaled_offset(x)
-        n = _norm(r)
+                return r, n, 0
+        e = math.frexp(max(float(np.abs(x).max()), self._top))[1]
+        r = np.ldexp(x, -e) - np.ldexp(self.center, -e)
+        return r, _norm(r), e
+
+    def _contains(self, x, tol):
+        _, n, e = self._offset(x)
+        return _ldexp_or_inf(n, e) <= self.radius + tol
+
+    def _project(self, x):
+        r, n, e = self._offset(x)
         if n <= math.ldexp(self.radius, -e):
             return x.copy()
         return self.center + self.radius * (r / n)
@@ -461,10 +465,7 @@ class EuclideanBall(ConvexSet):
         if self._centred:
             dual = EuclideanBall(np.zeros(self.dim), 1.0 / self.radius)
             return dual._contains, dual
-        def contains(y, tol):
-            return _scaled(self._support, y) <= 1.0 + tol
-
-        return contains, None
+        return self._in_polar, None
 
 
 class Box(ConvexSet):
@@ -534,13 +535,8 @@ class Box(ConvexSet):
     def _polar(self):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
         b = self.halfwidths
-        def contains(y, tol):
-            return _scaled(self._support, y) <= 1.0 + tol
-
-        polar_set = None
-        if np.all(b == b[0]) and b[0] > 0.0:
-            polar_set = L1Ball(1.0 / b[0], self.dim)
-        return contains, polar_set
+        equal = np.all(b == b[0]) and b[0] > 0.0
+        return self._in_polar, L1Ball(1.0 / b[0], self.dim) if equal else None
 
 
 #: Above 4 times this many breakpoints, :func:`_breakpoint_root` takes
@@ -980,20 +976,19 @@ class Ellipsoid(ConvexSet):
     def __repr__(self):
         return f"Ellipsoid(q={self.q_matrix.tolist()})"
 
-    def _contains(self, x, tol):
-        # As in _project: for |x| >= 1, x and 1 + tol are scaled alike by a
-        # power of 2, which keeps V^T x and w u in range.
+    def _eigen(self, x):
+        """``(u, e)``: u = V^T (x 2^-e) for the least e >= 0 that brings every
+        entry below 1, so V^T x and w u stay in range; callers scale 1 alike."""
         e = max(math.frexp(float(np.abs(x).max()))[1], 0)
-        u = self._evecs.T @ np.ldexp(x, -e)
+        return self._evecs.T @ np.ldexp(x, -e), e
+
+    def _contains(self, x, tol):
+        u, e = self._eigen(x)
         return float(np.vdot(u, self._evals * u)) <= math.ldexp(1.0 + tol, -2 * e)
 
     def _project(self, x):
-        # For |x| >= 1, x, lam and 1 are scaled alike by a power of 2 that
-        # brings the largest entry of x below 1, which leaves the secular
-        # equation and z unchanged and keeps V^T x and w u in range.
         w = self._evals
-        e = max(math.frexp(float(np.abs(x).max()))[1], 0)
-        u = self._evecs.T @ np.ldexp(x, -e)
+        u, e = self._eigen(x)
         if np.vdot(u, w * u) <= math.ldexp(1.0, -2 * e):
             return x.copy()
         one = math.ldexp(1.0, -e)

@@ -18,6 +18,7 @@ from homcone import (
     project_homogenization,
 )
 from set_catalog import CORE, pairs
+from test_homproj import CountingBox
 
 
 def central_diff(f, x, h):
@@ -290,6 +291,30 @@ def test_phi_limits():
 # The projection memo of a shared evaluator
 # ---------------------------------------------------------------------------
 
+def test_each_alpha_costs_one_projector_call():
+    # phi and phi', and psi and psi', at one alpha read one P_C(y / alpha).
+    box = CountingBox((1.0, 2.0))
+    ev = PsiEvaluator(box, (3.0, -4.0), 0.5)
+    for value, slope, alpha in ((ev.phi, ev.phi_prime, 0.7), (ev.psi, ev.psi_prime, 1.9)):
+        calls = box.calls
+        value(alpha)
+        slope(alpha)
+        assert box.calls == calls + 1
+
+
+def test_an_alpha_that_puts_w_out_of_range_is_an_overflow_error():
+    # At alpha = 1e-310, w = y / alpha is (inf, 0): phi, psi and phi' were
+    # nan there.  The error names the scaling parameter, and P_C is not called.
+    ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (1.0, 0.0), 0.0)
+    for f in (ev.phi, ev.psi, ev.phi_prime, ev.psi_prime):
+        with pytest.raises(OverflowError, match="scaling parameter puts y / alpha beyond"):
+            f(1e-310)
+    box = CountingBox((1.0, 1.0))
+    with pytest.raises(OverflowError, match="scaling parameter"):
+        PsiEvaluator(box, (1.0, 0.0), 0.0).psi_prime(1e-310)
+    assert box.calls == 0
+
+
 def test_shared_evaluator_answers_do_not_depend_on_call_order():
     set_ = Ellipsoid([[2.0, 0.3], [0.3, 0.8]])
     y, s = np.array([3.0, -4.0]), 0.5
@@ -301,7 +326,7 @@ def test_shared_evaluator_answers_do_not_depend_on_call_order():
         for a in order:
             assert ev.psi_prime(a) == expected[a][0]
         for a in reversed(order):
-            np.testing.assert_array_equal(ev._projection(a), expected[a][1])
+            np.testing.assert_array_equal(ev._at(a)[2], expected[a][1])
 
 
 def test_shared_evaluator_is_consistent_across_threads():
@@ -316,7 +341,7 @@ def test_shared_evaluator_is_consistent_across_threads():
         got = []
         for k in range(20 * len(alphas)):
             i = (k * 7 + shift) % len(alphas)
-            got.append((i, ev.psi_prime(alphas[i]), ev._projection(alphas[i])))
+            got.append((i, ev.psi_prime(alphas[i]), ev._at(alphas[i])[2]))
         return got
 
     interval = sys.getswitchinterval()
