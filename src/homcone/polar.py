@@ -20,8 +20,10 @@ Each public function validates its tolerance once (finite and nonnegative,
 ValueError otherwise).
 
 The closed form of each set's polar lives on the set, as its ``_polar``
-kernel (see :mod:`homcone.sets`); :func:`closed_form_polar` wraps that kernel
-and names no set class.
+kernel (see :mod:`homcone.sets`), which returns one value: the cataloged
+polar set, a membership kernel, or None where the polar is just
+{sigma_C <= 1 + tol}; :func:`closed_form_polar` wraps that value and names
+no set class.
 """
 
 from __future__ import annotations
@@ -64,19 +66,23 @@ def homogenization_polar_membership(set_, p, tol=MEMBERSHIP_TOL) -> bool:
 class PolarDescription:
     """Closed-form description of the polar set of ``source``.
 
-    ``predicate(y, tol)`` is the source's ``_polar`` membership kernel and
-    agrees with the sigma-based oracle up to the boundary band.
-    :meth:`contains` validates y against the source's dimension and tol once,
-    so the predicate always receives a finite float64 vector of that length.
     When the polar is itself a cataloged set, ``polar_set`` carries that
-    descriptor as well and the predicate is its membership kernel.
+    descriptor and ``predicate`` is its membership kernel ``_contains``.
+    Otherwise ``predicate(y, tol)`` is the source's own closed-form kernel,
+    which agrees with the sigma-based oracle up to the boundary band, or
+    None where the polar is just {sigma_C <= 1 + tol}, which
+    :func:`polar_membership` answers.  :meth:`contains` validates y against
+    the source's dimension and tol once, so the predicate always receives a
+    finite float64 vector of that length.
     """
 
     source: ConvexSet
-    predicate: Callable
+    predicate: Optional[Callable]
     polar_set: Optional[ConvexSet] = None
 
     def contains(self, y, tol=MEMBERSHIP_TOL) -> bool:
+        if self.predicate is None:
+            return polar_membership(self.source, y, tol)
         y = as_vector(y, self.source.dim)
         return bool(self.predicate(y, _as_tolerance(tol)))
 
@@ -87,4 +93,7 @@ def closed_form_polar(set_) -> PolarDescription:
     that is not a ConvexSet."""
     if not isinstance(set_, ConvexSet):
         raise TypeError(f"{type(set_).__name__} is not a ConvexSet")
-    return PolarDescription(set_, *set_._polar())
+    polar = set_._polar()
+    if isinstance(polar, ConvexSet):
+        return PolarDescription(set_, polar._contains, polar)
+    return PolarDescription(set_, polar)

@@ -64,16 +64,17 @@ A subclass that changes ``_project`` of one of these sets
 ``Ellipsoid``, ``PBall``) must also override ``_project_cone``, or the
 kernel would answer for the old set.
 
-A second optional kernel, ``_polar()``, returns the polar set
-{y : sigma_C(y) <= 1} in closed form as ``(contains, polar_set)``: a
-membership kernel ``contains(y, tol)`` and the cataloged set equal to the
-polar, or None.  Every cataloged set has one, its closed form in the
+A second optional kernel, ``_polar()``, describes the polar set
+{y : sigma_C(y) <= 1} in closed form by one value: the cataloged set equal
+to the polar, whose own ``_contains`` is its membership test; else a
+membership kernel ``contains(y, tol)`` where the closed form bands
+differently from sigma_C; else None, where the polar is just
+{sigma_C <= 1 + tol}.  Every cataloged set has one, its closed form in the
 docstring; :func:`homcone.polar.closed_form_polar` wraps it.  A membership
 kernel takes y unscaled, so it squares, powers or sums no entry that could
 leave the float64 range: it uses :func:`_norm`, or evaluates a positively
-homogeneous form on the power-of-2 rescale of y (:func:`_scaled`), such as
-sigma_C(y) <= 1 + tol (:meth:`ConvexSet._in_polar`).  A subclass that
-changes the geometry of a set must override ``_polar`` too.
+homogeneous form on the power-of-2 rescale of y (:func:`_scaled`).  A
+subclass that changes the geometry of a set must override ``_polar`` too.
 """
 
 from __future__ import annotations
@@ -263,8 +264,10 @@ class ConvexSet:
     capability missing.  A set whose homogenization cone has an exact
     projector overrides ``_project_cone``; the default None selects the
     generic solver.  A set whose polar has a closed form overrides
-    ``_polar``.  The defaults of ``_project``, ``_project_recession`` (of an
-    unbounded set) and ``_polar`` raise CapabilityMissing.
+    ``_polar``, which returns the cataloged polar set, a membership kernel
+    ``contains(y, tol)``, or None for {sigma_C <= 1 + tol}.  The defaults of
+    ``_project``, ``_project_recession`` (of an unbounded set) and ``_polar``
+    raise CapabilityMissing.
     """
 
     dim: int
@@ -326,14 +329,11 @@ class ConvexSet:
         return None
 
     def _polar(self):
-        """Closed-form polar set as ``(contains, polar_set)``."""
+        """Closed-form polar set: a ConvexSet, a ``contains(y, tol)`` kernel,
+        or None for {sigma_C <= 1 + tol}."""
         raise CapabilityMissing(
             f"no cataloged closed-form polar for {type(self).__name__}"
         )
-
-    def _in_polar(self, y, tol) -> bool:
-        """sigma_C(y) <= 1 + tol on the power-of-2 rescale of y: a polar kernel."""
-        return _scaled(self._support, y) <= 1.0 + tol
 
 
 class EuclideanBall(ConvexSet):
@@ -351,6 +351,11 @@ class EuclideanBall(ConvexSet):
     (:func:`_plane_cone`).  The constructor takes the rotation and the
     weights from this closed form once, and stores the square roots of the
     weights and 1 + each for that solve.
+
+    sigma_C(y) = gamma ||y|| + rho a cancels where <c, y> < -3 gamma ||y|| / 4
+    (wholly if the sphere holds the origin); there it is (gamma ||y - a e||^2
+    + k a^2) / (||y|| - (rho / gamma) a), k = (gamma - rho)(1 + rho / gamma),
+    which squares neither gamma nor rho, with e, rho / gamma and k stored.
     """
 
     def __init__(self, center, radius):
@@ -367,13 +372,15 @@ class EuclideanBall(ConvexSet):
         self.dim = self.center.size
         self._top = float(np.abs(self.center).max())
         self._centred = rho == 0.0
-        self._axis = None
+        self._turn = None
         if not self._centred:
             g = self.radius
+            self._axis = self.center / rho
             # h and rho in units of gamma, so that no square overflows; h < 0
             # only in the slack above, where R - h has no cancellation.
-            h = 0.5 / g + 0.5 * (g - rho) * (1.0 + rho / g)
             b = rho / g
+            self._sigma_form = (b, (g - rho) * (1.0 + b))
+            h = 0.5 / g + 0.5 * self._sigma_form[1]
             big = math.hypot(h, b)
             tan = b / (h + big) if h >= 0.0 else (big - h) / b
             k = (1.0 + rho * tan) / g
@@ -382,7 +389,6 @@ class EuclideanBall(ConvexSet):
             # kernel's squares could leave the float64 range: the solver answers.
             if 2.0 ** -900 <= min(weights) and max(weights) <= 2.0 ** 900:
                 cos = 1.0 / math.hypot(1.0, tan)
-                self._axis = self.center / rho
                 self._turn = (cos, tan * cos)
                 self._weights = weights
                 self._roots = (math.sqrt(weights[0]), math.sqrt(weights[1]))
@@ -414,7 +420,13 @@ class EuclideanBall(ConvexSet):
         return self.center + self.radius * (r / n)
 
     def _support(self, y):
-        return float(self.center @ y) + self.radius * _norm(y)
+        cy, ny = float(self.center @ y), _norm(y)
+        if cy >= -0.75 * self.radius * ny:
+            return cy + self.radius * ny
+        e = self._axis
+        b, k = self._sigma_form
+        a = float(e @ y)
+        return (self.radius * _norm(y - a * e) ** 2 + k * (a * a)) / (ny - b * a)
 
     def _project_cone(self, y, s):
         """The ice-cream cone {||y|| <= gamma s} for the centre 0: the identity
@@ -436,9 +448,9 @@ class EuclideanBall(ConvexSet):
                 return 0.0, np.zeros(y.size), Branch.RECESSION
             rho = (s + gamma * ny) / (1.0 + gamma * gamma)
             return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
-        e = self._axis
-        if e is None:
+        if self._turn is None:
             return None
+        e = self._axis
         cos, sin = self._turn
         a = float(e @ y)
         perp = y - a * e
@@ -461,11 +473,10 @@ class EuclideanBall(ConvexSet):
         return max(cos * t - sin * zp, 0.0), x, Branch.CONE_INTERIOR
 
     def _polar(self):
-        """The ball of radius 1/gamma; off the origin gamma ||y|| + <z, y> <= 1."""
+        """The ball of radius 1/gamma; off the origin gamma ||y|| + <c, y> <= 1."""
         if self._centred:
-            dual = EuclideanBall(np.zeros(self.dim), 1.0 / self.radius)
-            return dual._contains, dual
-        return self._in_polar, None
+            return EuclideanBall(np.zeros(self.dim), 1.0 / self.radius)
+        return None
 
 
 class Box(ConvexSet):
@@ -536,7 +547,7 @@ class Box(ConvexSet):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
         b = self.halfwidths
         equal = np.all(b == b[0]) and b[0] > 0.0
-        return self._in_polar, L1Ball(1.0 / b[0], self.dim) if equal else None
+        return L1Ball(1.0 / b[0], self.dim) if equal else None
 
 
 #: Above 4 times this many breakpoints, :func:`_breakpoint_root` takes
@@ -728,8 +739,7 @@ class L1Ball(ConvexSet):
 
     def _polar(self):
         """The box of halfwidth 1/radius."""
-        dual = Box(np.full(self.dim, 1.0 / self.radius))
-        return dual._contains, dual
+        return Box(np.full(self.dim, 1.0 / self.radius))
 
 
 class PBall(ConvexSet):
@@ -790,10 +800,8 @@ class PBall(ConvexSet):
         """The dual-norm (q-norm, or l1 where q rounds to 1, as at p = inf)
         ball of radius 1/radius."""
         if self.q == 1.0:
-            dual = L1Ball(1.0 / self.radius, self.dim)
-        else:
-            dual = PBall(self.q, 1.0 / self.radius, self.dim)
-        return dual._contains, dual
+            return L1Ball(1.0 / self.radius, self.dim)
+        return PBall(self.q, 1.0 / self.radius, self.dim)
 
 
 def _secular_root(c, a):
@@ -1029,9 +1037,7 @@ class Ellipsoid(ConvexSet):
     def _polar(self):
         """The ellipsoid of the inverse matrix Q^-1 = V diag(1/w) V^T."""
         v = self._evecs
-        q_inv = v @ np.diag(1.0 / self._evals) @ v.T
-        dual = Ellipsoid(0.5 * (q_inv + q_inv.T))
-        return dual._contains, dual
+        return Ellipsoid(v @ np.diag(1.0 / self._evals) @ v.T)
 
 
 class Simplex(ConvexSet):
@@ -1061,11 +1067,8 @@ class Simplex(ConvexSet):
         return _simplex_cone(y, 1.0, s)
 
     def _polar(self):
-        """Each coordinate at most 1."""
-        def contains(y, tol):
-            return bool(np.max(y) <= 1.0 + tol)
-
-        return contains, None
+        """Each coordinate at most 1: sigma_C(y) = max(0, max_i y_i) <= 1."""
+        return None
 
 
 class BallPen(ConvexSet):
@@ -1141,7 +1144,7 @@ class BallPen(ConvexSet):
             # Within the unit ball <d, y> is in range too.
             return _norm(y) <= 1.0 + tol and float(d @ y) <= tol
 
-        return contains, None
+        return contains
 
 
 class Hyperbolic(ConvexSet):
@@ -1161,9 +1164,14 @@ class Hyperbolic(ConvexSet):
         return bool(x[0] <= 1.0 - math.hypot(1.0, x[1]) + tol)
 
     def _support(self, y):
-        if y[0] < abs(y[1]):
+        # y1 - sqrt(y1^2 - y2^2) = y2^2 / (y1 + sqrt((y1 - y2)(y1 + y2))),
+        # which does not cancel as y2 / y1 -> 0.
+        y1, y2 = y.tolist()
+        if y1 < abs(y2):
             return math.inf
-        return float(y[0] - math.sqrt(max(y[0] * y[0] - y[1] * y[1], 0.0)))
+        if y1 == 0.0:
+            return 0.0
+        return y2 * y2 / (y1 + math.sqrt((y1 - y2) * (y1 + y2)))
 
     def _polar(self):
         """|y2| <= y1 and (y1 <= 1 or 1 + y2^2 <= 2 y1).
@@ -1178,7 +1186,7 @@ class Hyperbolic(ConvexSet):
             # stays in range; a square beyond it is an infinity on floats.
             return y1 <= 1.0 + tol or 0.5 + y2 * (0.5 * y2) <= y1 + 0.5 * tol
 
-        return contains, None
+        return contains
 
 
 # ---------------------------------------------------------------------------

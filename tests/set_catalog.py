@@ -163,7 +163,7 @@ class PowerSet(ConvexSet):
         return np.array([hi, math.copysign(hi ** self.a, float(x[1]))])
 
     def _polar(self):
-        return (lambda y, tol: self._support(y) <= 1.0 + tol), None
+        return None
 
 
 OFF_AXIS = np.array([0.6, 0.0, -0.8])

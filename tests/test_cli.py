@@ -151,6 +151,13 @@ def test_project_rejects_infinite_radius(capsys):
     assert "radius must be positive and finite" in err
 
 
+def test_project_rejects_non_square_q(capsys):
+    code, out, err = run(capsys, "project", "--set", '{"type":"ellipsoid","q":[[1,0,0],[0,1,0]]}',
+                         "--point", "1,1", "--height", "1")
+    assert (code, out) == (2, "")
+    assert "Q must be a square matrix" in err
+
+
 def test_project_rejects_unknown_type(capsys):
     code, _, _ = run(
         capsys,
@@ -489,6 +496,18 @@ def test_polar_hyperbolic_infinite_sigma(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["sigma"] == "+inf"
+    assert payload["in_polar_set"] is False
+
+
+@pytest.mark.parametrize("spec", ['{"type":"hyperbolic"}',
+                                  '{"type":"shifted_unit_ball","d":[1,0]}'],
+                         ids=["hyperbolic", "shifted_disc"])
+def test_polar_sigma_does_not_cancel(capsys, spec):
+    # sigma = 2 at this point of both sets; it once read 0.0, in the polar.
+    code, out, _ = run(capsys, "polar", "--set", spec, "--point=1e17,632455532.0336759")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sigma"] == 2.0
     assert payload["in_polar_set"] is False
 
 

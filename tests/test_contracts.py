@@ -105,3 +105,36 @@ def test_every_method_answers_at_every_scale(entry):
                 assert_answer(set_, (y, s), route)
         except OverflowError as exc:
             assert t > 1e307 and "float64 range" in str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", params(CATALOG, "polar"))
+def test_closed_form_polar_answers_by_its_polar_set_or_by_sigma(entry):
+    # One membership rule per polar set: a cataloged polar set's own test,
+    # the set's closed-form kernel, or, where ``_polar`` returns None,
+    # sigma_C(y) <= 1 + tol itself.  Checked at every sweep point and on the
+    # polar's boundary through it, at tol 0 and 1e-9.
+    set_ = entry.make()
+    if type(set_)._polar is ConvexSet._polar:
+        with pytest.raises(CapabilityMissing):
+            closed_form_polar(set_)
+        return
+    described = set_._polar()
+    desc = closed_form_polar(set_)
+    assert desc.source is set_
+    if isinstance(described, ConvexSet):
+        assert type(desc.polar_set) is type(described)
+        assert desc.predicate == desc.polar_set._contains
+    else:
+        assert desc.polar_set is None
+        assert (desc.predicate is None) == (described is None)
+    for _, y, _ in sweep_queries(set_.dim, np.random.default_rng(71)):
+        sigma = set_.support(y)
+        points = [y] + ([y / sigma] if 0.0 < sigma < math.inf else [])
+        for point in points:
+            for tol in (0.0, 1e-9):
+                got = desc.contains(point, tol)
+                if desc.polar_set is not None:
+                    assert got == desc.polar_set.contains(point, tol)
+                elif described is None:
+                    assert got == polar_membership(set_, point, tol)

@@ -140,6 +140,18 @@ def test_closed_form_box_is_l1_predicate():
         assert desc.contains(y) == (np.abs(y).sum() <= 1.0)
 
 
+def test_closed_form_equal_box_answers_by_its_l1_dual():
+    # The polar of the box of halfwidth 2 is the l1 ball of radius 1/2, and
+    # its own membership test answers, band included: sigma_C(y) <= 1 + tol
+    # is a band of tol / 2 in l1 terms, and once answered False here.
+    desc = closed_form_polar(Box((2.0, 2.0)))
+    assert isinstance(desc.polar_set, L1Ball) and desc.polar_set.radius == 0.5
+    y = (0.5 + 0.75e-9, 0.0)
+    assert desc.polar_set.contains(y)
+    assert desc.contains(y)
+    assert not polar_membership(Box((2.0, 2.0)), y)
+
+
 def test_closed_form_shifted_disc_matches_parabola():
     # For the disc centred at (1, 0): y1 <= (1 - y2^2) / 2.
     desc = closed_form_polar(EuclideanBall((1.0, 0.0), 1.0))
@@ -181,7 +193,7 @@ class Square(ConvexSet):
         return float(np.sum(np.abs(y)))
 
     def _polar(self):
-        return (lambda y, tol: float(np.sum(np.abs(y))) <= 1.0 + tol), None
+        return lambda y, tol: float(np.sum(np.abs(y))) <= 1.0 + tol
 
 
 class HalvedBox(Box):
@@ -195,7 +207,7 @@ class HalvedBox(Box):
 
     def _polar(self):
         b = 0.5 * self.halfwidths
-        return (lambda y, tol: float(b @ np.abs(y)) <= 1.0 + tol), None
+        return lambda y, tol: float(b @ np.abs(y)) <= 1.0 + tol
 
 
 @pytest.mark.parametrize("set_", [Square(), HalvedBox((1.0, 1.0))],

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from homcone import (
 )
 from homcone.roots import brent_root
 from oracle import sample_members
-from set_catalog import CORE, pairs
+from set_catalog import CATALOG, CORE, pairs
 
 
 PROJECTABLE = pairs(CORE, projectable=True)
@@ -243,6 +245,67 @@ def test_support_and_recession_distance_near_the_float_limits():
     assert ball.support((1e200, 1e200)) == pytest.approx(2.0 ** 0.5 * 1e200, rel=1e-15)
     assert ball.support((1.7e308, 1.7e308)) == math.inf
     assert BallPen((0.0, 1.0)).recession_distance((1e200, 1e200)) == 1e200
+
+
+def exact_ball_support(ball, y):
+    """<c, y> + gamma ||y|| from the exact values of the float inputs, to 200
+    digits: the inner product and ||y||^2 as Fractions, then one square root."""
+    cy = sum(Fraction(c) * Fraction(v) for c, v in zip(ball.center.tolist(), y.tolist()))
+    yy = sum(Fraction(v) ** 2 for v in y.tolist())
+    with localcontext() as ctx:
+        ctx.prec = 200
+        norm = (Decimal(yy.numerator) / Decimal(yy.denominator)).sqrt()
+        return Decimal(cy.numerator) / Decimal(cy.denominator) + Decimal(ball.radius) * norm
+
+
+OFF_CENTRE = [e for e in CATALOG if e.spec_type == "shifted_unit_ball"
+              or (e.spec_type == "euclidean_ball" and any(e.build["center"]))]
+#: Balls whose sphere passes through the origin with ||c|| = gamma exactly.
+THROUGH_ORIGIN = ("shifted_disc", "shifted_unit_ball")
+
+
+@pytest.mark.parametrize("entry", OFF_CENTRE, ids=lambda e: e.id)
+def test_off_centre_ball_support_does_not_cancel(entry):
+    # Around -c, sigma_C(y) = gamma ||y|| + <c, y> is a difference of near
+    # equals, at |y| from 1e-9 to 1e17.  Where the sphere passes through the
+    # origin the value is exact to 1e-12 relative (the paper's shifted disc
+    # once read 0.0 at ((-1e17, 6.3e8)) for 2.0); elsewhere, within 4 ulps
+    # of gamma ||y||.
+    ball = entry.make()
+    e = ball.center / np.linalg.norm(ball.center)
+    rng = np.random.default_rng(19)
+    for t in np.logspace(-9, 17, 27):
+        for _ in range(8):
+            p = rng.normal(size=ball.dim)
+            p -= (p @ e) * e
+            y = t * (10.0 ** rng.uniform(-10.0, 0.0) * p - e)
+            err = abs(Decimal(ball.support(y)) - exact_ball_support(ball, y))
+            if entry.id in THROUGH_ORIGIN:
+                assert err <= Decimal(1e-12) * exact_ball_support(ball, y), y
+            else:
+                assert err <= 4 * math.ulp(ball.radius * float(np.linalg.norm(y))), y
+
+
+@pytest.mark.parametrize("set_", [Hyperbolic(), EuclideanBall((-1.0, 0.0), 1.0)],
+                         ids=["hyperbolic", "shifted_unit_ball_e1"])
+def test_support_reproducer_does_not_cancel(set_):
+    # Both once read 0.0 here: the point is in neither polar set.
+    assert set_.support((1e17, 632455532.0336759)) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_hyperbolic_support_does_not_cancel():
+    # y1 - sqrt(y1^2 - y2^2) cancels as y2 / y1 -> 0.
+    hyp = Hyperbolic()
+    assert hyp.support((1e8, math.sqrt(2e8))) == pytest.approx(1.000000005, rel=1e-15)
+    assert hyp.support((3.0, -3.0)) == 3.0
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        y1 = 10.0 ** rng.uniform(-9.0, 17.0)
+        y2 = y1 * rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, 0.0)
+        with localcontext() as ctx:
+            ctx.prec = 200
+            exact = Decimal(y1) - (Decimal(y1) ** 2 - Decimal(y2) ** 2).sqrt()
+            assert abs(Decimal(hyp.support((y1, y2))) - exact) <= Decimal(1e-15) * exact
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from homcone import (
     Box,
     CapabilityMissing,
     ConvexSet,
+    Ellipsoid,
     EuclideanBall,
     Hyperbolic,
     PBall,
@@ -102,6 +103,10 @@ FAILURES = {
     "centre_outside": (ValueError,
                        "the ball must contain the origin: require ||center|| <= radius",
                        lambda: EuclideanBall((2.0, 0.0), 1.0)),
+    "ellipsoid_not_square": (ValueError, "Q must be a square matrix",
+                             lambda: Ellipsoid([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+    "ellipsoid_not_finite": (ValueError, "Q entries must be finite",
+                             lambda: Ellipsoid([[1.0, 0.0], [0.0, math.inf]])),
     "phi_alpha_0": (ValueError, "the scaling parameter must be positive",
                     lambda: _EVALUATOR.phi(0.0)),
     "phi_prime_alpha_negative": (ValueError, "the scaling parameter must be positive",
