@@ -8,12 +8,7 @@ reproducible traces and figure point clouds, whose worked examples
 exact cone kernel where it has one (``ConvexSet._project_cone``) and the
 generic solver on psi' otherwise."""
 
-from .errors import (
-    CapabilityMissing,
-    HomconeError,
-    InvalidSetSpec,
-    MaxIterationsExceeded,
-)
+from .errors import CapabilityMissing, MaxIterationsExceeded
 from .homproj import (
     Branch,
     ConePoint,
@@ -54,9 +49,7 @@ __all__ = [
     "ConvexSet",
     "Ellipsoid",
     "EuclideanBall",
-    "HomconeError",
     "Hyperbolic",
-    "InvalidSetSpec",
     "L1Ball",
     "MaxIterationsExceeded",
     "PBall",

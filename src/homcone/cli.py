@@ -3,8 +3,10 @@ query polar memberships, and emit CSV point clouds of the cones.
 
 Subcommands: project | table1 | figure | polar.  All output is UTF-8 with '.'
 as the decimal separator and '\\n' line endings; identical inputs produce
-byte-identical output.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure (a root search out of budget, or an answer beyond the float64 range).
+byte-identical output.  Exit codes: 0 success; 2 a bad value (``ValueError``,
+a malformed set spec or an unreadable spec file among them) or a missing
+capability (``CapabilityMissing``); 3 a numerical failure (a root search out of
+budget, or an answer beyond the float64 range).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import HomconeError, InvalidSetSpec, MaxIterationsExceeded
+from .errors import CapabilityMissing, MaxIterationsExceeded
 from .homproj import project_homogenization
 from .paper import _FIGURES, REFERENCE_TABLE, bisection_projection, reference_trace
 from .polar import (
@@ -67,7 +69,7 @@ def _load_set(text):
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InvalidSetSpec(f"cannot read set spec file: {exc}") from exc
+            raise ValueError(f"cannot read set spec file: {exc}") from exc
     return set_from_spec(text)
 
 
@@ -257,7 +259,7 @@ def main(argv=None) -> int:
     except (MaxIterationsExceeded, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (HomconeError, ValueError) as exc:
+    except (CapabilityMissing, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

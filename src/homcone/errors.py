@@ -1,25 +1,18 @@
 """Exception types shared across the package.
 
-A bad argument value raises ``ValueError`` and an argument of the wrong type
-``TypeError``; an answer beyond the float64 range raises ``OverflowError``.
-The classes here cover the failures that have no builtin kind.
+A bad argument value, a malformed set spec among them, raises ``ValueError``
+and an argument of the wrong type ``TypeError``; an answer beyond the float64
+range raises ``OverflowError``.  The two classes here cover the failures that
+have no builtin kind.
 """
 
 
-class HomconeError(Exception):
-    """Base class for the errors defined by this package."""
-
-
-class CapabilityMissing(HomconeError):
+class CapabilityMissing(Exception):
     """The set does not offer the requested operation: a projector, a
     recession-cone projector, a closed-form polar, or psi'(0+) in closed
     form for an unbounded set."""
 
 
-class MaxIterationsExceeded(HomconeError):
+class MaxIterationsExceeded(Exception):
     """A root search (the reference bisection, Brent's method or the secular
     Newton solve) did not converge within its step budget."""
-
-
-class InvalidSetSpec(HomconeError):
-    """Malformed JSON set specification."""

@@ -87,7 +87,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import CapabilityMissing, InvalidSetSpec, MaxIterationsExceeded
+from .errors import CapabilityMissing, MaxIterationsExceeded
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
@@ -965,6 +965,8 @@ class Ellipsoid(ConvexSet):
             raise ValueError("Q must be a square matrix")
         if not np.all(np.isfinite(q)):
             raise ValueError("Q entries must be finite")
+        if q.size == 0:
+            raise ValueError("Q must be nonempty")
         # atol scales with Q, so that Q and t Q are accepted alike.
         atol = 1e-12 * float(np.max(np.abs(q)))
         if not np.allclose(q, q.T, rtol=1e-10, atol=atol):
@@ -1212,69 +1214,68 @@ def _parse_p(obj):
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
-        raise InvalidSetSpec(f"unrecognized p value {value!r}")
+        raise ValueError(f"unrecognized p value {value!r}")
     return float(_field(obj, "p"))
 
 
+#: Per spec type: its required keys, its optional keys and its builder.
 _SPEC_BUILDERS = {
     "euclidean_ball": (
-        {"center", "radius"},
+        {"center", "radius"}, set(),
         lambda o: EuclideanBall(_field(o, "center"), _field(o, "radius")),
     ),
-    "ball_pen": ({"direction"}, lambda o: BallPen(_field(o, "direction"))),
-    "box": ({"halfwidths"}, lambda o: Box(_field(o, "halfwidths"))),
-    "simplex": ({"dim"}, lambda o: Simplex(o["dim"])),
+    "ball_pen": ({"direction"}, set(), lambda o: BallPen(_field(o, "direction"))),
+    "box": ({"halfwidths"}, set(), lambda o: Box(_field(o, "halfwidths"))),
+    "simplex": ({"dim"}, set(), lambda o: Simplex(o["dim"])),
     "l1_ball": (
-        {"radius"},
+        {"radius"}, {"dim"},
         lambda o: L1Ball(_field(o, "radius"), o.get("dim", 2)),
     ),
     "p_ball": (
-        {"p", "radius"},
+        {"p", "radius"}, {"dim"},
         lambda o: PBall(_parse_p(o), _field(o, "radius"), o.get("dim", 2)),
     ),
-    "ellipsoid": ({"q"}, lambda o: Ellipsoid(_field(o, "q"))),
+    "ellipsoid": ({"q"}, set(), lambda o: Ellipsoid(_field(o, "q"))),
     # The paper's disc with the origin on its boundary, B(0, 1) - d, and its
     # disc plus the half strip |x1| <= 1, x2 >= 0, which is B(0, 1) + R+ e2.
     "shifted_unit_ball": (
-        {"d"},
+        {"d"}, set(),
         lambda o: EuclideanBall(-_unit_vector(_field(o, "d"), "d"), 1.0),
     ),
-    "ball_plus_strip": (set(), lambda o: BallPen((0.0, 1.0))),
-    "hyperbolic": (set(), lambda o: Hyperbolic()),
+    "ball_plus_strip": (set(), set(), lambda o: BallPen((0.0, 1.0))),
+    "hyperbolic": (set(), set(), lambda o: Hyperbolic()),
 }
-
-# Optional keys accepted in addition to the required ones.
-_SPEC_OPTIONAL = {"l1_ball": {"dim"}, "p_ball": {"dim"}}
 
 
 def set_from_spec(spec) -> ConvexSet:
     """Build a set from its JSON object form (a dict or JSON text).
 
-    Unknown types and unknown keys are rejected with :class:`InvalidSetSpec`,
-    and so are bools and strings in numeric fields (``p`` may be the string
-    ``"inf"``).
+    A malformed spec raises ``ValueError``: invalid JSON, a value that is not
+    an object, an unknown type, an unknown or missing key, and a bad
+    parameter, which includes a bool or a string in a numeric field (``p``
+    may be the string ``"inf"``).
     """
     if isinstance(spec, (str, bytes)):
         try:
             obj = json.loads(spec)
         except json.JSONDecodeError as exc:
-            raise InvalidSetSpec(f"invalid JSON: {exc}") from exc
+            raise ValueError(f"invalid JSON: {exc}") from exc
     else:
         obj = spec
     if not isinstance(obj, dict):
-        raise InvalidSetSpec("set spec must be a JSON object")
+        raise ValueError("set spec must be a JSON object")
     kind = obj.get("type")
-    if kind not in _SPEC_BUILDERS:
-        raise InvalidSetSpec(f"unknown set type {kind!r}")
-    required, builder = _SPEC_BUILDERS[kind]
-    allowed = {"type"} | required | _SPEC_OPTIONAL.get(kind, set())
-    extra = set(obj) - allowed
+    # A list or an object as the type is unhashable: no dict lookup for it.
+    if not isinstance(kind, str) or kind not in _SPEC_BUILDERS:
+        raise ValueError(f"unknown set type {kind!r}")
+    required, optional, builder = _SPEC_BUILDERS[kind]
+    extra = set(obj) - {"type"} - required - optional
     if extra:
-        raise InvalidSetSpec(f"unknown keys for {kind}: {sorted(extra)}")
+        raise ValueError(f"unknown keys for {kind}: {sorted(extra)}")
     missing = required - set(obj)
     if missing:
-        raise InvalidSetSpec(f"missing keys for {kind}: {sorted(missing)}")
+        raise ValueError(f"missing keys for {kind}: {sorted(missing)}")
     try:
         return builder(obj)
     except (TypeError, ValueError) as exc:
-        raise InvalidSetSpec(f"bad parameters for {kind}: {exc}") from exc
+        raise ValueError(f"bad parameters for {kind}: {exc}") from exc

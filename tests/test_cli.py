@@ -56,7 +56,7 @@ from homcone.paper import (QuarticCoefficients, bisection_projection, find_alpha
 for name in ('QuarticCoefficients', 'bisection_projection', 'find_alpha_star',
              'quartic_coefficients', 'reference_trace'):
     assert not hasattr(homcone, name) and not hasattr(homcone.homproj, name), name
-assert len(homcone.__all__) == 26, homcone.__all__
+assert len(homcone.__all__) == 24, homcone.__all__
 """
 
 
@@ -167,6 +167,13 @@ def test_project_rejects_unknown_type(capsys):
     assert code == 2
 
 
+def test_project_rejects_an_unhashable_type(capsys):
+    # A list as the type once escaped as a TypeError traceback with exit 1.
+    code, out, err = run(capsys, "project", "--set", '{"type":[1]}', "--point", "1",
+                         "--height", "1")
+    assert (code, out, err) == (2, "", "error: unknown set type [1]\n")
+
+
 def test_project_rejects_unprojectable_variant(capsys):
     code, _, _ = run(
         capsys,
@@ -206,7 +213,7 @@ def test_project_unrecognized_p_is_usage_error(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "unrecognized p value" in err
+    assert err == "error: bad parameters for p_ball: unrecognized p value 'two'\n"
 
 
 def test_project_bad_point(capsys):
@@ -392,12 +399,23 @@ def test_table1_verify_detects_deviation(capsys, monkeypatch):
 
 
 def test_missing_spec_file_is_usage_error(capsys, tmp_path):
-    code, _, _ = run(
+    path = tmp_path / "nope.json"
+    code, out, err = run(
         capsys,
-        "project", "--set", str(tmp_path / "nope.json"), "--point", "1,1",
+        "project", "--set", str(path), "--point", "1,1",
         "--height", "0",
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read set spec file: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_unreadable_spec_file_is_usage_error(capsys, tmp_path):
+    # A directory is a path that exists but cannot be read as a file.
+    code, out, err = run(capsys, "project", "--set", str(tmp_path), "--point", "1,1",
+                         "--height", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read set spec file: ")
+    assert str(tmp_path) in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

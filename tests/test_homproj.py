@@ -527,10 +527,9 @@ def test_a_projection_beyond_the_float_range_is_an_overflow_error(set_, v):
 
 PUBLIC_NAMES = [
     "BallPen", "Box", "Branch", "CapabilityMissing", "ConePoint", "ConvexSet",
-    "Ellipsoid", "EuclideanBall", "HomconeError", "Hyperbolic", "InvalidSetSpec",
-    "L1Ball", "MaxIterationsExceeded", "PBall", "PolarDescription",
-    "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
-    "closed_form_polar", "homogenization_polar_membership",
+    "Ellipsoid", "EuclideanBall", "Hyperbolic", "L1Ball", "MaxIterationsExceeded",
+    "PBall", "PolarDescription", "ProjectionResult", "PsiEvaluator", "Simplex",
+    "TraceRow", "as_vector", "closed_form_polar", "homogenization_polar_membership",
     "polar_cone_membership", "polar_membership", "project_homogenization",
     "set_from_spec",
 ]
@@ -541,6 +540,10 @@ def test_public_names():
     for name in PUBLIC_NAMES:
         assert getattr(homcone, name) is not None
     assert homcone.Branch is homcone.homproj.Branch
+    # A malformed spec is a ValueError; no base class sits over the two
+    # failure kinds of homcone.errors.
+    for name in ("HomconeError", "InvalidSetSpec"):
+        assert not hasattr(homcone, name)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from homcone import (
     polar_cone_membership,
     polar_membership,
     project_homogenization,
+    set_from_spec,
 )
 from set_catalog import CORE, pairs, params
 
@@ -129,6 +130,26 @@ FAILURES = {
                    lambda: closed_form_polar(NoPolar())),
     "closed_form_polar_of_an_object": (TypeError, "object is not a ConvexSet",
                                        lambda: closed_form_polar(object())),
+    "ellipsoid_empty": (ValueError, "Q must be nonempty",
+                        lambda: Ellipsoid(np.zeros((0, 0)))),
+    "spec_invalid_json": (ValueError, "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+                          lambda: set_from_spec("")),
+    "spec_not_an_object": (ValueError, "set spec must be a JSON object",
+                           lambda: set_from_spec("[1, 2]")),
+    "spec_unknown_type": (ValueError, "unknown set type 'cube'",
+                          lambda: set_from_spec('{"type": "cube"}')),
+    "spec_type_not_a_string": (ValueError, "unknown set type ['box']",
+                               lambda: set_from_spec('{"type": ["box"]}')),
+    "spec_unknown_key": (ValueError, "unknown keys for box: ['color']",
+                         lambda: set_from_spec({"type": "box", "halfwidths": [1, 1],
+                                                "color": "red"})),
+    "spec_missing_key": (ValueError, "missing keys for p_ball: ['p', 'radius']",
+                         lambda: set_from_spec({"type": "p_ball"})),
+    "spec_bad_parameter": (ValueError, "bad parameters for box: halfwidths must be nonnegative",
+                           lambda: set_from_spec({"type": "box", "halfwidths": [-1, 1]})),
+    "spec_unrecognized_p": (ValueError, "bad parameters for p_ball: unrecognized p value 'two'",
+                            lambda: set_from_spec({"type": "p_ball", "p": "two",
+                                                   "radius": 1})),
 }
 
 
