@@ -1,5 +1,7 @@
 """Command-line surface: project points, emit the reference bisection table,
-query polar memberships, and emit CSV point clouds of the cones.
+query polar memberships, and emit CSV point clouds of the cones.  Each
+subcommand parses its arguments, calls the library and prints; the trace
+and figure CSV are rendered by :mod:`homcone.paper`.
 
 Subcommands: project | table1 | figure | polar.  All output is UTF-8 with '.'
 as the decimal separator and '\\n' line endings; identical inputs produce
@@ -20,7 +22,8 @@ import numpy as np
 
 from .errors import CapabilityMissing, MaxIterationsExceeded
 from .homproj import project_homogenization
-from .paper import _FIGURES, REFERENCE_TABLE, bisection_projection, reference_trace
+from .paper import (FIGURES, REFERENCE_TABLE, bisection_projection, figure_csv,
+                    reference_trace, trace_csv)
 from .polar import (
     homogenization_polar_membership,
     polar_cone_membership,
@@ -32,29 +35,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-TRACE_HEADER = "n,alpha,mid,beta,dpsi_alpha,dpsi_mid,dpsi_beta"
-
 
 def _g8(x) -> float:
     """Round to 8 significant digits (the table's alpha/beta precision)."""
     return float(f"{x:.8g}")
-
-
-def _fmt8(x) -> str:
-    """8 significant digits, trailing zeros kept."""
-    return "" if x is None else f"{x:#.8g}"
-
-
-def _fmt_dpsi(x) -> str:
-    """Scientific notation with 3 significant digits."""
-    return "" if x is None else f"{x:.2e}"
-
-
-def _trace_csv_rows(trace):
-    """The header, then per row n, alpha, mid and beta to 8 digits and the
-    three derivative values to 3."""
-    return [TRACE_HEADER, *(",".join([str(r.n), *map(_fmt8, r[1:4]), *map(_fmt_dpsi, r[4:])])
-                            for r in trace)]
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +99,13 @@ def cmd_project(args) -> int:
     }
     lines = [json.dumps(payload)]
     if args.trace and result.trace is not None:
-        lines.extend(_trace_csv_rows(result.trace))
+        lines.extend(trace_csv(result.trace))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def cmd_table1(args) -> int:
-    _, trace = reference_trace()
-    rows = _trace_csv_rows(trace)
+    rows = trace_csv(reference_trace()[1])
     if args.verify:
         computed = [tuple(line.split(",")) for line in rows[1:]]
         expected = [tuple(str(v) for v in row) for row in REFERENCE_TABLE]
@@ -130,9 +113,16 @@ def cmd_table1(args) -> int:
             for got, want in zip(computed, expected):
                 if got != want:
                     print(f"row {want[0]}: got {got}, want {want}", file=sys.stderr)
+            if len(computed) != len(expected):
+                print(f"got {len(computed)} rows, want {len(expected)}", file=sys.stderr)
             print("reference table verification failed", file=sys.stderr)
             return EXIT_NUMERIC
     _emit(rows, args.out)
+    return EXIT_OK
+
+
+def cmd_figure(args) -> int:
+    _emit(figure_csv(args.name, args.density), args.out)
     return EXIT_OK
 
 
@@ -151,42 +141,6 @@ def cmd_polar(args) -> int:
         ),
     }
     _emit([json.dumps(payload)], args.out)
-    return EXIT_OK
-
-
-# --- figure emission --------------------------------------------------------
-
-#: Heights at which the boundary rays of the cones are sampled.
-_RHO_LEVELS = (0.4, 0.8, 1.2, 1.6, 2.0)
-
-
-def _sample_segments(segments, density):
-    """Sample each (t0, t1, include_end, fn) curve segment at `density` points."""
-    pts = []
-    for t0, t1, include_end, fn in segments:
-        for t in np.linspace(t0, t1, density, endpoint=include_end):
-            pts.append(np.asarray(fn(t), dtype=float))
-    return pts
-
-
-def cmd_figure(args) -> int:
-    if args.density < 1:
-        raise ValueError("density must be at least 1")
-    primal, polar, extra = _FIGURES[args.name]()
-    lines = ["label,x1,x2,x3"]
-
-    def add(label, x1, x2, x3):
-        lines.append(f"{label},{x1:.8g},{x2:.8g},{x3:.8g}")
-
-    for c in _sample_segments(primal, args.density):
-        for rho in _RHO_LEVELS:
-            add("cone", rho * c[0], rho * c[1], rho)
-    for w in _sample_segments(polar, args.density):
-        for rho in _RHO_LEVELS:
-            add("polar", rho * w[0], rho * w[1], -rho)
-    for label, x1, x2, x3 in extra:
-        add(label, x1, x2, x3)
-    _emit(lines, args.out)
     return EXIT_OK
 
 
@@ -232,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     t1.set_defaults(func=cmd_table1)
 
     fg = sub.add_parser("figure", help="emit a labeled 3-D CSV point cloud")
-    fg.add_argument("--name", required=True, choices=sorted(_FIGURES))
+    fg.add_argument("--name", required=True, choices=sorted(FIGURES))
     fg.add_argument("--density", type=int, default=200,
                     help="points per boundary segment")
     fg.add_argument("--out", default=None)

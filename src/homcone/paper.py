@@ -1,8 +1,9 @@
 """The paper's worked examples: the off-centre ball's residual quartic, the
 reference bisection on psi' with its Table 1 trace of 23 expected rows, and
-the figure point clouds.  ``import homcone`` does not load this module;
-:mod:`homcone.cli` imports it for ``table1``, ``figure`` and
-``project --alpha0 --beta0``."""
+the figure point clouds, with the two CSV renderings of ``homcone``:
+:func:`trace_csv` and :func:`figure_csv`.  ``import homcone`` does not load
+this module; :mod:`homcone.cli` imports it for ``table1``, ``figure``,
+``project --trace`` and ``project --alpha0 --beta0``."""
 
 from __future__ import annotations
 
@@ -145,12 +146,14 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     outer steps, whose trace the result keeps.  Validation, the rescale
     (bracket too), the membership shortcut (unless ``force_iterative``) and
     the answer are ``project_homogenization``'s.  A bad bracket, eps or
-    max_iter is a ValueError before any work.
+    max_iter is a ValueError before any work, and so is one that leaves the
+    float64 range on that rescale.
     """
     _check_bracket_args(alpha0, beta0, eps, max_iter)
     y, s, e = _query(set_, p)
     if e:
-        alpha0, beta0, eps = (math.ldexp(v, -e) for v in (alpha0, beta0, eps))
+        alpha0, beta0, eps = (_down(name, v, e) for name, v in
+                              (("alpha0", alpha0), ("beta0", beta0), ("eps", eps)))
     member = None if force_iterative else _member(
         set_, y, s, math.hypot(float(np.linalg.norm(y)), s), e)
     if member is not None:
@@ -158,6 +161,18 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     ev = PsiEvaluator._of_valid(set_, y, s)
     alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
     return _result(_answer(ev, alpha_star), len(trace), trace, e)
+
+
+def _down(name, v, e) -> float:
+    """v 2^-e, the bracket value `name` on the query's rescale; ValueError
+    where that underflows to 0 or exceeds the float64 range."""
+    try:
+        v = math.ldexp(v, -e)
+    except OverflowError:
+        v = 0.0
+    if v == 0.0:
+        raise ValueError(f"{name} leaves the float64 range at this query's scale")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +219,8 @@ def reference_trace():
     return find_alpha_star(ev, *REFERENCE_BRACKET, eps=REFERENCE_EPS, max_iter=200)
 
 
-# Expected rows of the reference bisection trace, in the exact CSV formatting
-# emitted by `table1`.  Two derivative entries of the upstream reference table
+# Expected rows of the reference bisection trace, in the CSV fields that
+# `trace_csv` formats.  Two derivative entries of the upstream reference table
 # (rows 3 and 4, printed there as -1.310e0) are internally inconsistent with
 # the table's own update rule; recomputation gives -1.3981560..., stored here
 # as -1.40e+00.  Every other entry matches the upstream table as printed.
@@ -236,74 +251,92 @@ REFERENCE_TABLE = (
 )
 
 
+def trace_csv(trace):
+    """A trace as CSV lines (``homcone table1``, ``homcone project --trace``):
+    the header, then per row n, alpha, mid and beta to 8 significant digits
+    with trailing zeros kept and the three derivative values to 3, a missing
+    midpoint as empty fields."""
+    return ["n,alpha,mid,beta,dpsi_alpha,dpsi_mid,dpsi_beta",
+            *(",".join([str(r.n), *("" if x is None else f"{x:#.8g}" for x in r[1:4]),
+                        *("" if x is None else f"{x:.2e}" for x in r[4:])])
+              for r in trace)]
+
+
 # ---------------------------------------------------------------------------
 # Figure point clouds
 # ---------------------------------------------------------------------------
 
-def _polygon_segments(vertices):
-    """Closed polygon boundary as one segment per edge (endpoint excluded)."""
-    segs = []
-    m = len(vertices)
-    for i in range(m):
-        a = np.asarray(vertices[i], dtype=float)
-        b = np.asarray(vertices[(i + 1) % m], dtype=float)
-        segs.append((0.0, 1.0, False, lambda t, a=a, b=b: a + t * (b - a)))
-    return segs
+#: Heights at which the boundary rays of the cones are sampled.
+_RHO_LEVELS = (0.4, 0.8, 1.2, 1.6, 2.0)
 
 
-def _circle_segments(center, radius, t0=0.0, t1=2.0 * math.pi, closed=True):
+def _curve(fn, t0, t1, density, endpoint=True):
+    """fn at `density` evenly spaced points of [t0, t1], t1 only if `endpoint`."""
+    return [fn(t) for t in np.linspace(t0, t1, density, endpoint=endpoint)]
+
+
+def _polygon(vertices, density):
+    """Closed polygon boundary, `density` points per edge (its end excluded)."""
+    v = np.asarray(vertices, dtype=float)
+    return [x for a, b in zip(v, np.roll(v, -1, axis=0))
+            for x in _curve(lambda t: a + t * (b - a), 0.0, 1.0, density, False)]
+
+
+def _circle(center, radius, density, t0=0.0, t1=2.0 * math.pi, endpoint=False):
+    """The arc of the circle from angle t0 to t1 (the whole circle, open at 0)."""
     cx, cy = center
-    return [
-        (
-            t0,
-            t1,
-            not closed,
-            lambda t: (cx + radius * math.cos(t), cy + radius * math.sin(t)),
-        )
-    ]
+    return _curve(lambda t: (cx + radius * math.cos(t), cy + radius * math.sin(t)),
+                  t0, t1, density, endpoint)
 
 
-def _figure_fig41():
-    primal = _polygon_segments([(1, 0), (0, 1), (-1, 0), (0, -1)])
-    polar = _polygon_segments([(1, 1), (-1, 1), (-1, -1), (1, -1)])
+def _figure_fig41(density):
+    return (_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)], density),
+            _polygon([(1, 1), (-1, 1), (-1, -1), (1, -1)], density), [])
+
+
+def _figure_fig31(density):
+    primal = _curve(lambda t: (1.0 - math.hypot(1.0, t), t), -3.0, 3.0, density)
+    polar = (_curve(lambda t: (t, t), 0.0, 1.0, density, False)
+             + _curve(lambda t: (t, -t), 0.0, 1.0, density, False)
+             + _curve(lambda t: (0.5 * (1.0 + t * t), t), -1.0, 1.0, density))
     return primal, polar, []
 
 
-def _figure_fig31():
-    primal = [(-3.0, 3.0, True, lambda t: (1.0 - math.hypot(1.0, t), t))]
-    polar = [
-        (0.0, 1.0, False, lambda t: (t, t)),
-        (0.0, 1.0, False, lambda t: (t, -t)),
-        (-1.0, 1.0, True, lambda t: (0.5 * (1.0 + t * t), t)),
-    ]
-    return primal, polar, []
+def _figure_fig22(density):
+    arc = _circle((0.0, 0.0), 1.0, density, math.pi, 2.0 * math.pi, endpoint=True)
+    primal = (arc + _curve(lambda t: (1.0, t), 0.0, 2.0, density)
+              + _curve(lambda t: (-1.0, t), 0.0, 2.0, density))
+    return primal, arc + _curve(lambda t: (t, 0.0), -1.0, 1.0, density), []
 
 
-def _figure_fig22():
-    primal = _circle_segments((0.0, 0.0), 1.0, math.pi, 2.0 * math.pi, closed=False)
-    primal.append((0.0, 2.0, True, lambda t: (1.0, t)))
-    primal.append((0.0, 2.0, True, lambda t: (-1.0, t)))
-    polar = _circle_segments((0.0, 0.0), 1.0, math.pi, 2.0 * math.pi, closed=False)
-    polar.append((-1.0, 1.0, True, lambda t: (t, 0.0)))
-    return primal, polar, []
-
-
-def _figure_fig2a():
-    primal = _circle_segments(REFERENCE_CENTER, REFERENCE_RADIUS)
-    polar = [(-3.0, 3.0, True, lambda t: (0.5 * (1.0 - t * t), t))]
+def _figure_fig2a(density):
+    primal = _circle(REFERENCE_CENTER, REFERENCE_RADIUS, density)
+    polar = _curve(lambda t: (0.5 * (1.0 - t * t), t), -3.0, 3.0, density)
     y, s = REFERENCE_QUERY
-    result = bisection_projection(EuclideanBall(REFERENCE_CENTER, REFERENCE_RADIUS), (y, s),
-                                  *REFERENCE_BRACKET, eps=REFERENCE_EPS)
-    extra = [
-        ("query", *y, s),
-        ("projection", result.point.y[0], result.point.y[1], result.point.s),
-    ]
-    return primal, polar, extra
+    x = bisection_projection(EuclideanBall(REFERENCE_CENTER, REFERENCE_RADIUS), (y, s),
+                             *REFERENCE_BRACKET, eps=REFERENCE_EPS).point
+    return primal, polar, [("query", *y, s), ("projection", *x.y, x.s)]
 
 
-_FIGURES = {
+#: The figures by name: each maps a density to the boundary points c of C,
+#: the boundary points w of its polar set and the marked (label, x1, x2, x3).
+FIGURES = {
     "fig41": _figure_fig41,
     "fig31": _figure_fig31,
     "fig22": _figure_fig22,
     "fig2a": _figure_fig2a,
 }
+
+
+def figure_csv(name, density):
+    """The CSV lines of figure `name` (``homcone figure``): the header, the
+    cone's rays rho (c, 1) and the polar cone's rays rho (w, -1) at five
+    heights rho, `density` points per boundary piece, then the marked points."""
+    if density < 1:
+        raise ValueError("density must be at least 1")
+    primal, polar, marked = FIGURES[name](density)
+    rows = [*(("cone", rho * c[0], rho * c[1], rho) for c in primal for rho in _RHO_LEVELS),
+            *(("polar", rho * w[0], rho * w[1], -rho) for w in polar for rho in _RHO_LEVELS),
+            *marked]
+    return ["label,x1,x2,x3", *(f"{label},{x1:.8g},{x2:.8g},{x3:.8g}"
+                                 for label, x1, x2, x3 in rows)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -313,6 +314,17 @@ def test_project_on_the_boundary_of_the_polar_of_k(capsys):
     assert payload["alpha_star"] == 0.0
 
 
+def test_project_bracket_beyond_the_rescaled_range_is_usage_error(capsys):
+    # Valid as given, but beta0 overflows on this tiny query's rescale by 2^995.
+    code, out, err = run(
+        capsys,
+        "project", "--set", BALL, "--point=1e-300,2e-300", "--height=1e-300",
+        "--alpha0=1e-300", "--beta0=2e300",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: beta0 leaves the float64 range at this query's scale\n"
+
+
 @pytest.mark.parametrize("bracket", [[], ["--alpha0", "3", "--beta0", "5"]],
                          ids=["default", "bracket"])
 @pytest.mark.parametrize("max_iter", ["0", "-2"])
@@ -398,6 +410,17 @@ def test_table1_verify_detects_deviation(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize("rows", [22, 24])
+def test_table1_verify_reports_a_row_count_mismatch(capsys, monkeypatch, rows):
+    import homcone.cli as cli
+
+    table = cli.REFERENCE_TABLE
+    monkeypatch.setattr(cli, "REFERENCE_TABLE", (table + table[-1:])[:rows])
+    code, out, err = run(capsys, "table1", "--verify")
+    assert (code, out) == (3, "")
+    assert err == f"got 23 rows, want {rows}\nreference table verification failed\n"
+
+
 def test_missing_spec_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "nope.json"
     code, out, err = run(
@@ -459,6 +482,33 @@ def test_figure_deterministic(capsys):
     _, first, _ = run(capsys, "figure", "--name", "fig31", "--density", "20")
     _, second, _ = run(capsys, "figure", "--name", "fig31", "--density", "20")
     assert first == second
+
+
+#: md5 of the rendered bytes of each figure and of the reference instance's
+#: `project --trace`, on the bracket route and with --force-iterative.
+RENDERED_MD5 = {
+    ("figure", "--name", "fig41", "--density", "1"): "d1205aea86a3a6d5616e7cd8cbe51ead",
+    ("figure", "--name", "fig41", "--density", "3"): "aad4435cc701be0102b021b9f9114db4",
+    ("figure", "--name", "fig31", "--density", "1"): "b86af54f2fc809f4f3209e49a8b10a1c",
+    ("figure", "--name", "fig31", "--density", "3"): "79d0e8f1c5bcce1f475f2ee5807bdfb4",
+    ("figure", "--name", "fig22", "--density", "1"): "fbbfaabb809262546802464aacc90d31",
+    ("figure", "--name", "fig22", "--density", "3"): "12436a0a887d188a6b38e3fdc826b71a",
+    ("figure", "--name", "fig2a", "--density", "1"): "3f7bf0100afdbdd8a4c59ecdb702537d",
+    ("figure", "--name", "fig2a", "--density", "3"): "78d2e36e0dabc19a7c8a29f286741cf6",
+    ("project", "--set", BALL, "--point", "1,2", "--height", "1",
+     "--alpha0", "3", "--beta0", "5", "--trace"): "4f01a2e4d73dddefcffd830ba296ab9b",
+    ("project", "--set", BALL, "--point", "1,2", "--height", "1",
+     "--trace", "--force-iterative"): "47f683c0b85f85f748d19c38bd6f1884",
+}
+
+
+@pytest.mark.parametrize("argv", list(RENDERED_MD5), ids=[
+    "fig41-1", "fig41-3", "fig31-1", "fig31-3", "fig22-1", "fig22-3", "fig2a-1",
+    "fig2a-3", "trace-bracket", "trace-iterative"])
+def test_rendered_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == RENDERED_MD5[argv]
 
 
 def test_figure_unknown_name_is_usage_error(capsys):

@@ -728,6 +728,20 @@ def test_half_bracket_is_rejected():
         bisection_projection(Box((1.0, 1.0)), ((3.0, 0.0), 1.0), 3.0, None)
 
 
+@pytest.mark.parametrize("bracket, name", [
+    ((3e299, 5e300, 1e-300), "eps"),
+    ((1e-300, 5e300, 1e-6), "alpha0"),
+], ids=["eps", "alpha0"])
+def test_a_bracket_that_underflows_on_the_rescale_is_named(bracket, name):
+    # Valid as given; on the query's rescale by 2^-998 the named value
+    # underflows to 0, which must not be blamed on the caller's input.
+    alpha0, beta0, eps = bracket
+    with pytest.raises(ValueError) as exc:
+        bisection_projection(EuclideanBall((1.0, 0.0), 1.0), ((1e300, 2e300), 1e300),
+                             alpha0, beta0, eps=eps)
+    assert str(exc.value) == f"{name} leaves the float64 range at this query's scale"
+
+
 class CountingBox(Box):
     """A Box that counts its projector calls."""
 
