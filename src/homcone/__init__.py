@@ -2,7 +2,8 @@
 
 Given a closed convex set C containing the origin, with a projector onto C,
 this package computes the projection onto K = cl cone(C x {1}), evaluates
-support functions and polar-set / polar-cone membership, and ships a CLI for
+support functions, builds the polar set of C (``ConvexSet.polar``), tests
+membership in the polar cones of C and of K, and ships a CLI for
 reproducible traces and figure point clouds, whose worked examples
 (:mod:`homcone.paper`) it does not import.  The projection uses a set's
 exact cone kernel where it has one (``ConvexSet._project_cone``) and the
@@ -16,13 +17,7 @@ from .homproj import (
     TraceRow,
     project_homogenization,
 )
-from .polar import (
-    PolarDescription,
-    closed_form_polar,
-    homogenization_polar_membership,
-    polar_cone_membership,
-    polar_membership,
-)
+from .polar import homogenization_polar_membership, polar_cone_membership
 from .scaledfun import PsiEvaluator
 from .sets import (
     BallPen,
@@ -53,16 +48,13 @@ __all__ = [
     "L1Ball",
     "MaxIterationsExceeded",
     "PBall",
-    "PolarDescription",
     "ProjectionResult",
     "PsiEvaluator",
     "Simplex",
     "TraceRow",
     "as_vector",
-    "closed_form_polar",
     "homogenization_polar_membership",
     "polar_cone_membership",
-    "polar_membership",
     "project_homogenization",
     "set_from_spec",
 ]

@@ -9,8 +9,8 @@ have no builtin kind.
 
 class CapabilityMissing(Exception):
     """The set does not offer the requested operation: a projector, a
-    recession-cone projector, a closed-form polar, or psi'(0+) in closed
-    form for an unbounded set."""
+    recession-cone projector, a support function (the polar view's gauge),
+    or psi'(0+) in closed form for an unbounded set."""
 
 
 class MaxIterationsExceeded(Exception):

@@ -147,13 +147,15 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     (bracket too), the membership shortcut (unless ``force_iterative``) and
     the answer are ``project_homogenization``'s.  A bad bracket, eps or
     max_iter is a ValueError before any work, and so is one that leaves the
-    float64 range on that rescale.
+    float64 range on that rescale or whose two ends round to one value there.
     """
     _check_bracket_args(alpha0, beta0, eps, max_iter)
     y, s, e = _query(set_, p)
     if e:
         alpha0, beta0, eps = (_down(name, v, e) for name, v in
                               (("alpha0", alpha0), ("beta0", beta0), ("eps", eps)))
+        if not alpha0 < beta0:
+            raise ValueError("alpha0 and beta0 round to one value at this query's scale")
     member = None if force_iterative else _member(
         set_, y, s, math.hypot(float(np.linalg.norm(y)), s), e)
     if member is not None:

@@ -1,6 +1,6 @@
 """Convex set catalog: projectors, support functions, membership, recession
 cones, the exact projectors onto the homogenization cones that have one, and
-the closed-form polar sets.
+the polar sets.
 
 Every cataloged set is a closed convex subset of R^n that contains the origin;
 constructors reject parameters violating that standing assumption with a
@@ -64,17 +64,15 @@ A subclass that changes ``_project`` of one of these sets
 ``Ellipsoid``, ``PBall``) must also override ``_project_cone``, or the
 kernel would answer for the old set.
 
-A second optional kernel, ``_polar()``, describes the polar set
-{y : sigma_C(y) <= 1} in closed form by one value: the cataloged set equal
-to the polar, whose own ``_contains`` is its membership test; else a
-membership kernel ``contains(y, tol)`` where the closed form bands
-differently from sigma_C; else None, where the polar is just
-{sigma_C <= 1 + tol}.  Every cataloged set has one, its closed form in the
-docstring; :func:`homcone.polar.closed_form_polar` wraps it.  A membership
-kernel takes y unscaled, so it squares, powers or sums no entry that could
-leave the float64 range: it uses :func:`_norm`, or evaluates a positively
-homogeneous form on the power-of-2 rescale of y (:func:`_scaled`).  A
-subclass that changes the geometry of a set must override ``_polar`` too.
+:meth:`ConvexSet.polar` returns the polar set {y : sigma_C(y) <= 1}: the
+cataloged set that ``_polar()`` returns, else a view (:class:`_Polar`) that
+tests the membership kernel ``contains(y, tol)`` that ``_polar()`` returns
+where the closed form bands differently from sigma_C, or sigma_C(y) <= 1 +
+tol where it returns None, the default.  A membership kernel takes y
+unscaled, so it squares, powers or sums no entry that could leave the
+float64 range: it uses :func:`_norm`, or evaluates a positively homogeneous
+form on the power-of-2 rescale of y (:func:`_scaled`).  A subclass that
+changes the geometry of a set must override ``_polar`` too.
 """
 
 from __future__ import annotations
@@ -264,10 +262,10 @@ class ConvexSet:
     capability missing.  A set whose homogenization cone has an exact
     projector overrides ``_project_cone``; the default None selects the
     generic solver.  A set whose polar has a closed form overrides
-    ``_polar``, which returns the cataloged polar set, a membership kernel
-    ``contains(y, tol)``, or None for {sigma_C <= 1 + tol}.  The defaults of
-    ``_project``, ``_project_recession`` (of an unbounded set) and ``_polar``
-    raise CapabilityMissing.
+    ``_polar``, which returns the cataloged polar set or a membership kernel
+    ``contains(y, tol)``; the default None tests {sigma_C <= 1 + tol}.  The
+    defaults of ``_project`` and of ``_project_recession`` (of an unbounded
+    set) raise CapabilityMissing.
     """
 
     dim: int
@@ -292,6 +290,12 @@ class ConvexSet:
     def project_recession(self, x) -> np.ndarray:
         """Projection of x onto the recession cone of the set."""
         return self._project_recession(as_vector(x, self.dim))
+
+    def polar(self) -> ConvexSet:
+        """The polar set {y : sigma_C(y) <= 1}: the cataloged set equal to
+        it, else a view of this set (:class:`_Polar`)."""
+        polar = self._polar()
+        return polar if isinstance(polar, ConvexSet) else _Polar(self, polar)
 
     def recession_distance(self, y) -> float:
         """Distance from y to the recession cone; zero iff y is a recession
@@ -329,11 +333,9 @@ class ConvexSet:
         return None
 
     def _polar(self):
-        """Closed-form polar set: a ConvexSet, a ``contains(y, tol)`` kernel,
-        or None for {sigma_C <= 1 + tol}."""
-        raise CapabilityMissing(
-            f"no cataloged closed-form polar for {type(self).__name__}"
-        )
+        """The polar set as a ConvexSet, a ``contains(y, tol)`` kernel, or
+        None for {sigma_C <= 1 + tol}."""
+        return None
 
 
 class EuclideanBall(ConvexSet):
@@ -975,10 +977,11 @@ class Ellipsoid(ConvexSet):
         w, v = np.linalg.eigh(q)
         if w[0] <= 0.0:
             raise ValueError("Q must be positive definite")
-        self.q_matrix = q
-        self._evals = w
-        self._evecs = v
-        self.dim = q.shape[0]
+        self._store(q, w, v)
+
+    def _store(self, q, w, v):
+        """Keep Q, its eigenpairs (w, V) and the factors of the kernels."""
+        self.q_matrix, self._evals, self._evecs, self.dim = q, w, v, q.shape[0]
         self._roots = np.sqrt(w)
         self._ones = 1.0 + w
         self._floats = (w.tolist(), self._roots.tolist(), self._ones.tolist())
@@ -1037,13 +1040,17 @@ class Ellipsoid(ConvexSet):
         return t, self._evecs @ z, Branch.CONE_INTERIOR
 
     def _polar(self):
-        """The ellipsoid of the inverse matrix Q^-1 = V diag(1/w) V^T."""
-        v = self._evecs
-        return Ellipsoid(v @ np.diag(1.0 / self._evals) @ v.T)
+        """The ellipsoid of Q^-1 = V diag(1/w) V^T, on the eigenpairs (1/w, V):
+        a second eigensolve would move its axes by cond(Q) ulps."""
+        w, v = 1.0 / self._evals, self._evecs
+        polar = Ellipsoid.__new__(Ellipsoid)
+        polar._store((v * w) @ v.T, w, v)
+        return polar
 
 
 class Simplex(ConvexSet):
-    """The corner simplex {x : x_i >= 0, sum x_i <= 1}."""
+    """The corner simplex {x : x_i >= 0, sum x_i <= 1}.  Its polar is
+    {y : y_i <= 1}, where sigma_C(y) = max(0, max_i y_i) <= 1."""
 
     def __init__(self, dim):
         self.dim = _dimension(dim)
@@ -1067,10 +1074,6 @@ class Simplex(ConvexSet):
     def _project_cone(self, y, s):
         """The kernel of :func:`_simplex_cone` with r = 1."""
         return _simplex_cone(y, 1.0, s)
-
-    def _polar(self):
-        """Each coordinate at most 1: sigma_C(y) = max(0, max_i y_i) <= 1."""
-        return None
 
 
 class BallPen(ConvexSet):
@@ -1189,6 +1192,56 @@ class Hyperbolic(ConvexSet):
             return y1 <= 1.0 + tol or 0.5 + y2 * (0.5 * y2) <= y1 + 0.5 * tol
 
         return contains
+
+
+class _Polar(ConvexSet):
+    """The polar set C° = {y : sigma_C(y) <= 1} of a set C with no cataloged
+    polar, as a view of C, whose polar is C (the bipolar theorem).
+
+    Membership is the closed-form kernel ``rule`` that ``C._polar()``
+    returned, else sigma_C(y) <= 1 + tol on the power-of-2 rescale of y.
+    The cone of C° is {(y, t) : sigma_C(y) <= t}, the polar cone of K_C
+    reflected in its height, so by Moreau's decomposition its projection of
+    (y, t) is (y - x, t + a) for (x, a) = P_{K_C}(y, -t), from C's cone
+    kernel where C has one.  The gauge of C (sigma of C°) and P_C° are not
+    offered; C° is unbounded where 0 is on the boundary of C, so it never
+    claims to be bounded.
+    """
+
+    bounded = False
+
+    def __init__(self, source, rule=None):
+        self._source, self._rule, self.dim = source, rule, source.dim
+        self._name = type(source).__name__
+
+    def __repr__(self):
+        return f"{self._source!r}.polar()"
+
+    def _contains(self, y, tol):
+        if self._rule is not None:
+            return bool(self._rule(y, tol))
+        return _scaled(self._source._support, y) <= 1.0 + tol
+
+    def _support(self, y):
+        raise CapabilityMissing(f"the polar of {self._name} has no support function")
+
+    def _project(self, y):
+        raise CapabilityMissing(f"the polar of {self._name} has no projector")
+
+    def _project_cone(self, y, s):
+        found = self._source._project_cone(y, -s)
+        if found is None:
+            return None
+        a, x, branch = found
+        alpha = max(s + a, 0.0)
+        if alpha == 0.0:
+            return 0.0, y - x, Branch.RECESSION
+        # Where P_{K_C}(y, -s) is the apex, (y, s) is a member.
+        inside = branch is Branch.RECESSION and not x.any()
+        return alpha, y - x, Branch.ALREADY_IN_K if inside else Branch.CONE_INTERIOR
+
+    def _polar(self):
+        return self._source
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,6 @@ class PowerSet(ConvexSet):
                 hi = mid
         return np.array([hi, math.copysign(hi ** self.a, float(x[1]))])
 
-    def _polar(self):
-        return None
-
 
 OFF_AXIS = np.array([0.6, 0.0, -0.8])
 

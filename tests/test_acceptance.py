@@ -18,9 +18,7 @@ from homcone import (
     Branch,
     EuclideanBall,
     PsiEvaluator,
-    closed_form_polar,
     homogenization_polar_membership,
-    polar_membership,
     project_homogenization,
 )
 from homcone.paper import (
@@ -212,13 +210,13 @@ def test_polar_catalog():
     rng = np.random.default_rng(2025)
     total = 0
     for name, set_, box in polar_cases():
-        desc = closed_form_polar(set_)
+        polar = set_.polar()
         pts = rng.uniform(-box, box, size=(10_000, set_.dim))
         for y in pts:
             sigma = set_.support(y)
             if not math.isinf(sigma) and abs(sigma - 1.0) < 1e-7:
                 continue
-            assert desc.contains(y, tol=1e-9) == polar_membership(set_, y, tol=1e-9), (
+            assert polar.contains(y, tol=1e-9) == (sigma <= 1.0 + 1e-9), (
                 name,
                 y,
                 sigma,

@@ -57,7 +57,7 @@ from homcone.paper import (QuarticCoefficients, bisection_projection, find_alpha
 for name in ('QuarticCoefficients', 'bisection_projection', 'find_alpha_star',
              'quartic_coefficients', 'reference_trace'):
     assert not hasattr(homcone, name) and not hasattr(homcone.homproj, name), name
-assert len(homcone.__all__) == 24, homcone.__all__
+assert len(homcone.__all__) == 21, homcone.__all__
 """
 
 
@@ -627,6 +627,40 @@ def test_polar_p_ball_near_p_one(capsys):
     payload = json.loads(out)
     assert payload["sigma"] == pytest.approx(3.0 * 2.0 ** (1.0 / 10001.0), rel=1e-7)
     assert payload["in_polar_set"] is payload["in_polar_cone"] is payload["in_K_polar"] is False
+
+
+#: One spec of each kind of polar set (cataloged: the centred ball and the l1
+#: ball; a closed-form rule: the ball pen and the hyperbolic region; the
+#: sigma_C rule: an unequal box and the simplex), each with a point where
+#: sigma_C is 1 + 5e-10, inside the default band of 1e-9.
+POLAR_KINDS = [
+    ('{"type":"euclidean_ball","center":[0,0],"radius":2}', "0.50000000025,0"),
+    ('{"type":"l1_ball","radius":1}', "1.0000000005,0"),
+    ('{"type":"ball_pen","direction":[0,1]}', "1.0000000005,0"),
+    ('{"type":"hyperbolic"}', "1.0000000005,1.0000000005"),
+    ('{"type":"box","halfwidths":[0.5,2]}', "0,0.50000000025"),
+    ('{"type":"simplex","dim":3}', "1.0000000005,0,0"),
+]
+
+#: Per extra flag: the exit code, stdout and stderr of ``homcone polar``.
+POLAR_PINNED = [
+    ([], 0, '{"sigma": 1.0, "in_polar_set": true, "in_polar_cone": false, '
+            '"in_K_polar": null}\n', ""),
+    (["--tol=0"], 0, '{"sigma": 1.0, "in_polar_set": false, "in_polar_cone": false, '
+                     '"in_K_polar": null}\n', ""),
+    (["--height=-1.0000000005"], 0, '{"sigma": 1.0, "in_polar_set": true, '
+                                    '"in_polar_cone": false, "in_K_polar": true}\n', ""),
+    (["--tol", "nan"], 2, "", "error: tolerance must be finite and nonnegative\n"),
+]
+
+
+def test_polar_output_is_pinned_for_every_kind_of_polar_set(capsys):
+    # The bytes, the stderr and the exit code of every kind, in and out of
+    # the band and with a bad band, whichever rule the set's polar has.
+    for spec, point in POLAR_KINDS:
+        for flags, code, out, err in POLAR_PINNED:
+            argv = ["polar", "--set", spec, "--point", point, *flags]
+            assert run(capsys, *argv) == (code, out, err), argv
 
 
 @NON_FINITE_HEIGHTS

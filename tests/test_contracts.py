@@ -19,10 +19,8 @@ from homcone import (
     CapabilityMissing,
     ConvexSet,
     PsiEvaluator,
-    closed_form_polar,
     homogenization_polar_membership,
     polar_cone_membership,
-    polar_membership,
     project_homogenization,
 )
 from set_catalog import CATALOG, params
@@ -83,15 +81,13 @@ def test_every_method_answers_at_every_scale(entry):
     recession = entry.projectable or entry.bounded
     # Without a kernel, both routes are the generic solver.
     routes = ({}, {"force_iterative": True}) if entry.kernel else ({},)
-    polar = closed_form_polar(set_) if type(set_)._polar is not ConvexSet._polar else None
+    polar = set_.polar()
     for t, y, s in sweep_queries(set_.dim, np.random.default_rng(71)):
         assert isinstance(set_.contains(y), bool)
         assert not math.isnan(set_.support(y))
-        assert isinstance(polar_membership(set_, y), bool)
+        assert isinstance(polar.contains(y), bool)
         assert isinstance(polar_cone_membership(set_, y), bool)
         assert isinstance(homogenization_polar_membership(set_, (y, s)), bool)
-        if polar is not None:
-            assert isinstance(polar.contains(y), bool)
         if recession:
             assert np.isfinite(set_.project_recession(y)).all()
             assert math.isfinite(set_.recession_distance(y)) or t > 1e307
@@ -115,26 +111,21 @@ def test_closed_form_polar_answers_by_its_polar_set_or_by_sigma(entry):
     # sigma_C(y) <= 1 + tol itself.  Checked at every sweep point and on the
     # polar's boundary through it, at tol 0 and 1e-9.
     set_ = entry.make()
-    if type(set_)._polar is ConvexSet._polar:
-        with pytest.raises(CapabilityMissing):
-            closed_form_polar(set_)
-        return
     described = set_._polar()
-    desc = closed_form_polar(set_)
-    assert desc.source is set_
+    polar = set_.polar()
     if isinstance(described, ConvexSet):
-        assert type(desc.polar_set) is type(described)
-        assert desc.predicate == desc.polar_set._contains
+        assert type(polar) is type(described)
     else:
-        assert desc.polar_set is None
-        assert (desc.predicate is None) == (described is None)
+        assert isinstance(polar, homcone.sets._Polar) and polar.polar() is set_
     for _, y, _ in sweep_queries(set_.dim, np.random.default_rng(71)):
         sigma = set_.support(y)
         points = [y] + ([y / sigma] if 0.0 < sigma < math.inf else [])
         for point in points:
             for tol in (0.0, 1e-9):
-                got = desc.contains(point, tol)
-                if desc.polar_set is not None:
-                    assert got == desc.polar_set.contains(point, tol)
+                got = polar.contains(point, tol)
+                if isinstance(described, ConvexSet):
+                    assert got == described.contains(point, tol)
                 elif described is None:
-                    assert got == polar_membership(set_, point, tol)
+                    assert got == (set_.support(point) <= 1.0 + tol)
+                else:
+                    assert got == described(np.asarray(point, dtype=float), tol)

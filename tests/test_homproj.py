@@ -528,9 +528,8 @@ def test_a_projection_beyond_the_float_range_is_an_overflow_error(set_, v):
 PUBLIC_NAMES = [
     "BallPen", "Box", "Branch", "CapabilityMissing", "ConePoint", "ConvexSet",
     "Ellipsoid", "EuclideanBall", "Hyperbolic", "L1Ball", "MaxIterationsExceeded",
-    "PBall", "PolarDescription", "ProjectionResult", "PsiEvaluator", "Simplex",
-    "TraceRow", "as_vector", "closed_form_polar", "homogenization_polar_membership",
-    "polar_cone_membership", "polar_membership", "project_homogenization",
+    "PBall", "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
+    "homogenization_polar_membership", "polar_cone_membership", "project_homogenization",
     "set_from_spec",
 ]
 
@@ -740,6 +739,15 @@ def test_a_bracket_that_underflows_on_the_rescale_is_named(bracket, name):
         bisection_projection(EuclideanBall((1.0, 0.0), 1.0), ((1e300, 2e300), 1e300),
                              alpha0, beta0, eps=eps)
     assert str(exc.value) == f"{name} leaves the float64 range at this query's scale"
+
+
+def test_a_bracket_that_collapses_on_the_rescale_is_named():
+    # 0 < alpha0 < beta0 as given; on the rescale by 2^-998 both ends round
+    # to one subnormal, which must not be blamed on the caller's input.
+    with pytest.raises(ValueError) as exc:
+        bisection_projection(EuclideanBall((1.0, 0.0), 1.0), ((1e300, 2e300), 1e300),
+                             1e-8, math.nextafter(1e-8, 1.0))
+    assert str(exc.value) == "alpha0 and beta0 round to one value at this query's scale"
 
 
 class CountingBox(Box):

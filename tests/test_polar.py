@@ -1,26 +1,29 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import homcone.sets
 from homcone import (
     BallPen,
     Box,
+    Branch,
     CapabilityMissing,
     ConvexSet,
+    Ellipsoid,
     EuclideanBall,
     Hyperbolic,
     L1Ball,
     PBall,
     Simplex,
-    closed_form_polar,
     homogenization_polar_membership,
     polar_cone_membership,
-    polar_membership,
     project_homogenization,
 )
 from set_catalog import BY_ID, CORE, pairs
+from test_homproj import SCALES, kernel_queries, moreau_certificate
 
 
 #: The half-width of the box of points y that the sigma oracle samples, per
@@ -43,11 +46,11 @@ def polar_cases():
 # ---------------------------------------------------------------------------
 
 def test_polar_membership_examples():
-    assert polar_membership(L1Ball(1.0), (1.0, 1.0))
-    assert polar_membership(Simplex(3), (1.0, 1.0, 1.0))
-    assert not polar_membership(Simplex(3), (1.5, 0.0, 0.0))
-    assert polar_membership(Hyperbolic(), (1.0, 0.0))
-    assert polar_membership(EuclideanBall((0.0, 0.0), 2.0), (0.4, 0.3))
+    assert L1Ball(1.0).polar().contains((1.0, 1.0))
+    assert Simplex(3).polar().contains((1.0, 1.0, 1.0))
+    assert not Simplex(3).polar().contains((1.5, 0.0, 0.0))
+    assert Hyperbolic().polar().contains((1.0, 0.0))
+    assert EuclideanBall((0.0, 0.0), 2.0).polar().contains((0.4, 0.3))
 
 
 @pytest.mark.parametrize("t", [1.0, 1e-6, 1e-9, 1e-12, 1e-300, 1e300])
@@ -125,13 +128,13 @@ def test_classical_ball_pen_polar_cone_formula():
 # ---------------------------------------------------------------------------
 
 def test_closed_form_ball_is_dual_ball():
-    desc = closed_form_polar(EuclideanBall((0.0, 0.0), 2.0))
-    assert isinstance(desc.polar_set, EuclideanBall)
-    assert desc.polar_set.radius == pytest.approx(0.5)
+    polar = EuclideanBall((0.0, 0.0), 2.0).polar()
+    assert isinstance(polar, EuclideanBall)
+    assert polar.radius == pytest.approx(0.5)
 
 
 def test_closed_form_box_is_l1_predicate():
-    desc = closed_form_polar(Box((1.0, 1.0)))
+    desc = Box((1.0, 1.0)).polar()
     rng = np.random.default_rng(42)
     for _ in range(500):
         y = rng.uniform(-2, 2, 2)
@@ -143,18 +146,17 @@ def test_closed_form_box_is_l1_predicate():
 def test_closed_form_equal_box_answers_by_its_l1_dual():
     # The polar of the box of halfwidth 2 is the l1 ball of radius 1/2, and
     # its own membership test answers, band included: sigma_C(y) <= 1 + tol
-    # is a band of tol / 2 in l1 terms, and once answered False here.
-    desc = closed_form_polar(Box((2.0, 2.0)))
-    assert isinstance(desc.polar_set, L1Ball) and desc.polar_set.radius == 0.5
+    # is a band of tol / 2 in l1 terms, and answers False here.
+    polar = Box((2.0, 2.0)).polar()
+    assert isinstance(polar, L1Ball) and polar.radius == 0.5
     y = (0.5 + 0.75e-9, 0.0)
-    assert desc.polar_set.contains(y)
-    assert desc.contains(y)
-    assert not polar_membership(Box((2.0, 2.0)), y)
+    assert polar.contains(y)
+    assert not Box((2.0, 2.0)).support(y) <= 1.0 + 1e-9
 
 
 def test_closed_form_shifted_disc_matches_parabola():
     # For the disc centred at (1, 0): y1 <= (1 - y2^2) / 2.
-    desc = closed_form_polar(EuclideanBall((1.0, 0.0), 1.0))
+    desc = EuclideanBall((1.0, 0.0), 1.0).polar()
     rng = np.random.default_rng(43)
     for _ in range(500):
         y = rng.uniform(-3, 3, 2)
@@ -162,23 +164,6 @@ def test_closed_form_shifted_disc_matches_parabola():
         if abs(y[0] - 0.5 * (1.0 - y[1] ** 2)) < 1e-9:
             continue
         assert desc.contains(y) == parabola
-
-
-def test_closed_form_rejects_unknown_sets():
-    class Odd:
-        dim = 2
-
-    with pytest.raises(TypeError, match="Odd is not a ConvexSet"):
-        closed_form_polar(Odd())
-
-    class NoPolar(ConvexSet):
-        dim = 2
-
-        def _support(self, y):
-            return float(np.linalg.norm(y))
-
-    with pytest.raises(CapabilityMissing, match="no cataloged closed-form polar for NoPolar"):
-        closed_form_polar(NoPolar())
 
 
 class Square(ConvexSet):
@@ -213,14 +198,13 @@ class HalvedBox(Box):
 @pytest.mark.parametrize("set_", [Square(), HalvedBox((1.0, 1.0))],
                          ids=["convex_set", "box_subclass"])
 def test_closed_form_uses_the_set_polar_kernel(set_):
-    desc = closed_form_polar(set_)
-    assert desc.source is set_
-    assert desc.polar_set is None
+    desc = set_.polar()
+    assert isinstance(desc, homcone.sets._Polar) and desc.polar() is set_
     rng = np.random.default_rng(52)
     for y in rng.uniform(-3.0, 3.0, size=(500, 2)):
         if abs(set_.support(y) - 1.0) < 1e-7:
             continue
-        assert desc.contains(y) == polar_membership(set_, y)
+        assert desc.contains(y) == (set_.support(y) <= 1.0)
     # (1.5, 0) is in the polar of the halved unit box, not of the unit box.
     assert desc.contains((1.5, 0.0)) == isinstance(set_, HalvedBox)
 
@@ -228,7 +212,7 @@ def test_closed_form_uses_the_set_polar_kernel(set_):
 def test_bipolar_ball_pair():
     # Membership in the polar of the polar agrees with the original ball.
     ball = EuclideanBall((0.0, 0.0), 2.0)
-    dual = closed_form_polar(ball).polar_set
+    dual = ball.polar()
     rng = np.random.default_rng(46)
     for _ in range(1000):
         x = rng.uniform(-3, 3, 2)
@@ -243,18 +227,18 @@ def test_p_ball_polar_where_q_rounds_to_one(p):
     # q = p / (p - 1) rounds to 1 for p above 2^53; the dual is the l1 ball,
     # not a q-ball, which the constructor would reject.
     ball = PBall(p, 2.0)
-    dual = closed_form_polar(ball).polar_set
+    dual = ball.polar()
     assert isinstance(dual, L1Ball) and dual.radius == 0.5
     rng = np.random.default_rng(48)
     for y in rng.uniform(-1.0, 1.0, size=(200, 2)):
         if abs(ball.support(y) - 1.0) < 1e-7:
             continue
-        assert closed_form_polar(ball).contains(y) == polar_membership(ball, y)
+        assert dual.contains(y) == (ball.support(y) <= 1.0)
 
 
 def test_bipolar_box_l1_pair():
     box = Box((1.0, 1.0))
-    dual = closed_form_polar(box).polar_set  # the unit cross-polytope
+    dual = box.polar()  # the unit cross-polytope
     assert isinstance(dual, L1Ball)
     rng = np.random.default_rng(47)
     for _ in range(1000):
@@ -269,7 +253,7 @@ def test_polar_cone_is_recession_of_polar_set_hyperbolic():
     # Members of the polar cone generate rays inside the polar set; clear
     # non-members escape it at some sampled scale.
     hyp = Hyperbolic()
-    desc = closed_form_polar(hyp)
+    desc = hyp.polar()
     for t in (0.0, 0.5, 2.0, 10.0):
         y = np.array([t, 0.0])
         assert polar_cone_membership(hyp, y)
@@ -297,7 +281,7 @@ def test_homogenization_polar_branches_disjoint():
     for _ in range(2000):
         y = rng.uniform(-3, 3, 2)
         s = rng.uniform(-3, 3)
-        ray_branch = s < -1e-12 and polar_membership(pen, y / (-s))
+        ray_branch = s < -1e-12 and pen.polar().contains(y / (-s))
         flat_branch = abs(s) <= 1e-12 and polar_cone_membership(pen, y)
         assert not (ray_branch and flat_branch)
 
@@ -322,3 +306,139 @@ def test_polar_membership_consistent_with_projection():
             assert member == at_apex
             hits += member
         assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# The polar set as a set: C.polar()
+# ---------------------------------------------------------------------------
+
+#: Per kind of set with a cataloged polar, the set at n entries.  The
+#: ellipsoid is axis-aligned, so that both sides share its eigenbasis exactly.
+CATALOGED = {
+    "ball": lambda n: EuclideanBall(np.zeros(n), 1.3),
+    "box": lambda n: Box(np.full(n, 0.8)),
+    "l1": lambda n: L1Ball(1.7, n),
+    "ellipsoid": lambda n: Ellipsoid(np.diag(np.logspace(-1.0, 1.0, n))),
+    "pball2": lambda n: PBall(2.0, 1.2, n),
+    "pballinf": lambda n: PBall(math.inf, 0.9, n),
+}
+
+#: Catalog entries whose polar is the view of the set (sets._Polar), each
+#: with a cone kernel.
+VIEWED = ["ball_off", "shifted_unit_ball", "box_uneven", "box_zero_halfwidths",
+          "simplex", "ballpen", "ball_pen"]
+
+
+def reflected_queries(set_, rng):
+    """kernel_queries of C with the height negated, at every scale of SCALES:
+    (y, -s) is in the polar of the cone of C° where (y, s) is in K_C, and in
+    the cone of C° where (y, s) is in the polar of K_C."""
+    return [(t * y, -t * s) for y, s in kernel_queries(set_, rng) for t in SCALES]
+
+
+def gap(a, b):
+    """||P - Q|| for the points of two projection results."""
+    return math.hypot(float(np.linalg.norm(a.point.y - b.point.y)),
+                      a.alpha_star - b.alpha_star)
+
+
+def norm(v):
+    return math.hypot(float(np.linalg.norm(v[0])), v[1])
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOGED))
+def test_reflected_kernel_agrees_with_the_cataloged_polar(kind):
+    # The cone of C° through C's kernel, reflected, against the cataloged
+    # polar's own kernel, on every branch and at n = 2..13.
+    rng = np.random.default_rng(60)
+    branches = set()
+    for n in range(2, 14):
+        set_ = CATALOGED[kind](n)
+        view, polar = homcone.sets._Polar(set_), set_.polar()
+        for v in reflected_queries(set_, rng):
+            got = project_homogenization(view, v)
+            assert got.iterations == 0
+            assert gap(got, project_homogenization(polar, v)) <= 1e-15 * norm(v)
+            branches.add(got.branch)
+    assert branches == set(Branch)
+
+
+@pytest.mark.parametrize("entry", ["ellipsoid", "ellipsoid_3d", "ellipsoid_cond_1e12",
+                                   "ellipsoid_13d", "ellipsoid_40d"])
+def test_reflected_kernel_agrees_with_a_rotated_polar_ellipsoid(entry):
+    # In a rotated eigenbasis each side takes its own products with V, which
+    # round apart by about sqrt(n) ulps of ||v||.  A second eigensolve of
+    # Q^-1 once moved the polar's axes: 2e-8 ||v|| at cond(Q) = 1e12.
+    set_ = BY_ID[entry].make()
+    view, polar = homcone.sets._Polar(set_), set_.polar()
+    for v in reflected_queries(set_, np.random.default_rng(62)):
+        assert gap(project_homogenization(view, v),
+                   project_homogenization(polar, v)) <= 1e-14 * norm(v)
+
+
+def reflected_certificate(set_, v, res):
+    """The Moreau certificate of the answer p = (z, alpha) to v = (y, t) on
+    the cone of C°: C's certificate (tests/test_homproj.py) at (y, -t) for
+    the answer (y - z, alpha - t) that p reflects.  Its dual part, sigma_C(z)
+    <= alpha, is p's membership, read as there on an unbounded C."""
+    (y, t), (z, alpha) = v, res.point
+    return moreau_certificate(set_, (y, -t), SimpleNamespace(point=(y - z, alpha - t)))
+
+
+@pytest.mark.parametrize("entry", VIEWED)
+def test_reflected_kernel_certifies_on_the_polar_views(entry):
+    set_ = BY_ID[entry].make()
+    view = set_.polar()
+    assert isinstance(view, homcone.sets._Polar)
+    branches = set()
+    for y, t in reflected_queries(set_, np.random.default_rng(61)):
+        res = project_homogenization(view, (y, t))
+        assert res.iterations == 0
+        assert (res.branch is Branch.RECESSION) == (res.alpha_star == 0.0)
+        if res.branch is Branch.ALREADY_IN_K:
+            assert np.array_equal(res.point.y, y) and res.alpha_star == t
+        assert reflected_certificate(set_, (y, t), res) <= 1e-9
+        branches.add(res.branch)
+    assert branches == set(Branch)
+
+
+def test_the_polar_of_the_polar_is_the_set():
+    # The bipolar theorem: the view returns C itself, a cataloged polar the
+    # set of C's type with equal parameters, and PBall(inf) the equal box.
+    for entry in VIEWED:
+        set_ = BY_ID[entry].make()
+        assert set_.polar().polar() is set_
+    ball = EuclideanBall(np.zeros(3), 1.3).polar().polar()
+    assert isinstance(ball, EuclideanBall) and ball.radius == pytest.approx(1.3, rel=1e-15)
+    box = Box(np.full(3, 0.8)).polar().polar()
+    np.testing.assert_allclose(box.halfwidths, 0.8, rtol=1e-15)
+    l1 = L1Ball(1.7, 3).polar().polar()
+    assert isinstance(l1, L1Ball) and (l1.radius, l1.dim) == (pytest.approx(1.7, rel=1e-15), 3)
+    p_ball = PBall(3.0, 1.2, 4).polar().polar()
+    assert isinstance(p_ball, PBall) and p_ball.dim == 4
+    assert (p_ball.p, p_ball.radius) == (pytest.approx(3.0, rel=1e-15),
+                                         pytest.approx(1.2, rel=1e-15))
+    box = PBall(math.inf, 0.9, 3).polar().polar()
+    assert isinstance(box, Box)
+    np.testing.assert_allclose(box.halfwidths, 0.9, rtol=1e-15)
+    q = BY_ID["ellipsoid_3d"].make().q_matrix
+    ellipsoid = Ellipsoid(q).polar().polar()
+    assert isinstance(ellipsoid, Ellipsoid)
+    np.testing.assert_allclose(ellipsoid.q_matrix, q, atol=1e-14 * np.abs(q).max())
+
+
+def test_the_polar_view_offers_membership_and_its_cone_only():
+    view = Simplex(2).polar()
+    assert not view.bounded
+    with pytest.raises(CapabilityMissing, match="the polar of Simplex has no support"):
+        view.support((1.0, 1.0))
+    with pytest.raises(CapabilityMissing, match="the polar of Simplex has no projector"):
+        view.project((3.0, 3.0))
+    with pytest.raises(CapabilityMissing):
+        view.project_recession((1.0, 1.0))
+    # Without a kernel of C the generic route needs P_C°, unless the query
+    # is a member.
+    hyp = Hyperbolic().polar()
+    assert project_homogenization(hyp, ((3.0, 0.0), 1.0)).branch is Branch.ALREADY_IN_K
+    with pytest.raises(CapabilityMissing):
+        project_homogenization(hyp, ((0.0, 3.0), 1.0))

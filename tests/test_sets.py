@@ -20,7 +20,6 @@ from homcone import (
     PsiEvaluator,
     Simplex,
     polar_cone_membership,
-    polar_membership,
     project_homogenization,
     set_from_spec,
 )
@@ -110,7 +109,7 @@ def test_p_ball_support_near_p_one(p):
     ball = PBall(p, 1.0)
     assert ball.support((1.0, 1.0)) == pytest.approx(2.0 ** (1.0 / ball.q), rel=1e-12)
     assert ball.support((3.0, 3.0)) == pytest.approx(3.0 * 2.0 ** (1.0 / ball.q), rel=1e-12)
-    assert not polar_membership(ball, (3.0, 3.0))
+    assert not ball.polar().contains((3.0, 3.0))
     assert not polar_cone_membership(ball, (3.0, 3.0))
 
 

@@ -26,10 +26,8 @@ from homcone import (
     Hyperbolic,
     PBall,
     PsiEvaluator,
-    closed_form_polar,
     homogenization_polar_membership,
     polar_cone_membership,
-    polar_membership,
     project_homogenization,
     set_from_spec,
 )
@@ -43,8 +41,10 @@ ENTRIES = {
     "recession_distance": lambda c, x: c.recession_distance(x),
     "PsiEvaluator": lambda c, x: PsiEvaluator(c, x, 1.0),
     "project_homogenization": lambda c, x: project_homogenization(c, (x, 1.0)),
-    "polar_membership": lambda c, x: polar_membership(c, x),
-    "closed_form_polar": lambda c, x: closed_form_polar(c).contains(x),
+    # Membership in the polar set by sigma_C on every set, and by the set's
+    # own polar: the cataloged set, the closed-form kernel or sigma_C.
+    "polar_membership": lambda c, x: homcone.sets._Polar(c).contains(x),
+    "closed_form_polar": lambda c, x: c.polar().contains(x),
     "homogenization_polar_membership":
         lambda c, x: homogenization_polar_membership(c, (x, -1.0)),
 }
@@ -90,7 +90,7 @@ def test_boundary_rejects_bad_vectors(set_, entry, bad):
 
 
 class NoPolar(ConvexSet):
-    """A user set that defines no closed-form polar."""
+    """A user set that defines no closed-form polar: its polar is a view."""
 
     dim = 2
 
@@ -126,10 +126,8 @@ FAILURES = {
     "project_p_ball_3": (CapabilityMissing,
                          "p-ball projection is implemented for p in {2, inf} only",
                          lambda: PBall(3.0, 1.0).project((1.0, 1.0))),
-    "base_polar": (CapabilityMissing, "no cataloged closed-form polar for NoPolar",
-                   lambda: closed_form_polar(NoPolar())),
-    "closed_form_polar_of_an_object": (TypeError, "object is not a ConvexSet",
-                                       lambda: closed_form_polar(object())),
+    "base_polar": (CapabilityMissing, "the polar of NoPolar has no support function",
+                   lambda: NoPolar().polar().support((1.0, 1.0))),
     "ellipsoid_empty": (ValueError, "Q must be nonempty",
                         lambda: Ellipsoid(np.zeros((0, 0)))),
     "spec_invalid_json": (ValueError, "invalid JSON: Expecting value: line 1 column 1 (char 0)",
@@ -227,11 +225,11 @@ def test_polar_cone_memberships_validate_once(entry, monkeypatch):
 
 TOLERANCE_ENTRIES = {
     "contains": lambda c, y, tol: c.contains(y, tol),
-    "polar_membership": lambda c, y, tol: polar_membership(c, y, tol),
+    "polar_membership": lambda c, y, tol: homcone.sets._Polar(c).contains(y, tol),
     "polar_cone_membership": lambda c, y, tol: polar_cone_membership(c, y, tol),
     "homogenization_polar_membership":
         lambda c, y, tol: homogenization_polar_membership(c, (y, -1.0), tol),
-    "closed_form_polar": lambda c, y, tol: closed_form_polar(c).contains(y, tol),
+    "closed_form_polar": lambda c, y, tol: c.polar().contains(y, tol),
 }
 
 
@@ -249,7 +247,8 @@ def test_bad_tolerance_is_rejected(entry, tol):
 def test_closed_form_polar_stays_in_range(name, set_):
     # The closed forms once squared, powered or summed the raw y and
     # overflowed here; the support function rescales and answers False.
+    polar = set_.polar()
     for t, sign in ((1e200, 1.0), (1e200, -1.0), (1.7e308, 1.0)):
         y = np.full(set_.dim, t)
         y[1] *= sign
-        assert closed_form_polar(set_).contains(y) == polar_membership(set_, y)
+        assert polar.contains(y) == (set_.support(y) <= 1.0 + 1e-9)
