@@ -39,9 +39,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .roots import brent_root
+from .roots import _ROOT_RTOL, brent_root
 from .scaledfun import PsiEvaluator
-from .sets import _ROOT_RTOL, MEMBERSHIP_TOL, Branch, _as_query, _ldexp_array
+from .sets import MEMBERSHIP_TOL, Branch, _as_query, _ldexp_array
 
 #: Queries whose largest entry has a binary exponent beyond this are projected
 #: on an exact power-of-2 rescale, so that squared norms neither overflow nor

@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from .errors import CapabilityMissing
-from .sets import _as_query, _ldexp_or_inf, _norm, _scaled
+from .roots import _norm
+from .sets import _as_query, _ldexp_or_inf, _scaled
 
 
 def _phi_prime(alpha, w, p) -> float:

@@ -36,29 +36,23 @@ the homogenization cone K of the set exactly, returning
 none; :func:`homcone.homproj.project_homogenization` calls it once per query,
 after its exact power-of-2 rescale, so a kernel only sees a query whose
 largest entry lies within 2^(+-500), or the origin, and forms no squared norm
-that overflows or underflows.
-The origin-centred Euclidean ball (the ice-cream cone) and the ball pen have a
-closed form; the box, the l1 ball and the simplex solve a piecewise-linear
-equation over sorted breakpoints (:func:`_breakpoint_root`), above 1,024 of
-them by Newton steps from the root on a strided sample, which land on the
-exact root, or left of it, where one sort of the breakpoints above the last
-step finishes; the ellipsoid and
-the ball off the origin project onto one quadratic cone
-{||W^1/2 z|| <= t}, which solves one scalar equation for its multiplier:
-the ellipsoid in its eigenbasis (:func:`_quadratic_cone`), and the ball,
-after one rotation of the plane of its centre and the height, on a 2-vector
-(:func:`_plane_cone`, the same solve as straight-line code, bit for bit),
-which also solves the 2-D ellipsoid;
-``PBall`` with
-p = 2 or p = inf uses the origin ball's or the box's kernel.  Only the
-p-balls without a projector have none.  Up to ``_FLOATS`` (12) entries both
-root cores run the same algorithm on Python floats instead of numpy arrays,
-as do :func:`_as_query` and :func:`_norm`, and the box, l1 and simplex
-kernels take every scalar they branch on (membership in K, sigma_C(y), the
-simplex kernel's sums and extremes) from one ``tolist()`` and hand the same
-lists to the breakpoint root, numpy building only the answer.
-A sum that lies within its rounding error of a branch edge is retaken on
-numpy (:func:`_sum_at_most`), so both sides of the switch branch alike.
+that overflows or underflows.  The origin-centred Euclidean ball (the
+ice-cream cone) and the ball pen have a closed form, and ``PBall`` with
+p = 2 or p = inf takes the origin ball's or the box's kernel.  The others
+end in a root solve of :mod:`homcone.roots`: the box, the l1 ball and the
+simplex in the root over the breakpoints of a piecewise-linear equation
+(:func:`_breakpoint_root`), the ellipsoid and the ball off the origin in
+the projection onto one quadratic cone {||W^1/2 z|| <= t}: the ellipsoid
+in its eigenbasis (:func:`_quadratic_cone`), the ball, after one rotation
+of the plane of its centre and the height, on a 2-vector
+(:func:`_plane_cone`), which also solves the 2-D ellipsoid.  Only the
+p-balls without a projector have no kernel.  Up to ``_FLOATS`` (12)
+entries the box, l1 and simplex kernels take every scalar they branch on
+(membership in K, sigma_C(y), the simplex kernel's sums and extremes) from
+one ``tolist()`` and hand the same lists to the breakpoint root, numpy
+building only the answer.  A sum that lies within its rounding error of a
+branch edge is retaken on numpy (:func:`_sum_at_most`), so both sides of
+the switch branch alike.
 A subclass that changes ``_project`` of one of these sets
 (``EuclideanBall``, ``BallPen``, ``Box``, ``L1Ball``, ``Simplex``,
 ``Ellipsoid``, ``PBall``) must also override ``_project_cone``, or the
@@ -85,30 +79,12 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import CapabilityMissing, MaxIterationsExceeded
+from .errors import CapabilityMissing
+from .roots import (_FLOATS, _breakpoint_root, _norm, _plane_cone, _quadratic_cone,
+                    _quadratic_cone_floats, _secular_root, _sorted_root_floats)
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
-
-#: The secular Newton solve behind both ellipsoid kernels and the
-#: off-centre ball's (:func:`_secular_root`, :func:`_plane_cone`): the
-#: relative step that ends it, also the floor of the alpha* tolerance in
-#: :mod:`homcone.homproj`, and the most evaluations it may take.
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
-_ROOT_MAX_STEPS = 100
-
-#: :func:`_norm` rescales below this norm, where the square is below 2^-1000.
-_NORM_FLOOR = 2.0 ** -500
-
-#: Up to this many entries, the root cores (:func:`_secular_root` and
-#: :func:`_breakpoint_root`), the branch tests of the box, l1 and simplex
-#: kernels and their breakpoint roots, the ellipsoid kernel (the list core
-#: :func:`_quadratic_cone_floats` on its stored factors, at two entries
-#: :func:`_plane_cone`), the query validation (:func:`_as_query`) and
-#: :func:`_norm` run on Python floats, where numpy's cost per call outweighs
-#: its cost per entry.  The crossover measured at 12; no benchmark workload
-#: runs 13 to 16 entries, where a higher switch could be shown end to end.
-_FLOATS = 12
 
 #: Half an ulp of the largest float: x_i - c_i, with |c_i| below it, rounds
 #: to a finite value for every finite x_i.
@@ -162,24 +138,6 @@ def _ldexp_or_inf(value, e) -> float:
         return math.ldexp(value, e)
     except OverflowError:
         return math.copysign(math.inf, value)
-
-
-def _norm(v) -> float:
-    """||v||, also where its square overflows or underflows.  Up to
-    ``_FLOATS`` entries it is the scale-safe ``math.hypot`` of the Python
-    floats of v.  Above, ``np.vdot`` raises no floating-point warning, and
-    only when the plain square is infinite or below 2^-1000 is the norm
-    taken of v scaled by its largest entry."""
-    if v.size <= _FLOATS:
-        return math.hypot(*v.tolist())
-    n = math.sqrt(np.vdot(v, v))
-    if _NORM_FLOOR < n < math.inf:
-        return n
-    top = float(np.abs(v).max())
-    if top == 0.0:
-        return 0.0
-    v = v / top
-    return top * math.sqrt(np.vdot(v, v))
 
 
 def _sum_at_most(terms, n, edge, exact, *args) -> bool:
@@ -475,8 +433,9 @@ class EuclideanBall(ConvexSet):
         return max(cos * t - sin * zp, 0.0), x, Branch.CONE_INTERIOR
 
     def _polar(self):
-        """The ball of radius 1/gamma; off the origin gamma ||y|| + <c, y> <= 1."""
-        if self._centred:
+        """The ball of radius 1/gamma where that is finite; off the origin
+        gamma ||y|| + <c, y> <= 1."""
+        if self._centred and 1.0 / self.radius < math.inf:
             return EuclideanBall(np.zeros(self.dim), 1.0 / self.radius)
         return None
 
@@ -546,114 +505,11 @@ class Box(ConvexSet):
         return alpha, np.minimum(np.maximum(y, -ab), ab), Branch.CONE_INTERIOR
 
     def _polar(self):
-        """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b."""
-        b = self.halfwidths
-        equal = np.all(b == b[0]) and b[0] > 0.0
-        return L1Ball(1.0 / b[0], self.dim) if equal else None
-
-
-#: Above 4 times this many breakpoints, :func:`_breakpoint_root` takes
-#: Newton steps from the root on a strided sample of about this many.
-_SAMPLE = 256
-
-#: The most Newton steps :func:`_breakpoint_root` takes before it sorts.  The
-#: iter_large box and l1 roots take 2-4; the few simplex roots that take more
-#: than 6 sort a few hundred breakpoints.
-_NEWTON_STEPS = 6
-
-
-def _breakpoint_root(t, slope, offset, u=None, w=None):
-    """Root x of the decreasing piecewise-linear function
-
-        F(x) = offset - slope x + sum_i max(u_i - w_i x, 0),   w_i > 0,
-
-    whose breakpoints are t = u / w (u = t and w = 1 when not given).  The
-    box, l1 and simplex projectors and their cone kernels all reduce to it.
-
-    Up to ``_FLOATS`` breakpoints one sort and one scan of running sums on
-    Python floats find it (:func:`_sorted_root_floats`), and up to 4 _SAMPLE
-    one sort and one cumulative sum on arrays (:func:`_sorted_root`).
-    Above, Newton steps on F (Michelot's finite algorithm, 1986) start from
-    the root of F / stride on every stride-th breakpoint.  A step from x is
-    the root of F's piece at x, (offset + sum_{t > x} u) / (slope +
-    sum_{t > x} w): two dot products against a mask.  F is convex, so every
-    step lands at or left of its root, and from there the set above x only
-    shrinks; a step that keeps its size keeps the set and is F's root
-    exactly.  The root is the largest piece root, so x is the largest step
-    so far (the sample root is no piece root and does not count): a step
-    that rounds below the one before cannot undo it.  A breakpoint at or
-    below a step has no term at the root, so after ``_NEWTON_STEPS`` steps
-    one sort of those above x finds the root.  For the simplex threshold
-    (slope 0, the largest breakpoint 0) the sample root and every step lie
-    below 0, so no step divides by 0.
-    """
-    if t.size <= _FLOATS:
-        return _sorted_root_floats(t.tolist(), slope, offset,
-                                   None if w is None else u.tolist(),
-                                   None if w is None else w.tolist())
-    if t.size <= 4 * _SAMPLE:
-        return _sorted_root(t, slope, offset, u, w)
-    step = t.size // _SAMPLE
-    cut = slice(None, None, step)
-    above = t > _sorted_root(t[cut], slope / step, offset / step,
-                             None if w is None else u[cut],
-                             None if w is None else w[cut])
-    k = int(np.count_nonzero(above))
-    x = -math.inf
-    for _ in range(_NEWTON_STEPS):
-        mask = above.astype(float)
-        top, base = (mask @ t, k) if w is None else (mask @ u, mask @ w)
-        x = max(x, (offset + float(top)) / (slope + float(base)))
-        above = t > x
-        k, count = int(np.count_nonzero(above)), k
-        if k == count:
-            return x
-    keep = np.flatnonzero(above)
-    return max(x, _sorted_root(t[keep], slope, offset,
-                               None if w is None else u[keep],
-                               None if w is None else w[keep]))
-
-
-def _sorted_root(t, slope, offset, u, w):
-    """The root of F of :func:`_breakpoint_root` by one sort and one
-    cumulative sum.
-
-    Where exactly the k largest breakpoints exceed x, F is linear with root
-    x_k = (offset + U_k) / (slope + W_k), U_k and W_k the sums of their u
-    and w.  F is the largest of these pieces, so its root is the largest
-    x_k, or offset / slope (k = 0) where that is larger.  No test t_k > x_k
-    picks k: where every x_k rounds to its t_k, that test would pick k = 0.
-    """
-    if w is None:
-        x = (offset + np.sort(t)[::-1].cumsum()) / (slope + np.arange(1, t.size + 1))
-    else:
-        order = t.argsort()[::-1]
-        x = (offset + u[order].cumsum()) / (slope + w[order].cumsum())
-    root = float(x.max())
-    return max(root, offset / slope) if slope else root
-
-
-def _sorted_root_floats(t, slope, offset, u, w):
-    """The root of :func:`_sorted_root` on Python floats: one descending
-    sort, then one scan with running sums U_k and W_k.  t, u and w may be
-    any iterables of floats."""
-    root = offset / slope if slope else -math.inf
-    top = base = 0.0
-    if w is None:
-        for ti in sorted(t, reverse=True):
-            top += ti
-            base += 1.0
-            x = (offset + top) / (slope + base)
-            if x > root:
-                root = x
-    else:
-        for _, ui, wi in sorted(zip(t, u, w), reverse=True):
-            top += ui
-            base += wi
-            x = (offset + top) / (slope + base)
-            if x > root:
-                root = x
-    return root
+        """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b
+        where that is finite."""
+        b = float(self.halfwidths[0])
+        equal = np.all(self.halfwidths == b) and b > 0.0 and 1.0 / b < math.inf
+        return L1Ball(1.0 / b, self.dim) if equal else None
 
 
 def _simplex_threshold(v, target):
@@ -740,8 +596,9 @@ class L1Ball(ConvexSet):
         return alpha, np.copysign(x, y, out=x), branch
 
     def _polar(self):
-        """The box of halfwidth 1/radius."""
-        return Box(np.full(self.dim, 1.0 / self.radius))
+        """The box of halfwidth 1/radius where that is finite."""
+        b = 1.0 / self.radius
+        return Box(np.full(self.dim, b)) if b < math.inf else None
 
 
 class PBall(ConvexSet):
@@ -800,153 +657,11 @@ class PBall(ConvexSet):
 
     def _polar(self):
         """The dual-norm (q-norm, or l1 where q rounds to 1, as at p = inf)
-        ball of radius 1/radius."""
-        if self.q == 1.0:
-            return L1Ball(1.0 / self.radius, self.dim)
-        return PBall(self.q, 1.0 / self.radius, self.dim)
-
-
-def _secular_root(c, a):
-    """Root x >= 0 of M(x) = 1 / ||c / (a + x)|| = 1 for a >= 0, by Newton.
-
-    M is concave and increasing (Moré and Sorensen, "Computing a trust region
-    step", 1983), so Newton climbs monotonically from the lower bound
-    max(||c|| - max a, ||c min a / a|| - min a, 0); the second term keeps
-    c / (a + x) in range when a spans hundreds of decades.  Stops when
-    M(x) >= 1 or a step is at most ``_ROOT_RTOL`` x; raises
-    MaxIterationsExceeded after ``_ROOT_MAX_STEPS`` evaluations.  Up to
-    ``_FLOATS`` entries the same iteration runs on Python floats
-    (:func:`_secular_root_floats`).
-    """
-    if c.size <= _FLOATS:
-        return _secular_root_floats(c.tolist(), a.tolist())
-    x = max(_norm(c) - float(a.max()), 0.0)
-    a_lo = float(a.min())
-    if a_lo > 0.0:
-        x = max(x, _norm(c * (a_lo / a)) - a_lo)
-    for _ in range(_ROOT_MAX_STEPS):
-        d = a + x
-        r = c / d
-        f = float(np.vdot(r, r))
-        if f <= 1.0:
-            return x
-        # The Newton step (1 - M) / M' is f (sqrt(f) - 1) / g, g = sum r^2 / d.
-        step = f * (math.sqrt(f) - 1.0) / float(np.vdot(r / d, r))
-        x += step
-        if step <= _ROOT_RTOL * x:
-            return x
-    raise MaxIterationsExceeded(
-        f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
-    )
-
-
-def _secular_root_floats(c, a):
-    """:func:`_secular_root` on lists of Python floats: the same lower bound,
-    Newton step and stopping rule, with the scale-safe ``math.hypot`` for
-    the norms."""
-    x = max(math.hypot(*c) - max(a), 0.0)
-    a_lo = min(a)
-    if a_lo > 0.0:
-        x = max(x, math.hypot(*[ci * (a_lo / ai) for ci, ai in zip(c, a)]) - a_lo)
-    for _ in range(_ROOT_MAX_STEPS):
-        f = g = 0.0
-        for ci, ai in zip(c, a):
-            d = ai + x
-            r = ci / d
-            f += r * r
-            g += r / d * r
-        if f <= 1.0:
-            return x
-        step = f * (math.sqrt(f) - 1.0) / g
-        x += step
-        if step <= _ROOT_RTOL * x:
-            return x
-    raise MaxIterationsExceeded(
-        f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
-    )
-
-
-def _quadratic_cone(u, w, s, root, one):
-    """Projection of (u, s) onto the quadratic cone {(z, t) : ||W^1/2 z|| <= t}
-    with W = diag(w), w > 0: None where (u, s) lies in it, else ``(t, z)``,
-    with t = 0 (and z None) at the apex.
-
-    Off the cone and its polar, the KKT conditions give z = u / (1 + mu w)
-    and t = ||W^1/2 z|| = s / (1 - mu) for a multiplier mu > 0, so
-    z = t u / d with d = t + (t - s) w.  The unknown is v = t - max(s, 0),
-    which keeps t - s = v + max(-s, 0) exact however small mu is: t is the
-    root of M(v) = 1 for M(v) = 1 / ||W^1/2 u / d(v)||.  Each d_i is linear
-    and increasing in v, so M is concave and increasing, from s / ||W^1/2 u||
-    (s > 0) or -s / ||W^-1/2 u|| (s <= 0) at v = 0 to at least 1 at
-    t = ||W^1/2 u||.  :func:`_secular_root` solves it with c = W^1/2 u /
-    (1 + w) and a = (max(s, 0) + max(-s, 0) w) / (1 + w), to a tolerance
-    relative to v, independent of the scale of the query and of w.  On the
-    polar of the cone, M(0) >= 1, the root is v = 0 and t = 0: the apex.
-    ``root`` and ``one`` are the caller's stored sqrt(w) and 1 + w.
-    """
-    wu = root * u
-    if math.sqrt(np.vdot(wu, wu)) <= s:
-        return None
-    base, lift = max(s, 0.0), max(-s, 0.0)
-    v = _secular_root(wu / one, (base + lift * w) / one)
-    t = base + v
-    if t == 0.0:
-        return 0.0, None
-    return t, u * (t / ((v + lift) * w + t))
-
-
-def _quadratic_cone_floats(u, w, s, root, one):
-    """:func:`_quadratic_cone` on sequences of Python floats, z a list, the
-    norm by the scale-safe ``math.hypot``."""
-    wu = [hi * ui for ui, hi in zip(u, root)]
-    if math.hypot(*wu) <= s:
-        return None
-    base, lift = max(s, 0.0), max(-s, 0.0)
-    v = _secular_root_floats([x / oi for x, oi in zip(wu, one)],
-                             [(base + lift * wi) / oi for wi, oi in zip(w, one)])
-    t = base + v
-    if t == 0.0:
-        return 0.0, None
-    return t, [ui * (t / ((v + lift) * wi + t)) for ui, wi in zip(u, w)]
-
-
-def _plane_cone(r, p, w, root, one, s):
-    """:func:`_quadratic_cone_floats` on the 2-vector (r, p), bit for bit,
-    as straight-line code: None inside the cone, else ``(t, z_r, z_p)``,
-    t = 0 at the apex.  :func:`_secular_root_floats` is inlined, with the
-    same lower bounds, Newton step, stopping rule and
-    MaxIterationsExceeded.  ``root`` and ``one`` are sqrt(w) and 1 + w, as
-    stored by its two callers: the off-centre ball, on its rotated plane,
-    and the 2-D ellipsoid, in its eigenbasis."""
-    (w0, w1), (h0, h1), (o0, o1) = w, root, one
-    c0, c1 = h0 * r, h1 * p
-    if math.hypot(c0, c1) <= s:
-        return None
-    base, lift = max(s, 0.0), max(-s, 0.0)
-    c0, c1 = c0 / o0, c1 / o1
-    a0, a1 = (base + lift * w0) / o0, (base + lift * w1) / o1
-    x = max(math.hypot(c0, c1) - max(a0, a1), 0.0)
-    a_lo = min(a0, a1)
-    if a_lo > 0.0:
-        x = max(x, math.hypot(c0 * (a_lo / a0), c1 * (a_lo / a1)) - a_lo)
-    for _ in range(_ROOT_MAX_STEPS):
-        d0, d1 = a0 + x, a1 + x
-        r0, r1 = c0 / d0, c1 / d1
-        f = r0 * r0 + r1 * r1
-        if f <= 1.0:
-            break
-        step = f * (math.sqrt(f) - 1.0) / (r0 / d0 * r0 + r1 / d1 * r1)
-        x += step
-        if step <= _ROOT_RTOL * x:
-            break
-    else:
-        raise MaxIterationsExceeded(
-            f"secular equation did not converge in {_ROOT_MAX_STEPS} steps"
-        )
-    t = base + x
-    if t == 0.0:
-        return 0.0, 0.0, 0.0
-    return t, r * (t / ((x + lift) * w0 + t)), p * (t / ((x + lift) * w1 + t))
+        ball of radius 1/radius where that is finite."""
+        r = 1.0 / self.radius
+        if not r < math.inf:
+            return None
+        return L1Ball(r, self.dim) if self.q == 1.0 else PBall(self.q, r, self.dim)
 
 
 class Ellipsoid(ConvexSet):
@@ -1041,10 +756,15 @@ class Ellipsoid(ConvexSet):
 
     def _polar(self):
         """The ellipsoid of Q^-1 = V diag(1/w) V^T, on the eigenpairs (1/w, V):
-        a second eigensolve would move its axes by cond(Q) ulps."""
-        w, v = 1.0 / self._evals, self._evecs
+        a second eigensolve would move its axes by cond(Q) ulps.  None where
+        Q^-1 leaves the float64 range."""
+        with np.errstate(all="ignore"):
+            w, v = 1.0 / self._evals, self._evecs
+            q = (v * w) @ v.T
+        if not np.isfinite(q).all():
+            return None
         polar = Ellipsoid.__new__(Ellipsoid)
-        polar._store((v * w) @ v.T, w, v)
+        polar._store(q, w, v)
         return polar
 
 

@@ -13,7 +13,7 @@ reason, and the test marks that case a strict xfail (the key ``"build"``:
 every test, as the construction fails).
 
 ``CORE`` holds one entry per set type, the box also at 13 entries (the
-numpy side of ``sets._FLOATS``); the per-method tests run on it.
+numpy side of ``roots._FLOATS``); the per-method tests run on it.
 ``CATALOG`` adds the other sizes (1, 2, 3, 13 and 40 where the type
 allows), narrow and wide parameters, user subclasses with no kernel and
 the defects' reproducers; the contract tests run on all of it.  Adding a

@@ -9,13 +9,13 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-import homcone.sets as sets
+import homcone.roots as roots
 from homcone import Box, Branch, L1Ball, PBall, Simplex, project_homogenization
 from set_catalog import CATALOG, params
 from test_homproj import SCALES, kernel_branch, kernel_queries
 
 # Just above the sampling threshold, a power of 2, and the benchmark's size.
-SIZES = (4 * sets._SAMPLE + 1, 4096, 20000)
+SIZES = (4 * roots._SAMPLE + 1, 4096, 20000)
 
 
 def exact_root(t, slope, offset, u=None, w=None):
@@ -92,7 +92,7 @@ def spiked_layout(n, rng):
     """Ties at 1 with spikes 10, 6 and 3 at indices that no stride-th sample
     holds: the sample sees only the ties."""
     t = np.ones(n)
-    off_sample = np.flatnonzero(np.arange(n) % (n // sets._SAMPLE))
+    off_sample = np.flatnonzero(np.arange(n) % (n // roots._SAMPLE))
     t[rng.choice(off_sample, 3, replace=False)] = (10.0, 6.0, 3.0)
     return t
 
@@ -136,7 +136,7 @@ def test_breakpoint_root_is_the_exact_root(n):
     rng = np.random.default_rng(n)
     for _, t, j in layouts(n, rng):
         for args in shapes(t, rng, j):
-            assert_exact(sets._breakpoint_root(*args), *args)
+            assert_exact(roots._breakpoint_root(*args), *args)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -146,17 +146,17 @@ def test_a_root_far_above_the_mean_breakpoint_is_correctly_rounded(n):
     # that root rounded to the nearest float.
     rng = np.random.default_rng(n + 13)
     for args in shapes(far_spiked_layout(n), rng, 1):
-        assert sets._breakpoint_root(*args) == float(exact_root(*args))
+        assert roots._breakpoint_root(*args) == float(exact_root(*args))
 
 
 def test_breakpoint_root_up_to_the_threshold_is_the_sorted_formula():
     # At 4 _SAMPLE breakpoints and below, no Newton step: the one sort, bit
     # for bit.
     rng = np.random.default_rng(3)
-    t = rng.uniform(-3.0, 5.0, 4 * sets._SAMPLE)
+    t = rng.uniform(-3.0, 5.0, 4 * roots._SAMPLE)
     for args in shapes(t, rng, 300):
         full = (*args, None, None)[:5]
-        assert sets._breakpoint_root(*args) == sets._sorted_root(*full)
+        assert roots._breakpoint_root(*args) == roots._sorted_root(*full)
 
 
 def stride_layout(n, rng, sample_high):
@@ -164,7 +164,7 @@ def stride_layout(n, rng, sample_high):
     the rest in [0, 1], or the sample in [0, 1] and the rest in [10, 11],
     with F's root in the middle of the rest: the sample root lies in the
     wrong cluster."""
-    step = n // sets._SAMPLE
+    step = n // roots._SAMPLE
     t = rng.uniform(0.0, 1.0, n)
     picked = np.zeros(n, dtype=bool)
     picked[::step] = True
@@ -178,9 +178,9 @@ def stride_layout(n, rng, sample_high):
 
 def newton_start(t, slope, offset, u=None, w=None):
     """The sample root the Newton steps start from, and the first step."""
-    step = t.size // sets._SAMPLE
+    step = t.size // roots._SAMPLE
     cut = slice(None, None, step)
-    x = sets._sorted_root(t[cut], slope / step, offset / step,
+    x = roots._sorted_root(t[cut], slope / step, offset / step,
                           None if w is None else u[cut],
                           None if w is None else w[cut])
     if w is None:
@@ -193,20 +193,20 @@ def newton_start(t, slope, offset, u=None, w=None):
 def sorts(monkeypatch):
     """The breakpoints of every _sorted_root call."""
     seen = []
-    sorted_root = sets._sorted_root
+    sorted_root = roots._sorted_root
 
     def recorded(t, *args):
         seen.append(t)
         return sorted_root(t, *args)
 
-    monkeypatch.setattr(sets, "_sorted_root", recorded)
+    monkeypatch.setattr(roots, "_sorted_root", recorded)
     return seen
 
 
 def assert_sorts_above_a_step(sorts, t, root):
     """After the sample's sort, at most one more, of exactly the breakpoints
     above some x at or below the root."""
-    assert sorts[0].size == t[:: t.size // sets._SAMPLE].size
+    assert sorts[0].size == t[:: t.size // roots._SAMPLE].size
     assert len(sorts) <= 2
     for kept in sorts[1:]:
         # The breakpoints above some x: all those at or above the least kept
@@ -230,7 +230,7 @@ def test_a_missed_bracket_moves_to_the_side_of_the_root(n, sample_high, sorts):
         assert (start > root) == sample_high
         assert first <= root
         sorts.clear()
-        assert_exact(sets._breakpoint_root(*args), *args)
+        assert_exact(roots._breakpoint_root(*args), *args)
         assert_sorts_above_a_step(sorts, args[0], root)
 
 
@@ -240,13 +240,13 @@ def test_a_near_miss_takes_the_next_sample_ranks(n, sorts):
     # the steps from it end on F's root exactly.
     rng = np.random.default_rng(n + 5)
     t = rng.uniform(0.0, 1.0, n)
-    t[:: n // sets._SAMPLE] += 0.2
+    t[:: n // roots._SAMPLE] += 0.2
     for args in shapes(t, rng, n // 2):
         root = exact_root(*args)
         start, first = newton_start(*args)
         assert first <= root < start
         sorts.clear()
-        assert_exact(sets._breakpoint_root(*args), *args)
+        assert_exact(roots._breakpoint_root(*args), *args)
         assert_sorts_above_a_step(sorts, args[0], root)
 
 
@@ -255,14 +255,14 @@ def test_past_the_cap_one_sort_of_the_breakpoints_above_a_step(n, sorts, monkeyp
     # The geometric layout takes 3-5 steps and the middle one 2-3, so with
     # one step allowed the cap engages on both; one sort of exactly the
     # breakpoints above that step finds the root.
-    monkeypatch.setattr(sets, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(roots, "_NEWTON_STEPS", 1)
     rng = np.random.default_rng(n)
     for name, t, j in layouts(n, rng):
         if name not in ("geometric", "middle"):
             continue
         for args in shapes(t, rng, j):
             sorts.clear()
-            assert_exact(sets._breakpoint_root(*args), *args)
+            assert_exact(roots._breakpoint_root(*args), *args)
             assert len(sorts) == 2
             assert_sorts_above_a_step(sorts, args[0], exact_root(*args))
 

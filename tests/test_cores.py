@@ -1,4 +1,4 @@
-"""Everything that switches at ``sets._FLOATS`` entries, on Python floats
+"""Everything that switches at ``roots._FLOATS`` entries, on Python floats
 against its numpy form: up to that size the quadratic-cone core (the list
 core :func:`_quadratic_cone_floats`, as the ellipsoid kernel picks it,
 with :func:`_secular_root`), :func:`_breakpoint_root`, the norm
@@ -14,12 +14,18 @@ RuntimeWarning is an error.  The straight-line plane solve
 must match the list core bit for bit, and so must the paths that take
 stored factors or hand the branch tests' lists to the breakpoint root."""
 
+import ast
+import importlib
 import math
 import operator
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homcone
+import homcone.roots as roots
 import homcone.sets as sets
 from homcone import (
     BallPen,
@@ -28,6 +34,7 @@ from homcone import (
     Ellipsoid,
     EuclideanBall,
     L1Ball,
+    MaxIterationsExceeded,
     Simplex,
     project_homogenization,
 )
@@ -37,8 +44,60 @@ from test_homproj import extreme_radii_queries, kernel_queries
 
 pytestmark = pytest.mark.filterwarnings("error")
 
-SIZES = (1, sets._FLOATS, sets._FLOATS + 1)
+SIZES = (1, roots._FLOATS, roots._FLOATS + 1)
 RTOL = 1e-13
+
+#: Every module that binds the switch: ``roots`` defines it and ``sets``
+#: imports it, so a patch of one binding leaves the other's code unswitched.
+FLOATS_BINDINGS = (roots, sets)
+
+
+def set_floats(monkeypatch, limit):
+    """Switch every binding of ``_FLOATS`` to ``limit``."""
+    for module in FLOATS_BINDINGS:
+        monkeypatch.setattr(module, "_FLOATS", limit)
+
+
+def test_set_floats_reaches_every_binding():
+    bound = set()
+    for info in pkgutil.iter_modules(homcone.__path__):
+        module = importlib.import_module(f"homcone.{info.name}")
+        if hasattr(module, "_FLOATS"):
+            bound.add(module)
+    assert bound == set(FLOATS_BINDINGS)
+
+
+#: The cores that live in roots.py alone.
+MOVED = {"_breakpoint_root", "_sorted_root", "_sorted_root_floats",
+         "_secular_root", "_secular_root_floats", "_quadratic_cone",
+         "_quadratic_cone_floats", "_plane_cone", "_norm", "_FLOATS",
+         "_NORM_FLOOR", "_ROOT_RTOL", "_ROOT_MAX_STEPS", "_SAMPLE", "_NEWTON_STEPS"}
+
+
+def module_tree(name):
+    return ast.parse((Path(homcone.__file__).parent / f"{name}.py").read_text())
+
+
+def test_roots_imports_nothing_of_the_package_but_errors():
+    modules = set()
+    for node in ast.walk(module_tree("roots")):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(f"homcone.{node.module or ''}" if node.level else node.module)
+    assert {m for m in modules if m.split(".")[0] == "homcone"} == {"homcone.errors"}
+
+
+def test_sets_defines_none_of_the_cores():
+    defined = set()
+    for node in module_tree("sets").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert not defined & MOVED
+    assert MOVED <= set(vars(roots))
 
 
 @pytest.fixture
@@ -48,7 +107,7 @@ def on_both_sides(monkeypatch):
     def call(fn, *args):
         answers = []
         for limit in (math.inf, 0):
-            monkeypatch.setattr(sets, "_FLOATS", limit)
+            set_floats(monkeypatch, limit)
             answers.append(fn(*args))
         return answers
 
@@ -57,12 +116,12 @@ def on_both_sides(monkeypatch):
 
 def quadratic_cone(u, w, s):
     """The quadratic-cone core with sqrt(w) and 1 + w taken per call: the list
-    core up to ``sets._FLOATS`` entries, the numpy core above."""
+    core up to ``roots._FLOATS`` entries, the numpy core above."""
     root, one = np.sqrt(w), 1.0 + w
-    if u.size <= sets._FLOATS:
-        return sets._quadratic_cone_floats(u.tolist(), w.tolist(), s,
-                                           root.tolist(), one.tolist())
-    return sets._quadratic_cone(u, w, s, root, one)
+    if u.size <= roots._FLOATS:
+        return roots._quadratic_cone_floats(u.tolist(), w.tolist(), s,
+                                            root.tolist(), one.tolist())
+    return roots._quadratic_cone(u, w, s, root, one)
 
 
 def breakpoint_scale(t, slope, offset, u=None, w=None):
@@ -83,7 +142,7 @@ def test_breakpoint_root_on_both_sides(n, on_both_sides):
             for args in shapes(t, rng, j):
                 if args[1] == 0.0 and not args[2] < 0.0:
                     continue  # the simplex threshold's target is positive
-                floats, arrays = on_both_sides(sets._breakpoint_root, *args)
+                floats, arrays = on_both_sides(roots._breakpoint_root, *args)
                 assert abs(floats - arrays) <= RTOL * breakpoint_scale(*args)
 
 
@@ -337,17 +396,17 @@ def test_off_centre_ball_kernel_on_both_sides(rho, exponent, on_both_sides,
 def test_plane_solve_raises_when_its_budget_is_spent(monkeypatch, on_both_sides):
     # One Newton evaluation is too few here: the plane solve raises the list
     # core's MaxIterationsExceeded, and so does the ball on both sides.
-    monkeypatch.setattr(sets, "_ROOT_MAX_STEPS", 1)
+    monkeypatch.setattr(roots, "_ROOT_MAX_STEPS", 1)
     ball = EuclideanBall((0.5, 0.0), 1.0)
-    with pytest.raises(sets.MaxIterationsExceeded) as plane_error:
-        sets._plane_cone(0.6, -0.4, ball._weights, ball._roots, ball._ones, 0.05)
-    with pytest.raises(sets.MaxIterationsExceeded) as list_error:
-        sets._quadratic_cone_floats([0.6, -0.4], ball._weights, 0.05, ball._roots,
-                                    ball._ones)
+    with pytest.raises(MaxIterationsExceeded) as plane_error:
+        roots._plane_cone(0.6, -0.4, ball._weights, ball._roots, ball._ones, 0.05)
+    with pytest.raises(MaxIterationsExceeded) as list_error:
+        roots._quadratic_cone_floats([0.6, -0.4], ball._weights, 0.05, ball._roots,
+                                     ball._ones)
     assert str(plane_error.value) == str(list_error.value)
     for limit in (math.inf, 0):
-        monkeypatch.setattr(sets, "_FLOATS", limit)
-        with pytest.raises(sets.MaxIterationsExceeded, match="in 1 steps"):
+        set_floats(monkeypatch, limit)
+        with pytest.raises(MaxIterationsExceeded, match="in 1 steps"):
             project_homogenization(ball, ((3.0, -1.0), 0.2))
 
 
@@ -562,12 +621,12 @@ def breakpoint_reference(set_, y, s):
     if isinstance(set_, Box):
         b, a = set_.halfwidths, np.abs(y)
         live = b > 0.0
-        return sets._breakpoint_root(a[live] / b[live], 1.0, s, b[live] * a[live],
-                                     b[live] * b[live])
+        return roots._breakpoint_root(a[live] / b[live], 1.0, s, b[live] * a[live],
+                                      b[live] * b[live])
     r, v = (set_.radius, np.abs(y)) if isinstance(set_, L1Ball) else (1.0, y)
     top = float(v.max())
     lift = s + r * max(top, 0.0)
-    return lift + r * sets._breakpoint_root(v - top, r * r, -r * lift)
+    return lift + r * roots._breakpoint_root(v - top, r * r, -r * lift)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12])

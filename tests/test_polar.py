@@ -442,3 +442,35 @@ def test_the_polar_view_offers_membership_and_its_cone_only():
     assert project_homogenization(hyp, ((3.0, 0.0), 1.0)).branch is Branch.ALREADY_IN_K
     with pytest.raises(CapabilityMissing):
         project_homogenization(hyp, ((0.0, 3.0), 1.0))
+
+
+#: Sets whose cataloged polar has the parameter 1/radius.
+RECIPROCAL_POLARS = {
+    "ball": lambda r: EuclideanBall((0.0, 0.0), r),
+    "box": lambda r: Box((r, r)),
+    "l1": lambda r: L1Ball(r),
+    "pball3": lambda r: PBall(3.0, r),
+    "pball_inf": lambda r: PBall(math.inf, r),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e-310, 5e-309])
+@pytest.mark.parametrize("kind", sorted(RECIPROCAL_POLARS))
+def test_a_polar_whose_radius_overflows_is_the_support_view(kind, radius):
+    # 1/radius exceeds the float64 range, so no cataloged polar exists: the
+    # sigma_C view answers, with no warning, and at 5e-309 some finite y
+    # lies outside it.
+    set_ = RECIPROCAL_POLARS[kind](radius)
+    polar = set_.polar()
+    assert isinstance(polar, homcone.sets._Polar)
+    for y in ((0.0, 0.0), (1.0, -2.0), (-1e300, 3e307), (1.7e308, 1.7e308)):
+        inside = set_.support(y) <= 1.0 + homcone.sets.MEMBERSHIP_TOL
+        assert polar.contains(y) == inside
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_polar_ellipsoid_whose_inverse_overflows_is_the_support_view():
+    polar = Ellipsoid(np.diag([1e-310, 1.0])).polar()
+    assert isinstance(polar, homcone.sets._Polar)
+    assert polar.contains((0.0, 0.0))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import homcone.sets
+import homcone.roots
 from homcone import (
     BallPen,
     Box,
@@ -26,6 +26,7 @@ from homcone import (
 from homcone.roots import brent_root
 from oracle import sample_members
 from set_catalog import CATALOG, CORE, pairs
+from test_cores import set_floats
 
 
 PROJECTABLE = pairs(CORE, projectable=True)
@@ -679,10 +680,10 @@ def test_ellipsoid_root_searches_raise_when_their_budget_is_spent(monkeypatch):
     # One evaluation cannot converge on this far point of a stretched
     # ellipsoid, for the projector or for the cone kernel: both run the
     # secular Newton solve, on Python floats and on numpy arrays alike.
-    monkeypatch.setattr(homcone.sets, "_ROOT_MAX_STEPS", 1)
+    monkeypatch.setattr(homcone.roots, "_ROOT_MAX_STEPS", 1)
     ell = Ellipsoid([[1e3, 0.0], [0.0, 1e-3]])
     for limit in (math.inf, 0):
-        monkeypatch.setattr(homcone.sets, "_FLOATS", limit)
+        set_floats(monkeypatch, limit)
         with pytest.raises(MaxIterationsExceeded, match="in 1 steps"):
             ell.project((50.0, 70.0))
         with pytest.raises(MaxIterationsExceeded,
