@@ -7,7 +7,7 @@ Subcommands: project | table1 | figure | polar.  All output is UTF-8 with '.'
 as the decimal separator and '\\n' line endings; identical inputs produce
 byte-identical output.  Exit codes: 0 success; 2 a bad value (``ValueError``,
 a malformed set spec or an unreadable spec file among them) or a missing
-capability (``CapabilityMissing``); 3 a numerical failure (a root search out of
+capability (``NotImplementedError``); 3 a numerical failure (a root search out of
 budget, or an answer beyond the float64 range).
 """
 
@@ -20,11 +20,10 @@ import sys
 
 import numpy as np
 
-from .errors import CapabilityMissing, MaxIterationsExceeded
-from .homproj import project_homogenization
+from .homproj import homogenization_polar_membership, project_homogenization
 from .paper import (FIGURES, REFERENCE_TABLE, bisection_projection, figure_csv,
                     reference_trace, trace_csv)
-from .polar import homogenization_polar_membership, polar_cone_membership
+from .roots import MaxIterationsExceeded
 from .sets import MEMBERSHIP_TOL, set_from_spec
 
 EXIT_OK = 0
@@ -128,9 +127,9 @@ def cmd_polar(args) -> int:
     sigma = set_.support(y)
     payload = {
         "sigma": "+inf" if math.isinf(sigma) else _g8(sigma),
-        # polar_cone_membership, next, rejects a bad tolerance.
+        # The polar cone's test, next, rejects a bad tolerance.
         "in_polar_set": sigma <= 1.0 + args.tol,
-        "in_polar_cone": polar_cone_membership(set_, y, args.tol),
+        "in_polar_cone": homogenization_polar_membership(set_, (y, 0.0), args.tol),
         "in_K_polar": (
             None
             if args.height is None
@@ -210,7 +209,7 @@ def main(argv=None) -> int:
     except (MaxIterationsExceeded, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CapabilityMissing, ValueError) as exc:
+    except (NotImplementedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

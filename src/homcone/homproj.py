@@ -29,6 +29,11 @@ entry lies beyond 2^(+-500) is projected on its exact power-of-2 rescale,
 ahead of the kernel and the solver alike, so neither forms a squared norm
 that overflows or underflows.  Everything after the pass calls the sets'
 unchecked kernels (see :mod:`homcone.sets`).
+
+The polar cone of K is cl cone(C° x {-1}), with C° = {sigma_C <= 1} the
+polar set (``ConvexSet.polar``): (y, s) belongs to it iff sigma_C(y) + s <= 0,
+which fails for every s > 0 because C contains the origin.  Its slice at
+s = 0 is the polar cone of C (:func:`homogenization_polar_membership`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .roots import _ROOT_RTOL, brent_root
 from .scaledfun import PsiEvaluator
-from .sets import MEMBERSHIP_TOL, Branch, _as_query, _ldexp_array
+from .sets import MEMBERSHIP_TOL, Branch, _as_query, _as_tolerance, _ldexp_array
 
 #: Queries whose largest entry has a binary exponent beyond this are projected
 #: on an exact power-of-2 rescale, so that squared norms neither overflow nor
@@ -240,3 +245,25 @@ def _up(v, e) -> float:
         return math.ldexp(v, e)
     except OverflowError:
         raise OverflowError("the projection exceeds the float64 range") from None
+
+
+# ---------------------------------------------------------------------------
+# Polar cone
+# ---------------------------------------------------------------------------
+
+def homogenization_polar_membership(set_, p, tol=MEMBERSHIP_TOL) -> bool:
+    """Membership of (y, s) in the polar cone of K; at s = 0, of y in the
+    polar cone of C.
+
+    True iff sigma_C(y) + s <= tol ||(y, s)||, a band relative to the query,
+    as the set is a cone, so (t y, t s) is answered alike at every scale
+    t > 0.  No division by s: a height near 0 needs no branch.  Both sides
+    are taken on the exact power-of-2 rescale of the query, where neither
+    sigma_C nor the norm can overflow.  A tolerance that is not finite and
+    nonnegative is a ValueError.
+    """
+    y, s = p
+    y, s, e = _as_query(y, set_.dim, s)
+    tol = _as_tolerance(tol)
+    y, s = np.ldexp(y, -e), math.ldexp(s, -e)
+    return set_._support(y) + s <= tol * math.hypot(float(np.linalg.norm(y)), s)

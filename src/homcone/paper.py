@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaxIterationsExceeded
 from .homproj import TraceRow, _answer, _check_solver_args, _member, _query, _result
+from .roots import MaxIterationsExceeded
 from .scaledfun import PsiEvaluator
 from .sets import EuclideanBall, _as_query, as_vector
 

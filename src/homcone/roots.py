@@ -9,9 +9,11 @@ breakpoints (:func:`_breakpoint_root`: the box, l1 ball and simplex) or in
 the Newton solve of a secular equation (:func:`_secular_root`: the
 ellipsoid), which projects onto a quadratic cone (:func:`_quadratic_cone`,
 in 2-D :func:`_plane_cone`: the ellipsoid and the ball off the origin).  No
-core validates its input; each states the contract its callers keep.  The
-one other loop that raises MaxIterationsExceeded is the paper's reference
-bisection, worked-example code in :mod:`homcone.paper`.
+core validates its input; each states the contract its callers keep.  A
+solve out of its step budget raises :class:`MaxIterationsExceeded`, defined
+here, so that the module imports nothing from the package; the one other
+loop that raises it is the paper's reference bisection, worked-example code
+in :mod:`homcone.paper`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import math
 
 import numpy as np
 
-from .errors import MaxIterationsExceeded
+
+class MaxIterationsExceeded(Exception):
+    """A root search (the reference bisection, Brent's method or the secular
+    Newton solve) did not converge within its step budget."""
+
 
 #: The relative step that ends the secular Newton solve (:func:`_secular_root`,
 #: :func:`_plane_cone`), also the floor of the alpha* tolerance in

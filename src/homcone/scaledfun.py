@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityMissing
 from .roots import _norm
 from .sets import _as_query, _ldexp_or_inf, _scaled
 
@@ -50,7 +49,7 @@ class PsiEvaluator:
     The constructor validates (y, s) once; every evaluation then calls the
     set's unchecked kernels on vectors built from that query.  At a = 0,
     ``psi`` needs the recession-cone projector of the set; variants without
-    one raise CapabilityMissing rather than approximating.
+    one raise NotImplementedError rather than approximating.
 
     The one piece of state is a memo of the (alpha, w = y / alpha, P_C(w))
     triples of the last two alphas, read by ``phi``, ``phi_prime``,
@@ -134,11 +133,11 @@ class PsiEvaluator:
         As a -> 0+, <P_C(y/a), y> tends to sigma_C(y) and a ||P_C(y/a)||^2 to
         0.  A nonnegative value certifies alpha* = 0, the recession branch:
         (y, s) then lies in the polar cone of K.  Unbounded sets raise
-        CapabilityMissing, since their sigma_C is +inf off the polar of the
+        NotImplementedError, since their sigma_C is +inf off the polar of the
         recession cone.  sigma_C is taken on the power-of-2 rescale of y, as
         :meth:`~homcone.sets.ConvexSet.support` does, so that no inner
         product inside it leaves the float range.
         """
         if not self.set.bounded:
-            raise CapabilityMissing("psi'(0+) in closed form needs a bounded set")
+            raise NotImplementedError("psi'(0+) in closed form needs a bounded set")
         return -2.0 * (self.s + _scaled(self.set._support, self.y))

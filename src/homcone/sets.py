@@ -9,7 +9,7 @@ are immutable after construction and every operation is a pure function, so
 shared instances are safe to evaluate concurrently.
 
 Not every variant is projectable: some sets exist only for support-function and
-polar work and raise :class:`CapabilityMissing` from :meth:`project`, as a set
+polar work and raise ``NotImplementedError`` from :meth:`project`, as a set
 does for every operation it lacks.
 
 Each set is implemented once.  The JSON spec types ``shifted_unit_ball`` and
@@ -79,7 +79,6 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import CapabilityMissing
 from .roots import (_FLOATS, _breakpoint_root, _norm, _plane_cone, _quadratic_cone,
                     _quadratic_cone_floats, _secular_root, _sorted_root_floats)
 
@@ -223,7 +222,8 @@ class ConvexSet:
     ``_polar``, which returns the cataloged polar set or a membership kernel
     ``contains(y, tol)``; the default None tests {sigma_C <= 1 + tol}.  The
     defaults of ``_project`` and of ``_project_recession`` (of an unbounded
-    set) raise CapabilityMissing.
+    set) raise NotImplementedError, as do those of ``_contains`` and
+    ``_support``, each naming the set and what it lacks.
     """
 
     dim: int
@@ -263,13 +263,13 @@ class ConvexSet:
         return _ldexp_or_inf(self._recession_distance(np.ldexp(y, -e)), e)
 
     def _contains(self, x, tol) -> bool:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no membership test")
 
     def _support(self, y) -> float:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no support function")
 
     def _project(self, x) -> np.ndarray:
-        raise CapabilityMissing(
+        raise NotImplementedError(
             f"{type(self).__name__} is cataloged for support-function and "
             "polar work only and has no projector"
         )
@@ -277,7 +277,7 @@ class ConvexSet:
     def _project_recession(self, x) -> np.ndarray:
         if self.bounded:
             return np.zeros(self.dim)
-        raise CapabilityMissing(
+        raise NotImplementedError(
             f"{type(self).__name__} does not expose a recession-cone projector"
         )
 
@@ -644,7 +644,7 @@ class PBall(ConvexSet):
 
     def _project(self, x):
         if self._same is None:
-            raise CapabilityMissing(
+            raise NotImplementedError(
                 "p-ball projection is implemented for p in {2, inf} only"
             )
         return self._same._project(x)
@@ -702,7 +702,7 @@ class Ellipsoid(ConvexSet):
         self._floats = (w.tolist(), self._roots.tolist(), self._ones.tolist())
 
     def __repr__(self):
-        return f"Ellipsoid(q={self.q_matrix.tolist()})"
+        return f"Ellipsoid(q_matrix={self.q_matrix.tolist()})"
 
     def _eigen(self, x):
         """``(u, e)``: u = V^T (x 2^-e) for the least e >= 0 that brings every
@@ -725,7 +725,10 @@ class Ellipsoid(ConvexSet):
 
     def _support(self, y):
         u = self._evecs.T @ y
-        return float(math.sqrt(np.sum(u * u / self._evals)))
+        # Where the sum of u_i^2 / w_i overflows on a tiny w_i: ||u / sqrt(w)||.
+        with np.errstate(over="ignore"):
+            total = float(np.sum(u * u / self._evals))
+        return math.sqrt(total) if total < math.inf else _norm(u / self._roots)
 
     def _project_cone(self, y, s):
         """K = {(y, s) : ||W^1/2 u|| <= s} with u = V^T y: the quadratic cone
@@ -943,10 +946,10 @@ class _Polar(ConvexSet):
         return _scaled(self._source._support, y) <= 1.0 + tol
 
     def _support(self, y):
-        raise CapabilityMissing(f"the polar of {self._name} has no support function")
+        raise NotImplementedError(f"the polar of {self._name} has no support function")
 
     def _project(self, y):
-        raise CapabilityMissing(f"the polar of {self._name} has no projector")
+        raise NotImplementedError(f"the polar of {self._name} has no projector")
 
     def _project_cone(self, y, s):
         found = self._source._project_cone(y, -s)

@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import homcone
+from homcone import BallPen
 from homcone.cli import main
 
 BALL = '{"type":"euclidean_ball","center":[1,0],"radius":1}'
@@ -57,7 +59,7 @@ from homcone.paper import (QuarticCoefficients, bisection_projection, find_alpha
 for name in ('QuarticCoefficients', 'bisection_projection', 'find_alpha_star',
              'quartic_coefficients', 'reference_trace'):
     assert not hasattr(homcone, name) and not hasattr(homcone.homproj, name), name
-assert len(homcone.__all__) == 21, homcone.__all__
+assert len(homcone.__all__) == 19, homcone.__all__
 """
 
 
@@ -618,6 +620,17 @@ def test_polar_with_height(capsys):
     assert json.loads(out)["in_K_polar"] is False
 
 
+def test_polar_set_flag_is_the_sigma_rule_not_the_polar_sets_own(capsys):
+    # in_polar_set is sigma <= 1 + tol; C.polar().contains is the polar set's
+    # own rule, here the ball pen's closed form, whose band admits <d, y> =
+    # 1e-10 where sigma is +inf.  The two differ inside the band.
+    code, out, _ = run(capsys, "polar", "--set", PEN, "--point", "0.5,1e-10")
+    assert code == 0
+    assert out == ('{"sigma": "+inf", "in_polar_set": false, "in_polar_cone": false, '
+                   '"in_K_polar": null}\n')
+    assert BallPen((0.0, 1.0)).polar().contains((0.5, 1e-10))
+
+
 def test_polar_p_ball_near_p_one(capsys):
     # q = 10,001: the q-th powers of the rescaled point underflow, which once
     # gave sigma = 0 and put (3, 3) in the polar set and both polar cones.
@@ -732,3 +745,33 @@ def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
         if expected is not None:
             assert json.loads(out) == expected, argv
     assert (tmp_path / "cloud.csv").read_text(encoding="utf-8").startswith("label,")
+
+
+def readme_library_steps():
+    """The lines of the python block under the README's "Library surface",
+    each as ``(line, expected)``: ``expected`` is the ``# (...)`` comment
+    under an expression line, or None."""
+    section = README.read_text(encoding="utf-8").split("\n## Library surface\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("# ("):
+            steps[-1] = (steps[-1][0], line[2:])
+        elif line.strip():
+            steps.append((line, None))
+    return steps
+
+
+def test_readme_library_example():
+    # Each commented expression's repr matches its comment, with doctest's
+    # ELLIPSIS; every other line runs.
+    checker = doctest.OutputChecker()
+    steps = readme_library_steps()
+    assert sum(expected is not None for _, expected in steps) == 2
+    namespace = {}
+    for line, expected in steps:
+        if expected is None:
+            exec(line, namespace)
+        else:
+            got = repr(eval(line, namespace))
+            assert checker.check_output(expected, got, doctest.ELLIPSIS), (line, got)

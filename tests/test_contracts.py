@@ -13,14 +13,13 @@ import math
 import numpy as np
 import pytest
 
+import homcone
 import homcone.sets
 from homcone import (
     Branch,
-    CapabilityMissing,
     ConvexSet,
     PsiEvaluator,
     homogenization_polar_membership,
-    polar_cone_membership,
     project_homogenization,
 )
 from set_catalog import CATALOG, params
@@ -37,7 +36,7 @@ def assert_flags(entry, set_):
     if entry.projectable:
         assert set_.project(y).shape == (set_.dim,)
     else:
-        with pytest.raises(CapabilityMissing):
+        with pytest.raises(NotImplementedError):
             set_.project(y)
     assert (set_._project_cone(y, 0.5) is not None) == entry.kernel
 
@@ -86,7 +85,7 @@ def test_every_method_answers_at_every_scale(entry):
         assert isinstance(set_.contains(y), bool)
         assert not math.isnan(set_.support(y))
         assert isinstance(polar.contains(y), bool)
-        assert isinstance(polar_cone_membership(set_, y), bool)
+        assert isinstance(homogenization_polar_membership(set_, (y, 0.0)), bool)
         assert isinstance(homogenization_polar_membership(set_, (y, s)), bool)
         if recession:
             assert np.isfinite(set_.project_recession(y)).all()
@@ -129,3 +128,27 @@ def test_closed_form_polar_answers_by_its_polar_set_or_by_sigma(entry):
                     assert got == (set_.support(point) <= 1.0 + tol)
                 else:
                     assert got == described(np.asarray(point, dtype=float), tol)
+
+
+#: The names a set's repr is evaluated with: homcone's, and inf for p = inf.
+REPR_NAMESPACE = {**vars(homcone), "inf": math.inf}
+
+
+def public_parameters(set_):
+    return {k: v for k, v in vars(set_).items() if not k.startswith("_")}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", params([e for e in CATALOG if e.spec_type], "repr"))
+def test_repr_rebuilds_the_set(entry):
+    # eval(repr(C)) is a set of C's type with C's parameters, bit for bit;
+    # the repr of C's polar, a cataloged set or a view, rebuilds its type.
+    set_ = entry.make()
+    rebuilt = eval(repr(set_), REPR_NAMESPACE)
+    assert type(rebuilt) is type(set_)
+    want, got = public_parameters(set_), public_parameters(rebuilt)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        np.testing.assert_array_equal(got[key], value, err_msg=key, strict=True)
+    polar = set_.polar()
+    assert type(eval(repr(polar), REPR_NAMESPACE)) is type(polar)

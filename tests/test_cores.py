@@ -78,14 +78,14 @@ def module_tree(name):
     return ast.parse((Path(homcone.__file__).parent / f"{name}.py").read_text())
 
 
-def test_roots_imports_nothing_of_the_package_but_errors():
+def test_roots_imports_nothing_of_the_package():
     modules = set()
     for node in ast.walk(module_tree("roots")):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             modules.add(f"homcone.{node.module or ''}" if node.level else node.module)
-    assert {m for m in modules if m.split(".")[0] == "homcone"} == {"homcone.errors"}
+    assert {m for m in modules if m.split(".")[0] == "homcone"} == set()
 
 
 def test_sets_defines_none_of_the_cores():

@@ -526,11 +526,10 @@ def test_a_projection_beyond_the_float_range_is_an_overflow_error(set_, v):
 
 
 PUBLIC_NAMES = [
-    "BallPen", "Box", "Branch", "CapabilityMissing", "ConePoint", "ConvexSet",
-    "Ellipsoid", "EuclideanBall", "Hyperbolic", "L1Ball", "MaxIterationsExceeded",
-    "PBall", "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
-    "homogenization_polar_membership", "polar_cone_membership", "project_homogenization",
-    "set_from_spec",
+    "BallPen", "Box", "Branch", "ConePoint", "ConvexSet", "Ellipsoid",
+    "EuclideanBall", "Hyperbolic", "L1Ball", "MaxIterationsExceeded", "PBall",
+    "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
+    "homogenization_polar_membership", "project_homogenization", "set_from_spec",
 ]
 
 
@@ -539,10 +538,12 @@ def test_public_names():
     for name in PUBLIC_NAMES:
         assert getattr(homcone, name) is not None
     assert homcone.Branch is homcone.homproj.Branch
-    # A malformed spec is a ValueError; no base class sits over the two
-    # failure kinds of homcone.errors.
-    for name in ("HomconeError", "InvalidSetSpec"):
+    # A malformed spec is a ValueError and a missing operation a
+    # NotImplementedError, with no base class over them; the polar cone of
+    # C is the polar cone of K at height 0.
+    for name in ("HomconeError", "InvalidSetSpec", "polar_cone_membership"):
         assert not hasattr(homcone, name)
+    assert homcone.MaxIterationsExceeded is homcone.roots.MaxIterationsExceeded
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from homcone import (
     BallPen,
     Box,
     Branch,
-    CapabilityMissing,
     Ellipsoid,
     EuclideanBall,
     Hyperbolic,
@@ -19,7 +18,7 @@ from homcone import (
     PBall,
     PsiEvaluator,
     Simplex,
-    polar_cone_membership,
+    homogenization_polar_membership,
     project_homogenization,
     set_from_spec,
 )
@@ -80,14 +79,14 @@ def test_simplex_and_l1_projection_at_huge_scale(scale):
 
 def test_projection_unsupported_variants():
     for set_ in POLAR_ONLY:
-        with pytest.raises(CapabilityMissing, match=r"has no projector|p in \{2, inf\} only"):
+        with pytest.raises(NotImplementedError, match=r"has no projector|p in \{2, inf\} only"):
             set_.project(np.zeros(set_.dim))
 
 
 def test_p_ball_message_names_the_projectable_p():
     # p = 1 is rejected by the constructor (L1Ball is that set), so the
     # message names only p = 2 and p = inf.
-    with pytest.raises(CapabilityMissing, match=r"for p in \{2, inf\} only$"):
+    with pytest.raises(NotImplementedError, match=r"for p in \{2, inf\} only$"):
         PBall(3.0, 1.0).project((1.0, 0.0))
 
 
@@ -111,7 +110,7 @@ def test_p_ball_support_near_p_one(p):
     assert ball.support((1.0, 1.0)) == pytest.approx(2.0 ** (1.0 / ball.q), rel=1e-12)
     assert ball.support((3.0, 3.0)) == pytest.approx(3.0 * 2.0 ** (1.0 / ball.q), rel=1e-12)
     assert not ball.polar().contains((3.0, 3.0))
-    assert not polar_cone_membership(ball, (3.0, 3.0))
+    assert not homogenization_polar_membership(ball, ((3.0, 3.0), 0.0))
 
 
 def test_dimension_mismatch():
@@ -331,7 +330,7 @@ def test_recession_strip_ray():
 
 
 def test_recession_capability_missing():
-    with pytest.raises(CapabilityMissing, match="does not expose a recession-cone projector"):
+    with pytest.raises(NotImplementedError, match="does not expose a recession-cone projector"):
         Hyperbolic().project_recession((1.0, 1.0))
 
 
@@ -539,6 +538,30 @@ def test_ellipsoid_projector_stays_in_range_on_a_large_eigenvalue():
     np.testing.assert_allclose(ell.project((1e300, -1e300)),
                                ell.project((1e20, -1e20)), rtol=1e-14)
     assert ell.project((1e-300, 0.5)).tolist() == [1e-300, 0.5]
+
+
+@pytest.mark.filterwarnings("error")
+def test_ellipsoid_support_survives_a_tiny_eigenvalue():
+    # sum u_i^2 / w_i overflows at w = 1e-310, where sigma_C(e1) = 1 / sqrt(w)
+    # is about 1e155: the norm of u / sqrt(w) answers there, with no warning.
+    ell = Ellipsoid(np.diag([1e-310, 1.0]))
+    assert ell.support((1.0, 0.0)) == pytest.approx(1e155, rel=1e-12)
+    assert ell.support((0.0, 1.0)) == 1.0
+    # sigma_C((1e-200, 0)) is about 1e-45: inside the polar set, a view here.
+    assert ell.polar().contains((1e-200, 0.0))
+    assert not ell.polar().contains((1e-150, 0.0))
+
+
+def test_ellipsoid_support_keeps_its_sum_where_it_is_finite():
+    rng = np.random.default_rng(89)
+    for entry in CATALOG:
+        if entry.spec_type != "ellipsoid":
+            continue
+        ell = entry.make()
+        for _ in range(20):
+            y = rng.uniform(-1.0, 1.0, ell.dim)
+            u = ell._evecs.T @ y
+            assert ell._support(y) == math.sqrt(np.sum(u * u / ell._evals))
 
 
 def test_ball_projector_beyond_the_float_range():

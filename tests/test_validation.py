@@ -14,12 +14,10 @@ import pytest
 
 import homcone.cli
 import homcone.homproj
-import homcone.polar
 import homcone.scaledfun
 import homcone.sets
 from homcone import (
     Box,
-    CapabilityMissing,
     ConvexSet,
     Ellipsoid,
     EuclideanBall,
@@ -27,7 +25,6 @@ from homcone import (
     PBall,
     PsiEvaluator,
     homogenization_polar_membership,
-    polar_cone_membership,
     project_homogenization,
     set_from_spec,
 )
@@ -90,7 +87,8 @@ def test_boundary_rejects_bad_vectors(set_, entry, bad):
 
 
 class NoPolar(ConvexSet):
-    """A user set that defines no closed-form polar: its polar is a view."""
+    """A user set that defines only its dimension: every kernel is the base
+    class's, and its polar is a view."""
 
     dim = 2
 
@@ -119,15 +117,29 @@ FAILURES = {
     "bad_point": (ValueError,
                   "bad point '1,zebra': could not convert string to float: 'zebra'",
                   lambda: homcone.cli._parse_point("1,zebra")),
-    "project_hyperbolic": (CapabilityMissing,
+    "project_hyperbolic": (NotImplementedError,
                            "Hyperbolic is cataloged for support-function and polar "
                            "work only and has no projector",
                            lambda: Hyperbolic().project((1.0, 1.0))),
-    "project_p_ball_3": (CapabilityMissing,
+    "project_p_ball_3": (NotImplementedError,
                          "p-ball projection is implemented for p in {2, inf} only",
                          lambda: PBall(3.0, 1.0).project((1.0, 1.0))),
-    "base_polar": (CapabilityMissing, "the polar of NoPolar has no support function",
+    "base_polar": (NotImplementedError, "the polar of NoPolar has no support function",
                    lambda: NoPolar().polar().support((1.0, 1.0))),
+    "base_contains": (NotImplementedError, "NoPolar has no membership test",
+                      lambda: NoPolar().contains((1.0, 1.0))),
+    "base_support": (NotImplementedError, "NoPolar has no support function",
+                     lambda: NoPolar().support((1.0, 1.0))),
+    "base_polar_contains": (NotImplementedError, "NoPolar has no support function",
+                            lambda: NoPolar().polar().contains((1.0, 1.0))),
+    # The membership shortcut asks _contains; the solver of a bounded set
+    # asks psi'(0+), which is sigma_C.
+    "base_project_homogenization": (
+        NotImplementedError, "NoPolar has no membership test",
+        lambda: project_homogenization(NoPolar(), ((1.0, 1.0), 1.0))),
+    "base_project_homogenization_iterative": (
+        NotImplementedError, "NoPolar has no support function",
+        lambda: project_homogenization(NoPolar(), ((1.0, 1.0), 1.0), force_iterative=True)),
     "ellipsoid_empty": (ValueError, "Q must be nonempty",
                         lambda: Ellipsoid(np.zeros((0, 0)))),
     "spec_invalid_json": (ValueError, "invalid JSON: Expecting value: line 1 column 1 (char 0)",
@@ -189,7 +201,7 @@ def count_validation_passes(monkeypatch):
         calls.append(dim)
         return original(y, dim, s)
 
-    for module in (homcone.sets, homcone.scaledfun, homcone.homproj, homcone.polar):
+    for module in (homcone.sets, homcone.scaledfun, homcone.homproj):
         if hasattr(module, "_as_query"):
             monkeypatch.setattr(module, "_as_query", counting)
     return calls
@@ -217,7 +229,8 @@ def test_polar_cone_memberships_validate_once(entry, monkeypatch):
     set_ = Box((1.0, 2.0))
     calls = count_validation_passes(monkeypatch)
     if entry == "polar_cone_membership":
-        assert not polar_cone_membership(set_, (1e300, -3e300))
+        # The polar cone of C: the polar cone of K at height 0.
+        assert not homogenization_polar_membership(set_, ((1e300, -3e300), 0.0))
     else:
         assert homogenization_polar_membership(set_, ((1e-300, 3e-300), -1e-299))
     assert calls == [2]
@@ -226,7 +239,8 @@ def test_polar_cone_memberships_validate_once(entry, monkeypatch):
 TOLERANCE_ENTRIES = {
     "contains": lambda c, y, tol: c.contains(y, tol),
     "polar_membership": lambda c, y, tol: homcone.sets._Polar(c).contains(y, tol),
-    "polar_cone_membership": lambda c, y, tol: polar_cone_membership(c, y, tol),
+    "polar_cone_membership":
+        lambda c, y, tol: homogenization_polar_membership(c, (y, 0.0), tol),
     "homogenization_polar_membership":
         lambda c, y, tol: homogenization_polar_membership(c, (y, -1.0), tol),
     "closed_form_polar": lambda c, y, tol: c.polar().contains(y, tol),
