@@ -29,7 +29,6 @@ from .sets import (
     L1Ball,
     PBall,
     Simplex,
-    as_vector,
     set_from_spec,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "PsiEvaluator",
     "Simplex",
     "TraceRow",
-    "as_vector",
     "homogenization_polar_membership",
     "project_homogenization",
     "set_from_spec",

@@ -15,7 +15,7 @@ import numpy as np
 from .homproj import TraceRow, _answer, _check_solver_args, _member, _query, _result
 from .roots import MaxIterationsExceeded
 from .scaledfun import PsiEvaluator
-from .sets import EuclideanBall, _as_query, as_vector
+from .sets import EuclideanBall, _as_query
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,10 @@ def _check_bracket_args(alpha0, beta0, eps, max_iter):
     _check_solver_args(eps, max_iter)
 
 
-def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
+def find_alpha_star(dpsi, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
     """Locate the minimizer of psi by bisection on its monotone derivative.
 
-    ``ev`` needs only a ``psi_prime(alpha)`` method.  Returns
+    ``dpsi(alpha)`` is psi', the only thing the search reads.  Returns
     ``(alpha_star, trace)``, the trace a tuple of :class:`TraceRow`.
     ``alpha_star`` is the left endpoint of the final bracket (width below
     ``eps``), or the midpoint when the derivative hits zero to within
@@ -102,12 +102,12 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
     """
     _check_bracket_args(alpha0, beta0, eps, max_iter)
     a, b = float(alpha0), float(beta0)
-    da, db = ev.psi_prime(a), ev.psi_prime(b)
+    da, db = dpsi(a), dpsi(b)
     rows = []
     for n in range(1, max_iter + 1):
         if da < 0.0 < db:
             mid = 0.5 * (a + b)
-            dm = ev.psi_prime(mid)
+            dm = dpsi(mid)
             rows.append(TraceRow(n, a, mid, b, da, dm, db))
             if b - a < eps:
                 return a, tuple(rows)
@@ -128,11 +128,11 @@ def find_alpha_star(ev, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
                 a = 0.5 * a
                 if a < _ALPHA_FLOOR:
                     return 0.0, tuple(rows)
-                da = ev.psi_prime(a)
+                da = dpsi(a)
             else:
                 a, da = b, db
                 b = 2.0 * b
-                db = ev.psi_prime(b)
+                db = dpsi(b)
     raise MaxIterationsExceeded(f"bracket search did not stabilize in {max_iter} steps")
 
 
@@ -161,7 +161,7 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     if member is not None:
         return member
     ev = PsiEvaluator._of_valid(set_, y, s)
-    alpha_star, trace = find_alpha_star(ev, alpha0, beta0, eps, max_iter)
+    alpha_star, trace = find_alpha_star(ev.psi_prime, alpha0, beta0, eps, max_iter)
     return _result(_answer(ev, alpha_star), len(trace), trace, e)
 
 
@@ -190,35 +190,25 @@ REFERENCE_BRACKET = (3.0, 5.0)
 REFERENCE_EPS = 1e-6
 
 
-class _RadialBallDerivative:
-    """psi' for a ball, evaluated with the outside-the-ball radial expression
-    on both branches.
-
-    The bundled reference trace was generated under this convention.  It
-    differs from the projector-based derivative only where y/alpha lies inside
-    the scaled ball (there the true derivative of phi is zero); the sign, and
-    hence the bracket decisions, agree on the reference instance.
-    """
-
-    def __init__(self, center, radius, y, s):
-        self.z = as_vector(center)
-        self.radius = float(radius)
-        self.y = as_vector(y, self.z.size)
-        self.s = float(s)
-
-    def psi_prime(self, alpha):
-        alpha = float(alpha)
-        w = self.y - alpha * self.z
-        nw = float(np.linalg.norm(w))
-        slope = float(self.z @ w) + self.radius * nw
-        return -2.0 * (1.0 - alpha * self.radius / nw) * slope + 2.0 * (alpha - self.s)
-
-
 def reference_trace():
-    """Recompute the 23-row reference bisection trace; returns (alpha*, trace)."""
-    y, s = REFERENCE_QUERY
-    ev = _RadialBallDerivative(REFERENCE_CENTER, REFERENCE_RADIUS, y, s)
-    return find_alpha_star(ev, *REFERENCE_BRACKET, eps=REFERENCE_EPS, max_iter=200)
+    """Recompute the 23-row reference bisection trace; returns (alpha*, trace).
+
+    psi' of the disc is evaluated with the outside-the-ball radial expression
+    on both branches, the convention the bundled trace was generated under.
+    It differs from the projector-based derivative only where y/alpha lies
+    inside the scaled ball (there the true derivative of phi is zero); the
+    sign, and hence the bracket decisions, agree on the reference instance.
+    """
+    (z1, z2), r = REFERENCE_CENTER, REFERENCE_RADIUS
+    (y1, y2), s = REFERENCE_QUERY
+
+    def dpsi(alpha):
+        w1, w2 = y1 - alpha * z1, y2 - alpha * z2
+        nw = math.sqrt(w1 * w1 + w2 * w2)
+        slope = z1 * w1 + z2 * w2 + r * nw
+        return -2.0 * (1.0 - alpha * r / nw) * slope + 2.0 * (alpha - s)
+
+    return find_alpha_star(dpsi, *REFERENCE_BRACKET, eps=REFERENCE_EPS, max_iter=200)
 
 
 # Expected rows of the reference bisection trace, in the CSV fields that

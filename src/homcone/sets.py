@@ -59,14 +59,15 @@ A subclass that changes ``_project`` of one of these sets
 kernel would answer for the old set.
 
 :meth:`ConvexSet.polar` returns the polar set {y : sigma_C(y) <= 1}: the
-cataloged set that ``_polar()`` returns, else a view (:class:`_Polar`) that
-tests the membership kernel ``contains(y, tol)`` that ``_polar()`` returns
-where the closed form bands differently from sigma_C, or sigma_C(y) <= 1 +
-tol where it returns None, the default.  A membership kernel takes y
+cataloged set that ``_polar()`` returns, else, where it returns None (the
+default), a view (:class:`_Polar`) whose membership is the set's
+``_polar_contains(y, tol)``: sigma_C(y) <= 1 + tol by default, a closed form
+where that bands differently from sigma_C.  ``_polar_contains`` takes y
 unscaled, so it squares, powers or sums no entry that could leave the
 float64 range: it uses :func:`_norm`, or evaluates a positively homogeneous
 form on the power-of-2 rescale of y (:func:`_scaled`).  A subclass that
-changes the geometry of a set must override ``_polar`` too.
+changes the geometry of a set must override ``_polar`` and
+``_polar_contains`` too.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ class ConvexSet:
     {0}; unbounded ones override ``_project_recession`` or leave the
     capability missing.  A set whose homogenization cone has an exact
     projector overrides ``_project_cone``; the default None selects the
-    generic solver.  A set whose polar has a closed form overrides
-    ``_polar``, which returns the cataloged polar set or a membership kernel
-    ``contains(y, tol)``; the default None tests {sigma_C <= 1 + tol}.  The
+    generic solver.  A set whose polar is cataloged overrides ``_polar``,
+    which returns that set; the default None gives the view, whose
+    membership ``_polar_contains`` tests sigma_C <= 1 + tol unless the set
+    overrides it with a closed form.  The
     defaults of ``_project`` and of ``_project_recession`` (of an unbounded
     set) raise NotImplementedError, as do those of ``_contains`` and
     ``_support``, each naming the set and what it lacks.
@@ -253,7 +255,7 @@ class ConvexSet:
         """The polar set {y : sigma_C(y) <= 1}: the cataloged set equal to
         it, else a view of this set (:class:`_Polar`)."""
         polar = self._polar()
-        return polar if isinstance(polar, ConvexSet) else _Polar(self, polar)
+        return _Polar(self) if polar is None else polar
 
     def recession_distance(self, y) -> float:
         """Distance from y to the recession cone; zero iff y is a recession
@@ -291,9 +293,12 @@ class ConvexSet:
         return None
 
     def _polar(self):
-        """The polar set as a ConvexSet, a ``contains(y, tol)`` kernel, or
-        None for {sigma_C <= 1 + tol}."""
+        """The cataloged polar set, or None for the view :class:`_Polar`."""
         return None
+
+    def _polar_contains(self, y, tol) -> bool:
+        """Membership of y in the polar view: sigma_C(y) <= 1 + tol."""
+        return _scaled(self._support, y) <= 1.0 + tol
 
 
 class EuclideanBall(ConvexSet):
@@ -759,11 +764,14 @@ class Ellipsoid(ConvexSet):
 
     def _polar(self):
         """The ellipsoid of Q^-1 = V diag(1/w) V^T, on the eigenpairs (1/w, V):
-        a second eigensolve would move its axes by cond(Q) ulps.  None where
-        Q^-1 leaves the float64 range."""
+        a second eigensolve would move its axes by cond(Q) ulps.  Q^-1 is
+        stored exactly symmetric, halved before the sum so that no entry
+        overflows, so its repr rebuilds it.  None where Q^-1 leaves the
+        float64 range."""
         with np.errstate(all="ignore"):
             w, v = 1.0 / self._evals, self._evecs
             q = (v * w) @ v.T
+            q = 0.5 * q + 0.5 * q.T
         if not np.isfinite(q).all():
             return None
         polar = Ellipsoid.__new__(Ellipsoid)
@@ -865,14 +873,10 @@ class BallPen(ConvexSet):
             x += on_ray
         return alpha, x, Branch.CONE_INTERIOR
 
-    def _polar(self):
+    def _polar_contains(self, y, tol):
         """The unit ball cut by <d, y> <= 0."""
-        d = self.direction
-        def contains(y, tol):
-            # Within the unit ball <d, y> is in range too.
-            return _norm(y) <= 1.0 + tol and float(d @ y) <= tol
-
-        return contains
+        # Within the unit ball <d, y> is in range too.
+        return _norm(y) <= 1.0 + tol and float(self.direction @ y) <= tol
 
 
 class Hyperbolic(ConvexSet):
@@ -901,28 +905,25 @@ class Hyperbolic(ConvexSet):
             return 0.0
         return y2 * y2 / (y1 + math.sqrt((y1 - y2) * (y1 + y2)))
 
-    def _polar(self):
+    def _polar_contains(self, y, tol):
         """|y2| <= y1 and (y1 <= 1 or 1 + y2^2 <= 2 y1).
 
         The two caps overlap on the boundary arc, matching the convex hull of
         {0} and the parabola epigraph."""
-        def contains(y, tol):
-            y1, y2 = y.tolist()
-            if abs(y2) > y1 + tol:
-                return False
-            # 1 + y2^2 <= 2 y1 + tol halved, which is exact, so that 2 y1
-            # stays in range; a square beyond it is an infinity on floats.
-            return y1 <= 1.0 + tol or 0.5 + y2 * (0.5 * y2) <= y1 + 0.5 * tol
-
-        return contains
+        y1, y2 = y.tolist()
+        if abs(y2) > y1 + tol:
+            return False
+        # 1 + y2^2 <= 2 y1 + tol halved, which is exact, so that 2 y1
+        # stays in range; a square beyond it is an infinity on floats.
+        return y1 <= 1.0 + tol or 0.5 + y2 * (0.5 * y2) <= y1 + 0.5 * tol
 
 
 class _Polar(ConvexSet):
     """The polar set C° = {y : sigma_C(y) <= 1} of a set C with no cataloged
     polar, as a view of C, whose polar is C (the bipolar theorem).
 
-    Membership is the closed-form kernel ``rule`` that ``C._polar()``
-    returned, else sigma_C(y) <= 1 + tol on the power-of-2 rescale of y.
+    Membership is C's ``_polar_contains(y, tol)``: sigma_C(y) <= 1 + tol on
+    the power-of-2 rescale of y, unless C has a closed form.
     The cone of C° is {(y, t) : sigma_C(y) <= t}, the polar cone of K_C
     reflected in its height, so by Moreau's decomposition its projection of
     (y, t) is (y - x, t + a) for (x, a) = P_{K_C}(y, -t), from C's cone
@@ -933,23 +934,22 @@ class _Polar(ConvexSet):
 
     bounded = False
 
-    def __init__(self, source, rule=None):
-        self._source, self._rule, self.dim = source, rule, source.dim
-        self._name = type(source).__name__
+    def __init__(self, source):
+        self._source, self.dim = source, source.dim
 
     def __repr__(self):
         return f"{self._source!r}.polar()"
 
     def _contains(self, y, tol):
-        if self._rule is not None:
-            return bool(self._rule(y, tol))
-        return _scaled(self._source._support, y) <= 1.0 + tol
+        return bool(self._source._polar_contains(y, tol))
 
     def _support(self, y):
-        raise NotImplementedError(f"the polar of {self._name} has no support function")
+        raise NotImplementedError(
+            f"the polar of {type(self._source).__name__} has no support function")
 
     def _project(self, y):
-        raise NotImplementedError(f"the polar of {self._name} has no projector")
+        raise NotImplementedError(
+            f"the polar of {type(self._source).__name__} has no projector")
 
     def _project_cone(self, y, s):
         found = self._source._project_cone(y, -s)

@@ -280,7 +280,7 @@ def test_oracle_agreement():
         set_ = variants[i % len(variants)]
         ev = PsiEvaluator(set_, rng.uniform(-10, 10, set_.dim), rng.uniform(-10, 10))
         bf = brute_force_alpha_star(ev, cfg)
-        fa, _ = find_alpha_star(ev)
+        fa, _ = find_alpha_star(ev.psi_prime)
         worst = max(worst, abs(bf - fa))
     assert worst < 1e-4
     _pass(f"brute-force and bracket-search minimizers agree (worst {worst:.2e})")

@@ -59,7 +59,7 @@ from homcone.paper import (QuarticCoefficients, bisection_projection, find_alpha
 for name in ('QuarticCoefficients', 'bisection_projection', 'find_alpha_star',
              'quartic_coefficients', 'reference_trace'):
     assert not hasattr(homcone, name) and not hasattr(homcone.homproj, name), name
-assert len(homcone.__all__) == 19, homcone.__all__
+assert len(homcone.__all__) == 18, homcone.__all__
 """
 
 

@@ -106,28 +106,37 @@ def test_every_method_answers_at_every_scale(entry):
 @pytest.mark.parametrize("entry", params(CATALOG, "polar"))
 def test_closed_form_polar_answers_by_its_polar_set_or_by_sigma(entry):
     # One membership rule per polar set: a cataloged polar set's own test,
-    # the set's closed-form kernel, or, where ``_polar`` returns None,
-    # sigma_C(y) <= 1 + tol itself.  Checked at every sweep point and on the
-    # polar's boundary through it, at tol 0 and 1e-9.
+    # or, where ``_polar`` returns None, the set's ``_polar_contains``: its
+    # closed form, or sigma_C(y) <= 1 + tol itself where it keeps the
+    # default.  Checked at every sweep point and on the polar's boundary
+    # through it, at tol 0 and 1e-9.
     set_ = entry.make()
     described = set_._polar()
     polar = set_.polar()
-    if isinstance(described, ConvexSet):
-        assert type(polar) is type(described)
-    else:
+    if described is None:
         assert isinstance(polar, homcone.sets._Polar) and polar.polar() is set_
+    else:
+        assert type(polar) is type(described)
+    by_sigma = type(set_)._polar_contains is ConvexSet._polar_contains
     for _, y, _ in sweep_queries(set_.dim, np.random.default_rng(71)):
         sigma = set_.support(y)
         points = [y] + ([y / sigma] if 0.0 < sigma < math.inf else [])
         for point in points:
             for tol in (0.0, 1e-9):
                 got = polar.contains(point, tol)
-                if isinstance(described, ConvexSet):
+                if described is not None:
                     assert got == described.contains(point, tol)
-                elif described is None:
+                elif by_sigma:
                     assert got == (set_.support(point) <= 1.0 + tol)
                 else:
-                    assert got == described(np.asarray(point, dtype=float), tol)
+                    assert got == set_._polar_contains(np.asarray(point, dtype=float), tol)
+
+
+@pytest.mark.parametrize("entry", params(CATALOG, "polar"))
+def test_polar_hook_returns_a_set_or_none(entry):
+    # ``_polar()`` names the cataloged polar set, or None for the view.
+    described = entry.make()._polar()
+    assert described is None or isinstance(described, ConvexSet)
 
 
 #: The names a set's repr is evaluated with: homcone's, and inf for p = inf.
@@ -141,14 +150,13 @@ def public_parameters(set_):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", params([e for e in CATALOG if e.spec_type], "repr"))
 def test_repr_rebuilds_the_set(entry):
-    # eval(repr(C)) is a set of C's type with C's parameters, bit for bit;
-    # the repr of C's polar, a cataloged set or a view, rebuilds its type.
+    # eval(repr(C)) is a set of C's type with C's parameters, bit for bit,
+    # and so is the repr of C's polar, a cataloged set or a view.
     set_ = entry.make()
-    rebuilt = eval(repr(set_), REPR_NAMESPACE)
-    assert type(rebuilt) is type(set_)
-    want, got = public_parameters(set_), public_parameters(rebuilt)
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        np.testing.assert_array_equal(got[key], value, err_msg=key, strict=True)
-    polar = set_.polar()
-    assert type(eval(repr(polar), REPR_NAMESPACE)) is type(polar)
+    for built in (set_, set_.polar()):
+        rebuilt = eval(repr(built), REPR_NAMESPACE)
+        assert type(rebuilt) is type(built)
+        want, got = public_parameters(built), public_parameters(rebuilt)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            np.testing.assert_array_equal(got[key], value, err_msg=key, strict=True)

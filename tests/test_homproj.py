@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -83,24 +84,39 @@ def test_reference_trace_golden_rows_detail():
     assert fmt_dpsi(r12.dpsi_mid) == "-1.06e-05"
 
 
+#: sha256 of the reference trace's rows, one line per row of its six float
+#: fields as ``float.hex`` ("" for a missing midpoint), joined by newlines.
+REFERENCE_TRACE_SHA256 = "e2e7aeb87b40e74837c37f93ee50e7090e608e8f30f682746fa10f8fe43a1200"
+
+
+def test_reference_trace_is_pinned_bit_for_bit():
+    # The bundled trace is the paper's: any change to how psi' or the
+    # bisection is evaluated that moves one bit of it shows here.
+    alpha_star, trace = reference_trace()
+    assert alpha_star.hex() == "0x1.75b0240000000p+0"
+    text = "\n".join(",".join("" if v is None else float(v).hex() for v in row[1:])
+                     for row in trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_TRACE_SHA256
+
+
 def test_pure_bisection_has_no_bracket_moves():
     # psi'(2) < 0 < psi'(4) immediately, so every row carries a midpoint.
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (3.0, 4.0), 0.0)
-    alpha_star, trace = find_alpha_star(ev, 2.0, 4.0, 1e-6, 200)
+    alpha_star, trace = find_alpha_star(ev.psi_prime, 2.0, 4.0, 1e-6, 200)
     assert all(r.mid is not None for r in trace)
     assert alpha_star == pytest.approx(2.5, abs=1e-6)
 
 
 def test_bisection_agrees_with_ice_cream_closed_form():
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (3.0, 4.0), 0.0)
-    alpha_star, _ = find_alpha_star(ev, 1.0, 2.0, 1e-6, 200)
+    alpha_star, _ = find_alpha_star(ev.psi_prime, 1.0, 2.0, 1e-6, 200)
     assert alpha_star == pytest.approx(2.5, abs=1e-6)
 
 
 def test_alpha_zero_declared_by_halving():
     # psi' stays positive all the way down, certifying the 0 minimizer.
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 2.0), (3.0, 4.0), -20.0)
-    alpha_star, trace = find_alpha_star(ev, 1.0, 2.0, 1e-6, 200)
+    alpha_star, trace = find_alpha_star(ev.psi_prime, 1.0, 2.0, 1e-6, 200)
     assert alpha_star == 0.0
     assert all(r.mid is None for r in trace)
 
@@ -108,23 +124,13 @@ def test_alpha_zero_declared_by_halving():
 def test_max_iterations_exceeded():
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (3.0, 4.0), 0.0)
     with pytest.raises(MaxIterationsExceeded):
-        find_alpha_star(ev, 1e-3, 2e-3, 1e-12, max_iter=3)
-
-
-class LinearDerivative:
-    """A stub evaluator whose psi' is alpha - root."""
-
-    def __init__(self, root):
-        self.root = root
-
-    def psi_prime(self, alpha):
-        return alpha - self.root
+        find_alpha_star(ev.psi_prime, 1e-3, 2e-3, 1e-12, max_iter=3)
 
 
 @pytest.mark.parametrize("root", [1.0, 2.0], ids=["left", "right"])
 def test_bracket_end_with_zero_derivative_is_returned(root):
-    # psi' vanishes at a bracket end, so no bisection row is needed.
-    alpha_star, trace = find_alpha_star(LinearDerivative(root), 1.0, 2.0)
+    # psi' = alpha - root vanishes at a bracket end, so no bisection row is needed.
+    alpha_star, trace = find_alpha_star(lambda a: a - root, 1.0, 2.0)
     assert alpha_star == root
     assert len(trace) == 1 and trace[0].mid is None
 
@@ -149,7 +155,7 @@ def test_ice_cream_ray_branch():
     assert res.point.s == pytest.approx(2.5)
     assert res.branch is Branch.CONE_INTERIOR
     ev = PsiEvaluator(EuclideanBall((0.0, 0.0), 1.0), (3.0, 4.0), 0.0)
-    alpha_star, _ = find_alpha_star(ev, 1.0, 2.0, 1e-6, 200)
+    alpha_star, _ = find_alpha_star(ev.psi_prime, 1.0, 2.0, 1e-6, 200)
     assert res.alpha_star == pytest.approx(alpha_star, abs=1e-6)
 
 
@@ -528,7 +534,7 @@ def test_a_projection_beyond_the_float_range_is_an_overflow_error(set_, v):
 PUBLIC_NAMES = [
     "BallPen", "Box", "Branch", "ConePoint", "ConvexSet", "Ellipsoid",
     "EuclideanBall", "Hyperbolic", "L1Ball", "MaxIterationsExceeded", "PBall",
-    "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow", "as_vector",
+    "ProjectionResult", "PsiEvaluator", "Simplex", "TraceRow",
     "homogenization_polar_membership", "project_homogenization", "set_from_spec",
 ]
 
@@ -540,8 +546,8 @@ def test_public_names():
     assert homcone.Branch is homcone.homproj.Branch
     # A malformed spec is a ValueError and a missing operation a
     # NotImplementedError, with no base class over them; the polar cone of
-    # C is the polar cone of K at height 0.
-    for name in ("HomconeError", "InvalidSetSpec", "polar_cone_membership"):
+    # C is the polar cone of K at height 0; ``as_vector`` is homcone.sets'.
+    for name in ("HomconeError", "InvalidSetSpec", "polar_cone_membership", "as_vector"):
         assert not hasattr(homcone, name)
     assert homcone.MaxIterationsExceeded is homcone.roots.MaxIterationsExceeded
 
@@ -800,7 +806,7 @@ def test_nonpositive_max_iter_is_rejected_before_any_work(max_iter, bracket):
     assert box.calls == 0
     ev = PsiEvaluator(box, (3.0, 4.0), 0.5)
     with pytest.raises(ValueError, match=message):
-        find_alpha_star(ev, 1.0, 2.0, max_iter=max_iter)
+        find_alpha_star(ev.psi_prime, 1.0, 2.0, max_iter=max_iter)
     assert box.calls == 0
 
 
@@ -825,7 +831,7 @@ def test_non_finite_solver_parameter_is_rejected_before_any_work(kwargs):
     assert box.calls == 0
     ev = PsiEvaluator(box, (3.0, 4.0), 0.5)
     with pytest.raises(ValueError, match="finite"):
-        find_alpha_star(ev, **{"alpha0": 1.0, "beta0": 2.0, **kwargs})
+        find_alpha_star(ev.psi_prime, **{"alpha0": 1.0, "beta0": 2.0, **kwargs})
     assert box.calls == 0
 
 

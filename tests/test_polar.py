@@ -175,8 +175,8 @@ class Square(ConvexSet):
     def _support(self, y):
         return float(np.sum(np.abs(y)))
 
-    def _polar(self):
-        return lambda y, tol: float(np.sum(np.abs(y))) <= 1.0 + tol
+    def _polar_contains(self, y, tol):
+        return float(np.sum(np.abs(y))) <= 1.0 + tol
 
 
 class HalvedBox(Box):
@@ -189,8 +189,10 @@ class HalvedBox(Box):
         return 0.5 * super()._support(y)
 
     def _polar(self):
-        b = 0.5 * self.halfwidths
-        return lambda y, tol: float(b @ np.abs(y)) <= 1.0 + tol
+        return None
+
+    def _polar_contains(self, y, tol):
+        return float(0.5 * self.halfwidths @ np.abs(y)) <= 1.0 + tol
 
 
 @pytest.mark.parametrize("set_", [Square(), HalvedBox((1.0, 1.0))],
@@ -472,3 +474,40 @@ def test_a_polar_ellipsoid_whose_inverse_overflows_is_the_support_view():
     polar = Ellipsoid(np.diag([1e-310, 1.0])).polar()
     assert isinstance(polar, homcone.sets._Polar)
     assert polar.contains((0.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_polar_ellipsoid_at_the_edge_of_the_range_is_cataloged():
+    # 1/w = 1e308 is finite, but twice it is not: the polar's Q^-1 is made
+    # symmetric without that sum, so the cataloged polar stays.
+    polar = Ellipsoid(np.diag([1e-308, 1.0])).polar()
+    assert type(polar) is Ellipsoid
+    q = polar.q_matrix
+    assert q[0, 0] == 1.0 / 1e-308 and np.array_equal(q, q.T)
+
+
+class Diamond(ConvexSet):
+    """A user-defined set with only ``dim``, ``_contains`` and ``_support``:
+    the l1 ball of radius 2."""
+
+    dim = 2
+
+    def _contains(self, x, tol):
+        return float(np.sum(np.abs(x))) <= 2.0 + tol
+
+    def _support(self, y):
+        return 2.0 * float(np.max(np.abs(y)))
+
+
+def test_a_user_set_polar_is_sigma_at_most_one_plus_tol():
+    set_ = Diamond()
+    polar = set_.polar()
+    assert isinstance(polar, homcone.sets._Polar) and polar.polar() is set_
+    rng = np.random.default_rng(57)
+    points = [*rng.uniform(-1.0, 1.0, size=(200, 2)), (0.5 + 1e-10, 0.0),
+              (-1e-300, 1e-300), (1e300, -1e300)]
+    for y in points:
+        for tol in (0.0, 1e-9):
+            assert polar.contains(y, tol) == (set_.support(y) <= 1.0 + tol)
+    # sigma_C = 1 + 2e-10 there: inside the band, outside the polar.
+    assert polar.contains((0.5 + 1e-10, 0.0)) and not polar.contains((0.5 + 1e-10, 0.0), 0.0)

@@ -38,8 +38,9 @@ ENTRIES = {
     "recession_distance": lambda c, x: c.recession_distance(x),
     "PsiEvaluator": lambda c, x: PsiEvaluator(c, x, 1.0),
     "project_homogenization": lambda c, x: project_homogenization(c, (x, 1.0)),
-    # Membership in the polar set by sigma_C on every set, and by the set's
-    # own polar: the cataloged set, the closed-form kernel or sigma_C.
+    # Membership in the polar set by the view on every set (the set's
+    # ``_polar_contains``: its closed form or sigma_C), and by the set's own
+    # polar: the cataloged set or that view.
     "polar_membership": lambda c, x: homcone.sets._Polar(c).contains(x),
     "closed_form_polar": lambda c, x: c.polar().contains(x),
     "homogenization_polar_membership":
