@@ -24,11 +24,11 @@ The paper's bisection, :func:`homcone.paper.bisection_projection`, shares
 the shortcut, the answer and the site.
 
 Each entry point validates its query in one pass (a finite y of the set's
-dimension and a finite height s), which also sizes it: one whose largest
-entry lies beyond 2^(+-500) is projected on its exact power-of-2 rescale,
-ahead of the kernel and the solver alike, so neither forms a squared norm
-that overflows or underflows.  Everything after the pass calls the sets'
-unchecked kernels (see :mod:`homcone.sets`).
+dimension and a finite height s), which also sizes it: one whose size
+max(||y||, |s|) lies beyond 2^(+-500) is projected on its exact power-of-2
+rescale, ahead of the kernel and the solver alike, so neither forms a
+squared norm that overflows or underflows.  Everything after the pass
+calls the sets' unchecked kernels (see :mod:`homcone.sets`).
 
 The polar cone of K is cl cone(C° x {-1}), with C° = {sigma_C <= 1} the
 polar set (``ConvexSet.polar``): (y, s) belongs to it iff sigma_C(y) + s <= 0,
@@ -48,9 +48,9 @@ from .roots import _ROOT_RTOL, brent_root
 from .scaledfun import PsiEvaluator
 from .sets import MEMBERSHIP_TOL, Branch, _as_query, _as_tolerance, _ldexp_array
 
-#: Queries whose largest entry has a binary exponent beyond this are projected
-#: on an exact power-of-2 rescale, so that squared norms neither overflow nor
-#: underflow; within it answers are computed as given.
+#: Queries whose size max(||y||, |s|) has a binary exponent beyond this are
+#: projected on an exact power-of-2 rescale, so that squared norms neither
+#: overflow nor underflow; within it answers are computed as given.
 _SAFE_EXPONENT = 500
 
 
@@ -179,9 +179,9 @@ def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=Fals
                            keep_trace=False) -> ProjectionResult:
     """Project (y, s) onto the homogenization cone of the set.
 
-    The query is validated in one pass, which also sizes it: one whose
-    largest entry lies beyond 2^(+-500) is projected on its exact power-of-2
-    rescale, and the answer and trace are scaled back.  The set's
+    The query is validated in one pass, which also sizes it: one whose size
+    max(||y||, |s|) lies beyond 2^(+-500) is projected on its exact
+    power-of-2 rescale, and the answer and trace are scaled back.  The set's
     ``_project_cone`` kernel answers exactly where it has one, with
     ``iterations`` 0; where it returns None alpha* is solved for by Brent's
     method on psi', with ``eps`` relative to alpha* and ``iterations`` the
@@ -207,8 +207,9 @@ def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=Fals
 
 
 def _query(set_, p):
-    """``(y, s, e)``: the query validated in one pass and, where its largest
-    entry lies beyond 2^(+-500), rescaled exactly by 2^-e (else e is 0)."""
+    """``(y, s, e)``: the query validated in one pass and, where its size
+    max(||y||, |s|) lies beyond 2^(+-500), rescaled exactly by 2^-e (else e
+    is 0)."""
     y, s = p
     y, s, e = _as_query(y, set_.dim, s)
     if abs(e) <= _SAFE_EXPONENT:

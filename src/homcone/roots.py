@@ -13,7 +13,9 @@ core validates its input; each states the contract its callers keep.  A
 solve out of its step budget raises :class:`MaxIterationsExceeded`, defined
 here, so that the module imports nothing from the package; the one other
 loop that raises it is the paper's reference bisection, worked-example code
-in :mod:`homcone.paper`.
+in :mod:`homcone.paper`.  The float helpers that the cores and the sets
+share live here too: the scale-safe norm :func:`_norm`, :func:`_ldexp_or_inf`
+and the off-centre ball's exact radius gap :func:`_radius_gap`.
 """
 
 from __future__ import annotations
@@ -38,30 +40,66 @@ _ROOT_MAX_STEPS = 100
 _NORM_FLOOR = 2.0 ** -500
 
 #: Up to this many entries the work runs on Python floats, where numpy's
-#: cost per call outweighs its cost per entry.  Its users: here :func:`_norm`,
+#: cost per call outweighs its cost per entry.  Its users: here :func:`_norm`
+#: (and through it the query validation ``sets._as_query``),
 #: :func:`_breakpoint_root` and :func:`_secular_root`; in :mod:`homcone.sets`,
-#: which imports it, ``_as_query``, ``_simplex_cone`` and the cone kernels of
-#: ``Box`` and ``Ellipsoid``.  The crossover measured at 12; no benchmark
+#: which imports it, ``_simplex_cone`` and the cone kernels of ``Box`` and
+#: ``Ellipsoid``.  The crossover measured at 12; no benchmark
 #: workload runs 13 to 16 entries, where a higher switch could be shown.
 _FLOATS = 12
 
 
+def _ldexp_or_inf(value, e) -> float:
+    """value 2^e, or an infinity of its sign where that exceeds the float64
+    range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def _norm(v) -> float:
-    """||v|| of a finite 1-D float64 array, also where its square overflows
-    or underflows.  Up to ``_FLOATS`` entries it is the scale-safe
-    ``math.hypot`` of the Python floats of v.  Above, ``np.vdot`` raises no
-    floating-point warning, and only when the plain square is infinite or
-    below 2^-1000 is the norm taken of v scaled by its largest entry."""
+    """||v|| of a 1-D float64 array, also where its square overflows or
+    underflows: inf where it exceeds the float64 range, and nan or inf
+    where an entry is not finite.  Up to ``_FLOATS`` entries it is the
+    scale-safe ``math.hypot`` of the Python floats of v.  Above, ``np.vdot``
+    raises no floating-point warning, and only where the plain norm is not
+    finite or is at most ``_NORM_FLOOR`` is it taken of v on the exact
+    power-of-2 rescale that brings its largest entry into [1/2, 1).  Either
+    way ||2^k v|| is 2^k ||v|| bit for bit wherever no square underflows."""
     if v.size <= _FLOATS:
         return math.hypot(*v.tolist())
     n = math.sqrt(np.vdot(v, v))
     if _NORM_FLOOR < n < math.inf:
         return n
     top = float(np.abs(v).max())
-    if top == 0.0:
-        return 0.0
-    v = v / top
-    return top * math.sqrt(np.vdot(v, v))
+    if not 0.0 < top < math.inf:
+        return top
+    e = math.frexp(top)[1]
+    v = np.ldexp(v, -e)
+    return _ldexp_or_inf(math.sqrt(np.vdot(v, v)), e)
+
+
+def _square_terms(x):
+    """Three floats whose exact sum is x^2, for |x| < 2^970: Veltkamp's split
+    of x into two halves of 26 bits, whose products are exact."""
+    big = 134217729.0 * x
+    hi = big - (big - x)
+    lo = x - hi
+    return hi * hi, 2.0 * hi * lo, lo * lo
+
+
+def _radius_gap(c, g, rho) -> float:
+    """g - ||c|| as (g^2 - ||c||^2) / (g + rho), rho the rounded ||c||, where
+    rho is near g and g - rho cancels.  The numerator is the correctly
+    rounded ``math.fsum`` of the exact square terms on the power-of-2
+    rescale that brings g into [1/2, 1), so that no square overflows."""
+    k = math.frexp(g)[1]
+    g = math.ldexp(g, -k)
+    terms = list(_square_terms(g))
+    for ci in np.ldexp(c, -k).tolist():
+        terms += [-t for t in _square_terms(ci)]
+    return math.ldexp(math.fsum(terms) / (g + math.ldexp(rho, -k)), k)
 
 
 def brent_root(f, a, b, fa, fb, xtol, rtol, max_iter, n=0):
@@ -298,7 +336,7 @@ def _quadratic_cone(u, w, s, root, one):
     with W = diag(w), w > 0: None where (u, s) lies in it, else ``(t, z)``,
     with t = 0 (and z None) at the apex.  Contract: u, w, root and one are
     finite float64 arrays of one size and s a finite float, from a query
-    whose largest entry lies within 2^(+-500).
+    whose size max(||u||, |s|) lies within 2^(+-500).
 
     Off the cone and its polar, the KKT conditions give z = u / (1 + mu w)
     and t = ||W^1/2 z|| = s / (1 - mu) for a multiplier mu > 0, so
@@ -347,7 +385,8 @@ def _plane_cone(r, p, w, root, one, s):
     MaxIterationsExceeded.  ``root`` and ``one`` are sqrt(w) and 1 + w, as
     stored by its two callers: the off-centre ball, on its rotated plane
     rescaled below 1 with w within 2^(+-900), and the 2-D ellipsoid, in its
-    eigenbasis on a query within 2^(+-500).  All are finite floats, w > 0."""
+    eigenbasis on a query of size max(||y||, |s|) within 2^(+-500).  All are
+    finite floats, w > 0."""
     (w0, w1), (h0, h1), (o0, o1) = w, root, one
     c0, c1 = h0 * r, h1 * p
     if math.hypot(c0, c1) <= s:

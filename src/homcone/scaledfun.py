@@ -13,7 +13,8 @@ projection onto the homogenization cone (see :mod:`homcone.homproj`).
 so phi, psi and their derivatives at one a > 0 share one projector call,
 kept in the evaluator's memo; where w = y / a leaves the float64 range they
 raise OverflowError.  For bounded C the right derivative of psi at 0 has the
-closed form -2 (s + sigma_C(y)): one support-function call, no projector call.
+closed form -2 (s + sigma_C(y)): one support-function call, no projector call,
+on the exact power-of-2 rescale that brings ||y|| into [1/2, 1).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import math
 
 import numpy as np
 
-from .roots import _norm
-from .sets import _as_query, _ldexp_or_inf, _scaled
+from .roots import _ldexp_or_inf, _norm
+from .sets import _as_query, _scaled
 
 
 def _phi_prime(alpha, w, p) -> float:

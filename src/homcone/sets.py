@@ -17,9 +17,9 @@ Each set is implemented once.  The JSON spec types ``shifted_unit_ball`` and
 :class:`EuclideanBall` and :class:`BallPen` that they are.
 
 Validation contract: a query (y, s) is validated in one pass by
-:func:`_as_query`, which also returns the binary exponent of its largest
-entry; :func:`as_vector` is that pass for a vector alone.  The public methods
-of :class:`ConvexSet` (``project``, ``contains``, ``support``,
+:func:`_as_query`, which also returns the binary exponent of its size
+max(||y||, |s|); :func:`as_vector` is that pass for a vector alone.  The
+public methods of :class:`ConvexSet` (``project``, ``contains``, ``support``,
 ``project_recession``, ``recession_distance``) validate their vector once and
 dispatch to a per-set kernel (``_project``, ``_contains``, ``_support``,
 ``_project_recession``, ...), ``support`` and ``recession_distance`` on the
@@ -35,10 +35,10 @@ the homogenization cone K of the set exactly, returning
 ``(alpha*, x, branch)`` with P_K(y, s) = (x, alpha*), or None when the set has
 none; :func:`homcone.homproj.project_homogenization` calls it once per query,
 after its exact power-of-2 rescale, so a kernel only sees a query whose
-largest entry lies within 2^(+-500), or the origin, and forms no squared norm
-that overflows or underflows.  The origin-centred Euclidean ball (the
-ice-cream cone) and the ball pen have a closed form, and ``PBall`` with
-p = 2 or p = inf takes the origin ball's or the box's kernel.  The others
+size max(||y||, |s|) lies within 2^(+-500), or the origin, and forms no
+squared norm that overflows or underflows.  The origin-centred Euclidean
+ball (the ice-cream cone) and the ball pen have a closed form, and
+``PBall`` with p = 2 or p = inf takes the origin ball's or the box's kernel.  The others
 end in a root solve of :mod:`homcone.roots`: the box, the l1 ball and the
 simplex in the root over the breakpoints of a piecewise-linear equation
 (:func:`_breakpoint_root`), the ellipsoid and the ball off the origin in
@@ -80,8 +80,9 @@ from itertools import compress
 
 import numpy as np
 
-from .roots import (_FLOATS, _breakpoint_root, _norm, _plane_cone, _quadratic_cone,
-                    _quadratic_cone_floats, _secular_root, _sorted_root_floats)
+from .roots import (_FLOATS, _breakpoint_root, _ldexp_or_inf, _norm, _plane_cone,
+                    _quadratic_cone, _quadratic_cone_floats, _radius_gap,
+                    _secular_root, _sorted_root_floats)
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
@@ -95,49 +96,32 @@ def _as_query(y, dim=None, s=0.0):
     """Validate a query (y, s) in one pass: y a finite nonempty 1-D float64
     vector, of length ``dim`` when given, and s a finite float.
 
-    Returns ``(y, s, e)`` with e the binary exponent of max(|y_i|, |s|):
-    scaling the query by 2^-e is exact and brings its largest entry into
-    [1/2, 1); e is 0 at the origin.  Above ``_FLOATS`` entries the numpy
-    maximum of |y_i| that sizes the query is also its finiteness check, as
-    it is nan or inf exactly when an entry is.  Up to ``_FLOATS`` entries
-    both run on the Python floats of y, where numpy's cost per call
-    outweighs its cost per entry: the maximum is inf or nan where an entry
-    is infinite or the first one is nan, and Python's ``max`` skips a later
-    nan, but that makes the sum of the entries nan (a sum of finite floats
-    that overflows is an infinity, never a nan).
+    Returns ``(y, s, e)`` with e the binary exponent of max(||y||, |s|):
+    scaling the query by 2^-e is exact and brings that size into [1/2, 1),
+    so every entry below 1; e is 0 at the origin.  ||y|| is :func:`_norm`'s,
+    which is also the finiteness check, as it is nan or inf exactly where an
+    entry is or where the norm overflows; only then is the largest |y_i|
+    taken, which sizes finite entries whose norm overflows.
     """
     v = np.asarray(y, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D real vector")
-    if v.size <= _FLOATS:
-        vals = v.tolist()
-        top = max(map(abs, vals))
-        if not top < math.inf or math.isnan(sum(vals)):
-            raise ValueError("vector entries must be finite")
-    else:
-        top = float(np.abs(v).max())
-        if not top < math.inf:
+    size = _norm(v)
+    if not size < math.inf:
+        size = float(np.abs(v).max())
+        if not size < math.inf:
             raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("height must be finite")
-    return v, s, math.frexp(max(top, abs(s)))[1]
+    return v, s, math.frexp(max(size, abs(s)))[1]
 
 
 def as_vector(x, dim=None) -> np.ndarray:
     """Validate ``x`` as a finite 1-D float64 vector, optionally of length ``dim``."""
     return _as_query(x, dim)[0]
-
-
-def _ldexp_or_inf(value, e) -> float:
-    """value 2^e, or an infinity of its sign where that exceeds the float64
-    range."""
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        return math.copysign(math.inf, value)
 
 
 def _sum_at_most(terms, n, edge, exact, *args) -> bool:
@@ -165,10 +149,11 @@ def _ldexp_array(v, e) -> np.ndarray:
 
 def _scaled(f, v) -> float:
     """f(v) for a positively homogeneous f, evaluated on the exact power-of-2
-    rescale of v that brings its largest entry into [1/2, 1), so that no
-    square, power or sum inside f leaves the float64 range; an infinity
-    where f(v) itself exceeds it."""
-    e = math.frexp(float(np.abs(v).max()))[1]
+    rescale of v that brings ||v|| (its largest entry where the norm
+    overflows) into [1/2, 1), so that no square, power or sum inside f
+    leaves the float64 range; an infinity where f(v) itself exceeds it."""
+    n = _norm(v)
+    e = math.frexp(n if n < math.inf else float(np.abs(v).max()))[1]
     return _ldexp_or_inf(f(np.ldexp(v, -e)), e)
 
 
@@ -288,8 +273,9 @@ class ConvexSet:
 
     def _project_cone(self, y, s):
         """Exact P_K(y, s) as ``(alpha*, x, branch)`` with
-        P_K(y, s) = (x, alpha*), or None for the generic solver.  The largest
-        entry of the query lies within 2^(+-500), or the query is the origin."""
+        P_K(y, s) = (x, alpha*), or None for the generic solver.  The size
+        max(||y||, |s|) of the query lies within 2^(+-500), or the query is
+        the origin."""
         return None
 
     def _polar(self):
@@ -320,7 +306,9 @@ class EuclideanBall(ConvexSet):
     sigma_C(y) = gamma ||y|| + rho a cancels where <c, y> < -3 gamma ||y|| / 4
     (wholly if the sphere holds the origin); there it is (gamma ||y - a e||^2
     + k a^2) / (||y|| - (rho / gamma) a), k = (gamma - rho)(1 + rho / gamma),
-    which squares neither gamma nor rho, with e, rho / gamma and k stored.
+    which squares neither gamma nor rho, with e, rho / gamma and k stored;
+    where rho > 3 gamma / 4, gamma - rho is taken exactly
+    (:func:`~homcone.roots._radius_gap`), as rho may round to gamma.
     """
 
     def __init__(self, center, radius):
@@ -344,8 +332,14 @@ class EuclideanBall(ConvexSet):
             # h and rho in units of gamma, so that no square overflows; h < 0
             # only in the slack above, where R - h has no cancellation.
             b = rho / g
-            self._sigma_form = (b, (g - rho) * (1.0 + b))
-            h = 0.5 / g + 0.5 * self._sigma_form[1]
+            # sigma_C takes gamma - rho exactly where it cancels.  The
+            # rotation keeps it rounded: there the exact gap is the rounding
+            # of c, which at radii above about 1e8 outweighs the 1 in h and
+            # would turn the kernel's axes with the last bit of c.
+            gap = g - rho
+            exact = gap if rho <= 0.75 * g else _radius_gap(self.center, g, rho)
+            self._sigma_form = (b, exact * (1.0 + b))
+            h = 0.5 / g + 0.5 * gap * (1.0 + b)
             big = math.hypot(h, b)
             tan = b / (h + big) if h >= 0.0 else (big - h) / b
             k = (1.0 + rho * tan) / g
@@ -738,12 +732,13 @@ class Ellipsoid(ConvexSet):
     def _project_cone(self, y, s):
         """K = {(y, s) : ||W^1/2 u|| <= s} with u = V^T y: the quadratic cone
         of :func:`_quadratic_cone`, whose answer (t, z) is the point V z at
-        height t.  Like every kernel it receives a query within 2^(+-500),
-        so no squared norm overflows.  Two entries take the plane solve
-        (:func:`_plane_cone`), up to ``_FLOATS`` the list core
-        (:func:`_quadratic_cone_floats`), both on the stored lists of the
-        factors, and above it the numpy core on the stored arrays; V^T y and
-        V z stay numpy's matrix-vector products either way."""
+        height t.  Like every kernel it receives a query whose size
+        max(||y||, |s|) lies within 2^(+-500), so no squared norm overflows.
+        Two entries take the plane solve (:func:`_plane_cone`), up to
+        ``_FLOATS`` the list core (:func:`_quadratic_cone_floats`), both on
+        the stored lists of the factors, and above it the numpy core on the
+        stored arrays; V^T y and V z stay numpy's matrix-vector products
+        either way."""
         u = self._evecs.T @ y
         n = y.size
         w, root, one = self._floats

@@ -38,7 +38,7 @@ from homcone import (
     Simplex,
     project_homogenization,
 )
-from set_catalog import OFF_AXIS
+from set_catalog import CORE, OFF_AXIS, select
 from test_breakpoints import shapes
 from test_homproj import extreme_radii_queries, kernel_queries
 
@@ -487,6 +487,66 @@ def test_query_validation_on_both_sides(n, on_both_sides):
     for y, dim, s in validation_inputs(n):
         floats, arrays = on_both_sides(validation_outcome, y, dim, s)
         assert floats == arrays
+
+
+def window_queries(n, rng):
+    """(y, s) whose norm lies 2^-20 inside or outside 2^500 or 2^-501, the
+    edges of the rescale window: beyond 2^500 with every entry below it, and
+    at or above 2^-501 with every entry below 2^-501.  The entries lie within
+    a factor 2 of each other, so that no square leaves the normal range."""
+    for k in (500, -501):
+        for size in (1.0 - 2.0 ** -20, 1.0 + 2.0 ** -20):
+            v = rng.uniform(0.5, 1.0, n) * rng.choice((-1.0, 1.0), n)
+            y = np.ldexp(v * (size / math.hypot(*v)), k)
+            assert float(np.abs(y).max()) < math.ldexp(1.0, k)
+            for h in (-0.9, -0.3, 0.0, 0.3, 0.9):
+                yield y, h * math.ldexp(1.0, k)
+
+
+@pytest.mark.parametrize("entry", select(CORE, kernel=True), ids=lambda e: e.id)
+def test_rescale_window_edges_on_both_sides(entry, monkeypatch):
+    # The query is sized by max(||y||, |s|): on either side of each edge of
+    # 2^(+-500), on floats and on numpy, the answer is 2^e times the answer
+    # on the query rescaled exactly by 2^-e, bit for bit.
+    set_ = entry.make()
+    rng = np.random.default_rng(61)
+    for limit in (math.inf, 0):
+        set_floats(monkeypatch, limit)
+        for y, s in window_queries(set_.dim, rng):
+            e = math.frexp(max(math.hypot(*y), abs(s)))[1]
+            got = project_homogenization(set_, (y, s))
+            unit = project_homogenization(set_, (np.ldexp(y, -e), math.ldexp(s, -e)))
+            assert got.branch is unit.branch
+            assert got.alpha_star == math.ldexp(unit.alpha_star, e)
+            assert got.point.y.tobytes() == np.ldexp(unit.point.y, e).tobytes()
+
+
+def scaled_by_largest_entry(f, v):
+    """:func:`sets._scaled` sized by the largest entry of v, not its norm."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return roots._ldexp_or_inf(f(np.ldexp(v, -e)), e)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_scaled_by_the_norm_on_both_sides(n, on_both_sides):
+    # Sized by ||v||, and by its largest entry where the norm overflows or
+    # an entry is not finite, _scaled answers as the largest entry sized it:
+    # entries of 1.7e308, subnormals, and one inf or nan entry, with no
+    # floating-point warning.
+    ones = np.ones(n)
+    cases = [np.full(n, 1.7e308), np.resize([1.7e308, -1e300], n),
+             np.full(n, 5e-324), np.linspace(-1e-310, 3e-320, n), 0.0 * ones,
+             np.resize([3.0, -4.0], n)]
+    for bad in (math.inf, -math.inf, math.nan):
+        v = ones.copy()
+        v[n // 2] = bad
+        cases.append(v)
+    box = Box(np.linspace(0.5, 2.0, n))
+    for v in cases:
+        for f in (np.sum, box._support, lambda u: float(np.abs(u).max())):
+            want = scaled_by_largest_entry(f, v)
+            for got in on_both_sides(sets._scaled, f, v):
+                assert got == want or math.isnan(got) and math.isnan(want)
 
 
 def closed_form_queries(set_, rng):

@@ -24,7 +24,7 @@ from homcone import (
 )
 from homcone.roots import brent_root
 from oracle import sample_members
-from set_catalog import CATALOG, CORE, pairs
+from set_catalog import BY_ID, CATALOG, CORE, pairs
 from test_cores import set_floats
 
 
@@ -289,6 +289,24 @@ def test_off_centre_ball_support_does_not_cancel(entry):
 def test_support_reproducer_does_not_cancel(set_):
     # Both once read 0.0 here: the point is in neither polar set.
     assert set_.support((1e17, 632455532.0336759)) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("entry_id", ["ball_off_rho_gamma", "shifted_unit_ball_3d"])
+def test_support_where_the_centre_norm_rounds_to_the_radius(entry_id):
+    # ||c||^2 = 0.6^2 + 0.8^2 exceeds gamma^2 = 1 by about 4e-17 on floats,
+    # and rho = ||c|| rounds to gamma, so gamma - rho once read 0:
+    # (-0.6e8, 1, 0.8e8) gave 5e-9 for 2.78e-9.  Around -c, with the offset
+    # on the axis where c is 0 (so that y - <e, y> e loses nothing to
+    # rounding), sigma_C(y) is exact to 1e-13 at |y| from 1e-9 to 1e17,
+    # where the offset dominates it and where gamma - ||c|| does.
+    ball = BY_ID[entry_id].make()
+    reproducer = np.array([0.0, 1.0, 0.0]) - 1e8 * ball.center
+    assert abs(ball.support(reproducer) - 2.7795539507496866e-09) <= 1e-22
+    for t in np.logspace(-9, 17, 27):
+        for delta in np.logspace(-12, 0, 13):
+            y = t * (np.array([0.0, delta, 0.0]) - ball.center)
+            exact = exact_ball_support(ball, y)
+            assert abs(Decimal(ball.support(y)) - exact) <= Decimal(1e-13) * abs(exact), y
 
 
 def test_hyperbolic_support_does_not_cancel():
