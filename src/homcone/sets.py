@@ -38,14 +38,15 @@ after its exact power-of-2 rescale, so a kernel only sees a query whose
 size max(||y||, |s|) lies within 2^(+-500), or the origin, and forms no
 squared norm that overflows or underflows.  The origin-centred Euclidean
 ball (the ice-cream cone) and the ball pen have a closed form, and
-``PBall`` with p = 2 or p = inf takes the origin ball's or the box's kernel.  The others
-end in a root solve of :mod:`homcone.roots`: the box, the l1 ball and the
-simplex in the root over the breakpoints of a piecewise-linear equation
-(:func:`_breakpoint_root`), the ellipsoid and the ball off the origin in
-the projection onto one quadratic cone {||W^1/2 z|| <= t}: the ellipsoid
-in its eigenbasis (:func:`_quadratic_cone`), the ball, after one rotation
-of the plane of its centre and the height, on a 2-vector
-(:func:`_plane_cone`), which also solves the 2-D ellipsoid.  Only the
+``PBall`` with p = 2 or p = inf takes the origin ball's or the box's
+kernel.  The others end in a root solve of :mod:`homcone.roots`: the box,
+the l1 ball and the simplex in the root over the breakpoints of a
+piecewise-linear equation (:func:`_breakpoint_root`), the ellipsoid and the
+ball off the origin in the projection onto one quadratic cone
+{||W^1/2 z|| <= t}: the ellipsoid in its eigenbasis
+(:func:`_quadratic_cone`), the ball, after one rotation of the plane of its
+centre and the height, on a 2-vector (:func:`_plane_cone`), which also
+solves the 2-D ellipsoid.  Only the
 p-balls without a projector have no kernel.  Up to ``_FLOATS`` (12)
 entries the box, l1 and simplex kernels take every scalar they branch on
 (membership in K, sigma_C(y), the simplex kernel's sums and extremes) from
