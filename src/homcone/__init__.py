@@ -13,12 +13,12 @@ from .homproj import (
     Branch,
     ConePoint,
     ProjectionResult,
+    PsiEvaluator,
     TraceRow,
     homogenization_polar_membership,
     project_homogenization,
 )
 from .roots import MaxIterationsExceeded
-from .scaledfun import PsiEvaluator
 from .sets import (
     BallPen,
     Box,

@@ -12,10 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .homproj import TraceRow, _answer, _check_solver_args, _member, _query, _result
+from .homproj import (PsiEvaluator, TraceRow, _answer, _check_solver_args, _member,
+                      _query, _result)
 from .roots import MaxIterationsExceeded
-from .scaledfun import PsiEvaluator
-from .sets import EuclideanBall, _as_query
+from .sets import EuclideanBall, _as_float, _as_query
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
     """
     ball = EuclideanBall(center, radius)
     z, g = ball.center, ball.radius
-    y, s, _ = _as_query(y, ball.dim, s)
+    y, s = _as_query(y, ball.dim, s)[:2]
     nz = float(np.linalg.norm(z))
     zy = float(z @ y)
     ny2 = float(y @ y)
@@ -81,7 +81,7 @@ _ALPHA_FLOOR = 1e-12
 
 def _check_bracket_args(alpha0, beta0, eps, max_iter):
     """ValueError for a bad eps or max_iter, or a bracket not 0 < alpha0 < beta0 < inf."""
-    if None in (alpha0, beta0) or not 0.0 < float(alpha0) < float(beta0) < math.inf:
+    if not 0.0 < _as_float(alpha0) < _as_float(beta0) < math.inf:
         raise ValueError("require 0 < alpha0 < beta0, both finite")
     _check_solver_args(eps, max_iter)
 
@@ -150,14 +150,13 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     float64 range on that rescale or whose two ends round to one value there.
     """
     _check_bracket_args(alpha0, beta0, eps, max_iter)
-    y, s, e = _query(set_, p)
+    y, s, e, n = _query(set_, p)
     if e:
         alpha0, beta0, eps = (_down(name, v, e) for name, v in
                               (("alpha0", alpha0), ("beta0", beta0), ("eps", eps)))
         if not alpha0 < beta0:
             raise ValueError("alpha0 and beta0 round to one value at this query's scale")
-    member = None if force_iterative else _member(
-        set_, y, s, math.hypot(float(np.linalg.norm(y)), s), e)
+    member = None if force_iterative else _member(set_, y, s, math.hypot(n, s), e)
     if member is not None:
         return member
     ev = PsiEvaluator._of_valid(set_, y, s)

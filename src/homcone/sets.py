@@ -97,17 +97,18 @@ def _as_query(y, dim=None, s=0.0):
     """Validate a query (y, s) in one pass: y a finite nonempty 1-D float64
     vector, of length ``dim`` when given, and s a finite float.
 
-    Returns ``(y, s, e)`` with e the binary exponent of max(||y||, |s|):
-    scaling the query by 2^-e is exact and brings that size into [1/2, 1),
-    so every entry below 1; e is 0 at the origin.  ||y|| is :func:`_norm`'s,
-    which is also the finiteness check, as it is nan or inf exactly where an
-    entry is or where the norm overflows; only then is the largest |y_i|
-    taken, which sizes finite entries whose norm overflows.
+    Returns ``(y, s, e, n)`` with n = ||y|| and e the binary exponent of
+    max(||y||, |s|): scaling the query by 2^-e is exact and brings that size
+    into [1/2, 1), so every entry below 1; e is 0 at the origin.  n is
+    :func:`_norm`'s, which is also the finiteness check, as it is nan or inf
+    exactly where an entry is or where the norm overflows; only then is the
+    largest |y_i| taken, which sizes finite entries whose norm overflows
+    (n is inf there).
     """
     v = np.asarray(y, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D real vector")
-    size = _norm(v)
+    size = n = _norm(v)
     if not size < math.inf:
         size = float(np.abs(v).max())
         if not size < math.inf:
@@ -117,7 +118,7 @@ def _as_query(y, dim=None, s=0.0):
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("height must be finite")
-    return v, s, math.frexp(max(size, abs(s)))[1]
+    return v, s, math.frexp(max(size, abs(s)))[1], n
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -158,9 +159,18 @@ def _scaled(f, v) -> float:
     return _ldexp_or_inf(f(np.ldexp(v, -e)), e)
 
 
+def _as_float(x) -> float:
+    """float(x), or nan where x is not a number, so that a range check
+    rejects it with its own ValueError."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _as_tolerance(tol) -> float:
     """Validate a membership tolerance as a finite float >= 0."""
-    tol = float(tol)
+    tol = _as_float(tol)
     if not 0.0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and nonnegative")
     return tol
@@ -226,7 +236,7 @@ class ConvexSet:
 
         Positively homogeneous, so evaluated on the power-of-2 rescale of y
         that validation sizes; +inf also where it exceeds the float64 range."""
-        y, _, e = _as_query(y, self.dim)
+        y, _, e, _ = _as_query(y, self.dim)
         return _ldexp_or_inf(self._support(np.ldexp(y, -e)), e)
 
     def project(self, x) -> np.ndarray:
@@ -247,7 +257,7 @@ class ConvexSet:
         """Distance from y to the recession cone; zero iff y is a recession
         direction.  Evaluated on the exact power-of-2 rescale of y, like
         :meth:`support`."""
-        y, _, e = _as_query(y, self.dim)
+        y, _, e, _ = _as_query(y, self.dim)
         return _ldexp_or_inf(self._recession_distance(np.ldexp(y, -e)), e)
 
     def _contains(self, x, tol) -> bool:

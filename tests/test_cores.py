@@ -448,7 +448,7 @@ def test_off_centre_ball_kernel_at_every_size(n, on_both_sides):
 def validation_outcome(y, dim, s):
     """``_as_query``'s answer, bit for bit, or its exception type and message."""
     try:
-        v, s, e = sets._as_query(y, dim, s)
+        v, s, e, _ = sets._as_query(y, dim, s)
     except Exception as exc:  # the comparison is of the exception itself
         return type(exc), str(exc)
     return v.tobytes(), v.shape, s.hex(), e

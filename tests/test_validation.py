@@ -14,7 +14,7 @@ import pytest
 
 import homcone.cli
 import homcone.homproj
-import homcone.scaledfun
+import homcone.paper
 import homcone.sets
 from homcone import (
     Box,
@@ -115,6 +115,28 @@ FAILURES = {
                           lambda: _EVALUATOR.psi_prime(0.0)),
     "psi_alpha_negative": (ValueError, "the scaling parameter must be nonnegative",
                            lambda: _EVALUATOR.psi(-0.5)),
+    # At inf, phi and psi were once nan with no warning.
+    "phi_alpha_inf": (ValueError, "the scaling parameter must be finite",
+                      lambda: _EVALUATOR.phi(math.inf)),
+    "psi_alpha_inf": (ValueError, "the scaling parameter must be finite",
+                      lambda: _EVALUATOR.psi(math.inf)),
+    "psi_prime_alpha_inf": (ValueError, "the scaling parameter must be finite",
+                            lambda: _EVALUATOR.psi_prime(math.inf)),
+    # A non-number eps or tol was once a TypeError from float().
+    "eps_none": (ValueError, "eps must be positive and finite",
+                 lambda: project_homogenization(Box((1.0, 1.0)), ((1.0, 2.0), 1.0),
+                                                eps=None)),
+    "eps_not_a_number": (ValueError, "eps must be positive and finite",
+                         lambda: project_homogenization(Box((1.0, 1.0)), ((1.0, 2.0), 1.0),
+                                                        eps="small")),
+    "tol_none_polar_cone": (ValueError, "tolerance must be finite and nonnegative",
+                            lambda: homogenization_polar_membership(
+                                Box((1.0, 1.0)), ((1.0, 2.0), 1.0), tol=None)),
+    "tol_none_contains": (ValueError, "tolerance must be finite and nonnegative",
+                          lambda: Box((1.0, 1.0)).contains((0.5, 0.5), tol=None)),
+    "bracket_not_a_number": (ValueError, "require 0 < alpha0 < beta0, both finite",
+                             lambda: homcone.paper.bisection_projection(
+                                 Box((1.0, 1.0)), ((1.0, 2.0), 1.0), [1.0], 5.0)),
     "bad_point": (ValueError,
                   "bad point '1,zebra': could not convert string to float: 'zebra'",
                   lambda: homcone.cli._parse_point("1,zebra")),
@@ -202,7 +224,7 @@ def count_validation_passes(monkeypatch):
         calls.append(dim)
         return original(y, dim, s)
 
-    for module in (homcone.sets, homcone.scaledfun, homcone.homproj):
+    for module in (homcone.sets, homcone.homproj):
         if hasattr(module, "_as_query"):
             monkeypatch.setattr(module, "_as_query", counting)
     return calls
@@ -222,6 +244,38 @@ def test_one_query_validates_at_most_twice(entry, monkeypatch):
     calls.clear()
     project_homogenization(set_, (np.ldexp(y, 700), math.ldexp(0.5, 700)))
     assert calls == [set_.dim]
+
+
+def count_norms_of(y, monkeypatch):
+    """Count the ``numpy.linalg.norm`` calls on a vector equal to y."""
+    calls = []
+    original = np.linalg.norm
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == y.shape and np.array_equal(x, y):
+            calls.append(x)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
+GENERIC_ROUTES = {
+    "force_iterative": lambda c, p: project_homogenization(c, p, force_iterative=True),
+    "bisection": lambda c, p: homcone.paper.bisection_projection(c, p, 0.25, 2.0),
+    "polar_membership": homogenization_polar_membership,
+}
+
+
+@pytest.mark.parametrize("route", sorted(GENERIC_ROUTES))
+def test_generic_routes_take_the_norm_from_validation(route, monkeypatch):
+    # max(||y||, |s|) lies in [1/2, 1), so no route rescales y; y / s is
+    # outside the box, so the projections take the solver.  psi'(0+) sizes y
+    # by roots._norm, not numpy's, and is not counted.
+    y = np.array([0.6, 0.2])
+    calls = count_norms_of(y, monkeypatch)
+    GENERIC_ROUTES[route](Box((1.0, 2.0)), (y, 0.5))
+    assert calls == []
 
 
 @pytest.mark.parametrize("entry", ["polar_cone_membership",
