@@ -31,12 +31,16 @@ site, which names no set class, scales them back and builds the result.
 The paper's bisection, :func:`homcone.paper.bisection_projection`, shares
 the shortcut, the answer and the site.
 
-Each entry point validates its query in one pass (a finite y of the set's
-dimension and a finite height s), which also sizes it: one whose size
-max(||y||, |s|) lies beyond 2^(+-500) is projected on its exact power-of-2
+Each entry point validates its query in one call,
+:func:`homcone.sets._as_query` (a finite real y of the set's dimension and a
+finite real height s), which also sizes and rescales it: one whose size
+max(||y||, |s|) lies beyond 2^(+-500) comes back on its exact power-of-2
 rescale, ahead of the kernel and the solver alike, so neither forms a
-squared norm that overflows or underflows.  Everything after the pass
-calls the sets' unchecked kernels (see :mod:`homcone.sets`).
+squared norm that overflows or underflows, and with the ||y|| the solver's
+bracket and psi'(0+) reuse.  Everything after that call runs the sets'
+unchecked kernels (see :mod:`homcone.sets`); on the kernel route it reads
+the :class:`~homcone.sets.Branch` members from names bound once and
+compares floats instead of calling the builtin ``max``.
 
 The polar cone of K is cl cone(C° x {-1}), with C° = {sigma_C <= 1} the
 polar set (``ConvexSet.polar``): (y, s) belongs to it iff sigma_C(y) + s <= 0,
@@ -53,8 +57,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .roots import _ROOT_RTOL, _ldexp_or_inf, _norm, brent_root
-from .sets import (MEMBERSHIP_TOL, Branch, _as_float, _as_query, _as_tolerance,
-                   _ldexp_array, _scaled)
+from .sets import (_CONE, _IN_K, _RECESSION, MEMBERSHIP_TOL, Branch, _as_float,
+                   _as_query, _as_tolerance, _ldexp_array)
 
 #: Queries whose size max(||y||, |s|) has a binary exponent beyond this are
 #: projected on an exact power-of-2 rescale, so that squared norms neither
@@ -136,14 +140,15 @@ class PsiEvaluator:
 
     def __init__(self, set_, y, s):
         self.set = set_
-        self.y, self.s = _as_query(y, set_.dim, s)[:2]
+        self.y, self.s, _, self._n = _as_query(y, set_.dim, s)
         self._memo = ()
 
     @classmethod
-    def _of_valid(cls, set_, y, s):
-        """An evaluator on a query (y, s) its caller has already validated."""
+    def _of_valid(cls, set_, y, s, n):
+        """An evaluator on a query (y, s) its caller has already validated,
+        with n = ||y|| as validation took it."""
         ev = cls.__new__(cls)
-        ev.set, ev.y, ev.s, ev._memo = set_, y, s, ()
+        ev.set, ev.y, ev.s, ev._n, ev._memo = set_, y, s, n, ()
         return ev
 
     def _at(self, alpha):
@@ -210,13 +215,16 @@ class PsiEvaluator:
         0.  A nonnegative value certifies alpha* = 0, the recession branch:
         (y, s) then lies in the polar cone of K.  Unbounded sets raise
         NotImplementedError, since their sigma_C is +inf off the polar of the
-        recession cone.  sigma_C is taken on the power-of-2 rescale of y, as
-        :meth:`~homcone.sets.ConvexSet.support` does, so that no inner
-        product inside it leaves the float range.
+        recession cone.  sigma_C is taken on the power-of-2 rescale of y that
+        brings the norm validation took (the largest entry where it
+        overflowed) into [1/2, 1), so that no inner product inside it leaves
+        the float range.
         """
         if not self.set.bounded:
             raise NotImplementedError("psi'(0+) in closed form needs a bounded set")
-        return -2.0 * (self.s + _scaled(self.set._support, self.y))
+        y, n = self.y, self._n
+        e = math.frexp(n if n < math.inf else float(np.abs(y).max()))[1]
+        return -2.0 * (self.s + _ldexp_or_inf(self.set._support(np.ldexp(y, -e)), e))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +235,9 @@ def _check_solver_args(eps, max_iter):
     """ValueError for an eps that is not a positive finite number, or a
     max_iter that is not an integer (a Python or numpy one, not a bool) of at
     least 1."""
+    if (type(eps) is float and 0.0 < eps < math.inf
+            and type(max_iter) is int and max_iter >= 1):
+        return
     if not 0.0 < _as_float(eps) < math.inf:
         raise ValueError("eps must be positive and finite")
     # type() first, which also rejects a bool: isinstance against np.integer
@@ -296,14 +307,14 @@ def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
 def _member(set_, y, s, scale, e) -> Optional[ProjectionResult]:
     """The ALREADY_IN_K result of a query in K, else None: rays over C or, for
     heights within 1e-12 scale = ||(y, s)|| of 0, recession directions, to
-    MEMBERSHIP_TOL.  ``e`` is the query's rescale (see :func:`_query`)."""
+    MEMBERSHIP_TOL.  ``e`` is the query's rescale (see :func:`_result`)."""
     height_tol = 1e-12 * scale
     if s > height_tol:
         inside = set_._contains(y / s, MEMBERSHIP_TOL)
     else:
         inside = s >= -height_tol and set_._recession_distance(y) <= MEMBERSHIP_TOL * scale
     if inside:
-        return _result((s if s > 0.0 else 0.0, y.copy(), Branch.ALREADY_IN_K), 0, None, e)
+        return _result((s if s > 0.0 else 0.0, y.copy(), _IN_K), 0, None, e)
     return None
 
 
@@ -323,7 +334,8 @@ def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=Fals
     a ValueError before any work.
     """
     _check_solver_args(eps, max_iter)
-    y, s, e, n = _query(set_, p)
+    y, s = p
+    y, s, e, n = _as_query(y, set_.dim, s, _SAFE_EXPONENT)
     found = None if force_iterative else set_._project_cone(y, s)
     if found is not None:
         return _result(found, 0, None, e)
@@ -331,37 +343,24 @@ def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=Fals
     member = None if force_iterative else _member(set_, y, s, scale, e)
     if member is not None:
         return member
-    ev = PsiEvaluator._of_valid(set_, y, s)
+    ev = PsiEvaluator._of_valid(set_, y, s, n)
     rows = [] if keep_trace else None
     alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
     return _result(_answer(ev, alpha_star), iterations,
                    None if rows is None else tuple(rows), e)
 
 
-def _query(set_, p, safe=_SAFE_EXPONENT):
-    """``(y, s, e, n)``: the query validated in one pass and, where its size
-    max(||y||, |s|) has a binary exponent beyond ``safe``, rescaled exactly by
-    2^-e (else e is 0), with n = ||y|| as returned.  n is the validation's,
-    scaled alike; only a norm that overflowed is taken again."""
-    y, s = p
-    y, s, e, n = _as_query(y, set_.dim, s)
-    if abs(e) <= safe:
-        return y, s, 0, n
-    y = np.ldexp(y, -e)
-    return y, math.ldexp(s, -e), e, math.ldexp(n, -e) if n < math.inf else _norm(y)
-
-
 def _answer(ev, alpha_star):
     """``(alpha*, x, branch)`` for the minimizer alpha* of ev's psi."""
     if alpha_star == 0.0:
-        return 0.0, ev.set._project_recession(ev.y), Branch.RECESSION
+        return 0.0, ev.set._project_recession(ev.y), _RECESSION
     # alpha* is almost always a point psi' was just evaluated at: the memo's.
-    return alpha_star, alpha_star * ev._at(alpha_star)[2], Branch.CONE_INTERIOR
+    return alpha_star, alpha_star * ev._at(alpha_star)[2], _CONE
 
 
 def _result(found, iterations, trace, e) -> ProjectionResult:
     """The one site that builds a ProjectionResult: the (alpha*, x, branch)
-    found for a query rescaled by 2^-e (see :func:`_query`), scaled back."""
+    found for a query that validation rescaled by 2^-e, scaled back."""
     alpha_star, x, branch = found
     if e:
         # P_K and psi' are positively homogeneous and the rescale is exact.
@@ -397,6 +396,7 @@ def homogenization_polar_membership(set_, p, tol=MEMBERSHIP_TOL) -> bool:
     sigma_C nor the norm can overflow.  A tolerance that is not finite and
     nonnegative is a ValueError.
     """
-    y, s, _, n = _query(set_, p, 0)
+    y, s = p
+    y, s, _, n = _as_query(y, set_.dim, s, 0)
     tol = _as_tolerance(tol)
     return set_._support(y) + s <= tol * math.hypot(n, s)

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .homproj import (PsiEvaluator, TraceRow, _answer, _check_solver_args, _member,
-                      _query, _result)
+from .homproj import (_SAFE_EXPONENT, PsiEvaluator, TraceRow, _answer,
+                      _check_solver_args, _member, _result)
 from .roots import MaxIterationsExceeded
 from .sets import EuclideanBall, _as_float, _as_query
 
@@ -150,7 +150,8 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     float64 range on that rescale or whose two ends round to one value there.
     """
     _check_bracket_args(alpha0, beta0, eps, max_iter)
-    y, s, e, n = _query(set_, p)
+    y, s = p
+    y, s, e, n = _as_query(y, set_.dim, s, _SAFE_EXPONENT)
     if e:
         alpha0, beta0, eps = (_down(name, v, e) for name, v in
                               (("alpha0", alpha0), ("beta0", beta0), ("eps", eps)))
@@ -159,7 +160,7 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     member = None if force_iterative else _member(set_, y, s, math.hypot(n, s), e)
     if member is not None:
         return member
-    ev = PsiEvaluator._of_valid(set_, y, s)
+    ev = PsiEvaluator._of_valid(set_, y, s, n)
     alpha_star, trace = find_alpha_star(ev.psi_prime, alpha0, beta0, eps, max_iter)
     return _result(_answer(ev, alpha_star), len(trace), trace, e)
 

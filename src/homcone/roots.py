@@ -40,12 +40,13 @@ _ROOT_MAX_STEPS = 100
 _NORM_FLOOR = 2.0 ** -500
 
 #: Up to this many entries the work runs on Python floats, where numpy's
-#: cost per call outweighs its cost per entry.  Its users: here :func:`_norm`
-#: (and through it the query validation ``sets._as_query``),
+#: cost per call outweighs its cost per entry.  Its users: here :func:`_norm`,
 #: :func:`_breakpoint_root` and :func:`_secular_root`; in :mod:`homcone.sets`,
-#: which imports it, ``_simplex_cone`` and the cone kernels of ``Box`` and
-#: ``Ellipsoid``.  The crossover measured at 12; no benchmark
-#: workload runs 13 to 16 entries, where a higher switch could be shown.
+#: which imports it, the query validation ``_as_query`` (which takes
+#: :func:`_norm`'s hypot inline), ``_simplex_cone``, the cone kernels of
+#: ``Box`` and ``Ellipsoid`` and the halfwidth list ``Box`` stores.  The
+#: crossover measured at 12; no benchmark workload runs 13 to 16 entries,
+#: where a higher switch could be shown.
 _FLOATS = 12
 
 
@@ -309,10 +310,12 @@ def _secular_root_floats(c, a):
     """:func:`_secular_root` on lists of Python floats, on its contract: the
     same lower bound, Newton step and stopping rule, with the scale-safe
     ``math.hypot`` for the norms."""
-    x = max(math.hypot(*c) - max(a), 0.0)
+    x = math.hypot(*c) - max(a)
+    x = 0.0 if 0.0 > x else x
     a_lo = min(a)
     if a_lo > 0.0:
-        x = max(x, math.hypot(*[ci * (a_lo / ai) for ci, ai in zip(c, a)]) - a_lo)
+        lower = math.hypot(*[ci * (a_lo / ai) for ci, ai in zip(c, a)]) - a_lo
+        x = lower if lower > x else x
     for _ in range(_ROOT_MAX_STEPS):
         f = g = 0.0
         for ci, ai in zip(c, a):
@@ -368,7 +371,7 @@ def _quadratic_cone_floats(u, w, s, root, one):
     wu = [hi * ui for ui, hi in zip(u, root)]
     if math.hypot(*wu) <= s:
         return None
-    base, lift = max(s, 0.0), max(-s, 0.0)
+    base, lift = 0.0 if 0.0 > s else s, 0.0 if 0.0 > -s else -s
     v = _secular_root_floats([x / oi for x, oi in zip(wu, one)],
                              [(base + lift * wi) / oi for wi, oi in zip(w, one)])
     t = base + v
@@ -391,13 +394,15 @@ def _plane_cone(r, p, w, root, one, s):
     c0, c1 = h0 * r, h1 * p
     if math.hypot(c0, c1) <= s:
         return None
-    base, lift = max(s, 0.0), max(-s, 0.0)
+    base, lift = 0.0 if 0.0 > s else s, 0.0 if 0.0 > -s else -s
     c0, c1 = c0 / o0, c1 / o1
     a0, a1 = (base + lift * w0) / o0, (base + lift * w1) / o1
-    x = max(math.hypot(c0, c1) - max(a0, a1), 0.0)
-    a_lo = min(a0, a1)
+    x = math.hypot(c0, c1) - (a1 if a1 > a0 else a0)
+    x = 0.0 if 0.0 > x else x
+    a_lo = a1 if a1 < a0 else a0
     if a_lo > 0.0:
-        x = max(x, math.hypot(c0 * (a_lo / a0), c1 * (a_lo / a1)) - a_lo)
+        lower = math.hypot(c0 * (a_lo / a0), c1 * (a_lo / a1)) - a_lo
+        x = lower if lower > x else x
     for _ in range(_ROOT_MAX_STEPS):
         d0, d1 = a0 + x, a1 + x
         r0, r1 = c0 / d0, c1 / d1

@@ -16,14 +16,17 @@ Each set is implemented once.  The JSON spec types ``shifted_unit_ball`` and
 ``ball_plus_strip`` name two of the paper's examples and build the
 :class:`EuclideanBall` and :class:`BallPen` that they are.
 
-Validation contract: a query (y, s) is validated in one pass by
-:func:`_as_query`, which also returns the binary exponent of its size
-max(||y||, |s|); :func:`as_vector` is that pass for a vector alone.  The
+Validation contract: a query (y, s) is validated in one call,
+:func:`_as_query`, shared by every entry point.  It rejects a complex y and a
+height that is not a real number like any bad value, and it also sizes the
+query: where the binary exponent of max(||y||, |s|) lies beyond the caller's
+bound, it returns the query rescaled exactly by that power of 2, with its
+exponent.  :func:`as_vector` is that call for a vector alone.  The
 public methods of :class:`ConvexSet` (``project``, ``contains``, ``support``,
 ``project_recession``, ``recession_distance``) validate their vector once and
 dispatch to a per-set kernel (``_project``, ``_contains``, ``_support``,
 ``_project_recession``, ...), ``support`` and ``recession_distance`` on the
-power-of-2 rescale by the exponent that pass returns.  Kernels assume a
+power-of-2 rescale that call returns.  Kernels assume a
 finite float64 vector of the set's dimension and never re-validate; callers
 inside the package that built the vector from an already validated query
 call the kernels directly.  A membership tolerance is validated by
@@ -53,7 +56,13 @@ entries the box, l1 and simplex kernels take every scalar they branch on
 one ``tolist()`` and hand the same lists to the breakpoint root, numpy
 building only the answer.  A sum that lies within its rounding error of a
 branch edge is retaken on numpy (:func:`_sum_at_most`), so both sides of
-the switch branch alike.
+the switch branch alike.  The kernels read the :class:`Branch` members from
+the names ``_IN_K``, ``_RECESSION`` and ``_CONE``, bound once; they and the
+cores of :mod:`homcone.roots` they call on Python floats compare two or
+three floats where they would call the builtin ``max`` or ``min``, with its
+tie rule, so that signed zeros keep their bits.  On CPython 3.11 the
+attribute read and the call each cost about ten times the name or the
+comparison.
 A subclass that changes ``_project`` of one of these sets
 (``EuclideanBall``, ``BallPen``, ``Box``, ``L1Ball``, ``Simplex``,
 ``Ellipsoid``, ``PBall``) must also override ``_project_cone``, or the
@@ -93,32 +102,55 @@ MEMBERSHIP_TOL = 1e-9
 _HALF_ULP_MAX = 2.0 ** 970
 
 
-def _as_query(y, dim=None, s=0.0):
-    """Validate a query (y, s) in one pass: y a finite nonempty 1-D float64
-    vector, of length ``dim`` when given, and s a finite float.
+#: The dtype of a query vector that needs no conversion.
+_FLOAT64 = np.dtype(float)
 
-    Returns ``(y, s, e, n)`` with n = ||y|| and e the binary exponent of
-    max(||y||, |s|): scaling the query by 2^-e is exact and brings that size
-    into [1/2, 1), so every entry below 1; e is 0 at the origin.  n is
-    :func:`_norm`'s, which is also the finiteness check, as it is nan or inf
-    exactly where an entry is or where the norm overflows; only then is the
-    largest |y_i| taken, which sizes finite entries whose norm overflows
-    (n is inf there).
+
+def _as_query(y, dim=None, s=0.0, safe=math.inf):
+    """Validate a query (y, s) in one pass: y a finite nonempty 1-D real
+    vector, of length ``dim`` when given, returned as float64, and s a finite
+    real number, returned as a float; a complex y or a non-number s is a
+    ValueError too.
+
+    Returns ``(y, s, e, n)`` with n = ||y||.  Where the binary exponent k of
+    the size max(||y||, |s|) (0 at the origin) exceeds ``safe`` in
+    magnitude, y, s and n come back rescaled exactly by 2^-k, which brings
+    that size into [1/2, 1), and e is k; otherwise as given, and e is 0.  The
+    default rescales no query, ``safe`` 0 every one.  n is :func:`_norm`'s,
+    inline up to ``_FLOATS`` entries, and is also the finiteness check: it is
+    nan or inf exactly where an entry is or where the norm overflows, and
+    only then is the largest |y_i| taken to size y (n is then taken again on
+    the rescaled y).
     """
-    v = np.asarray(y, dtype=float)
+    if type(y) is np.ndarray and y.dtype is _FLOAT64:
+        v = y
+    else:
+        v = np.asarray(y)
+        if v.dtype.kind == "c":
+            raise ValueError("expected a nonempty 1-D real vector")
+        if v.dtype is not _FLOAT64:
+            v = np.asarray(y, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D real vector")
-    size = n = _norm(v)
+    size = n = math.hypot(*v.tolist()) if v.size <= _FLOATS else _norm(v)
     if not size < math.inf:
         size = float(np.abs(v).max())
         if not size < math.inf:
             raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
-    s = float(s)
-    if not math.isfinite(s):
+    try:
+        s = float(s)
+    except (TypeError, ValueError):
+        raise ValueError("height must be finite") from None
+    h = abs(s)
+    if not h < math.inf:
         raise ValueError("height must be finite")
-    return v, s, math.frexp(max(size, abs(s)))[1], n
+    e = math.frexp(h if h > size else size)[1]
+    if -safe <= e <= safe:
+        return v, s, 0, n
+    v = np.ldexp(v, -e)
+    return v, math.ldexp(s, -e), e, math.ldexp(n, -e) if n < math.inf else _norm(v)
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -202,6 +234,11 @@ class Branch(str, enum.Enum):
     CONE_INTERIOR = "cone_interior"
 
 
+#: The members, bound once: reading a name costs a tenth of reading
+#: ``Branch.<member>``, and the kernels read one per query.
+_IN_K, _RECESSION, _CONE = Branch.ALREADY_IN_K, Branch.RECESSION, Branch.CONE_INTERIOR
+
+
 # ---------------------------------------------------------------------------
 # Set variants
 # ---------------------------------------------------------------------------
@@ -236,8 +273,8 @@ class ConvexSet:
 
         Positively homogeneous, so evaluated on the power-of-2 rescale of y
         that validation sizes; +inf also where it exceeds the float64 range."""
-        y, _, e, _ = _as_query(y, self.dim)
-        return _ldexp_or_inf(self._support(np.ldexp(y, -e)), e)
+        y, _, e, _ = _as_query(y, self.dim, 0.0, 0)
+        return _ldexp_or_inf(self._support(y), e)
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x."""
@@ -257,8 +294,8 @@ class ConvexSet:
         """Distance from y to the recession cone; zero iff y is a recession
         direction.  Evaluated on the exact power-of-2 rescale of y, like
         :meth:`support`."""
-        y, _, e, _ = _as_query(y, self.dim)
-        return _ldexp_or_inf(self._recession_distance(np.ldexp(y, -e)), e)
+        y, _, e, _ = _as_query(y, self.dim, 0.0, 0)
+        return _ldexp_or_inf(self._recession_distance(y), e)
 
     def _contains(self, x, tol) -> bool:
         raise NotImplementedError(f"{type(self).__name__} has no membership test")
@@ -413,11 +450,11 @@ class EuclideanBall(ConvexSet):
             gamma = self.radius
             ny = _norm(y)
             if ny <= gamma * s:
-                return s, y.copy(), Branch.ALREADY_IN_K
+                return s, y.copy(), _IN_K
             if gamma * ny <= -s:
-                return 0.0, np.zeros(y.size), Branch.RECESSION
+                return 0.0, np.zeros(y.size), _RECESSION
             rho = (s + gamma * ny) / (1.0 + gamma * gamma)
-            return rho, (rho * gamma / ny) * y, Branch.CONE_INTERIOR
+            return rho, (rho * gamma / ny) * y, _CONE
         if self._turn is None:
             return None
         e = self._axis
@@ -426,21 +463,25 @@ class EuclideanBall(ConvexSet):
         perp = y - a * e
         r = _norm(perp)
         p, q = cos * a - sin * s, sin * a + cos * s
-        k = math.frexp(max(r, abs(p), abs(q)))[1]
+        # max(r, |p|, |q|), with the builtin's tie rule.
+        big, top = abs(p), abs(q)
+        big = big if big > r else r
+        k = math.frexp(top if top > big else big)[1]
         cone = _plane_cone(math.ldexp(r, -k), math.ldexp(p, -k), self._weights,
                            self._roots, self._ones, math.ldexp(q, -k))
         # K lies in s >= ||y|| / (gamma + rho); a height below 0 comes from
         # rounding in the rotation, at radii beyond about 1e15 only.
         if cone is None:
-            return max(s, 0.0), y.copy(), Branch.ALREADY_IN_K
+            return 0.0 if 0.0 > s else s, y.copy(), _IN_K
         t, zr, zp = cone
         if t == 0.0:
-            return 0.0, np.zeros(y.size), Branch.RECESSION
+            return 0.0, np.zeros(y.size), _RECESSION
         t, zr, zp = math.ldexp(t, k), math.ldexp(zr, k), math.ldexp(zp, k)
         x = (cos * zp + sin * t) * e
         if r > 0.0:
             x += (zr / r) * perp
-        return max(cos * t - sin * zp, 0.0), x, Branch.CONE_INTERIOR
+        height = cos * t - sin * zp
+        return 0.0 if 0.0 > height else height, x, _CONE
 
     def _polar(self):
         """The ball of radius 1/gamma where that is finite; off the origin
@@ -465,6 +506,10 @@ class Box(ConvexSet):
         self._live = None if live.size == b.size else live
         self._live_b = b[live]
         self._live_bb = self._live_b * self._live_b
+        # The cone kernel's halfwidths on Python floats, stored up to
+        # _FLOATS entries only: a list of 20,000 floats costs 0.8 MB.  Where
+        # _FLOATS is raised after construction the kernel lists them itself.
+        self._floats = b.tolist() if b.size <= _FLOATS else None
 
     def __repr__(self):
         return f"Box(halfwidths={self.halfwidths.tolist()})"
@@ -489,16 +534,16 @@ class Box(ConvexSet):
         a = np.abs(y)
         if y.size > _FLOATS:
             if s >= 0.0 and (a <= s * b).all():
-                return s, y.copy(), Branch.ALREADY_IN_K
+                return s, y.copy(), _IN_K
             terms = None
         else:
-            bs, vals = b.tolist(), a.tolist()
+            bs, vals = self._floats or b.tolist(), a.tolist()
             if s >= 0.0 and all(ai <= s * bi for ai, bi in zip(vals, bs)):
-                return s, y.copy(), Branch.ALREADY_IN_K
+                return s, y.copy(), _IN_K
             terms = map(operator.mul, bs, vals)
         # s + sigma_C(y) <= 0.
         if _sum_at_most(terms, y.size, -s, np.matmul, b, a):
-            return 0.0, np.zeros(y.size), Branch.RECESSION
+            return 0.0, np.zeros(y.size), _RECESSION
         if terms is None:
             if self._live is not None:
                 a = a[self._live]
@@ -512,7 +557,7 @@ class Box(ConvexSet):
                                         map(operator.mul, bs, vals),
                                         map(operator.mul, bs, bs))
         ab = alpha * b
-        return alpha, np.minimum(np.maximum(y, -ab), ab), Branch.CONE_INTERIOR
+        return alpha, np.minimum(np.maximum(y, -ab), ab), _CONE
 
     def _polar(self):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b
@@ -552,25 +597,25 @@ def _simplex_cone(v, r, s):
     vals = v.tolist() if v.size <= _FLOATS else None
     low = float(v.min()) if vals is None else min(vals)
     if low >= 0.0 and _sum_at_most(vals, v.size, r * s, v.sum):
-        return s, v.copy(), Branch.ALREADY_IN_K
+        return s, v.copy(), _IN_K
     top = float(v.max()) if vals is None else max(vals)
-    lift = s + r * max(top, 0.0)
+    lift = s + r * (0.0 if 0.0 > top else top)
     if lift <= 0.0:
-        return 0.0, np.zeros(v.size), Branch.RECESSION
+        return 0.0, np.zeros(v.size), _RECESSION
     # Where top > r s, every float sum of the positive parts exceeds r s too.
     if low < 0.0 and top <= r * s:
         pos = np.maximum(v, 0.0)
         plus = None if vals is None else (x for x in vals if x > 0.0)
         if _sum_at_most(plus, v.size, r * s, pos.sum):
             # theta = 0 at alpha = s: only the negative entries move.
-            return s, pos, Branch.CONE_INTERIOR
+            return s, pos, _CONE
     d = v - top
     if vals is None:
         theta = _breakpoint_root(d, r * r, -r * lift)
     else:
         theta = _sorted_root_floats([x - top for x in vals], r * r, -r * lift,
                                     None, None)
-    return lift + r * theta, np.maximum(d - theta, 0.0), Branch.CONE_INTERIOR
+    return lift + r * theta, np.maximum(d - theta, 0.0), _CONE
 
 
 class L1Ball(ConvexSet):
@@ -601,7 +646,7 @@ class L1Ball(ConvexSet):
         """The simplex kernel of radius r on |y| (:func:`_simplex_cone`),
         signs restored: K = {||y||_1 <= r s} is symmetric under sign flips."""
         alpha, x, branch = _simplex_cone(np.abs(y), self.radius, s)
-        if branch is Branch.RECESSION:
+        if branch is _RECESSION:
             return alpha, x, branch
         return alpha, np.copysign(x, y, out=x), branch
 
@@ -762,11 +807,11 @@ class Ellipsoid(ConvexSet):
         else:
             cone = _quadratic_cone_floats(u.tolist(), w, s, root, one)
         if cone is None:
-            return s, y.copy(), Branch.ALREADY_IN_K
+            return s, y.copy(), _IN_K
         t, z = cone
         if t == 0.0:
-            return 0.0, np.zeros(n), Branch.RECESSION
-        return t, self._evecs @ z, Branch.CONE_INTERIOR
+            return 0.0, np.zeros(n), _RECESSION
+        return t, self._evecs @ z, _CONE
 
     def _polar(self):
         """The ellipsoid of Q^-1 = V diag(1/w) V^T, on the eigenpairs (1/w, V):
@@ -867,17 +912,17 @@ class BallPen(ConvexSet):
         r = y if on_ray is None else y - on_ray
         delta = _norm(r)
         if delta <= -s:
-            branch = Branch.ALREADY_IN_K if s == 0.0 else Branch.RECESSION
-            return 0.0, max(0.0, dy) * d, branch
+            branch = _IN_K if s == 0.0 else _RECESSION
+            return 0.0, (dy if dy > 0.0 else 0.0) * d, branch
         if delta <= s:
             # Here dist(y/s, ray) <= 1, so y/s is already a member and the
             # projected point reproduces (y, s).
-            return s, y.copy(), Branch.ALREADY_IN_K
+            return s, y.copy(), _IN_K
         alpha = 0.5 * (s + delta)
         x = (alpha / delta) * r
         if on_ray is not None:
             x += on_ray
-        return alpha, x, Branch.CONE_INTERIOR
+        return alpha, x, _CONE
 
     def _polar_contains(self, y, tol):
         """The unit ball cut by <d, y> <= 0."""
@@ -962,12 +1007,12 @@ class _Polar(ConvexSet):
         if found is None:
             return None
         a, x, branch = found
-        alpha = max(s + a, 0.0)
-        if alpha == 0.0:
-            return 0.0, y - x, Branch.RECESSION
+        alpha = s + a
+        if alpha <= 0.0:
+            return 0.0, y - x, _RECESSION
         # Where P_{K_C}(y, -s) is the apex, (y, s) is a member.
-        inside = branch is Branch.RECESSION and not x.any()
-        return alpha, y - x, Branch.ALREADY_IN_K if inside else Branch.CONE_INTERIOR
+        inside = branch is _RECESSION and not x.any()
+        return alpha, y - x, _IN_K if inside else _CONE
 
     def _polar(self):
         return self._source

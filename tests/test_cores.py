@@ -100,6 +100,56 @@ def test_sets_defines_none_of_the_cores():
     assert MOVED <= set(vars(roots))
 
 
+#: The kernel route's hot path, per module: every ``_project_cone`` of
+#: ``sets`` and these functions.
+HOT_PATH = {
+    "homproj": {"project_homogenization", "_member", "_answer"},
+    "sets": {"_as_query", "_simplex_cone", "_project_cone"},
+    "roots": {"_plane_cone", "_quadratic_cone_floats", "_secular_root_floats"},
+}
+
+
+def hot_path_functions():
+    """``(qualified name, its ast node)`` of each function of HOT_PATH."""
+    for module, names in HOT_PATH.items():
+        for node in module_tree(module).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in names:
+                        yield f"{module}.{node.name}.{item.name}", item
+            elif isinstance(node, ast.FunctionDef) and node.name in names:
+                yield f"{module}.{node.name}", node
+
+
+def slow_reads(function):
+    """The ``Branch.<member>`` reads of a function, and its calls of the
+    builtin ``max`` or ``min`` on two or more positional arguments: on
+    CPython 3.11 each costs about 100 ns against under 20 ns for a
+    module-level name or a comparison."""
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "Branch"):
+            yield f"line {node.lineno}: Branch.{node.attr}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("max", "min") and len(node.args) >= 2):
+            yield f"line {node.lineno}: {node.func.id}() of {len(node.args)} arguments"
+
+
+def test_hot_path_lists_every_function():
+    found = {}
+    for name, node in hot_path_functions():
+        found.setdefault(f"{name.split('.')[0]}.{node.name}", []).append(name)
+    assert set(found) == {f"{m}.{n}" for m, names in HOT_PATH.items() for n in names}
+    # The base class's default and one per set class with a cone kernel.
+    assert len(found["sets._project_cone"]) >= 8
+
+
+@pytest.mark.parametrize("name, function", list(hot_path_functions()),
+                         ids=[name for name, _ in hot_path_functions()])
+def test_hot_path_reads_no_enum_member_and_calls_no_builtin_max_min(name, function):
+    assert list(slow_reads(function)) == []
+
+
 @pytest.fixture
 def on_both_sides(monkeypatch):
     """Call ``fn(*args)`` once with every core on floats and once with every
@@ -487,6 +537,30 @@ def test_query_validation_on_both_sides(n, on_both_sides):
     for y, dim, s in validation_inputs(n):
         floats, arrays = on_both_sides(validation_outcome, y, dim, s)
         assert floats == arrays
+
+
+def rescale_outcome(y, dim, s, safe):
+    """``_as_query``'s rescaled query, bit for bit, or its exception type and
+    message.  n is left out: hypot and numpy's norm may differ by an ulp."""
+    try:
+        v, s, e, _ = sets._as_query(y, dim, s, safe)
+    except Exception as exc:  # the comparison is of the exception itself
+        return type(exc), str(exc)
+    return v.tobytes(), s.hex(), e
+
+
+@pytest.mark.parametrize("safe", (0, 500))
+@pytest.mark.parametrize("n", SIZES)
+def test_query_rescale_on_both_sides(n, safe, on_both_sides):
+    # The rescale is the exact 2^-e of the size max(||y||, |s|), whose
+    # exponent is taken from the inline hypot on floats and from _norm on
+    # numpy alike.
+    rescaled = 0
+    for y, dim, s in validation_inputs(n):
+        floats, arrays = on_both_sides(rescale_outcome, y, dim, s, safe)
+        assert floats == arrays
+        rescaled += len(floats) == 3 and floats[2] != 0
+    assert rescaled >= 4
 
 
 def window_queries(n, rng):

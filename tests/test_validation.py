@@ -56,6 +56,7 @@ BAD_INPUTS = {
     "inf_entry": lambda n: np.r_[np.ones(n - 1), np.inf],
     "2d_array": lambda n: np.ones((2, n)),
     "empty": lambda n: np.array([]),
+    "complex": lambda n: np.r_[np.ones(n - 1), 1j],
 }
 
 #: The message each kind of bad vector is rejected with.
@@ -65,6 +66,7 @@ BAD_MESSAGES = {
     "inf_entry": "vector entries must be finite",
     "2d_array": "expected a nonempty 1-D real vector",
     "empty": "expected a nonempty 1-D real vector",
+    "complex": "expected a nonempty 1-D real vector",
 }
 
 
@@ -134,6 +136,19 @@ FAILURES = {
                                 Box((1.0, 1.0)), ((1.0, 2.0), 1.0), tol=None)),
     "tol_none_contains": (ValueError, "tolerance must be finite and nonnegative",
                           lambda: Box((1.0, 1.0)).contains((0.5, 0.5), tol=None)),
+    # A complex vector once lost its imaginary part with only a ComplexWarning.
+    "complex_vector": (ValueError, "expected a nonempty 1-D real vector",
+                       lambda: project_homogenization(Box((1.0, 1.0)),
+                                                      (np.array([1 + 5j, 2]), 0.5))),
+    "complex_contains": (ValueError, "expected a nonempty 1-D real vector",
+                         lambda: Box((1.0, 1.0)).contains(np.array([0.5 + 9j, 0.5]))),
+    "complex_centre": (ValueError, "expected a nonempty 1-D real vector",
+                       lambda: EuclideanBall(np.array([0.1 + 1j, 0.0]), 1.0)),
+    # A height that is not a real number was once a TypeError from float().
+    "height_none": (ValueError, "height must be finite",
+                    lambda: project_homogenization(Box((1.0, 1.0)), ((1.0, 2.0), None))),
+    "height_complex": (ValueError, "height must be finite",
+                       lambda: project_homogenization(Box((1.0, 1.0)), ((1.0, 2.0), 1 + 0j))),
     "bracket_not_a_number": (ValueError, "require 0 < alpha0 < beta0, both finite",
                              lambda: homcone.paper.bisection_projection(
                                  Box((1.0, 1.0)), ((1.0, 2.0), 1.0), [1.0], 5.0)),
@@ -214,15 +229,24 @@ def test_non_finite_height_is_rejected_by_other_entries(s):
         homogenization_polar_membership(Box((1.0, 1.0)), ((1.0, 2.0), s))
 
 
+def test_int_and_bool_queries_are_accepted():
+    box = Box((1.0, 2.0))
+    want = project_homogenization(box, (np.array([3.0, 1.0]), 1.0))
+    for y, s in (((3, 1), 1), ((3, True), True), (np.array([3, 1]), np.int64(1))):
+        got = project_homogenization(box, (y, s))
+        assert got.alpha_star == want.alpha_star
+        assert got.point.y.tobytes() == want.point.y.tobytes()
+
+
 def count_validation_passes(monkeypatch):
     """Count the calls of the one-pass query validator in every module that
     binds it; ``as_vector`` is a pass too, as it calls it."""
     calls = []
     original = homcone.sets._as_query
 
-    def counting(y, dim=None, s=0.0):
+    def counting(y, dim=None, s=0.0, safe=math.inf):
         calls.append(dim)
-        return original(y, dim, s)
+        return original(y, dim, s, safe)
 
     for module in (homcone.sets, homcone.homproj):
         if hasattr(module, "_as_query"):
@@ -275,6 +299,22 @@ def test_generic_routes_take_the_norm_from_validation(route, monkeypatch):
     y = np.array([0.6, 0.2])
     calls = count_norms_of(y, monkeypatch)
     GENERIC_ROUTES[route](Box((1.0, 2.0)), (y, 0.5))
+    assert calls == []
+
+
+def test_psi_prime_at_zero_takes_the_norm_from_validation(monkeypatch):
+    # psi'(0+) sizes y by the norm validation took: no second sizing by
+    # sets._scaled, wherever it is bound.
+    calls = []
+    for module in (homcone.sets, homcone.homproj):
+        if hasattr(module, "_scaled"):
+            def counting(f, v, original=module._scaled):
+                calls.append(v)
+                return original(f, v)
+
+            monkeypatch.setattr(module, "_scaled", counting)
+    res = project_homogenization(Box((1.0, 2.0)), ((3.0, 1.0), 0.2), force_iterative=True)
+    assert res.branch.value == "cone_interior"
     assert calls == []
 
 
