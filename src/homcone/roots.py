@@ -8,7 +8,12 @@ The paper turns P_K into one-dimensional root solves that need only P_C.
 breakpoints (:func:`_breakpoint_root`: the box, l1 ball and simplex) or in
 the Newton solve of a secular equation (:func:`_secular_root`: the
 ellipsoid), which projects onto a quadratic cone (:func:`_quadratic_cone`,
-in 2-D :func:`_plane_cone`: the ellipsoid and the ball off the origin).  No
+in 2-D :func:`_plane_cone`: the ellipsoid and the ball off the origin).
+Both have a 2-entry form as straight-line code on Python floats, bit for
+bit with their list cores: :func:`_plane_cone`, and :func:`_pair_root`,
+the largest piece root on two breakpoints, which the 2-entry box, l1 and
+simplex kernels call on their own floats (a numpy call costs more there
+than the arithmetic it does).  No
 core validates its input; each states the contract its callers keep.  A
 solve out of its step budget raises :class:`MaxIterationsExceeded`, defined
 here, so that the module imports nothing from the package; the one other
@@ -44,7 +49,9 @@ _NORM_FLOOR = 2.0 ** -500
 #: :func:`_breakpoint_root` and :func:`_secular_root`; in :mod:`homcone.sets`,
 #: which imports it, the query validation ``_as_query`` (which takes
 #: :func:`_norm`'s hypot inline), ``_simplex_cone``, the cone kernels of
-#: ``Box`` and ``Ellipsoid`` and the halfwidth list ``Box`` stores.  The
+#: ``Box`` and ``Ellipsoid``, the halfwidth list ``Box`` stores, and the
+#: 2-entry paths of the box, l1, simplex, ball and ball-pen kernels, which
+#: run while it is at least 2.  The
 #: crossover measured at 12; no benchmark workload runs 13 to 16 entries,
 #: where a higher switch could be shown.
 _FLOATS = 12
@@ -185,7 +192,9 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
     only where slope > 0; the callers' rescales keep every sum in range.
 
     Up to ``_FLOATS`` breakpoints one sort and one scan of running sums on
-    Python floats find it (:func:`_sorted_root_floats`), and up to 4 _SAMPLE
+    Python floats find it (:func:`_sorted_root_floats`; the 2-entry cone
+    kernels of the box, l1 ball and simplex call its straight-line form
+    :func:`_pair_root` on their own floats), and up to 4 _SAMPLE
     one sort and one cumulative sum on arrays (:func:`_sorted_root`).
     Above, Newton steps on F (Michelot's finite algorithm, 1986) start from
     the root of F / stride on every stride-th breakpoint.  A step from x is
@@ -268,6 +277,22 @@ def _sorted_root_floats(t, slope, offset, u, w):
             if x > root:
                 root = x
     return root
+
+
+def _pair_root(t0, t1, slope, offset, u0, u1, w0, w1):
+    """:func:`_sorted_root_floats` on two breakpoints, bit for bit, as
+    straight-line code: the descending sort of the triples (t, u, w) is one
+    lexicographic comparison that keeps a tie in its order, and the scan is
+    its two steps.  The unweighted root passes u = t and w = 1.0."""
+    if t1 > t0 or t1 == t0 and (u1 > u0 or u1 == u0 and w1 > w0):
+        u0, u1, w0, w1 = u1, u0, w1, w0
+    root = offset / slope if slope else -math.inf
+    top, base = 0.0 + u0, 0.0 + w0
+    x = (offset + top) / (slope + base)
+    if x > root:
+        root = x
+    x = (offset + (top + u1)) / (slope + (base + w1))
+    return x if x > root else root
 
 
 def _secular_root(c, a):

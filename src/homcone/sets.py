@@ -53,10 +53,28 @@ solves the 2-D ellipsoid.  Only the
 p-balls without a projector have no kernel.  Up to ``_FLOATS`` (12)
 entries the box, l1 and simplex kernels take every scalar they branch on
 (membership in K, sigma_C(y), the simplex kernel's sums and extremes) from
-one ``tolist()`` and hand the same lists to the breakpoint root, numpy
-building only the answer.  A sum that lies within its rounding error of a
-branch edge is retaken on numpy (:func:`_sum_at_most`), so both sides of
-the switch branch alike.  The kernels read the :class:`Branch` members from
+one ``tolist()``, and the breakpoint root runs on Python floats too: the
+box hands it the lists of its branch tests, the simplex family its
+breakpoints, which it lists; numpy builds only the answer.  A sum that
+lies within its rounding error of a branch edge is retaken on numpy
+(:func:`_sum_at_most`), so both sides of the switch branch alike.
+
+At two entries, where each numpy call costs more than the arithmetic it
+does, the kernels of the box (:meth:`Box._pair_cone`), the l1 ball and the
+simplex (:func:`_simplex_pair`, with the straight-line root
+:func:`_pair_root`), the origin-centred ball, the ball pen and the
+off-centre ball around its plane solve work on the two floats of y from
+the branch tests to the answer, and build one array at the end, bit for
+bit with the general path.  Where numpy would clip or take a positive part,
+they compare with numpy's tie rule (numpy 2.4 on x86-64 returns the second
+operand of ``np.maximum`` and ``np.minimum`` on a tie, which decides the
+sign of a zero); the edge retakes stay.  The dot products <d, y> and <e, y> stay
+numpy's, and so do the 2-entry ellipsoid's V^T y and V z: a matrix-vector
+product may round apart from the plain float sums (43 % of 200,000 random
+2x2 products did).  These paths run only while 2 <= ``_FLOATS``, so that the
+switch at 0 or 1 reaches numpy.
+
+The kernels read the :class:`Branch` members from
 the names ``_IN_K``, ``_RECESSION`` and ``_CONE``, bound once; they and the
 cores of :mod:`homcone.roots` they call on Python floats compare two or
 three floats where they would call the builtin ``max`` or ``min``, with its
@@ -90,9 +108,9 @@ from itertools import compress
 
 import numpy as np
 
-from .roots import (_FLOATS, _breakpoint_root, _ldexp_or_inf, _norm, _plane_cone,
-                    _quadratic_cone, _quadratic_cone_floats, _radius_gap,
-                    _secular_root, _sorted_root_floats)
+from .roots import (_FLOATS, _breakpoint_root, _ldexp_or_inf, _norm, _pair_root,
+                    _plane_cone, _quadratic_cone, _quadratic_cone_floats,
+                    _radius_gap, _secular_root, _sorted_root_floats)
 
 #: Default absolute tolerance for membership checks.
 MEMBERSHIP_TOL = 1e-9
@@ -158,15 +176,14 @@ def as_vector(x, dim=None) -> np.ndarray:
     return _as_query(x, dim)[0]
 
 
-def _sum_at_most(terms, n, edge, exact, *args) -> bool:
+def _sum_at_most(total, n, edge, exact, *args) -> bool:
     """Whether ``exact(*args) <= edge``, for ``exact`` the numpy sum or dot
-    product of n nonnegative terms, decided on ``sum(terms)``, their Python
-    floats, where that lies farther from edge than twice the rounding error
-    of any summation order (n ulps of the sum, plus half the smallest
+    product of n nonnegative terms, decided on ``total``, the sum of their
+    Python floats, where that lies farther from edge than twice the rounding
+    error of any summation order (n ulps of the sum, plus half the smallest
     subnormal per product that underflows): there both round to the same
-    side.  ``terms`` None: on numpy."""
-    if terms is not None:
-        total = sum(terms)
+    side.  ``total`` None: on numpy."""
+    if total is not None:
         if abs(total - edge) > n * (2.0 ** -51 * total + 2.0 ** -1073):
             return total <= edge
     return float(exact(*args)) <= edge
@@ -377,6 +394,8 @@ class EuclideanBall(ConvexSet):
         if not self._centred:
             g = self.radius
             self._axis = self.center / rho
+            # The 2-entry cone kernel's axis on Python floats.
+            self._floats = self._axis.tolist() if self.dim == 2 else None
             # h and rho in units of gamma, so that no square overflows; h < 0
             # only in the slack above, where R - h has no cancellation.
             b = rho / g
@@ -448,20 +467,32 @@ class EuclideanBall(ConvexSet):
         range."""
         if self._centred:
             gamma = self.radius
-            ny = _norm(y)
+            pair = y.size == 2 and 2 <= _FLOATS
+            if pair:
+                y0, y1 = y.tolist()
+                ny = math.hypot(y0, y1)
+            else:
+                ny = _norm(y)
             if ny <= gamma * s:
                 return s, y.copy(), _IN_K
             if gamma * ny <= -s:
                 return 0.0, np.zeros(y.size), _RECESSION
             rho = (s + gamma * ny) / (1.0 + gamma * gamma)
-            return rho, (rho * gamma / ny) * y, _CONE
+            k = rho * gamma / ny
+            return rho, np.array((k * y0, k * y1)) if pair else k * y, _CONE
         if self._turn is None:
             return None
         e = self._axis
         cos, sin = self._turn
         a = float(e @ y)
-        perp = y - a * e
-        r = _norm(perp)
+        pair = y.size == 2 and 2 <= _FLOATS
+        if pair:
+            (e0, e1), (y0, y1) = self._floats, y.tolist()
+            p0, p1 = y0 - a * e0, y1 - a * e1
+            r = math.hypot(p0, p1)
+        else:
+            perp = y - a * e
+            r = _norm(perp)
         p, q = cos * a - sin * s, sin * a + cos * s
         # max(r, |p|, |q|), with the builtin's tie rule.
         big, top = abs(p), abs(q)
@@ -477,9 +508,17 @@ class EuclideanBall(ConvexSet):
         if t == 0.0:
             return 0.0, np.zeros(y.size), _RECESSION
         t, zr, zp = math.ldexp(t, k), math.ldexp(zr, k), math.ldexp(zp, k)
-        x = (cos * zp + sin * t) * e
-        if r > 0.0:
-            x += (zr / r) * perp
+        c = cos * zp + sin * t
+        if pair:
+            x0, x1 = c * e0, c * e1
+            if r > 0.0:
+                f = zr / r
+                x0, x1 = x0 + f * p0, x1 + f * p1
+            x = np.array((x0, x1))
+        else:
+            x = c * e
+            if r > 0.0:
+                x += (zr / r) * perp
         height = cos * t - sin * zp
         return 0.0 if 0.0 > height else height, x, _CONE
 
@@ -501,10 +540,11 @@ class Box(ConvexSet):
         self.halfwidths = b
         self._low = -b
         self.dim = b.size
-        # The cone kernel's breakpoints skip zero halfwidths.
+        # The cone kernel's breakpoints skip zero halfwidths; where there is
+        # none it takes the halfwidths themselves, not a copy.
         live = np.flatnonzero(b > 0.0)
         self._live = None if live.size == b.size else live
-        self._live_b = b[live]
+        self._live_b = b if self._live is None else b[live]
         self._live_bb = self._live_b * self._live_b
         # The cone kernel's halfwidths on Python floats, stored up to
         # _FLOATS entries only: a list of 20,000 floats costs 0.8 MB.  Where
@@ -530,21 +570,23 @@ class Box(ConvexSet):
         max(|y_i| - alpha b_i, 0), that is alpha* = (s + sum_A b_i |y_i|) /
         (1 + sum_A b_i^2) over A = {|y_i| > alpha* b_i}.  Zero halfwidths
         never enter A."""
+        if y.size == 2 and 2 <= _FLOATS:
+            return self._pair_cone(y, s)
         b = self.halfwidths
         a = np.abs(y)
         if y.size > _FLOATS:
             if s >= 0.0 and (a <= s * b).all():
                 return s, y.copy(), _IN_K
-            terms = None
+            sigma = None
         else:
             bs, vals = self._floats or b.tolist(), a.tolist()
             if s >= 0.0 and all(ai <= s * bi for ai, bi in zip(vals, bs)):
                 return s, y.copy(), _IN_K
-            terms = map(operator.mul, bs, vals)
+            sigma = sum(map(operator.mul, bs, vals))
         # s + sigma_C(y) <= 0.
-        if _sum_at_most(terms, y.size, -s, np.matmul, b, a):
+        if _sum_at_most(sigma, y.size, -s, np.matmul, b, a):
             return 0.0, np.zeros(y.size), _RECESSION
-        if terms is None:
+        if sigma is None:
             if self._live is not None:
                 a = a[self._live]
             b_live = self._live_b
@@ -558,6 +600,28 @@ class Box(ConvexSet):
                                         map(operator.mul, bs, bs))
         ab = alpha * b
         return alpha, np.minimum(np.maximum(y, -ab), ab), _CONE
+
+    def _pair_cone(self, y, s):
+        """:meth:`_project_cone` at two entries, bit for bit, on the Python
+        floats of y and b.  A zero halfwidth enters the root with u = w = 0
+        and its breakpoint below all others, so that its piece repeats the
+        one before it; the clip takes numpy's tie rule, the second operand."""
+        y0, y1 = y.tolist()
+        b0, b1 = self._floats or self.halfwidths.tolist()
+        a0, a1 = abs(y0), abs(y1)
+        if s >= 0.0 and a0 <= s * b0 and a1 <= s * b1:
+            return s, y.copy(), _IN_K
+        u0, u1 = b0 * a0, b1 * a1
+        # s + sigma_C(y) <= 0, at its edge on numpy's <b, |y|>.
+        if _sum_at_most(u0 + u1, 2, -s, self._support, y):
+            return 0.0, np.zeros(2), _RECESSION
+        alpha = _pair_root(a0 / b0 if b0 > 0.0 else -1.0,
+                           a1 / b1 if b1 > 0.0 else -1.0,
+                           1.0, s, u0, u1, b0 * b0, b1 * b1)
+        h0, h1 = alpha * b0, alpha * b1
+        x0 = y0 if y0 > -h0 else -h0
+        x1 = y1 if y1 > -h1 else -h1
+        return alpha, np.array((x0 if x0 < h0 else h0, x1 if x1 < h1 else h1)), _CONE
 
     def _polar(self):
         """<b, |y|> <= 1: for equal halfwidths b > 0, the l1 ball of radius 1/b
@@ -596,7 +660,8 @@ def _simplex_cone(v, r, s):
     """
     vals = v.tolist() if v.size <= _FLOATS else None
     low = float(v.min()) if vals is None else min(vals)
-    if low >= 0.0 and _sum_at_most(vals, v.size, r * s, v.sum):
+    if low >= 0.0 and _sum_at_most(None if vals is None else sum(vals), v.size,
+                                   r * s, v.sum):
         return s, v.copy(), _IN_K
     top = float(v.max()) if vals is None else max(vals)
     lift = s + r * (0.0 if 0.0 > top else top)
@@ -605,17 +670,41 @@ def _simplex_cone(v, r, s):
     # Where top > r s, every float sum of the positive parts exceeds r s too.
     if low < 0.0 and top <= r * s:
         pos = np.maximum(v, 0.0)
-        plus = None if vals is None else (x for x in vals if x > 0.0)
+        plus = None if vals is None else sum(x for x in vals if x > 0.0)
         if _sum_at_most(plus, v.size, r * s, pos.sum):
             # theta = 0 at alpha = s: only the negative entries move.
             return s, pos, _CONE
     d = v - top
-    if vals is None:
-        theta = _breakpoint_root(d, r * r, -r * lift)
-    else:
-        theta = _sorted_root_floats([x - top for x in vals], r * r, -r * lift,
-                                    None, None)
+    theta = _breakpoint_root(d, r * r, -r * lift)
     return lift + r * theta, np.maximum(d - theta, 0.0), _CONE
+
+
+def _simplex_pair(y, r, s, signed):
+    """:func:`_simplex_cone` at two entries, bit for bit, on the Python floats
+    of v = y, or of v = |y| with the signs of y restored where ``signed``
+    (the l1 ball).  The builtin ``min`` and ``max`` of v are comparisons with
+    their tie rule, max(., 0.0) takes numpy's, the second operand, and the
+    root is :func:`_pair_root`'s."""
+    y0, y1 = y.tolist()
+    v0, v1 = (abs(y0), abs(y1)) if signed else (y0, y1)
+    low = v1 if v1 < v0 else v0
+    if low >= 0.0 and _sum_at_most(v0 + v1, 2, r * s, np.sum, (v0, v1)):
+        return s, y.copy(), _IN_K
+    top = v1 if v1 > v0 else v0
+    lift = s + r * (0.0 if 0.0 > top else top)
+    if lift <= 0.0:
+        return 0.0, np.zeros(2), _RECESSION
+    if low < 0.0 and top <= r * s:
+        x0, x1 = v0 if v0 > 0.0 else 0.0, v1 if v1 > 0.0 else 0.0
+        if _sum_at_most(x0 + x1, 2, r * s, np.sum, (x0, x1)):
+            return s, np.array((x0, x1)), _CONE
+    d0, d1 = v0 - top, v1 - top
+    theta = _pair_root(d0, d1, r * r, -r * lift, d0, d1, 1.0, 1.0)
+    x0, x1 = d0 - theta, d1 - theta
+    x0, x1 = x0 if x0 > 0.0 else 0.0, x1 if x1 > 0.0 else 0.0
+    if signed:
+        x0, x1 = math.copysign(x0, y0), math.copysign(x1, y1)
+    return lift + r * theta, np.array((x0, x1)), _CONE
 
 
 class L1Ball(ConvexSet):
@@ -645,6 +734,8 @@ class L1Ball(ConvexSet):
     def _project_cone(self, y, s):
         """The simplex kernel of radius r on |y| (:func:`_simplex_cone`),
         signs restored: K = {||y||_1 <= r s} is symmetric under sign flips."""
+        if y.size == 2 and 2 <= _FLOATS:
+            return _simplex_pair(y, self.radius, s, True)
         alpha, x, branch = _simplex_cone(np.abs(y), self.radius, s)
         if branch is _RECESSION:
             return alpha, x, branch
@@ -855,6 +946,8 @@ class Simplex(ConvexSet):
 
     def _project_cone(self, y, s):
         """The kernel of :func:`_simplex_cone` with r = 1."""
+        if y.size == 2 and 2 <= _FLOATS:
+            return _simplex_pair(y, 1.0, s, False)
         return _simplex_cone(y, 1.0, s)
 
 
@@ -866,6 +959,8 @@ class BallPen(ConvexSet):
     def __init__(self, direction):
         self.direction = _unit_vector(direction, "ray direction")
         self.dim = self.direction.size
+        # The 2-entry cone kernel's direction on Python floats.
+        self._floats = self.direction.tolist() if self.dim == 2 else None
 
     def __repr__(self):
         return f"BallPen(direction={self.direction.tolist()})"
@@ -907,19 +1002,33 @@ class BallPen(ConvexSet):
         alpha* / delta < 1."""
         d = self.direction
         dy = float(np.dot(d, y))
+        pair = y.size == 2 and 2 <= _FLOATS
         # Where <d, y> <= 0 the nearest ray point is 0 and the residual is y.
-        on_ray = dy * d if dy > 0.0 else None
-        r = y if on_ray is None else y - on_ray
-        delta = _norm(r)
+        if pair:
+            (d0, d1), (r0, r1) = self._floats, y.tolist()
+            if dy > 0.0:
+                r0, r1 = r0 - dy * d0, r1 - dy * d1
+            delta = math.hypot(r0, r1)
+        else:
+            on_ray = dy * d if dy > 0.0 else None
+            r = y if on_ray is None else y - on_ray
+            delta = _norm(r)
         if delta <= -s:
             branch = _IN_K if s == 0.0 else _RECESSION
-            return 0.0, (dy if dy > 0.0 else 0.0) * d, branch
+            c = dy if dy > 0.0 else 0.0
+            return 0.0, np.array((c * d0, c * d1)) if pair else c * d, branch
         if delta <= s:
             # Here dist(y/s, ray) <= 1, so y/s is already a member and the
             # projected point reproduces (y, s).
             return s, y.copy(), _IN_K
         alpha = 0.5 * (s + delta)
-        x = (alpha / delta) * r
+        k = alpha / delta
+        if pair:
+            x0, x1 = k * r0, k * r1
+            if dy > 0.0:
+                x0, x1 = x0 + dy * d0, x1 + dy * d1
+            return alpha, np.array((x0, x1)), _CONE
+        x = k * r
         if on_ray is not None:
             x += on_ray
         return alpha, x, _CONE

@@ -12,10 +12,13 @@ boundary of the off-centre ball's K, where the two answers agree; every
 RuntimeWarning is an error.  The straight-line plane solve
 (:func:`_plane_cone`) of the off-centre ball and of the 2-entry ellipsoid
 must match the list core bit for bit, and so must the paths that take
-stored factors or hand the branch tests' lists to the breakpoint root."""
+stored factors or hand the branch tests' lists to the breakpoint root, and
+the 2-entry paths of the box, l1, simplex, ball and ball-pen kernels must
+match the general path, which ``sets._FLOATS`` = 1 selects."""
 
 import ast
 import importlib
+import itertools
 import math
 import operator
 import pkgutil
@@ -38,7 +41,7 @@ from homcone import (
     Simplex,
     project_homogenization,
 )
-from set_catalog import CORE, OFF_AXIS, select
+from set_catalog import CATALOG, CORE, OFF_AXIS, select
 from test_breakpoints import shapes
 from test_homproj import extreme_radii_queries, kernel_queries
 
@@ -70,7 +73,7 @@ def test_set_floats_reaches_every_binding():
 #: The cores that live in roots.py alone.
 MOVED = {"_breakpoint_root", "_sorted_root", "_sorted_root_floats",
          "_secular_root", "_secular_root_floats", "_quadratic_cone",
-         "_quadratic_cone_floats", "_plane_cone", "_norm", "_FLOATS",
+         "_quadratic_cone_floats", "_plane_cone", "_pair_root", "_norm", "_FLOATS",
          "_NORM_FLOOR", "_ROOT_RTOL", "_ROOT_MAX_STEPS", "_SAMPLE", "_NEWTON_STEPS"}
 
 
@@ -104,8 +107,10 @@ def test_sets_defines_none_of_the_cores():
 #: ``sets`` and these functions.
 HOT_PATH = {
     "homproj": {"project_homogenization", "_member", "_answer"},
-    "sets": {"_as_query", "_simplex_cone", "_project_cone"},
-    "roots": {"_plane_cone", "_quadratic_cone_floats", "_secular_root_floats"},
+    "sets": {"_as_query", "_simplex_cone", "_simplex_pair", "_project_cone",
+             "_pair_cone"},
+    "roots": {"_pair_root", "_plane_cone", "_quadratic_cone_floats",
+              "_secular_root_floats"},
 }
 
 
@@ -148,6 +153,33 @@ def test_hot_path_lists_every_function():
                          ids=[name for name, _ in hot_path_functions()])
 def test_hot_path_reads_no_enum_member_and_calls_no_builtin_max_min(name, function):
     assert list(slow_reads(function)) == []
+
+
+def two_entry_gates(function):
+    """Each test ``<vector>.size == 2`` of a function, as True where it is
+    the first operand of an ``and`` whose second is ``2 <= _FLOATS``."""
+    gated = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            first, second = node.values[:2]
+            if ast.unparse(second) == "2 <= _FLOATS":
+                gated.add(id(first))
+    for node in ast.walk(function):
+        if isinstance(node, ast.Compare) and ast.unparse(node).endswith(".size == 2"):
+            yield id(node) in gated
+
+
+def test_two_entry_paths_run_only_below_the_switch():
+    # The box, l1 and simplex kernels, the origin ball and the off-centre
+    # ball (one test each) and the ball pen take their 2-entry paths only
+    # while 2 <= _FLOATS, so that the switch at 0 or 1 reaches numpy.
+    gates = {name: list(two_entry_gates(function))
+             for name, function in hot_path_functions()}
+    assert all(all(g) for g in gates.values())
+    assert {name: len(g) for name, g in gates.items() if g} == {
+        "sets.EuclideanBall._project_cone": 2, "sets.Box._project_cone": 1,
+        "sets.L1Ball._project_cone": 1, "sets.Simplex._project_cone": 1,
+        "sets.BallPen._project_cone": 1}
 
 
 @pytest.fixture
@@ -765,14 +797,18 @@ def breakpoint_reference(set_, y, s):
 
 @pytest.mark.parametrize("n", [1, 2, 12])
 def test_breakpoint_kernels_hand_their_lists_to_the_root_bit_for_bit(n, monkeypatch):
-    # Up to _FLOATS entries the box, l1 and simplex kernels pass the lists of
-    # their branch tests to _sorted_root_floats: the same root, bit for bit,
-    # as _breakpoint_root on the breakpoints built on numpy arrays, zero
-    # halfwidths included.
+    # Up to _FLOATS entries the box, l1 and simplex kernels solve on the
+    # floats of their branch tests: the box hands its lists to
+    # _sorted_root_floats, the l1 and simplex kernels their breakpoints to
+    # _breakpoint_root, which lists them, and at two entries all three take
+    # _pair_root.  Each gives the same root, bit for bit, as _breakpoint_root
+    # on the breakpoints built on numpy arrays, zero halfwidths included.
     solved = []
-    root = sets._sorted_root_floats
-    monkeypatch.setattr(sets, "_sorted_root_floats",
-                        lambda *args: solved.append(1) or root(*args))
+    for module, name in ((sets, "_sorted_root_floats"), (roots, "_sorted_root_floats"),
+                         (sets, "_pair_root")):
+        root = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, root=root: solved.append(1) or root(*args))
     rng = np.random.default_rng(n + 50)
     zeros = rng.choice((0.0, 0.5, 1.0), n)
     zeros[0] = 0.0
@@ -794,6 +830,109 @@ def test_breakpoint_kernels_hand_their_lists_to_the_root_bit_for_bit(n, monkeypa
             assert alpha.hex() == breakpoint_reference(set_, t * y, t * s).hex()
             rooted += 1
     assert rooted > 50
+
+
+#: The catalog's 2-D sets whose kernels take a 2-entry path: all but the
+#: ellipsoid, whose V^T y and V z stay numpy's, and the logged defects.
+PAIR_ENTRIES = [e for e in select(CATALOG, kernel=True) if not e.xfail
+                and e.make().dim == 2 and e.spec_type != "ellipsoid"]
+
+#: Query scales that put the query on both sides of the rescale window.
+PAIR_SCALES = (1e-300, 1e-150, 1e-9, 1.0, 1e12, 1e150, 1e300)
+
+
+def assert_pair_path_is_general(monkeypatch, set_, queries):
+    """project_homogenization on each query at every scale of PAIR_SCALES,
+    bit for bit on the 2-entry path and on the general path, which
+    ``sets._FLOATS`` = 1 selects while the cores of roots stay on floats;
+    returns the branches met.  A scale that leaves the float64 range is
+    skipped."""
+    branches = set()
+    for y, s in queries:
+        for t in PAIR_SCALES:
+            if not math.isfinite(math.hypot(*(t * y), t * s)):
+                continue
+            answers = []
+            for limit in (roots._FLOATS, 1):
+                monkeypatch.setattr(sets, "_FLOATS", limit)
+                r = project_homogenization(set_, (t * y, t * s))
+                answers.append((r.alpha_star.hex(), r.point.y.tobytes(),
+                                r.point.s.hex(), r.branch, r.iterations))
+            assert answers[0] == answers[1]
+            branches.add(answers[0][3])
+    return branches
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRIES, ids=lambda e: e.id)
+def test_two_entry_paths_answer_as_the_general_path(entry, monkeypatch):
+    set_ = entry.make()
+    rng = np.random.default_rng(71)
+    queries = kernel_queries(set_, rng, count=30) + [(np.zeros(2), 0.0)]
+    assert assert_pair_path_is_general(monkeypatch, set_, queries) == set(Branch)
+
+
+def test_two_entry_paths_answer_as_the_general_path_on_the_edges(monkeypatch):
+    # Branch edges in exact sums, zero halfwidths, ties and signed zeros.
+    rng = np.random.default_rng(72)
+    for _ in range(10):
+        for set_, y, s, _ in [*box_edges(2, rng), *simplex_edges(2, rng),
+                              *signed_zero_edges(2, rng)]:
+            assert_pair_path_is_general(monkeypatch, set_, [(y, s)])
+
+
+#: Entries and heights of the dyadic grid: signed zeros, ties and branch
+#: edges in exact sums.
+GRID = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0, -2.0)
+GRID_HEIGHTS = GRID + (0.375, 3.0)
+
+
+def test_two_entry_kernels_answer_as_the_general_path_on_a_grid(monkeypatch):
+    # Every y with entries in GRID at every height of GRID_HEIGHTS, on each
+    # 2-entry kernel and on the kernel of its polar view, which takes the
+    # height reflected: bit for bit with the general path, where the clip,
+    # the positive part and the sign of each zero follow numpy's tie rule.
+    sets_ = [Box([1.0, 2.0]), Box([0.5, 0.5]), Box([0.0, 1.0]), Box([-0.0, 0.5]),
+             Box([0.0, 0.0]), L1Ball(0.5, 2), Simplex(2),
+             EuclideanBall((0.0, 0.0), 1.5), EuclideanBall((0.5, 0.0), 1.0),
+             BallPen((0.0, 1.0)), BallPen((0.6, -0.8))]
+    for set_ in sets_:
+        for kernel in (set_._project_cone, sets._Polar(set_)._project_cone):
+            for y0 in GRID:
+                for y1 in GRID:
+                    y = np.array([y0, y1])
+                    for s in GRID_HEIGHTS:
+                        answers = []
+                        for limit in (roots._FLOATS, 1):
+                            monkeypatch.setattr(sets, "_FLOATS", limit)
+                            a, x, branch = kernel(y, s)
+                            answers.append((a.hex(), x.tobytes(), branch))
+                        assert answers[0] == answers[1]
+
+
+def test_pair_root_is_the_sorted_root_bit_for_bit():
+    # On two breakpoints, ties and signed zeros included, weighted and
+    # unweighted, with slope 0 and above.
+    values = (-1.0, -0.0, 0.0, 0.5, 1.0)
+    for t0, t1, u0, u1 in itertools.product(values, repeat=4):
+        for w0, w1 in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (100.0, 1.0)):
+            for slope in (0.0, 0.25, 1.0):
+                for offset in (-1.0, -0.0, 0.0, 0.5):
+                    want = roots._sorted_root_floats([t0, t1], slope, offset,
+                                                     [u0, u1], [w0, w1])
+                    got = roots._pair_root(t0, t1, slope, offset, u0, u1, w0, w1)
+                    assert got.hex() == want.hex()
+        for slope, offset in ((0.0, -1.0), (0.0, -0.0), (1.0, -0.0), (0.25, 0.5)):
+            want = roots._sorted_root_floats([t0, t1], slope, offset, None, None)
+            got = roots._pair_root(t0, t1, slope, offset, t0, t1, 1.0, 1.0)
+            assert got.hex() == want.hex()
+
+
+def test_box_keeps_one_copy_of_its_halfwidths():
+    # Where no halfwidth is zero the cone kernel takes them as they are.
+    box = Box([0.5, 2.0, 1.0])
+    assert box._live is None and box._live_b is box.halfwidths
+    box = Box([0.5, 0.0, 1.0])
+    assert box._live.tolist() == [0, 2] and box._live_b.tolist() == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("spread", [0.0, 2.0, 4.0])
