@@ -231,14 +231,15 @@ class PsiEvaluator:
 # Root search on psi'
 # ---------------------------------------------------------------------------
 
-def _check_solver_args(eps, max_iter):
-    """ValueError for an eps that is not a positive finite number, or a
-    max_iter that is not an integer (a Python or numpy one, not a bool) of at
-    least 1."""
+def _check_solver_args(eps, max_iter) -> float:
+    """eps as the float it is checked as: ValueError for an eps that is not a
+    positive finite number, or a max_iter that is not an integer (a Python
+    or numpy one, not a bool) of at least 1."""
     if (type(eps) is float and 0.0 < eps < math.inf
             and type(max_iter) is int and max_iter >= 1):
-        return
-    if not 0.0 < _as_float(eps) < math.inf:
+        return eps
+    eps = _as_float(eps)
+    if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     # type() first, which also rejects a bool: isinstance against np.integer
     # is slow next to a whole kernel query.
@@ -246,6 +247,7 @@ def _check_solver_args(eps, max_iter):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    return eps
 
 
 def _alpha_star(ev, scale, eps, max_iter, rows):
@@ -304,18 +306,16 @@ def _recorded(psi_prime, rows, lo, hi, f_lo, f_hi):
 # General projection
 # ---------------------------------------------------------------------------
 
-def _member(set_, y, s, scale, e) -> Optional[ProjectionResult]:
-    """The ALREADY_IN_K result of a query in K, else None: rays over C or, for
-    heights within 1e-12 scale = ||(y, s)|| of 0, recession directions, to
-    MEMBERSHIP_TOL.  ``e`` is the query's rescale (see :func:`_result`)."""
+def _member(set_, y, s, scale):
+    """``(alpha*, x, ALREADY_IN_K)`` for a query in K, as a kernel answers,
+    else None: rays over C or, for heights within 1e-12 scale = ||(y, s)||
+    of 0, recession directions, to MEMBERSHIP_TOL."""
     height_tol = 1e-12 * scale
     if s > height_tol:
         inside = set_._contains(y / s, MEMBERSHIP_TOL)
     else:
         inside = s >= -height_tol and set_._recession_distance(y) <= MEMBERSHIP_TOL * scale
-    if inside:
-        return _result((s if s > 0.0 else 0.0, y.copy(), _IN_K), 0, None, e)
-    return None
+    return (s if s > 0.0 else 0.0, y.copy(), _IN_K) if inside else None
 
 
 def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=False,
@@ -333,19 +333,16 @@ def project_homogenization(set_, p, eps=1e-6, max_iter=200, force_iterative=Fals
     and finite, and a ``max_iter`` that is not an integer of at least 1, are
     a ValueError before any work.
     """
-    _check_solver_args(eps, max_iter)
+    eps = _check_solver_args(eps, max_iter)
     y, s = p
     y, s, e, n = _as_query(y, set_.dim, s, _SAFE_EXPONENT)
-    found = None if force_iterative else set_._project_cone(y, s)
+    found = None if force_iterative else (set_._project_cone(y, s)
+                                          or _member(set_, y, s, math.hypot(n, s)))
     if found is not None:
         return _result(found, 0, None, e)
-    scale = math.hypot(n, s)
-    member = None if force_iterative else _member(set_, y, s, scale, e)
-    if member is not None:
-        return member
     ev = PsiEvaluator._of_valid(set_, y, s, n)
     rows = [] if keep_trace else None
-    alpha_star, iterations = _alpha_star(ev, scale, eps, max_iter, rows)
+    alpha_star, iterations = _alpha_star(ev, math.hypot(n, s), eps, max_iter, rows)
     return _result(_answer(ev, alpha_star), iterations,
                    None if rows is None else tuple(rows), e)
 

@@ -80,10 +80,12 @@ _ALPHA_FLOOR = 1e-12
 
 
 def _check_bracket_args(alpha0, beta0, eps, max_iter):
-    """ValueError for a bad eps or max_iter, or a bracket not 0 < alpha0 < beta0 < inf."""
-    if not 0.0 < _as_float(alpha0) < _as_float(beta0) < math.inf:
+    """``(alpha0, beta0, eps)`` as the floats they are checked as: ValueError
+    for a bad eps or max_iter, or a bracket not 0 < alpha0 < beta0 < inf."""
+    alpha0, beta0 = _as_float(alpha0), _as_float(beta0)
+    if not 0.0 < alpha0 < beta0 < math.inf:
         raise ValueError("require 0 < alpha0 < beta0, both finite")
-    _check_solver_args(eps, max_iter)
+    return alpha0, beta0, _check_solver_args(eps, max_iter)
 
 
 def find_alpha_star(dpsi, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
@@ -100,8 +102,7 @@ def find_alpha_star(dpsi, alpha0=1.0, beta0=2.0, eps=1e-6, max_iter=200):
     The termination check runs after the row is recorded, so the final
     bracket appears in the trace.
     """
-    _check_bracket_args(alpha0, beta0, eps, max_iter)
-    a, b = float(alpha0), float(beta0)
+    a, b, eps = _check_bracket_args(alpha0, beta0, eps, max_iter)
     da, db = dpsi(a), dpsi(b)
     rows = []
     for n in range(1, max_iter + 1):
@@ -149,7 +150,7 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
     max_iter is a ValueError before any work, and so is one that leaves the
     float64 range on that rescale or whose two ends round to one value there.
     """
-    _check_bracket_args(alpha0, beta0, eps, max_iter)
+    alpha0, beta0, eps = _check_bracket_args(alpha0, beta0, eps, max_iter)
     y, s = p
     y, s, e, n = _as_query(y, set_.dim, s, _SAFE_EXPONENT)
     if e:
@@ -157,9 +158,9 @@ def bisection_projection(set_, p, alpha0, beta0, eps=1e-6, max_iter=200,
                               (("alpha0", alpha0), ("beta0", beta0), ("eps", eps)))
         if not alpha0 < beta0:
             raise ValueError("alpha0 and beta0 round to one value at this query's scale")
-    member = None if force_iterative else _member(set_, y, s, math.hypot(n, s), e)
-    if member is not None:
-        return member
+    found = None if force_iterative else _member(set_, y, s, math.hypot(n, s))
+    if found is not None:
+        return _result(found, 0, None, e)
     ev = PsiEvaluator._of_valid(set_, y, s, n)
     alpha_star, trace = find_alpha_star(ev.psi_prime, alpha0, beta0, eps, max_iter)
     return _result(_answer(ev, alpha_star), len(trace), trace, e)

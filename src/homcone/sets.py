@@ -49,14 +49,15 @@ ball off the origin in the projection onto one quadratic cone
 {||W^1/2 z|| <= t}: the ellipsoid in its eigenbasis
 (:func:`_quadratic_cone`), the ball, after one rotation of the plane of its
 centre and the height, on a 2-vector (:func:`_plane_cone`), which also
-solves the 2-D ellipsoid.  Only the
-p-balls without a projector have no kernel.  Up to ``_FLOATS`` (12)
-entries the box, l1 and simplex kernels take every scalar they branch on
-(membership in K, sigma_C(y), the simplex kernel's sums and extremes) from
-one ``tolist()``, and the breakpoint root runs on Python floats too: the
-box hands it the lists of its branch tests, the simplex family its
-breakpoints, which it lists; numpy builds only the answer.  A sum that
-lies within its rounding error of a branch edge is retaken on numpy
+solves the 2-D ellipsoid.  Only the p-balls without a projector have no
+kernel.  Up to ``_FLOATS`` (12) entries the box, l1 and simplex kernels
+take every scalar they branch on (membership in K, sigma_C(y), the simplex
+kernel's sums and extremes) from one ``tolist()``, and the breakpoint root
+runs on Python floats too: the box hands it the lists of its branch tests,
+the simplex family its breakpoints, which it lists; numpy builds only the
+answer.  A box with a zero halfwidth takes the numpy path above 2 entries,
+whose index of the nonzero halfwidths keeps them out of the root.  A sum
+that lies within its rounding error of a branch edge is retaken on numpy
 (:func:`_sum_at_most`), so both sides of the switch branch alike.
 
 At two entries, where each numpy call costs more than the arithmetic it
@@ -68,11 +69,12 @@ the branch tests to the answer, and build one array at the end, bit for
 bit with the general path.  Where numpy would clip or take a positive part,
 they compare with numpy's tie rule (numpy 2.4 on x86-64 returns the second
 operand of ``np.maximum`` and ``np.minimum`` on a tie, which decides the
-sign of a zero); the edge retakes stay.  The dot products <d, y> and <e, y> stay
-numpy's, and so do the 2-entry ellipsoid's V^T y and V z: a matrix-vector
-product may round apart from the plain float sums (43 % of 200,000 random
-2x2 products did).  These paths run only while 2 <= ``_FLOATS``, so that the
-switch at 0 or 1 reaches numpy.
+sign of a zero).  Only the box retakes an edge, as its sigma_C(y) is
+numpy's dot product; numpy's sum of two entries equals their float sum.  The
+dot products <d, y> and <e, y> stay numpy's, and so do the 2-entry
+ellipsoid's V^T y and V z: a product may round apart from the plain float
+sums (43 % of 200,000 random 2x2 matrix-vector products did).  These paths
+run only while 2 <= ``_FLOATS``, so that the switch at 0 or 1 reaches numpy.
 
 The kernels read the :class:`Branch` members from
 the names ``_IN_K``, ``_RECESSION`` and ``_CONE``, bound once; they and the
@@ -104,7 +106,6 @@ import enum
 import json
 import math
 import operator
-from itertools import compress
 
 import numpy as np
 
@@ -540,8 +541,8 @@ class Box(ConvexSet):
         self.halfwidths = b
         self._low = -b
         self.dim = b.size
-        # The cone kernel's breakpoints skip zero halfwidths; where there is
-        # none it takes the halfwidths themselves, not a copy.
+        # The cone kernel's breakpoints skip zero halfwidths, on numpy; where
+        # there is none it takes the halfwidths themselves, not a copy.
         live = np.flatnonzero(b > 0.0)
         self._live = None if live.size == b.size else live
         self._live_b = b if self._live is None else b[live]
@@ -574,7 +575,7 @@ class Box(ConvexSet):
             return self._pair_cone(y, s)
         b = self.halfwidths
         a = np.abs(y)
-        if y.size > _FLOATS:
+        if y.size > _FLOATS or self._live is not None:
             if s >= 0.0 and (a <= s * b).all():
                 return s, y.copy(), _IN_K
             sigma = None
@@ -592,9 +593,6 @@ class Box(ConvexSet):
             b_live = self._live_b
             alpha = _breakpoint_root(a / b_live, 1.0, s, b_live * a, self._live_bb)
         else:
-            if self._live is not None:
-                keep = [bi > 0.0 for bi in bs]
-                bs, vals = list(compress(bs, keep)), list(compress(vals, keep))
             alpha = _sorted_root_floats(map(operator.truediv, vals, bs), 1.0, s,
                                         map(operator.mul, bs, vals),
                                         map(operator.mul, bs, bs))
@@ -684,11 +682,12 @@ def _simplex_pair(y, r, s, signed):
     of v = y, or of v = |y| with the signs of y restored where ``signed``
     (the l1 ball).  The builtin ``min`` and ``max`` of v are comparisons with
     their tie rule, max(., 0.0) takes numpy's, the second operand, and the
-    root is :func:`_pair_root`'s."""
+    root is :func:`_pair_root`'s.  The two sums need no retake: numpy's sum
+    of two float64 entries equals their float sum."""
     y0, y1 = y.tolist()
     v0, v1 = (abs(y0), abs(y1)) if signed else (y0, y1)
     low = v1 if v1 < v0 else v0
-    if low >= 0.0 and _sum_at_most(v0 + v1, 2, r * s, np.sum, (v0, v1)):
+    if low >= 0.0 and v0 + v1 <= r * s:
         return s, y.copy(), _IN_K
     top = v1 if v1 > v0 else v0
     lift = s + r * (0.0 if 0.0 > top else top)
@@ -696,7 +695,7 @@ def _simplex_pair(y, r, s, signed):
         return 0.0, np.zeros(2), _RECESSION
     if low < 0.0 and top <= r * s:
         x0, x1 = v0 if v0 > 0.0 else 0.0, v1 if v1 > 0.0 else 0.0
-        if _sum_at_most(x0 + x1, 2, r * s, np.sum, (x0, x1)):
+        if x0 + x1 <= r * s:
             return s, np.array((x0, x1)), _CONE
     d0, d1 = v0 - top, v1 - top
     theta = _pair_root(d0, d1, r * r, -r * lift, d0, d1, 1.0, 1.0)

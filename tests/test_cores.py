@@ -927,6 +927,25 @@ def test_pair_root_is_the_sorted_root_bit_for_bit():
             assert got.hex() == want.hex()
 
 
+def test_numpy_sums_two_entries_as_their_float_sum():
+    # The 2-entry l1 and simplex kernels compare v0 + v1 with their edge and
+    # retake nothing on numpy: that holds while numpy's sum of two float64
+    # entries equals their float sum, signed zeros, subnormals, overflow and
+    # cancellation included.  Only the sign of a zero sum may differ (numpy
+    # sums -0.0 and -0.0 to 0.0), which no comparison sees.
+    specials = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.7e308, -1.7e308,
+                1.0, -1.0, 0.1, 0.2, 1e16, -1e16)
+    rng = np.random.default_rng(74)
+    x = rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+    pairs = [*itertools.product(specials, repeat=2),
+             *zip(x, -x), *zip(x, np.nextafter(-x, 0.0)), *zip(x, x[::-1]),
+             *rng.standard_normal((2000, 2)).tolist()]
+    with np.errstate(over="ignore"):
+        for a, b in pairs:
+            a, b = float(a), float(b)
+            assert np.add.reduce(np.array([a, b])) == a + b
+
+
 def test_box_keeps_one_copy_of_its_halfwidths():
     # Where no halfwidth is zero the cone kernel takes them as they are.
     box = Box([0.5, 2.0, 1.0])

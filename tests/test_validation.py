@@ -8,6 +8,7 @@ later step reuses the checked query.
 
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -236,6 +237,47 @@ def test_int_and_bool_queries_are_accepted():
         got = project_homogenization(box, (y, s))
         assert got.alpha_star == want.alpha_star
         assert got.point.y.tobytes() == want.point.y.tobytes()
+
+
+#: eps = 1e-6 in forms that float() accepts but that are no float.
+EPS_FORMS = ("1e-6", b"1e-6", np.str_("1e-6"), Decimal("1e-6"))
+
+
+def answer(res):
+    """The bits of a projection: alpha*, the point, branch, iterations, trace."""
+    return (res.alpha_star.hex(), res.point.y.tobytes(), res.point.s.hex(),
+            res.branch, res.iterations, res.trace)
+
+
+@pytest.mark.parametrize("eps", EPS_FORMS, ids=repr)
+def test_eps_that_float_accepts_answers_as_its_float(eps):
+    # Such an eps once passed validation and failed inside the solver: a
+    # UFuncTypeError or TypeError on the Brent route, a TypeError on the
+    # bracket route.
+    box, p = Box((1.0, 1.0)), ((3.0, 1.0), 0.2)
+    routes = (
+        lambda e: project_homogenization(box, p, eps=e, force_iterative=True,
+                                         keep_trace=True),
+        lambda e: homcone.paper.bisection_projection(box, p, 0.5, 2.0, eps=e,
+                                                     force_iterative=True),
+    )
+    for route in routes:
+        assert answer(route(eps)) == answer(route(1e-6))
+    dpsi = PsiEvaluator(box, *p).psi_prime
+    assert (homcone.paper.find_alpha_star(dpsi, eps=eps)
+            == homcone.paper.find_alpha_star(dpsi, eps=1e-6))
+
+
+@pytest.mark.parametrize("t", (2.0 ** 600, 2.0 ** -600), ids=("2^600", "2^-600"))
+def test_string_bracket_on_a_rescaled_query_answers_as_its_floats(t):
+    # The bracket of a query beyond 2^(+-500) is rescaled with the query;
+    # string ends once raised a TypeError there.
+    box, p = Box((1.0, 1.0)), ((3.0 * t, 1.0 * t), 0.2 * t)
+    bracket = (0.5 * t, 2.0 * t, 1e-6 * t)
+    want = homcone.paper.bisection_projection(box, p, *bracket)
+    got = homcone.paper.bisection_projection(box, p, *map(repr, bracket))
+    assert want.branch.value == "cone_interior"
+    assert answer(got) == answer(want)
 
 
 def count_validation_passes(monkeypatch):
