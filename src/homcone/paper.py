@@ -49,9 +49,9 @@ def quartic_coefficients(center, radius, y, s) -> QuarticCoefficients:
     z, g = ball.center, ball.radius
     y, s = _as_query(y, ball.dim, s)[:2]
     nz = float(np.linalg.norm(z))
-    zy = float(z @ y)
-    ny2 = float(y @ y)
-    nz2 = float(z @ z)
+    zy = float(z.dot(y))
+    ny2 = float(y.dot(y))
+    nz2 = float(z.dot(z))
     g2 = g * g
     u = s + zy
     k = g2 + nz2 + 1.0

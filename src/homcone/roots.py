@@ -225,7 +225,7 @@ def _breakpoint_root(t, slope, offset, u=None, w=None):
     x = -math.inf
     for _ in range(_NEWTON_STEPS):
         mask = above.astype(float)
-        top, base = (mask @ t, k) if w is None else (mask @ u, mask @ w)
+        top, base = (mask.dot(t), k) if w is None else (mask.dot(u), mask.dot(w))
         x = max(x, (offset + float(top)) / (slope + float(base)))
         above = t > x
         k, count = int(np.count_nonzero(above)), k

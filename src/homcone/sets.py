@@ -70,11 +70,12 @@ bit with the general path.  Where numpy would clip or take a positive part,
 they compare with numpy's tie rule (numpy 2.4 on x86-64 returns the second
 operand of ``np.maximum`` and ``np.minimum`` on a tie, which decides the
 sign of a zero).  Only the box retakes an edge, as its sigma_C(y) is
-numpy's dot product; numpy's sum of two entries equals their float sum.  The
-dot products <d, y> and <e, y> stay numpy's, and so do the 2-entry
-ellipsoid's V^T y and V z: a product may round apart from the plain float
-sums (43 % of 200,000 random 2x2 matrix-vector products did).  These paths
-run only while 2 <= ``_FLOATS``, so that the switch at 0 or 1 reaches numpy.
+numpy's dot product; numpy's sum of two entries equals their float sum.
+<d, y>, <e, y> and the 2-entry ellipsoid's V^T y and V z stay numpy's
+products, which may round apart from float sums, taken like every product
+by ``ndarray.dot``, the bits of ``@`` at half its dispatch cost; ``np.vdot``
+stays only where an overflow must be a silent inf, as ``ndarray.dot`` warns.
+These paths run only while 2 <= ``_FLOATS``, so 0 or 1 reaches numpy.
 
 The kernels read the :class:`Branch` members from
 the names ``_IN_K``, ``_RECESSION`` and ``_CONE``, bound once; they and the
@@ -238,7 +239,9 @@ def _dimension(value) -> int:
 def _unit_vector(d, name) -> np.ndarray:
     """Validate ``d`` as a unit vector (to 1e-9) and return it renormalised."""
     d = as_vector(d)
-    n = float(np.linalg.norm(d))
+    # An entry above about 1e154 overflows the norm: inf, a ValueError below.
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(d))
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"{name} must be a unit vector")
     return d / n
@@ -447,12 +450,12 @@ class EuclideanBall(ConvexSet):
         return self.center + self.radius * (r / n)
 
     def _support(self, y):
-        cy, ny = float(self.center @ y), _norm(y)
+        cy, ny = float(self.center.dot(y)), _norm(y)
         if cy >= -0.75 * self.radius * ny:
             return cy + self.radius * ny
         e = self._axis
         b, k = self._sigma_form
-        a = float(e @ y)
+        a = float(e.dot(y))
         return (self.radius * _norm(y - a * e) ** 2 + k * (a * a)) / (ny - b * a)
 
     def _project_cone(self, y, s):
@@ -485,7 +488,7 @@ class EuclideanBall(ConvexSet):
             return None
         e = self._axis
         cos, sin = self._turn
-        a = float(e @ y)
+        a = float(e.dot(y))
         pair = y.size == 2 and 2 <= _FLOATS
         if pair:
             (e0, e1), (y0, y1) = self._floats, y.tolist()
@@ -562,7 +565,7 @@ class Box(ConvexSet):
         return np.minimum(np.maximum(x, self._low), self.halfwidths)
 
     def _support(self, y):
-        return float(self.halfwidths @ np.abs(y))
+        return float(self.halfwidths.dot(np.abs(y)))
 
     def _project_cone(self, y, s):
         """K = {|y_i| <= b_i s}: the identity there, the apex where
@@ -585,7 +588,7 @@ class Box(ConvexSet):
                 return s, y.copy(), _IN_K
             sigma = sum(map(operator.mul, bs, vals))
         # s + sigma_C(y) <= 0.
-        if _sum_at_most(sigma, y.size, -s, np.matmul, b, a):
+        if _sum_at_most(sigma, y.size, -s, b.dot, a):
             return 0.0, np.zeros(y.size), _RECESSION
         if sigma is None:
             if self._live is not None:
@@ -830,12 +833,13 @@ class Ellipsoid(ConvexSet):
         if q.size == 0:
             raise ValueError("Q must be nonempty")
         # atol scales with Q, so that Q and t Q are accepted alike.
-        atol = 1e-12 * float(np.max(np.abs(q)))
-        if not np.allclose(q, q.T, rtol=1e-10, atol=atol):
+        top = float(np.max(np.abs(q)))
+        if not np.allclose(q, q.T, rtol=1e-10, atol=1e-12 * top):
             raise ValueError("Q must be symmetric")
-        q = 0.5 * (q + q.T)
+        # From 2^1023 the sum overflows: halve first there, as _polar does.
+        q = 0.5 * (q + q.T) if top < 2.0 ** 1023 else 0.5 * q + 0.5 * q.T
         w, v = np.linalg.eigh(q)
-        if w[0] <= 0.0:
+        if not (w[0] > 0.0 and np.isfinite(w).all()):
             raise ValueError("Q must be positive definite")
         self._store(q, w, v)
 
@@ -853,7 +857,7 @@ class Ellipsoid(ConvexSet):
         """``(u, e)``: u = V^T (x 2^-e) for the least e >= 0 that brings every
         entry below 1, so V^T x and w u stay in range; callers scale 1 alike."""
         e = max(math.frexp(float(np.abs(x).max()))[1], 0)
-        return self._evecs.T @ np.ldexp(x, -e), e
+        return self._evecs.T.dot(np.ldexp(x, -e)), e
 
     def _contains(self, x, tol):
         u, e = self._eigen(x)
@@ -866,10 +870,10 @@ class Ellipsoid(ConvexSet):
             return x.copy()
         one = math.ldexp(1.0, -e)
         lam = _secular_root(u / self._roots, one / w)
-        return self._evecs @ (u / (one + lam * w))
+        return self._evecs.dot(u / (one + lam * w))
 
     def _support(self, y):
-        u = self._evecs.T @ y
+        u = self._evecs.T.dot(y)
         # Where the sum of u_i^2 / w_i overflows on a tiny w_i: ||u / sqrt(w)||.
         with np.errstate(over="ignore"):
             total = float(np.sum(u * u / self._evals))
@@ -882,10 +886,9 @@ class Ellipsoid(ConvexSet):
         max(||y||, |s|) lies within 2^(+-500), so no squared norm overflows.
         Two entries take the plane solve (:func:`_plane_cone`), up to
         ``_FLOATS`` the list core (:func:`_quadratic_cone_floats`), both on
-        the stored lists of the factors, and above it the numpy core on the
-        stored arrays; V^T y and V z stay numpy's matrix-vector products
-        either way."""
-        u = self._evecs.T @ y
+        the stored lists of the factors, above it the numpy core on the
+        stored arrays, and V^T y and V z are ``ndarray.dot`` either way."""
+        u = self._evecs.T.dot(y)
         n = y.size
         w, root, one = self._floats
         if n > _FLOATS:
@@ -901,7 +904,7 @@ class Ellipsoid(ConvexSet):
         t, z = cone
         if t == 0.0:
             return 0.0, np.zeros(n), _RECESSION
-        return t, self._evecs @ z, _CONE
+        return t, self._evecs.dot(z), _CONE
 
     def _polar(self):
         """The ellipsoid of Q^-1 = V diag(1/w) V^T, on the eigenpairs (1/w, V):
@@ -911,7 +914,7 @@ class Ellipsoid(ConvexSet):
         float64 range."""
         with np.errstate(all="ignore"):
             w, v = 1.0 / self._evals, self._evecs
-            q = (v * w) @ v.T
+            q = (v * w).dot(v.T)
             q = 0.5 * q + 0.5 * q.T
         if not np.isfinite(q).all():
             return None
@@ -970,7 +973,7 @@ class BallPen(ConvexSet):
         that point stay in the float64 range."""
         e = math.frexp(float(np.abs(x).max()))[1]
         v = np.ldexp(x, -e)
-        return v, max(0.0, float(self.direction @ v)) * self.direction, e
+        return v, max(0.0, float(self.direction.dot(v))) * self.direction, e
 
     def _project_recession(self, x):
         _, q, e = self._ray_point(x)
@@ -989,7 +992,7 @@ class BallPen(ConvexSet):
         return _ldexp_array(v - r, e) + r / dr
 
     def _support(self, y):
-        if float(self.direction @ y) <= 0.0:
+        if float(self.direction.dot(y)) <= 0.0:
             return float(np.linalg.norm(y))
         return math.inf
 
@@ -1000,7 +1003,7 @@ class BallPen(ConvexSet):
         alpha* P_C(y / alpha*) moves y towards the ray by the factor
         alpha* / delta < 1."""
         d = self.direction
-        dy = float(np.dot(d, y))
+        dy = float(d.dot(y))
         pair = y.size == 2 and 2 <= _FLOATS
         # Where <d, y> <= 0 the nearest ray point is 0 and the residual is y.
         if pair:
@@ -1035,7 +1038,7 @@ class BallPen(ConvexSet):
     def _polar_contains(self, y, tol):
         """The unit ball cut by <d, y> <= 0."""
         # Within the unit ball <d, y> is in range too.
-        return _norm(y) <= 1.0 + tol and float(self.direction @ y) <= tol
+        return _norm(y) <= 1.0 + tol and float(self.direction.dot(y)) <= tol
 
 
 class Hyperbolic(ConvexSet):

@@ -22,6 +22,7 @@ import itertools
 import math
 import operator
 import pkgutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,48 @@ def test_hot_path_lists_every_function():
                          ids=[name for name, _ in hot_path_functions()])
 def test_hot_path_reads_no_enum_member_and_calls_no_builtin_max_min(name, function):
     assert list(slow_reads(function)) == []
+
+
+#: The functions that keep ``np.vdot``: an overflow of their sum must stay
+#: silent, and ``ndarray.dot`` warns on it as ``@`` does.
+VDOT = {"roots._norm", "roots._secular_root", "roots._quadratic_cone",
+        "homproj._phi_prime", "sets.Ellipsoid._contains", "sets.Ellipsoid._project"}
+
+
+def products(node, name):
+    """``(qualified name, form)`` of each ``@``, ``np.dot``, ``np.matmul`` and
+    ``np.vdot`` under an ast node, named by its innermost enclosing function
+    or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from products(child, f"{name}.{child.name}")
+            continue
+        if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                and isinstance(child.op, ast.MatMult)):
+            yield name, "@"
+        elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+              and child.value.id == "np" and child.attr in ("dot", "matmul", "vdot")):
+            yield name, f"np.{child.attr}"
+        yield from products(child, name)
+
+
+def test_products_take_ndarray_dot_and_vdot_only_where_overflow_is_silent():
+    # ndarray.dot makes the BLAS call of @ and np.dot with half their
+    # dispatch cost; np.vdot stays where an overflow must raise no warning.
+    sites = [site for info in pkgutil.iter_modules(homcone.__path__)
+             for site in products(module_tree(info.name), info.name)]
+    assert [site for site in sites if site[1] != "np.vdot"] == []
+    assert {name for name, _ in sites} == VDOT
+
+
+def test_vdot_keeps_an_ellipsoid_membership_overflow_silent():
+    # <u, w u> overflows on this ellipsoid with every term in range, where
+    # ndarray.dot would warn; the point is far outside it.
+    ell = Ellipsoid(np.diag([8e307] * 3))
+    x = np.full(3, 0.99)
+    assert not ell.contains(x)
+    np.testing.assert_allclose(ell.project(x), x / np.linalg.norm(x) / math.sqrt(8e307),
+                               rtol=1e-15)
 
 
 def two_entry_gates(function):
@@ -944,6 +987,45 @@ def test_numpy_sums_two_entries_as_their_float_sum():
         for a, b in pairs:
             a, b = float(a), float(b)
             assert np.add.reduce(np.array([a, b])) == a + b
+
+
+@pytest.mark.parametrize("n", [2, 10, 12, 13, 500, 20000])
+def test_numpy_dot_is_matmul_and_vdot_bit_for_bit(n):
+    # Every product of the package takes ndarray.dot for the bits of @ (and,
+    # where an overflow stays silent, of np.vdot), at the workloads' sizes.
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+        b = rng.standard_normal(n)
+        assert a.dot(b).hex() == (a @ b).hex() == np.vdot(a, b).hex()
+
+
+@pytest.mark.parametrize("n", [2, 10, 500])
+def test_numpy_matrix_dot_is_matmul_bit_for_bit(n):
+    # The ellipsoid's V^T y, V z (z an array, a list or a tuple) and, for
+    # its polar, (V w) V^T.
+    rng = np.random.default_rng(n + 1)
+    for _ in range(3):
+        v = rng.standard_normal((n, n))
+        w, y = rng.standard_normal(n), rng.standard_normal(n)
+        assert v.T.dot(y).tobytes() == (v.T @ y).tobytes()
+        for z in (y, y.tolist(), tuple(y.tolist())):
+            assert v.dot(z).tobytes() == (v @ z).tobytes()
+        assert (v * w).dot(v.T).tobytes() == ((v * w) @ v.T).tobytes()
+
+
+def test_numpy_dot_warns_on_overflow_and_vdot_does_not():
+    a = np.array([1e200, 1e200])
+
+    def warned(product):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert product() == math.inf
+        return [str(w.message) for w in caught]
+
+    assert warned(lambda: a.dot(a)) == ["overflow encountered in dot"]
+    assert warned(lambda: a @ a) == ["overflow encountered in matmul"]
+    assert warned(lambda: np.vdot(a, a)) == []
 
 
 def test_box_keeps_one_copy_of_its_halfwidths():

@@ -717,6 +717,23 @@ def test_ellipsoid_kernel_stays_in_range_on_a_large_eigenvalue():
     np.testing.assert_allclose(fast.point.y, slow.point.y, rtol=1e-12)
 
 
+def test_ellipsoid_near_the_float_maximum_keeps_its_q():
+    # 0.5 (Q + Q^T) overflowed from 2^1023 and stored an infinite Q with nan
+    # eigenvalues: the kernel raised MaxIterationsExceeded, sigma_C was nan.
+    q = np.diag([1.7e308, 1e308])
+    ell = Ellipsoid(q)
+    assert ell.q_matrix.tobytes() == q.tobytes()
+    assert ell.support((1.0, 1.0)) == pytest.approx(math.sqrt(1 / 1.7e308 + 1 / 1e308),
+                                                    rel=1e-15)
+    for v in (((3.0, -1.0), 1e-154), ((1e-154, 2e-154), 0.5),
+              ((1e-150, -1e-150), 1e-160)):
+        fast = project_homogenization(ell, v)
+        slow = project_homogenization(ell, v, eps=1e-14, force_iterative=True)
+        assert fast.branch is slow.branch is Branch.CONE_INTERIOR
+        assert fast.alpha_star == pytest.approx(slow.alpha_star, rel=1e-12)
+        np.testing.assert_allclose(fast.point.y, slow.point.y, rtol=1e-12)
+
+
 def test_ellipsoid_root_searches_raise_when_their_budget_is_spent(monkeypatch):
     # One evaluation cannot converge on this far point of a stretched
     # ellipsoid, for the projector or for the cone kernel: both run the

@@ -199,6 +199,18 @@ FAILURES = {
     "spec_unrecognized_p": (ValueError, "bad parameters for p_ball: unrecognized p value 'two'",
                             lambda: set_from_spec({"type": "p_ball", "p": "two",
                                                    "radius": 1})),
+    # A unit-vector check on an entry above about 1e154 once overflowed in
+    # numpy's norm, and an error filter raised that warning instead.
+    "spec_ball_pen_direction_overflows": (
+        ValueError, "bad parameters for ball_pen: ray direction must be a unit vector",
+        lambda: set_from_spec({"type": "ball_pen", "direction": [1e200, 0]})),
+    "spec_shifted_ball_d_overflows": (
+        ValueError, "bad parameters for shifted_unit_ball: d must be a unit vector",
+        lambda: set_from_spec({"type": "shifted_unit_ball", "d": [1e200, 0]})),
+    # Its largest eigenvalue, about 2.7e308, is inf in float64.
+    "ellipsoid_eigenvalue_overflows": (
+        ValueError, "Q must be positive definite",
+        lambda: Ellipsoid([[1.7e308, 1e308], [1e308, 1.7e308]])),
 }
 
 
